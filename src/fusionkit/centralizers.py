@@ -228,17 +228,19 @@ class CentralizerData:
 
 
 def compute_centralizer_data(F: FusionSystem, E: FusionSystem) -> CentralizerData:
-    key = ("centralizer-data", E.cache_token)
-    got = F._cache.get(key)
-    if got is None:
-        X_set = centralized_set(F, E)
-        CSE = c_s_of(F, E, X_set)
-        Rstar, Gsys, model, N = r_star(F, E)
-        if not CSE.member_set <= Rstar.member_set:
-            raise TheoremViolation("C_S(E) is not contained in R*")
-        got = CentralizerData(E, X_set, CSE, Rstar, Gsys, model, N)
-        F._cache[key] = got
-    return got
+    """The family, C_S(E) and R* for one normal pair, memoized in F's slot
+    under E's content key."""
+    return F.memo(F.pair_key("centralizer-data", E),
+                  lambda: _centralizer_data(F, E))
+
+
+def _centralizer_data(F: FusionSystem, E: FusionSystem) -> CentralizerData:
+    X_set = centralized_set(F, E)
+    CSE = c_s_of(F, E, X_set)
+    Rstar, Gsys, model, N = r_star(F, E)
+    if not CSE.member_set <= Rstar.member_set:
+        raise TheoremViolation("C_S(E) is not contained in R*")
+    return CentralizerData(E, X_set, CSE, Rstar, Gsys, model, N)
 
 
 def c_F_of(F: FusionSystem, E: FusionSystem,
@@ -248,8 +250,16 @@ def c_F_of(F: FusionSystem, E: FusionSystem,
 
     The focal precondition foc(C_F(T)) <= C_S(E) is checked before any
     construction; it cannot fail on honest input, so a failure aborts.
+    Memoized in F's slot under E's content key and the support used.
     """
     R = C_S_E if C_S_E is not None else c_s_of(F, E)
+    key = F.pair_key("C_F(E)", E)
+    if key is not None:
+        key += (R.members,)
+    return F.memo(key, lambda: _c_F_of(F, E, R))
+
+
+def _c_F_of(F: FusionSystem, E: FusionSystem, R: Subgroup) -> FusionSystem:
     CFT = centralizer_subsystem(F, E.support)
     foc = focal_subgroup(CFT)
     if not foc.member_set <= R.member_set:

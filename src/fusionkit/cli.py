@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: build, centralizer, product, alperin, verify.  Exit codes:
-0 on success (verify: all checks pass), 1 on check failures or alarms,
-2 on usage/parse errors.
+0 on success (verify: all checks pass), 1 on check failures or alarms
+(``VerificationFailed`` and its subclasses), 2 on usage/parse errors (every
+other ``FusionkitError``).
 """
 
 from __future__ import annotations
@@ -10,14 +11,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import corpus as corpus_mod
 from .centralizers import compute_centralizer_data, c_F_of
 from .corpus import Config, ingest
-from .errors import FusionkitError
+from .errors import FusionkitError, VerificationFailed
 from .fusion import FusionSystem, Hom
 from .groups import Subgroup, active_caps, normal_subgroups, sylow_subgroup
 from .persist import load_system, save_system
@@ -159,12 +159,6 @@ def cmd_alperin(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _run_entry(entry, checks, config):
-    label, G, p = entry
-    results = run_suite(label, G, p, check_ids=checks, config=config)
-    return label, p, results
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     checks: Optional[list[str]] = None
     if args.checks and args.checks != "all":
@@ -173,7 +167,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if unknown:
             return _fail(f"unknown checks: {unknown} (known: {list(CHECK_ORDER)})")
     config = Config(group_cap=args.group_cap, lattice_cap=args.lattice_cap,
-                    jobs=args.jobs, corpus_dir=args.corpus_dir)
+                    corpus_dir=args.corpus_dir)
     if args.target == "corpus":
         if config.corpus_dir:
             entries = []
@@ -187,14 +181,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         F = _load_fsk(args.target)
         entries = ((Path(args.target).stem, F.universe, F.p),)
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            rows = list(pool.map(lambda e: _run_entry(e, checks, config), entries))
-    else:
-        rows = [_run_entry(e, checks, config) for e in entries]
     reports = []
     all_pass = True
-    for label, p, results in rows:
+    for label, G, p in entries:
+        results = run_suite(label, G, p, check_ids=checks, config=config)
         reports.append(suite_report(label, p, results, timings=args.timings))
         bad = [r for r in results if not r.passed]
         status = "pass" if not bad else "FAIL"
@@ -251,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--timings", action="store_true",
                    help="include per-check timings in the JSON report "
                         "(off by default so reports are byte-reproducible)")
-    v.add_argument("--jobs", type=int, default=1)
     v.add_argument("--corpus-dir",
                    help="run over the group files in this directory instead "
                         "of the bundled corpus")
@@ -266,8 +255,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     active_caps.lattice = args.lattice_cap
     try:
         return args.func(args)
+    except VerificationFailed as exc:
+        return _fail(str(exc), code=1)
     except FusionkitError as exc:
-        return _fail(str(exc), code=1 if "alarm" in str(exc).lower() else 2)
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -25,13 +25,11 @@ class Config:
 
     group_cap: int = DEFAULT_GROUP_CAP
     lattice_cap: int = DEFAULT_LATTICE_CAP
-    jobs: int = 1
-    report_path: Optional[str] = None
     corpus_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.group_cap <= 0 or self.lattice_cap <= 0 or self.jobs <= 0:
-            raise ValueError("caps and parallelism degree must be positive")
+        if self.group_cap <= 0 or self.lattice_cap <= 0:
+            raise ValueError("group and lattice caps must be positive")
 
 
 def parse_group_json(payload: dict, cap: int = DEFAULT_GROUP_CAP) -> FiniteGroup:

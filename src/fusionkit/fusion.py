@@ -6,13 +6,20 @@ corestricted to its image.  Full hom-sets Hom(P,Q) are derived views (every
 morphism factors as an isomorphism onto its image followed by an inclusion),
 so this representation is lossless.
 
-Systems are immutable once constructed; all caches fill idempotently.
+Systems are immutable once constructed; only ``name`` may be reassigned.  A
+system given by a witness group alone is determined by its content key
+``(support.members, witness.members)``.  Its derived data (iso-sets,
+classes, classification, saturation, local subsystems, normality reports)
+lives in a slot of the registry on its top system, shared by every system
+with the same content key under that top, so it is computed once per
+content.  A system with explicit iso-sets has no content key, even when it
+also carries a witness, and keeps its derived data on the object itself.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .errors import (DomainMismatch, MorphismOutsideSupport, NotAGroup,
                      NotSylow)
@@ -25,8 +32,21 @@ class FusionSystem:
 
     Either ``witness`` (a realizing subgroup W: morphisms are conjugations by
     elements of W) or ``explicit`` iso-sets must be supplied.  ``ambient``
-    points at the outermost system a subsystem lives in; subsystems of
+    points at the outermost (top) system a subsystem lives in; subsystems of
     subsystems are re-based so towers never form.
+
+    ``content_key`` is ``(support.members, witness.members)`` when the
+    witness alone defines the system.  It is None when ``explicit`` tables
+    are given, with or without a witness: then the witness does not determine
+    the hom-sets (the mutation self-tests corrupt systems this way).  Systems
+    with equal content keys under one top share a slot of derived data
+    (``_isos``, ``_iso_keys``, ``_cache``) in the top's ``_registry``.  The
+    registry lives on the top, not on the universe, so it is freed with the
+    top system, and a mutated top, being a new top, starts an empty one.  A
+    system without a content key owns its slot.
+
+    A result that depends on two systems is memoized in one system's slot
+    under the other's content key (see ``pair_key`` and ``memo``).
     """
 
     def __init__(self, support: Subgroup, p: int,
@@ -44,9 +64,18 @@ class FusionSystem:
         self.ambient = ambient.top() if ambient is not None else None
         self.name = name or (f"F_{support.order}({witness.order})" if witness else
                              f"F_{support.order}")
-        self._isos: dict[tuple[int, ...], tuple[Hom, ...]] = {}
-        self._iso_keys: dict[tuple[int, ...], frozenset] = {}
-        self._cache: dict = {}
+        self.content_key: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = (
+            (support.members, witness.members) if explicit is None else None)
+        self._registry: Optional[dict[tuple, tuple[dict, dict, dict]]] = (
+            {} if self.ambient is None else None)
+        top = self.top()
+        if self.content_key is not None and top.universe is self.universe:
+            slot = top._registry.setdefault(self.content_key, ({}, {}, {}))
+        else:
+            slot = ({}, {}, {})
+        self._isos: dict[tuple[int, ...], tuple[Hom, ...]] = slot[0]
+        self._iso_keys: dict[tuple[int, ...], frozenset] = slot[1]
+        self._cache: dict = slot[2]
 
     def top(self) -> "FusionSystem":
         return self.ambient if self.ambient is not None else self
@@ -55,17 +84,24 @@ class FusionSystem:
     def realized(self) -> bool:
         return self.witness is not None
 
-    @property
-    def cache_token(self) -> tuple:
-        """Content-based key for per-pair caches: two realized subsystems with
-        the same witness coincide; explicit systems key by identity."""
-        if self.witness is not None:
-            return ("w", self.support.members, self.witness.members)
-        tok = self._cache.get("token")
-        if tok is None:
-            tok = ("x", self.support.members, id(self))
-            self._cache["token"] = tok
-        return tok
+    def pair_key(self, tag: str, *others: "FusionSystem") -> Optional[tuple]:
+        """Key for a result on this system and ``others``, memoized in this
+        system's slot; None when some other system has no content key in
+        this universe, so that result is not memoized."""
+        if any(D.content_key is None or D.universe is not self.universe
+               for D in others):
+            return None
+        return (tag, *(D.content_key for D in others))
+
+    def memo(self, key: Optional[tuple], compute: Callable[[], Any]) -> Any:
+        """``compute()``, stored in this system's slot under ``key``."""
+        if key is None:
+            return compute()
+        got = self._cache.get(key)
+        if got is None:
+            got = compute()
+            self._cache[key] = got
+        return got
 
     def __repr__(self) -> str:
         return f"FusionSystem({self.name}, |S|={self.support.order}, p={self.p})"
@@ -188,18 +224,7 @@ class FusionSystem:
                 return cls
         raise DomainMismatch("subgroup is not inside the support")
 
-    def is_conjugate(self, P: Subgroup, Q: Subgroup) -> bool:
-        return Q in self.class_of(P)
-
-    def morphisms_between(self, P: Subgroup, Q: Subgroup) -> tuple[Hom, ...]:
-        """Isomorphisms P -> Q (image exactly Q)."""
-        return tuple(h for h in self.isos_from(P) if h.codomain == Q)
-
     # -- whole-system views --------------------------------------------------------
-
-    def all_isos(self) -> Iterable[Hom]:
-        for P in self.subgroups():
-            yield from self.isos_from(P)
 
     def materialize(self) -> dict[tuple[int, ...], tuple[Hom, ...]]:
         return {P.members: self.isos_from(P) for P in self.subgroups()}
@@ -441,10 +466,6 @@ def validate_fusion_system(F: FusionSystem) -> list[str]:
                 if c.images not in keys:
                     problems.append(f"composition {h!r};{g!r} missing")
     return problems
-
-
-def hom_restriction_in(F: FusionSystem, h: Hom, P: Subgroup) -> bool:
-    return h.restrict_cores(P).images in F._keys_from(P)
 
 
 # -- automorphism groups as finite groups -------------------------------------------

@@ -53,11 +53,10 @@ def is_prime(p: int) -> bool:
 class FiniteGroup:
     """Finite group backed by a full multiplication table."""
 
-    __slots__ = ("name", "order", "_mul", "_inv", "_orders", "_cache", "degree",
+    __slots__ = ("name", "order", "_mul", "_inv", "_orders", "_cache",
                  "perm_images", "generator_indices")
 
     def __init__(self, name: str, mul_table: Sequence[Sequence[int]],
-                 degree: Optional[int] = None,
                  perm_images: Optional[Sequence[tuple[int, ...]]] = None,
                  check: bool = True) -> None:
         n = len(mul_table)
@@ -86,7 +85,6 @@ class FiniteGroup:
                 k += 1
             orders[a] = k
         self._orders = tuple(orders)
-        self.degree = degree
         self.perm_images = tuple(perm_images) if perm_images is not None else None
         self.generator_indices: Optional[tuple[int, ...]] = None
         self._cache: dict = {}
@@ -206,22 +204,6 @@ class FiniteGroup:
 
     def generated_subgroup(self, seed: Iterable[int]) -> "Subgroup":
         return Subgroup(self, self.closure(seed), check=False)
-
-    def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
-        classes = self._cache.get("classes")
-        if classes is None:
-            seen = [False] * self.order
-            out = []
-            for x in range(self.order):
-                if seen[x]:
-                    continue
-                orbit = sorted({self.conj(x, g) for g in range(self.order)})
-                for y in orbit:
-                    seen[y] = True
-                out.append(tuple(orbit))
-            classes = tuple(out)
-            self._cache["classes"] = classes
-        return classes
 
 
 @dataclass(frozen=True, eq=False)
@@ -862,7 +844,7 @@ def group_from_permutations(name: str, generators: Sequence[Sequence[int]],
     ordered = [ident] + sorted(p for p in elems if p != ident)
     index_of = {p: i for i, p in enumerate(ordered)}
     table = [[index_of[compose(a, b)] for b in ordered] for a in ordered]
-    grp = FiniteGroup(name, table, degree=degree, perm_images=ordered, check=False)
+    grp = FiniteGroup(name, table, perm_images=ordered, check=False)
     grp.generator_indices = tuple(index_of[g] for g in gens)
     return grp
 

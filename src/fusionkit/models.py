@@ -14,7 +14,7 @@ from .groups import (FiniteGroup, Hom, Subgroup, as_group, centralizer,
                      normal_subgroups, normalizer, o_p, o_p_prime, p_part,
                      quotient)
 from .saturation import is_saturated
-from .subsystems import (is_normal, local_subsystem, normalizer_subsystem)
+from .subsystems import is_normal, normalizer_subsystem
 
 
 def normal_in_system(F: FusionSystem, P: Subgroup) -> bool:
@@ -178,7 +178,7 @@ def script_G(F: FusionSystem, E: FusionSystem,
         T.members + centralizer(F.support, T).members)
     N1 = normalizer_subsystem(F, T)
     Gsys = normalizer_subsystem(N1, V)
-    NET = local_subsystem(E, T)
+    NET = normalizer_subsystem(E, T)
     if check:
         constrained, _ = is_constrained(Gsys)
         if not constrained:
@@ -197,7 +197,6 @@ def _close_partial(G1: FiniteGroup, G2: FiniteGroup,
     mp = dict(pairs)
     mp[0] = 0
     frontier = list(mp)
-    items = list(mp.items())
     while frontier:
         new = []
         for x in frontier:

@@ -186,24 +186,6 @@ def is_epimorphism(functor: InducedFunctor) -> bool:
     return True
 
 
-def image_equals(functor: InducedFunctor, sub: FusionSystem,
-                 expect: FusionSystem) -> bool:
-    """The functor image of ``sub`` equals ``expect`` hom-set-wise."""
-    img_support = functor.subgroup_image(sub.support)
-    if img_support != expect.support:
-        return False
-    got: dict[tuple[int, ...], set] = {}
-    for P in sub.subgroups():
-        mem = functor.subgroup_image(P).members
-        got.setdefault(mem, set())
-        for h in sub.isos_from(P):
-            got[mem].add(functor.apply(h).images)
-    for Pe in expect.subgroups():
-        if got.get(Pe.members, set()) != set(expect._keys_from(Pe)):
-            return False
-    return True
-
-
 # -- central products -----------------------------------------------------------
 
 
@@ -437,7 +419,14 @@ def verify_product_theorems(F: FusionSystem, F1: FusionSystem,
                             F2: FusionSystem) -> ProductReport:
     """Clauses: the centralize/center iff, saturation + normality + central
     product of F1*F2 when centralizing, the radical intersection identity,
-    and the extension witnesses."""
+    and the extension witnesses.  Memoized in F's slot under the factors'
+    content keys."""
+    return F.memo(F.pair_key("product-report", F1, F2),
+                  lambda: _product_report(F, F1, F2))
+
+
+def _product_report(F: FusionSystem, F1: FusionSystem,
+                    F2: FusionSystem) -> ProductReport:
     from .subsystems import is_normal
 
     alarms: list[str] = []

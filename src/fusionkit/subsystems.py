@@ -110,9 +110,6 @@ def normalizer_subsystem_by_extension(F: FusionSystem, Q: Subgroup) -> FusionSys
                         name=f"N_{F.name}({Q.order})")
 
 
-local_subsystem = normalizer_subsystem  # N_E(Q) is the same operation run on E.
-
-
 # -- invariance conditions ---------------------------------------------------------
 
 
@@ -307,7 +304,15 @@ def _extension_property(F: FusionSystem, E: FusionSystem,
 
 def is_normal(F: FusionSystem, E: FusionSystem) -> NormalityReport:
     """Full normality report: strong closure, invariance (strong invariant
-    condition), saturation, Frattini property and both extension variants."""
+    condition), saturation, Frattini property and both extension variants.
+
+    Memoized in E's slot under F's content key, so it is computed once per
+    pair of contents; a report against F without a content key is not kept.
+    """
+    return E.memo(E.pair_key("normality", F), lambda: _normality_report(F, E))
+
+
+def _normality_report(F: FusionSystem, E: FusionSystem) -> NormalityReport:
     T = E.support
     counterexamples: list[tuple[str, str]] = []
     sc = is_strongly_closed(F, T)

@@ -27,9 +27,10 @@ from .groups import (FiniteGroup, Subgroup, centralizer, derived_subgroup,
 from .centralizers import r_star
 from .models import (Model, model_of, models_isomorphic_over_s,
                      normal_in_system, normal_model, script_G)
+from .products import verify_product_theorems
 from .saturation import classify, is_saturated
 from .subsystems import (centralizer_subsystem, invariance_condition,
-                         is_normal, is_strongly_closed, local_subsystem,
+                         is_normal, is_strongly_closed, is_weakly_closed,
                          normal_subsystem_in, normalizer_subsystem,
                          realized_subsystem)
 
@@ -97,7 +98,10 @@ def _sub(P: Subgroup) -> list[int]:
 
 
 class EntryContext:
-    """One corpus entry: the realized system and everything derived from it."""
+    """One corpus entry: the realized system and everything derived from it.
+
+    Derived data of the entry's systems lives in the registry of ``F``
+    (see ``fusion.FusionSystem``), so it is shared by every check."""
 
     def __init__(self, label: str, group: FiniteGroup, p: int,
                  config: Optional[Config] = None,
@@ -113,8 +117,7 @@ class EntryContext:
         if system_mutator is not None:
             self.F = system_mutator(self.F)
         self._pairs: Optional[tuple[tuple[Subgroup, FusionSystem], ...]] = None
-        self._data: dict[tuple, CentralizerData] = {}
-        self._cfe: dict[tuple, FusionSystem] = {}
+        self._candidates: Optional[tuple[FusionSystem, ...]] = None
 
     def normal_pairs(self) -> tuple[tuple[Subgroup, FusionSystem], ...]:
         """(N, E) per normal subgroup of G, deduplicated by the subsystem."""
@@ -132,34 +135,22 @@ class EntryContext:
         return self._pairs
 
     def data_for(self, E: FusionSystem) -> CentralizerData:
-        key = E.cache_token
-        got = self._data.get(key)
-        if got is None:
-            got = compute_centralizer_data(self.F, E)
-            self._data[key] = got
-        return got
+        return compute_centralizer_data(self.F, E)
 
     def cfe_for(self, E: FusionSystem) -> FusionSystem:
-        key = E.cache_token
-        got = self._cfe.get(key)
-        if got is None:
-            got = c_F_of(self.F, E, C_S_E=self.data_for(E).C_S_E)
-            self._cfe[key] = got
-        return got
+        return c_F_of(self.F, E, C_S_E=self.data_for(E).C_S_E)
 
     def candidate_subsystems(self) -> tuple[FusionSystem, ...]:
         """Saturated subsystems built from subgroups and normal subgroups."""
-        got = getattr(self, "_candidates", None)
-        if got is None:
+        if self._candidates is None:
             cands: list[FusionSystem] = []
             for P in self.F.subgroups():
                 D = inner_system(self.F, P)
                 if is_saturated(D).ok:
                     cands.append(D)
             cands.extend(E for _, E in self.normal_pairs())
-            got = tuple(cands)
-            self._candidates = got
-        return got
+            self._candidates = tuple(cands)
+        return self._candidates
 
     def commuting_pairs(self) -> tuple[tuple[FusionSystem, FusionSystem], ...]:
         pairs = []
@@ -215,7 +206,8 @@ def verify_local_normal(F: FusionSystem, E: FusionSystem,
         for Q in E.subgroups():
             if not cls_f.is_fully_normalized(Q):
                 continue
-            triples.append((Q, normalizer_subsystem(F, Q), local_subsystem(E, Q)))
+            triples.append((Q, normalizer_subsystem(F, Q),
+                            normalizer_subsystem(E, Q)))
     for Q, NFQ, NEQ in triples:
         if not cls_e.is_fully_normalized(Q):
             return {"Q": _sub(Q), "kind": "not fully E-normalized"}
@@ -262,7 +254,7 @@ def verify_prophelp(F: FusionSystem, E: FusionSystem,
         constrained, _ = is_constrained(FX)
         if not constrained:
             return {"X": _sub(X), "kind": "local system not constrained"}
-        NEQ = local_subsystem(E, Q)
+        NEQ = normalizer_subsystem(E, Q)
         if not subsystem_contains(FX, NEQ):
             return {"X": _sub(X), "Q": _sub(Q),
                     "kind": "N_E(X n T) not inside the local system"}
@@ -281,7 +273,7 @@ def verify_easy_centralizer(F: FusionSystem, E: FusionSystem,
     if X_set is None:
         X_set = centralized_set(F, E)
     family = {X.members for X in X_set}
-    NET = local_subsystem(E, T)
+    NET = normalizer_subsystem(E, T)
     net_centralized = {X.members: contained_in_centralizer(F, NET, X)
                        for X in subgroup_lattice(CST)}
     for X in subgroup_lattice(CST):
@@ -352,7 +344,7 @@ def verify_weakly_closed_centralized(F: FusionSystem, E: FusionSystem,
         X_set = centralized_set(F, E)
     family = {X.members for X in X_set}
     for R in subgroup_lattice(CST):
-        if not is_weakly_closed_cached(F, R):
+        if not is_weakly_closed(F, R):
             continue
         C_R = centralizer_subsystem(F, R)
         if not all(C_R.contains_morphism(a) for a in E.automorphisms(T)):
@@ -360,16 +352,6 @@ def verify_weakly_closed_centralized(F: FusionSystem, E: FusionSystem,
         if R.members not in family:
             return {"R": _sub(R)}
     return None
-
-
-def is_weakly_closed_cached(F: FusionSystem, P: Subgroup) -> bool:
-    key = ("wc", P.members)
-    got = F._cache.get(key)
-    if got is None:
-        from .subsystems import is_weakly_closed
-        got = is_weakly_closed(F, P)
-        F._cache[key] = got
-    return got
 
 
 def verify_gn(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
@@ -392,7 +374,7 @@ def verify_cfcg0(F: FusionSystem, E: FusionSystem,
     T = E.support
     CST = centralizer(F.support, T)
     V = F.universe.generated_subgroup(T.members + CST.members)
-    NET = local_subsystem(E, T)
+    NET = normalizer_subsystem(E, T)
     mul, inv = F.universe._mul, F.universe._inv
     targets = [X for X in subgroup_lattice(CST)
                if contained_in_centralizer(F, NET, X)]
@@ -428,7 +410,7 @@ def verify_first_characterization(F: FusionSystem, E: FusionSystem,
             R_star = data.R_star
     T = E.support
     CST = centralizer(F.support, T)
-    NET = local_subsystem(E, T)
+    NET = normalizer_subsystem(E, T)
     for X in subgroup_lattice(CST):
         inside = X.member_set <= R_star.member_set
         centralizes = contained_in_centralizer(F, NET, X)
@@ -622,7 +604,7 @@ def verify_model1c(ctx: EntryContext, E: FusionSystem) -> Optional[dict]:
     """The normal model exists and is unique (alarm types become failures)."""
     data = ctx.data_for(E)
     try:
-        NET = local_subsystem(E, E.support)
+        NET = normalizer_subsystem(E, E.support)
         N = normal_model(data.local_system, data.model, NET)
     except FusionkitError as exc:
         return {"kind": str(exc)}
@@ -632,17 +614,6 @@ def verify_model1c(ctx: EntryContext, E: FusionSystem) -> Optional[dict]:
 
 
 # -- product checks -------------------------------------------------------------
-
-
-def product_report_for(ctx: EntryContext, E1: FusionSystem,
-                       E2: FusionSystem):
-    from .products import verify_product_theorems
-    key = ("product-report", E1.cache_token, E2.cache_token)
-    got = ctx.F._cache.get(key)
-    if got is None:
-        got = verify_product_theorems(ctx.F, E1, E2)
-        ctx.F._cache[key] = got
-    return got
 
 
 def verify_l_f1f2(F: FusionSystem, E1: FusionSystem, E2: FusionSystem,
@@ -693,7 +664,7 @@ def _check_finvariant(ctx: EntryContext) -> Optional[dict]:
         candidates.append(inner_system(F, E.support))
     seen = set()
     for E in candidates:
-        key = E.cache_token
+        key = E.content_key or E   # realized candidates dedupe by content
         if key in seen:
             continue
         seen.add(key)
@@ -753,7 +724,7 @@ def _check_products(clause: str) -> Callable:
                     return bad
             return None
         for E1, E2 in ctx.commuting_pairs():
-            rep = product_report_for(ctx, E1, E2)
+            rep = verify_product_theorems(ctx.F, E1, E2)
             payload = {"S1": _sub(E1.support), "S2": _sub(E2.support)}
             if clause == "iff" and not rep.iff_holds:
                 return payload

@@ -9,7 +9,8 @@ import pytest
 
 from fusionkit.cli import main, resolve_morphism, resolve_subgroup
 from fusionkit.corpus import builtin_group_path, ingest
-from fusionkit.errors import FusionkitError, NotAGroup, ParseError
+from fusionkit.errors import (FusionkitError, NotAGroup, ParseError,
+                              TheoremViolation)
 from fusionkit.persist import load_system
 
 
@@ -26,6 +27,27 @@ def s4_fsk(tmp_path, s4_file):
     assert main(["build", str(s4_file), "-p", "2",
                  "--out", str(tmp_path / "s4.fsk")]) == 0
     return tmp_path / "s4.fsk"
+
+
+@pytest.fixture()
+def corrupt_fsk(s4_fsk, tmp_path):
+    # Deletions heal through the closure (conjugation-family redundancy),
+    # so corrupt by injecting extra fusion: a valid automorphism of the
+    # Klein subgroup whose F-automizer is only C2 (a 3-cycle on its
+    # involutions is a group automorphism but not a fusion morphism).
+    payload = json.loads(Path(s4_fsk).read_text())
+    hit = False
+    for entry in payload["classes"]:
+        rep = entry["rep"]
+        if len(rep) == 4 and len(entry["aut_generators"]) == 1:
+            m = rep
+            entry["aut_generators"].append([m[0], m[2], m[3], m[1]])
+            hit = True
+            break
+    assert hit
+    bad = tmp_path / "bad.fsk"
+    bad.write_text(json.dumps(payload))
+    return bad
 
 
 class TestIngest:
@@ -85,25 +107,9 @@ class TestPersistence:
                {P.members: {h.images for h in fresh.isos_from(P)}
                 for P in fresh.subgroups()}
 
-    def test_corrupted_record_rejected(self, s4_fsk, tmp_path):
-        # Deletions heal through the closure (conjugation-family redundancy),
-        # so corrupt by injecting extra fusion: a valid automorphism of the
-        # Klein subgroup whose F-automizer is only C2 (a 3-cycle on its
-        # involutions is a group automorphism but not a fusion morphism).
-        payload = json.loads(Path(s4_fsk).read_text())
-        hit = False
-        for entry in payload["classes"]:
-            rep = entry["rep"]
-            if len(rep) == 4 and len(entry["aut_generators"]) == 1:
-                m = rep
-                entry["aut_generators"].append([m[0], m[2], m[3], m[1]])
-                hit = True
-                break
-        assert hit
-        bad = tmp_path / "bad.fsk"
-        bad.write_text(json.dumps(payload))
+    def test_corrupted_record_rejected(self, corrupt_fsk):
         with pytest.raises(FusionkitError):
-            load_system(bad)
+            load_system(corrupt_fsk)
 
     def test_unsupported_format(self, tmp_path):
         f = tmp_path / "x.fsk"
@@ -191,6 +197,24 @@ class TestCommands:
     def test_verify_exit_code_contract(self, tmp_path, s4_file, capsys):
         # unknown check id is a usage error
         code = main(["verify", "corpus", "--checks", "NoSuch"])
+        assert code == 2
+
+    def test_verification_failed_exits_one(self, corrupt_fsk, capsys):
+        code = main(["centralizer", str(corrupt_fsk), "--normal", "order:12"])
+        assert code == 1
+        assert "does not regenerate" in capsys.readouterr().err
+
+    def test_theorem_violation_exits_one(self, s4_fsk, monkeypatch):
+        def violated(F, E):
+            raise TheoremViolation("C_S(E) is not strongly closed")
+
+        monkeypatch.setattr("fusionkit.cli.compute_centralizer_data", violated)
+        code = main(["centralizer", str(s4_fsk), "--normal", "order:12"])
+        assert code == 1
+
+    def test_other_library_error_exits_two(self, s4_fsk):
+        # a plain FusionkitError: S4 has no normal subgroup of order 7
+        code = main(["centralizer", str(s4_fsk), "--normal", "order:7"])
         assert code == 2
 
     def test_usage_error_on_bad_file(self, tmp_path):

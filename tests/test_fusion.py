@@ -6,14 +6,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fusionkit.corpus import builtin_group
-from fusionkit.errors import (DomainMismatch, MorphismOutsideSupport, NotSylow)
+from fusionkit.errors import (DomainMismatch, MorphismOutsideSupport,
+                              NotAGroup, NotSylow)
 from fusionkit.fusion import (MorphismGroup, conjugate_morphism,
                               conjugate_subsystem, full_subcategory,
                               fusion_of_group, generated_subsystem,
                               inner_system, realized_subsystem,
                               subsystem_contains, subsystem_equal,
                               validate_fusion_system)
-from fusionkit.groups import Hom, center, sylow_subgroup
+from fusionkit.groups import (Hom, center, group_from_permutations,
+                              normal_subgroups, normalizer, o_p, o_upper_p,
+                              sylow_subgroup)
+from fusionkit.saturation import classify, is_saturated
+from fusionkit.subsystems import (is_normal, normal_subsystem_in,
+                                  normalizer_subsystem)
+from fusionkit import subsystems
+from fusionkit.verify import inner_only_shadow, with_added_iso, with_removed_iso
 
 
 def order3_autos(F, V):
@@ -219,3 +227,168 @@ def test_generated_monotone_property(picks):
     big = generated_subsystem(F, V, auts)
     assert subsystem_contains(big, small)
     assert subsystem_contains(F, small)
+
+
+# -- the content-keyed registry ----------------------------------------------------
+
+
+def fresh_s4_system():
+    """F_S(S4) on a new top, so its registry starts empty."""
+    g = builtin_group("s4")
+    return fusion_of_group(g, sylow_subgroup(g.full_subgroup, 2), 2)
+
+
+def s4_mutants(F):
+    """The three witness-plus-explicit corruptions of F_S(S4) the self-tests use."""
+    g = F.universe
+    V = o_p(g.full_subgroup, 2)
+    order3 = next(i for i, h in enumerate(F.isos_from(V))
+                  if h.codomain == V and all(h(x) != x for x in V.members if x))
+    other_klein = next(P for P in F.subgroups() if P.order == 4 and P != V
+                       and all(g.element_order(x) <= 2 for x in P.members))
+    a, b = [x for x in other_klein.members if x][:2]
+    three_cycle = Hom.from_generator_images(other_klein, other_klein,
+                                            [a, b], [b, g.mul(a, b)])
+    return {"removed": with_removed_iso(F, V, order3, keep_witness=True),
+            "added": with_added_iso(F, three_cycle, keep_witness=True),
+            "shadow": inner_only_shadow(F)}
+
+
+class TestContentRegistry:
+    def test_content_key_only_for_witness_only_systems(self, F_s4, E_a4):
+        assert F_s4.content_key == (F_s4.support.members,
+                                    F_s4.witness.members)
+        assert E_a4.content_key == (E_a4.support.members,
+                                    E_a4.witness.members)
+        gen = generated_subsystem(F_s4, E_a4.support, [])
+        assert gen.content_key is None
+        for M in s4_mutants(F_s4).values():
+            assert M.witness is not None and M.content_key is None
+
+    def test_equal_content_shares_one_slot(self, F_s4, A4, V4):
+        E1 = realized_subsystem(F_s4, A4, V4)
+        E2 = realized_subsystem(F_s4, A4, V4)
+        assert E1 is not E2
+        assert classify(E2) is classify(E1)
+        assert is_saturated(E2) is is_saturated(E1)
+        assert is_normal(F_s4, E2) is is_normal(F_s4, E1)
+        # N_F(V4) has the content of F itself: V4 is normal in S4
+        assert is_saturated(normalizer_subsystem(F_s4, V4)) is is_saturated(F_s4)
+
+    def test_normal_subsystem_in_twice_computes_once(self, monkeypatch):
+        calls = []
+        real = subsystems._normality_report
+
+        def counted(F, E):
+            calls.append(E.content_key)
+            return real(F, E)
+
+        monkeypatch.setattr(subsystems, "_normality_report", counted)
+        F = fresh_s4_system()
+        A4 = o_upper_p(F.universe.full_subgroup, 2)
+        E1 = normal_subsystem_in(F, A4)
+        E2 = normal_subsystem_in(F, A4)
+        assert E1 is not E2 and len(calls) == 1
+        assert classify(E2) is classify(E1)
+        assert is_saturated(E2) is is_saturated(E1)
+        assert is_normal(F, E2) is is_normal(F, E1)
+        assert len(calls) == 1
+
+    def test_registry_is_per_top(self, F_s4, A4, V4):
+        F = fresh_s4_system()
+        assert F._registry is not F_s4._registry
+        assert realized_subsystem(F, A4, V4).ambient is F
+        mine = is_saturated(realized_subsystem(F, A4, V4))
+        theirs = is_saturated(realized_subsystem(F_s4, A4, V4))
+        assert mine is not theirs and mine == theirs
+
+    def test_mutated_systems_never_read_the_honest_slot(self):
+        F = fresh_s4_system()
+        honest_classes = F.classes()
+        classify(F), is_saturated(F)
+        mutants = s4_mutants(F)
+        for M in mutants.values():
+            assert M._registry is not None and M._registry is not F._registry
+            assert M._cache is not F._cache and M._isos is not F._isos
+            for P in M.subgroups():
+                assert M.isos_from(P) == M._explicit[P.members]
+        with pytest.raises(NotAGroup):
+            classify(mutants["removed"])
+        assert len(mutants["added"].classes()) < len(honest_classes)
+        assert len(mutants["shadow"].classes()) > len(honest_classes)
+        for M in (mutants["added"], mutants["shadow"]):
+            assert classify(M) is not classify(F)
+            assert is_saturated(M) is not is_saturated(F)
+        # each mutant's results are those of the same mutant on a fresh top
+        again = s4_mutants(fresh_s4_system())
+        for key in ("added", "shadow"):
+            M, M2 = mutants[key], again[key]
+            assert classify(M).fully_normalized == classify(M2).fully_normalized
+            assert classify(M).fully_automized == classify(M2).fully_automized
+            assert is_saturated(M) == is_saturated(M2)
+
+    def test_mutated_subsystem_never_reads_the_honest_slot(self):
+        F = fresh_s4_system()
+        V = o_p(F.universe.full_subgroup, 2)
+        E = realized_subsystem(F, o_upper_p(F.universe.full_subgroup, 2), V)
+        honest_isos = E.isos_from(V)
+        classify(E), is_saturated(E)
+        order3 = next(i for i, h in enumerate(honest_isos)
+                      if all(h(x) != x for x in V.members if x))
+        M = with_removed_iso(E, V, order3, keep_witness=True)
+        assert M.ambient is F and M.content_key is None
+        assert M._cache is not E._cache
+        assert len(M.isos_from(V)) == len(honest_isos) - 1
+        with pytest.raises(NotAGroup):
+            classify(M)
+        with pytest.raises(NotAGroup):
+            is_saturated(M)
+
+    def test_subsystems_of_a_mutated_top_use_its_registry(self, F_s4, A4, V4):
+        shadow = inner_only_shadow(F_s4)
+        E = realized_subsystem(shadow, A4, V4)
+        honest = realized_subsystem(F_s4, A4, V4)
+        assert E.content_key == honest.content_key
+        assert E._cache is not honest._cache
+        assert E.pair_key("normality", shadow) is None
+
+    def test_normality_against_mutants_is_never_shared(self, F_s4, E_a4):
+        assert is_normal(F_s4, E_a4).normal
+        mutants = s4_mutants(F_s4)
+        reports = {key: is_normal(M, E_a4) for key, M in mutants.items()}
+        assert not any(r.normal for r in reports.values())
+        assert reports["added"].to_json() != reports["shadow"].to_json()
+        for key, M in mutants.items():
+            fresh = subsystems._normality_report(M, E_a4)
+            assert reports[key].to_json() == fresh.to_json()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data())
+def test_shared_results_match_a_fresh_registry(data):
+    """Over groups generated by two permutations of degree <= 5, the
+    results shared by separately built copies of a system are those of a
+    freshly built system with an empty registry."""
+    n = data.draw(st.integers(min_value=3, max_value=5))
+    perms = data.draw(st.lists(st.permutations(range(1, n + 1)),
+                               min_size=2, max_size=2))
+    G = group_from_permutations("gen", perms)
+    p = data.draw(st.sampled_from([q for q in (2, 3, 5) if G.order % q == 0]
+                                  or [2]))
+    S = sylow_subgroup(G.full_subgroup, p)
+    F = fusion_of_group(G, S, p)
+    N = data.draw(st.sampled_from(normal_subgroups(G.full_subgroup)))
+    Q = data.draw(st.sampled_from(classify(F).f_set()))   # N_S(Q) is Sylow
+    shared = []
+    for _ in range(2):
+        E = realized_subsystem(F, N, S.meet(N))
+        local = realized_subsystem(F, normalizer(G.full_subgroup, Q),
+                                   normalizer(S, Q))
+        shared.append((is_saturated(E), is_normal(F, E), is_saturated(local)))
+    assert all(a is b for a, b in zip(shared[0], shared[1]))
+    F0 = fusion_of_group(G, S, p)
+    E0 = realized_subsystem(F0, N, S.meet(N))
+    sat, report, local_sat = shared[0]
+    assert sat == is_saturated(E0)
+    assert report.to_json() == is_normal(F0, E0).to_json()
+    assert local_sat == is_saturated(normalizer_subsystem(F0, Q))

@@ -14,8 +14,7 @@ from fusionkit.subsystems import (centralizer_subsystem,
                                   is_strongly_closed, is_weakly_closed,
                                   normal_subsystem_from_group,
                                   normal_subsystem_in, normalizer_subsystem,
-                                  normalizer_subsystem_by_extension,
-                                  local_subsystem)
+                                  normalizer_subsystem_by_extension)
 
 
 class TestClosure:
@@ -78,7 +77,7 @@ class TestLocalSubsystems:
         assert validate_fusion_system(centralizer_subsystem(F_s4, Z)) == []
 
     def test_local_subsystem_of_subsystem(self, E_a4, V4):
-        NET = local_subsystem(E_a4, V4)
+        NET = normalizer_subsystem(E_a4, V4)
         assert NET.support == V4
         assert subsystem_equal(NET, E_a4)  # V4 is normal in A4
 
