@@ -90,7 +90,7 @@ def a_circle(F: FusionSystem, E: FusionSystem, P: Subgroup) -> tuple[Hom, ...]:
     """
     T = E.support
     G = F.universe
-    PT = Subgroup(G, tuple(sorted(P.member_set & T.member_set)), check=False)
+    PT = P.meet(T)
     out = []
     for phi in F.automorphisms(P):
         if not all(G.mul(G.inv(x), phi(x)) in PT.member_set for x in P.members):

@@ -3,7 +3,9 @@
 Subcommands: build, centralizer, product, alperin, verify.  Exit codes:
 0 on success (verify: all checks pass), 1 on check failures or alarms
 (``VerificationFailed`` and its subclasses), 2 on usage/parse errors (every
-other ``FusionkitError``).
+other ``FusionkitError``, and a non-positive ``--group-cap`` or
+``--lattice-cap``).  The two cap flags set the process-wide
+``groups.active_caps``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Optional, Sequence
 
 from . import corpus as corpus_mod
 from .centralizers import compute_centralizer_data, c_F_of
-from .corpus import Config, ingest
+from .corpus import ingest
 from .errors import FusionkitError, VerificationFailed
 from .fusion import FusionSystem, Hom
 from .groups import Subgroup, active_caps, normal_subgroups, sylow_subgroup
@@ -166,25 +168,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
         unknown = [c for c in checks if c not in CHECK_ORDER]
         if unknown:
             return _fail(f"unknown checks: {unknown} (known: {list(CHECK_ORDER)})")
-    config = Config(group_cap=args.group_cap, lattice_cap=args.lattice_cap,
-                    corpus_dir=args.corpus_dir)
     if args.target == "corpus":
-        if config.corpus_dir:
+        if args.corpus_dir:
             entries = []
-            for path in sorted(Path(config.corpus_dir).glob("*.json")):
-                G = ingest(path, cap=config.group_cap)
+            for path in sorted(Path(args.corpus_dir).glob("*.json")):
+                G = ingest(path, cap=active_caps.group)
                 for p in corpus_mod.designated_primes(path):
                     entries.append((f"{path.stem}@{p}", G, p))
             entries = tuple(entries)
         else:
-            entries = corpus_mod.corpus_entries(config)
+            entries = corpus_mod.corpus_entries()
     else:
         F = _load_fsk(args.target)
         entries = ((Path(args.target).stem, F.universe, F.p),)
     reports = []
     all_pass = True
     for label, G, p in entries:
-        results = run_suite(label, G, p, check_ids=checks, config=config)
+        results = run_suite(label, G, p, check_ids=checks)
         reports.append(suite_report(label, p, results, timings=args.timings))
         bad = [r for r in results if not r.passed]
         status = "pass" if not bad else "FAIL"
@@ -251,6 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if args.group_cap <= 0 or args.lattice_cap <= 0:
+        return _fail("--group-cap and --lattice-cap must be positive")
     active_caps.group = args.group_cap
     active_caps.lattice = args.lattice_cap
     try:

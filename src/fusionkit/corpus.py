@@ -9,27 +9,12 @@ centralizers, and central-/direct-product geometry at p = 2 and p = 3.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Optional
 
 from .errors import ParseError
-from .groups import (DEFAULT_GROUP_CAP, DEFAULT_LATTICE_CAP, FiniteGroup,
+from .groups import (DEFAULT_GROUP_CAP, FiniteGroup, active_caps,
                      group_from_permutations, group_from_table)
-
-
-@dataclass(frozen=True)
-class Config:
-    """Runtime limits and paths; defaults keep exhaustive runs under minutes."""
-
-    group_cap: int = DEFAULT_GROUP_CAP
-    lattice_cap: int = DEFAULT_LATTICE_CAP
-    corpus_dir: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.group_cap <= 0 or self.lattice_cap <= 0:
-            raise ValueError("group and lattice caps must be positive")
 
 
 def parse_group_json(payload: dict, cap: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
@@ -119,14 +104,13 @@ def builtin_group(name: str) -> FiniteGroup:
     return got
 
 
-def corpus_entries(config: Optional[Config] = None,
-                   ) -> tuple[tuple[str, FiniteGroup, int], ...]:
-    """(label, group, prime) triples for the bundled corpus."""
-    cfg = config or Config()
+def corpus_entries() -> tuple[tuple[str, FiniteGroup, int], ...]:
+    """(label, group, prime) for each bundled entry whose group order is
+    within ``active_caps.group``."""
     out = []
     for name, p in CORPUS_ENTRIES:
         G = builtin_group(name)
-        if G.order > cfg.group_cap:
+        if G.order > active_caps.group:
             continue
         out.append((f"{name}@{p}", G, p))
     return tuple(out)

@@ -39,17 +39,6 @@ def p_part(n: int, p: int) -> int:
     return m
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 class FiniteGroup:
     """Finite group backed by a full multiplication table."""
 
@@ -104,8 +93,8 @@ class FiniteGroup:
             col = [self._mul[x][a] for x in rng]
             if sorted(col) != list(rng):
                 raise NotAGroup(f"column {a} is not a permutation of 0..{n-1}")
-        # Latin square plus identity does not force associativity.  Check all
-        # triples up to order 128; above that, a fixed strided sample.
+        # Latin square plus identity does not force associativity.  Check
+        # every (a, b, c) up to order 128; above that, a fixed strided sample.
         step = 1 if n <= 128 else max(1, n // 64)
         picks = list(range(0, n, step))
         for a in picks:
@@ -296,9 +285,6 @@ class Subgroup:
         conj = self.parent.conj
         return all(conj(x, g) in mem for x in self.members for g in other.members)
 
-    def is_p_group(self, p: int) -> bool:
-        return p_part(self.order, p) == self.order
-
     def is_elementwise_commuting(self, other: "Subgroup") -> bool:
         mul = self.parent._mul
         return all(mul[a][b] == mul[b][a] for a in self.members for b in other.members)
@@ -389,24 +375,14 @@ class Hom:
     def is_injective(self) -> bool:
         return len(set(self.images)) == len(self.images)
 
-    @property
-    def is_surjective(self) -> bool:
-        return set(self.images) == self.codomain.member_set
-
     def is_identity(self) -> bool:
         return (self.domain == self.codomain
                 and self.domain.parent is self.codomain.parent
                 and self.images == self.domain.members)
 
-    def is_automorphism_of(self, P: Subgroup) -> bool:
-        return self.domain == P and self.image == P
-
     def fixes_pointwise(self, X: Subgroup) -> bool:
         mp = self._map
         return all(mp[x] == x for x in X.members)
-
-    def maps_onto(self, Q: Subgroup) -> bool:
-        return self.image == Q
 
     def subgroup_image(self, P: Subgroup) -> Subgroup:
         return Subgroup(self.codomain.parent, self.apply_set(P.members), check=False)
@@ -418,12 +394,6 @@ class Hom:
         mp = other._map
         return Hom(self.domain, other.codomain,
                    tuple(mp[y] for y in self.images), check=False)
-
-    def restrict(self, P: Subgroup) -> "Hom":
-        """Restriction to P <= domain, keeping the codomain."""
-        mp = self._map
-        return Hom(P, self.codomain, tuple(mp[x] for x in P.members),
-                   witness=self.witness, check=False)
 
     def cores(self) -> "Hom":
         """Corestriction onto the image (the canonical iso form)."""

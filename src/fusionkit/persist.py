@@ -87,7 +87,7 @@ def save_system(F: FusionSystem, path: str | Path) -> None:
     Path(path).write_text(json.dumps(system_payload(F), indent=1) + "\n")
 
 
-def load_system(path: str | Path, verify: bool = True) -> FusionSystem:
+def load_system(path: str | Path) -> FusionSystem:
     """Load a persisted system; the generator-record closure must agree with
     the witness fusion rebuilt from the stored table."""
     try:
@@ -105,21 +105,20 @@ def load_system(path: str | Path, verify: bool = True) -> FusionSystem:
         W = G.subgroup(payload["witness"])
         p = int(payload["prime"])
         fresh = fusion_of_group(W, S, p, name=payload.get("name", ""))
-        if verify:
-            seeds: list[Hom] = []
-            for entry in payload["classes"]:
-                rep = G.subgroup(entry["rep"])
-                for images in entry["aut_generators"]:
-                    seeds.append(Hom(rep, rep, images, check=True))
-                for bridge in entry["bridges"]:
-                    member = G.subgroup(bridge["member"])
-                    seeds.append(Hom(rep, member, bridge["from_rep"], check=True))
-                    seeds.append(Hom(member, rep, bridge["to_rep"], check=True))
-            explicit = close_morphisms(S, seeds)
-            rebuilt = FusionSystem(S, p, explicit=explicit, name="rebuilt")
-            if not subsystem_equal(rebuilt, fresh):
-                raise VerificationFailed(
-                    f"{path}: generator record does not regenerate the stored fusion")
+        seeds: list[Hom] = []
+        for entry in payload["classes"]:
+            rep = G.subgroup(entry["rep"])
+            for images in entry["aut_generators"]:
+                seeds.append(Hom(rep, rep, images, check=True))
+            for bridge in entry["bridges"]:
+                member = G.subgroup(bridge["member"])
+                seeds.append(Hom(rep, member, bridge["from_rep"], check=True))
+                seeds.append(Hom(member, rep, bridge["to_rep"], check=True))
+        explicit = close_morphisms(S, seeds)
+        rebuilt = FusionSystem(S, p, explicit=explicit, name="rebuilt")
+        if not subsystem_equal(rebuilt, fresh):
+            raise VerificationFailed(
+                f"{path}: generator record does not regenerate the stored fusion")
         return fresh
     except KeyError as exc:
         raise ParseError(f"{path}: missing field {exc}") from exc

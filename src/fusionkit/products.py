@@ -383,11 +383,7 @@ def radical_intersect_failure(F: FusionSystem, S1: Subgroup, S2: Subgroup,
     T = F.universe.generated_subgroup(S1.members + S2.members)
     for R in (cr_list if cr_list is not None else classify(F).cr_set()):
         lhs = R.member_set & T.member_set
-        rs1 = Subgroup(F.universe, tuple(sorted(R.member_set & S1.member_set)),
-                       check=False)
-        rs2 = Subgroup(F.universe, tuple(sorted(R.member_set & S2.member_set)),
-                       check=False)
-        if lhs != set(rs1.product_set(rs2)):
+        if lhs != set(R.meet(S1).product_set(R.meet(S2))):
             return list(R.members)
     return None
 

@@ -187,29 +187,22 @@ def invariance_condition(F: FusionSystem, E: FusionSystem, which: str) -> bool:
     if which == "c":
         return all(_aut_sets_normal(F, E, P) for P in E.subgroups()
                    if cls.is_fully_normalized(P))
-    tset = T.member_set
     if which == "d":
         for R in cls.cr_set():
-            RT = Subgroup(F.universe, tuple(sorted(R.member_set & tset)),
-                          check=False)
+            RT = R.meet(T)
             if cls.is_fully_normalized(RT) and not _aut_sets_normal(F, E, RT):
                 return False
         return True
     if which == "e":
         candidates = [cls.crf_set(),
                       tuple(R for R in cls.cr_set()
-                            if classify(F).is_fully_normalized(
-                                Subgroup(F.universe,
-                                         tuple(sorted(R.member_set & tset)),
-                                         check=False)))]
+                            if cls.is_fully_normalized(R.meet(T)))]
         for fam in candidates:
             if not fam or not is_conjugation_family(F, fam):
                 continue
             ok = True
             for R in fam:
-                RT = Subgroup(F.universe, tuple(sorted(R.member_set & tset)),
-                              check=False)
-                if not _aut_sets_normal(F, E, RT):
+                if not _aut_sets_normal(F, E, R.meet(T)):
                     ok = False
                     break
             if ok:

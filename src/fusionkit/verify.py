@@ -5,12 +5,24 @@ proof-internal lemmas are first-class checks so a regression localizes to
 the earliest failing one.  A failing check carries a minimal counterexample
 payload; an exception inside a check is recorded as a failure, never
 propagated (corrupted inputs from mutation self-tests must fail cleanly).
+
+Checks come in three scopes, each run by one loop:
+
+- entry scope (``saturation``, ``Finvariant.equiv``, ``focal-oracle``): the
+  check sees the whole entry and builds its own payload;
+- normal-pair scope (``_per_pair``): one predicate per normal subsystem E,
+  stopping at the first failure, whose payload gains
+  ``pair = {"N_order": |N|, "T": E's support}``;
+- commuting-pair scope (``_per_commuting_pair``): one predicate per pair of
+  normal subsystems with elementwise-commuting supports, whose failure
+  payload starts with the supports ``S1`` and ``S2``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from .centralizers import (CentralizerData, a_circle, c_F_of, c_s_of,
@@ -18,7 +30,6 @@ from .centralizers import (CentralizerData, a_circle, c_F_of, c_s_of,
                            compute_centralizer_data, contained_in_centralizer,
                            focal_subgroup, h_group, hyperfocal_subgroup,
                            weakly_closed_analysis)
-from .corpus import Config
 from .errors import FusionkitError
 from .fusion import (FusionSystem, Hom, conjugate_morphism, fusion_of_group,
                      inner_system, subsystem_contains)
@@ -27,7 +38,7 @@ from .groups import (FiniteGroup, Subgroup, centralizer, derived_subgroup,
 from .centralizers import r_star
 from .models import (Model, model_of, models_isomorphic_over_s,
                      normal_in_system, normal_model, script_G)
-from .products import verify_product_theorems
+from .products import ProductReport, verify_product_theorems
 from .saturation import classify, is_saturated
 from .subsystems import (centralizer_subsystem, invariance_condition,
                          is_normal, is_strongly_closed, is_weakly_closed,
@@ -104,13 +115,11 @@ class EntryContext:
     (see ``fusion.FusionSystem``), so it is shared by every check."""
 
     def __init__(self, label: str, group: FiniteGroup, p: int,
-                 config: Optional[Config] = None,
                  system_mutator: Optional[Callable[[FusionSystem], FusionSystem]] = None
                  ) -> None:
         self.label = label
         self.group = group
         self.p = p
-        self.config = config or Config()
         from .groups import sylow_subgroup
         self.S = sylow_subgroup(group.full_subgroup, p)
         self.F = fusion_of_group(group, self.S, p)
@@ -161,12 +170,24 @@ class EntryContext:
                     pairs.append((E1, E2))
         return tuple(pairs)
 
-    def alternative_sylow_element(self) -> Optional[int]:
-        """Smallest g with S^g != S, or None when S is the unique Sylow."""
+    @cached_property
+    def alternative_sylow(self) -> Optional[tuple[int, FusionSystem]]:
+        """(g, F_{S^g}(G)) for the smallest g with S^g != S, built once;
+        None when S is the unique Sylow p-subgroup."""
         for g in range(self.group.order):
-            if self.S.conjugate(g) != self.S:
-                return g
+            S2 = self.S.conjugate(g)
+            if S2 != self.S:
+                return g, fusion_of_group(self.group, S2, self.p)
         return None
+
+    def transported(self, E: FusionSystem
+                    ) -> Optional[tuple[int, FusionSystem, FusionSystem]]:
+        """(g, F2, E2): E carried by g to the alternative Sylow top F2, or
+        None when S is the unique Sylow p-subgroup."""
+        if self.alternative_sylow is None:
+            return None
+        g, F2 = self.alternative_sylow
+        return g, F2, realized_subsystem(F2, E.witness, E.support.conjugate(g))
 
 
 # -- per-claim verifiers (return a counterexample dict or None) ----------------------
@@ -195,20 +216,15 @@ def verify_wellknown(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     return None
 
 
-def verify_local_normal(F: FusionSystem, E: FusionSystem,
-                        triples: Optional[Sequence] = None) -> Optional[dict]:
+def verify_local_normal(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     """Per fully normalized Q <= T: Q in E^f, both locals saturated, and
     N_E(Q) normal in N_F(Q)."""
     cls_f = classify(F)
     cls_e = classify(E)
-    if triples is None:
-        triples = []
-        for Q in E.subgroups():
-            if not cls_f.is_fully_normalized(Q):
-                continue
-            triples.append((Q, normalizer_subsystem(F, Q),
-                            normalizer_subsystem(E, Q)))
-    for Q, NFQ, NEQ in triples:
+    for Q in E.subgroups():
+        if not cls_f.is_fully_normalized(Q):
+            continue
+        NFQ, NEQ = normalizer_subsystem(F, Q), normalizer_subsystem(E, Q)
         if not cls_e.is_fully_normalized(Q):
             return {"Q": _sub(Q), "kind": "not fully E-normalized"}
         if not is_saturated(NFQ).ok:
@@ -224,8 +240,7 @@ def verify_local_normal(F: FusionSystem, E: FusionSystem,
     return None
 
 
-def verify_prophelp(F: FusionSystem, E: FusionSystem,
-                    locals_override: Optional[dict] = None) -> Optional[dict]:
+def verify_prophelp(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     """For X fully normalized with X n T fully normalized and E-centric and
     X <= (X n T) C_S(T): the local system at X is constrained and saturated
     and N_E(X n T) is normal in it."""
@@ -237,8 +252,7 @@ def verify_prophelp(F: FusionSystem, E: FusionSystem,
     for X in F.subgroups():
         if not cls_f.is_fully_normalized(X):
             continue
-        Q = Subgroup(F.universe, tuple(sorted(X.member_set & T.member_set)),
-                     check=False)
+        Q = X.meet(T)
         if not (cls_f.is_fully_normalized(Q) and cls_e.is_centric(Q)):
             continue
         bound = set(Q.product_set(CST))
@@ -247,8 +261,6 @@ def verify_prophelp(F: FusionSystem, E: FusionSystem,
         CSX = centralizer(F.support, X)
         V = F.universe.generated_subgroup(X.members + CSX.members)
         FX = normalizer_subsystem(normalizer_subsystem(F, X), V)
-        if locals_override is not None:
-            FX = locals_override.get(X.members, FX)
         if not is_saturated(FX).ok:
             return {"X": _sub(X), "kind": "local system not saturated"}
         constrained, _ = is_constrained(FX)
@@ -453,19 +465,15 @@ def verify_main_cse_b(ctx: EntryContext, E: FusionSystem,
     if bad is not None:
         bad["kind"] = "characterization"
         return bad
-    g = ctx.alternative_sylow_element()
-    if g is None:
+    alt = ctx.transported(E)
+    if alt is None:
         return None
-    G = ctx.group
-    S2 = ctx.S.conjugate(g)
-    F2 = fusion_of_group(G, S2, ctx.p)
-    wit = E.witness
-    T2 = E.support.conjugate(g)
-    E2 = realized_subsystem(F2, wit, T2)
+    g, F2, E2 = alt
     try:
         R2 = r_star(F2, E2, check_characterization=False)[0]
     except FusionkitError as exc:
         return {"kind": "alternative model failed", "detail": str(exc)}
+    G = ctx.group
     ginv = G.inv(g)
     pulled = tuple(sorted(G.conj(x, ginv) for x in R2.members))
     if pulled != data.R_star.members:
@@ -558,14 +566,11 @@ def verify_finvariant_equiv(F: FusionSystem, E: FusionSystem,
 
 def verify_model1a(ctx: EntryContext, E: FusionSystem) -> Optional[dict]:
     """Models over alternative Sylow choices are isomorphic over the common S."""
-    g = ctx.alternative_sylow_element()
-    if g is None:
+    alt = ctx.transported(E)
+    if alt is None:
         return None
-    F, G = ctx.F, ctx.group
+    g, F2, E2 = alt
     data = ctx.data_for(E)
-    S2 = ctx.S.conjugate(g)
-    F2 = fusion_of_group(G, S2, ctx.p)
-    E2 = realized_subsystem(F2, E.witness, E.support.conjugate(g))
     try:
         Gsys2, NET2 = script_G(F2, E2, check=False)
         model2 = model_of(Gsys2)
@@ -632,15 +637,53 @@ def verify_l_f1f2(F: FusionSystem, E1: FusionSystem, E2: FusionSystem,
 # -- the registry ------------------------------------------------------------------
 
 
-def _per_pair(verifier: Callable) -> Callable:
+PairCheck = Callable[[EntryContext, FusionSystem], Optional[dict]]
+ProductCheck = Callable[[EntryContext, FusionSystem, FusionSystem], Optional[dict]]
+
+
+def _per_pair(check: PairCheck) -> Callable[[EntryContext], Optional[dict]]:
+    """Normal-pair scope: ``check(ctx, E)`` for each normal pair (N, E)."""
     def run(ctx: EntryContext) -> Optional[dict]:
         for N, E in ctx.normal_pairs():
-            bad = verifier(ctx.F, E)
+            bad = check(ctx, E)
             if bad is not None:
                 bad["pair"] = {"N_order": N.order, "T": _sub(E.support)}
                 return bad
         return None
     return run
+
+
+def _per_commuting_pair(check: ProductCheck) -> Callable[[EntryContext], Optional[dict]]:
+    """Commuting-pair scope: ``check(ctx, E1, E2)`` for each commuting pair;
+    a failure may carry no detail beyond the two supports (an empty dict)."""
+    def run(ctx: EntryContext) -> Optional[dict]:
+        for E1, E2 in ctx.commuting_pairs():
+            bad = check(ctx, E1, E2)
+            if bad is not None:
+                return {"S1": _sub(E1.support), "S2": _sub(E2.support), **bad}
+        return None
+    return run
+
+
+def _report_holds(holds: Callable[[ProductReport], bool]) -> ProductCheck:
+    """A commuting-pair check reading one clause of the product report."""
+    def check(ctx: EntryContext, E1: FusionSystem, E2: FusionSystem
+              ) -> Optional[dict]:
+        return None if holds(verify_product_theorems(ctx.F, E1, E2)) else {}
+    return check
+
+
+def _check_star(ctx: EntryContext, E1: FusionSystem, E2: FusionSystem
+                ) -> Optional[dict]:
+    """F1 * F2 is a saturated central product exactly when they centralize."""
+    rep = verify_product_theorems(ctx.F, E1, E2)
+    if rep.centralize:
+        if rep.star_saturated is not True or rep.star_central_product is not True:
+            return {"saturated": rep.star_saturated,
+                    "central_product": rep.star_central_product}
+    elif rep.star_central_product:
+        return {"kind": "central product without centralizing factors"}
+    return None
 
 
 def _check_saturation(ctx: EntryContext) -> Optional[dict]:
@@ -674,106 +717,6 @@ def _check_finvariant(ctx: EntryContext) -> Optional[dict]:
     return None
 
 
-def _check_main_cse_a(ctx: EntryContext) -> Optional[dict]:
-    for N, E in ctx.normal_pairs():
-        data = ctx.data_for(E)
-        bad = verify_main_cse_a(ctx.F, E, X_set=data.X_set, C_S_E=data.C_S_E)
-        if bad is not None:
-            bad["pair"] = {"N_order": N.order}
-            return bad
-    return None
-
-
-def _check_main_cse_b(ctx: EntryContext) -> Optional[dict]:
-    for N, E in ctx.normal_pairs():
-        bad = verify_main_cse_b(ctx, E)
-        if bad is not None:
-            bad["pair"] = {"N_order": N.order}
-            return bad
-    return None
-
-
-def _check_main_cse_c(ctx: EntryContext) -> Optional[dict]:
-    for N, E in ctx.normal_pairs():
-        bad = verify_main_cse_c(ctx.F, E, ctx.data_for(E))
-        if bad is not None:
-            bad["pair"] = {"N_order": N.order}
-            return bad
-    return None
-
-
-def _check_cfe(verifier) -> Callable:
-    def run(ctx: EntryContext) -> Optional[dict]:
-        for N, E in ctx.normal_pairs():
-            data = ctx.data_for(E)
-            cfe = ctx.cfe_for(E)
-            bad = verifier(ctx, E, data, cfe)
-            if bad is not None:
-                bad["pair"] = {"N_order": N.order}
-                return bad
-        return None
-    return run
-
-
-def _check_products(clause: str) -> Callable:
-    def run(ctx: EntryContext) -> Optional[dict]:
-        if clause == "L":
-            for E1, E2 in ctx.commuting_pairs():
-                bad = verify_l_f1f2(ctx.F, E1, E2)
-                if bad is not None:
-                    return bad
-            return None
-        for E1, E2 in ctx.commuting_pairs():
-            rep = verify_product_theorems(ctx.F, E1, E2)
-            payload = {"S1": _sub(E1.support), "S2": _sub(E2.support)}
-            if clause == "iff" and not rep.iff_holds:
-                return payload
-            if clause == "radical" and not rep.radical_intersect:
-                return payload
-            if clause == "zext" and not rep.z_centralize_witnesses:
-                return payload
-            if clause == "star" and rep.centralize:
-                if rep.star_saturated is not True or rep.star_central_product is not True:
-                    payload["saturated"] = rep.star_saturated
-                    payload["central_product"] = rep.star_central_product
-                    return payload
-            if clause == "star" and not rep.centralize and rep.star_central_product:
-                payload["kind"] = "central product without centralizing factors"
-                return payload
-            if clause == "normal" and rep.centralize and rep.star_normal is not True:
-                return payload
-        return None
-    return run
-
-
-def _check_model1a(ctx: EntryContext) -> Optional[dict]:
-    for N, E in ctx.normal_pairs():
-        bad = verify_model1a(ctx, E)
-        if bad is not None:
-            bad["pair"] = {"N_order": N.order}
-            return bad
-    return None
-
-
-def _check_model1b(ctx: EntryContext) -> Optional[dict]:
-    for N, E in ctx.normal_pairs():
-        data = ctx.data_for(E)
-        bad = verify_model1b(data.local_system, data.model)
-        if bad is not None:
-            bad["pair"] = {"N_order": N.order}
-            return bad
-    return None
-
-
-def _check_model1c(ctx: EntryContext) -> Optional[dict]:
-    for N, E in ctx.normal_pairs():
-        bad = verify_model1c(ctx, E)
-        if bad is not None:
-            bad["pair"] = {"N_order": N.order}
-            return bad
-    return None
-
-
 def _check_focal_oracle(ctx: EntryContext) -> Optional[dict]:
     """Independent group-theoretic oracle: foc(F_S(G)) = S n [G,G]."""
     foc = focal_subgroup(ctx.F)
@@ -783,66 +726,73 @@ def _check_focal_oracle(ctx: EntryContext) -> Optional[dict]:
     return None
 
 
-def _check_centralizer_oracle(ctx: EntryContext) -> Optional[dict]:
+def _centralizer_oracle(ctx: EntryContext, E: FusionSystem) -> Optional[dict]:
     """Brute-force family recomputation (full hom-sets) matches the
     generating-set route, subgroup by subgroup."""
-    for N, E in ctx.normal_pairs():
-        brute = centralized_set(ctx.F, E, path="full")
-        structured = centralized_set(ctx.F, E, path="generators")
-        if [X.members for X in brute] != [X.members for X in structured]:
-            return {"pair": {"N_order": N.order},
-                    "brute": [_sub(X) for X in brute],
-                    "structured": [_sub(X) for X in structured]}
-        data = ctx.data_for(E)
-        if [X.members for X in brute] != [X.members for X in data.X_set]:
-            return {"pair": {"N_order": N.order}, "kind": "family drifted"}
+    brute = centralized_set(ctx.F, E, path="full")
+    structured = centralized_set(ctx.F, E, path="generators")
+    if [X.members for X in brute] != [X.members for X in structured]:
+        return {"brute": [_sub(X) for X in brute],
+                "structured": [_sub(X) for X in structured]}
+    if [X.members for X in brute] != [X.members for X in ctx.data_for(E).X_set]:
+        return {"kind": "family drifted"}
     return None
 
 
 CHECKS: dict[str, Callable[[EntryContext], Optional[dict]]] = {
     "saturation": _check_saturation,
     "Finvariant.equiv": _check_finvariant,
-    "FfEf": _per_pair(verify_ffef),
-    "Wellknown": _per_pair(verify_wellknown),
-    "LocalNormalSubsystems": _per_pair(verify_local_normal),
-    "PropHelp": _per_pair(verify_prophelp),
-    "EasyCentralizer": _per_pair(verify_easy_centralizer),
-    "FrattiniCons": _per_pair(verify_frattini_cons),
-    "XInvariant": _per_pair(verify_x_invariant),
-    "WeaklyClosedCentralized": _per_pair(verify_weakly_closed_centralized),
-    "GN": _per_pair(verify_gn),
-    "CFCG0": _per_pair(verify_cfcg0),
-    "FirstCharacterization": _per_pair(verify_first_characterization),
-    "MainCSE.a": _check_main_cse_a,
-    "MainCSE.b": _check_main_cse_b,
-    "MainCSE.c": _check_main_cse_c,
-    "FocProp": _per_pair(verify_focprop),
-    "ShowWeaklyNormal": _check_cfe(
-        lambda ctx, E, data, cfe: verify_show_weakly_normal(ctx.F, E, cfe)),
-    "CFENormal": _check_cfe(
-        lambda ctx, E, data, cfe: verify_cfe_normal(ctx.F, E, cfe)),
-    "MainCFE": _check_cfe(
-        lambda ctx, E, data, cfe: verify_main_cfe(
-            ctx.F, E, cfe, ctx.candidate_subsystems())),
-    "Coincide": _check_cfe(
-        lambda ctx, E, data, cfe: verify_coincide(ctx.F, E, cfe, data.C_S_E)),
-    "Model1.a": _check_model1a,
-    "Model1.b": _check_model1b,
-    "Model1.c": _check_model1c,
-    "RadicalIntersect": _check_products("radical"),
-    "ZCentralize": _check_products("zext"),
-    "NormalCentralizeEachOther": _check_products("iff"),
-    "L:F1F2Centralize": _check_products("L"),
-    "P:F1F2Centralize": _check_products("star"),
-    "MainCentralProduct": _check_products("normal"),
+    "FfEf": _per_pair(lambda ctx, E: verify_ffef(ctx.F, E)),
+    "Wellknown": _per_pair(lambda ctx, E: verify_wellknown(ctx.F, E)),
+    "LocalNormalSubsystems": _per_pair(
+        lambda ctx, E: verify_local_normal(ctx.F, E)),
+    "PropHelp": _per_pair(lambda ctx, E: verify_prophelp(ctx.F, E)),
+    "EasyCentralizer": _per_pair(
+        lambda ctx, E: verify_easy_centralizer(ctx.F, E)),
+    "FrattiniCons": _per_pair(lambda ctx, E: verify_frattini_cons(ctx.F, E)),
+    "XInvariant": _per_pair(lambda ctx, E: verify_x_invariant(ctx.F, E)),
+    "WeaklyClosedCentralized": _per_pair(
+        lambda ctx, E: verify_weakly_closed_centralized(ctx.F, E)),
+    "GN": _per_pair(lambda ctx, E: verify_gn(ctx.F, E)),
+    "CFCG0": _per_pair(lambda ctx, E: verify_cfcg0(ctx.F, E)),
+    "FirstCharacterization": _per_pair(
+        lambda ctx, E: verify_first_characterization(ctx.F, E)),
+    "MainCSE.a": _per_pair(lambda ctx, E: verify_main_cse_a(
+        ctx.F, E, X_set=ctx.data_for(E).X_set, C_S_E=ctx.data_for(E).C_S_E)),
+    "MainCSE.b": _per_pair(verify_main_cse_b),
+    "MainCSE.c": _per_pair(
+        lambda ctx, E: verify_main_cse_c(ctx.F, E, ctx.data_for(E))),
+    "FocProp": _per_pair(lambda ctx, E: verify_focprop(ctx.F, E)),
+    "ShowWeaklyNormal": _per_pair(
+        lambda ctx, E: verify_show_weakly_normal(ctx.F, E, ctx.cfe_for(E))),
+    "CFENormal": _per_pair(
+        lambda ctx, E: verify_cfe_normal(ctx.F, E, ctx.cfe_for(E))),
+    "MainCFE": _per_pair(lambda ctx, E: verify_main_cfe(
+        ctx.F, E, ctx.cfe_for(E), ctx.candidate_subsystems())),
+    "Coincide": _per_pair(lambda ctx, E: verify_coincide(
+        ctx.F, E, ctx.cfe_for(E), ctx.data_for(E).C_S_E)),
+    "Model1.a": _per_pair(verify_model1a),
+    "Model1.b": _per_pair(lambda ctx, E: verify_model1b(
+        ctx.data_for(E).local_system, ctx.data_for(E).model)),
+    "Model1.c": _per_pair(verify_model1c),
+    "RadicalIntersect": _per_commuting_pair(
+        _report_holds(lambda rep: rep.radical_intersect)),
+    "ZCentralize": _per_commuting_pair(
+        _report_holds(lambda rep: rep.z_centralize_witnesses)),
+    "NormalCentralizeEachOther": _per_commuting_pair(
+        _report_holds(lambda rep: rep.iff_holds)),
+    "L:F1F2Centralize": _per_commuting_pair(
+        lambda ctx, E1, E2: verify_l_f1f2(ctx.F, E1, E2)),
+    "P:F1F2Centralize": _per_commuting_pair(_check_star),
+    "MainCentralProduct": _per_commuting_pair(
+        _report_holds(lambda rep: not rep.centralize or rep.star_normal is True)),
     "focal-oracle": _check_focal_oracle,
-    "centralizer-oracle": _check_centralizer_oracle,
+    "centralizer-oracle": _per_pair(_centralizer_oracle),
 }
 
 
 def run_suite(label: str, group: FiniteGroup, p: int,
               check_ids: Optional[Iterable[str]] = None,
-              config: Optional[Config] = None,
               system_mutator: Optional[Callable[[FusionSystem], FusionSystem]] = None
               ) -> list[CheckResult]:
     """Run the named checks (all by default) on one corpus entry.
@@ -855,7 +805,7 @@ def run_suite(label: str, group: FiniteGroup, p: int,
     unknown = [i for i in ids if i not in CHECKS]
     if unknown:
         raise KeyError(f"unknown check ids: {unknown}")
-    ctx = EntryContext(label, group, p, config=config, system_mutator=system_mutator)
+    ctx = EntryContext(label, group, p, system_mutator=system_mutator)
     results: list[CheckResult] = []
     for check_id in CHECK_ORDER:
         if check_id not in ids:

@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from fusionkit.cli import main, resolve_morphism, resolve_subgroup
-from fusionkit.corpus import builtin_group_path, ingest
+from fusionkit.corpus import builtin_group_path, corpus_entries, ingest
 from fusionkit.errors import (FusionkitError, NotAGroup, ParseError,
                               TheoremViolation)
+from fusionkit.groups import active_caps
 from fusionkit.persist import load_system
 
 
@@ -240,3 +241,45 @@ class TestCommands:
         main(args + ["--json", str(a)])
         main(args + ["--json", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestCaps:
+    """The cap flags set the process-wide ``active_caps``; main() leaves
+    them set, so each test restores them."""
+
+    @pytest.fixture(autouse=True)
+    def restore_caps(self, monkeypatch):
+        monkeypatch.setattr(active_caps, "group", active_caps.group)
+        monkeypatch.setattr(active_caps, "lattice", active_caps.lattice)
+
+    @pytest.mark.parametrize("flag", ["--group-cap", "--lattice-cap"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_cap_verify(self, flag, value, capsys):
+        code = main([flag, value, "verify", "corpus", "--checks", "focal-oracle"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("flag", ["--group-cap", "--lattice-cap"])
+    def test_non_positive_cap_build(self, flag, s4_file, tmp_path, capsys):
+        out = tmp_path / "s4.fsk"
+        code = main([flag, "-1", "build", str(s4_file), "-p", "2",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be positive" in err
+        assert not out.exists()
+
+    def test_corpus_entries_honour_group_cap(self, monkeypatch):
+        monkeypatch.setattr(active_caps, "group", 100)
+        labels = [label for label, _, _ in corpus_entries()]
+        assert len(labels) == 20
+        assert "a4xa4@2" not in labels and "a6@2" not in labels
+
+    def test_verify_corpus_honours_group_cap(self, capsys):
+        code = main(["--group-cap", "100", "verify", "corpus",
+                     "--checks", "focal-oracle"])
+        assert code == 0
+        labels = [line.split()[0]
+                  for line in capsys.readouterr().out.splitlines()]
+        assert len(labels) == 20
+        assert "a4xa4@2" not in labels and "a6@2" not in labels

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from fusionkit import verify as verify_mod
 from fusionkit.centralizers import compute_centralizer_data
 from fusionkit.corpus import builtin_group
 from fusionkit.fusion import FusionSystem, fusion_of_group, inner_system
@@ -380,6 +381,50 @@ class TestSuiteLevelMutations:
                         system_mutator=mutate)
         assert res[0].status == "fail"
         assert res[0].counterexample is not None
+
+    def test_main_cse_a_failure_located_at_pair(self, s4, monkeypatch):
+        # a C_S(E) that E does not centralize fails at the first normal pair,
+        # and the normal-pair runner locates it by |N| and T
+        honest = verify_mod.compute_centralizer_data
+
+        def corrupted(F, E):
+            data = honest(F, E)
+            return dataclasses.replace(data, C_S_E=center(F.support))
+
+        monkeypatch.setattr(verify_mod, "compute_centralizer_data", corrupted)
+        res = run_suite("s4@2", s4, 2, check_ids=["MainCSE.a"])
+        bad = res[0].counterexample
+        assert res[0].status == "fail"
+        assert bad["kind"] == "join is not centralized"
+        assert bad["pair"] == {"N_order": 24, "T": list(sylow_subgroup(
+            s4.full_subgroup, 2).members)}
+
+    def test_product_failure_located_at_commuting_pair(self, s4, monkeypatch):
+        # with every center forced trivial the L lemma fails on a pair whose
+        # supports meet nontrivially; the commuting-pair runner names both
+        from fusionkit import centralizers
+        monkeypatch.setattr(centralizers, "z_of",
+                            lambda E: E.universe.trivial_subgroup)
+        res = run_suite("s4@2", s4, 2, check_ids=["L:F1F2Centralize"])
+        bad = res[0].counterexample
+        assert res[0].status == "fail"
+        assert list(bad)[:2] == ["S1", "S2"]
+        assert set(bad["meet"]) <= set(bad["S1"]) & set(bad["S2"])
+
+    def test_alternative_sylow_top_built_once(self, s4, monkeypatch):
+        # one top for F and one for the alternative Sylow choice, shared by
+        # every normal pair of both checks
+        calls = []
+        honest = verify_mod.fusion_of_group
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].members)
+            return honest(*args, **kwargs)
+
+        monkeypatch.setattr(verify_mod, "fusion_of_group", counting)
+        res = run_suite("s4@2", s4, 2, check_ids=["MainCSE.b", "Model1.a"])
+        assert all(r.passed for r in res)
+        assert len(calls) == 2 and calls[0] != calls[1]
 
     def test_inner_shadow_fails_focal_oracle(self, s4):
         res = run_suite("s4@2", s4, 2, check_ids=["focal-oracle"],
