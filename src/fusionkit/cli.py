@@ -21,7 +21,8 @@ from .centralizers import compute_centralizer_data, c_F_of
 from .corpus import ingest
 from .errors import FusionkitError, VerificationFailed
 from .fusion import FusionSystem, Hom
-from .groups import Subgroup, active_caps, normal_subgroups, sylow_subgroup
+from .groups import (DEFAULT_GROUP_CAP, DEFAULT_LATTICE_CAP, Subgroup,
+                     active_caps, normal_subgroups, sylow_subgroup)
 from .persist import load_system, save_system
 from .saturation import alperin_decompose
 from .subsystems import normal_subsystem_in
@@ -201,9 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="fusionkit",
                                  description="saturated fusion systems of "
                                              "finite groups at desk scale")
-    ap.add_argument("--group-cap", type=int, default=active_caps.group,
+    ap.add_argument("--group-cap", type=int, default=DEFAULT_GROUP_CAP,
                     help="largest allowed group order")
-    ap.add_argument("--lattice-cap", type=int, default=active_caps.lattice,
+    ap.add_argument("--lattice-cap", type=int, default=DEFAULT_LATTICE_CAP,
                     help="largest allowed subgroup-lattice size")
     sub = ap.add_subparsers(dest="command", required=True)
 

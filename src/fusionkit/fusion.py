@@ -183,8 +183,8 @@ class FusionSystem:
         pset = P.member_set
         for g in R.members:
             imgs = tuple(conj(x, g) for x in P.members)
-            if set(imgs) == pset:
-                found.setdefault(imgs, Hom(P, P, imgs, witness=g, check=False))
+            if imgs not in found and set(imgs) == pset:
+                found[imgs] = Hom(P, P, imgs, witness=g, check=False)
         return tuple(sorted(found.values(), key=Hom.sort_key))
 
     # -- conjugacy ---------------------------------------------------------------

@@ -7,7 +7,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import NotSaturated
+from .errors import NotAGroup, NotSaturated
 from .fusion import FusionSystem, MorphismGroup
 from .groups import Hom, Subgroup, centralizer, normalizer, o_p, p_part
 
@@ -120,13 +120,13 @@ def extension_group(F: FusionSystem, phi: Hom) -> Subgroup:
     phi = phi.cores()
     P, Q = phi.domain, phi.codomain
     S = F.support
-    phi_inv = phi.inverse()
+    conj = F.universe.conj
+    back = dict(zip(phi.images, P.members))
+    if len(back) != P.order:
+        raise NotAGroup("only isomorphisms onto the codomain invert")
     aut_s_keys = {h.images for h in F.automizer_in(S, Q)}
-    out = []
-    for g in normalizer(S, P).members:
-        c = Hom.conjugation(P, g, codomain=P)
-        if phi_inv.then(c).then(phi).images in aut_s_keys:
-            out.append(g)
+    out = [g for g in normalizer(S, P).members
+           if tuple(phi(conj(back[y], g)) for y in Q.members) in aut_s_keys]
     return Subgroup(F.universe, tuple(out), check=False)
 
 

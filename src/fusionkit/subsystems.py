@@ -1,6 +1,14 @@
 """Closure and normality theory: strongly/weakly closed subgroups, the
 invariance conditions, local subsystems N_F(Q) and C_F(X), normality
-reports, and normal subsystems arising from normal subgroups."""
+reports, and normal subsystems arising from normal subgroups.
+
+Normality tests invariance by Aschbacher's definition: E^alpha = E for
+every alpha in Aut_F(T) (``_stability``, on image keys) plus the Frattini
+condition.  On a strongly closed T this is equivalent to the strong
+invariance condition (Aschbacher, "Normal subsystems of fusion systems",
+Proc. LMS 2008; Aschbacher-Kessar-Oliver, "Fusion Systems in Algebra and
+Topology", Prop. I.6.4).  The literal condition (f), ``_condition_f``,
+stays as the oracle that ``invariance_condition`` evaluates."""
 
 from __future__ import annotations
 
@@ -8,9 +16,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NotStronglyClosed, NotSylow, VerificationFailed
-from .fusion import (FusionSystem, conjugate_morphism, conjugate_subsystem,
-                     full_subcategory, fusion_of_group, generated_subsystem,
-                     realized_subsystem, subsystem_equal)
+from .fusion import (FusionSystem, conjugate_morphism, full_subcategory,
+                     fusion_of_group, generated_subsystem, realized_subsystem,
+                     subsystem_equal)
 from .groups import (FiniteGroup, Hom, Subgroup, center, centralizer,
                      normalizer, p_part, subgroup_lattice)
 from .saturation import classify, is_conjugation_family, is_saturated
@@ -113,13 +121,29 @@ def normalizer_subsystem_by_extension(F: FusionSystem, Q: Subgroup) -> FusionSys
 # -- invariance conditions ---------------------------------------------------------
 
 
-def _stability(F: FusionSystem, E: FusionSystem) -> bool:
-    """E^alpha = E for every alpha in Aut_F(T)."""
+def _stability(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
+    """E^alpha = E for every alpha in Aut_F(T), compared on image keys;
+    returns a counterexample or None.
+
+    phi^alpha sends x^alpha to (x^phi)^alpha.  Containment of E^alpha in E
+    on every P suffices: alpha permutes the subgroups of T and keeps the
+    number of morphisms from each, so the counts force equality.
+    """
     T = E.support
+    subs = E.subgroups()
+    by_members = {P.members: P for P in subs}
     for alpha in F.automorphisms(T):
-        if not subsystem_equal(conjugate_subsystem(E, alpha), E):
-            return False
-    return True
+        a = dict(zip(T.members, alpha.images))
+        for P in subs:
+            moved_dom = [a[x] for x in P.members]
+            target = tuple(sorted(moved_dom))
+            keys = E._keys_from(by_members[target])
+            for phi in E.isos_from(P):
+                pairs = dict(zip(moved_dom, (a[y] for y in phi.images)))
+                if tuple(pairs[y] for y in target) not in keys:
+                    return {"kind": "unstable", "alpha": list(alpha.images),
+                            "P": list(P.members), "phi": list(phi.images)}
+    return None
 
 
 def _aut_sets_normal(F: FusionSystem, E: FusionSystem, P: Subgroup) -> bool:
@@ -171,7 +195,8 @@ def _generation_identity(F: FusionSystem, E: FusionSystem) -> bool:
 
 
 def invariance_condition(F: FusionSystem, E: FusionSystem, which: str) -> bool:
-    """Evaluate one of the six equivalent invariance conditions literally."""
+    """Evaluate one of the six equivalent invariance conditions literally;
+    (b)-(e) share the stability test ``_stability``."""
     T = E.support
     if not is_strongly_closed(F, T):
         raise NotStronglyClosed(f"support of order {T.order} is not strongly closed")
@@ -179,7 +204,7 @@ def invariance_condition(F: FusionSystem, E: FusionSystem, which: str) -> bool:
         return _condition_f(F, E) is None
     if which == "a":
         return _condition_f(F, E) is None and _generation_identity(F, E)
-    if not _stability(F, E):
+    if _stability(F, E) is not None:
         return False
     if which == "b":
         return all(_aut_sets_normal(F, E, P) for P in E.subgroups())
@@ -217,6 +242,12 @@ def invariance_condition(F: FusionSystem, E: FusionSystem, which: str) -> bool:
 @dataclass(frozen=True)
 class NormalityReport:
     """Outcome of the normality test for a subsystem, with counterexamples.
+
+    ``invariant`` is Aschbacher's F-invariance: E^alpha = E for every alpha
+    in Aut_F(T), plus the Frattini condition (``frattini``).  On a strongly
+    closed T it is equivalent to the strong invariance condition (f)
+    (Aschbacher-Kessar-Oliver, Prop. I.6.4), which ``_condition_f`` keeps
+    as the oracle.
 
     ``extension_z`` demands [C_S(T), ext] <= Z(T) (the definition);
     ``extension_t`` relaxes that to <= T.  The two agree on all honest
@@ -259,17 +290,13 @@ class NormalityReport:
 def _frattini_property(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     """Every F-morphism on P <= T splits as an E-morphism then an Aut_F(T) part."""
     T = E.support
-    auts_T = F.automorphisms(T)
+    inverses = [dict(zip(alpha.images, T.members))
+                for alpha in F.automorphisms(T)]
     for P in E.subgroups():
+        keys = E._keys_from(P)
         for phi in F.isos_from(P):
-            hit = False
-            for alpha in auts_T:
-                alpha_inv = alpha.inverse()
-                maybe = tuple(alpha_inv(y) for y in phi.images)
-                if maybe in E._keys_from(P):
-                    hit = True
-                    break
-            if not hit:
+            if not any(tuple(back[y] for y in phi.images) in keys
+                       for back in inverses):
                 return {"P": list(P.members), "phi": list(phi.images)}
     return None
 
@@ -296,8 +323,13 @@ def _extension_property(F: FusionSystem, E: FusionSystem,
 
 
 def is_normal(F: FusionSystem, E: FusionSystem) -> NormalityReport:
-    """Full normality report: strong closure, invariance (strong invariant
-    condition), saturation, Frattini property and both extension variants.
+    """Full normality report: strong closure, invariance, saturation,
+    Frattini property and both extension variants.
+
+    Invariance is tested as Aut_F(T)-stability plus the Frattini condition,
+    equivalent on a strongly closed T to the strong invariance condition (f)
+    (Aschbacher, Proc. LMS 2008; Aschbacher-Kessar-Oliver, Prop. I.6.4);
+    ``_condition_f`` evaluates (f) literally and serves as the oracle.
 
     Memoized in E's slot under F's content key, so it is computed once per
     pair of contents; a report against F without a content key is not kept.
@@ -313,13 +345,15 @@ def _normality_report(F: FusionSystem, E: FusionSystem) -> NormalityReport:
         counterexamples.append(("strongly_closed", f"T={list(T.members)}"))
         return NormalityReport(False, False, False, False, False, False,
                                tuple(counterexamples))
-    bad_f = _condition_f(F, E)
-    if bad_f is not None:
-        counterexamples.append(("invariant", str(bad_f)))
+    bad_fr = _frattini_property(F, E)
+    bad_inv = _stability(F, E)
+    if bad_inv is None and bad_fr is not None:
+        bad_inv = {"kind": "frattini", **bad_fr}
+    if bad_inv is not None:
+        counterexamples.append(("invariant", str(bad_inv)))
     sat = is_saturated(E)
     if not sat.ok:
         counterexamples.append(("saturated", str(sat.failures[0])))
-    bad_fr = _frattini_property(F, E)
     if bad_fr is not None:
         counterexamples.append(("frattini", str(bad_fr)))
     bad_z = _extension_property(F, E, center(T))
@@ -331,7 +365,7 @@ def _normality_report(F: FusionSystem, E: FusionSystem) -> NormalityReport:
     if (bad_z is None) != (bad_t is None):
         counterexamples.append(("extension_variants_disagree",
                                 f"z={bad_z is None} t={bad_t is None}"))
-    return NormalityReport(sc, bad_f is None, sat.ok, bad_fr is None,
+    return NormalityReport(sc, bad_inv is None, sat.ok, bad_fr is None,
                            bad_z is None, bad_t is None, tuple(counterexamples))
 
 

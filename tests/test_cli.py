@@ -283,3 +283,14 @@ class TestCaps:
                   for line in capsys.readouterr().out.splitlines()]
         assert len(labels) == 20
         assert "a4xa4@2" not in labels and "a6@2" not in labels
+
+    def test_caps_do_not_leak_into_later_calls(self, capsys):
+        """A cap set by one in-process call is not the default of the next."""
+        assert main(["--group-cap", "100", "verify", "corpus",
+                     "--checks", "focal-oracle"]) == 0
+        capsys.readouterr()
+        assert main(["verify", "corpus", "--checks", "focal-oracle"]) == 0
+        labels = [line.split()[0]
+                  for line in capsys.readouterr().out.splitlines()]
+        assert len(labels) == 22
+        assert "a4xa4@2" in labels and "a6@2" in labels

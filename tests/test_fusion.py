@@ -363,18 +363,26 @@ class TestContentRegistry:
             assert reports[key].to_json() == fresh.to_json()
 
 
+@st.composite
+def perm_groups(draw):
+    """(G, p): G generated by two permutations of degree 3 to 5, p a prime
+    dividing |G| (2 when G is trivial)."""
+    n = draw(st.integers(min_value=3, max_value=5))
+    perms = draw(st.lists(st.permutations(range(1, n + 1)),
+                          min_size=2, max_size=2))
+    G = group_from_permutations("gen", perms)
+    p = draw(st.sampled_from([q for q in (2, 3, 5) if G.order % q == 0]
+                             or [2]))
+    return G, p
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.data())
 def test_shared_results_match_a_fresh_registry(data):
     """Over groups generated by two permutations of degree <= 5, the
     results shared by separately built copies of a system are those of a
     freshly built system with an empty registry."""
-    n = data.draw(st.integers(min_value=3, max_value=5))
-    perms = data.draw(st.lists(st.permutations(range(1, n + 1)),
-                               min_size=2, max_size=2))
-    G = group_from_permutations("gen", perms)
-    p = data.draw(st.sampled_from([q for q in (2, 3, 5) if G.order % q == 0]
-                                  or [2]))
+    G, p = data.draw(perm_groups())
     S = sylow_subgroup(G.full_subgroup, p)
     F = fusion_of_group(G, S, p)
     N = data.draw(st.sampled_from(normal_subgroups(G.full_subgroup)))

@@ -7,12 +7,13 @@ import pytest
 from fusionkit.corpus import builtin_group
 from fusionkit.errors import NotSaturated
 from fusionkit.fusion import fusion_of_group, generated_subsystem
-from fusionkit.groups import Hom, center, sylow_subgroup
+from fusionkit.groups import Hom, Subgroup, center, normalizer, sylow_subgroup
 from fusionkit.saturation import (alperin_decompose, canonical_family,
                                   classify, extension_group, extend_morphism,
                                   find_fully_normalized_conjugator,
                                   is_conjugation_family, is_saturated,
                                   o_upper_p_automorphisms)
+from test_fusion import s4_mutants
 
 
 def cross_map(F, V4):
@@ -55,7 +56,32 @@ class TestClassification:
         assert len(op) == 3  # C3 inside S3
 
 
+def extension_group_by_composition(F, phi):
+    """N_phi by its definition, composing Homs: the g in N_S(P) with
+    phi^-1 c_g phi in Aut_S(P^phi)."""
+    phi = phi.cores()
+    P, Q = phi.domain, phi.codomain
+    aut_s = {h.images for h in F.automizer_in(F.support, Q)}
+    inv = phi.inverse()
+    return Subgroup(F.universe, tuple(
+        g for g in normalizer(F.support, P).members
+        if inv.then(Hom.conjugation(P, g, codomain=P)).then(phi).images
+        in aut_s), check=False)
+
+
 class TestExtensionAxiom:
+    def test_extension_group_matches_composition(self, F_s4):
+        d8xc2 = builtin_group("d8xc2")
+        F_d8xc2 = fusion_of_group(
+            d8xc2, sylow_subgroup(d8xc2.full_subgroup, 2), 2)
+        mutant = s4_mutants(F_s4)["added"]   # built by with_added_iso
+        assert mutant.content_key is None
+        for F in (F_s4, F_d8xc2, mutant):
+            for P in F.subgroups():
+                for phi in F.isos_from(P):
+                    assert extension_group(F, phi) == \
+                        extension_group_by_composition(F, phi)
+
     def test_n_phi_of_inclusion_is_normalizer(self, F_s4, V4):
         from fusionkit.groups import normalizer
         incl = Hom.inclusion(V4, F_s4.support).cores()

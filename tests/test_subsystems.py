@@ -3,18 +3,23 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
-from fusionkit.corpus import builtin_group
+from fusionkit.corpus import builtin_group, corpus_entries
 from fusionkit.errors import NotStronglyClosed
-from fusionkit.fusion import (fusion_of_group, inner_system, subsystem_equal)
+from fusionkit.fusion import (conjugate_subsystem, fusion_of_group,
+                              generated_subsystem, inner_system,
+                              realized_subsystem, subsystem_equal)
 from fusionkit.groups import center, normal_subgroups, sylow_subgroup
-from fusionkit.subsystems import (centralizer_subsystem,
+from fusionkit.subsystems import (_condition_f, _stability,
+                                  centralizer_subsystem,
                                   centralizer_subsystem_by_extension,
                                   invariance_condition, is_normal,
                                   is_strongly_closed, is_weakly_closed,
                                   normal_subsystem_from_group,
                                   normal_subsystem_in, normalizer_subsystem,
                                   normalizer_subsystem_by_extension)
+from test_fusion import perm_groups
 
 
 class TestClosure:
@@ -101,6 +106,54 @@ class TestInvariance:
         Z = center(F_s4.support)
         with pytest.raises(NotStronglyClosed):
             invariance_condition(F_s4, inner_system(F_s4, Z), "f")
+
+
+def invariance_verdicts(G, p):
+    """Check the fast invariance tests against their literal oracles for
+    every strongly closed T of F = F_S(G) and every E over T among F_T(N)
+    (S n N = T), the inner system on T, <Aut_F(T)>_T and <alpha>_T for
+    alpha in Aut_F(T) (often not Aut_F(T)-stable); return the invariance
+    and stability verdicts."""
+    S = sylow_subgroup(G.full_subgroup, p)
+    F = fusion_of_group(G, S, p)
+    normals = normal_subgroups(G.full_subgroup)
+    verdicts = []
+    for T in F.subgroups():
+        if not is_strongly_closed(F, T):
+            continue
+        systems = [realized_subsystem(F, N, T) for N in normals
+                   if S.meet(N) == T]
+        auts = F.automorphisms(T)
+        systems += [inner_system(F, T), generated_subsystem(F, T, auts)]
+        systems += [generated_subsystem(F, T, [alpha]) for alpha in auts]
+        for E in systems:
+            invariant = is_normal(F, E).invariant
+            assert invariant == (_condition_f(F, E) is None)
+            stable = all(subsystem_equal(conjugate_subsystem(E, alpha), E)
+                         for alpha in auts)
+            assert (_stability(F, E) is None) == stable
+            verdicts.append((invariant, stable))
+    return verdicts
+
+
+class TestInvarianceOracles:
+    """Aut_F(T)-stability plus Frattini decides invariance as the strong
+    invariance condition (f) does, and key-level stability agrees with
+    comparing each conjugate subsystem E^alpha with E."""
+
+    def test_corpus_up_to_order_48(self):
+        verdicts = []
+        for _, G, p in corpus_entries():
+            if G.order <= 48:
+                verdicts += invariance_verdicts(G, p)
+        invariant, stable = zip(*verdicts)
+        assert set(invariant) == set(stable) == {True, False}
+        assert True in {s and not i for i, s in verdicts}
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(perm_groups())
+    def test_generated_groups(self, group):
+        invariance_verdicts(*group)
 
 
 class TestNormality:

@@ -381,6 +381,12 @@ class TestSuiteLevelMutations:
                         system_mutator=mutate)
         assert res[0].status == "fail"
         assert res[0].counterexample is not None
+        # The mutant never reaches MainCSE.a's verifier: building the
+        # normal pairs (EntryContext.normal_pairs) already rejects F_T(N),
+        # whose normality report fails through extension_z.
+        error = res[0].counterexample["error"]
+        assert "VerificationFailed" in error and "normality report" in error
+        assert "extension_z" in error
 
     def test_main_cse_a_failure_located_at_pair(self, s4, monkeypatch):
         # a C_S(E) that E does not centralize fails at the first normal pair,
