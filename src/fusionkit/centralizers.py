@@ -116,11 +116,8 @@ def h_group(F: FusionSystem, E: FusionSystem, P: Subgroup) -> tuple[Hom, ...]:
     T = E.support
     NT = normalizer(T, P)
     PN = F.universe.generated_subgroup(P.members + NT.members)
-    ext_autos = [h for h in F.isos_from(PN) if h.codomain == PN]
-    out = []
-    for phi in F.automorphisms(P):
-        if any(all(psi(x) == phi(x) for x in P.members) for psi in ext_autos):
-            out.append(phi)
+    out = [phi for phi in F.automorphisms(P)
+           if any(psi.codomain == PN for psi in F.extensions(phi, PN))]
     keys = {h.images for h in out}
     for a in out:
         for b in out:

@@ -19,7 +19,7 @@ also carries a witness, and keeps its derived data on the object itself.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (DomainMismatch, MorphismOutsideSupport, NotAGroup,
                      NotSylow)
@@ -149,6 +149,19 @@ class FusionSystem:
             got = frozenset(h.images for h in self.isos_from(P))
             self._iso_keys[P.members] = got
         return got
+
+    def extensions(self, phi: Hom, U: Subgroup) -> Iterator[Hom]:
+        """Lazily yield each psi in ``isos_from(U)``, in that order, with
+        psi|_{dom phi} = phi; dom phi must lie in U.  A generator, so that
+        a caller needing one witness stops at the first."""
+        if not phi.domain.member_set <= U.member_set:
+            raise DomainMismatch("phi is not defined inside U")
+        at = {x: i for i, x in enumerate(U.members)}
+        pairs = [(at[x], y) for x, y in zip(phi.domain.members, phi.images)]
+        for psi in self.isos_from(U):
+            imgs = psi.images
+            if all(imgs[i] == y for i, y in pairs):
+                yield psi
 
     def contains_morphism(self, h: Hom) -> bool:
         """Is ``h`` (any codomain) a morphism of this system?"""
@@ -347,17 +360,14 @@ def generated_fusion_system(support: Subgroup, p: int,
 # -- morphism/subsystem transport -----------------------------------------------
 
 
-def conjugate_morphism(phi: Hom, alpha: Hom) -> Hom:
-    """phi^alpha = (alpha|_P)^-1 . phi . alpha on P^alpha, pointwise verified."""
+def conjugate_morphism(phi: Hom, alpha: Hom) -> Optional[Hom]:
+    """phi^alpha = (alpha|_P)^-1 . phi . alpha on P^alpha: the map
+    x^alpha -> (x^phi)^alpha, corestricted onto its image.  None when phi
+    or alpha is not injective on <P, P^phi> (``Hom.push``)."""
     dom = phi.domain.member_set | set(phi.images)
     if not dom <= alpha.domain.member_set:
         raise DomainMismatch("alpha is not defined on <P, P^phi>")
-    members = tuple(sorted(alpha(x) for x in phi.domain.members))
-    P_new = Subgroup(alpha.codomain.parent, members, check=False)
-    pairs = {alpha(x): alpha(phi(x)) for x in phi.domain.members}
-    imgs = tuple(pairs[y] for y in P_new.members)
-    cod = Subgroup(alpha.codomain.parent, tuple(sorted(set(imgs))), check=False)
-    return Hom(P_new, cod, imgs, check=False)
+    return phi.push(alpha)
 
 
 def transport_isos(E: FusionSystem, sigma: Hom) -> dict[tuple[int, ...], tuple[Hom, ...]]:
@@ -365,37 +375,23 @@ def transport_isos(E: FusionSystem, sigma: Hom) -> dict[tuple[int, ...], tuple[H
     if not E.support.member_set <= sigma.domain.member_set:
         raise DomainMismatch("transport map is not defined on the support")
     out: dict[tuple[int, ...], tuple[Hom, ...]] = {}
-    target_parent = sigma.codomain.parent
     for P in E.subgroups():
-        homs = []
-        members = tuple(sorted(sigma(x) for x in P.members))
-        P_new = Subgroup(target_parent, members, check=False)
-        for h in E.isos_from(P):
-            pairs = {sigma(x): sigma(h(x)) for x in P.members}
-            imgs = tuple(pairs[y] for y in members)
-            cod = Subgroup(target_parent, tuple(sorted(set(imgs))), check=False)
-            homs.append(Hom(P_new, cod, imgs, check=False))
-        out[members] = tuple(sorted(homs, key=Hom.sort_key))
+        out[sigma.apply_set(P.members)] = tuple(
+            sorted((h.push(sigma) for h in E.isos_from(P)), key=Hom.sort_key))
     return out
 
 
 def conjugate_subsystem(E: FusionSystem, alpha: Hom) -> FusionSystem:
     """E^alpha: the subsystem over T^alpha with hom-sets {phi^alpha}."""
     explicit = transport_isos(E, alpha)
-    support = Subgroup(alpha.codomain.parent,
-                       tuple(sorted(alpha(x) for x in E.support.members)),
-                       check=False)
-    return FusionSystem(support, E.p, explicit=explicit, ambient=E.ambient,
+    return FusionSystem(alpha.subgroup_image(E.support), E.p, explicit=explicit, ambient=E.ambient,
                         name=f"({E.name})^a")
 
 
 def transported_system(E: FusionSystem, sigma: Hom, name: str = "") -> FusionSystem:
     """E carried into another universe along an injective map (no ambient)."""
     explicit = transport_isos(E, sigma)
-    support = Subgroup(sigma.codomain.parent,
-                       tuple(sorted(sigma(x) for x in E.support.members)),
-                       check=False)
-    return FusionSystem(support, E.p, explicit=explicit, name=name or f"{E.name}^t")
+    return FusionSystem(sigma.subgroup_image(E.support), E.p, explicit=explicit, name=name or f"{E.name}^t")
 
 
 # -- comparisons -----------------------------------------------------------------

@@ -408,6 +408,33 @@ class Hom:
         cod = Subgroup(self.codomain.parent, tuple(sorted(imgs)), check=False)
         return Hom(P, cod, imgs, witness=self.witness, check=False)
 
+    def push(self, sigma: "Hom") -> Optional["Hom"]:
+        """sigma(x) -> sigma(self(x)), corestricted onto its image; None when
+        that map is ill-defined or not injective (see ``from_pairs``), never
+        when sigma and self are both injective."""
+        return Hom.from_pairs(sigma.codomain.parent,
+                              ((sigma(x), sigma(y))
+                               for x, y in zip(self.domain.members, self.images)))
+
+    @staticmethod
+    def from_pairs(parent: FiniteGroup,
+                   pairs: Iterable[tuple[int, int]]) -> Optional["Hom"]:
+        """The map x -> y of ``pairs`` in ``parent``, from the set of the
+        x's onto the set of the y's (neither is checked to be a subgroup).
+        None when some x is paired with two different y's or two x's share
+        one y."""
+        mp: dict[int, int] = {}
+        for x, y in pairs:
+            if mp.setdefault(x, y) != y:
+                return None
+        image = set(mp.values())
+        if len(image) != len(mp):
+            return None
+        members = tuple(sorted(mp))
+        return Hom(Subgroup(parent, members, check=False),
+                   Subgroup(parent, tuple(sorted(image)), check=False),
+                   tuple(mp[x] for x in members), check=False)
+
     def into(self, Q: Subgroup) -> "Hom":
         """Retarget the codomain to Q >= image."""
         if not set(self.images) <= Q.member_set:

@@ -32,19 +32,12 @@ def normal_in_system(F: FusionSystem, P: Subgroup) -> bool:
         sources = [(R, F.automorphisms(R)) for R in canonical_family(F)]
     else:
         sources = [(Q, F.isos_from(Q)) for Q in F.subgroups()]
+    pset = P.member_set
     for Q, homs in sources:
         QP = F.universe.generated_subgroup(Q.members + P.members)
-        pset = P.member_set
-        ext_isos = F.isos_from(QP)
         for phi in homs:
-            ok = False
-            for psi in ext_isos:
-                if {psi(x) for x in P.members} != pset:
-                    continue
-                if all(psi(x) == phi(x) for x in Q.members):
-                    ok = True
-                    break
-            if not ok:
+            if not any({psi(x) for x in P.members} == pset
+                       for psi in F.extensions(phi, QP)):
                 return False
     return True
 

@@ -10,10 +10,10 @@ from typing import Optional, Sequence
 from .errors import NotCentralizing, VerificationFailed
 from .fusion import (FusionSystem, generated_fusion_system, generated_subsystem,
                      subsystem_contains, transport_isos)
-from .groups import (DEFAULT_GROUP_CAP, FiniteGroup, Hom, Subgroup, as_group,
-                     centralizer, product_group, subgroup_lattice)
+from .groups import (FiniteGroup, Hom, Subgroup, as_group, product_group,
+                     subgroup_lattice)
 from .saturation import is_saturated
-from .subsystems import centralizer_subsystem
+from .subsystems import centralizer_subsystem, extension_witness
 
 
 @dataclass(frozen=True)
@@ -30,17 +30,16 @@ class DirectProduct:
     hat2: FusionSystem
 
 
-def direct_product(F1: FusionSystem, F2: FusionSystem,
-                   cap: int = DEFAULT_GROUP_CAP) -> DirectProduct:
-    """The fusion system generated by all maps phi1 x phi2 over S1 x S2."""
+def direct_product(F1: FusionSystem, F2: FusionSystem) -> DirectProduct:
+    """The fusion system generated by all maps phi1 x phi2 over S1 x S2; the
+    product group is bounded by ``groups.active_caps.group``."""
     if F1.p != F2.p:
         raise VerificationFailed("direct product of systems at different primes")
     A1, e1 = as_group(F1.support, name="S1")
     A2, e2 = as_group(F2.support, name="S2")
     back1 = {g: i for i, g in enumerate(F1.support.members)}
     back2 = {g: i for i, g in enumerate(F2.support.members)}
-    PG, _, _, _, _ = product_group(A1, A2, cap=cap,
-                                   name=f"{F1.name}x{F2.name}")
+    PG, _, _, _, _ = product_group(A1, A2, name=f"{F1.name}x{F2.name}")
     nb = A2.order
     full = PG.full_subgroup
 
@@ -52,15 +51,9 @@ def direct_product(F1: FusionSystem, F2: FusionSystem,
         for h1 in F1.isos_from(P1):
             for P2 in F2.subgroups():
                 for h2 in F2.isos_from(P2):
-                    members = tuple(sorted(pack(x1, x2)
-                                           for x1 in P1.members
-                                           for x2 in P2.members))
-                    dom = Subgroup(PG, members, check=False)
-                    pairs = {pack(x1, x2): pack(h1(x1), h2(x2))
-                             for x1 in P1.members for x2 in P2.members}
-                    imgs = tuple(pairs[m] for m in members)
-                    cod = Subgroup(PG, tuple(sorted(set(imgs))), check=False)
-                    gens.append(Hom(dom, cod, imgs, check=False))
+                    gens.append(Hom.from_pairs(
+                        PG, ((pack(x1, x2), pack(h1(x1), h2(x2)))
+                             for x1 in P1.members for x2 in P2.members)))
     system = generated_fusion_system(full, F1.p, gens,
                                      name=f"{F1.name}x{F2.name}")
     iota1 = Hom(F1.support, full, tuple(pack(x, 0) for x in F1.support.members),
@@ -82,33 +75,14 @@ def direct_product(F1: FusionSystem, F2: FusionSystem,
 
 def direct_product_structure_ok(dp: DirectProduct,
                                 F1: FusionSystem, F2: FusionSystem) -> bool:
-    """Every product-system morphism is (phi1 x phi2) restricted."""
-    pi1, pi2 = dp.pi1, dp.pi2
+    """Every product-system morphism is (phi1 x phi2) restricted: its push
+    along each projection is well defined, injective and a morphism of
+    that factor."""
     for P in dp.system.subgroups():
         for h in dp.system.isos_from(P):
-            comp1 = {}
-            comp2 = {}
-            ok = True
-            for x in P.members:
-                y = h(x)
-                for pi, comp in ((pi1, comp1), (pi2, comp2)):
-                    key, val = pi(x), pi(y)
-                    if comp.setdefault(key, val) != val:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                return False
-            for F_i, comp, pi in ((F1, comp1, pi1), (F2, comp2, pi2)):
-                dom = Subgroup(F_i.universe, tuple(sorted(comp)), check=False)
-                imgs = tuple(comp[m] for m in dom.members)
-                cod = Subgroup(F_i.universe, tuple(sorted(set(imgs))), check=False)
-                cand = Hom(dom, cod, imgs, check=False)
-                if not F_i.contains_morphism(cand):
-                    return False
-            for x in P.members:
-                if not (pi1(h(x)) == comp1[pi1(x)] and pi2(h(x)) == comp2[pi2(x)]):
+            for F_i, pi in ((F1, dp.pi1), (F2, dp.pi2)):
+                comp = h.push(pi)
+                if comp is None or not F_i.contains_morphism(comp):
                     return False
     return True
 
@@ -124,15 +98,11 @@ class InducedFunctor:
     source: FusionSystem
     target: FusionSystem
 
-    def apply(self, h: Hom) -> Hom:
-        alpha = self.alpha
-        members = tuple(sorted({alpha(x) for x in h.domain.members}))
-        parent = alpha.codomain.parent
-        dom = Subgroup(parent, members, check=False)
-        pairs = {alpha(x): alpha(h(x)) for x in h.domain.members}
-        imgs = tuple(pairs[m] for m in members)
-        cod = Subgroup(parent, tuple(sorted(set(imgs))), check=False)
-        return Hom(dom, cod, imgs, check=False)
+    def apply(self, h: Hom) -> Optional[Hom]:
+        """alpha(x) -> alpha(h(x)), corestricted; None when that map is
+        ill-defined or not injective (``Hom.push``), which never happens
+        for a functor returned by ``induces_morphism``."""
+        return h.push(self.alpha)
 
     def subgroup_image(self, P: Subgroup) -> Subgroup:
         return Subgroup(self.alpha.codomain.parent,
@@ -150,18 +120,8 @@ def induces_morphism(alpha: Hom, F: FusionSystem,
     functor = InducedFunctor(alpha, F, target)
     for P in F.subgroups():
         for h in F.isos_from(P):
-            pairs: dict[int, int] = {}
-            ok = True
-            for x in P.members:
-                key, val = alpha(x), alpha(h(x))
-                if pairs.setdefault(key, val) != val:
-                    ok = False
-                    break
-            if not ok:
-                return None
-            if len(set(pairs.values())) != len(pairs):
-                return None
-            if not target.contains_morphism(functor.apply(h)):
+            pushed = functor.apply(h)
+            if pushed is None or not target.contains_morphism(pushed):
                 return None
     return functor
 
@@ -244,23 +204,11 @@ def fusion_center(F: FusionSystem) -> Subgroup:
 def _push_product_pair(D: FusionSystem, phi1: Hom, phi2: Hom) -> Optional[Hom]:
     """Image of phi1 x phi2 under the multiplication map, or None when the
     pushed map is ill-defined or non-injective."""
-    G = D.universe
-    mul = G._mul
-    pairs: dict[int, int] = {}
-    for x1 in phi1.domain.members:
-        fx1 = phi1(x1)
-        for x2 in phi2.domain.members:
-            key = mul[x1][x2]
-            val = mul[fx1][phi2(x2)]
-            if pairs.setdefault(key, val) != val:
-                return None
-    if len(set(pairs.values())) != len(pairs):
-        return None
-    members = tuple(sorted(pairs))
-    dom = Subgroup(G, members, check=False)
-    imgs = tuple(pairs[m] for m in members)
-    cod = Subgroup(G, tuple(sorted(set(imgs))), check=False)
-    return Hom(dom, cod, imgs, check=False)
+    mul = D.universe._mul
+    return Hom.from_pairs(D.universe,
+                          ((mul[x1][x2], mul[y1][y2])
+                           for x1, y1 in zip(phi1.domain.members, phi1.images)
+                           for x2, y2 in zip(phi2.domain.members, phi2.images)))
 
 
 def _induced_by_some_pair(D: FusionSystem, F1: FusionSystem, F2: FusionSystem,
@@ -392,23 +340,8 @@ def zcentralize_witnesses(F: FusionSystem, Fi: FusionSystem,
                           Fj: FusionSystem) -> bool:
     """Extension witnesses: each beta in Aut_{Fi}(Si) extends to an
     automorphism of Si C_S(Si) moving C_S(Si) into Si and fixing Sj."""
-    Si, Sj = Fi.support, Fj.support
-    C = centralizer(F.support, Si)
-    V = F.universe.generated_subgroup(Si.members + C.members)
-    mul, inv = F.universe._mul, F.universe._inv
-    for beta in Fi.automorphisms(Si):
-        hit = False
-        for ext in F.automorphisms(V):
-            if not all(ext(x) == beta(x) for x in Si.members):
-                continue
-            if not all(mul[inv[c]][ext(c)] in Si.member_set for c in C.members):
-                continue
-            if ext.fixes_pointwise(Sj):
-                hit = True
-                break
-        if not hit:
-            return False
-    return True
+    return all(extension_witness(F, beta, Fi.support, fixed=Fj.support)
+               is not None for beta in Fi.automorphisms(Fi.support))
 
 
 def verify_product_theorems(F: FusionSystem, F1: FusionSystem,

@@ -132,11 +132,7 @@ def extension_group(F: FusionSystem, phi: Hom) -> Subgroup:
 
 def extend_morphism(F: FusionSystem, phi: Hom, U: Subgroup) -> Optional[Hom]:
     """Some psi in Hom_F(U, S) with psi|_P = phi, or None (Absent)."""
-    target = {x: phi(x) for x in phi.domain.members}
-    for psi in F.isos_from(U):
-        if all(psi(x) == y for x, y in target.items()):
-            return psi
-    return None
+    return next(F.extensions(phi, U), None)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ stays as the oracle that ``invariance_condition`` evaluates."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import NotStronglyClosed, NotSylow, VerificationFailed
 from .fusion import (FusionSystem, conjugate_morphism, full_subcategory,
@@ -70,19 +70,10 @@ def centralizer_subsystem(F: FusionSystem, X: Subgroup) -> FusionSystem:
 
 
 def centralizer_subsystem_by_extension(F: FusionSystem, X: Subgroup) -> FusionSystem:
-    support = centralizer(F.support, X)
-    explicit: dict[tuple[int, ...], tuple[Hom, ...]] = {}
-    for P in subgroup_lattice(support):
-        PX = P.parent.generated_subgroup(P.members + X.members)
-        found: dict[tuple, Hom] = {}
-        for psi in F.isos_from(PX):
-            if not psi.fixes_pointwise(X):
-                continue
-            h = psi.restrict_cores(P)
-            found.setdefault(h.images, h)
-        explicit[P.members] = tuple(sorted(found.values(), key=Hom.sort_key))
-    return FusionSystem(support, F.p, explicit=explicit, ambient=F.top(),
-                        name=f"C_{F.name}({X.order})")
+    return _local_by_extension(
+        F, centralizer(F.support, X), X,
+        lambda PX: F.extensions(Hom.identity(X), PX),
+        f"C_{F.name}({X.order})")
 
 
 def normalizer_subsystem(F: FusionSystem, Q: Subgroup) -> FusionSystem:
@@ -102,20 +93,29 @@ def normalizer_subsystem(F: FusionSystem, Q: Subgroup) -> FusionSystem:
 
 
 def normalizer_subsystem_by_extension(F: FusionSystem, Q: Subgroup) -> FusionSystem:
-    support = normalizer(F.support, Q)
     qset = Q.member_set
+    return _local_by_extension(
+        F, normalizer(F.support, Q), Q,
+        lambda PQ: (psi for psi in F.isos_from(PQ)
+                    if {psi(x) for x in Q.members} == qset),
+        f"N_{F.name}({Q.order})")
+
+
+def _local_by_extension(F: FusionSystem, support: Subgroup, R: Subgroup,
+                        kept: Callable[[Subgroup], Iterable[Hom]],
+                        name: str) -> FusionSystem:
+    """The explicit system over ``support`` whose morphisms from P are the
+    restrictions to P of the morphisms ``kept(PR)`` yields on PR = <P, R>."""
     explicit: dict[tuple[int, ...], tuple[Hom, ...]] = {}
     for P in subgroup_lattice(support):
-        PQ = P.parent.generated_subgroup(P.members + Q.members)
+        PR = P.parent.generated_subgroup(P.members + R.members)
         found: dict[tuple, Hom] = {}
-        for psi in F.isos_from(PQ):
-            if {psi(x) for x in Q.members} != qset:
-                continue
+        for psi in kept(PR):
             h = psi.restrict_cores(P)
             found.setdefault(h.images, h)
         explicit[P.members] = tuple(sorted(found.values(), key=Hom.sort_key))
     return FusionSystem(support, F.p, explicit=explicit, ambient=F.top(),
-                        name=f"N_{F.name}({Q.order})")
+                        name=name)
 
 
 # -- invariance conditions ---------------------------------------------------------
@@ -301,23 +301,31 @@ def _frattini_property(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     return None
 
 
+def extension_witness(F: FusionSystem, alpha: Hom, bound: Subgroup,
+                      fixed: Optional[Subgroup] = None) -> Optional[Hom]:
+    """The first ext in Aut_F(TC_S(T)), T = dom alpha, with ext|_T = alpha,
+    [C_S(T), ext] <= bound and ext|_fixed = id, or None.  The last test is
+    on ``fixed``: one outside TC_S(T) raises KeyError there."""
+    T = alpha.domain
+    C = centralizer(F.support, T)
+    V = Subgroup(F.universe, T.product_set(C), check=False)  # C centralizes T
+    bset = bound.member_set
+    mul, inv = F.universe._mul, F.universe._inv
+    for ext in F.extensions(alpha, V):
+        if ext.codomain != V:
+            continue
+        if not all(mul[inv[c]][ext(c)] in bset for c in C.members):
+            continue
+        if fixed is None or ext.fixes_pointwise(fixed):
+            return ext
+    return None
+
+
 def _extension_property(F: FusionSystem, E: FusionSystem,
                         bound: Subgroup) -> Optional[dict]:
     """Each alpha in Aut_E(T) extends to TC_S(T) with [C_S(T), ext] <= bound."""
-    T = E.support
-    C = centralizer(F.support, T)
-    V = F.universe.generated_subgroup(T.members + C.members)
-    bset = bound.member_set
-    mul, inv = F.universe._mul, F.universe._inv
-    for alpha in E.automorphisms(T):
-        found = False
-        for ext in F.automorphisms(V):
-            if not all(ext(x) == alpha(x) for x in T.members):
-                continue
-            if all(mul[inv[c]][ext(c)] in bset for c in C.members):
-                found = True
-                break
-        if not found:
+    for alpha in E.automorphisms(E.support):
+        if extension_witness(F, alpha, bound) is None:
             return {"alpha": list(alpha.images), "bound": list(bound.members)}
     return None
 

@@ -40,10 +40,10 @@ from .models import (Model, model_of, models_isomorphic_over_s,
                      normal_in_system, normal_model, script_G)
 from .products import ProductReport, verify_product_theorems
 from .saturation import classify, is_saturated
-from .subsystems import (centralizer_subsystem, invariance_condition,
-                         is_normal, is_strongly_closed, is_weakly_closed,
-                         normal_subsystem_in, normalizer_subsystem,
-                         realized_subsystem)
+from .subsystems import (centralizer_subsystem, extension_witness,
+                         invariance_condition, is_normal, is_strongly_closed,
+                         is_weakly_closed, normal_subsystem_in,
+                         normalizer_subsystem, realized_subsystem)
 
 CHECK_ORDER: tuple[str, ...] = (
     "saturation",
@@ -385,24 +385,13 @@ def verify_cfcg0(F: FusionSystem, E: FusionSystem,
     whose centralizer contains N_E(T)."""
     T = E.support
     CST = centralizer(F.support, T)
-    V = F.universe.generated_subgroup(T.members + CST.members)
     NET = normalizer_subsystem(E, T)
-    mul, inv = F.universe._mul, F.universe._inv
     targets = [X for X in subgroup_lattice(CST)
                if contained_in_centralizer(F, NET, X)]
     alphas = tuple(auts) if auts is not None else E.automorphisms(T)
     for X in targets:
         for alpha in alphas:
-            hit = False
-            for ext in F.automorphisms(V):
-                if not all(ext(x) == alpha(x) for x in T.members):
-                    continue
-                if not all(mul[inv[v]][ext(v)] in T.member_set for v in V.members):
-                    continue
-                if ext.fixes_pointwise(X):
-                    hit = True
-                    break
-            if not hit:
+            if extension_witness(F, alpha, T, fixed=X) is None:
                 return {"X": _sub(X), "alpha": list(alpha.images)}
     return None
 

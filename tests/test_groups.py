@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from fusionkit.corpus import builtin_group
 from fusionkit.errors import CapExceeded, NotAGroup, NotNormal
+from fusionkit.fusion import conjugate_morphism, fusion_of_group
 from fusionkit.groups import (Hom, Subgroup, as_group, center, centralizer,
                               commutator_span, conjugacy_classes_of_subgroups,
                               derived_subgroup,
@@ -191,6 +192,67 @@ class TestHoms:
     def test_inverse_round_trip(self, s4, V4, F_s4):
         for h in F_s4.automorphisms(V4):
             assert h.then(h.inverse()).is_identity()
+
+
+def conjugate_pointwise(phi, alpha):
+    """phi^alpha by its definition: alpha(x) -> alpha(phi(x)) for x in P,
+    on the subgroup alpha(P), corestricted onto its image."""
+    G = alpha.codomain.parent
+    back = {alpha(x): x for x in phi.domain.members}
+    dom = tuple(sorted(back))
+    imgs = tuple(alpha(phi(back[y])) for y in dom)
+    return Hom(Subgroup(G, dom), Subgroup(G, tuple(sorted(imgs))), imgs)
+
+
+class TestPush:
+    @pytest.fixture(scope="class")
+    def c2xc2(self):
+        c2 = builtin_group("c2")
+        return product_group(c2, c2)
+
+    def test_from_pairs_builds_the_corestricted_map(self, s4, V4):
+        h = Hom.conjugation(V4, 5)
+        got = Hom.from_pairs(s4, reversed(list(zip(V4.members, h.images))))
+        assert got == h and got.codomain == V4
+
+    def test_from_pairs_ill_defined(self, s4):
+        assert Hom.from_pairs(s4, [(0, 0), (1, 2), (1, 3)]) is None
+
+    def test_from_pairs_not_injective(self, s4):
+        assert Hom.from_pairs(s4, [(0, 0), (1, 0)]) is None
+
+    def test_push_ill_defined(self, c2xc2):
+        # the swap (a, b) -> (b, a) does not respect the kernel 1 x C2 of
+        # the first projection
+        P, _, _, proj_a, _ = c2xc2
+        full = P.full_subgroup
+        swap = Hom(full, full, tuple((i % 2) * 2 + i // 2 for i in range(4)))
+        assert swap.push(proj_a) is None
+
+    def test_push_not_injective(self, c2xc2):
+        # (a, b) -> (a, 1) pushed along the identity is not injective
+        P, _, _, _, _ = c2xc2
+        full = P.full_subgroup
+        flatten = Hom(full, full, tuple((i // 2) * 2 for i in range(4)))
+        assert flatten.push(Hom.identity(full)) is None
+
+    def test_push_along_kernel_compatible_map(self, c2xc2):
+        P, _, _, proj_a, _ = c2xc2
+        full = P.full_subgroup
+        fix_a = Hom(full, full, (0, 1, 3, 2))       # (a, b) -> (a, a + b)
+        pushed = fix_a.push(proj_a)
+        assert pushed is not None and pushed.is_identity()
+
+    @pytest.mark.parametrize("name", ["s4", "d8xc2"])
+    def test_conjugate_morphism_is_pointwise(self, name):
+        G = builtin_group(name)
+        S = sylow_subgroup(G.full_subgroup, 2)
+        F = fusion_of_group(G, S, 2)
+        for alpha in F.automorphisms(S):
+            for P in F.subgroups():
+                for phi in F.isos_from(P):
+                    assert (conjugate_morphism(phi, alpha)
+                            == conjugate_pointwise(phi, alpha))
 
 
 class TestEnumeration:

@@ -5,12 +5,12 @@ from __future__ import annotations
 import pytest
 
 from fusionkit.corpus import builtin_group
-from fusionkit.errors import NotCentralizing
+from fusionkit.errors import CapExceeded, NotCentralizing
 from fusionkit.fusion import (fusion_of_group, inner_system, subsystem_equal,
                               transported_system)
-from fusionkit.groups import (Hom, Subgroup, center, group_from_permutations,
-                              normal_subgroups, subgroup_lattice,
-                              sylow_subgroup)
+from fusionkit.groups import (Hom, Subgroup, active_caps, center,
+                              group_from_permutations, normal_subgroups,
+                              subgroup_lattice, sylow_subgroup)
 from fusionkit.products import (central_product_subsystem,
                                 centralize_each_other, direct_product,
                                 direct_product_structure_ok,
@@ -53,6 +53,13 @@ class TestDirectProduct:
                   tuple(sorted_match(dp, FR)), check=True)
         moved = transported_system(dp.system, iso)
         assert subsystem_equal(moved, FR)
+
+    def test_group_cap_bounds_the_product(self, monkeypatch):
+        d8 = builtin_group("d8")
+        F_d8 = fusion_of_group(d8, d8.full_subgroup, 2)
+        monkeypatch.setattr(active_caps, "group", 10)
+        with pytest.raises(CapExceeded):
+            direct_product(F_d8, F_d8)
 
     def test_structure_theorem(self, F_a4, F_c2):
         dp = direct_product(F_a4, F_c2)

@@ -10,10 +10,12 @@ from fusionkit.errors import NotStronglyClosed
 from fusionkit.fusion import (conjugate_subsystem, fusion_of_group,
                               generated_subsystem, inner_system,
                               realized_subsystem, subsystem_equal)
-from fusionkit.groups import center, normal_subgroups, sylow_subgroup
+from fusionkit.groups import (Hom, center, centralizer, normal_subgroups,
+                              subgroup_lattice, sylow_subgroup)
 from fusionkit.subsystems import (_condition_f, _stability,
                                   centralizer_subsystem,
                                   centralizer_subsystem_by_extension,
+                                  extension_witness,
                                   invariance_condition, is_normal,
                                   is_strongly_closed, is_weakly_closed,
                                   normal_subsystem_from_group,
@@ -42,6 +44,15 @@ class TestClosure:
             assert is_weakly_closed(F, P) == P.is_normal_in(d8.full_subgroup)
 
 
+def local_paths_agree(G, p, realized, by_extension):
+    """On F = F_S(G), the witness-filtered local subsystem at every R <= S
+    equals the one found by extension search, morphism for morphism."""
+    S = sylow_subgroup(G.full_subgroup, p)
+    F = fusion_of_group(G, S, p)
+    for R in F.subgroups():
+        assert subsystem_equal(realized(F, R), by_extension(F, R))
+
+
 class TestLocalSubsystems:
     def test_centralizer_of_trivial_is_f(self, F_s4):
         C = centralizer_subsystem(F_s4, F_s4.universe.trivial_subgroup)
@@ -51,18 +62,25 @@ class TestLocalSubsystems:
         C = centralizer_subsystem(F_s4, V4)
         assert subsystem_equal(C, inner_system(F_s4, V4))
 
-    def test_witness_and_extension_paths_agree(self, F_s4, F_q8c4):
-        for F in (F_s4, F_q8c4):
-            for X in F.subgroups():
-                w = centralizer_subsystem(F, X)
-                e = centralizer_subsystem_by_extension(F, X)
-                assert subsystem_equal(w, e)
+    def test_witness_and_extension_paths_agree(self):
+        for _, G, p in corpus_entries():
+            if G.order <= 48:
+                local_paths_agree(G, p, centralizer_subsystem,
+                                  centralizer_subsystem_by_extension)
 
-    def test_normalizer_paths_agree(self, F_s4):
-        for Q in F_s4.subgroups():
-            w = normalizer_subsystem(F_s4, Q)
-            e = normalizer_subsystem_by_extension(F_s4, Q)
-            assert subsystem_equal(w, e)
+    def test_normalizer_paths_agree(self):
+        for _, G, p in corpus_entries():
+            if G.order <= 48:
+                local_paths_agree(G, p, normalizer_subsystem,
+                                  normalizer_subsystem_by_extension)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(perm_groups())
+    def test_paths_agree_on_generated_groups(self, group):
+        local_paths_agree(*group, centralizer_subsystem,
+                          centralizer_subsystem_by_extension)
+        local_paths_agree(*group, normalizer_subsystem,
+                          normalizer_subsystem_by_extension)
 
     def test_normalizer_of_normal_subgroup_is_f(self, F_s4, V4):
         assert subsystem_equal(normalizer_subsystem(F_s4, V4), F_s4)
@@ -154,6 +172,94 @@ class TestInvarianceOracles:
     @given(perm_groups())
     def test_generated_groups(self, group):
         invariance_verdicts(*group)
+
+
+def literal_extension_exists(F, alpha, bound, fixed, over):
+    """The extension search as it was written before ``extension_witness``:
+    some ext in Aut_F(TC_S(T)) agreeing with alpha on T, with [x, ext] in
+    ``bound`` for every x in ``over`` and fixing ``fixed`` pointwise."""
+    T = alpha.domain
+    C = centralizer(F.support, T)
+    V = F.universe.generated_subgroup(T.members + C.members)
+    G = F.universe
+    for ext in F.automorphisms(V):
+        if not all(ext(x) == alpha(x) for x in T.members):
+            continue
+        if not all(G.mul(G.inv(x), ext(x)) in bound.member_set
+                   for x in over(C, V).members):
+            continue
+        if fixed is None or all(ext(x) == x for x in fixed.members):
+            return True
+    return False
+
+
+def extension_verdicts(G, p):
+    """``extension_witness`` against the literal search on F = F_S(G), for
+    every T <= S, every alpha in F.isos_from(T), bound 1, Z(T), T or S
+    and every fixed X <= C_S(T) (or none).  On a strongly closed T, where
+    alpha is an automorphism, [C_S(T), ext] <= T and [TC_S(T), ext] <= T
+    give the same verdict (ext|_T = alpha and T is normal in TC_S(T)).
+    Bounds 1 and S and the T that are not strongly closed make the bound
+    and automorphism tests of ``extension_witness`` decisive somewhere."""
+    S = sylow_subgroup(G.full_subgroup, p)
+    F = fusion_of_group(G, S, p)
+    on_c, on_v = (lambda C, V: C), (lambda C, V: V)
+    verdicts = []
+    for T in F.subgroups():
+        C = centralizer(S, T)
+        closed = is_strongly_closed(F, T)
+        bounds = ((G.trivial_subgroup, (on_c,)), (center(T), (on_c,)),
+                  (T, (on_c, on_v) if closed else (on_c,)), (S, (on_c,)))
+        for alpha in F.isos_from(T):
+            for fixed in (None, *subgroup_lattice(C)):
+                for bound, overs in bounds:
+                    ext = extension_witness(F, alpha, bound, fixed)
+                    for over in overs:
+                        assert (ext is not None) == literal_extension_exists(
+                            F, alpha, bound, fixed, over)
+                    verdicts.append(ext is not None)
+    return verdicts
+
+
+class TestExtensionWitness:
+    """``extension_witness`` returns None exactly when the literal search
+    finds no extension."""
+
+    def test_corpus_up_to_order_48(self):
+        verdicts = []
+        for _, G, p in corpus_entries():
+            if G.order <= 48:
+                verdicts += extension_verdicts(G, p)
+        assert set(verdicts) == {True, False}
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(perm_groups())
+    def test_generated_groups(self, group):
+        extension_verdicts(*group)
+
+    def test_witness_properties(self, F_s4xc2, E_s4x1):
+        T = E_s4x1.support
+        Z = center(T)
+        for alpha in F_s4xc2.automorphisms(T):
+            ext = extension_witness(F_s4xc2, alpha, Z)
+            assert ext is not None and ext.codomain == ext.domain
+            assert all(ext(x) == alpha(x) for x in T.members)
+
+    def test_outer_automorphism_has_none(self, F_s4xc2, E_s4x1, s4xc2):
+        """The CFCG0 mutant's automorphism of T = D8 x 1 lies outside
+        Aut_F(T), so nothing in F extends it."""
+        T = E_s4x1.support
+        r = next(x for x in T.members if s4xc2.element_order(x) == 4)
+        refl = next(x for x in T.members
+                    if s4xc2.element_order(x) == 2
+                    and x not in center(T).member_set
+                    and s4xc2.conj(x, r) != x)
+        outer = Hom.from_generator_images(T, T, [r, refl],
+                                          [r, s4xc2.mul(r, refl)])
+        for bound in (center(T), T):
+            assert extension_witness(F_s4xc2, outer, bound) is None
+            assert not literal_extension_exists(F_s4xc2, outer, bound, None,
+                                                lambda C, V: V)
 
 
 class TestNormality:
