@@ -23,23 +23,29 @@ def parse_group_json(payload: dict, cap: int = DEFAULT_GROUP_CAP) -> FiniteGroup
         kind = payload["kind"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"group file missing required field: {exc}") from exc
-    if kind == "permutation-generators":
-        gens = payload.get("generators")
-        if not isinstance(gens, list) or not gens:
-            raise ParseError("permutation-generators file needs a generator list")
-        return group_from_permutations(name, gens, cap=cap)
-    if kind == "multiplication-table":
-        table = payload.get("table")
-        if not isinstance(table, list) or not table:
-            raise ParseError("multiplication-table file needs a table")
-        return group_from_table(name, table, cap=cap)
+    try:
+        if kind == "permutation-generators":
+            gens = payload.get("generators")
+            if (not isinstance(gens, list) or not gens
+                    or not all(isinstance(g, list) for g in gens)):
+                raise ParseError("permutation-generators file needs a list of "
+                                 "image lists")
+            return group_from_permutations(name, gens, cap=cap)
+        if kind == "multiplication-table":
+            table = payload.get("table")
+            if not isinstance(table, list) or not table:
+                raise ParseError("multiplication-table file needs a table")
+            return group_from_table(name, table, cap=cap)
+    except (ValueError, TypeError, IndexError) as exc:
+        raise ParseError(f"group file {name!r} is malformed: {exc}") from exc
     raise ParseError(f"unknown group file kind {kind!r}")
 
 
 def ingest(path: str | Path, cap: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
     """Load and validate a group file.
 
-    Raises ParseError on malformed JSON, NotAGroup on invalid tables or
+    Raises ParseError on malformed JSON or malformed fields (non-integer
+    entries, generators that are not lists), NotAGroup on invalid tables or
     generators, CapExceeded past the configured order cap.
     """
     p = Path(path)

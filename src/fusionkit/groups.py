@@ -8,10 +8,11 @@ the right action x^g = g^-1 x g, and homomorphisms compose left to right
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .errors import CapExceeded, NotAGroup, NotNormal
+from .errors import CapExceeded, NotAGroup, NotNormal, ParseError
 
 DEFAULT_GROUP_CAP = 500
 DEFAULT_LATTICE_CAP = 20000
@@ -47,13 +48,17 @@ class FiniteGroup:
 
     def __init__(self, name: str, mul_table: Sequence[Sequence[int]],
                  perm_images: Optional[Sequence[tuple[int, ...]]] = None,
-                 check: bool = True) -> None:
+                 check: bool = True,
+                 generator_indices: Optional[Sequence[int]] = None) -> None:
         n = len(mul_table)
         if n == 0:
             raise NotAGroup("empty multiplication table")
         self.name = name
         self.order = n
-        self._mul = tuple(tuple(int(x) for x in row) for row in mul_table)
+        self._mul = tuple(tuple(map(int, row)) for row in mul_table)
+        self.generator_indices: Optional[tuple[int, ...]] = (
+            tuple(int(g) for g in generator_indices)
+            if generator_indices is not None else None)
         if check:
             self._validate()
         inv = [0] * n
@@ -75,34 +80,76 @@ class FiniteGroup:
             orders[a] = k
         self._orders = tuple(orders)
         self.perm_images = tuple(perm_images) if perm_images is not None else None
-        self.generator_indices: Optional[tuple[int, ...]] = None
         self._cache: dict = {}
 
     def _validate(self) -> None:
+        """Check that the table is a group with identity 0.
+
+        Rows and columns must be permutations of 0..n-1 (a Latin square) and
+        0 a two-sided identity.  That does not force associativity, which is
+        decided exactly by Light's test (Clifford and Preston, *The Algebraic
+        Theory of Semigroups* I, Section 1.2): let Gamma generate the table
+        by right multiplication from the identity, so every z is
+        ((1 g_1) g_2) ... g_k with each g_i in Gamma.  If (xy)g = x(yg) for
+        all x, y and every g in Gamma, then (xy)z = x(yz) for all x, y, z,
+        by induction on k: (xy)(wg) = ((xy)w)g = (x(yw))g = x((yw)g) =
+        x(y(wg)).  So n^2 |Gamma| products decide associativity at every
+        order.  Gamma is ``generator_indices`` when given, which must then
+        generate the table (ParseError otherwise); else a greedy set.
+        """
         n = self.order
         rng = range(n)
+        full = set(rng)
+        mul = self._mul
         for a in rng:
-            row = self._mul[a]
+            row = mul[a]
             if len(row) != n:
                 raise NotAGroup(f"row {a} has length {len(row)}, expected {n}")
-            if sorted(row) != list(rng):
+            if set(row) != full:
                 raise NotAGroup(f"row {a} is not a permutation of 0..{n-1}")
-            if row[0] != a or self._mul[0][a] != a:
+            if row[0] != a or mul[0][a] != a:
                 raise NotAGroup("index 0 is not a two-sided identity")
-        for a in rng:
-            col = [self._mul[x][a] for x in rng]
-            if sorted(col) != list(rng):
+        for a, col in enumerate(zip(*mul)):
+            if set(col) != full:
                 raise NotAGroup(f"column {a} is not a permutation of 0..{n-1}")
-        # Latin square plus identity does not force associativity.  Check
-        # every (a, b, c) up to order 128; above that, a fixed strided sample.
-        step = 1 if n <= 128 else max(1, n // 64)
-        picks = list(range(0, n, step))
-        for a in picks:
-            for b in picks:
-                ab = self._mul[a][b]
-                for c in picks:
-                    if self._mul[ab][c] != self._mul[a][self._mul[b][c]]:
-                        raise NotAGroup(f"associativity fails at ({a},{b},{c})")
+        gens = self.generator_indices
+        if gens is None:
+            gens, reached = [], {0}
+            for a in rng:
+                if a not in reached:
+                    gens.append(a)
+                    self._right_span(gens, reached)
+        else:
+            if not all(0 <= g < n for g in gens):
+                raise ParseError(f"generator_indices {list(gens)} out of range "
+                                 f"0..{n-1}")
+            if len(self._right_span(gens, {0})) != n:
+                raise ParseError(f"generator_indices {list(gens)} do not "
+                                 f"generate the table")
+        for g in gens:
+            col = tuple(row[g] for row in mul)       # col[y] = yg
+            times_g = itemgetter(*col)               # row -> (x(yg))_y
+            for x, row in enumerate(mul):
+                if times_g(row) != itemgetter(*row)(col):   # vs ((xy)g)_y
+                    y = next(y for y in rng if col[row[y]] != row[col[y]])
+                    raise NotAGroup(f"associativity fails at ({x},{y},{g})")
+
+    def _right_span(self, gens: Sequence[int], reached: set[int]) -> set[int]:
+        """Grow ``reached`` (in place) to everything reached from it by right
+        multiplication by ``gens``; return it."""
+        mul = self._mul
+        frontier = list(reached)
+        while frontier:
+            new = []
+            for x in frontier:
+                row = mul[x]
+                for g in gens:
+                    y = row[g]
+                    if y not in reached:
+                        reached.add(y)
+                        new.append(y)
+            frontier = new
+        return reached
 
     # -- basic arithmetic ---------------------------------------------------
 
@@ -841,9 +888,8 @@ def group_from_permutations(name: str, generators: Sequence[Sequence[int]],
     ordered = [ident] + sorted(p for p in elems if p != ident)
     index_of = {p: i for i, p in enumerate(ordered)}
     table = [[index_of[compose(a, b)] for b in ordered] for a in ordered]
-    grp = FiniteGroup(name, table, perm_images=ordered, check=False)
-    grp.generator_indices = tuple(index_of[g] for g in gens)
-    return grp
+    return FiniteGroup(name, table, perm_images=ordered, check=False,
+                       generator_indices=[index_of[g] for g in gens])
 
 
 def group_from_table(name: str, table: Sequence[Sequence[int]],

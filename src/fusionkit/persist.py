@@ -3,9 +3,15 @@
 The container stores the ambient group table, the support, the prime, and a
 generator record: one representative per conjugacy class of subgroups, a
 generating set of its automorphism group, and bridging isomorphisms (both
-directions) to every other class member.  Loading reconstructs the system
-by closure from the record and cross-checks it against the witness fusion
-recomputed from the stored table, so a corrupted file cannot load quietly.
+directions) to every other class member.
+
+Loading validates the table (``FiniteGroup._validate``: Latin square,
+identity, Light's associativity test), rebuilds F = F_S(W) from the stored
+table, and then proves that the record generates exactly F.  The proof is a
+certificate checked against F (``_record_certifies``); when it fails, the
+record is closed literally (``close_morphisms``) and compared with F, so a
+record with a dropped generator or class still loads when its closure
+agrees, and a corrupted record cannot load quietly.
 """
 
 from __future__ import annotations
@@ -87,9 +93,80 @@ def save_system(F: FusionSystem, path: str | Path) -> None:
     Path(path).write_text(json.dumps(system_payload(F), indent=1) + "\n")
 
 
+def _record_certifies(
+        F: FusionSystem,
+        record: list[tuple[Subgroup, list[Hom], list[tuple[Hom, Hom]]]]) -> bool:
+    """Does the record provably generate exactly F?
+
+    ``record`` holds, per class, ``(rep, aut_generators, bridges)`` with
+    each bridge ``(from_rep, to_rep)``.  The certificate holds when
+
+    1. every generator and bridge is a morphism of F (a bridge ``to_rep``
+       through its inverse, which is in F exactly when it is);
+    2. each recorded class, rep and bridge members, equals the set of
+       codomains of ``F.isos_from(rep)``;
+    3. the recorded classes cover every subgroup of S exactly once;
+    4. each class's aut generators close under composition to
+       |Aut_F(rep)| maps.
+
+    Then closure(record) = F.  By 1, every seed lies in F, which contains
+    the inner maps of S and is closed under restriction and composition, so
+    closure(record) <= F.  By 1 and 4, the closure of the generators is a
+    subgroup of Aut_F(rep) of full order, so Aut_F(rep) <= closure(record).
+    Let phi: P -> Q be an isomorphism of F.  P and Q are F-conjugate, so by
+    2 and 3 they lie in one recorded class with rep R; write to_rep(R) =
+    from_rep(R) = id_R, which every closure holds.  F contains the inverses
+    of its isomorphisms, so gamma = to_rep(P)^-1 ; phi ; from_rep(Q)^-1 lies
+    in Aut_F(R), and phi = to_rep(P) ; gamma ; from_rep(Q) is a composite
+    of maps of closure(record).  Hence F <= closure(record).
+    """
+    support = F.support.member_set
+    covered: set[tuple[int, ...]] = set()
+    for rep, auts, bridges in record:
+        if not rep.member_set <= support:
+            return False
+        cls = {rep.members}
+        for from_rep, to_rep in bridges:
+            # from_rep in F makes |member| >= |rep|, so an injective to_rep
+            # is onto rep and inverts
+            if not (F.contains_morphism(from_rep) and to_rep.is_injective
+                    and F.contains_morphism(to_rep.inverse())):
+                return False
+            cls.add(to_rep.domain.members)
+        if (len(cls) != 1 + len(bridges) or not cls.isdisjoint(covered)
+                or cls != {h.codomain.members for h in F.isos_from(rep)}):
+            return False
+        covered |= cls
+        if not all(F.contains_morphism(h) for h in auts):
+            return False
+        span = {rep.members}
+        frontier = [rep.members]
+        while frontier:
+            new = []
+            for images in frontier:
+                for h in auts:
+                    key = tuple(h(y) for y in images)
+                    if key not in span:
+                        span.add(key)
+                        new.append(key)
+            frontier = new
+        if len(span) != len(F.automorphisms(rep)):
+            return False
+    return len(covered) == len(F.subgroups())
+
+
 def load_system(path: str | Path) -> FusionSystem:
-    """Load a persisted system; the generator-record closure must agree with
-    the witness fusion rebuilt from the stored table."""
+    """Load a persisted system: F_S(W) rebuilt from the stored table, once
+    the generator record is shown to generate exactly it.
+
+    The proof is the record certificate (``_record_certifies``).  When it
+    fails, the decision falls back to closing the record literally and
+    comparing the closure with F_S(W), so a record that still generates the
+    system loads.  Raises ParseError on unreadable or malformed files,
+    NotAGroup on a table or record map that is not a group or a
+    homomorphism, VerificationFailed when the record regenerates other
+    fusion.
+    """
     try:
         payload = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -97,23 +174,27 @@ def load_system(path: str | Path) -> FusionSystem:
     if not isinstance(payload, dict) or payload.get("format") != FORMAT_VERSION:
         raise ParseError(f"{path}: unsupported container format")
     try:
-        G = FiniteGroup(payload["group_name"], payload["table"], check=True)
-        gi = payload.get("generator_indices")
-        if gi is not None:
-            G.generator_indices = tuple(int(x) for x in gi)
+        G = FiniteGroup(payload["group_name"], payload["table"], check=True,
+                        generator_indices=payload.get("generator_indices"))
         S = G.subgroup(payload["support"])
         W = G.subgroup(payload["witness"])
         p = int(payload["prime"])
         fresh = fusion_of_group(W, S, p, name=payload.get("name", ""))
-        seeds: list[Hom] = []
+        record = []
         for entry in payload["classes"]:
             rep = G.subgroup(entry["rep"])
-            for images in entry["aut_generators"]:
-                seeds.append(Hom(rep, rep, images, check=True))
+            auts = [Hom(rep, rep, images, check=True)
+                    for images in entry["aut_generators"]]
+            bridges = []
             for bridge in entry["bridges"]:
                 member = G.subgroup(bridge["member"])
-                seeds.append(Hom(rep, member, bridge["from_rep"], check=True))
-                seeds.append(Hom(member, rep, bridge["to_rep"], check=True))
+                bridges.append((Hom(rep, member, bridge["from_rep"], check=True),
+                                Hom(member, rep, bridge["to_rep"], check=True)))
+            record.append((rep, auts, bridges))
+        if _record_certifies(fresh, record):
+            return fresh
+        seeds = [h for _, auts, bridges in record
+                 for h in auts + [h for pair in bridges for h in pair]]
         explicit = close_morphisms(S, seeds)
         rebuilt = FusionSystem(S, p, explicit=explicit, name="rebuilt")
         if not subsystem_equal(rebuilt, fresh):
@@ -122,3 +203,7 @@ def load_system(path: str | Path) -> FusionSystem:
         return fresh
     except KeyError as exc:
         raise ParseError(f"{path}: missing field {exc}") from exc
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    except (ValueError, TypeError, IndexError) as exc:
+        raise ParseError(f"{path}: malformed record: {exc}") from exc

@@ -118,14 +118,25 @@ def classify(F: FusionSystem) -> SubgroupClassification:
 def extension_group(F: FusionSystem, phi: Hom) -> Subgroup:
     """N_phi = {g in N_S(P) : phi^-1 c_g phi in Aut_S(P^phi)}."""
     phi = phi.cores()
+    return _extension_group(F, phi, normalizer(F.support, phi.domain),
+                            _automizer_keys(F, phi.codomain))
+
+
+def _automizer_keys(F: FusionSystem, Q: Subgroup) -> frozenset:
+    """Image keys of Aut_S(Q)."""
+    return frozenset(h.images for h in F.automizer_in(F.support, Q))
+
+
+def _extension_group(F: FusionSystem, phi: Hom, n_s_p: Subgroup,
+                     aut_s_keys: frozenset) -> Subgroup:
+    """N_phi for an isomorphism ``phi`` onto its codomain Q, given
+    N_S(dom phi) and the image keys of Aut_S(Q)."""
     P, Q = phi.domain, phi.codomain
-    S = F.support
     conj = F.universe.conj
     back = dict(zip(phi.images, P.members))
     if len(back) != P.order:
         raise NotAGroup("only isomorphisms onto the codomain invert")
-    aut_s_keys = {h.images for h in F.automizer_in(S, Q)}
-    out = [g for g in normalizer(S, P).members
+    out = [g for g in n_s_p.members
            if tuple(phi(conj(back[y], g)) for y in Q.members) in aut_s_keys]
     return Subgroup(F.universe, tuple(out), check=False)
 
@@ -165,11 +176,19 @@ def is_saturated(F: FusionSystem) -> SaturationReport:
         if not cls.is_fully_centralized(P):
             failures.append({"axiom": "sylow", "kind": "not_fully_centralized",
                              "subgroup": list(P.members)})
+    aut_s_keys: dict[tuple[int, ...], frozenset] = {}
     for P in F.subgroups():
+        n_s_p = None
         for phi in F.isos_from(P):
-            if not cls.is_fully_centralized(phi.codomain):
+            Q = phi.codomain
+            if not cls.is_fully_centralized(Q):
                 continue
-            nphi = extension_group(F, phi)
+            if n_s_p is None:
+                n_s_p = normalizer(F.support, P)
+            keys = aut_s_keys.get(Q.members)
+            if keys is None:
+                keys = aut_s_keys[Q.members] = _automizer_keys(F, Q)
+            nphi = _extension_group(F, phi, n_s_p, keys)
             if extend_morphism(F, phi, nphi) is None:
                 failures.append({"axiom": "extension",
                                  "subgroup": list(P.members),

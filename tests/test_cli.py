@@ -119,6 +119,53 @@ class TestPersistence:
             load_system(f)
 
 
+def _set(key, value):
+    return lambda payload: payload.__setitem__(key, value)
+
+
+def _set_table_entry(payload):
+    payload["table"][1][2] = "x"
+
+
+def _add_support_index(payload):
+    payload["support"].append(999)
+
+
+class TestMalformedInput:
+    """Malformed fields exit 2 with an ``error:`` line, never a traceback."""
+
+    @pytest.mark.parametrize("mutate", [
+        _set("prime", "x"), _set_table_entry, _set("table", 5),
+        _set("classes", 3), _add_support_index,
+        _set("generator_indices", [999]), _set("generator_indices", [1]),
+    ], ids=["prime", "table-entry", "table", "classes", "support-index",
+            "generator-index-range", "generator-index-span"])
+    def test_malformed_fsk(self, mutate, s4_fsk, tmp_path, capsys):
+        payload = json.loads(s4_fsk.read_text())
+        mutate(payload)
+        bad = tmp_path / "bad.fsk"
+        bad.write_text(json.dumps(payload))
+        with pytest.raises(ParseError):
+            load_system(bad)
+        code = main(["centralizer", str(bad), "--normal", "gens:g0"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("payload", [
+        {"name": "g", "kind": "permutation-generators", "generators": ["21", "12"]},
+        {"name": "g", "kind": "permutation-generators", "generators": [5, 6]},
+        {"name": "g", "kind": "multiplication-table", "table": [[0, 1], [1, "x"]]},
+    ], ids=["string-generators", "non-list-generators", "string-table-entry"])
+    def test_malformed_group_file(self, payload, tmp_path, capsys):
+        f = tmp_path / "g.json"
+        f.write_text(json.dumps(payload))
+        with pytest.raises(ParseError):
+            ingest(f)
+        code = main(["build", str(f), "-p", "2", "--out", str(tmp_path / "g.fsk")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
 class TestSubgroupSpecs:
     def test_order_spec(self, s4_fsk):
         F = load_system(s4_fsk)

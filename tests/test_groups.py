@@ -7,13 +7,14 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fusionkit.corpus import builtin_group
-from fusionkit.errors import CapExceeded, NotAGroup, NotNormal
+from fusionkit.corpus import CORPUS_ENTRIES, builtin_group
+from fusionkit.errors import CapExceeded, NotAGroup, NotNormal, ParseError
 from fusionkit.fusion import conjugate_morphism, fusion_of_group
-from fusionkit.groups import (Hom, Subgroup, as_group, center, centralizer,
-                              commutator_span, conjugacy_classes_of_subgroups,
+from fusionkit.groups import (FiniteGroup, Hom, Subgroup, as_group, center,
+                              centralizer, commutator_span, conjugacy_classes_of_subgroups,
                               derived_subgroup,
-                              group_from_table, maximal_subgroups, normalizer,
+                              group_from_permutations, group_from_table,
+                              maximal_subgroups, normalizer,
                               normal_subgroups, o_p, o_p_prime, o_upper_p,
                               p_part, product_group, quotient,
                               subgroup_lattice, subgroup_lattice_bruteforce,
@@ -313,3 +314,120 @@ def test_conjugate_subgroups_share_order(g, h):
     H = s4.generated_subgroup([g, h])
     for x in (1, 5, 13):
         assert H.conjugate(x).order == H.order
+
+
+# -- associativity: Light's test against the literal triple loop ---------------
+
+
+def literal_associative(table):
+    """Oracle: (ab)c == a(bc) for every triple."""
+    n = len(table)
+    return all(table[table[a][b]][c] == table[a][table[b][c]]
+               for a in range(n) for b in range(n) for c in range(n))
+
+
+def strided_sample_associative(table):
+    """The former check above order 128: triples from a stride of n // 64."""
+    n = len(table)
+    picks = range(0, n, max(1, n // 64))
+    return all(table[table[a][b]][c] == table[a][table[b][c]]
+               for a in picks for b in picks for c in picks)
+
+
+def intercalates(table, rows, cols):
+    """2x2 Latin subsquares (a, b, c, d): T[a][c] = T[b][d], T[a][d] = T[b][c]."""
+    n = len(table)
+    out = []
+    for a in rows:
+        for b in rows:
+            if b <= a:
+                continue
+            col_of = {table[b][d]: d for d in range(n)}
+            for c in cols:
+                d = col_of[table[a][c]]
+                if d > c and d in cols and table[a][d] == table[b][c]:
+                    out.append((a, b, c, d))
+    return out
+
+
+def swap_intercalate(table, quad):
+    a, b, c, d = quad
+    out = [list(row) for row in table]
+    out[a][c], out[a][d] = out[a][d], out[a][c]
+    out[b][c], out[b][d] = out[b][d], out[b][c]
+    return out
+
+
+SMALL_TABLES = sorted({name for name, _ in CORPUS_ENTRIES
+                       if builtin_group(name).order <= 128})
+
+
+class TestLightAssociativity:
+    def test_rejects_what_the_stride_skipped(self):
+        """An intercalate on odd rows and columns of a4xa4 (order 144) is
+        invisible to the stride-2 sample, but Light's test rejects it."""
+        table = [list(row) for row in builtin_group("a4xa4")._mul]
+        odd = set(range(1, len(table), 2))
+        quad = intercalates(table, sorted(odd), odd)[0]
+        bad = swap_intercalate(table, quad)
+        assert strided_sample_associative(bad)
+        assert not literal_associative(bad)
+        with pytest.raises(NotAGroup, match="associativity"):
+            group_from_table("bad", bad)
+
+    @pytest.mark.parametrize("name", SMALL_TABLES)
+    def test_agrees_with_literal_on_corpus(self, name):
+        """Each corpus table of order <= 128 is accepted, and so is the
+        table with its first intercalate swapped exactly when it is
+        associative."""
+        table = builtin_group(name)._mul
+        assert literal_associative(table)
+        group_from_table(name, table)
+        rest = range(1, len(table))
+        for quad in intercalates(table, rest, set(rest))[:1]:
+            bad = swap_intercalate(table, quad)
+            assert light_accepts(bad) == literal_associative(bad)
+
+    def test_generator_indices_must_generate(self):
+        table = builtin_group("s4")._mul
+        gens = builtin_group("s4").generator_indices
+        assert FiniteGroup("s4", table, generator_indices=gens).order == 24
+        with pytest.raises(ParseError, match="out of range"):
+            FiniteGroup("s4", table, generator_indices=[999])
+        with pytest.raises(ParseError, match="do not generate"):
+            FiniteGroup("s4", table, generator_indices=gens[:1])
+
+
+@st.composite
+def small_tables(draw):
+    """(table, generator_indices): a group of two permutations of degree
+    3 or 4, possibly with one intercalate swapped."""
+    n = draw(st.integers(min_value=3, max_value=4))
+    perms = draw(st.lists(st.permutations(range(1, n + 1)),
+                          min_size=2, max_size=2))
+    G = group_from_permutations("gen", perms)
+    table = [list(row) for row in G._mul]
+    rest = range(1, G.order)
+    quads = intercalates(table, rest, set(rest))
+    quad = draw(st.none() | st.sampled_from(quads)) if quads else None
+    if quad is not None:
+        table = swap_intercalate(table, quad)
+    return table, G.generator_indices
+
+
+def light_accepts(table, generator_indices=None):
+    try:
+        FiniteGroup("t", table, generator_indices=generator_indices)
+    except NotAGroup:
+        return False
+    return True
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_tables())
+def test_light_agrees_with_literal_on_swapped_tables(case):
+    table, gens = case
+    literal = literal_associative(table)
+    assert light_accepts(table) == literal
+    if len(FiniteGroup("t", table, check=False)._right_span(gens, {0})) == len(table):
+        assert light_accepts(table, gens) == literal

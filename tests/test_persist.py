@@ -1,0 +1,202 @@
+"""Loading .fsk files: the record certificate against the literal closure."""
+
+from __future__ import annotations
+
+import copy
+import itertools
+import json
+
+import pytest
+
+from fusionkit import persist
+from fusionkit.corpus import CORPUS_ENTRIES, builtin_group
+from fusionkit.errors import NotAGroup, VerificationFailed
+from fusionkit.fusion import (FusionSystem, close_morphisms, fusion_of_group,
+                              subsystem_equal)
+from fusionkit.groups import FiniteGroup, Hom, sylow_subgroup
+from fusionkit.persist import load_system, system_payload
+
+
+def corpus_payload(name, p):
+    G = builtin_group(name)
+    return system_payload(fusion_of_group(G, sylow_subgroup(G.full_subgroup, p), p))
+
+
+def literal_load(payload):
+    """Oracle: close the whole record and compare it with F_S(W)."""
+    G = FiniteGroup(payload["group_name"], payload["table"],
+                    generator_indices=payload.get("generator_indices"))
+    S = G.subgroup(payload["support"])
+    W = G.subgroup(payload["witness"])
+    p = int(payload["prime"])
+    fresh = fusion_of_group(W, S, p)
+    seeds = []
+    for entry in payload["classes"]:
+        rep = G.subgroup(entry["rep"])
+        for images in entry["aut_generators"]:
+            seeds.append(Hom(rep, rep, images, check=True))
+        for bridge in entry["bridges"]:
+            member = G.subgroup(bridge["member"])
+            seeds.append(Hom(rep, member, bridge["from_rep"], check=True))
+            seeds.append(Hom(member, rep, bridge["to_rep"], check=True))
+    rebuilt = FusionSystem(S, p, explicit=close_morphisms(S, seeds))
+    if not subsystem_equal(rebuilt, fresh):
+        raise VerificationFailed("generator record does not regenerate")
+
+
+def outcome(call):
+    try:
+        call()
+    except Exception as exc:                    # noqa: BLE001 - compared by type
+        return type(exc)
+    return None
+
+
+def automorphisms_of(P, limit=2000):
+    """Up to ``limit`` candidate automorphisms of P as a group, each as its
+    image list over P.members (identity first)."""
+    G = P.parent
+    gens, span = [], {0}
+    for x in P.members:
+        if x not in span:
+            gens.append(x)
+            span = set(G.closure(gens))
+    choices = [[y for y in P.members if G.element_order(y) == G.element_order(g)]
+               for g in gens]
+    out = []
+    for images in itertools.islice(itertools.product(*choices), limit):
+        try:
+            h = Hom.from_generator_images(P, P, gens, list(images))
+        except NotAGroup:
+            continue
+        if h.is_injective:
+            out.append(h.images)
+    return out
+
+
+def map_order(P, images):
+    """Order of the automorphism of P with these images."""
+    step = dict(zip(P.members, images))
+    k, cur = 1, tuple(images)
+    while cur != P.members:
+        cur = tuple(step[y] for y in cur)
+        k += 1
+    return k
+
+
+def mutations(payload):
+    """(label, mutated payload): dropped generators, bridges and classes,
+    foreign automorphisms added or swapped in, a class split in two, and
+    bridges replaced by other group maps or collapsed onto 1."""
+    G = FiniteGroup("g", payload["table"], check=False)
+    W = G.subgroup(payload["witness"])
+    F = fusion_of_group(W, G.subgroup(payload["support"]), payload["prime"])
+
+    def mutated(edit):
+        out = copy.deepcopy(payload)
+        edit(out["classes"])
+        return out
+
+    for i, entry in enumerate(payload["classes"]):
+        yield f"drop class {i}", mutated(lambda cs, i=i: cs.pop(i))
+        for j in range(len(entry["aut_generators"])):
+            yield (f"drop aut {i}.{j}",
+                   mutated(lambda cs, i=i, j=j: cs[i]["aut_generators"].pop(j)))
+        for j in range(len(entry["bridges"])):
+            yield (f"drop bridge {i}.{j}",
+                   mutated(lambda cs, i=i, j=j: cs[i]["bridges"].pop(j)))
+        rep = G.subgroup(entry["rep"])
+        if rep.order > 16:
+            continue
+        in_f = F._keys_from(rep)
+        autos = automorphisms_of(rep)
+        foreign = next((a for a in autos if a not in in_f), None)
+        inner = next((a for a in autos if a in in_f and a != rep.members), None)
+        if foreign is not None:
+            yield (f"add foreign aut {i}",
+                   mutated(lambda cs, i=i: cs[i]["aut_generators"].append(list(foreign))))
+        for j, gen in enumerate(entry["aut_generators"]):
+            # same order as the generator, so the span may keep its size
+            twin = next((a for a in autos if a not in in_f
+                         and map_order(rep, a) == map_order(rep, gen)), None)
+            if twin is not None:
+
+                def swap(cs, i=i, j=j, twin=twin):
+                    cs[i]["aut_generators"][j] = list(twin)
+                yield f"swap aut {i}.{j} for foreign", mutated(swap)
+        if entry["bridges"]:
+
+            def collapse(cs, i=i):
+                cs[i]["bridges"][0] = {"member": [0], "to_rep": [0],
+                                       "from_rep": [0] * len(cs[i]["rep"])}
+            yield f"bridge {i}.0 to the trivial subgroup", mutated(collapse)
+
+            def split(cs, i=i):
+                member = G.subgroup(cs[i]["bridges"].pop()["member"])
+                cs.append({"rep": list(member.members), "bridges": [],
+                           "aut_generators": [list(h.images)
+                                              for h in F.automorphisms(member)]})
+            yield f"split class {i}", mutated(split)
+        for j, bridge in enumerate(entry["bridges"]):
+            old = dict(zip(rep.members, bridge["from_rep"]))
+            for tag, alpha in (("F-map", inner), ("foreign map", foreign)):
+                if alpha is None:
+                    continue
+                new = [old[y] for y in alpha]       # alpha, then from_rep
+
+                def edit(cs, i=i, j=j, new=new):
+                    cs[i]["bridges"][j]["from_rep"] = new
+                yield f"bridge {i}.{j} by {tag}", mutated(edit)
+
+
+SMALL = [(name, p) for name, p in CORPUS_ENTRIES
+         if builtin_group(name).order <= 48]
+
+
+@pytest.mark.parametrize("name,p", CORPUS_ENTRIES,
+                         ids=[f"{n}@{p}" for n, p in CORPUS_ENTRIES])
+def test_corpus_records_load_without_closure(name, p, tmp_path, monkeypatch):
+    """Every honest record is certified, so the closure never runs."""
+    path = tmp_path / "x.fsk"
+    path.write_text(json.dumps(corpus_payload(name, p)))
+
+    def closure_called(*args):
+        raise AssertionError("closure fallback ran on an honest record")
+
+    monkeypatch.setattr(persist, "close_morphisms", closure_called)
+    F = load_system(path)
+    assert F.universe.order == builtin_group(name).order
+
+
+def decide(path, monkeypatch):
+    """(outcome of load_system, whether the closure fallback ran)."""
+    fallbacks = []
+
+    def counted(*args):
+        fallbacks.append(1)
+        return close_morphisms(*args)
+
+    monkeypatch.setattr(persist, "close_morphisms", counted)
+    return outcome(lambda: load_system(path)), bool(fallbacks)
+
+
+@pytest.mark.parametrize("name,p", SMALL, ids=[f"{n}@{p}" for n, p in SMALL])
+def test_mutated_records_match_literal_closure(name, p, tmp_path, monkeypatch):
+    """load_system decides every mutated record as the literal closure does;
+    in particular, whenever the certificate accepts, so does the closure."""
+    for k, (label, payload) in enumerate(mutations(corpus_payload(name, p))):
+        path = tmp_path / f"m{k}.fsk"
+        path.write_text(json.dumps(payload))
+        got, _ = decide(path, monkeypatch)
+        assert got is outcome(lambda: literal_load(payload)), label
+
+
+def test_mutations_reach_every_decision(tmp_path, monkeypatch):
+    """The mutations include records the certificate accepts, records only
+    the closure accepts (healed), and records both reject."""
+    kinds = set()
+    for k, (label, payload) in enumerate(mutations(corpus_payload("gl23", 2))):
+        path = tmp_path / f"m{k}.fsk"
+        path.write_text(json.dumps(payload))
+        kinds.add(decide(path, monkeypatch))
+    assert {(None, False), (None, True), (VerificationFailed, True)} <= kinds
