@@ -1,6 +1,6 @@
 """The centralizer of a normal subsystem: the family of centralized
-subgroups, C_S(E) as its join, the factorization subgroups of the Frattini
-argument, R* via models, focal and hyperfocal subgroups, the centralizer
+subgroups, C_S(E) as its join, the two automorphism subgroups of the
+Frattini factorization, R* via models, focal and hyperfocal subgroups, the centralizer
 subsystem C_F(E), and the coincidence formula for its automorphism groups."""
 
 from __future__ import annotations
@@ -8,8 +8,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import FactorizationMissing, TheoremViolation, VerificationFailed
-from .fusion import FusionSystem, generated_subsystem, subsystem_contains
+from .errors import TheoremViolation, VerificationFailed
+from .fusion import (FusionSystem, conjugate_morphism, generated_subsystem,
+                     subsystem_contains)
 from .groups import Hom, Subgroup, centralizer, normalizer, subgroup_lattice
 from .models import Model, model_of, normal_model, script_G
 from .saturation import classify, o_upper_p_automorphisms
@@ -103,7 +104,6 @@ def a_circle(F: FusionSystem, E: FusionSystem, P: Subgroup) -> tuple[Hom, ...]:
         for b in out:
             if a.then(b).images not in keys:
                 raise VerificationFailed("A-circle is not closed under composition")
-    from .fusion import conjugate_morphism
     for chi in F.automorphisms(P):
         for a in out:
             if conjugate_morphism(a, chi).images not in keys:
@@ -124,20 +124,6 @@ def h_group(F: FusionSystem, E: FusionSystem, P: Subgroup) -> tuple[Hom, ...]:
             if a.then(b).images not in keys:
                 raise VerificationFailed("H(P) is not closed under composition")
     return tuple(sorted(out, key=Hom.sort_key))
-
-
-def frattini_factorize(F: FusionSystem, E: FusionSystem, P: Subgroup,
-                       phi: Hom) -> tuple[Hom, Hom]:
-    """Write phi in Aut_F(P) as gamma then beta with gamma in H(P), beta in
-    A-circle(P); exhaustive search, alarm if the factorization is missing."""
-    acirc = {h.images: h for h in a_circle(F, E, P)}
-    for gamma in h_group(F, E, P):
-        beta = gamma.inverse().then(phi)
-        hit = acirc.get(beta.images)
-        if hit is not None:
-            return gamma, hit
-    raise FactorizationMissing(
-        f"Aut_F(P) element admits no H(P)*A-circle factorization at P={list(P.members)}")
 
 
 # -- R* via models ----------------------------------------------------------------
@@ -297,12 +283,7 @@ def coincide_check(F: FusionSystem, E: FusionSystem,
 
 def z_of(F: FusionSystem) -> Subgroup:
     """Z(F): the largest subgroup X with F <= C_F(X) (F run self-ambient)."""
-    key = "center"
-    got = F._cache.get(key)
-    if got is None:
-        got = c_s_of(F, F)
-        F._cache[key] = got
-    return got
+    return F.memo("center", lambda: c_s_of(F, F))
 
 
 def weakly_closed_analysis(F: FusionSystem, E: FusionSystem,

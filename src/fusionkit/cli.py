@@ -20,12 +20,12 @@ from . import corpus as corpus_mod
 from .centralizers import compute_centralizer_data, c_F_of
 from .corpus import ingest
 from .errors import FusionkitError, VerificationFailed
-from .fusion import FusionSystem, Hom
-from .groups import (DEFAULT_GROUP_CAP, DEFAULT_LATTICE_CAP, Subgroup,
-                     active_caps, normal_subgroups, sylow_subgroup)
+from .fusion import FusionSystem, Hom, fusion_of_group
+from .groups import (DEFAULT_GROUP_CAP, DEFAULT_LATTICE_CAP, FiniteGroup,
+                     Subgroup, active_caps, normal_subgroups, sylow_subgroup)
 from .persist import load_system, save_system
 from .saturation import alperin_decompose
-from .subsystems import normal_subsystem_in
+from .subsystems import is_normal, normal_subsystem_in
 from .verify import CHECK_ORDER, run_suite, suite_report
 
 
@@ -34,10 +34,26 @@ def _fail(msg: str, code: int = 2) -> int:
     return code
 
 
+def _indices(text: str, n: int) -> list[int]:
+    """Comma-separated integers in 0..n-1; ValueError otherwise."""
+    out = [int(tok) for tok in text.split(",") if tok.strip()]
+    bad = [i for i in out if not 0 <= i < n]
+    if bad:
+        raise ValueError(f"indices {bad} out of range 0..{n - 1}")
+    return out
+
+
 def resolve_subgroup(F: FusionSystem, spec: str) -> Subgroup:
     """Subgroup specs: 'order:K' (canonical normal subgroup of order K),
-    'elts:i,j,...' (element indices), 'gens:w1,w2' (words over g0,g1,...)."""
-    G = F.universe
+    'elts:i,j,...' (element indices), 'gens:w1,w2' (words over g0,g1,...);
+    FusionkitError on a malformed spec."""
+    try:
+        return _resolve_subgroup(F.universe, spec)
+    except (ValueError, IndexError) as exc:
+        raise FusionkitError(f"bad subgroup spec {spec!r}: {exc}") from exc
+
+
+def _resolve_subgroup(G: FiniteGroup, spec: str) -> Subgroup:
     if spec.startswith("order:"):
         want = int(spec.split(":", 1)[1])
         for N in normal_subgroups(G.full_subgroup):
@@ -45,10 +61,10 @@ def resolve_subgroup(F: FusionSystem, spec: str) -> Subgroup:
                 return N
         raise FusionkitError(f"no normal subgroup of order {want}")
     if spec.startswith("elts:"):
-        idx = [int(tok) for tok in spec.split(":", 1)[1].split(",") if tok]
-        return G.generated_subgroup(idx)
+        return G.generated_subgroup(_indices(spec.split(":", 1)[1], G.order))
     if spec.startswith("gens:"):
-        if G.generator_indices is None:
+        gens = G.generator_indices
+        if gens is None:
             raise FusionkitError("group carries no named generators; use elts:")
         elems = []
         for word in spec.split(":", 1)[1].split(","):
@@ -64,8 +80,8 @@ def resolve_subgroup(F: FusionSystem, spec: str) -> Subgroup:
                     base, power = token, 1
                 if not base.startswith("g"):
                     raise FusionkitError(f"bad generator token {token!r}")
-                g = G.generator_indices[int(base[1:])]
-                x = G.mul(x, G.power(g, power))
+                (k,) = _indices(base[1:], len(gens))
+                x = G.mul(x, G.power(gens[k], power))
             elems.append(x)
         return G.generated_subgroup(elems)
     raise FusionkitError(f"unrecognized subgroup spec {spec!r}")
@@ -74,13 +90,13 @@ def resolve_subgroup(F: FusionSystem, spec: str) -> Subgroup:
 def resolve_morphism(F: FusionSystem, spec: str) -> Hom:
     """Morphism spec 'a,b,...->x,y,...': element indices generating the
     domain, mapped in order; validated as a morphism of the system."""
+    G = F.universe
     try:
         left, right = spec.split("->")
-        gens = [int(t) for t in left.split(",") if t.strip()]
-        images = [int(t) for t in right.split(",") if t.strip()]
+        gens = _indices(left, G.order)
+        images = _indices(right, G.order)
     except ValueError as exc:
         raise FusionkitError(f"bad morphism spec {spec!r}") from exc
-    G = F.universe
     dom = G.generated_subgroup(gens)
     cod = G.generated_subgroup(images)
     hom = Hom.from_generator_images(dom, cod, gens, images)
@@ -89,14 +105,9 @@ def resolve_morphism(F: FusionSystem, spec: str) -> Hom:
     return hom
 
 
-def _load_fsk(path: str) -> FusionSystem:
-    return load_system(path)
-
-
 def cmd_build(args: argparse.Namespace) -> int:
-    G = ingest(args.groupfile, cap=active_caps.group)
+    G = ingest(args.groupfile)
     S = sylow_subgroup(G.full_subgroup, args.prime)
-    from .fusion import fusion_of_group
     F = fusion_of_group(G, S, args.prime,
                         name=f"F({G.name}@{args.prime})")
     out = args.out or str(Path(args.groupfile).with_suffix("")) + f"@{args.prime}.fsk"
@@ -108,8 +119,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_centralizer(args: argparse.Namespace) -> int:
-    from .subsystems import is_normal
-    F = _load_fsk(args.system)
+    F = load_system(args.system)
     N = resolve_subgroup(F, args.normal)
     E = normal_subsystem_in(F, N)
     data = compute_centralizer_data(F, E)
@@ -133,21 +143,20 @@ def cmd_centralizer(args: argparse.Namespace) -> int:
 
 
 def cmd_product(args: argparse.Namespace) -> int:
-    from .products import verify_product_theorems, central_product_subsystem
-    F = _load_fsk(args.system)
+    from .products import verify_product_theorems
+    F = load_system(args.system)
     E1 = normal_subsystem_in(F, resolve_subgroup(F, args.f1))
     E2 = normal_subsystem_in(F, resolve_subgroup(F, args.f2))
     report = verify_product_theorems(F, E1, E2)
     print(json.dumps(report.to_json(), indent=1))
     if report.centralize:
-        D = central_product_subsystem(F, E1, E2)
-        print(f"F1*F2: support order {D.support.order}, "
-              f"{D.morphism_count()} morphisms")
+        print(f"F1*F2: support order {report.star_order}, "
+              f"{report.star_morphisms} morphisms")
     return 0 if report.ok else 1
 
 
 def cmd_alperin(args: argparse.Namespace) -> int:
-    F = _load_fsk(args.system)
+    F = load_system(args.system)
     phi = resolve_morphism(F, args.morphism)
     fact = alperin_decompose(F, phi)
     print(f"morphism on {list(phi.domain.members)} factors through "
@@ -173,14 +182,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.corpus_dir:
             entries = []
             for path in sorted(Path(args.corpus_dir).glob("*.json")):
-                G = ingest(path, cap=active_caps.group)
+                G = ingest(path)
                 for p in corpus_mod.designated_primes(path):
                     entries.append((f"{path.stem}@{p}", G, p))
             entries = tuple(entries)
         else:
             entries = corpus_mod.corpus_entries()
     else:
-        F = _load_fsk(args.target)
+        F = load_system(args.target)
         entries = ((Path(args.target).stem, F.universe, F.p),)
     reports = []
     all_pass = True

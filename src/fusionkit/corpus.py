@@ -12,12 +12,12 @@ import json
 from importlib import resources
 from pathlib import Path
 
-from .errors import ParseError
-from .groups import (DEFAULT_GROUP_CAP, FiniteGroup, active_caps,
-                     group_from_permutations, group_from_table)
+from .errors import CapExceeded, ParseError
+from .groups import (FiniteGroup, active_caps, group_from_permutations,
+                     group_from_table)
 
 
-def parse_group_json(payload: dict, cap: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
+def parse_group_json(payload: dict) -> FiniteGroup:
     try:
         name = str(payload["name"])
         kind = payload["kind"]
@@ -30,23 +30,23 @@ def parse_group_json(payload: dict, cap: int = DEFAULT_GROUP_CAP) -> FiniteGroup
                     or not all(isinstance(g, list) for g in gens)):
                 raise ParseError("permutation-generators file needs a list of "
                                  "image lists")
-            return group_from_permutations(name, gens, cap=cap)
+            return group_from_permutations(name, gens)
         if kind == "multiplication-table":
             table = payload.get("table")
             if not isinstance(table, list) or not table:
                 raise ParseError("multiplication-table file needs a table")
-            return group_from_table(name, table, cap=cap)
+            return group_from_table(name, table)
     except (ValueError, TypeError, IndexError) as exc:
         raise ParseError(f"group file {name!r} is malformed: {exc}") from exc
     raise ParseError(f"unknown group file kind {kind!r}")
 
 
-def ingest(path: str | Path, cap: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
+def ingest(path: str | Path) -> FiniteGroup:
     """Load and validate a group file.
 
     Raises ParseError on malformed JSON or malformed fields (non-integer
     entries, generators that are not lists), NotAGroup on invalid tables or
-    generators, CapExceeded past the configured order cap.
+    generators, CapExceeded past ``active_caps.group``.
     """
     p = Path(path)
     try:
@@ -57,12 +57,19 @@ def ingest(path: str | Path, cap: int = DEFAULT_GROUP_CAP) -> FiniteGroup:
         raise ParseError(f"{p} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ParseError(f"{p}: top level must be an object")
-    return parse_group_json(payload, cap=cap)
+    return parse_group_json(payload)
 
 
 def designated_primes(path: str | Path) -> tuple[int, ...]:
-    payload = json.loads(Path(path).read_text())
-    return tuple(int(q) for q in payload.get("primes", [2]))
+    """The ``primes`` of a group file that ``ingest`` accepted (default
+    [2]); ParseError unless it is a list of integers >= 2 (p = 1 would never
+    leave ``groups.p_part``)."""
+    primes = json.loads(Path(path).read_text()).get("primes", [2])
+    if not (isinstance(primes, list)
+            and all(type(q) is int and q >= 2 for q in primes)):
+        raise ParseError(f"{path}: primes must be a list of integers >= 2, "
+                         f"not {primes!r}")
+    return tuple(primes)
 
 
 # Entries in canonical run order: (group file stem, prime).
@@ -115,8 +122,11 @@ def corpus_entries() -> tuple[tuple[str, FiniteGroup, int], ...]:
     within ``active_caps.group``."""
     out = []
     for name, p in CORPUS_ENTRIES:
-        G = builtin_group(name)
-        if G.order > active_caps.group:
+        try:
+            G = builtin_group(name)
+        except CapExceeded:
+            continue
+        if G.order > active_caps.group:     # cached under a larger cap
             continue
         out.append((f"{name}@{p}", G, p))
     return tuple(out)

@@ -64,10 +64,6 @@ class TheoremViolation(VerificationFailed):
     """A verified theorem assertion failed on concrete data (alarm)."""
 
 
-class FactorizationMissing(VerificationFailed):
-    """An automorphism admitted no factorization that theory guarantees."""
-
-
 class ModelNotFound(VerificationFailed):
     """No normal subgroup of a model realizes the requested subsystem."""
 

@@ -2,9 +2,12 @@
 
 A fusion system is stored through its sets of isomorphisms-onto-image: for
 each subgroup P of the support, ``isos_from(P)`` lists every morphism from P
-corestricted to its image.  Full hom-sets Hom(P,Q) are derived views (every
-morphism factors as an isomorphism onto its image followed by an inclusion),
-so this representation is lossless.
+corestricted to its image.  Every morphism factors as an isomorphism onto
+its image followed by an inclusion, so Hom(P,Q) is the set of members of
+``isos_from(P)`` whose image lies in Q, and this representation is
+lossless.  The module also builds subsystems (realized, inner, generated by
+worklist closure, full subcategories), transports iso-sets along injective
+maps (``transport_isos``) and compares subsystems hom-set by hom-set.
 
 Systems are immutable once constructed; only ``name`` may be reassigned.  A
 system given by a witness group alone is determined by its content key
@@ -19,6 +22,7 @@ also carries a witness, and keeps its derived data on the object itself.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Hashable
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (DomainMismatch, MorphismOutsideSupport, NotAGroup,
@@ -93,7 +97,7 @@ class FusionSystem:
             return None
         return (tag, *(D.content_key for D in others))
 
-    def memo(self, key: Optional[tuple], compute: Callable[[], Any]) -> Any:
+    def memo(self, key: Optional[Hashable], compute: Callable[[], Any]) -> Any:
         """``compute()``, stored in this system's slot under ``key``."""
         if key is None:
             return compute()
@@ -110,9 +114,6 @@ class FusionSystem:
 
     def subgroups(self) -> tuple[Subgroup, ...]:
         return subgroup_lattice(self.support)
-
-    def subgroup(self, members: Iterable[int]) -> Subgroup:
-        return Subgroup(self.universe, tuple(sorted(set(members))))
 
     # -- morphisms ---------------------------------------------------------------
 
@@ -172,12 +173,6 @@ class FusionSystem:
             return False
         return h.images in self._keys_from(h.domain)
 
-    def hom_set(self, P: Subgroup, Q: Subgroup) -> tuple[Hom, ...]:
-        """The exact set Hom(P,Q), morphisms carried with codomain Q."""
-        qset = Q.member_set
-        out = [h.into(Q) for h in self.isos_from(P) if set(h.images) <= qset]
-        return tuple(sorted(out, key=Hom.sort_key))
-
     def automorphisms(self, P: Subgroup) -> tuple[Hom, ...]:
         return tuple(h for h in self.isos_from(P) if h.codomain == P)
 
@@ -203,39 +198,8 @@ class FusionSystem:
     # -- conjugacy ---------------------------------------------------------------
 
     def classes(self) -> tuple[tuple[Subgroup, ...], ...]:
-        got = self._cache.get("classes")
-        if got is not None:
-            return got
-        subs = self.subgroups()
-        index = {P.members: i for i, P in enumerate(subs)}
-        parent = list(range(len(subs)))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i, P in enumerate(subs):
-            for h in self.isos_from(P):
-                j = index[h.codomain.members]
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-        buckets: dict[int, list[Subgroup]] = {}
-        for i, P in enumerate(subs):
-            buckets.setdefault(find(i), []).append(P)
-        out = tuple(sorted((tuple(sorted(b, key=Subgroup.sort_key))
-                            for b in buckets.values()),
-                           key=lambda c: c[0].sort_key()))
-        self._cache["classes"] = out
-        return out
-
-    def class_of(self, P: Subgroup) -> tuple[Subgroup, ...]:
-        for cls in self.classes():
-            if P in cls:
-                return cls
-        raise DomainMismatch("subgroup is not inside the support")
+        """The F-conjugacy classes of subgroups of the support."""
+        return self.memo("classes", lambda: _classes(self))
 
     # -- whole-system views --------------------------------------------------------
 
@@ -244,6 +208,31 @@ class FusionSystem:
 
     def morphism_count(self) -> int:
         return sum(len(self.isos_from(P)) for P in self.subgroups())
+
+
+def _classes(F: FusionSystem) -> tuple[tuple[Subgroup, ...], ...]:
+    subs = F.subgroups()
+    index = {P.members: i for i, P in enumerate(subs)}
+    parent = list(range(len(subs)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, P in enumerate(subs):
+        for h in F.isos_from(P):
+            j = index[h.codomain.members]
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[rj] = ri
+    buckets: dict[int, list[Subgroup]] = {}
+    for i, P in enumerate(subs):
+        buckets.setdefault(find(i), []).append(P)
+    return tuple(sorted((tuple(sorted(b, key=Subgroup.sort_key))
+                         for b in buckets.values()),
+                        key=lambda c: c[0].sort_key()))
 
 
 # -- constructors ---------------------------------------------------------------
@@ -348,15 +337,6 @@ def generated_subsystem(F: FusionSystem, R: Subgroup,
                         name=f"<{len(gens)} gens>_{R.order}")
 
 
-def generated_fusion_system(support: Subgroup, p: int,
-                            generators: Iterable[Hom],
-                            name: str = "") -> FusionSystem:
-    """A free-standing generated fusion system (no ambient), e.g. a direct product."""
-    explicit = close_morphisms(support, [h.cores() for h in generators])
-    return FusionSystem(support, p, explicit=explicit,
-                        name=name or f"gen_{support.order}")
-
-
 # -- morphism/subsystem transport -----------------------------------------------
 
 
@@ -379,19 +359,6 @@ def transport_isos(E: FusionSystem, sigma: Hom) -> dict[tuple[int, ...], tuple[H
         out[sigma.apply_set(P.members)] = tuple(
             sorted((h.push(sigma) for h in E.isos_from(P)), key=Hom.sort_key))
     return out
-
-
-def conjugate_subsystem(E: FusionSystem, alpha: Hom) -> FusionSystem:
-    """E^alpha: the subsystem over T^alpha with hom-sets {phi^alpha}."""
-    explicit = transport_isos(E, alpha)
-    return FusionSystem(alpha.subgroup_image(E.support), E.p, explicit=explicit, ambient=E.ambient,
-                        name=f"({E.name})^a")
-
-
-def transported_system(E: FusionSystem, sigma: Hom, name: str = "") -> FusionSystem:
-    """E carried into another universe along an injective map (no ambient)."""
-    explicit = transport_isos(E, sigma)
-    return FusionSystem(sigma.subgroup_image(E.support), E.p, explicit=explicit, name=name or f"{E.name}^t")
 
 
 # -- comparisons -----------------------------------------------------------------
@@ -424,44 +391,6 @@ def full_subcategory(F: FusionSystem, R: Subgroup) -> FusionSystem:
         explicit[P.members] = homs
     return FusionSystem(R, F.p, explicit=explicit, ambient=F.top(),
                         name=f"{F.name}|<= {R.order}")
-
-
-# -- axioms ----------------------------------------------------------------------
-
-
-def validate_fusion_system(F: FusionSystem) -> list[str]:
-    """Exhaustive fusion-axiom audit; returns a list of violations (empty = ok).
-
-    Checks: Hom_S(P,Q) is contained in the system, morphisms are injective
-    maps between subgroups of the support, and the iso-sets are closed under
-    restriction and composition (divisibility is built into the encoding).
-    """
-    problems: list[str] = []
-    subs = subgroup_lattice(F.support)
-    inside = {P.members for P in subs}
-    for P in subs:
-        isos = F.isos_from(P)
-        keys = {h.images for h in isos}
-        for x in F.support.members:
-            h = Hom.conjugation(P, x)
-            if set(h.images) <= F.support.member_set and h.images not in keys:
-                problems.append(f"missing inner map by {x} on {P.members}")
-        for h in isos:
-            if not h.is_injective:
-                problems.append(f"non-injective morphism on {P.members}")
-            if h.codomain.members not in inside:
-                problems.append(f"image escapes the support from {P.members}")
-            sub_lattice_P = [K for K in subs if K.member_set <= P.member_set]
-            for M in maximal_subgroups(P, sub_lattice_P):
-                r = h.restrict_cores(M)
-                if r.images not in F._keys_from(M):
-                    problems.append(
-                        f"restriction of {h!r} to {M.members} missing")
-            for g in F.isos_from(h.codomain):
-                c = h.then(g)
-                if c.images not in keys:
-                    problems.append(f"composition {h!r};{g!r} missing")
-    return problems
 
 
 # -- automorphism groups as finite groups -------------------------------------------

@@ -7,7 +7,6 @@ the right action x^g = g^-1 x g, and homomorphisms compose left to right
 
 from __future__ import annotations
 
-import itertools
 from operator import itemgetter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -170,12 +169,6 @@ class FiniteGroup:
     def element_order(self, a: int) -> int:
         return self._orders[a]
 
-    def word(self, letters: Iterable[int]) -> int:
-        x = 0
-        for a in letters:
-            x = self._mul[x][a]
-        return x
-
     def power(self, a: int, k: int) -> int:
         if k < 0:
             return self.power(self._inv[a], -k)
@@ -183,15 +176,6 @@ class FiniteGroup:
         for _ in range(k):
             x = self._mul[x][a]
         return x
-
-    @property
-    def is_abelian(self) -> bool:
-        flag = self._cache.get("abelian")
-        if flag is None:
-            flag = all(self._mul[a][b] == self._mul[b][a]
-                       for a in range(self.order) for b in range(a))
-            self._cache["abelian"] = flag
-        return flag
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -322,10 +306,6 @@ class Subgroup:
         """The set self*other (not necessarily a subgroup), sorted."""
         mul = self.parent._mul
         return tuple(sorted({mul[a][b] for a in self.members for b in other.members}))
-
-    def product(self, other: "Subgroup") -> "Subgroup":
-        """self*other when one normalizes the other (validated)."""
-        return Subgroup(self.parent, self.product_set(other))
 
     def is_normal_in(self, other: "Subgroup") -> bool:
         mem = self.member_set
@@ -482,12 +462,6 @@ class Hom:
                    Subgroup(parent, tuple(sorted(image)), check=False),
                    tuple(mp[x] for x in members), check=False)
 
-    def into(self, Q: Subgroup) -> "Hom":
-        """Retarget the codomain to Q >= image."""
-        if not set(self.images) <= Q.member_set:
-            raise NotAGroup("codomain does not contain the image")
-        return Hom(self.domain, Q, self.images, witness=self.witness, check=False)
-
     def inverse(self) -> "Hom":
         if not self.is_injective or self.image != self.codomain:
             raise NotAGroup("only isomorphisms onto the codomain invert")
@@ -497,12 +471,6 @@ class Hom:
     @staticmethod
     def identity(P: Subgroup) -> "Hom":
         return Hom(P, P, P.members, witness=0, check=False)
-
-    @staticmethod
-    def inclusion(P: Subgroup, Q: Subgroup) -> "Hom":
-        if not P.member_set <= Q.member_set:
-            raise NotAGroup("inclusion requires P <= Q")
-        return Hom(P, Q, P.members, witness=0, check=False)
 
     @staticmethod
     def conjugation(P: Subgroup, g: int, codomain: Optional[Subgroup] = None) -> "Hom":
@@ -623,16 +591,6 @@ def derived_subgroup(ambient: Subgroup) -> Subgroup:
     return G.generated_subgroup(comms)
 
 
-def commutator_span(A: Subgroup, homs: Iterable[Hom]) -> Subgroup:
-    """<x^-1 * x^phi : x in A, phi in homs>, inside the parent group."""
-    G = A.parent
-    gens = set()
-    for phi in homs:
-        for x in A.members:
-            gens.add(G.mul(G.inv(x), phi(x)))
-    return G.generated_subgroup(gens)
-
-
 @dataclass(frozen=True)
 class QuotientGroup:
     """G/N with a deterministic coset labeling (minimal representatives)."""
@@ -681,48 +639,16 @@ def as_group(H: Subgroup, name: Optional[str] = None) -> tuple[FiniteGroup, Hom]
     return grp, embed
 
 
-def product_group(A: FiniteGroup, B: FiniteGroup, cap: Optional[int] = None,
-                  name: Optional[str] = None) -> tuple[FiniteGroup, Hom, Hom, Hom, Hom]:
-    """Direct product AxB: returns (group, incl_A, incl_B, proj_A, proj_B).
-
-    Element (a, b) has index a*|B| + b, so the identity is index 0.
-    """
-    if cap is None:
-        cap = active_caps.group
-    n = A.order * B.order
-    if n > cap:
-        raise CapExceeded(f"product order {n} exceeds cap {cap}")
-    nb = B.order
-    table = [[0] * n for _ in range(n)]
-    for a1 in range(A.order):
-        for b1 in range(B.order):
-            i = a1 * nb + b1
-            row = table[i]
-            for a2 in range(A.order):
-                pa = A.mul(a1, a2) * nb
-                mb = B._mul[b1]
-                base = a2 * nb
-                for b2 in range(B.order):
-                    row[base + b2] = pa + mb[b2]
-    P = FiniteGroup(name or f"{A.name}x{B.name}", table, check=False)
-    full = P.full_subgroup
-    iota_a = Hom(A.full_subgroup, full, tuple(a * nb for a in range(A.order)), check=False)
-    iota_b = Hom(B.full_subgroup, full, tuple(range(B.order)), check=False)
-    proj_a = Hom(full, A.full_subgroup, tuple(i // nb for i in range(n)), check=False)
-    proj_b = Hom(full, B.full_subgroup, tuple(i % nb for i in range(n)), check=False)
-    return P, iota_a, iota_b, proj_a, proj_b
-
-
 # -- subgroup enumeration ------------------------------------------------------
 
 
-def subgroup_lattice(H: Subgroup, cap: Optional[int] = None) -> tuple[Subgroup, ...]:
-    """All subgroups of H in the canonical order (descending size, then lex).
+def subgroup_lattice(H: Subgroup) -> tuple[Subgroup, ...]:
+    """All subgroups of H in the canonical order (descending size, then lex),
+    at most ``active_caps.lattice`` of them.
 
     This order is the iteration order used by every other module.
     """
-    if cap is None:
-        cap = active_caps.lattice
+    cap = active_caps.lattice
     G = H.parent
     key = ("lattice", H.members, cap)
     cached = G._cache.get(key)
@@ -757,48 +683,6 @@ def subgroup_lattice(H: Subgroup, cap: Optional[int] = None) -> tuple[Subgroup, 
     out = tuple(sorted(seen.values(), key=Subgroup.sort_key))
     G._cache[key] = out
     return out
-
-
-def subgroup_lattice_bruteforce(H: Subgroup) -> tuple[Subgroup, ...]:
-    """Independent oracle: test every subset.  Only viable for tiny groups."""
-    G = H.parent
-    if H.order > 16:
-        raise CapExceeded("brute-force subset oracle limited to order 16")
-    rest = [x for x in H.members if x != 0]
-    out = []
-    for r in range(len(rest) + 1):
-        for combo in itertools.combinations(rest, r):
-            mem = (0,) + combo
-            mset = set(mem)
-            if all(G.inv(a) in mset and G.mul(a, b) in mset
-                   for a in mem for b in mem):
-                out.append(Subgroup(G, tuple(sorted(mem)), check=False))
-    return tuple(sorted(out, key=Subgroup.sort_key))
-
-
-def conjugacy_classes_of_subgroups(ambient: Subgroup,
-                                   subs: Sequence[Subgroup]) -> tuple[tuple[Subgroup, ...], ...]:
-    """Orbits of ``subs`` under conjugation by ``ambient``."""
-    pending = {sub.members: sub for sub in subs}
-    out = []
-    while pending:
-        mem = min(pending)
-        sub = pending.pop(mem)
-        orbit = {sub.members: sub}
-        frontier = [sub]
-        while frontier:
-            new = []
-            for cur in frontier:
-                for g in ambient.members:
-                    cg = cur.conjugate(g)
-                    if cg.members not in orbit:
-                        orbit[cg.members] = cg
-                        new.append(cg)
-            frontier = new
-        for m in orbit:
-            pending.pop(m, None)
-        out.append(tuple(orbit[m] for m in sorted(orbit)))
-    return tuple(sorted(out, key=lambda orb: orb[0].sort_key()))
 
 
 def normal_subgroups(ambient: Subgroup) -> tuple[Subgroup, ...]:
@@ -849,11 +733,11 @@ def maximal_subgroups(H: Subgroup, subs_of: Optional[Sequence[Subgroup]] = None)
 # -- permutation input ---------------------------------------------------------
 
 
-def group_from_permutations(name: str, generators: Sequence[Sequence[int]],
-                            cap: Optional[int] = None) -> FiniteGroup:
-    """Build the full multiplication table from 1-based permutation images."""
-    if cap is None:
-        cap = active_caps.group
+def group_from_permutations(name: str,
+                            generators: Sequence[Sequence[int]]) -> FiniteGroup:
+    """Build the full multiplication table from 1-based permutation images;
+    the group order is bounded by ``active_caps.group``."""
+    cap = active_caps.group
     if not generators:
         raise NotAGroup("at least one generator is required")
     degree = len(generators[0])
@@ -892,10 +776,8 @@ def group_from_permutations(name: str, generators: Sequence[Sequence[int]],
                        generator_indices=[index_of[g] for g in gens])
 
 
-def group_from_table(name: str, table: Sequence[Sequence[int]],
-                     cap: Optional[int] = None) -> FiniteGroup:
-    if cap is None:
-        cap = active_caps.group
+def group_from_table(name: str, table: Sequence[Sequence[int]]) -> FiniteGroup:
+    cap = active_caps.group
     if len(table) > cap:
         raise CapExceeded(f"group order {len(table)} exceeds cap {cap}")
     return FiniteGroup(name, table, check=True)

@@ -13,7 +13,7 @@ from .fusion import FusionSystem, fusion_of_group, transport_isos
 from .groups import (FiniteGroup, Hom, Subgroup, as_group, centralizer,
                      normal_subgroups, normalizer, o_p, o_p_prime, p_part,
                      quotient)
-from .saturation import is_saturated
+from .saturation import canonical_family, classify, is_saturated
 from .subsystems import is_normal, normalizer_subsystem
 
 
@@ -27,7 +27,6 @@ def normal_in_system(F: FusionSystem, P: Subgroup) -> bool:
     """
     if not P.is_normal_in(F.support):
         return False
-    from .saturation import canonical_family
     if is_saturated(F).ok:
         sources = [(R, F.automorphisms(R)) for R in canonical_family(F)]
     else:
@@ -43,12 +42,9 @@ def normal_in_system(F: FusionSystem, P: Subgroup) -> bool:
 
 
 def normal_subgroups_of_system(F: FusionSystem) -> tuple[Subgroup, ...]:
-    got = F._cache.get("F-normal-subgroups")
-    if got is None:
-        got = tuple(P for P in F.subgroups()
-                    if P.is_normal_in(F.support) and normal_in_system(F, P))
-        F._cache["F-normal-subgroups"] = got
-    return got
+    return F.memo("F-normal-subgroups", lambda: tuple(
+        P for P in F.subgroups()
+        if P.is_normal_in(F.support) and normal_in_system(F, P)))
 
 
 def o_p_system(F: FusionSystem) -> Subgroup:
@@ -69,7 +65,6 @@ def o_p_system(F: FusionSystem) -> Subgroup:
 
 def is_constrained(F: FusionSystem) -> tuple[bool, Optional[Subgroup]]:
     """Constrained = has a normal centric subgroup; witness is O_p(F)."""
-    from .saturation import classify
     Q = o_p_system(F)
     if classify(F).is_centric(Q):
         return True, Q

@@ -1,149 +1,18 @@
-"""Products of fusion systems: morphisms induced by group homomorphisms,
-direct products, the centralize-each-other predicate, central products, and
-the verification bundle for the product theorems."""
+"""Products of normal subsystems: the centralize-each-other predicate, the
+central product F1*F2 and its definition checked literally, and the
+verification bundle for the product theorems."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from .centralizers import z_of
 from .errors import NotCentralizing, VerificationFailed
-from .fusion import (FusionSystem, generated_fusion_system, generated_subsystem,
-                     subsystem_contains, transport_isos)
-from .groups import (FiniteGroup, Hom, Subgroup, as_group, product_group,
-                     subgroup_lattice)
-from .saturation import is_saturated
-from .subsystems import centralizer_subsystem, extension_witness
-
-
-@dataclass(frozen=True)
-class DirectProduct:
-    """F1 x F2 over a concrete product group, with embeddings materialized."""
-
-    system: FusionSystem
-    group: FiniteGroup
-    iota1: Hom                 # S1 -> S1 x S2
-    iota2: Hom
-    pi1: Hom                   # S1 x S2 -> S1
-    pi2: Hom
-    hat1: FusionSystem         # canonical image of F1
-    hat2: FusionSystem
-
-
-def direct_product(F1: FusionSystem, F2: FusionSystem) -> DirectProduct:
-    """The fusion system generated by all maps phi1 x phi2 over S1 x S2; the
-    product group is bounded by ``groups.active_caps.group``."""
-    if F1.p != F2.p:
-        raise VerificationFailed("direct product of systems at different primes")
-    A1, e1 = as_group(F1.support, name="S1")
-    A2, e2 = as_group(F2.support, name="S2")
-    back1 = {g: i for i, g in enumerate(F1.support.members)}
-    back2 = {g: i for i, g in enumerate(F2.support.members)}
-    PG, _, _, _, _ = product_group(A1, A2, name=f"{F1.name}x{F2.name}")
-    nb = A2.order
-    full = PG.full_subgroup
-
-    def pack(x1: int, x2: int) -> int:
-        return back1[x1] * nb + back2[x2]
-
-    gens: list[Hom] = []
-    for P1 in F1.subgroups():
-        for h1 in F1.isos_from(P1):
-            for P2 in F2.subgroups():
-                for h2 in F2.isos_from(P2):
-                    gens.append(Hom.from_pairs(
-                        PG, ((pack(x1, x2), pack(h1(x1), h2(x2)))
-                             for x1 in P1.members for x2 in P2.members)))
-    system = generated_fusion_system(full, F1.p, gens,
-                                     name=f"{F1.name}x{F2.name}")
-    iota1 = Hom(F1.support, full, tuple(pack(x, 0) for x in F1.support.members),
-                check=False)
-    iota2 = Hom(F2.support, full, tuple(pack(0, x) for x in F2.support.members),
-                check=False)
-    pi1 = Hom(full, F1.support,
-              tuple(F1.support.members[i // nb] for i in range(PG.order)),
-              check=False)
-    pi2 = Hom(full, F2.support,
-              tuple(F2.support.members[i % nb] for i in range(PG.order)),
-              check=False)
-    hat1 = FusionSystem(iota1.image, F1.p, explicit=transport_isos(F1, iota1),
-                        ambient=system, name="hat1")
-    hat2 = FusionSystem(iota2.image, F2.p, explicit=transport_isos(F2, iota2),
-                        ambient=system, name="hat2")
-    return DirectProduct(system, PG, iota1, iota2, pi1, pi2, hat1, hat2)
-
-
-def direct_product_structure_ok(dp: DirectProduct,
-                                F1: FusionSystem, F2: FusionSystem) -> bool:
-    """Every product-system morphism is (phi1 x phi2) restricted: its push
-    along each projection is well defined, injective and a morphism of
-    that factor."""
-    for P in dp.system.subgroups():
-        for h in dp.system.isos_from(P):
-            for F_i, pi in ((F1, dp.pi1), (F2, dp.pi2)):
-                comp = h.push(pi)
-                if comp is None or not F_i.contains_morphism(comp):
-                    return False
-    return True
-
-
-# -- induced functors ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InducedFunctor:
-    """A group homomorphism of supports inducing a functor between systems."""
-
-    alpha: Hom
-    source: FusionSystem
-    target: FusionSystem
-
-    def apply(self, h: Hom) -> Optional[Hom]:
-        """alpha(x) -> alpha(h(x)), corestricted; None when that map is
-        ill-defined or not injective (``Hom.push``), which never happens
-        for a functor returned by ``induces_morphism``."""
-        return h.push(self.alpha)
-
-    def subgroup_image(self, P: Subgroup) -> Subgroup:
-        return Subgroup(self.alpha.codomain.parent,
-                        tuple(sorted({self.alpha(x) for x in P.members})),
-                        check=False)
-
-
-def induces_morphism(alpha: Hom, F: FusionSystem,
-                     target: FusionSystem) -> Optional[InducedFunctor]:
-    """The functor induced by alpha, or None when some hom-set fails to push.
-
-    For each morphism the pushed map must be well defined (kernel
-    compatible), injective, and a morphism of the target system.
-    """
-    functor = InducedFunctor(alpha, F, target)
-    for P in F.subgroups():
-        for h in F.isos_from(P):
-            pushed = functor.apply(h)
-            if pushed is None or not target.contains_morphism(pushed):
-                return None
-    return functor
-
-
-def is_epimorphism(functor: InducedFunctor) -> bool:
-    """alpha surjective onto the target support and the image system equals
-    the target: every target morphism is induced from some preimage pair."""
-    alpha, F, D = functor.alpha, functor.source, functor.target
-    if {alpha(x) for x in F.support.members} != D.support.member_set:
-        return False
-    preimages: dict[tuple[int, ...], list[Subgroup]] = {}
-    for P in F.subgroups():
-        preimages.setdefault(functor.subgroup_image(P).members, []).append(P)
-    for Pd in D.subgroups():
-        sources = preimages.get(Pd.members, [])
-        induced: set[tuple[int, ...]] = set()
-        for P in sources:
-            for h in F.isos_from(P):
-                induced.add(functor.apply(h).images)
-        if not D._keys_from(Pd) <= induced:
-            return False
-    return True
+from .fusion import FusionSystem, generated_subsystem, subsystem_contains
+from .groups import Hom, Subgroup, subgroup_lattice
+from .saturation import classify, is_saturated
+from .subsystems import centralizer_subsystem, extension_witness, is_normal
 
 
 # -- central products -----------------------------------------------------------
@@ -180,25 +49,26 @@ def star_generators(F: FusionSystem, F1: FusionSystem,
     return gens
 
 
-def central_product_subsystem(F: FusionSystem, F1: FusionSystem,
-                              F2: FusionSystem, verify: bool = True) -> FusionSystem:
-    """F1 * F2 over S1 S2; post-verified saturated and a central product."""
-    if not centralize_each_other(F, F1, F2):
-        raise NotCentralizing("factors do not centralize each other")
+def _star_product(F: FusionSystem, F1: FusionSystem,
+                  F2: FusionSystem) -> FusionSystem:
+    """The subsystem of F over S1 S2 generated by ``star_generators``."""
     T = F.universe.generated_subgroup(F1.support.members + F2.support.members)
     D = generated_subsystem(F, T, star_generators(F, F1, F2))
     D.name = f"{F1.name}*{F2.name}"
-    if verify:
-        if not is_saturated(D).ok:
-            raise VerificationFailed("central product is not saturated")
-        if not is_central_product(D, F1, F2):
-            raise VerificationFailed("generated subsystem is not a central product")
     return D
 
 
-def fusion_center(F: FusionSystem) -> Subgroup:
-    from .centralizers import z_of
-    return z_of(F)
+def central_product_subsystem(F: FusionSystem, F1: FusionSystem,
+                              F2: FusionSystem) -> FusionSystem:
+    """F1 * F2 over S1 S2; post-verified saturated and a central product."""
+    if not centralize_each_other(F, F1, F2):
+        raise NotCentralizing("factors do not centralize each other")
+    D = _star_product(F, F1, F2)
+    if not is_saturated(D).ok:
+        raise VerificationFailed("central product is not saturated")
+    if not is_central_product(D, F1, F2):
+        raise VerificationFailed("generated subsystem is not a central product")
+    return D
 
 
 def _push_product_pair(D: FusionSystem, phi1: Hom, phi2: Hom) -> Optional[Hom]:
@@ -259,7 +129,7 @@ def is_central_product(D: FusionSystem, F1: FusionSystem,
     S1, S2 = F1.support, F2.support
     meet = S1.meet(S2)
     for Fi in (F1, F2):
-        if not meet.member_set <= fusion_center(Fi).member_set:
+        if not meet.member_set <= z_of(Fi).member_set:
             return False
     if not S1.is_elementwise_commuting(S2):
         return False
@@ -287,7 +157,11 @@ def is_central_product(D: FusionSystem, F1: FusionSystem,
 
 @dataclass(frozen=True)
 class ProductReport:
-    """Verification results for one pair of normal subsystems with [S1,S2]=1."""
+    """Verification results for one pair of normal subsystems with [S1,S2]=1.
+
+    When the factors centralize each other, ``star_order`` and
+    ``star_morphisms`` are the support order and the morphism count of
+    F1*F2 (None otherwise); they are kept out of ``to_json``."""
 
     centralize: bool
     central_in_z1: bool
@@ -299,6 +173,8 @@ class ProductReport:
     radical_intersect: bool
     z_centralize_witnesses: bool
     alarms: tuple[str, ...]
+    star_order: Optional[int]
+    star_morphisms: Optional[int]
 
     @property
     def ok(self) -> bool:
@@ -327,7 +203,6 @@ def radical_intersect_failure(F: FusionSystem, S1: Subgroup, S2: Subgroup,
                               cr_list: Optional[Sequence[Subgroup]] = None
                               ) -> Optional[list[int]]:
     """First centric radical R with R n S1S2 != (R n S1)(R n S2), if any."""
-    from .saturation import classify
     T = F.universe.generated_subgroup(S1.members + S2.members)
     for R in (cr_list if cr_list is not None else classify(F).cr_set()):
         lhs = R.member_set & T.member_set
@@ -356,21 +231,20 @@ def verify_product_theorems(F: FusionSystem, F1: FusionSystem,
 
 def _product_report(F: FusionSystem, F1: FusionSystem,
                     F2: FusionSystem) -> ProductReport:
-    from .subsystems import is_normal
-
     alarms: list[str] = []
     S1, S2 = F1.support, F2.support
     meet = S1.meet(S2)
-    z1 = meet.member_set <= fusion_center(F1).member_set
-    z2 = meet.member_set <= fusion_center(F2).member_set
+    z1 = meet.member_set <= z_of(F1).member_set
+    z2 = meet.member_set <= z_of(F2).member_set
     ce = centralize_each_other(F, F1, F2)
     iff_holds = ce == (z1 and z2)
     if not iff_holds:
         alarms.append(f"centralize={ce} but center conditions=({z1},{z2})")
 
-    star_sat = star_cp = star_normal = None
+    star_sat = star_cp = star_normal = star_order = star_morphisms = None
     if ce:
-        D = central_product_subsystem(F, F1, F2, verify=False)
+        D = _star_product(F, F1, F2)
+        star_order, star_morphisms = D.support.order, D.morphism_count()
         star_sat = is_saturated(D).ok
         star_cp = is_central_product(D, F1, F2)
         star_normal = is_normal(F, D).normal
@@ -381,9 +255,7 @@ def _product_report(F: FusionSystem, F1: FusionSystem,
     elif z1 and z2:
         # Central intersection fine yet not centralizing: any candidate over
         # S1 S2 would witness (ii) without (i); test the canonical one.
-        T = F.universe.generated_subgroup(S1.members + S2.members)
-        cand = generated_subsystem(F, T, star_generators(F, F1, F2))
-        if is_central_product(cand, F1, F2):
+        if is_central_product(_star_product(F, F1, F2), F1, F2):
             alarms.append("central product exists although factors do not centralize")
             star_cp = True
     # When the central-intersection clause already fails, no subsystem can
@@ -403,4 +275,5 @@ def _product_report(F: FusionSystem, F1: FusionSystem,
             alarms.append(f"extension witnesses missing for factor over "
                           f"{Fi.support.order}")
     return ProductReport(ce, z1, z2, iff_holds, star_sat, star_cp, star_normal,
-                         radical_ok, zc, tuple(alarms))
+                         radical_ok, zc, tuple(alarms), star_order,
+                         star_morphisms)

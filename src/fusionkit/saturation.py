@@ -9,7 +9,8 @@ from typing import Optional, Sequence
 
 from .errors import NotAGroup, NotSaturated
 from .fusion import FusionSystem, MorphismGroup
-from .groups import Hom, Subgroup, centralizer, normalizer, o_p, p_part
+from .groups import (Hom, Subgroup, centralizer, normalizer, o_p, o_upper_p,
+                     p_part)
 
 
 @dataclass(frozen=True)
@@ -35,16 +36,6 @@ class SubgroupClassification:
     def is_centric(self, P: Subgroup) -> bool:
         return P.members in self.centric
 
-    def is_radical(self, P: Subgroup) -> bool:
-        return P.members in self.radical
-
-    def is_centric_radical(self, P: Subgroup) -> bool:
-        return P.members in self.centric and P.members in self.radical
-
-    def f_set(self) -> tuple[Subgroup, ...]:
-        return tuple(P for P in self.system.subgroups()
-                     if P.members in self.fully_normalized)
-
     def cr_set(self) -> tuple[Subgroup, ...]:
         return tuple(P for P in self.system.subgroups()
                      if P.members in self.centric and P.members in self.radical)
@@ -55,26 +46,22 @@ class SubgroupClassification:
 
 
 def aut_group(F: FusionSystem, P: Subgroup) -> MorphismGroup:
-    key = ("autgrp", P.members)
-    got = F._cache.get(key)
-    if got is None:
-        got = MorphismGroup(F.automorphisms(P))
-        F._cache[key] = got
-    return got
+    return F.memo(("autgrp", P.members),
+                  lambda: MorphismGroup(F.automorphisms(P)))
 
 
 def o_upper_p_automorphisms(F: FusionSystem, P: Subgroup) -> tuple[Hom, ...]:
     """O^p(Aut_F(P)) as a set of morphisms."""
-    from .groups import o_upper_p
     mg = aut_group(F, P)
     sub = o_upper_p(mg.group.full_subgroup, F.p)
     return mg.homs_of(sub)
 
 
 def classify(F: FusionSystem) -> SubgroupClassification:
-    got = F._cache.get("classification")
-    if got is not None:
-        return got
+    return F.memo("classification", lambda: _classify(F))
+
+
+def _classify(F: FusionSystem) -> SubgroupClassification:
     S = F.support
     n_of: dict[tuple[int, ...], int] = {}
     c_of: dict[tuple[int, ...], int] = {}
@@ -105,11 +92,9 @@ def classify(F: FusionSystem) -> SubgroupClassification:
         inner = mg.subgroup_from_homs(F.inner_automorphisms(P))
         if core == inner:
             radical.add(P.members)
-    got = SubgroupClassification(F, frozenset(fully_n), frozenset(fully_c),
-                                 frozenset(fully_a), frozenset(centric),
-                                 frozenset(radical))
-    F._cache["classification"] = got
-    return got
+    return SubgroupClassification(F, frozenset(fully_n), frozenset(fully_c),
+                                  frozenset(fully_a), frozenset(centric),
+                                  frozenset(radical))
 
 
 # -- extension axiom -----------------------------------------------------------
@@ -162,9 +147,10 @@ def is_saturated(F: FusionSystem) -> SaturationReport:
     fully centralized, and every isomorphism onto a fully centralized
     subgroup extends over its extension group.
     """
-    got = F._cache.get("saturation")
-    if got is not None:
-        return got
+    return F.memo("saturation", lambda: _saturation_report(F))
+
+
+def _saturation_report(F: FusionSystem) -> SaturationReport:
     failures: list[dict] = []
     cls = classify(F)
     for P in F.subgroups():
@@ -194,24 +180,7 @@ def is_saturated(F: FusionSystem) -> SaturationReport:
                                  "subgroup": list(P.members),
                                  "images": list(phi.images),
                                  "n_phi": list(nphi.members)})
-    got = SaturationReport(not failures, tuple(failures))
-    F._cache["saturation"] = got
-    return got
-
-
-def find_fully_normalized_conjugator(F: FusionSystem, X: Subgroup) -> Hom:
-    """Some alpha in Hom_F(N_S(X), S) with X^alpha fully normalized.
-
-    Exists for every subgroup of a saturated system; searched in canonical
-    order so runs are reproducible.
-    """
-    cls = classify(F)
-    N = normalizer(F.support, X)
-    for alpha in F.isos_from(N):
-        if alpha.subgroup_image(X).members in cls.fully_normalized:
-            return alpha
-    raise NotSaturated(
-        f"no morphism on N_S(P) takes {list(X.members)} fully normalized")
+    return SaturationReport(not failures, tuple(failures))
 
 
 # -- conjugation families --------------------------------------------------------
@@ -224,9 +193,6 @@ class FactorStep:
     member: Subgroup
     automorphism: Hom
     stage: Subgroup          # P_{i-1}, contained in member
-
-    def applied(self) -> Hom:
-        return self.automorphism.restrict_cores(self.stage)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Closure and normality theory: strongly/weakly closed subgroups, the
 invariance conditions, local subsystems N_F(Q) and C_F(X), normality
-reports, and normal subsystems arising from normal subgroups.
+reports, and the normal subsystem F_{S n N}(N) of a normal subgroup N.
 
 Normality tests invariance by Aschbacher's definition: E^alpha = E for
 every alpha in Aut_F(T) (``_stability``, on image keys) plus the Frattini
@@ -17,10 +17,9 @@ from typing import Callable, Iterable, Optional
 
 from .errors import NotStronglyClosed, NotSylow, VerificationFailed
 from .fusion import (FusionSystem, conjugate_morphism, full_subcategory,
-                     fusion_of_group, generated_subsystem, realized_subsystem,
-                     subsystem_equal)
-from .groups import (FiniteGroup, Hom, Subgroup, center, centralizer,
-                     normalizer, p_part, subgroup_lattice)
+                     generated_subsystem, realized_subsystem, subsystem_equal)
+from .groups import (Hom, Subgroup, center, centralizer, normalizer, p_part,
+                     subgroup_lattice)
 from .saturation import classify, is_conjugation_family, is_saturated
 
 
@@ -55,18 +54,15 @@ def centralizer_subsystem(F: FusionSystem, X: Subgroup) -> FusionSystem:
     Witness filtering when F is group-realized, extension search otherwise;
     the two agree morphism-for-morphism on realized systems.
     """
-    key = ("CF", X.members)
-    got = F._cache.get(key)
-    if got is None:
-        support = centralizer(F.support, X)
-        if F.realized:
-            wit = centralizer(F.witness, X)
-            got = FusionSystem(support, F.p, witness=wit, ambient=F.top(),
-                               name=f"C_{F.name}({X.order})")
-        else:
-            got = centralizer_subsystem_by_extension(F, X)
-        F._cache[key] = got
-    return got
+    return F.memo(("CF", X.members), lambda: _centralizer_subsystem(F, X))
+
+
+def _centralizer_subsystem(F: FusionSystem, X: Subgroup) -> FusionSystem:
+    if not F.realized:
+        return centralizer_subsystem_by_extension(F, X)
+    return FusionSystem(centralizer(F.support, X), F.p,
+                        witness=centralizer(F.witness, X), ambient=F.top(),
+                        name=f"C_{F.name}({X.order})")
 
 
 def centralizer_subsystem_by_extension(F: FusionSystem, X: Subgroup) -> FusionSystem:
@@ -78,18 +74,15 @@ def centralizer_subsystem_by_extension(F: FusionSystem, X: Subgroup) -> FusionSy
 
 def normalizer_subsystem(F: FusionSystem, Q: Subgroup) -> FusionSystem:
     """N_F(Q) over N_S(Q): morphisms extending to PQ and mapping Q onto Q."""
-    key = ("NF", Q.members)
-    got = F._cache.get(key)
-    if got is None:
-        support = normalizer(F.support, Q)
-        if F.realized:
-            wit = normalizer(F.witness, Q)
-            got = FusionSystem(support, F.p, witness=wit, ambient=F.top(),
-                               name=f"N_{F.name}({Q.order})")
-        else:
-            got = normalizer_subsystem_by_extension(F, Q)
-        F._cache[key] = got
-    return got
+    return F.memo(("NF", Q.members), lambda: _normalizer_subsystem(F, Q))
+
+
+def _normalizer_subsystem(F: FusionSystem, Q: Subgroup) -> FusionSystem:
+    if not F.realized:
+        return normalizer_subsystem_by_extension(F, Q)
+    return FusionSystem(normalizer(F.support, Q), F.p,
+                        witness=normalizer(F.witness, Q), ambient=F.top(),
+                        name=f"N_{F.name}({Q.order})")
 
 
 def normalizer_subsystem_by_extension(F: FusionSystem, Q: Subgroup) -> FusionSystem:
@@ -375,16 +368,6 @@ def _normality_report(F: FusionSystem, E: FusionSystem) -> NormalityReport:
                                 f"z={bad_z is None} t={bad_t is None}"))
     return NormalityReport(sc, bad_inv is None, sat.ok, bad_fr is None,
                            bad_z is None, bad_t is None, tuple(counterexamples))
-
-
-def normal_subsystem_from_group(G: FiniteGroup, N: Subgroup, S: Subgroup,
-                                p: int) -> FusionSystem:
-    """E = F_{S n N}(N) embedded in F_S(G), post-verified normal."""
-    W = G.full_subgroup
-    if not N.is_normal_in(W):
-        raise NotSylow(f"subgroup of order {N.order} is not normal in G")
-    F = fusion_of_group(G, S, p)
-    return normal_subsystem_in(F, N)
 
 
 def normal_subsystem_in(F: FusionSystem, N: Subgroup) -> FusionSystem:

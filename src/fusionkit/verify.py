@@ -29,16 +29,16 @@ from .centralizers import (CentralizerData, a_circle, c_F_of, c_s_of,
                            centralized_set, coincide_check,
                            compute_centralizer_data, contained_in_centralizer,
                            focal_subgroup, h_group, hyperfocal_subgroup,
-                           weakly_closed_analysis)
+                           r_star, weakly_closed_analysis, z_of)
 from .errors import FusionkitError
-from .fusion import (FusionSystem, Hom, conjugate_morphism, fusion_of_group,
-                     inner_system, subsystem_contains)
+from .fusion import (FusionSystem, Hom, close_morphisms, conjugate_morphism,
+                     fusion_of_group, inner_system, subsystem_contains)
 from .groups import (FiniteGroup, Subgroup, centralizer, derived_subgroup,
-                     normal_subgroups, subgroup_lattice)
-from .centralizers import r_star
-from .models import (Model, model_of, models_isomorphic_over_s,
+                     normal_subgroups, subgroup_lattice, sylow_subgroup)
+from .models import (Model, is_constrained, model_of, models_isomorphic_over_s,
                      normal_in_system, normal_model, script_G)
-from .products import ProductReport, verify_product_theorems
+from .products import (ProductReport, centralize_each_other,
+                       verify_product_theorems)
 from .saturation import classify, is_saturated
 from .subsystems import (centralizer_subsystem, extension_witness,
                          invariance_condition, is_normal, is_strongly_closed,
@@ -120,28 +120,23 @@ class EntryContext:
         self.label = label
         self.group = group
         self.p = p
-        from .groups import sylow_subgroup
         self.S = sylow_subgroup(group.full_subgroup, p)
         self.F = fusion_of_group(group, self.S, p)
         if system_mutator is not None:
             self.F = system_mutator(self.F)
-        self._pairs: Optional[tuple[tuple[Subgroup, FusionSystem], ...]] = None
-        self._candidates: Optional[tuple[FusionSystem, ...]] = None
 
+    @cached_property
     def normal_pairs(self) -> tuple[tuple[Subgroup, FusionSystem], ...]:
         """(N, E) per normal subgroup of G, deduplicated by the subsystem."""
-        if self._pairs is None:
-            seen: dict[tuple, tuple[Subgroup, FusionSystem]] = {}
-            for N in normal_subgroups(self.group.full_subgroup):
-                E = normal_subsystem_in(self.F, N)
-                key = tuple(sorted(
-                    (P.members, tuple(sorted(E._keys_from(P))))
-                    for P in E.subgroups()))
-                if key not in seen:
-                    seen[key] = (N, E)
-            self._pairs = tuple(sorted(seen.values(),
-                                       key=lambda pair: pair[0].sort_key()))
-        return self._pairs
+        seen: dict[tuple, tuple[Subgroup, FusionSystem]] = {}
+        for N in normal_subgroups(self.group.full_subgroup):
+            E = normal_subsystem_in(self.F, N)
+            key = tuple(sorted(
+                (P.members, tuple(sorted(E._keys_from(P))))
+                for P in E.subgroups()))
+            if key not in seen:
+                seen[key] = (N, E)
+        return tuple(sorted(seen.values(), key=lambda pair: pair[0].sort_key()))
 
     def data_for(self, E: FusionSystem) -> CentralizerData:
         return compute_centralizer_data(self.F, E)
@@ -149,21 +144,22 @@ class EntryContext:
     def cfe_for(self, E: FusionSystem) -> FusionSystem:
         return c_F_of(self.F, E, C_S_E=self.data_for(E).C_S_E)
 
+    @cached_property
     def candidate_subsystems(self) -> tuple[FusionSystem, ...]:
         """Saturated subsystems built from subgroups and normal subgroups."""
-        if self._candidates is None:
-            cands: list[FusionSystem] = []
-            for P in self.F.subgroups():
-                D = inner_system(self.F, P)
-                if is_saturated(D).ok:
-                    cands.append(D)
-            cands.extend(E for _, E in self.normal_pairs())
-            self._candidates = tuple(cands)
-        return self._candidates
+        cands: list[FusionSystem] = []
+        for P in self.F.subgroups():
+            D = inner_system(self.F, P)
+            if is_saturated(D).ok:
+                cands.append(D)
+        cands.extend(E for _, E in self.normal_pairs)
+        return tuple(cands)
 
+    @cached_property
     def commuting_pairs(self) -> tuple[tuple[FusionSystem, FusionSystem], ...]:
+        """(E1, E2) over the normal pairs, E1 first, with [S1, S2] = 1."""
         pairs = []
-        es = [E for _, E in self.normal_pairs()]
+        es = [E for _, E in self.normal_pairs]
         for i, E1 in enumerate(es):
             for E2 in es[i:]:
                 if E1.support.is_elementwise_commuting(E2.support):
@@ -248,7 +244,6 @@ def verify_prophelp(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     cls_e = classify(E)
     T = E.support
     CST = centralizer(F.support, T)
-    from .models import is_constrained
     for X in F.subgroups():
         if not cls_f.is_fully_normalized(X):
             continue
@@ -528,7 +523,6 @@ def verify_main_cfe(F: FusionSystem, E: FusionSystem, CFE: FusionSystem,
                     candidates: Sequence[FusionSystem]) -> Optional[dict]:
     """D <= C_F(E) iff D and E centralize each other, over all saturated
     candidate subsystems (plus C_F(E) itself)."""
-    from .products import centralize_each_other
     for D in list(candidates) + [CFE]:
         inside = subsystem_contains(CFE, D)
         cen = centralize_each_other(F, D, E)
@@ -576,10 +570,9 @@ def verify_model1a(ctx: EntryContext, E: FusionSystem) -> Optional[dict]:
 def verify_model1b(F_of_model: FusionSystem, model: Model) -> Optional[dict]:
     """Subgroups of S are normal in the system iff normal in the model;
     normal centric subgroups are self-centralizing in the model."""
-    from .saturation import classify as _classify
     M, sigma = model.group, model.sigma
     model_normals = {N.members for N in normal_subgroups(M.full_subgroup)}
-    cls = _classify(F_of_model)
+    cls = classify(F_of_model)
     for P in F_of_model.subgroups():
         Pm = sigma.subgroup_image(P)
         in_sys = normal_in_system(F_of_model, P)
@@ -613,7 +606,6 @@ def verify_model1c(ctx: EntryContext, E: FusionSystem) -> Optional[dict]:
 def verify_l_f1f2(F: FusionSystem, E1: FusionSystem, E2: FusionSystem,
                   z_values: Optional[dict] = None) -> Optional[dict]:
     """F_i <= C_F(S_{3-i}) forces S1 n S2 <= Z(F_i), directionally."""
-    from .centralizers import z_of
     meet = E1.support.meet(E2.support)
     for Fi, Fj in ((E1, E2), (E2, E1)):
         contained = subsystem_contains(centralizer_subsystem(F, Fj.support), Fi)
@@ -633,7 +625,7 @@ ProductCheck = Callable[[EntryContext, FusionSystem, FusionSystem], Optional[dic
 def _per_pair(check: PairCheck) -> Callable[[EntryContext], Optional[dict]]:
     """Normal-pair scope: ``check(ctx, E)`` for each normal pair (N, E)."""
     def run(ctx: EntryContext) -> Optional[dict]:
-        for N, E in ctx.normal_pairs():
+        for N, E in ctx.normal_pairs:
             bad = check(ctx, E)
             if bad is not None:
                 bad["pair"] = {"N_order": N.order, "T": _sub(E.support)}
@@ -646,7 +638,7 @@ def _per_commuting_pair(check: ProductCheck) -> Callable[[EntryContext], Optiona
     """Commuting-pair scope: ``check(ctx, E1, E2)`` for each commuting pair;
     a failure may carry no detail beyond the two supports (an empty dict)."""
     def run(ctx: EntryContext) -> Optional[dict]:
-        for E1, E2 in ctx.commuting_pairs():
+        for E1, E2 in ctx.commuting_pairs:
             bad = check(ctx, E1, E2)
             if bad is not None:
                 return {"S1": _sub(E1.support), "S2": _sub(E2.support), **bad}
@@ -679,7 +671,7 @@ def _check_saturation(ctx: EntryContext) -> Optional[dict]:
     report = is_saturated(ctx.F)
     if not report.ok:
         return dict(report.failures[0])
-    for _, E in ctx.normal_pairs():
+    for _, E in ctx.normal_pairs:
         rep = is_saturated(E)
         if not rep.ok:
             out = dict(rep.failures[0])
@@ -691,7 +683,7 @@ def _check_saturation(ctx: EntryContext) -> Optional[dict]:
 def _check_finvariant(ctx: EntryContext) -> Optional[dict]:
     F = ctx.F
     candidates: list[FusionSystem] = []
-    for _, E in ctx.normal_pairs():
+    for _, E in ctx.normal_pairs:
         candidates.append(E)
         candidates.append(inner_system(F, E.support))
     seen = set()
@@ -757,7 +749,7 @@ CHECKS: dict[str, Callable[[EntryContext], Optional[dict]]] = {
     "CFENormal": _per_pair(
         lambda ctx, E: verify_cfe_normal(ctx.F, E, ctx.cfe_for(E))),
     "MainCFE": _per_pair(lambda ctx, E: verify_main_cfe(
-        ctx.F, E, ctx.cfe_for(E), ctx.candidate_subsystems())),
+        ctx.F, E, ctx.cfe_for(E), ctx.candidate_subsystems)),
     "Coincide": _per_pair(lambda ctx, E: verify_coincide(
         ctx.F, E, ctx.cfe_for(E), ctx.data_for(E).C_S_E)),
     "Model1.a": _per_pair(verify_model1a),
@@ -847,7 +839,6 @@ def with_added_iso(F: FusionSystem, hom: Hom, close: bool = True,
     if not close:
         homs = list(F.isos_from(hom.domain)) + [hom.cores()]
         return with_replaced_isos(F, hom.domain, homs, keep_witness=keep_witness)
-    from .fusion import close_morphisms
     seeds = [h for Q in F.subgroups() for h in F.isos_from(Q)] + [hom.cores()]
     explicit = close_morphisms(F.support, seeds)
     return FusionSystem(F.support, F.p, explicit=explicit, ambient=F.ambient,
@@ -858,7 +849,6 @@ def with_added_iso(F: FusionSystem, hom: Hom, close: bool = True,
 def inner_only_shadow(F: FusionSystem) -> FusionSystem:
     """The inner fusion of S posing as F (witness kept): a corrupted system
     whose group-level data is honest but whose hom-sets forget all fusion."""
-    from .fusion import close_morphisms
     explicit = close_morphisms(F.support, [])
     return FusionSystem(F.support, F.p, explicit=explicit, witness=F.witness,
                         ambient=F.ambient, name=f"{F.name}~inner-shadow")

@@ -1,0 +1,201 @@
+"""Reference code the tests run against the package: brute-force oracles,
+the exhaustive fusion-axiom audit, the literal subsystem transports, and
+the direct product F1 x F2 with the product structure theorem behind
+``products._induced_by_some_pair``.  No package code path calls any of it."""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from typing import Iterable, Optional
+
+from fusionkit.errors import CapExceeded, VerificationFailed
+from fusionkit.fusion import FusionSystem, close_morphisms, transport_isos
+from fusionkit.groups import (FiniteGroup, Hom, Subgroup, active_caps,
+                              as_group, maximal_subgroups, subgroup_lattice)
+
+
+# -- groups ---------------------------------------------------------------------
+
+
+def subgroup_lattice_bruteforce(H: Subgroup) -> tuple[Subgroup, ...]:
+    """Independent oracle: test every subset.  Only viable for tiny groups."""
+    G = H.parent
+    if H.order > 16:
+        raise CapExceeded("brute-force subset oracle limited to order 16")
+    rest = [x for x in H.members if x != 0]
+    out = []
+    for r in range(len(rest) + 1):
+        for combo in itertools.combinations(rest, r):
+            mem = (0,) + combo
+            mset = set(mem)
+            if all(G.inv(a) in mset and G.mul(a, b) in mset
+                   for a in mem for b in mem):
+                out.append(Subgroup(G, tuple(sorted(mem)), check=False))
+    return tuple(sorted(out, key=Subgroup.sort_key))
+
+
+def product_group(A: FiniteGroup, B: FiniteGroup, cap: Optional[int] = None,
+                  name: Optional[str] = None) -> tuple[FiniteGroup, Hom, Hom, Hom, Hom]:
+    """Direct product AxB: returns (group, incl_A, incl_B, proj_A, proj_B).
+
+    Element (a, b) has index a*|B| + b, so the identity is index 0.
+    """
+    if cap is None:
+        cap = active_caps.group
+    n = A.order * B.order
+    if n > cap:
+        raise CapExceeded(f"product order {n} exceeds cap {cap}")
+    nb = B.order
+    table = [[0] * n for _ in range(n)]
+    for a1 in range(A.order):
+        for b1 in range(B.order):
+            i = a1 * nb + b1
+            row = table[i]
+            for a2 in range(A.order):
+                pa = A.mul(a1, a2) * nb
+                mb = B._mul[b1]
+                base = a2 * nb
+                for b2 in range(B.order):
+                    row[base + b2] = pa + mb[b2]
+    P = FiniteGroup(name or f"{A.name}x{B.name}", table, check=False)
+    full = P.full_subgroup
+    iota_a = Hom(A.full_subgroup, full, tuple(a * nb for a in range(A.order)), check=False)
+    iota_b = Hom(B.full_subgroup, full, tuple(range(B.order)), check=False)
+    proj_a = Hom(full, A.full_subgroup, tuple(i // nb for i in range(n)), check=False)
+    proj_b = Hom(full, B.full_subgroup, tuple(i % nb for i in range(n)), check=False)
+    return P, iota_a, iota_b, proj_a, proj_b
+
+
+# -- fusion systems -------------------------------------------------------------
+
+
+def generated_fusion_system(support: Subgroup, p: int,
+                            generators: Iterable[Hom],
+                            name: str = "") -> FusionSystem:
+    """A free-standing generated fusion system (no ambient), e.g. a direct product."""
+    explicit = close_morphisms(support, [h.cores() for h in generators])
+    return FusionSystem(support, p, explicit=explicit,
+                        name=name or f"gen_{support.order}")
+
+
+def conjugate_subsystem(E: FusionSystem, alpha: Hom) -> FusionSystem:
+    """E^alpha: the subsystem over T^alpha with hom-sets {phi^alpha}."""
+    explicit = transport_isos(E, alpha)
+    return FusionSystem(alpha.subgroup_image(E.support), E.p, explicit=explicit, ambient=E.ambient,
+                        name=f"({E.name})^a")
+
+
+def transported_system(E: FusionSystem, sigma: Hom, name: str = "") -> FusionSystem:
+    """E carried into another universe along an injective map (no ambient)."""
+    explicit = transport_isos(E, sigma)
+    return FusionSystem(sigma.subgroup_image(E.support), E.p, explicit=explicit, name=name or f"{E.name}^t")
+
+
+def validate_fusion_system(F: FusionSystem) -> list[str]:
+    """Exhaustive fusion-axiom audit; returns a list of violations (empty = ok).
+
+    Checks: Hom_S(P,Q) is contained in the system, morphisms are injective
+    maps between subgroups of the support, and the iso-sets are closed under
+    restriction and composition (divisibility is built into the encoding).
+    """
+    problems: list[str] = []
+    subs = subgroup_lattice(F.support)
+    inside = {P.members for P in subs}
+    for P in subs:
+        isos = F.isos_from(P)
+        keys = {h.images for h in isos}
+        for x in F.support.members:
+            h = Hom.conjugation(P, x)
+            if set(h.images) <= F.support.member_set and h.images not in keys:
+                problems.append(f"missing inner map by {x} on {P.members}")
+        for h in isos:
+            if not h.is_injective:
+                problems.append(f"non-injective morphism on {P.members}")
+            if h.codomain.members not in inside:
+                problems.append(f"image escapes the support from {P.members}")
+            sub_lattice_P = [K for K in subs if K.member_set <= P.member_set]
+            for M in maximal_subgroups(P, sub_lattice_P):
+                r = h.restrict_cores(M)
+                if r.images not in F._keys_from(M):
+                    problems.append(
+                        f"restriction of {h!r} to {M.members} missing")
+            for g in F.isos_from(h.codomain):
+                c = h.then(g)
+                if c.images not in keys:
+                    problems.append(f"composition {h!r};{g!r} missing")
+    return problems
+
+
+# -- direct products --------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DirectProduct:
+    """F1 x F2 over a concrete product group, with embeddings materialized."""
+
+    system: FusionSystem
+    group: FiniteGroup
+    iota1: Hom                 # S1 -> S1 x S2
+    iota2: Hom
+    pi1: Hom                   # S1 x S2 -> S1
+    pi2: Hom
+    hat1: FusionSystem         # canonical image of F1
+    hat2: FusionSystem
+
+
+def direct_product(F1: FusionSystem, F2: FusionSystem) -> DirectProduct:
+    """The fusion system generated by all maps phi1 x phi2 over S1 x S2; the
+    product group is bounded by ``groups.active_caps.group``."""
+    if F1.p != F2.p:
+        raise VerificationFailed("direct product of systems at different primes")
+    A1, e1 = as_group(F1.support, name="S1")
+    A2, e2 = as_group(F2.support, name="S2")
+    back1 = {g: i for i, g in enumerate(F1.support.members)}
+    back2 = {g: i for i, g in enumerate(F2.support.members)}
+    PG, _, _, _, _ = product_group(A1, A2, name=f"{F1.name}x{F2.name}")
+    nb = A2.order
+    full = PG.full_subgroup
+
+    def pack(x1: int, x2: int) -> int:
+        return back1[x1] * nb + back2[x2]
+
+    gens: list[Hom] = []
+    for P1 in F1.subgroups():
+        for h1 in F1.isos_from(P1):
+            for P2 in F2.subgroups():
+                for h2 in F2.isos_from(P2):
+                    gens.append(Hom.from_pairs(
+                        PG, ((pack(x1, x2), pack(h1(x1), h2(x2)))
+                             for x1 in P1.members for x2 in P2.members)))
+    system = generated_fusion_system(full, F1.p, gens,
+                                     name=f"{F1.name}x{F2.name}")
+    iota1 = Hom(F1.support, full, tuple(pack(x, 0) for x in F1.support.members),
+                check=False)
+    iota2 = Hom(F2.support, full, tuple(pack(0, x) for x in F2.support.members),
+                check=False)
+    pi1 = Hom(full, F1.support,
+              tuple(F1.support.members[i // nb] for i in range(PG.order)),
+              check=False)
+    pi2 = Hom(full, F2.support,
+              tuple(F2.support.members[i % nb] for i in range(PG.order)),
+              check=False)
+    hat1 = FusionSystem(iota1.image, F1.p, explicit=transport_isos(F1, iota1),
+                        ambient=system, name="hat1")
+    hat2 = FusionSystem(iota2.image, F2.p, explicit=transport_isos(F2, iota2),
+                        ambient=system, name="hat2")
+    return DirectProduct(system, PG, iota1, iota2, pi1, pi2, hat1, hat2)
+
+
+def direct_product_structure_ok(dp: DirectProduct,
+                                F1: FusionSystem, F2: FusionSystem) -> bool:
+    """Every product-system morphism is (phi1 x phi2) restricted: its push
+    along each projection is well defined, injective and a morphism of
+    that factor."""
+    for P in dp.system.subgroups():
+        for h in dp.system.isos_from(P):
+            for F_i, pi in ((F1, dp.pi1), (F2, dp.pi2)):
+                comp = h.push(pi)
+                if comp is None or not F_i.contains_morphism(comp):
+                    return False
+    return True

@@ -7,13 +7,12 @@ import pytest
 
 from fusionkit.centralizers import (a_circle, c_F_of, c_s_of, centralized_set,
                                     coincide_check, compute_centralizer_data,
-                                    focal_subgroup, frattini_factorize,
-                                    h_group, hyperfocal_subgroup, r_star,
+                                    focal_subgroup, h_group, hyperfocal_subgroup, r_star,
                                     weakly_closed_analysis, z_of)
 from fusionkit.corpus import builtin_group
 from fusionkit.errors import TheoremViolation
 from fusionkit.fusion import (fusion_of_group, inner_system, subsystem_equal)
-from fusionkit.groups import (Hom, center, centralizer, derived_subgroup,
+from fusionkit.groups import (center, centralizer, derived_subgroup,
                               normal_subgroups, sylow_subgroup)
 from fusionkit.subsystems import normal_subsystem_in
 
@@ -132,26 +131,27 @@ class TestFrattiniSubgroups:
             assert any(h.is_identity() for h in a_circle(F_s4, E_a4, P))
             assert any(h.is_identity() for h in h_group(F_s4, E_a4, P))
 
+    @staticmethod
+    def factorizations(F, E, P):
+        """The images of gamma then beta, gamma in H(P), beta in A-circle(P)."""
+        return {g.then(b).images
+                for g in h_group(F, E, P) for b in a_circle(F, E, P)}
+
     def test_factorize_identity(self, F_s4, E_a4, V4):
-        gamma, beta = frattini_factorize(F_s4, E_a4, V4, Hom.identity(V4))
-        assert gamma.then(beta).is_identity()
+        assert V4.members in self.factorizations(F_s4, E_a4, V4)
 
     def test_factorize_order3(self, F_s4, E_a4, V4):
         phi = next(h for h in F_s4.automorphisms(V4)
                    if all(h(x) != x for x in V4.members if x))
-        gamma, beta = frattini_factorize(F_s4, E_a4, V4, phi)
-        assert gamma.then(beta).images == phi.images
+        assert phi.images in self.factorizations(F_s4, E_a4, V4)
 
     def test_alarm_on_corrupt_candidate_subsystem(self, F_s4, V4):
         # Inner Sylow fusion posing as the normal subsystem: the inner part
-        # of Aut(V4) is not normal in S3, so the alarm fires before any
-        # factorization can be claimed.
+        # of Aut(V4) is not normal in S3, so A-circle raises its alarm.
         from fusionkit.errors import VerificationFailed
         ES = inner_system(F_s4, F_s4.support)
-        phi = next(h for h in F_s4.automorphisms(V4)
-                   if all(h(x) != x for x in V4.members if x))
         with pytest.raises(VerificationFailed):
-            frattini_factorize(F_s4, ES, V4, phi)
+            a_circle(F_s4, ES, V4)
 
 
 class TestCFE:

@@ -165,6 +165,32 @@ class TestMalformedInput:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("spec", ["order:x", "elts:a", "elts:99",
+                                      "gens:gx", "gens:g9"])
+    def test_malformed_subgroup_spec(self, spec, s4_fsk, capsys):
+        code = main(["centralizer", str(s4_fsk), "--normal", spec])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("spec", ["99->0", "0->99"])
+    def test_out_of_range_morphism_spec(self, spec, s4_fsk, capsys):
+        code = main(["alperin", str(s4_fsk), "--morphism", spec])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("primes", ["x", [0], 2],
+                             ids=["string", "zero", "not-a-list"])
+    def test_malformed_primes(self, primes, s4_file, tmp_path, capsys):
+        payload = json.loads(s4_file.read_text())
+        payload["primes"] = primes
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "s4.json").write_text(json.dumps(payload))
+        code = main(["verify", "corpus", "--corpus-dir", str(corpus),
+                     "--checks", "focal-oracle"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestSubgroupSpecs:
     def test_order_spec(self, s4_fsk):

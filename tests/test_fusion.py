@@ -9,11 +9,10 @@ from fusionkit.corpus import builtin_group
 from fusionkit.errors import (DomainMismatch, MorphismOutsideSupport,
                               NotAGroup, NotSylow)
 from fusionkit.fusion import (MorphismGroup, conjugate_morphism,
-                              conjugate_subsystem, full_subcategory,
-                              fusion_of_group, generated_subsystem,
-                              inner_system, realized_subsystem,
-                              subsystem_contains, subsystem_equal,
-                              validate_fusion_system)
+                              full_subcategory, fusion_of_group,
+                              generated_subsystem, inner_system,
+                              realized_subsystem, subsystem_contains,
+                              subsystem_equal)
 from fusionkit.groups import (Hom, center, group_from_permutations,
                               normal_subgroups, normalizer, o_p, o_upper_p,
                               sylow_subgroup)
@@ -22,6 +21,7 @@ from fusionkit.subsystems import (is_normal, normal_subsystem_in,
                                   normalizer_subsystem)
 from fusionkit import subsystems
 from fusionkit.verify import inner_only_shadow, with_added_iso, with_removed_iso
+from oracles import conjugate_subsystem, validate_fusion_system
 
 
 def order3_autos(F, V):
@@ -49,10 +49,9 @@ class TestRealizedSystems:
                 for g in range(24)
                 if all(s4.conj(x, g) in V4.member_set for x in Z.members)}
         assert len(maps) == 3
-        assert len(F_s4.hom_set(Z, V4)) == 3
-
-    def test_hom_set_injectivity_forces_empty(self, F_s4, V4):
-        assert F_s4.hom_set(F_s4.support, V4) == ()
+        # Hom(Z, V4): the morphisms from Z whose image lies in V4
+        assert len([h for h in F_s4.isos_from(Z)
+                    if h.image.member_set <= V4.member_set]) == 3
 
     def test_inner_maps_present(self, F_s4, V4):
         keys = {h.images for h in F_s4.automorphisms(V4)}
@@ -201,7 +200,8 @@ class TestComparisons:
 class TestMorphismGroup:
     def test_table_matches_composition(self, F_s4, V4):
         mg = MorphismGroup(F_s4.automorphisms(V4))
-        assert mg.group.order == 6 and not mg.group.is_abelian
+        assert mg.group.order == 6
+        assert center(mg.group.full_subgroup) != mg.group.full_subgroup
         for i, a in enumerate(mg.homs):
             for j, b in enumerate(mg.homs):
                 assert mg.homs[mg.group.mul(i, j)] == a.then(b)
@@ -386,7 +386,9 @@ def test_shared_results_match_a_fresh_registry(data):
     S = sylow_subgroup(G.full_subgroup, p)
     F = fusion_of_group(G, S, p)
     N = data.draw(st.sampled_from(normal_subgroups(G.full_subgroup)))
-    Q = data.draw(st.sampled_from(classify(F).f_set()))   # N_S(Q) is Sylow
+    cls = classify(F)
+    Q = data.draw(st.sampled_from(      # fully normalized: N_S(Q) is Sylow
+        [P for P in F.subgroups() if cls.is_fully_normalized(P)]))
     shared = []
     for _ in range(2):
         E = realized_subsystem(F, N, S.meet(N))

@@ -1,5 +1,7 @@
 """Source hygiene checked with the standard library's ``ast``: no module of
-the package imports a name it never uses."""
+the package imports a name it never uses or imports from one module twice,
+and every module-level function and class of the package has a caller in
+the package, unless ``NO_CALLER_NEEDED`` says why it stays."""
 
 from __future__ import annotations
 
@@ -12,6 +14,39 @@ import fusionkit
 
 PACKAGE = Path(fusionkit.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+
+# Definitions the package itself never calls, each with the reason it stays.
+NO_CALLER_NEEDED = {
+    "builtin_group_path": "perfbench/ imports it",
+    "central_product_subsystem": "perfbench/ imports it; the verified F1*F2",
+    "extension_group": "the public definitional N_phi; tests compare the "
+                       "hot path _extension_group with it",
+    "with_added_iso": "mutation helper of the self-tests",
+    "with_removed_iso": "mutation helper of the self-tests",
+    "inner_only_shadow": "mutation helper of the self-tests and of "
+                         "perfbench/selftest.py",
+}
+# Also exempt: the names in fusionkit.__all__ (the public API).  The names
+# of the README tour all have callers in the package.
+
+
+def _quoted_annotation_names(tree: ast.AST) -> list[tuple[str, int]]:
+    """(name, line) for the names inside quoted annotations such as
+    "FusionSystem"."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.arg, ast.AnnAssign)):
+            note = node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            note = node.returns
+        else:
+            continue
+        for const in ast.walk(note) if note is not None else ():
+            if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                expr = ast.parse(const.value, mode="eval")
+                out.extend((n.id, const.lineno) for n in ast.walk(expr)
+                           if isinstance(n, ast.Name))
+    return out
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,26 +69,76 @@ def unused_imports(source: str) -> list[str]:
                 for t in node.targets):
             used |= {elt.value for elt in node.value.elts
                      if isinstance(elt, ast.Constant)}
-    # Quoted annotations such as "FusionSystem" use the names inside them.
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.arg, ast.AnnAssign)):
-            note = node.annotation
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            note = node.returns
-        else:
-            continue
-        for const in ast.walk(note) if note is not None else ():
-            if isinstance(const, ast.Constant) and isinstance(const.value, str):
-                expr = ast.parse(const.value, mode="eval")
-                used |= {n.id for n in ast.walk(expr)
-                         if isinstance(n, ast.Name)}
+    used |= {name for name, _ in _quoted_annotation_names(tree)}
     return sorted(f"{name} (line {line})" for name, line in imported.items()
                   if name not in used)
+
+
+def _module_key(node: ast.ImportFrom) -> str:
+    return "." * node.level + (node.module or "")
+
+
+def redundant_imports(source: str) -> list[str]:
+    """Imports from a module the file already imports from at top level: a
+    second top-level ``from m import ...``, or one inside a function or
+    class."""
+    tree = ast.parse(source)
+    top: set[str] = set()
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            key = _module_key(node)
+            if key in top:
+                out.append(f"{key} (line {node.lineno})")
+            top.add(key)
+    top_level = {id(node) for node in tree.body}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and id(node) not in top_level
+                and _module_key(node) in top):
+            out.append(f"{_module_key(node)} (line {node.lineno})")
+    return sorted(out)
+
+
+def caller_less(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each module-level function or class of
+    ``sources`` (module name -> source) that no module loads outside the
+    definition itself, by bare name, attribute or quoted annotation."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    loads = {mod: [(n.id, n.lineno) for n in ast.walk(tree)
+                   if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
+             + [(n.attr, n.lineno) for n in ast.walk(tree)
+                if isinstance(n, ast.Attribute)]
+             + _quoted_annotation_names(tree)
+             for mod, tree in trees.items()}
+    out = []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            inside = range(node.lineno, node.end_lineno + 1)
+            if not any(name == node.name and (other != mod or line not in inside)
+                       for other, names in loads.items()
+                       for name, line in names):
+                out.append(f"{mod}.{node.name}")
+    return sorted(out)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_redundant_imports(path):
+    assert redundant_imports(path.read_text()) == []
+
+
+def test_every_definition_has_a_caller():
+    """The caller-less definitions are exactly the allow-listed ones, so an
+    entry leaves ``NO_CALLER_NEEDED`` once it gains a caller."""
+    found = caller_less({p.stem: p.read_text() for p in MODULES})
+    found = [d for d in found if d.split(".")[1] not in fusionkit.__all__]
+    assert sorted(d.split(".")[1] for d in found) == sorted(NO_CALLER_NEEDED)
 
 
 def test_detects_an_unused_import():
@@ -63,3 +148,33 @@ def test_detects_an_unused_import():
            "def f(a: 'A') -> Optional[int]:\n"
            "    '''B'''\n")
     assert unused_imports(src) == ["B (line 3)", "os (line 1)"]
+
+
+def test_detects_a_redundant_import():
+    src = ("from .a import x\n"
+           "from .b import y\n"
+           "from .a import z\n"
+           "def f():\n"
+           "    from .b import w\n"
+           "    from .c import v\n"
+           "    return x, y, z, w, v\n")
+    assert redundant_imports(src) == [".a (line 3)", ".b (line 5)"]
+
+
+def test_detects_a_caller_less_function():
+    sources = {"a": ("def used():\n"
+                     "    pass\n"
+                     "def planted():\n"
+                     "    return used()\n"
+                     "def recursive():\n"
+                     "    return recursive()\n"
+                     "class K:\n"
+                     "    def m(self) -> 'K':\n"
+                     "        return K()\n"
+                     "def f(k: 'Hinted') -> None:\n"
+                     "    '''planted'''\n"),
+               "b": ("from a import f\n"
+                     "class Hinted:\n"
+                     "    pass\n"
+                     "f(None)\n")}
+    assert caller_less(sources) == ["a.K", "a.planted", "a.recursive"]

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 
 from fusionkit.corpus import builtin_group, corpus_entries
 from fusionkit.errors import NotStronglyClosed
-from fusionkit.fusion import (conjugate_subsystem, fusion_of_group,
-                              generated_subsystem, inner_system,
-                              realized_subsystem, subsystem_equal)
+from fusionkit.fusion import (fusion_of_group, generated_subsystem,
+                              inner_system, realized_subsystem,
+                              subsystem_equal)
 from fusionkit.groups import (Hom, center, centralizer, normal_subgroups,
                               subgroup_lattice, sylow_subgroup)
 from fusionkit.subsystems import (_condition_f, _stability,
@@ -18,9 +18,9 @@ from fusionkit.subsystems import (_condition_f, _stability,
                                   extension_witness,
                                   invariance_condition, is_normal,
                                   is_strongly_closed, is_weakly_closed,
-                                  normal_subsystem_from_group,
                                   normal_subsystem_in, normalizer_subsystem,
                                   normalizer_subsystem_by_extension)
+from oracles import conjugate_subsystem, validate_fusion_system
 from test_fusion import perm_groups
 
 
@@ -94,7 +94,6 @@ class TestLocalSubsystems:
         assert N.witness == normalizer(s4.full_subgroup, P)
 
     def test_centralizer_axioms(self, F_s4, V4):
-        from fusionkit.fusion import validate_fusion_system
         assert validate_fusion_system(centralizer_subsystem(F_s4, V4)) == []
         Z = center(F_s4.support)
         assert validate_fusion_system(centralizer_subsystem(F_s4, Z)) == []
@@ -294,8 +293,9 @@ class TestNormality:
 
     def test_from_group_entry_point(self, s4, A4):
         S = sylow_subgroup(s4.full_subgroup, 2)
-        E = normal_subsystem_from_group(s4, A4, S, 2)
-        assert E.support.order == 4
+        E = normal_subsystem_in(fusion_of_group(s4, S, 2), A4)
+        assert E.support == S.meet(A4) and E.support.order == 4
+        assert E.witness == A4
 
     def test_every_normal_subgroup_gives_normal_subsystem(self):
         for name, p in [("s4", 2), ("sl23", 2), ("s3xs3", 3), ("q8c4", 2)]:

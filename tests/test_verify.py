@@ -408,8 +408,7 @@ class TestSuiteLevelMutations:
     def test_product_failure_located_at_commuting_pair(self, s4, monkeypatch):
         # with every center forced trivial the L lemma fails on a pair whose
         # supports meet nontrivially; the commuting-pair runner names both
-        from fusionkit import centralizers
-        monkeypatch.setattr(centralizers, "z_of",
+        monkeypatch.setattr(verify_mod, "z_of",
                             lambda E: E.universe.trivial_subgroup)
         res = run_suite("s4@2", s4, 2, check_ids=["L:F1F2Centralize"])
         bad = res[0].counterexample
