@@ -22,7 +22,8 @@ from .corpus import ingest
 from .errors import FusionkitError, VerificationFailed
 from .fusion import FusionSystem, Hom, fusion_of_group
 from .groups import (DEFAULT_GROUP_CAP, DEFAULT_LATTICE_CAP, FiniteGroup,
-                     Subgroup, active_caps, normal_subgroups, sylow_subgroup)
+                     Subgroup, active_caps, is_prime, normal_subgroups,
+                     sylow_subgroup)
 from .persist import load_system, save_system
 from .saturation import alperin_decompose
 from .subsystems import is_normal, normal_subsystem_in
@@ -106,6 +107,8 @@ def resolve_morphism(F: FusionSystem, spec: str) -> Hom:
 
 
 def cmd_build(args: argparse.Namespace) -> int:
+    if not is_prime(args.prime):
+        return _fail(f"--prime must be a prime, not {args.prime}")
     G = ingest(args.groupfile)
     S = sylow_subgroup(G.full_subgroup, args.prime)
     F = fusion_of_group(G, S, args.prime,

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .errors import CapExceeded, ParseError
 from .groups import (FiniteGroup, active_caps, group_from_permutations,
-                     group_from_table)
+                     group_from_table, is_prime)
 
 
 def parse_group_json(payload: dict) -> FiniteGroup:
@@ -62,12 +62,11 @@ def ingest(path: str | Path) -> FiniteGroup:
 
 def designated_primes(path: str | Path) -> tuple[int, ...]:
     """The ``primes`` of a group file that ``ingest`` accepted (default
-    [2]); ParseError unless it is a list of integers >= 2 (p = 1 would never
-    leave ``groups.p_part``)."""
+    [2]); ParseError unless it is a list of primes."""
     primes = json.loads(Path(path).read_text()).get("primes", [2])
     if not (isinstance(primes, list)
-            and all(type(q) is int and q >= 2 for q in primes)):
-        raise ParseError(f"{path}: primes must be a list of integers >= 2, "
+            and all(type(q) is int and is_prime(q) for q in primes)):
+        raise ParseError(f"{path}: primes must be a list of primes, "
                          f"not {primes!r}")
     return tuple(primes)
 

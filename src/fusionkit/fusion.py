@@ -129,18 +129,24 @@ class FusionSystem:
             if out is None:
                 raise DomainMismatch("iso-sets do not cover this subgroup")
         else:
-            found: dict[tuple, Hom] = {}
+            # c_w|P is determined by the images of gens(P), and P^w <= S
+            # iff they lie in S; the first w per map is its witness.
+            found: dict[tuple, Optional[Hom]] = {}
             supp = self.support.member_set
             conj = self.universe.conj
+            gens = P.generators
             for w in self.witness.members:
-                imgs = tuple(conj(x, w) for x in P.members)
-                if not set(imgs) <= supp:
+                key = tuple(conj(x, w) for x in gens)
+                if key in found:
                     continue
-                key = imgs
-                if key not in found:
+                if all(y in supp for y in key):
+                    imgs = tuple(conj(x, w) for x in P.members)
                     cod = Subgroup(self.universe, tuple(sorted(imgs)), check=False)
                     found[key] = Hom(P, cod, imgs, witness=w, check=False)
-            out = tuple(sorted(found.values(), key=Hom.sort_key))
+                else:
+                    found[key] = None
+            out = tuple(sorted((h for h in found.values() if h is not None),
+                               key=Hom.sort_key))
         self._isos[P.members] = out
         return out
 
@@ -185,15 +191,23 @@ class FusionSystem:
         return tuple(sorted(found.values(), key=Hom.sort_key))
 
     def automizer_in(self, R: Subgroup, P: Subgroup) -> tuple[Hom, ...]:
-        """Aut_R(P): conjugations by elements of N_R(P)."""
-        found = {}
+        """Aut_R(P): conjugations by elements of N_R(P).  c_g|P is determined
+        by the images of gens(P), and g normalizes P iff they lie in P."""
+        found: dict[tuple, Optional[Hom]] = {}
         conj = self.universe.conj
         pset = P.member_set
+        gens = P.generators
         for g in R.members:
-            imgs = tuple(conj(x, g) for x in P.members)
-            if imgs not in found and set(imgs) == pset:
-                found[imgs] = Hom(P, P, imgs, witness=g, check=False)
-        return tuple(sorted(found.values(), key=Hom.sort_key))
+            key = tuple(conj(x, g) for x in gens)
+            if key in found:
+                continue
+            if all(y in pset for y in key):
+                imgs = tuple(conj(x, g) for x in P.members)
+                found[key] = Hom(P, P, imgs, witness=g, check=False)
+            else:
+                found[key] = None
+        return tuple(sorted((h for h in found.values() if h is not None),
+                            key=Hom.sort_key))
 
     # -- conjugacy ---------------------------------------------------------------
 

@@ -3,6 +3,17 @@
 Elements are indices 0..order-1 with index 0 the identity.  Conjugation is
 the right action x^g = g^-1 x g, and homomorphisms compose left to right
 (apply ``f`` first in ``f.then(g)``).
+
+The kernel works on small generating sets.  ``FiniteGroup.closure`` runs
+Dimino's algorithm, and ``Subgroup.generators`` is the at most log2|H|
+members it keeps over the sorted members, cached on the subgroup.  The
+action tests (``normalizer``, ``centralizer``, ``Subgroup.is_normal_in``,
+``Subgroup.is_elementwise_commuting``) read only generators: H^g <= H iff
+gens(H)^g <= H, and g centralizes H iff it commutes with gens(H).  These
+equivalences need H to be a subgroup, so callers pass subgroups, never the
+unchecked point sets of ``Hom.from_pairs``.  ``normal_subgroups`` computes
+one orbit per conjugacy class.  The member-level forms are the oracles in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -30,8 +41,24 @@ class _Caps:
 active_caps = _Caps()
 
 
+def is_prime(n: int) -> bool:
+    """Is n a prime?  Trial division by 2, 3 and the 6k +- 1 up to sqrt(n)."""
+    if n < 4:
+        return n >= 2
+    if n % 2 == 0 or n % 3 == 0:
+        return False
+    d = 5
+    while d * d <= n:
+        if n % d == 0 or n % (d + 2) == 0:
+            return False
+        d += 6
+    return True
+
+
 def p_part(n: int, p: int) -> int:
-    """Largest power of p dividing n."""
+    """Largest power of p dividing n; p must be at least 2."""
+    if p < 2:
+        raise ValueError(f"p_part needs p >= 2, got {p}")
     m = 1
     while n % p == 0:
         n //= p
@@ -199,28 +226,41 @@ class FiniteGroup:
 
     def closure(self, seed: Iterable[int]) -> tuple[int, ...]:
         """Subgroup generated by ``seed``, as a sorted index tuple."""
-        elems = {0}
-        frontier = [0]
-        gens = sorted(set(seed))
-        for g in gens:
-            if g not in elems:
-                elems.add(g)
-                frontier.append(g)
+        return tuple(sorted(self._dimino(seed)[0]))
+
+    def _dimino(self, seed: Iterable[int]) -> tuple[list[int], list[int]]:
+        """Dimino's algorithm (Butler, *Fundamental Algorithms for
+        Permutation Groups*, LNCS 559, 1991): the elements of <seed> and the
+        seed elements kept as generators, in sorted seed order.
+
+        A seed element s outside the subgroup H built so far is kept, and
+        <H, s> is enumerated as the right cosets H r reached from H s by
+        right multiplication by the kept generators; each kept generator at
+        least doubles |H|.  A seed element already in H costs one lookup.
+        """
         mul = self._mul
-        while frontier:
-            new = []
-            for x in frontier:
+        elems = [0]
+        member = {0}
+        gens: list[int] = []
+        for s in sorted(set(seed)):
+            if s in member:
+                continue
+            gens.append(s)
+            rows = [mul[h] for h in elems]         # H, fixed while <H, s> grows
+            reps = [s]
+            coset = [row[s] for row in rows]       # the coset H s
+            elems.extend(coset)
+            member.update(coset)
+            for r in reps:                         # reps grows as cosets appear
+                row_r = mul[r]
                 for g in gens:
-                    y = mul[x][g]
-                    if y not in elems:
-                        elems.add(y)
-                        new.append(y)
-                    y = mul[g][x]
-                    if y not in elems:
-                        elems.add(y)
-                        new.append(y)
-            frontier = new
-        return tuple(sorted(elems))
+                    y = row_r[g]
+                    if y not in member:
+                        reps.append(y)
+                        coset = [row[y] for row in rows]
+                        elems.extend(coset)
+                        member.update(coset)
+        return elems, gens
 
     def generated_subgroup(self, seed: Iterable[int]) -> "Subgroup":
         return Subgroup(self, self.closure(seed), check=False)
@@ -274,6 +314,17 @@ class Subgroup:
             object.__setattr__(self, "_member_set", ms)
         return ms
 
+    @property
+    def generators(self) -> tuple[int, ...]:
+        """The at most log2|H| members that Dimino's algorithm keeps over the
+        sorted ``members``: a function of ``members`` alone, so two copies of
+        one subgroup have the same generators."""
+        gens = self.__dict__.get("_generators")
+        if gens is None:
+            gens = tuple(self.parent._dimino(self.members)[1])
+            object.__setattr__(self, "_generators", gens)
+        return gens
+
     def __le__(self, other: "Subgroup") -> bool:
         return self.member_set <= other.member_set
 
@@ -308,13 +359,17 @@ class Subgroup:
         return tuple(sorted({mul[a][b] for a in self.members for b in other.members}))
 
     def is_normal_in(self, other: "Subgroup") -> bool:
+        """Is self normalized by other?  H^g = H for every g in other iff
+        gens(H)^g <= H for every g in gens(other)."""
         mem = self.member_set
         conj = self.parent.conj
-        return all(conj(x, g) in mem for x in self.members for g in other.members)
+        return all(conj(x, g) in mem for x in self.generators
+                   for g in other.generators)
 
     def is_elementwise_commuting(self, other: "Subgroup") -> bool:
         mul = self.parent._mul
-        return all(mul[a][b] == mul[b][a] for a in self.members for b in other.members)
+        return all(mul[a][b] == mul[b][a] for a in self.generators
+                   for b in other.generators)
 
     def sort_key(self) -> tuple:
         """Canonical lattice position: descending order, then lexicographic."""
@@ -512,19 +567,23 @@ class Hom:
 
 
 def normalizer(ambient: Subgroup, H: Subgroup) -> Subgroup:
-    """N_ambient(H) by direct membership test."""
+    """N_ambient(H): the g with H^g <= H, that is gens(H)^g <= H."""
     G = ambient.parent
     mem = H.member_set
+    conj = G.conj
+    gens = H.generators
     out = [g for g in ambient.members
-           if all(G.conj(x, g) in mem for x in H.members)]
+           if all(conj(x, g) in mem for x in gens)]
     return Subgroup(G, tuple(out), check=False)
 
 
 def centralizer(ambient: Subgroup, H: Subgroup) -> Subgroup:
+    """C_ambient(H): the g that commute with gens(H)."""
     G = ambient.parent
     mul = G._mul
+    gens = H.generators
     out = [g for g in ambient.members
-           if all(mul[g][x] == mul[x][g] for x in H.members)]
+           if all(mul[g][x] == mul[x][g] for x in gens)]
     return Subgroup(G, tuple(out), check=False)
 
 
@@ -693,11 +752,24 @@ def normal_subgroups(ambient: Subgroup) -> tuple[Subgroup, ...]:
     if cached is not None:
         return cached
     # Atoms: normal closures of single elements; normal subgroups are joins.
+    # All members of a conjugacy class have one normal closure, so each
+    # class is computed once, as the orbit of its first member under
+    # gens(ambient).
     atoms: dict[tuple[int, ...], Subgroup] = {}
+    conj = G.conj
+    gens = ambient.generators
+    seen = {0}
     for g in ambient.members:
-        if g == 0:
+        if g in seen:
             continue
-        orbit = {G.conj(g, h) for h in ambient.members}
+        orbit = [g]
+        seen.add(g)
+        for x in orbit:
+            for h in gens:
+                y = conj(x, h)
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
         mem = G.closure(orbit)
         if mem not in atoms:
             atoms[mem] = Subgroup(G, mem, check=False)

@@ -22,7 +22,7 @@ from pathlib import Path
 from .errors import ParseError, VerificationFailed
 from .fusion import (FusionSystem, Hom, close_morphisms, fusion_of_group,
                      subsystem_equal)
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, is_prime
 
 FORMAT_VERSION = 1
 
@@ -179,6 +179,8 @@ def load_system(path: str | Path) -> FusionSystem:
         S = G.subgroup(payload["support"])
         W = G.subgroup(payload["witness"])
         p = int(payload["prime"])
+        if not is_prime(p):
+            raise ParseError(f"prime {p} is not a prime")
         fresh = fusion_of_group(W, S, p, name=payload.get("name", ""))
         record = []
         for entry in payload["classes"]:

@@ -108,21 +108,24 @@ def extension_group(F: FusionSystem, phi: Hom) -> Subgroup:
 
 
 def _automizer_keys(F: FusionSystem, Q: Subgroup) -> frozenset:
-    """Image keys of Aut_S(Q)."""
-    return frozenset(h.images for h in F.automizer_in(F.support, Q))
+    """Aut_S(Q) keyed by the images of gens(Q), which determine an
+    automorphism of Q."""
+    return frozenset(tuple(h(y) for y in Q.generators)
+                     for h in F.automizer_in(F.support, Q))
 
 
 def _extension_group(F: FusionSystem, phi: Hom, n_s_p: Subgroup,
                      aut_s_keys: frozenset) -> Subgroup:
     """N_phi for an isomorphism ``phi`` onto its codomain Q, given
-    N_S(dom phi) and the image keys of Aut_S(Q)."""
+    N_S(dom phi) and the keys of Aut_S(Q) on gens(Q) (``_automizer_keys``)."""
     P, Q = phi.domain, phi.codomain
     conj = F.universe.conj
     back = dict(zip(phi.images, P.members))
     if len(back) != P.order:
         raise NotAGroup("only isomorphisms onto the codomain invert")
+    pre = [back[y] for y in Q.generators]
     out = [g for g in n_s_p.members
-           if tuple(phi(conj(back[y], g)) for y in Q.members) in aut_s_keys]
+           if tuple(phi(conj(x, g)) for x in pre) in aut_s_keys]
     return Subgroup(F.universe, tuple(out), check=False)
 
 

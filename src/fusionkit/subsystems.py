@@ -13,7 +13,7 @@ stays as the oracle that ``invariance_condition`` evaluates."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import NotStronglyClosed, NotSylow, VerificationFailed
 from .fusion import (FusionSystem, conjugate_morphism, full_subcategory,
@@ -294,21 +294,31 @@ def _frattini_property(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     return None
 
 
+def bounded_extensions(F: FusionSystem, T: Subgroup, bound: Subgroup
+                       ) -> Callable[[Hom], Iterator[Hom]]:
+    """The extension search on T, with C_S(T) and TC_S(T) computed once:
+    a map from alpha in Aut_F(T) to a lazy iterator, in ``isos_from``
+    order, over the ext in Aut_F(TC_S(T)) with ext|_T = alpha and
+    [C_S(T), ext] <= bound."""
+    C = centralizer(F.support, T)
+    V = Subgroup(F.universe, T.product_set(C), check=False)  # C centralizes T
+    bset = bound.member_set
+    mul, inv = F.universe._mul, F.universe._inv
+
+    def search(alpha: Hom) -> Iterator[Hom]:
+        for ext in F.extensions(alpha, V):
+            if ext.codomain == V and all(mul[inv[c]][ext(c)] in bset
+                                         for c in C.members):
+                yield ext
+    return search
+
+
 def extension_witness(F: FusionSystem, alpha: Hom, bound: Subgroup,
                       fixed: Optional[Subgroup] = None) -> Optional[Hom]:
     """The first ext in Aut_F(TC_S(T)), T = dom alpha, with ext|_T = alpha,
     [C_S(T), ext] <= bound and ext|_fixed = id, or None.  The last test is
     on ``fixed``: one outside TC_S(T) raises KeyError there."""
-    T = alpha.domain
-    C = centralizer(F.support, T)
-    V = Subgroup(F.universe, T.product_set(C), check=False)  # C centralizes T
-    bset = bound.member_set
-    mul, inv = F.universe._mul, F.universe._inv
-    for ext in F.extensions(alpha, V):
-        if ext.codomain != V:
-            continue
-        if not all(mul[inv[c]][ext(c)] in bset for c in C.members):
-            continue
+    for ext in bounded_extensions(F, alpha.domain, bound)(alpha):
         if fixed is None or ext.fixes_pointwise(fixed):
             return ext
     return None
@@ -317,8 +327,9 @@ def extension_witness(F: FusionSystem, alpha: Hom, bound: Subgroup,
 def _extension_property(F: FusionSystem, E: FusionSystem,
                         bound: Subgroup) -> Optional[dict]:
     """Each alpha in Aut_E(T) extends to TC_S(T) with [C_S(T), ext] <= bound."""
+    search = bounded_extensions(F, E.support, bound)
     for alpha in E.automorphisms(E.support):
-        if extension_witness(F, alpha, bound) is None:
+        if next(search(alpha), None) is None:
             return {"alpha": list(alpha.images), "bound": list(bound.members)}
     return None
 

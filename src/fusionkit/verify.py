@@ -40,7 +40,7 @@ from .models import (Model, is_constrained, model_of, models_isomorphic_over_s,
 from .products import (ProductReport, centralize_each_other,
                        verify_product_theorems)
 from .saturation import classify, is_saturated
-from .subsystems import (centralizer_subsystem, extension_witness,
+from .subsystems import (bounded_extensions, centralizer_subsystem,
                          invariance_condition, is_normal, is_strongly_closed,
                          is_weakly_closed, normal_subsystem_in,
                          normalizer_subsystem, realized_subsystem)
@@ -384,9 +384,11 @@ def verify_cfcg0(F: FusionSystem, E: FusionSystem,
     targets = [X for X in subgroup_lattice(CST)
                if contained_in_centralizer(F, NET, X)]
     alphas = tuple(auts) if auts is not None else E.automorphisms(T)
+    search = bounded_extensions(F, T, T)
+    found = [tuple(search(alpha)) for alpha in alphas]
     for X in targets:
-        for alpha in alphas:
-            if extension_witness(F, alpha, T, fixed=X) is None:
+        for alpha, exts in zip(alphas, found):
+            if not any(ext.fixes_pointwise(X) for ext in exts):
                 return {"X": _sub(X), "alpha": list(alpha.images)}
     return None
 

@@ -1,6 +1,9 @@
 """Reference code the tests run against the package: brute-force oracles,
-the exhaustive fusion-axiom audit, the literal subsystem transports, and
-the direct product F1 x F2 with the product structure theorem behind
+the member-level forms of the group kernel (closure, normalizer,
+centralizer, normality, automizers, iso-sets, extension groups, normal
+subgroups) that the package computes on generating sets, the exhaustive
+fusion-axiom audit, the literal subsystem transports, and the direct
+product F1 x F2 with the product structure theorem behind
 ``products._induced_by_some_pair``.  No package code path calls any of it."""
 
 from __future__ import annotations
@@ -65,6 +68,128 @@ def product_group(A: FiniteGroup, B: FiniteGroup, cap: Optional[int] = None,
     proj_a = Hom(full, A.full_subgroup, tuple(i // nb for i in range(n)), check=False)
     proj_b = Hom(full, B.full_subgroup, tuple(i % nb for i in range(n)), check=False)
     return P, iota_a, iota_b, proj_a, proj_b
+
+
+# -- the group kernel, member by member -----------------------------------------
+
+
+def closure_literal(G: FiniteGroup, seed: Iterable[int]) -> tuple[int, ...]:
+    """<seed> by multiplying every element reached by every seed element,
+    on both sides, until nothing new appears."""
+    elems = {0}
+    frontier = [0]
+    gens = sorted(set(seed))
+    for g in gens:
+        if g not in elems:
+            elems.add(g)
+            frontier.append(g)
+    mul = G._mul
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                for y in (mul[x][g], mul[g][x]):
+                    if y not in elems:
+                        elems.add(y)
+                        new.append(y)
+        frontier = new
+    return tuple(sorted(elems))
+
+
+def normalizer_literal(ambient: Subgroup, H: Subgroup) -> Subgroup:
+    """The g in ambient with x^g in H for every member x of H."""
+    G = ambient.parent
+    mem = H.member_set
+    return Subgroup(G, tuple(g for g in ambient.members
+                             if all(G.conj(x, g) in mem for x in H.members)),
+                    check=False)
+
+
+def centralizer_literal(ambient: Subgroup, H: Subgroup) -> Subgroup:
+    """The g in ambient commuting with every member of H."""
+    mul = ambient.parent._mul
+    return Subgroup(ambient.parent,
+                    tuple(g for g in ambient.members
+                          if all(mul[g][x] == mul[x][g] for x in H.members)),
+                    check=False)
+
+
+def is_normal_in_literal(H: Subgroup, K: Subgroup) -> bool:
+    """x^g in H for every member x of H and every member g of K."""
+    conj = H.parent.conj
+    mem = H.member_set
+    return all(conj(x, g) in mem for x in H.members for g in K.members)
+
+
+def is_elementwise_commuting_literal(H: Subgroup, K: Subgroup) -> bool:
+    mul = H.parent._mul
+    return all(mul[a][b] == mul[b][a] for a in H.members for b in K.members)
+
+
+def automizer_in_literal(F: FusionSystem, R: Subgroup,
+                         P: Subgroup) -> tuple[Hom, ...]:
+    """Aut_R(P): c_g on every member of P, for every g in R with P^g = P;
+    the first g per map is its witness."""
+    found: dict[tuple, Hom] = {}
+    conj = F.universe.conj
+    pset = P.member_set
+    for g in R.members:
+        imgs = tuple(conj(x, g) for x in P.members)
+        if imgs not in found and set(imgs) == pset:
+            found[imgs] = Hom(P, P, imgs, witness=g, check=False)
+    return tuple(sorted(found.values(), key=Hom.sort_key))
+
+
+def isos_from_literal(F: FusionSystem, P: Subgroup) -> tuple[Hom, ...]:
+    """The iso-set of a realized system: c_w on every member of P, for
+    every w in the witness with P^w in S; the first w per map is its
+    witness."""
+    found: dict[tuple, Hom] = {}
+    supp = F.support.member_set
+    conj = F.universe.conj
+    for w in F.witness.members:
+        imgs = tuple(conj(x, w) for x in P.members)
+        if imgs not in found and set(imgs) <= supp:
+            cod = Subgroup(F.universe, tuple(sorted(imgs)), check=False)
+            found[imgs] = Hom(P, cod, imgs, witness=w, check=False)
+    return tuple(sorted(found.values(), key=Hom.sort_key))
+
+
+def extension_group_literal(F: FusionSystem, phi: Hom) -> Subgroup:
+    """N_phi = {g in N_S(P) : phi^-1 c_g phi in Aut_S(Q)}, with both maps
+    compared on every member of Q = P^phi."""
+    phi = phi.cores()
+    P, Q = phi.domain, phi.codomain
+    conj = F.universe.conj
+    back = dict(zip(phi.images, P.members))
+    keys = {h.images for h in automizer_in_literal(F, F.support, Q)}
+    return Subgroup(F.universe, tuple(
+        g for g in normalizer_literal(F.support, P).members
+        if tuple(phi(conj(back[y], g)) for y in Q.members) in keys),
+        check=False)
+
+
+def normal_subgroups_literal(ambient: Subgroup) -> tuple[Subgroup, ...]:
+    """Joins of the normal closures of single elements, one full orbit per
+    element."""
+    G = ambient.parent
+    atoms: dict[tuple[int, ...], Subgroup] = {}
+    for g in ambient.members:
+        if g != 0:
+            mem = closure_literal(G, {G.conj(g, h) for h in ambient.members})
+            atoms.setdefault(mem, Subgroup(G, mem, check=False))
+    found = {(0,): Subgroup(G, (0,), check=False)}
+    frontier = list(found.values())
+    while frontier:
+        new = []
+        for sub in frontier:
+            for atom in atoms.values():
+                mem = closure_literal(G, sub.members + atom.members)
+                if mem not in found:
+                    found[mem] = Subgroup(G, mem, check=False)
+                    new.append(found[mem])
+        frontier = new
+    return tuple(sorted(found.values(), key=Subgroup.sort_key))
 
 
 # -- fusion systems -------------------------------------------------------------

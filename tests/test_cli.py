@@ -138,8 +138,10 @@ class TestMalformedInput:
         _set("prime", "x"), _set_table_entry, _set("table", 5),
         _set("classes", 3), _add_support_index,
         _set("generator_indices", [999]), _set("generator_indices", [1]),
+        _set("prime", 4), _set("prime", 1),
     ], ids=["prime", "table-entry", "table", "classes", "support-index",
-            "generator-index-range", "generator-index-span"])
+            "generator-index-range", "generator-index-span", "prime-composite",
+            "prime-one"])
     def test_malformed_fsk(self, mutate, s4_fsk, tmp_path, capsys):
         payload = json.loads(s4_fsk.read_text())
         mutate(payload)
@@ -178,8 +180,8 @@ class TestMalformedInput:
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    @pytest.mark.parametrize("primes", ["x", [0], 2],
-                             ids=["string", "zero", "not-a-list"])
+    @pytest.mark.parametrize("primes", ["x", [0], 2, [4]],
+                             ids=["string", "zero", "not-a-list", "composite"])
     def test_malformed_primes(self, primes, s4_file, tmp_path, capsys):
         payload = json.loads(s4_file.read_text())
         payload["primes"] = primes
@@ -190,6 +192,18 @@ class TestMalformedInput:
                      "--checks", "focal-oracle"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+    @pytest.mark.parametrize("prime", ["0", "1", "4", "6"])
+    def test_non_prime_build(self, prime, s4_file, tmp_path, capsys):
+        """A non-prime exits 2 before any group work: ``p_part`` is undefined
+        at p = 0 and p = 1, and at p = 4 or 6 no Sylow subgroup exists."""
+        out = tmp_path / "s4.fsk"
+        code = main(["build", str(s4_file), "-p", prime, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be a prime" in err
+        assert not out.exists()
 
 
 class TestSubgroupSpecs:

@@ -1,0 +1,100 @@
+"""The group kernel on generating sets against its member-level oracles.
+
+``FiniteGroup.closure`` runs Dimino's algorithm, and the action tests
+(normalizer, centralizer, normality, commuting, automizers, realized
+iso-sets, extension groups) read only ``Subgroup.generators``.  Each is
+compared with the literal form in ``oracles``, over every subgroup pair of
+a few corpus groups and over groups generated by two permutations."""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fusionkit.corpus import builtin_group
+from fusionkit.fusion import fusion_of_group
+from fusionkit.groups import (Subgroup, centralizer, normal_subgroups,
+                              normalizer, subgroup_lattice, sylow_subgroup)
+from fusionkit.saturation import extension_group
+from oracles import (automizer_in_literal, centralizer_literal,
+                     closure_literal, extension_group_literal,
+                     is_elementwise_commuting_literal, is_normal_in_literal,
+                     isos_from_literal, normal_subgroups_literal,
+                     normalizer_literal)
+from test_fusion import perm_groups
+
+
+def _homs(homs):
+    return [(h.domain.members, h.codomain.members, h.images, h.witness)
+            for h in homs]
+
+
+def check_generators(H: Subgroup) -> None:
+    """gens(H) generates H, has at most log2|H| members, and is the same
+    for a second copy of H."""
+    G, gens = H.parent, H.generators
+    assert set(gens) <= H.member_set
+    assert G.closure(gens) == H.members
+    assert 2 ** len(gens) <= H.order
+    assert Subgroup(G, H.members, check=False).generators == gens
+
+
+def check_pair(ambient: Subgroup, H: Subgroup) -> None:
+    assert normalizer(ambient, H) == normalizer_literal(ambient, H)
+    assert centralizer(ambient, H) == centralizer_literal(ambient, H)
+    assert H.is_normal_in(ambient) == is_normal_in_literal(H, ambient)
+    assert (H.is_elementwise_commuting(ambient)
+            == is_elementwise_commuting_literal(H, ambient))
+
+
+def check_system(G, p: int) -> None:
+    """Realized iso-sets, automizers and extension groups of F_S(G)."""
+    S = sylow_subgroup(G.full_subgroup, p)
+    F = fusion_of_group(G, S, p)
+    for P in F.subgroups():
+        assert _homs(F.isos_from(P)) == _homs(isos_from_literal(F, P))
+        for R in (S, G.full_subgroup):
+            assert (_homs(F.automizer_in(R, P))
+                    == _homs(automizer_in_literal(F, R, P)))
+        for phi in F.isos_from(P):
+            assert extension_group(F, phi) == extension_group_literal(F, phi)
+
+
+@pytest.mark.parametrize("name", ["d8", "s4", "q8c4", "s3xs3", "gl23", "d8xc2"])
+def test_every_subgroup_pair(name):
+    G = builtin_group(name)
+    subs = subgroup_lattice(G.full_subgroup)
+    for H in subs:
+        check_generators(H)
+        for K in subs:
+            check_pair(K, H)
+            assert G.closure(H.members + K.members) == closure_literal(
+                G, H.members + K.members)
+    assert normal_subgroups(G.full_subgroup) == normal_subgroups_literal(
+        G.full_subgroup)
+
+
+@pytest.mark.parametrize("name,p", [("s4", 2), ("s3xs3", 3), ("sl23", 2)])
+def test_corpus_systems(name, p):
+    check_system(builtin_group(name), p)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data())
+def test_generated_groups(data):
+    """Over groups generated by two permutations of degree <= 5: closure of
+    a random seed, generators, three drawn subgroups against each other and
+    the whole group, normal subgroups and F_S(G)."""
+    G, p = data.draw(perm_groups())
+    seed = data.draw(st.lists(st.integers(0, G.order - 1), max_size=4))
+    assert G.closure(seed) == closure_literal(G, seed)
+    subs = subgroup_lattice(G.full_subgroup)
+    drawn = [data.draw(st.sampled_from(subs)) for _ in range(3)]
+    drawn.append(G.full_subgroup)
+    for H in drawn:
+        check_generators(H)
+        for K in drawn:
+            check_pair(K, H)
+    assert normal_subgroups(G.full_subgroup) == normal_subgroups_literal(
+        G.full_subgroup)
+    check_system(G, p)

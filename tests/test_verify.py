@@ -10,15 +10,17 @@ import json
 import pytest
 
 from fusionkit import verify as verify_mod
-from fusionkit.centralizers import compute_centralizer_data
+from fusionkit.centralizers import (compute_centralizer_data,
+                                    contained_in_centralizer)
 from fusionkit.corpus import builtin_group
 from fusionkit.fusion import FusionSystem, fusion_of_group, inner_system
-from fusionkit.groups import (Hom, center, normal_subgroups,
+from fusionkit.groups import (Hom, center, centralizer, normal_subgroups,
                               subgroup_lattice, sylow_subgroup)
 from fusionkit.products import (is_central_product, verify_product_theorems,
                                 zcentralize_witnesses)
 from fusionkit.saturation import is_saturated
-from fusionkit.subsystems import is_normal, normal_subsystem_in
+from fusionkit.subsystems import (extension_witness, is_normal,
+                                  normal_subsystem_in, normalizer_subsystem)
 from fusionkit.verify import (CHECK_ORDER, EntryContext, run_suite,
                               suite_report, inner_only_shadow,
                               verify_cfcg0, verify_coincide,
@@ -442,3 +444,32 @@ class TestSuiteLevelMutations:
                         check_ids=["Wellknown", "centralizer-oracle"],
                         system_mutator=inner_only_shadow)
         assert any(r.status == "fail" for r in res)
+
+
+def cfcg0_per_pair(F, E, auts=None):
+    """The literal CFCG0 search: one ``extension_witness`` per (X, alpha),
+    X-major, each recomputing C_S(T) and TC_S(T)."""
+    T = E.support
+    NET = normalizer_subsystem(E, T)
+    targets = [X for X in subgroup_lattice(centralizer(F.support, T))
+               if contained_in_centralizer(F, NET, X)]
+    alphas = tuple(auts) if auts is not None else E.automorphisms(T)
+    for X in targets:
+        for alpha in alphas:
+            if extension_witness(F, alpha, T, fixed=X) is None:
+                return {"X": list(X.members), "alpha": list(alpha.images)}
+    return None
+
+
+@pytest.mark.parametrize("name", ["s4xc2", "d8xc2", "gl23"])
+def test_cfcg0_matches_the_per_pair_search(name):
+    """Hoisting the extension search out of the X loop reports the same
+    first (X, alpha), also for an automorphism list that fails."""
+    G = builtin_group(name)
+    S = sylow_subgroup(G.full_subgroup, 2)
+    F = fusion_of_group(G, S, 2)
+    for N in normal_subgroups(G.full_subgroup):
+        E = normal_subsystem_in(F, N)
+        assert verify_cfcg0(F, E) == cfcg0_per_pair(F, E) is None
+        auts = F.automorphisms(E.support)       # Aut_F(T), beyond Aut_E(T)
+        assert verify_cfcg0(F, E, auts) == cfcg0_per_pair(F, E, auts)
