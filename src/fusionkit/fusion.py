@@ -129,24 +129,12 @@ class FusionSystem:
             if out is None:
                 raise DomainMismatch("iso-sets do not cover this subgroup")
         else:
-            # c_w|P is determined by the images of gens(P), and P^w <= S
-            # iff they lie in S; the first w per map is its witness.
-            found: dict[tuple, Optional[Hom]] = {}
-            supp = self.support.member_set
-            conj = self.universe.conj
-            gens = P.generators
-            for w in self.witness.members:
-                key = tuple(conj(x, w) for x in gens)
-                if key in found:
-                    continue
-                if all(y in supp for y in key):
-                    imgs = tuple(conj(x, w) for x in P.members)
-                    cod = Subgroup(self.universe, tuple(sorted(imgs)), check=False)
-                    found[key] = Hom(P, cod, imgs, witness=w, check=False)
-                else:
-                    found[key] = None
-            out = tuple(sorted((h for h in found.values() if h is not None),
-                               key=Hom.sort_key))
+            out = tuple(sorted(
+                (Hom(P, Subgroup(self.universe, tuple(sorted(imgs)), check=False),
+                     imgs, witness=w, check=False)
+                 for w, imgs in _first_conjugations(P, self.witness.members,
+                                                    self.support.member_set)),
+                key=Hom.sort_key))
         self._isos[P.members] = out
         return out
 
@@ -191,23 +179,11 @@ class FusionSystem:
         return tuple(sorted(found.values(), key=Hom.sort_key))
 
     def automizer_in(self, R: Subgroup, P: Subgroup) -> tuple[Hom, ...]:
-        """Aut_R(P): conjugations by elements of N_R(P).  c_g|P is determined
-        by the images of gens(P), and g normalizes P iff they lie in P."""
-        found: dict[tuple, Optional[Hom]] = {}
-        conj = self.universe.conj
-        pset = P.member_set
-        gens = P.generators
-        for g in R.members:
-            key = tuple(conj(x, g) for x in gens)
-            if key in found:
-                continue
-            if all(y in pset for y in key):
-                imgs = tuple(conj(x, g) for x in P.members)
-                found[key] = Hom(P, P, imgs, witness=g, check=False)
-            else:
-                found[key] = None
-        return tuple(sorted((h for h in found.values() if h is not None),
-                            key=Hom.sort_key))
+        """Aut_R(P): conjugations by elements of N_R(P)."""
+        return tuple(sorted(
+            (Hom(P, P, imgs, witness=g, check=False)
+             for g, imgs in _first_conjugations(P, R.members, P.member_set)),
+            key=Hom.sort_key))
 
     # -- conjugacy ---------------------------------------------------------------
 
@@ -222,6 +198,25 @@ class FusionSystem:
 
     def morphism_count(self) -> int:
         return sum(len(self.isos_from(P)) for P in self.subgroups())
+
+
+def _first_conjugations(P: Subgroup, conjugators: Sequence[int],
+                        inside: frozenset[int]
+                        ) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(w, images of the members of P under c_w) for the first w in
+    ``conjugators`` of each distinct map c_w|P with P^w inside the subgroup
+    ``inside``.  c_w|P is determined by the images of gens(P), and P^w lies
+    in a subgroup iff they do, so a w giving a known map costs |gens(P)|
+    conjugations."""
+    conj = P.parent.conj
+    gens = P.generators
+    seen: set[tuple[int, ...]] = set()
+    for w in conjugators:
+        key = tuple(conj(x, w) for x in gens)
+        if key not in seen:
+            seen.add(key)
+            if all(y in inside for y in key):
+                yield w, tuple(conj(x, w) for x in P.members)
 
 
 def _classes(F: FusionSystem) -> tuple[tuple[Subgroup, ...], ...]:
