@@ -1,12 +1,18 @@
 """The centralizer of a normal subsystem: the family of centralized
 subgroups, C_S(E) as its join, the two automorphism subgroups of the
 Frattini factorization, R* via models, focal and hyperfocal subgroups, the centralizer
-subsystem C_F(E), and the coincidence formula for its automorphism groups."""
+subsystem C_F(E), and the coincidence formula for its automorphism groups.
+
+Each Theorem A post-check is stated once, as a predicate returning a located
+counterexample or None: ``c_s_counterexample`` for C_S(E) and
+``r_star_counterexample`` for R*.  ``c_s_of`` and ``compute_centralizer_data``
+raise TheoremViolation from them; the verification suite reports them."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import reduce
+from typing import Optional, Sequence
 
 from .errors import TheoremViolation, VerificationFailed
 from .fusion import (FusionSystem, conjugate_morphism, generated_subsystem,
@@ -15,7 +21,7 @@ from .groups import Hom, Subgroup, centralizer, normalizer, subgroup_lattice
 from .models import Model, model_of, normal_model, script_G
 from .saturation import classify, o_upper_p_automorphisms
 from .subsystems import (centralizer_subsystem, is_normal, is_strongly_closed,
-                         weakly_closed_subgroups_in)
+                         normalizer_subsystem, weakly_closed_subgroups_in)
 
 
 def contained_in_centralizer(F: FusionSystem, E: FusionSystem, X: Subgroup,
@@ -59,25 +65,41 @@ def centralized_set(F: FusionSystem, E: FusionSystem,
                  if contained_in_centralizer(F, E, X, path=path))
 
 
+def family_join(F: FusionSystem, X_set: Sequence[Subgroup]) -> Subgroup:
+    """The join of a family of subgroups of S (the trivial subgroup when empty)."""
+    return reduce(Subgroup.join, X_set, F.universe.trivial_subgroup)
+
+
+def c_s_counterexample(F: FusionSystem, E: FusionSystem,
+                       X_set: Sequence[Subgroup], C_S_E: Subgroup) -> Optional[dict]:
+    """The Theorem A post-check on C_S(E), the one statement of its clauses:
+    ``C_S_E`` is centralized by E, contains every member of the centralized
+    family ``X_set`` (so it is the unique largest one), and is strongly
+    closed.  Returns the first failing clause as a located counterexample,
+    or None."""
+    if not contained_in_centralizer(F, E, C_S_E):
+        return {"kind": "join is not centralized", "C_S_E": list(C_S_E.members)}
+    for X in X_set:
+        if not X.member_set <= C_S_E.member_set:
+            return {"kind": "family member escapes the join", "X": list(X.members)}
+    if not is_strongly_closed(F, C_S_E):
+        return {"kind": "not strongly closed", "C_S_E": list(C_S_E.members)}
+    return None
+
+
 def c_s_of(F: FusionSystem, E: FusionSystem,
            X_set: Optional[tuple[Subgroup, ...]] = None) -> Subgroup:
     """C_S(E): the join of the centralized-subgroup family.
 
-    Post-verified: the join is itself a member (hence the unique largest
-    one) and strongly closed.  Failures raise TheoremViolation alarms.
+    Post-verified by ``c_s_counterexample``; a failure raises a
+    TheoremViolation alarm.
     """
     if X_set is None:
         X_set = centralized_set(F, E)
-    R = F.universe.trivial_subgroup
-    for X in X_set:
-        R = R.join(X)
-    if not contained_in_centralizer(F, E, R):
-        raise TheoremViolation("join of the centralized family is not a member")
-    for X in X_set:
-        if not X.member_set <= R.member_set:
-            raise TheoremViolation("centralized family member escapes the join")
-    if not is_strongly_closed(F, R):
-        raise TheoremViolation("C_S(E) is not strongly closed")
+    R = family_join(F, X_set)
+    bad = c_s_counterexample(F, E, X_set, R)
+    if bad is not None:
+        raise TheoremViolation(f"C_S(E) post-check fails: {bad['kind']}")
     return R
 
 
@@ -129,13 +151,15 @@ def h_group(F: FusionSystem, E: FusionSystem, P: Subgroup) -> tuple[Hom, ...]:
 # -- R* via models ----------------------------------------------------------------
 
 
-def r_star(F: FusionSystem, E: FusionSystem,
-           check_characterization: bool = True) -> tuple[Subgroup, FusionSystem, Model, Subgroup]:
+def r_star(F: FusionSystem, E: FusionSystem
+           ) -> tuple[Subgroup, FusionSystem, Model, Subgroup]:
     """R* = C_S(N) computed in a model of the constrained local system.
 
     Returns (R*, the local system, its model, the normal model of N_E(T)).
-    Post-verified against the definitional characterization: for X <= C_S(T),
-    N_E(T) <= C_F(X) exactly when X <= R*.
+    A pure derivation: the local system is post-checked by ``script_G`` and
+    its model is built once per content by ``model_of``; the
+    characterization of R* is post-checked by ``r_star_counterexample``,
+    which ``compute_centralizer_data`` and the suite call.
     """
     Gsys, NET = script_G(F, E)
     model = model_of(Gsys)
@@ -143,20 +167,27 @@ def r_star(F: FusionSystem, E: FusionSystem,
     sigma = model.sigma
     CSN = centralizer(model.sylow_image, N)
     members = tuple(x for x in F.support.members if sigma(x) in CSN.member_set)
-    Rstar = Subgroup(F.universe, members, check=False)
-    if check_characterization:
-        T = E.support
-        CST = centralizer(F.support, T)
-        if not Rstar.member_set <= CST.member_set:
-            raise TheoremViolation("R* leaves C_S(T)")
-        for X in subgroup_lattice(CST):
-            inside = X.member_set <= Rstar.member_set
-            centr = contained_in_centralizer(F, NET, X)
-            if inside != centr:
-                raise TheoremViolation(
-                    f"R* characterization fails at X={list(X.members)}: "
-                    f"inside={inside} centralizes={centr}")
-    return Rstar, Gsys, model, N
+    return Subgroup(F.universe, members, check=False), Gsys, model, N
+
+
+def r_star_counterexample(F: FusionSystem, E: FusionSystem,
+                          R_star: Subgroup) -> Optional[dict]:
+    """The Theorem A post-check on R*, the one statement of its clauses:
+    ``R_star`` <= C_S(T), and for every X <= C_S(T), N_E(T) <= C_F(X)
+    exactly when X <= ``R_star``.  Returns the first failing clause as a
+    located counterexample, or None."""
+    T = E.support
+    CST = centralizer(F.support, T)
+    if not R_star.member_set <= CST.member_set:
+        return {"kind": "R* leaves C_S(T)", "R_star": list(R_star.members)}
+    NET = normalizer_subsystem(E, T)
+    for X in subgroup_lattice(CST):
+        inside = X.member_set <= R_star.member_set
+        centralizes = contained_in_centralizer(F, NET, X)
+        if inside != centralizes:
+            return {"X": list(X.members), "inside_R_star": inside,
+                    "centralizes": centralizes}
+    return None
 
 
 # -- focal and hyperfocal subgroups --------------------------------------------------
@@ -221,6 +252,11 @@ def _centralizer_data(F: FusionSystem, E: FusionSystem) -> CentralizerData:
     X_set = centralized_set(F, E)
     CSE = c_s_of(F, E, X_set)
     Rstar, Gsys, model, N = r_star(F, E)
+    bad = r_star_counterexample(F, E, Rstar)
+    if bad is not None:
+        raise TheoremViolation(bad.get("kind") or (
+            f"R* characterization fails at X={bad['X']}: "
+            f"inside={bad['inside_R_star']} centralizes={bad['centralizes']}"))
     if not CSE.member_set <= Rstar.member_set:
         raise TheoremViolation("C_S(E) is not contained in R*")
     return CentralizerData(E, X_set, CSE, Rstar, Gsys, model, N)

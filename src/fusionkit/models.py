@@ -1,6 +1,11 @@
 """Constrained fusion systems and their models: constrainedness, the
 quotient-by-odd-core model construction (construct then verify), unique
-normal-subgroup models, and the constrained local system used for R*."""
+normal-subgroup models, and the constrained local system used for R*.
+
+A model is derived data of its system: ``model_of`` builds and verifies it
+once per content and keeps it in the system's registry slot, so every local
+system that recurs within an entry reuses it.  The Theorem A post-checks on
+R* and C_S(E) live in ``centralizers``."""
 
 from __future__ import annotations
 
@@ -105,10 +110,14 @@ def model_of(F: FusionSystem) -> Model:
 
     The construction is verified exhaustively (Sylow image, fusion match,
     C_M(O_p(M)) <= O_p(M)); a verification failure is an alarm, never a
-    silent return.
+    silent return.  Built once per content: memoized in F's slot.
     """
     if not F.realized:
         raise NotConstrained("model construction needs a group-realized system")
+    return F.memo("model", lambda: _model(F))
+
+
+def _model(F: FusionSystem) -> Model:
     constrained, Q = is_constrained(F)
     if not constrained:
         raise NotConstrained("system has no normal centric subgroup")
@@ -154,12 +163,12 @@ def normal_model(F: FusionSystem, model: Model, E: FusionSystem) -> Subgroup:
     return hits[0]
 
 
-def script_G(F: FusionSystem, E: FusionSystem,
-             check: bool = True) -> tuple[FusionSystem, FusionSystem]:
+def script_G(F: FusionSystem, E: FusionSystem) -> tuple[FusionSystem, FusionSystem]:
     """The constrained local system N_{N_F(T)}(T C_S(T)) and N_E(T) inside it.
 
-    Post-checked: the local system is constrained over S and N_E(T) is
-    normal in it.
+    Always post-checked: the local system is constrained and N_E(T) is
+    normal in it (``VerificationFailed`` otherwise).  Its model comes from
+    ``model_of``, built once per content.
     """
     T = E.support
     V = F.universe.generated_subgroup(
@@ -167,12 +176,11 @@ def script_G(F: FusionSystem, E: FusionSystem,
     N1 = normalizer_subsystem(F, T)
     Gsys = normalizer_subsystem(N1, V)
     NET = normalizer_subsystem(E, T)
-    if check:
-        constrained, _ = is_constrained(Gsys)
-        if not constrained:
-            raise VerificationFailed("local system for R* is not constrained")
-        if not is_normal(Gsys, NET).normal:
-            raise VerificationFailed("N_E(T) is not normal in the local system")
+    constrained, _ = is_constrained(Gsys)
+    if not constrained:
+        raise VerificationFailed("local system for R* is not constrained")
+    if not is_normal(Gsys, NET).normal:
+        raise VerificationFailed("N_E(T) is not normal in the local system")
     return Gsys, NET
 
 

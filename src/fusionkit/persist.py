@@ -23,33 +23,16 @@ from .errors import ParseError, VerificationFailed
 from .fusion import (FusionSystem, Hom, close_morphisms, fusion_of_group,
                      subsystem_equal)
 from .groups import FiniteGroup, Subgroup, is_prime
+from .saturation import aut_group
 
 FORMAT_VERSION = 1
 
 
 def _aut_generating_set(F: FusionSystem, P: Subgroup) -> list[Hom]:
-    """Greedy generating subset of Aut_F(P), canonical order."""
-    auts = F.automorphisms(P)
-    chosen: list[Hom] = []
-    span: set[tuple[int, ...]] = {P.members}
-    for h in auts:
-        if h.images in span:
-            continue
-        chosen.append(h)
-        frontier = [h.images]
-        lookup = {a.images: a for a in auts}
-        span.add(h.images)
-        while frontier:
-            new = []
-            for key in frontier:
-                a = lookup[key]
-                for b in list(span):
-                    for c in (a.then(lookup[b]), lookup[b].then(a)):
-                        if c.images not in span:
-                            span.add(c.images)
-                            new.append(c.images)
-            frontier = new
-    return chosen
+    """The generators Dimino's algorithm keeps on Aut_F(P) in canonical
+    order: each automorphism outside the span of those kept before it."""
+    mg = aut_group(F, P)
+    return [mg.homs[i] for i in mg.group.full_subgroup.generators]
 
 
 def system_payload(F: FusionSystem) -> dict:
@@ -139,17 +122,8 @@ def _record_certifies(
         covered |= cls
         if not all(F.contains_morphism(h) for h in auts):
             return False
-        span = {rep.members}
-        frontier = [rep.members]
-        while frontier:
-            new = []
-            for images in frontier:
-                for h in auts:
-                    key = tuple(h(y) for y in images)
-                    if key not in span:
-                        span.add(key)
-                        new.append(key)
-            frontier = new
+        mg = aut_group(F, rep)
+        span = mg.group.closure(mg.index_of(h) for h in auts)
         if len(span) != len(F.automorphisms(rep)):
             return False
     return len(covered) == len(F.subgroups())

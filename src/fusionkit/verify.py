@@ -25,11 +25,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
-from .centralizers import (CentralizerData, a_circle, c_F_of, c_s_of,
-                           centralized_set, coincide_check,
+from .centralizers import (CentralizerData, a_circle, c_F_of, c_s_counterexample,
+                           c_s_of, centralized_set, coincide_check,
                            compute_centralizer_data, contained_in_centralizer,
-                           focal_subgroup, h_group, hyperfocal_subgroup,
-                           r_star, weakly_closed_analysis, z_of)
+                           family_join, focal_subgroup, h_group,
+                           hyperfocal_subgroup, r_star, r_star_counterexample,
+                           weakly_closed_analysis, z_of)
 from .errors import FusionkitError
 from .fusion import (FusionSystem, Hom, close_morphisms, conjugate_morphism,
                      fusion_of_group, inner_system, subsystem_contains)
@@ -41,9 +42,9 @@ from .products import (ProductReport, centralize_each_other,
                        verify_product_theorems)
 from .saturation import classify, is_saturated
 from .subsystems import (bounded_extensions, centralizer_subsystem,
-                         invariance_condition, is_normal, is_strongly_closed,
-                         is_weakly_closed, normal_subsystem_in,
-                         normalizer_subsystem, realized_subsystem)
+                         invariance_condition, is_normal, is_weakly_closed,
+                         normal_subsystem_in, normalizer_subsystem,
+                         realized_subsystem)
 
 CHECK_ORDER: tuple[str, ...] = (
     "saturation",
@@ -364,7 +365,7 @@ def verify_weakly_closed_centralized(F: FusionSystem, E: FusionSystem,
 def verify_gn(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     """The R*-local system is constrained over S with N_E(T) normal in it."""
     try:
-        Gsys, NET = script_G(F, E, check=True)
+        Gsys, NET = script_G(F, E)
     except FusionkitError as exc:
         return {"kind": str(exc)}
     if Gsys.support != F.support:
@@ -394,28 +395,16 @@ def verify_cfcg0(F: FusionSystem, E: FusionSystem,
 
 
 def verify_first_characterization(F: FusionSystem, E: FusionSystem,
-                                  R_star: Optional[Subgroup] = None,
-                                  data: Optional[CentralizerData] = None
+                                  R_star: Optional[Subgroup] = None
                                   ) -> Optional[dict]:
-    """Exact set equality {X <= C_S(T): N_E(T) <= C_F(X)} = subgroups of R*."""
+    """R* <= C_S(T) and the exact set equality {X <= C_S(T): N_E(T) <=
+    C_F(X)} = subgroups of R*; R* comes from ``r_star`` unless given."""
     if R_star is None:
-        if data is None:
-            try:
-                R_star = r_star(F, E, check_characterization=False)[0]
-            except FusionkitError as exc:
-                return {"kind": str(exc)}
-        else:
-            R_star = data.R_star
-    T = E.support
-    CST = centralizer(F.support, T)
-    NET = normalizer_subsystem(E, T)
-    for X in subgroup_lattice(CST):
-        inside = X.member_set <= R_star.member_set
-        centralizes = contained_in_centralizer(F, NET, X)
-        if inside != centralizes:
-            return {"X": _sub(X), "inside_R_star": inside,
-                    "centralizes": centralizes}
-    return None
+        try:
+            R_star = r_star(F, E)[0]
+        except FusionkitError as exc:
+            return {"kind": str(exc)}
+    return r_star_counterexample(F, E, R_star)
 
 
 def verify_main_cse_a(F: FusionSystem, E: FusionSystem,
@@ -426,18 +415,8 @@ def verify_main_cse_a(F: FusionSystem, E: FusionSystem,
     if X_set is None:
         X_set = centralized_set(F, E)
     if C_S_E is None:
-        R = F.universe.trivial_subgroup
-        for X in X_set:
-            R = R.join(X)
-        C_S_E = R
-    if not contained_in_centralizer(F, E, C_S_E):
-        return {"kind": "join is not centralized", "C_S_E": _sub(C_S_E)}
-    for X in X_set:
-        if not X.member_set <= C_S_E.member_set:
-            return {"kind": "family member escapes the join", "X": _sub(X)}
-    if not is_strongly_closed(F, C_S_E):
-        return {"kind": "not strongly closed", "C_S_E": _sub(C_S_E)}
-    return None
+        C_S_E = family_join(F, X_set)
+    return c_s_counterexample(F, E, X_set, C_S_E)
 
 
 def verify_main_cse_b(ctx: EntryContext, E: FusionSystem,
@@ -449,14 +428,14 @@ def verify_main_cse_b(ctx: EntryContext, E: FusionSystem,
         data = ctx.data_for(E)
     bad = verify_first_characterization(F, E, R_star=data.R_star)
     if bad is not None:
-        bad["kind"] = "characterization"
+        bad.setdefault("kind", "characterization")
         return bad
     alt = ctx.transported(E)
     if alt is None:
         return None
     g, F2, E2 = alt
     try:
-        R2 = r_star(F2, E2, check_characterization=False)[0]
+        R2 = r_star(F2, E2)[0]
     except FusionkitError as exc:
         return {"kind": "alternative model failed", "detail": str(exc)}
     G = ctx.group
@@ -541,9 +520,9 @@ def verify_coincide(F: FusionSystem, E: FusionSystem, CFE: FusionSystem,
     return None
 
 
-def verify_finvariant_equiv(F: FusionSystem, E: FusionSystem,
-                            conditions: str = "abcdef") -> Optional[dict]:
-    values = {w: invariance_condition(F, E, w) for w in conditions}
+def verify_finvariant_equiv(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
+    """The six conditions (a)-(f) of F-invariance agree on E."""
+    values = {w: invariance_condition(F, E, w) for w in "abcdef"}
     if len(set(values.values())) > 1:
         return {"conditions": values, "T": _sub(E.support)}
     return None
@@ -557,7 +536,7 @@ def verify_model1a(ctx: EntryContext, E: FusionSystem) -> Optional[dict]:
     g, F2, E2 = alt
     data = ctx.data_for(E)
     try:
-        Gsys2, NET2 = script_G(F2, E2, check=False)
+        Gsys2, _ = script_G(F2, E2)
         model2 = model_of(Gsys2)
     except FusionkitError as exc:
         return {"kind": "alternative model failed", "detail": str(exc)}

@@ -2,7 +2,8 @@
 the member-level forms of the group kernel (closure, normalizer,
 centralizer, normality, automizers, iso-sets, extension groups, normal
 subgroups) that the package computes on generating sets, the exhaustive
-fusion-axiom audit, the literal subsystem transports, and the direct
+fusion-axiom audit, the literal subsystem transports, the greedy
+automorphism generating sets of the persisted records, and the direct
 product F1 x F2 with the product structure theorem behind
 ``products._induced_by_some_pair``.  No package code path calls any of it."""
 
@@ -250,6 +251,33 @@ def validate_fusion_system(F: FusionSystem) -> list[str]:
                 if c.images not in keys:
                     problems.append(f"composition {h!r};{g!r} missing")
     return problems
+
+
+def aut_generating_set_greedy(F: FusionSystem, P: Subgroup) -> list[Hom]:
+    """Each automorphism of Aut_F(P), in canonical order, that lies outside
+    the span of those kept before it; the span is closed by composing on
+    both sides until nothing new appears."""
+    auts = F.automorphisms(P)
+    lookup = {a.images: a for a in auts}
+    chosen: list[Hom] = []
+    span: set[tuple[int, ...]] = {P.members}
+    for h in auts:
+        if h.images in span:
+            continue
+        chosen.append(h)
+        span.add(h.images)
+        frontier = [h.images]
+        while frontier:
+            new = []
+            for key in frontier:
+                a = lookup[key]
+                for b in list(span):
+                    for c in (a.then(lookup[b]), lookup[b].then(a)):
+                        if c.images not in span:
+                            span.add(c.images)
+                            new.append(c.images)
+            frontier = new
+    return chosen
 
 
 # -- direct products --------------------------------------------------------------

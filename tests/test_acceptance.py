@@ -7,6 +7,7 @@ bundled one; every criterion consumes the same canonical full-suite run.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 
@@ -17,6 +18,9 @@ from fusionkit.verify import CHECK_ORDER, run_suite, suite_report
 
 SATURATION_BUDGET_PER_ENTRY_S = 60.0   # entries with |G| <= 200
 CENTRALIZER_THEOREM_BUDGET_S = 600.0             # full corpus
+# sha256 of json.dumps(reports, sort_keys=True) over the 22 corpus entries in
+# corpus order.  A change of any report, on any entry, updates it on purpose.
+REPORT_SHA256 = "0c9c219b55814ca83724af8b2eafef7c696f576fc8a6d86529ff889ec13d60cc"
 CHECKS_BY_CRITERION = {
     2: ("FirstCharacterization", "MainCSE.a", "MainCSE.b", "MainCSE.c"),
     3: ("FocProp",),
@@ -143,6 +147,15 @@ def test_criterion_9_determinism(full_run):
     ok = a == b
     _line(9, ok, "two full corpus runs serialize byte-identically")
     assert ok
+
+
+def test_full_report_matches_the_recorded_digest(full_run):
+    reports = [suite_report(label, p, results)
+               for label, (G, p, results, _) in full_run.items()]
+    assert len(reports) == 22
+    digest = hashlib.sha256(
+        json.dumps(reports, sort_keys=True).encode()).hexdigest()
+    assert digest == REPORT_SHA256
 
 
 def test_every_check_ran_everywhere(full_run):

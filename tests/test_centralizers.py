@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from fusionkit import centralizers
 from fusionkit.centralizers import (a_circle, c_F_of, c_s_of, centralized_set,
                                     coincide_check, compute_centralizer_data,
                                     focal_subgroup, h_group, hyperfocal_subgroup, r_star,
@@ -73,6 +74,28 @@ class TestCSE:
         assert info["largest_weakly_closed"] == data.C_S_E
         assert info["largest_strongly_closed"] == data.C_S_E
         assert info["all_weakly_closed_in_family"]
+
+
+class TestPostChecks:
+    def test_c_s_of_raises_on_an_injected_member(self, F_s4, E_a4):
+        Z = center(F_s4.support)
+        with pytest.raises(TheoremViolation, match="join is not centralized"):
+            c_s_of(F_s4, E_a4, X_set=(F_s4.universe.trivial_subgroup, Z))
+
+    def test_centralizer_data_raises_on_a_wrong_rstar(self, monkeypatch):
+        """The library post-check on R* stays: a wrong R* from the
+        derivation aborts compute_centralizer_data."""
+        derive = centralizers.r_star
+
+        def trivial_r_star(F, E):
+            return (F.universe.trivial_subgroup, *derive(F, E)[1:])
+
+        monkeypatch.setattr(centralizers, "r_star", trivial_r_star)
+        g = builtin_group("s4xc2")
+        F = fusion_of_group(g, sylow_subgroup(g.full_subgroup, 2), 2)
+        E = normal_subsystem_in(F, g.full_subgroup)
+        with pytest.raises(TheoremViolation, match="R\\* characterization fails"):
+            compute_centralizer_data(F, E)
 
 
 class TestRStar:

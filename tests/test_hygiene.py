@@ -1,12 +1,16 @@
 """Source hygiene checked with the standard library's ``ast``: no module of
 the package imports a name it never uses or imports from one module twice,
-and every module-level function and class of the package has a caller in
-the package, unless ``NO_CALLER_NEEDED`` says why it stays."""
+every module-level function and class of the package has a caller in
+the package, unless ``NO_CALLER_NEEDED`` says why it stays, and every
+defaulted parameter of the package is set by some call in ``src/``,
+``tests/`` or ``perfbench/``, unless ``NO_SETTER_NEEDED`` says why it
+stays."""
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -14,6 +18,9 @@ import fusionkit
 
 PACKAGE = Path(fusionkit.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+REPO = PACKAGE.parents[1]
+CALLER_FILES = sorted(path for top in ("src", "tests", "perfbench")
+                      for path in (REPO / top).rglob("*.py"))
 
 # Definitions the package itself never calls, each with the reason it stays.
 NO_CALLER_NEEDED = {
@@ -28,6 +35,10 @@ NO_CALLER_NEEDED = {
 }
 # Also exempt: the names in fusionkit.__all__ (the public API).  The names
 # of the README tour all have callers in the package.
+
+# Defaulted parameters no call sets, as "function(parameter)", each with the
+# reason it stays.
+NO_SETTER_NEEDED: dict[str, str] = {}
 
 
 def _quoted_annotation_names(tree: ast.AST) -> list[tuple[str, int]]:
@@ -123,6 +134,76 @@ def caller_less(sources: dict[str, str]) -> list[str]:
     return sorted(out)
 
 
+def _defaulted(fn: ast.FunctionDef, skip: int) -> list[tuple[str, Optional[int]]]:
+    """(name, position among the call's positional arguments, or None for
+    keyword-only) of each defaulted parameter; ``skip`` leading parameters
+    (``self``, ``cls``) are bound without the call."""
+    a = fn.args
+    positional = a.posonlyargs + a.args
+    first = len(positional) - len(a.defaults)
+    out = [(arg.arg, i - skip) for i, arg in enumerate(positional) if i >= first]
+    out += [(arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+            if d is not None]
+    return out
+
+
+def _definitions(tree: ast.AST):
+    """(called name, reported name, function node, skipped leading
+    parameters) for every function and method; ``Class.__init__`` is
+    called by the class's name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                decorators = {d.id for d in item.decorator_list
+                              if isinstance(d, ast.Name)}
+                skip = 0 if "staticmethod" in decorators else 1
+                if item.name == "__init__":
+                    yield node.name, f"{node.name}.__init__", item, skip
+                else:
+                    yield item.name, item.name, item, skip
+        elif isinstance(node, (ast.FunctionDef, ast.Module)):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield item.name, item.name, item, 0
+
+
+def unset_defaults(defs: dict[str, str], callers: dict[str, str]) -> list[str]:
+    """``function(parameter)`` for each defaulted parameter of a function or
+    method of ``defs`` (module name -> source) that no call in ``callers``
+    (file name -> source) sets, by keyword or by position.  Calls match by
+    the called name alone, a call with ``*args`` or ``**kwargs`` sets every
+    parameter, and a call inside the function itself does not count."""
+    calls: dict[str, list[tuple[str, int, int, set, bool]]] = {}
+    for where, src in callers.items():
+        for node in ast.walk(ast.parse(src)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            if name is None:
+                continue
+            starred = (any(isinstance(x, ast.Starred) for x in node.args)
+                       or any(k.arg is None for k in node.keywords))
+            calls.setdefault(name, []).append(
+                (where, node.lineno, len(node.args),
+                 {k.arg for k in node.keywords}, starred))
+    out = []
+    for mod, src in defs.items():
+        for name, shown, fn, skip in _definitions(ast.parse(src)):
+            inside = range(fn.lineno, fn.end_lineno + 1)
+            outside = [c for c in calls.get(name, ())
+                       if c[0] != mod or c[1] not in inside]
+            for param, pos in _defaulted(fn, skip):
+                if not any(starred or param in keywords
+                           or (pos is not None and npos > pos)
+                           for _, _, npos, keywords, starred in outside):
+                    out.append(f"{shown}({param})")
+    return sorted(out)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -139,6 +220,16 @@ def test_every_definition_has_a_caller():
     found = caller_less({p.stem: p.read_text() for p in MODULES})
     found = [d for d in found if d.split(".")[1] not in fusionkit.__all__]
     assert sorted(d.split(".")[1] for d in found) == sorted(NO_CALLER_NEEDED)
+
+
+def test_every_default_is_set_by_a_caller():
+    """The unset defaulted parameters are exactly the allow-listed ones, so
+    a knob no caller turns is deleted rather than kept."""
+    defs = {p.stem: p.read_text() for p in MODULES}
+    callers = {str(p.relative_to(REPO)): p.read_text() for p in CALLER_FILES}
+    for path in MODULES:     # a package module calls under its module name
+        callers[path.stem] = callers.pop(str(path.relative_to(REPO)))
+    assert unset_defaults(defs, callers) == sorted(NO_SETTER_NEEDED)
 
 
 def test_detects_an_unused_import():
@@ -178,3 +269,25 @@ def test_detects_a_caller_less_function():
                      "    pass\n"
                      "f(None)\n")}
     assert caller_less(sources) == ["a.K", "a.planted", "a.recursive"]
+
+
+def test_detects_an_unset_default():
+    defs = {"a": ("def f(x, y=1, *, z=2, w=3):\n"
+                  "    return f(x, y=y)\n"
+                  "def g(v=0):\n"
+                  "    return v\n"
+                  "class K:\n"
+                  "    def __init__(self, size=1, mode='r'):\n"
+                  "        pass\n"
+                  "    def m(self, k=2):\n"
+                  "        return k\n"
+                  "    @staticmethod\n"
+                  "    def s(j=0):\n"
+                  "        return j\n")}
+    callers = {"a": defs["a"],
+               "b": ("f(1, z=3)\n"
+                     "g(*args)\n"
+                     "K(4).m(5)\n"
+                     "K.s()\n")}
+    assert unset_defaults(defs, callers) == ["K.__init__(mode)", "f(w)",
+                                             "f(y)", "s(j)"]

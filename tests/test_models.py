@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from fusionkit import models
 from fusionkit.corpus import builtin_group
 from fusionkit.errors import ModelNotFound, NotConstrained
 from fusionkit.fusion import (fusion_of_group, generated_subsystem,
@@ -14,6 +15,7 @@ from fusionkit.models import (Model, find_isomorphism_extending,
                               models_isomorphic_over_s, normal_in_system,
                               normal_model, o_p_system, script_G)
 from fusionkit.subsystems import normal_subsystem_in
+from fusionkit.verify import run_suite
 
 
 class TestNormalInSystem:
@@ -86,6 +88,30 @@ class TestModels:
         F = fusion_of_group(a6, S, 2)
         with pytest.raises(NotConstrained):
             model_of(F)
+
+
+class TestModelMemo:
+    def test_model_is_built_once_per_content(self):
+        g = builtin_group("s4")
+        F = fusion_of_group(g, sylow_subgroup(g.full_subgroup, 2), 2)
+        copy = fusion_of_group(g, F.support, 2)
+        assert model_of(F) is model_of(F)
+        assert model_of(copy) is not model_of(F)    # another top, another slot
+
+    def test_run_suite_builds_each_local_model_once(self, monkeypatch):
+        """Every local system whose model the suite needs is built and
+        verified once per content, however many checks and pairs ask."""
+        built = []
+        verify_model = models._verify_model
+
+        def counted(F, M, sigma):
+            built.append((id(F.top()), F.content_key))
+            verify_model(F, M, sigma)
+
+        monkeypatch.setattr(models, "_verify_model", counted)
+        results = run_suite("s4@2", builtin_group("s4"), 2)
+        assert all(r.passed for r in results)
+        assert built and len(built) == len(set(built))
 
 
 class TestNormalModels:

@@ -15,6 +15,7 @@ from fusionkit.fusion import (FusionSystem, close_morphisms, fusion_of_group,
                               subsystem_equal)
 from fusionkit.groups import FiniteGroup, Hom, sylow_subgroup
 from fusionkit.persist import load_system, system_payload
+from oracles import aut_generating_set_greedy
 
 
 def corpus_payload(name, p):
@@ -166,6 +167,18 @@ def test_corpus_records_load_without_closure(name, p, tmp_path, monkeypatch):
     monkeypatch.setattr(persist, "close_morphisms", closure_called)
     F = load_system(path)
     assert F.universe.order == builtin_group(name).order
+
+
+@pytest.mark.parametrize("name,p", CORPUS_ENTRIES,
+                         ids=[f"{n}@{p}" for n, p in CORPUS_ENTRIES])
+def test_aut_generators_match_greedy_span(name, p):
+    """The generators Dimino keeps on Aut_F(rep) are the greedy span's
+    choice, class by class, so records keep their bytes."""
+    G = builtin_group(name)
+    F = fusion_of_group(G, sylow_subgroup(G.full_subgroup, p), p)
+    for cls in F.classes():
+        got = persist._aut_generating_set(F, cls[0])
+        assert got == aut_generating_set_greedy(F, cls[0]), cls[0].members
 
 
 def decide(path, monkeypatch):

@@ -226,6 +226,26 @@ class TestMutationsCentralizer:
             F_s4xc2, E_s4x1, R_star=F_s4xc2.universe.trivial_subgroup)
         assert bad is not None
 
+    def test_first_characterization_rstar_outside_cst(self, F_s4xc2, E_s4x1):
+        bad = verify_first_characterization(
+            F_s4xc2, E_s4x1, R_star=F_s4xc2.support)
+        assert bad == {"kind": "R* leaves C_S(T)",
+                       "R_star": list(F_s4xc2.support.members)}
+
+    def test_suite_first_characterization_locates_a_wrong_rstar(
+            self, monkeypatch):
+        """A wrong R* from the derivation fails FirstCharacterization with
+        a located counterexample, not with a raised error."""
+        def trivial_r_star(F, E, **_):
+            return (F.universe.trivial_subgroup,)
+
+        monkeypatch.setattr(verify_mod, "r_star", trivial_r_star)
+        [res] = run_suite("s4xc2@2", builtin_group("s4xc2"), 2,
+                          ["FirstCharacterization"])
+        assert res.status == "fail"
+        assert {"X", "inside_R_star", "centralizes"} <= set(res.counterexample)
+        assert "error" not in res.counterexample
+
     def test_main_cse_a_injected_member(self, F_s4, E_a4):
         Z = center(F_s4.support)
         bad = verify_main_cse_a(F_s4, E_a4,
