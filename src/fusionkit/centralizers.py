@@ -15,9 +15,9 @@ from functools import reduce
 from typing import Optional, Sequence
 
 from .errors import TheoremViolation, VerificationFailed
-from .fusion import (FusionSystem, conjugate_morphism, generated_subsystem,
-                     subsystem_contains)
-from .groups import Hom, Subgroup, centralizer, normalizer, subgroup_lattice
+from .fusion import FusionSystem, generated_subsystem, subsystem_contains
+from .groups import (Hom, Subgroup, Twist, centralizer, normalizer,
+                     subgroup_lattice)
 from .models import Model, model_of, normal_model, script_G
 from .saturation import classify, o_upper_p_automorphisms
 from .subsystems import (centralizer_subsystem, is_normal, is_strongly_closed,
@@ -127,8 +127,9 @@ def a_circle(F: FusionSystem, E: FusionSystem, P: Subgroup) -> tuple[Hom, ...]:
             if a.then(b).images not in keys:
                 raise VerificationFailed("A-circle is not closed under composition")
     for chi in F.automorphisms(P):
+        twist = Twist(chi, P)
         for a in out:
-            if conjugate_morphism(a, chi).images not in keys:
+            if twist.images(a.images) not in keys:
                 raise VerificationFailed("A-circle is not normal in Aut_F(P)")
     return tuple(sorted(out, key=Hom.sort_key))
 

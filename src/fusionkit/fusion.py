@@ -9,14 +9,22 @@ lossless.  The module also builds subsystems (realized, inner, generated by
 worklist closure, full subcategories), transports iso-sets along injective
 maps (``transport_isos``) and compares subsystems hom-set by hom-set.
 
-Systems are immutable once constructed; only ``name`` may be reassigned.  A
-system given by a witness group alone is determined by its content key
-``(support.members, witness.members)``.  Its derived data (iso-sets,
-classes, classification, saturation, local subsystems, normality reports)
-lives in a slot of the registry on its top system, shared by every system
-with the same content key under that top, so it is computed once per
-content.  A system with explicit iso-sets has no content key, even when it
-also carries a witness, and keeps its derived data on the object itself.
+Systems are immutable once constructed; only ``name`` may be reassigned.
+Every system has a content key.  A system given by a witness group alone
+is determined by ``(support.members, witness.members)``.  A system with
+explicit iso-sets is keyed by an ``ExplicitKey``: the support, the witness
+(or None) and the whole table of ``(images, witness)`` per morphism, so
+equal keys mean the same iso-sets, Hom for Hom; it compares by value, so
+two different tables never share a key.  A system's derived data
+(iso-sets, classes, classification, saturation, local subsystems,
+normality reports) lives in a slot of the registry on its top system,
+shared by every system with the same content key under that top, so it is
+computed once per content.
+
+Conjugated morphisms are tested on keys: ``groups.Twist`` pushes the image
+key of a morphism through an automorphism, and
+``FusionSystem.contains_key`` is ``contains_morphism`` on the pushed key,
+so no Hom is built per test.
 """
 
 from __future__ import annotations
@@ -40,14 +48,17 @@ class FusionSystem:
     subsystems are re-based so towers never form.
 
     ``content_key`` is ``(support.members, witness.members)`` when the
-    witness alone defines the system.  It is None when ``explicit`` tables
-    are given, with or without a witness: then the witness does not determine
-    the hom-sets (the mutation self-tests corrupt systems this way).  Systems
-    with equal content keys under one top share a slot of derived data
-    (``_isos``, ``_iso_keys``, ``_cache``) in the top's ``_registry``.  The
-    registry lives on the top, not on the universe, so it is freed with the
-    top system, and a mutated top, being a new top, starts an empty one.  A
-    system without a content key owns its slot.
+    witness alone defines the system, and an ``ExplicitKey`` of the tables
+    when ``explicit`` iso-sets are given, with or without a witness: then
+    the witness does not determine the hom-sets (the mutation self-tests
+    corrupt systems this way), so the key holds the tables themselves and
+    compares them by value.  Two different tables never share a key, and a
+    realized key (a plain tuple) never equals an explicit one.  Systems with
+    equal content keys under one top share a slot of derived data
+    (``_isos``, ``_iso_keys``, ``_cache``) in the top's ``_registry``; each
+    copy keeps its own ``name``.  The registry lives on the top, not on the
+    universe, so it is freed with the top system, and a mutated top, being a
+    new top, starts an empty one.
 
     A result that depends on two systems is memoized in one system's slot
     under the other's content key (see ``pair_key`` and ``memo``).
@@ -68,12 +79,13 @@ class FusionSystem:
         self.ambient = ambient.top() if ambient is not None else None
         self.name = name or (f"F_{support.order}({witness.order})" if witness else
                              f"F_{support.order}")
-        self.content_key: Optional[tuple[tuple[int, ...], tuple[int, ...]]] = (
-            (support.members, witness.members) if explicit is None else None)
-        self._registry: Optional[dict[tuple, tuple[dict, dict, dict]]] = (
+        self.content_key: Hashable = (
+            (support.members, witness.members) if explicit is None
+            else ExplicitKey(support, witness, explicit))
+        self._registry: Optional[dict[Hashable, tuple[dict, dict, dict]]] = (
             {} if self.ambient is None else None)
         top = self.top()
-        if self.content_key is not None and top.universe is self.universe:
+        if top.universe is self.universe:
             slot = top._registry.setdefault(self.content_key, ({}, {}, {}))
         else:
             slot = ({}, {}, {})
@@ -90,19 +102,19 @@ class FusionSystem:
 
     def pair_key(self, tag: str, *others: "FusionSystem") -> Optional[tuple]:
         """Key for a result on this system and ``others``, memoized in this
-        system's slot; None when some other system has no content key in
-        this universe, so that result is not memoized."""
-        if any(D.content_key is None or D.universe is not self.universe
-               for D in others):
+        system's slot; None when some other system lives in another
+        universe, so that result is not memoized."""
+        if any(D.universe is not self.universe for D in others):
             return None
         return (tag, *(D.content_key for D in others))
 
     def memo(self, key: Optional[Hashable], compute: Callable[[], Any]) -> Any:
-        """``compute()``, stored in this system's slot under ``key``."""
+        """``compute()``, stored in this system's slot under ``key``; any
+        value is kept, None included."""
         if key is None:
             return compute()
-        got = self._cache.get(key)
-        if got is None:
+        got = self._cache.get(key, _MISSING)
+        if got is _MISSING:
             got = compute()
             self._cache[key] = got
         return got
@@ -160,12 +172,21 @@ class FusionSystem:
 
     def contains_morphism(self, h: Hom) -> bool:
         """Is ``h`` (any codomain) a morphism of this system?"""
-        if h.domain.parent is not self.universe:
+        return (h.domain.parent is self.universe
+                and self.contains_key(h.domain.members, h.images))
+
+    def contains_key(self, domain: tuple[int, ...],
+                     images: tuple[int, ...]) -> bool:
+        """``contains_morphism`` on keys: is the map sending ``domain[i]``
+        to ``images[i]`` a morphism of this system?  ``domain`` is the
+        sorted member tuple of a subgroup of the universe."""
+        sset = self.support.member_set
+        if not (sset.issuperset(domain) and sset.issuperset(images)):
             return False
-        if not (h.domain.member_set <= self.support.member_set
-                and set(h.images) <= self.support.member_set):
-            return False
-        return h.images in self._keys_from(h.domain)
+        keys = self._iso_keys.get(domain)
+        if keys is None:
+            keys = self._keys_from(Subgroup(self.universe, domain, check=False))
+        return images in keys
 
     def automorphisms(self, P: Subgroup) -> tuple[Hom, ...]:
         return tuple(h for h in self.isos_from(P) if h.codomain == P)
@@ -198,6 +219,38 @@ class FusionSystem:
 
     def morphism_count(self) -> int:
         return sum(len(self.isos_from(P)) for P in self.subgroups())
+
+
+_MISSING = object()
+
+
+class ExplicitKey:
+    """Content key of a system given by explicit iso-sets.
+
+    ``table`` is ``(support.members, witness.members or None, rows)`` with
+    one row per subgroup, in sorted order: its members and the
+    ``(images, witness)`` of each Hom of its iso-set, in order.  The key
+    compares by value, so two systems share a slot exactly when their
+    tables agree Hom for Hom, witnesses included; the hash is computed once.
+    """
+
+    __slots__ = ("table", "_hash")
+
+    def __init__(self, support: Subgroup, witness: Optional[Subgroup],
+                 explicit: dict[tuple[int, ...], tuple[Hom, ...]]) -> None:
+        self.table = (support.members,
+                      witness.members if witness is not None else None,
+                      tuple((mem, tuple((h.images, h.witness) for h in explicit[mem]))
+                            for mem in sorted(explicit)))
+        self._hash = hash(self.table)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (isinstance(other, ExplicitKey)
+                                 and self._hash == other._hash
+                                 and self.table == other.table)
 
 
 def _first_conjugations(P: Subgroup, conjugators: Sequence[int],
@@ -347,16 +400,6 @@ def generated_subsystem(F: FusionSystem, R: Subgroup,
 
 
 # -- morphism/subsystem transport -----------------------------------------------
-
-
-def conjugate_morphism(phi: Hom, alpha: Hom) -> Optional[Hom]:
-    """phi^alpha = (alpha|_P)^-1 . phi . alpha on P^alpha: the map
-    x^alpha -> (x^phi)^alpha, corestricted onto its image.  None when phi
-    or alpha is not injective on <P, P^phi> (``Hom.push``)."""
-    dom = phi.domain.member_set | set(phi.images)
-    if not dom <= alpha.domain.member_set:
-        raise DomainMismatch("alpha is not defined on <P, P^phi>")
-    return phi.push(alpha)
 
 
 def transport_isos(E: FusionSystem, sigma: Hom) -> dict[tuple[int, ...], tuple[Hom, ...]]:

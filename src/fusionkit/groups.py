@@ -563,6 +563,29 @@ class Hom:
         return Hom(domain, codomain, tuple(mp[x] for x in domain.members), check=True)
 
 
+class Twist:
+    """phi -> phi^alpha on image keys, for one alpha and the morphisms phi
+    from one subgroup P, where alpha is injective on <P, P^phi>.
+
+    phi^alpha sends x^alpha to (x^phi)^alpha.  ``target`` is P^alpha as a
+    sorted member tuple and ``images(phi.images)`` is the image key of
+    phi^alpha on it, the key ``Hom.push`` would give.  The moved domain and
+    its sort order are computed once, so each phi costs one tuple."""
+
+    __slots__ = ("target", "_order", "_map")
+
+    def __init__(self, alpha: Hom, P: Subgroup) -> None:
+        a = alpha._map
+        moved = [a[x] for x in P.members]
+        self._order = sorted(range(len(moved)), key=moved.__getitem__)
+        self.target = tuple([moved[i] for i in self._order])
+        self._map = a
+
+    def images(self, phi_images: Sequence[int]) -> tuple[int, ...]:
+        a = self._map
+        return tuple([a[phi_images[i]] for i in self._order])
+
+
 # -- classical operators ------------------------------------------------------
 
 

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import NotStronglyClosed, NotSylow, VerificationFailed
-from .fusion import (FusionSystem, conjugate_morphism, full_subcategory,
-                     generated_subsystem, realized_subsystem, subsystem_equal)
-from .groups import (Hom, Subgroup, center, centralizer, normalizer, p_part,
-                     subgroup_lattice)
+from .fusion import (FusionSystem, full_subcategory, generated_subsystem,
+                     realized_subsystem, subsystem_equal)
+from .groups import (Hom, Subgroup, Twist, center, centralizer, normalizer,
+                     p_part, subgroup_lattice)
 from .saturation import classify, is_conjugation_family, is_saturated
 
 
@@ -126,14 +126,11 @@ def _stability(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     subs = E.subgroups()
     by_members = {P.members: P for P in subs}
     for alpha in F.automorphisms(T):
-        a = dict(zip(T.members, alpha.images))
         for P in subs:
-            moved_dom = [a[x] for x in P.members]
-            target = tuple(sorted(moved_dom))
-            keys = E._keys_from(by_members[target])
+            twist = Twist(alpha, P)
+            keys = E._keys_from(by_members[twist.target])
             for phi in E.isos_from(P):
-                pairs = dict(zip(moved_dom, (a[y] for y in phi.images)))
-                if tuple(pairs[y] for y in target) not in keys:
+                if twist.images(phi.images) not in keys:
                     return {"kind": "unstable", "alpha": list(alpha.images),
                             "P": list(P.members), "phi": list(phi.images)}
     return None
@@ -153,8 +150,9 @@ def _aut_sets_normal(F: FusionSystem, E: FusionSystem, P: Subgroup) -> bool:
             if a.then(b).images not in keys_e:
                 return False
     for chi in F.automorphisms(P):
+        twist = Twist(chi, P)
         for a in aut_e:
-            if conjugate_morphism(a, chi).images not in keys_e:
+            if twist.images(a.images) not in keys_e:
                 return False
     return True
 
@@ -164,15 +162,16 @@ def _condition_f(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     T = E.support
     tset = T.member_set
     for Q in E.subgroups():
+        qset = Q.member_set
         for psi in F.isos_from(Q):
             if not set(psi.images) <= tset:
                 return {"kind": "leaves_T", "images": list(psi.images)}
             for P in subgroup_lattice(Q):
+                twist = Twist(psi, P)
                 for phi in E.isos_from(P):
-                    if not phi.image.member_set <= Q.member_set:
+                    if not qset.issuperset(phi.images):
                         continue
-                    moved = conjugate_morphism(phi, psi)
-                    if not E.contains_morphism(moved):
+                    if not E.contains_key(twist.target, twist.images(phi.images)):
                         return {"kind": "twist_escapes", "P": list(P.members),
                                 "phi": list(phi.images), "psi": list(psi.images)}
     return None
@@ -189,14 +188,15 @@ def _generation_identity(F: FusionSystem, E: FusionSystem) -> bool:
 
 def invariance_condition(F: FusionSystem, E: FusionSystem, which: str) -> bool:
     """Evaluate one of the six equivalent invariance conditions literally;
-    (b)-(e) share the stability test ``_stability``."""
+    (a) and (f) share ``_condition_f``, memoized in E's slot under F's
+    content key, and (b)-(e) share the stability test ``_stability``."""
     T = E.support
     if not is_strongly_closed(F, T):
         raise NotStronglyClosed(f"support of order {T.order} is not strongly closed")
-    if which == "f":
-        return _condition_f(F, E) is None
-    if which == "a":
-        return _condition_f(F, E) is None and _generation_identity(F, E)
+    if which in ("a", "f"):
+        holds = E.memo(E.pair_key("condition-f", F),
+                       lambda: _condition_f(F, E)) is None
+        return holds if which == "f" else holds and _generation_identity(F, E)
     if _stability(F, E) is not None:
         return False
     if which == "b":
@@ -344,7 +344,7 @@ def is_normal(F: FusionSystem, E: FusionSystem) -> NormalityReport:
     ``_condition_f`` evaluates (f) literally and serves as the oracle.
 
     Memoized in E's slot under F's content key, so it is computed once per
-    pair of contents; a report against F without a content key is not kept.
+    pair of contents.
     """
     return E.memo(E.pair_key("normality", F), lambda: _normality_report(F, E))
 

@@ -32,10 +32,11 @@ from .centralizers import (CentralizerData, a_circle, c_F_of, c_s_counterexample
                            hyperfocal_subgroup, r_star, r_star_counterexample,
                            weakly_closed_analysis, z_of)
 from .errors import FusionkitError
-from .fusion import (FusionSystem, Hom, close_morphisms, conjugate_morphism,
-                     fusion_of_group, inner_system, subsystem_contains)
-from .groups import (FiniteGroup, Subgroup, centralizer, derived_subgroup,
-                     normal_subgroups, subgroup_lattice, sylow_subgroup)
+from .fusion import (FusionSystem, Hom, close_morphisms, fusion_of_group,
+                     inner_system, subsystem_contains)
+from .groups import (FiniteGroup, Subgroup, Twist, centralizer,
+                     derived_subgroup, normal_subgroups, subgroup_lattice,
+                     sylow_subgroup)
 from .models import (Model, is_constrained, model_of, models_isomorphic_over_s,
                      normal_in_system, normal_model, script_G)
 from .products import (ProductReport, centralize_each_other,
@@ -287,17 +288,19 @@ def verify_easy_centralizer(F: FusionSystem, E: FusionSystem,
     for X in subgroup_lattice(CST):
         XT = F.universe.generated_subgroup(X.members + T.members)
         C_X = centralizer_subsystem(F, X)
+        inside = [(P, [(beta, C_X.contains_morphism(beta))
+                       for beta in E.isos_from(P)]) for P in E.subgroups()]
         for phi in F.isos_from(XT):
             Xphi = phi.subgroup_image(X)
             if not Xphi.member_set <= CST.member_set:
                 return {"clause": "a", "X": _sub(X), "phi": list(phi.images),
                         "kind": "image leaves C_S(T)"}
             C_Xphi = centralizer_subsystem(F, Xphi)
-            for P in E.subgroups():
-                for beta in E.isos_from(P):
-                    lhs = C_X.contains_morphism(beta)
-                    moved = conjugate_morphism(beta, phi)
-                    rhs = C_Xphi.contains_morphism(moved)
+            for P, betas in inside:
+                twist = Twist(phi, P)
+                for beta, lhs in betas:
+                    rhs = C_Xphi.contains_key(twist.target,
+                                              twist.images(beta.images))
                     if lhs != rhs:
                         return {"clause": "a", "X": _sub(X), "P": _sub(P),
                                 "beta": list(beta.images), "phi": list(phi.images)}
@@ -669,10 +672,9 @@ def _check_finvariant(ctx: EntryContext) -> Optional[dict]:
         candidates.append(inner_system(F, E.support))
     seen = set()
     for E in candidates:
-        key = E.content_key or E   # realized candidates dedupe by content
-        if key in seen:
+        if E.content_key in seen:
             continue
-        seen.add(key)
+        seen.add(E.content_key)
         bad = verify_finvariant_equiv(F, E)
         if bad is not None:
             return bad

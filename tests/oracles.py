@@ -2,7 +2,8 @@
 the member-level forms of the group kernel (closure, normalizer,
 centralizer, normality, automizers, iso-sets, extension groups, normal
 subgroups) that the package computes on generating sets, the exhaustive
-fusion-axiom audit, the literal subsystem transports, the greedy
+fusion-axiom audit, the literal morphism and subsystem transports
+(``conjugate_morphism`` is the Hom form of ``groups.Twist``), the greedy
 automorphism generating sets of the persisted records, and the direct
 product F1 x F2 with the product structure theorem behind
 ``products._induced_by_some_pair``.  No package code path calls any of it."""
@@ -13,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from fusionkit.errors import CapExceeded, VerificationFailed
+from fusionkit.errors import CapExceeded, DomainMismatch, VerificationFailed
 from fusionkit.fusion import FusionSystem, close_morphisms, transport_isos
 from fusionkit.groups import (FiniteGroup, Hom, Subgroup, active_caps,
                               as_group, maximal_subgroups, subgroup_lattice)
@@ -203,6 +204,16 @@ def generated_fusion_system(support: Subgroup, p: int,
     explicit = close_morphisms(support, [h.cores() for h in generators])
     return FusionSystem(support, p, explicit=explicit,
                         name=name or f"gen_{support.order}")
+
+
+def conjugate_morphism(phi: Hom, alpha: Hom) -> Optional[Hom]:
+    """phi^alpha = (alpha|_P)^-1 . phi . alpha on P^alpha: the map
+    x^alpha -> (x^phi)^alpha, corestricted onto its image.  None when phi
+    or alpha is not injective on <P, P^phi> (``Hom.push``)."""
+    dom = phi.domain.member_set | set(phi.images)
+    if not dom <= alpha.domain.member_set:
+        raise DomainMismatch("alpha is not defined on <P, P^phi>")
+    return phi.push(alpha)
 
 
 def conjugate_subsystem(E: FusionSystem, alpha: Hom) -> FusionSystem:

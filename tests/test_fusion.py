@@ -8,20 +8,20 @@ from hypothesis import given, settings, strategies as st
 from fusionkit.corpus import builtin_group
 from fusionkit.errors import (DomainMismatch, MorphismOutsideSupport,
                               NotAGroup, NotSylow)
-from fusionkit.fusion import (MorphismGroup, conjugate_morphism,
-                              full_subcategory, fusion_of_group,
-                              generated_subsystem, inner_system,
-                              realized_subsystem, subsystem_contains,
-                              subsystem_equal)
-from fusionkit.groups import (Hom, center, group_from_permutations,
+from fusionkit.fusion import (MorphismGroup, full_subcategory,
+                              fusion_of_group, generated_subsystem,
+                              inner_system, realized_subsystem,
+                              subsystem_contains, subsystem_equal)
+from fusionkit.groups import (Hom, Twist, center, group_from_permutations,
                               normal_subgroups, normalizer, o_p, o_upper_p,
                               sylow_subgroup)
 from fusionkit.saturation import classify, is_saturated
-from fusionkit.subsystems import (is_normal, normal_subsystem_in,
-                                  normalizer_subsystem)
+from fusionkit.subsystems import (centralizer_subsystem, is_normal,
+                                  normal_subsystem_in, normalizer_subsystem)
 from fusionkit import subsystems
 from fusionkit.verify import inner_only_shadow, with_added_iso, with_removed_iso
-from oracles import conjugate_subsystem, validate_fusion_system
+from oracles import (conjugate_morphism, conjugate_subsystem,
+                     validate_fusion_system)
 
 
 def order3_autos(F, V):
@@ -255,15 +255,29 @@ def s4_mutants(F):
 
 
 class TestContentRegistry:
-    def test_content_key_only_for_witness_only_systems(self, F_s4, E_a4):
+    def test_explicit_keys_never_meet_realized_or_other_tables(self, F_s4, E_a4):
         assert F_s4.content_key == (F_s4.support.members,
                                     F_s4.witness.members)
         assert E_a4.content_key == (E_a4.support.members,
                                     E_a4.witness.members)
         gen = generated_subsystem(F_s4, E_a4.support, [])
-        assert gen.content_key is None
-        for M in s4_mutants(F_s4).values():
-            assert M.witness is not None and M.content_key is None
+        again = generated_subsystem(F_s4, E_a4.support, [])
+        assert gen is not again and gen.content_key == again.content_key
+        assert hash(gen.content_key) == hash(again.content_key)
+        assert gen._cache is again._cache
+        # the same hom-sets as F, yet an explicit key never equals a realized one
+        full = full_subcategory(F_s4, F_s4.support)
+        assert subsystem_equal(full, F_s4)
+        assert full.content_key != F_s4.content_key
+        assert F_s4.content_key != full.content_key
+        assert gen.content_key != E_a4.content_key
+        mutants = s4_mutants(F_s4)
+        for M in mutants.values():
+            assert M.witness is not None
+            assert M.content_key != F_s4.content_key
+            assert M.content_key != full.content_key
+        keys = [M.content_key for M in mutants.values()]
+        assert all(a != b for i, a in enumerate(keys) for b in keys[i + 1:])
 
     def test_equal_content_shares_one_slot(self, F_s4, A4, V4):
         E1 = realized_subsystem(F_s4, A4, V4)
@@ -292,6 +306,17 @@ class TestContentRegistry:
         assert classify(E2) is classify(E1)
         assert is_saturated(E2) is is_saturated(E1)
         assert is_normal(F, E2) is is_normal(F, E1)
+        assert len(calls) == 1
+
+    def test_memo_keeps_a_none_result(self):
+        F = fresh_s4_system()
+        calls = []
+
+        def compute():
+            calls.append(1)     # returns None
+
+        assert F.memo(("probe",), compute) is None
+        assert F.memo(("probe",), compute) is None
         assert len(calls) == 1
 
     def test_registry_is_per_top(self, F_s4, A4, V4):
@@ -336,7 +361,7 @@ class TestContentRegistry:
         order3 = next(i for i, h in enumerate(honest_isos)
                       if all(h(x) != x for x in V.members if x))
         M = with_removed_iso(E, V, order3, keep_witness=True)
-        assert M.ambient is F and M.content_key is None
+        assert M.ambient is F and M.content_key != E.content_key
         assert M._cache is not E._cache
         assert len(M.isos_from(V)) == len(honest_isos) - 1
         with pytest.raises(NotAGroup):
@@ -350,7 +375,7 @@ class TestContentRegistry:
         honest = realized_subsystem(F_s4, A4, V4)
         assert E.content_key == honest.content_key
         assert E._cache is not honest._cache
-        assert E.pair_key("normality", shadow) is None
+        assert shadow.content_key != F_s4.content_key
 
     def test_normality_against_mutants_is_never_shared(self, F_s4, E_a4):
         assert is_normal(F_s4, E_a4).normal
@@ -361,6 +386,32 @@ class TestContentRegistry:
         for key, M in mutants.items():
             fresh = subsystems._normality_report(M, E_a4)
             assert reports[key].to_json() == fresh.to_json()
+
+    def test_two_mutant_tops_never_read_each_others_pair_memo(self):
+        """Two mutant tops over one universe, each the first explicit
+        system of its own registry, memoize their normality reports in one
+        honest E's slot; each reads back its own report, in either order."""
+        def setting():
+            F = fresh_s4_system()
+            E = normal_subsystem_in(F, o_upper_p(F.universe.full_subgroup, 2))
+            return F, E, lambda i: with_removed_iso(F, E.support, i,
+                                                    keep_witness=True)
+        F, E, removed = setting()
+        normal = [subsystems._normality_report(removed(i), E).normal
+                  for i in range(len(F.isos_from(E.support)))]
+        pair = (normal.index(False), normal.index(True))
+        for order in (pair, pair[::-1]):
+            F, E, removed = setting()
+            tops = [removed(i) for i in order]
+            assert all(M.top() is M for M in tops)
+            assert E.pair_key("normality", tops[0]) != \
+                E.pair_key("normality", tops[1])
+            reports = [is_normal(M, E) for M in tops]
+            assert [r.normal for r in reports] == [normal[i] for i in order]
+            for M, report in zip(tops, reports):
+                assert is_normal(M, E) is report
+                assert report.to_json() == \
+                    subsystems._normality_report(M, E).to_json()
 
 
 @st.composite
@@ -380,8 +431,9 @@ def perm_groups(draw):
 @given(st.data())
 def test_shared_results_match_a_fresh_registry(data):
     """Over groups generated by two permutations of degree <= 5, the
-    results shared by separately built copies of a system are those of a
-    freshly built system with an empty registry."""
+    results shared by separately built copies of a system, realized or
+    generated, are those of a freshly built system with an empty
+    registry."""
     G, p = data.draw(perm_groups())
     S = sylow_subgroup(G.full_subgroup, p)
     F = fusion_of_group(G, S, p)
@@ -394,11 +446,60 @@ def test_shared_results_match_a_fresh_registry(data):
         E = realized_subsystem(F, N, S.meet(N))
         local = realized_subsystem(F, normalizer(G.full_subgroup, Q),
                                    normalizer(S, Q))
-        shared.append((is_saturated(E), is_normal(F, E), is_saturated(local)))
+        gen = generated_subsystem(F, S, F.automorphisms(S))
+        shared.append((is_saturated(E), is_normal(F, E), is_saturated(local),
+                       is_saturated(gen), is_normal(F, gen)))
     assert all(a is b for a, b in zip(shared[0], shared[1]))
     F0 = fusion_of_group(G, S, p)
     E0 = realized_subsystem(F0, N, S.meet(N))
-    sat, report, local_sat = shared[0]
+    sat, report, local_sat, gen_sat, gen_report = shared[0]
     assert sat == is_saturated(E0)
     assert report.to_json() == is_normal(F0, E0).to_json()
     assert local_sat == is_saturated(normalizer_subsystem(F0, Q))
+    gen0 = generated_subsystem(F0, S, F0.automorphisms(S))
+    assert gen_sat == is_saturated(gen0)
+    assert gen_report.to_json() == is_normal(F0, gen0).to_json()
+
+
+def twist_outcomes(F, E):
+    """Check ``Twist`` and ``contains_key`` against ``conjugate_morphism``
+    and ``contains_morphism`` for every alpha in Aut_F(T) and every
+    morphism phi of E, judged by E, F, the inner system of T and C_F(T);
+    returns the set of membership answers seen."""
+    T = E.support
+    judges = (E, F, inner_system(F, T), centralizer_subsystem(F, T))
+    seen = set()
+    for alpha in F.automorphisms(T):
+        for P in E.subgroups():
+            twist = Twist(alpha, P)
+            for phi in E.isos_from(P):
+                moved = conjugate_morphism(phi, alpha)
+                key = twist.images(phi.images)
+                assert twist.target == moved.domain.members
+                assert key == moved.images
+                for D in judges:
+                    inside = D.contains_key(twist.target, key)
+                    assert inside == D.contains_morphism(moved)
+                    seen.add(inside)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["s4", "d8xc2", "gl23"])
+def test_key_level_twist_matches_the_hom_form(name):
+    G = builtin_group(name)
+    S = sylow_subgroup(G.full_subgroup, 2)
+    F = fusion_of_group(G, S, 2)
+    seen = set()
+    for N in normal_subgroups(G.full_subgroup):
+        seen |= twist_outcomes(F, realized_subsystem(F, N, S.meet(N)))
+    assert seen == {True, False}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data())
+def test_key_level_twist_matches_the_hom_form_on_generated_groups(data):
+    G, p = data.draw(perm_groups())
+    S = sylow_subgroup(G.full_subgroup, p)
+    F = fusion_of_group(G, S, p)
+    N = data.draw(st.sampled_from(normal_subgroups(G.full_subgroup)))
+    assert twist_outcomes(F, realized_subsystem(F, N, S.meet(N)))

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from fusionkit.corpus import CORPUS_ENTRIES, builtin_group
 from fusionkit.errors import CapExceeded, NotAGroup, NotNormal, ParseError
-from fusionkit.fusion import conjugate_morphism, fusion_of_group
+from fusionkit.fusion import fusion_of_group
 from fusionkit.groups import (FiniteGroup, Hom, Subgroup, active_caps,
                               as_group, center, centralizer, derived_subgroup,
                               group_from_permutations, group_from_table,
@@ -17,7 +17,8 @@ from fusionkit.groups import (FiniteGroup, Hom, Subgroup, active_caps,
                               normal_subgroups, o_p, o_p_prime, o_upper_p,
                               p_part, quotient, subgroup_lattice,
                               sylow_subgroup)
-from oracles import product_group, subgroup_lattice_bruteforce
+from oracles import (conjugate_morphism, product_group,
+                     subgroup_lattice_bruteforce)
 
 
 def brute_centralizer(G, H):

@@ -10,13 +10,14 @@ from fusionkit.fusion import fusion_of_group, inner_system, subsystem_equal
 from fusionkit.groups import (Hom, Subgroup, active_caps, center,
                               group_from_permutations, normal_subgroups,
                               subgroup_lattice, sylow_subgroup)
-from fusionkit.products import (central_product_subsystem,
+from fusionkit.products import (_star_product, central_product_subsystem,
                                 centralize_each_other, is_central_product,
                                 radical_intersect_failure,
                                 verify_product_theorems,
                                 zcentralize_witnesses)
-from fusionkit.saturation import is_saturated
+from fusionkit.saturation import classify, is_saturated
 from fusionkit.subsystems import normal_subsystem_in
+from fusionkit.verify import EntryContext
 from oracles import (direct_product, direct_product_structure_ok,
                      transported_system)
 
@@ -176,6 +177,17 @@ class TestCentralProduct:
     def test_not_centralizing_rejected(self, F_s4, E_a4):
         with pytest.raises(NotCentralizing):
             central_product_subsystem(F_s4, E_a4, E_a4)
+
+    def test_star_products_in_either_order_share_derived_data(self, s4xc2):
+        ctx = EntryContext("s4xc2@2", s4xc2, 2)
+        E1, E2 = next((A, B) for A, B in ctx.commuting_pairs
+                      if A.support != B.support)
+        D12 = _star_product(ctx.F, E1, E2)
+        D21 = _star_product(ctx.F, E2, E1)
+        assert D12 is not D21 and D12.name != D21.name
+        assert D12.content_key == D21.content_key
+        assert is_saturated(D21) is is_saturated(D12)
+        assert classify(D21) is classify(D12)
 
     def test_inner_only_candidate_is_not_a_central_product(self, F_q8c4, q8c4):
         # strip the non-inner morphisms at the top level: surjectivity of the

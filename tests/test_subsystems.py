@@ -5,13 +5,14 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
+from fusionkit import subsystems
 from fusionkit.corpus import builtin_group, corpus_entries
 from fusionkit.errors import NotStronglyClosed
 from fusionkit.fusion import (fusion_of_group, generated_subsystem,
                               inner_system, realized_subsystem,
                               subsystem_equal)
 from fusionkit.groups import (Hom, center, centralizer, normal_subgroups,
-                              subgroup_lattice, sylow_subgroup)
+                              o_upper_p, subgroup_lattice, sylow_subgroup)
 from fusionkit.subsystems import (_condition_f, _stability,
                                   centralizer_subsystem,
                                   centralizer_subsystem_by_extension,
@@ -20,6 +21,7 @@ from fusionkit.subsystems import (_condition_f, _stability,
                                   is_strongly_closed, is_weakly_closed,
                                   normal_subsystem_in, normalizer_subsystem,
                                   normalizer_subsystem_by_extension)
+from fusionkit.verify import verify_finvariant_equiv
 from oracles import conjugate_subsystem, validate_fusion_system
 from test_fusion import perm_groups
 
@@ -118,6 +120,26 @@ class TestInvariance:
         ES = inner_system(F_s4, F_s4.support)
         for w in "abcdef":
             assert not invariance_condition(F_s4, ES, w)
+
+    def test_condition_f_runs_once_per_pair(self, monkeypatch):
+        """Conditions (a) and (f) share one evaluation of the literal
+        condition (f), and its passing result, None, is memoized too."""
+        calls = []
+        real = subsystems._condition_f
+
+        def counted(F, E):
+            calls.append(E.content_key)
+            return real(F, E)
+
+        monkeypatch.setattr(subsystems, "_condition_f", counted)
+        g = builtin_group("s4")
+        F = fusion_of_group(g, sylow_subgroup(g.full_subgroup, 2), 2)
+        E = normal_subsystem_in(F, o_upper_p(g.full_subgroup, 2))
+        assert verify_finvariant_equiv(F, E) is None
+        assert len(calls) == 1
+        assert E._cache[E.pair_key("condition-f", F)] is None
+        assert verify_finvariant_equiv(F, E) is None
+        assert len(calls) == 1
 
     def test_requires_strongly_closed_support(self, F_s4):
         Z = center(F_s4.support)

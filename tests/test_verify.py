@@ -6,10 +6,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
-from fusionkit import verify as verify_mod
+from fusionkit import saturation, verify as verify_mod
 from fusionkit.centralizers import (compute_centralizer_data,
                                     contained_in_centralizer)
 from fusionkit.corpus import builtin_group
@@ -122,6 +123,23 @@ class TestSuiteRuns:
         assert rep["checks"][0] == {"id": "saturation", "status": "pass"}
         with_t = suite_report("s4@2", 2, res, timings=True)
         assert "millis" in with_t["checks"][0]
+
+    def test_each_content_is_saturated_once_per_top(self, monkeypatch):
+        """Equal generated, local and product systems share one slot, so
+        the suite saturates each content once under each top."""
+        counts: Counter = Counter()
+        tops = []                       # held, so no top's id is reused
+        real = saturation._saturation_report
+
+        def counted(F):
+            tops.append(F.top())
+            counts[(id(F.top()), F.content_key)] += 1
+            return real(F)
+
+        monkeypatch.setattr(saturation, "_saturation_report", counted)
+        results = run_suite("d8xc2@2", builtin_group("d8xc2"), 2)
+        assert all(r.passed for r in results)
+        assert counts and max(counts.values()) == 1
 
     def test_determinism_two_runs_identical(self, s4):
         ids = ["saturation", "MainCSE.a", "FocProp", "Coincide",
