@@ -308,17 +308,6 @@ class TestContentRegistry:
         assert is_normal(F, E2) is is_normal(F, E1)
         assert len(calls) == 1
 
-    def test_memo_keeps_a_none_result(self):
-        F = fresh_s4_system()
-        calls = []
-
-        def compute():
-            calls.append(1)     # returns None
-
-        assert F.memo(("probe",), compute) is None
-        assert F.memo(("probe",), compute) is None
-        assert len(calls) == 1
-
     def test_registry_is_per_top(self, F_s4, A4, V4):
         F = fresh_s4_system()
         assert F._registry is not F_s4._registry
