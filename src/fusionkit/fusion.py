@@ -25,6 +25,16 @@ Conjugated morphisms are tested on keys: ``groups.Twist`` pushes the image
 key of a morphism through an automorphism, and
 ``FusionSystem.contains_key`` is ``contains_morphism`` on the pushed key,
 so no Hom is built per test.
+
+Closure and composition run on keys too.  ``close_morphisms`` keeps each
+map as its domain's lattice position and its image tuple, composes through
+the positions of the images in the codomain (``groups.picker``) and
+restricts through the covering relation of the lattice
+(``groups.lattice_covers``, computed once per lattice).  It records for
+each map the smallest witness over all its derivations, so the table, and
+with it the content key, does not depend on the order of the seeds, and
+it builds one Hom per morphism it returns.  The Hom form of the closure is
+``close_morphisms_literal`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -35,8 +45,8 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (DomainMismatch, MorphismOutsideSupport, NotAGroup,
                      NotSylow)
-from .groups import (FiniteGroup, Hom, Subgroup, maximal_subgroups, p_part,
-                     subgroup_lattice)
+from .groups import (FiniteGroup, Hom, Subgroup, lattice_covers, p_part,
+                     picker, subgroup_lattice)
 
 
 class FusionSystem:
@@ -163,7 +173,7 @@ class FusionSystem:
         a caller needing one witness stops at the first."""
         if not phi.domain.member_set <= U.member_set:
             raise DomainMismatch("phi is not defined inside U")
-        at = {x: i for i, x in enumerate(U.members)}
+        at = U.positions
         pairs = [(at[x], y) for x, y in zip(phi.domain.members, phi.images)]
         for psi in self.isos_from(U):
             imgs = psi.images
@@ -333,6 +343,11 @@ def inner_system(F: FusionSystem, P: Subgroup) -> FusionSystem:
 # -- generated subsystems ----------------------------------------------------------
 
 
+# A map of ``close_morphisms``: codomain position, the positions of the
+# images in the codomain, and their picker.
+_Arrow = tuple[int, tuple[int, ...], Callable]
+
+
 def close_morphisms(support: Subgroup, seeds: Iterable[Hom],
                     ) -> dict[tuple[int, ...], tuple[Hom, ...]]:
     """Fixed-point closure over ``support``: inner maps of the support plus
@@ -341,45 +356,95 @@ def close_morphisms(support: Subgroup, seeds: Iterable[Hom],
     The fusion-system axioms do not force inverses of isomorphisms, so no
     inverses are added.  Termination: all sets are subsets of the finite set
     of injections between subgroups of the support.
+
+    The worklist runs on keys, never on Hom objects.  A map is its domain's
+    lattice position and its image tuple; it carries its codomain's
+    position and the ``picker`` of the positions of its images in that
+    codomain, computed once.  That picker composes in both directions: it
+    turns the key of a map g from the codomain into the key of h then g,
+    and the picker of g into the picker of the composite.  Restriction to
+    the maximal subgroups goes through ``lattice_covers``.  A seed whose
+    domain or image, or a restriction whose image, is not a subgroup of
+    the support raises ``MorphismOutsideSupport``.
+
+    Witness: the smallest witness over all derivations of a map, that is
+    over the seeds equal to it (c_r has witness r) and the restrictions to
+    it of maps with a witness (a composite has none), or None when no
+    derivation has one.  It does not depend on the order of the seeds.
+    One pass over the domains in descending order settles it, since every
+    restriction comes from a larger domain.  One Hom is built per member of
+    the final table, on the lattice's Subgroup objects.
     """
     subs = subgroup_lattice(support)
-    registry: dict[tuple[int, ...], dict[tuple, Hom]] = {P.members: {} for P in subs}
-    by_image: dict[tuple[int, ...], list[Hom]] = {P.members: [] for P in subs}
-    maxsubs: dict[tuple[int, ...], tuple[Subgroup, ...]] = {}
-    for P in subs:
-        inside = [K for K in subs if K.member_set <= P.member_set]
-        maxsubs[P.members] = maximal_subgroups(P, inside)
-    work: deque[Hom] = deque()
+    covers = lattice_covers(support)
+    index = {P.members: i for i, P in enumerate(subs)}
+    # A map h is (domain position i, image key); it carries its codomain
+    # position c and the positions ``pos`` of its images in the codomain,
+    # with their picker.  ``tables`` is by domain, ``into`` by codomain.
+    tables: list[dict[tuple[int, ...], _Arrow]] = [{} for _ in subs]
+    into: list[list[tuple[int, tuple[int, ...], _Arrow]]] = [[] for _ in subs]
+    witness: dict[tuple[int, tuple[int, ...]], int] = {}
+    work: deque[tuple[int, tuple[int, ...], _Arrow]] = deque()
 
-    def add(h: Hom) -> None:
-        slot = registry.get(h.domain.members)
-        if slot is None:
-            raise MorphismOutsideSupport("morphism domain leaves the support")
-        if h.codomain.members not in registry:
+    def add(i: int, images: tuple[int, ...], c: int,
+            pos: tuple[int, ...]) -> None:
+        arrow = (c, pos, picker(pos))
+        tables[i][images] = arrow
+        into[c].append((i, images, arrow))
+        work.append((i, images, arrow))
+
+    def add_new(i: int, images: tuple[int, ...], image: tuple[int, ...]) -> None:
+        c = index.get(image)
+        if c is None:
             raise MorphismOutsideSupport("morphism image leaves the support")
-        key = h.images
-        old = slot.get(key)
-        if old is None:
-            slot[key] = h
-            by_image[h.codomain.members].append(h)
-            work.append(h)
-        elif (old.witness is None and h.witness is not None):
-            slot[key] = h  # same map, better provenance
+        at = subs[c].positions
+        add(i, images, c, tuple([at[y] for y in images]))
 
+    def seed(i: int, images: tuple[int, ...], w: Optional[int]) -> None:
+        if images not in tables[i]:
+            add_new(i, images, tuple(sorted(set(images))))
+        if w is not None and w < witness.get((i, images), w + 1):
+            witness[i, images] = w
+
+    conj = support.parent.conj
     for r in support.members:
-        add(Hom.conjugation(support, r))
+        seed(0, tuple([conj(x, r) for x in support.members]), r)
     for h in seeds:
-        add(h.cores())
+        i = index.get(h.domain.members)
+        if i is None:
+            raise MorphismOutsideSupport("morphism domain leaves the support")
+        seed(i, h.images, h.witness)
     while work:
-        h = work.popleft()
-        for M in maxsubs[h.domain.members]:
-            add(h.restrict_cores(M))
-        for g in list(registry[h.codomain.members].values()):
-            add(h.then(g))
-        for f in list(by_image[h.domain.members]):
-            add(f.then(h))
-    return {mem: tuple(sorted(slot.values(), key=Hom.sort_key))
-            for mem, slot in registry.items()}
+        i, images, (c, pos, pick) = work.popleft()
+        for m, restrict in covers[i]:
+            r = restrict(images)
+            if r not in tables[m]:
+                add_new(m, r, tuple(sorted(r)))
+        slot = tables[i]
+        for g, (d, g_pos, _) in list(tables[c].items()):   # h then g
+            composite = pick(g)
+            if composite not in slot:
+                add(i, composite, d, pick(g_pos))
+        for j, _, (_, _, f_pick) in list(into[i]):          # f then h
+            composite = f_pick(images)
+            if composite not in tables[j]:
+                add(j, composite, c, f_pick(pos))
+    for i in range(len(subs)):
+        for images in tables[i]:
+            w = witness.get((i, images))
+            if w is None:
+                continue
+            for m, restrict in covers[i]:
+                key = (m, restrict(images))
+                if w < witness.get(key, w + 1):
+                    witness[key] = w
+    out = {}
+    for i, P in enumerate(subs):
+        rows = sorted((c, images) for images, (c, _, _) in tables[i].items())
+        out[P.members] = tuple(Hom(P, subs[c], images,
+                                   witness=witness.get((i, images)), check=False)
+                               for c, images in rows)
+    return out
 
 
 def generated_subsystem(F: FusionSystem, R: Subgroup,

@@ -14,13 +14,19 @@ equivalences need H to be a subgroup, so callers pass subgroups, never the
 unchecked point sets of ``Hom.from_pairs``.  ``normal_subgroups`` computes
 one orbit per conjugacy class.  The member-level forms are the oracles in
 ``tests/oracles.py``.
+
+Maps are often handled as image keys: ``Subgroup.positions`` places each
+member, ``picker`` reads a key off at given positions (restriction, or
+composition through the positions of a map's images), and
+``lattice_covers`` gives each lattice member its maximal subgroups with
+their restriction pickers, from the covering relation in one pass.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import CapExceeded, NotAGroup, NotNormal, ParseError
 
@@ -324,6 +330,15 @@ class Subgroup:
             gens = tuple(self.parent._dimino(self.members)[1])
             object.__setattr__(self, "_generators", gens)
         return gens
+
+    @property
+    def positions(self) -> dict[int, int]:
+        """Each member's position in ``members``, cached on the subgroup."""
+        at = self.__dict__.get("_positions")
+        if at is None:
+            at = {x: i for i, x in enumerate(self.members)}
+            object.__setattr__(self, "_positions", at)
+        return at
 
     def __le__(self, other: "Subgroup") -> bool:
         return self.member_set <= other.member_set
@@ -813,16 +828,67 @@ def normal_subgroups(ambient: Subgroup) -> tuple[Subgroup, ...]:
     return out
 
 
-def maximal_subgroups(H: Subgroup, subs_of: Optional[Sequence[Subgroup]] = None) -> tuple[Subgroup, ...]:
-    """Maximal proper subgroups of H (within a precomputed lattice if given)."""
-    lattice = subs_of if subs_of is not None else subgroup_lattice(H)
-    proper = [K for K in lattice if K.order < H.order and K.member_set <= H.member_set]
-    out = []
-    for K in proper:
-        if not any(K < L and L.member_set <= H.member_set and L.order < H.order
-                   for L in proper):
-            out.append(K)
-    return tuple(sorted(out, key=Subgroup.sort_key))
+def picker(pos: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """t -> (t[pos[0]], t[pos[1]], ...), a tuple even for one position.
+
+    With ``pos`` the positions of the members of Q in the members of P, it
+    restricts an image key given on P to Q; with ``pos`` the positions of
+    the images of a map h in its codomain, it turns the image key of a map
+    g from that codomain into the key of h then g."""
+    if len(pos) == 1:
+        j = pos[0]
+        return lambda t: (t[j],)
+    return itemgetter(*pos)
+
+
+def lattice_covers(H: Subgroup) -> tuple[tuple[tuple[int, Callable], ...], ...]:
+    """The covering relation of ``subgroup_lattice(H)``, by lattice position:
+    entry i holds a pair (j, restrict) for each maximal subgroup M =
+    lattice[j] of P = lattice[i], in lattice order, where ``restrict`` is
+    the ``picker`` of the positions of M.members in P.members.  Cached per
+    lattice.
+
+    One pass from the smallest member up keeps, per member, the bit mask of
+    the members strictly below it (K <= P iff gens(K) <= P); M is maximal
+    in P iff it is strictly below P and strictly below no member strictly
+    below P."""
+    cap = active_caps.lattice
+    G = H.parent
+    key = ("covers", H.members, cap)
+    cached = G._cache.get(key)
+    if cached is not None:
+        return cached
+    subs = subgroup_lattice(H)
+    n = len(subs)
+    below = [0] * n
+    out: list[tuple[tuple[int, Callable], ...]] = [()] * n
+    for i in range(n - 1, -1, -1):        # smaller members come later
+        P = subs[i]
+        pset, order = P.member_set, P.order
+        mask = 0
+        for j in range(i + 1, n):
+            K = subs[j]
+            if (K.order < order and order % K.order == 0
+                    and pset.issuperset(K.generators)):
+                mask |= 1 << j
+        below[i] = mask
+        under = 0
+        for j in _bits(mask):
+            under |= below[j]
+        at = P.positions
+        out[i] = tuple((j, picker([at[x] for x in subs[j].members]))
+                       for j in _bits(mask & ~under))
+    got = tuple(out)
+    G._cache[key] = got
+    return got
+
+
+def _bits(mask: int) -> Iterable[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # -- permutation input ---------------------------------------------------------

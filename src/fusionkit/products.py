@@ -1,6 +1,16 @@
 """Products of normal subsystems: the centralize-each-other predicate, the
-central product F1*F2 and its definition checked literally, and the
-verification bundle for the product theorems."""
+central product F1*F2 and its definition, and the verification bundle for
+the product theorems.
+
+F1*F2 is the subsystem of F over S1 S2 generated by ``star_generators``:
+the morphisms psi on P1 P2 whose restrictions to P1 and P2 lie in the
+factors, read off psi's image key through positions.
+``is_central_product`` checks every clause of the definition on image
+keys: each pair (phi1, phi2) is pushed once through the multiplication
+map, and surjectivity compares, per subgroup of S1 S2, the keys of D with
+the restrictions of the pushes (the docstring gives the equivalence with
+the literal clause).  The Hom forms, ``star_generators_literal`` and
+``is_central_product_literal``, are in ``tests/oracles.py``."""
 
 from __future__ import annotations
 
@@ -10,7 +20,7 @@ from typing import Optional, Sequence
 from .centralizers import z_of
 from .errors import NotCentralizing, VerificationFailed
 from .fusion import FusionSystem, generated_subsystem, subsystem_contains
-from .groups import Hom, Subgroup, subgroup_lattice
+from .groups import Hom, Subgroup, picker
 from .saturation import classify, is_saturated
 from .subsystems import centralizer_subsystem, extension_witness, is_normal
 
@@ -27,7 +37,9 @@ def centralize_each_other(F: FusionSystem, F1: FusionSystem,
 
 def star_generators(F: FusionSystem, F1: FusionSystem,
                     F2: FusionSystem) -> list[Hom]:
-    """Morphisms on P1 P2 landing in S1 S2 whose restrictions lie in the factors."""
+    """Morphisms on P1 P2 landing in S1 S2 whose restrictions lie in the
+    factors; psi|_{P1} and psi|_{P2} are read off psi's image key through
+    the positions of P1 and P2 in P = <P1, P2>."""
     T = F.universe.generated_subgroup(F1.support.members + F2.support.members)
     tset = T.member_set
     gens: list[Hom] = []
@@ -35,12 +47,15 @@ def star_generators(F: FusionSystem, F1: FusionSystem,
     for P1 in F1.subgroups():
         for P2 in F2.subgroups():
             P = F.universe.generated_subgroup(P1.members + P2.members)
+            at = P.positions
+            to_p1 = picker([at[x] for x in P1.members])
+            to_p2 = picker([at[x] for x in P2.members])
             for psi in F.isos_from(P):
-                if not set(psi.images) <= tset:
+                if not tset.issuperset(psi.images):
                     continue
-                if psi.restrict_cores(P1).images not in F1._keys_from(P1):
+                if to_p1(psi.images) not in F1._keys_from(P1):
                     continue
-                if psi.restrict_cores(P2).images not in F2._keys_from(P2):
+                if to_p2(psi.images) not in F2._keys_from(P2):
                     continue
                 key = (P.members, psi.images)
                 if key not in seen:
@@ -71,61 +86,29 @@ def central_product_subsystem(F: FusionSystem, F1: FusionSystem,
     return D
 
 
-def _push_product_pair(D: FusionSystem, phi1: Hom, phi2: Hom) -> Optional[Hom]:
-    """Image of phi1 x phi2 under the multiplication map, or None when the
-    pushed map is ill-defined or non-injective."""
-    mul = D.universe._mul
-    return Hom.from_pairs(D.universe,
-                          ((mul[x1][x2], mul[y1][y2])
-                           for x1, y1 in zip(phi1.domain.members, phi1.images)
-                           for x2, y2 in zip(phi2.domain.members, phi2.images)))
-
-
-def _induced_by_some_pair(D: FusionSystem, F1: FusionSystem, F2: FusionSystem,
-                          psi: Hom) -> bool:
-    """Is psi the multiplication-map image of some (phi1 x phi2) restriction?
-
-    Every product-system morphism is such a restriction, so the image
-    hom-sets come down to pairs (phi1, phi2) together with the largest
-    compatible preimage: {(x1,x2) : x1 x2 in dom(psi), psi(x1 x2) =
-    phi1(x1) phi2(x2)} is a subgroup, and psi is induced exactly when its
-    multiplication image covers dom(psi)."""
-    G = D.universe
-    mul, inv = G._mul, G._inv
-    Pp = psi.domain
-    s2set = F2.support.member_set
-    cand1 = tuple(sorted(x1 for x1 in F1.support.members
-                         if any(mul[inv[x1]][p] in s2set for p in Pp.members)))
-    P1max = Subgroup(G, cand1, check=False)
-    s1set = F1.support.member_set
-    cand2 = tuple(sorted(x2 for x2 in F2.support.members
-                         if any(mul[p][inv[x2]] in s1set for p in Pp.members)))
-    P2max = Subgroup(G, cand2, check=False)
-    pset = Pp.member_set
-    for P1 in subgroup_lattice(P1max):
-        for phi1 in F1.isos_from(P1):
-            for P2 in subgroup_lattice(P2max):
-                for phi2 in F2.isos_from(P2):
-                    covered = set()
-                    for x1 in P1.members:
-                        fx1 = phi1(x1)
-                        for x2 in P2.members:
-                            t = mul[x1][x2]
-                            if t in pset and psi(t) == mul[fx1][phi2(x2)]:
-                                covered.add(t)
-                    if pset <= covered:
-                        return True
-    return False
-
-
 def is_central_product(D: FusionSystem, F1: FusionSystem,
                        F2: FusionSystem) -> bool:
-    """The clauses of the definition, checked literally for the
-    multiplication map: central intersection, the map induces a functor
-    from F1 x F2 into D (on pairs, via the product structure theorem),
-    the functor is surjective on every hom-set of D, and it carries the
-    canonical factor images onto F1 and F2 (automatic for multiplication,
-    still asserted through the factor containments)."""
+    """The clauses of the definition for the multiplication map: central
+    intersection, the map induces a functor from F1 x F2 into D (on pairs,
+    via the product structure theorem), the functor is surjective on every
+    hom-set of D, and it carries the canonical factor images onto F1 and F2
+    (automatic for multiplication, still asserted through the factor
+    containments).  Checked on image keys; the Hom form is
+    ``tests/oracles.py::is_central_product_literal``.
+
+    Functor: each pair (phi1, phi2) is pushed once to the key of
+    x1 x2 -> phi1(x1) phi2(x2) on P1 P2, which must be well defined (every
+    factorization of a point gives one value), injective and in D.
+
+    Surjectivity: psi on Pp is induced by (phi1, phi2) with P1 <= S1 n Pp S2
+    and P2 <= S2 n S1 Pp (the bounds of the literal form) when every t in
+    Pp has a factorization t = x1 x2 with psi(t) = phi1(x1) phi2(x2).  Once
+    every push is well defined, any factorization of t gives the same
+    value, so this holds iff Pp <= P1 P2 and psi is the push restricted to
+    Pp.  So the keys induced on Pp are the restrictions to Pp of the
+    pushes of the bounded pairs whose products cover Pp, and D is hit on
+    every hom-set iff ``D._keys_from(Pp)`` lies in them for every Pp.  The
+    bounds keep this exact for tables not closed under restriction."""
     S1, S2 = F1.support, F2.support
     meet = S1.meet(S2)
     for Fi in (F1, F2):
@@ -138,18 +121,75 @@ def is_central_product(D: FusionSystem, F1: FusionSystem,
         return False
     if not (subsystem_contains(D, F1) and subsystem_contains(D, F2)):
         return False
+    mul = D.universe._mul
+    shapes: dict[tuple, tuple] = {}
     for P1 in F1.subgroups():
         for phi1 in F1.isos_from(P1):
+            rows1 = [mul[y] for y in phi1.images]
             for P2 in F2.subgroups():
+                shape = shapes.get((P1.members, P2.members))
+                if shape is None:
+                    shape = shapes[P1.members, P2.members] = _pair_shape(P1, P2)
+                product, _, first, rest, pushed_keys = shape
                 for phi2 in F2.isos_from(P2):
-                    pushed = _push_product_pair(D, phi1, phi2)
-                    if pushed is None or not D.contains_morphism(pushed):
+                    b = phi2.images
+                    pushed = [rows1[i][b[j]] for i, j in first]
+                    if any(rows1[i][b[j]] != pushed[k] for k, i, j in rest):
                         return False
+                    pushed = tuple(pushed)
+                    if (len(set(pushed)) != len(pushed)
+                            or not D.contains_key(product, pushed)):
+                        return False
+                    pushed_keys.append(pushed)
+    # S1 and S2 commute elementwise, so both are normal in T = S1 S2, and
+    # Pp S2, Pp S1 and P1 P2 are subgroups: containment in them is tested
+    # on generators.
+    by_s1, by_s2 = picker(S1.members), picker(S2.members)
     for Pp in D.subgroups():
-        for psi in D.isos_from(Pp):
-            if not _induced_by_some_pair(D, F1, F2, psi):
-                return False
+        need = set(D._keys_from(Pp))
+        right = set().union(*(by_s2(mul[p]) for p in Pp.members))   # Pp S2
+        left = set().union(*(by_s1(mul[p]) for p in Pp.members))    # Pp S1 = S1 Pp
+        for P1 in F1.subgroups():
+            if not need:
+                break
+            if not right.issuperset(P1.generators):
+                continue
+            for P2 in F2.subgroups():
+                shape = shapes.get((P1.members, P2.members))
+                if shape is None or not left.issuperset(P2.generators):
+                    continue
+                _, at, _, _, pushed_keys = shape
+                if not all(t in at for t in Pp.generators):
+                    continue
+                need.difference_update(map(picker([at[t] for t in Pp.members]),
+                                           pushed_keys))
+                if not need:
+                    break
+        if need:
+            return False
     return True
+
+
+def _pair_shape(P1: Subgroup, P2: Subgroup) -> tuple:
+    """For pushing maps on P1 and P2: the sorted product set P1 P2, the
+    position of each of its points, the first factorization (i1, i2) of
+    each point by positions in P1 and P2, every other factorization as
+    (point position, i1, i2), and an empty list for the pushed keys."""
+    mul = P1.parent._mul
+    first: dict[int, tuple[int, int]] = {}
+    others = []
+    for i, x1 in enumerate(P1.members):
+        row = mul[x1]
+        for j, x2 in enumerate(P2.members):
+            t = row[x2]
+            if t in first:
+                others.append((t, i, j))
+            else:
+                first[t] = (i, j)
+    product = tuple(sorted(first))
+    at = {t: k for k, t in enumerate(product)}
+    return (product, at, [first[t] for t in product],
+            [(at[t], i, j) for t, i, j in others], [])
 
 
 # -- the product-theorem verification bundle ----------------------------------------

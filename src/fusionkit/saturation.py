@@ -1,5 +1,8 @@
 """Saturation machinery: classification flags, the extension axiom,
-saturation checking, conjugation families and Alperin decomposition."""
+saturation checking, conjugation families and Alperin decomposition.
+Conjugation families are searched breadth-first on image tuples
+(``_reachable``); its Hom form is ``reachable_literal`` in
+``tests/oracles.py``."""
 
 from __future__ import annotations
 
@@ -214,26 +217,34 @@ class Factorization:
 
 def _reachable(F: FusionSystem, P: Subgroup, family: Sequence[Subgroup],
                record_paths: bool = False):
-    """Morphisms from P reachable by composing restrictions of family automorphisms."""
-    start = Hom.identity(P)
-    reached: dict[tuple[int, ...], Hom] = {start.images: start}
-    paths: dict[tuple[int, ...], tuple[Optional[tuple[int, ...]], Optional[FactorStep]]] = {
-        start.images: (None, None)}
-    queue: deque[Hom] = deque([start])
+    """Image keys of the morphisms from P reachable by composing
+    restrictions of family automorphisms, breadth-first on image tuples:
+    from a key whose image lies in a family member R, each automorphism a
+    of R gives the key ``a(images)``, the key of h then a|_{im h}.  With
+    ``record_paths``, also the (previous key, FactorStep) that first
+    reached each key; no Hom or Subgroup is built otherwise."""
+    moves = [(R, R.member_set, [(a, dict(zip(R.members, a.images)))
+                                for a in F.automorphisms(R)])
+             for R in family]
+    start = P.members
+    reached = {start}
+    paths: Optional[dict] = {start: (None, None)} if record_paths else None
+    queue: deque[tuple[int, ...]] = deque([start])
     while queue:
-        h = queue.popleft()
-        cur = h.codomain
-        for R in family:
-            if not cur.member_set <= R.member_set:
+        images = queue.popleft()
+        for R, rset, autos in moves:
+            if not rset.issuperset(images):
                 continue
-            for a in F.automorphisms(R):
-                nh = h.then(a.restrict_cores(cur))
-                if nh.images not in reached:
-                    reached[nh.images] = nh
-                    if record_paths:
-                        paths[nh.images] = (h.images, FactorStep(R, a, cur))
-                    queue.append(nh)
-    return (reached, paths) if record_paths else (reached, None)
+            for a, amap in autos:
+                new = tuple(map(amap.__getitem__, images))
+                if new not in reached:
+                    reached.add(new)
+                    if paths is not None:
+                        stage = Subgroup(F.universe, tuple(sorted(images)),
+                                         check=False)
+                        paths[new] = (images, FactorStep(R, a, stage))
+                    queue.append(new)
+    return reached, paths
 
 
 def is_conjugation_family(F: FusionSystem, family: Sequence[Subgroup]) -> bool:
@@ -241,7 +252,7 @@ def is_conjugation_family(F: FusionSystem, family: Sequence[Subgroup]) -> bool:
     fam = sorted(family, key=Subgroup.sort_key)
     for P in F.subgroups():
         reached, _ = _reachable(F, P, fam)
-        if not F._keys_from(P) <= set(reached):
+        if not F._keys_from(P) <= reached:
             return False
     return True
 

@@ -1,23 +1,35 @@
 """Reference code the tests run against the package: brute-force oracles,
 the member-level forms of the group kernel (closure, normalizer,
 centralizer, normality, automizers, iso-sets, extension groups, normal
-subgroups) that the package computes on generating sets, the exhaustive
-fusion-axiom audit, the literal morphism and subsystem transports
-(``conjugate_morphism`` is the Hom form of ``groups.Twist``), the greedy
-automorphism generating sets of the persisted records, and the direct
-product F1 x F2 with the product structure theorem behind
-``products._induced_by_some_pair``.  No package code path calls any of it."""
+subgroups, maximal subgroups) that the package computes on generating sets
+or on the lattice's covering relation, the exhaustive fusion-axiom audit,
+the literal morphism and subsystem transports (``conjugate_morphism`` is
+the Hom form of ``groups.Twist``), the greedy automorphism generating sets
+of the persisted records, and the direct product F1 x F2 with the product
+structure theorem behind ``induced_by_some_pair``.
+
+The Hom forms of the four morphism-algebra paths the package runs on image
+keys are here too: the worklist closure (``close_morphisms_literal``, with
+the first-met witness rule), the reachability search of conjugation
+families (``reachable_literal``), the star generators
+(``star_generators_literal``) and the central-product test
+(``is_central_product_literal`` over ``push_product_pair`` and
+``induced_by_some_pair``).  No package code path calls any of it."""
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
-from fusionkit.errors import CapExceeded, DomainMismatch, VerificationFailed
-from fusionkit.fusion import FusionSystem, close_morphisms, transport_isos
+from fusionkit.centralizers import z_of
+from fusionkit.errors import (CapExceeded, DomainMismatch,
+                              MorphismOutsideSupport, VerificationFailed)
+from fusionkit.fusion import (FusionSystem, close_morphisms,
+                              subsystem_contains, transport_isos)
 from fusionkit.groups import (FiniteGroup, Hom, Subgroup, active_caps,
-                              as_group, maximal_subgroups, subgroup_lattice)
+                              as_group, subgroup_lattice)
 
 
 # -- groups ---------------------------------------------------------------------
@@ -37,6 +49,19 @@ def subgroup_lattice_bruteforce(H: Subgroup) -> tuple[Subgroup, ...]:
             if all(G.inv(a) in mset and G.mul(a, b) in mset
                    for a in mem for b in mem):
                 out.append(Subgroup(G, tuple(sorted(mem)), check=False))
+    return tuple(sorted(out, key=Subgroup.sort_key))
+
+
+def maximal_subgroups(H: Subgroup, subs_of: Optional[Sequence[Subgroup]] = None) -> tuple[Subgroup, ...]:
+    """Maximal proper subgroups of H (within a precomputed lattice if given):
+    the proper subgroups below no other proper subgroup."""
+    lattice = subs_of if subs_of is not None else subgroup_lattice(H)
+    proper = [K for K in lattice if K.order < H.order and K.member_set <= H.member_set]
+    out = []
+    for K in proper:
+        if not any(K < L and L.member_set <= H.member_set and L.order < H.order
+                   for L in proper):
+            out.append(K)
     return tuple(sorted(out, key=Subgroup.sort_key))
 
 
@@ -195,6 +220,177 @@ def normal_subgroups_literal(ambient: Subgroup) -> tuple[Subgroup, ...]:
 
 
 # -- fusion systems -------------------------------------------------------------
+
+
+def close_morphisms_literal(support: Subgroup, seeds: Iterable[Hom],
+                            ) -> dict[tuple[int, ...], tuple[Hom, ...]]:
+    """Worklist closure on Hom objects: inner maps of the support plus
+    ``seeds``, closed under restriction to maximal subgroups and composition
+    on both sides.  A map keeps the first witness it meets, and a queued
+    Hom's restrictions inherit the witness it carries."""
+    subs = subgroup_lattice(support)
+    registry: dict[tuple[int, ...], dict[tuple, Hom]] = {P.members: {} for P in subs}
+    by_image: dict[tuple[int, ...], list[Hom]] = {P.members: [] for P in subs}
+    maxsubs: dict[tuple[int, ...], tuple[Subgroup, ...]] = {}
+    for P in subs:
+        inside = [K for K in subs if K.member_set <= P.member_set]
+        maxsubs[P.members] = maximal_subgroups(P, inside)
+    work: deque[Hom] = deque()
+
+    def add(h: Hom) -> None:
+        slot = registry.get(h.domain.members)
+        if slot is None:
+            raise MorphismOutsideSupport("morphism domain leaves the support")
+        if h.codomain.members not in registry:
+            raise MorphismOutsideSupport("morphism image leaves the support")
+        key = h.images
+        old = slot.get(key)
+        if old is None:
+            slot[key] = h
+            by_image[h.codomain.members].append(h)
+            work.append(h)
+        elif (old.witness is None and h.witness is not None):
+            slot[key] = h  # same map, better provenance
+
+    for r in support.members:
+        add(Hom.conjugation(support, r))
+    for h in seeds:
+        add(h.cores())
+    while work:
+        h = work.popleft()
+        for M in maxsubs[h.domain.members]:
+            add(h.restrict_cores(M))
+        for g in list(registry[h.codomain.members].values()):
+            add(h.then(g))
+        for f in list(by_image[h.domain.members]):
+            add(f.then(h))
+    return {mem: tuple(sorted(slot.values(), key=Hom.sort_key))
+            for mem, slot in registry.items()}
+
+
+def reachable_literal(F: FusionSystem, P: Subgroup,
+                      family: Sequence[Subgroup]) -> dict[tuple[int, ...], Hom]:
+    """Morphisms from P reachable by composing restrictions of family
+    automorphisms, breadth-first on Hom objects, by image key."""
+    start = Hom.identity(P)
+    reached: dict[tuple[int, ...], Hom] = {start.images: start}
+    queue: deque[Hom] = deque([start])
+    while queue:
+        h = queue.popleft()
+        cur = h.codomain
+        for R in family:
+            if not cur.member_set <= R.member_set:
+                continue
+            for a in F.automorphisms(R):
+                nh = h.then(a.restrict_cores(cur))
+                if nh.images not in reached:
+                    reached[nh.images] = nh
+                    queue.append(nh)
+    return reached
+
+
+def star_generators_literal(F: FusionSystem, F1: FusionSystem,
+                            F2: FusionSystem) -> list[Hom]:
+    """Morphisms on P1 P2 landing in S1 S2 whose restrictions, built as
+    Homs, lie in the factors."""
+    T = F.universe.generated_subgroup(F1.support.members + F2.support.members)
+    tset = T.member_set
+    gens: list[Hom] = []
+    seen: set[tuple] = set()
+    for P1 in F1.subgroups():
+        for P2 in F2.subgroups():
+            P = F.universe.generated_subgroup(P1.members + P2.members)
+            for psi in F.isos_from(P):
+                if not set(psi.images) <= tset:
+                    continue
+                if psi.restrict_cores(P1).images not in F1._keys_from(P1):
+                    continue
+                if psi.restrict_cores(P2).images not in F2._keys_from(P2):
+                    continue
+                key = (P.members, psi.images)
+                if key not in seen:
+                    seen.add(key)
+                    gens.append(psi)
+    return gens
+
+
+def push_product_pair(D: FusionSystem, phi1: Hom, phi2: Hom) -> Optional[Hom]:
+    """Image of phi1 x phi2 under the multiplication map, or None when the
+    pushed map is ill-defined or non-injective."""
+    mul = D.universe._mul
+    return Hom.from_pairs(D.universe,
+                          ((mul[x1][x2], mul[y1][y2])
+                           for x1, y1 in zip(phi1.domain.members, phi1.images)
+                           for x2, y2 in zip(phi2.domain.members, phi2.images)))
+
+
+def induced_by_some_pair(D: FusionSystem, F1: FusionSystem, F2: FusionSystem,
+                         psi: Hom) -> bool:
+    """Is psi the multiplication-map image of some (phi1 x phi2) restriction?
+
+    Every product-system morphism is such a restriction, so the image
+    hom-sets come down to pairs (phi1, phi2) together with the largest
+    compatible preimage: {(x1,x2) : x1 x2 in dom(psi), psi(x1 x2) =
+    phi1(x1) phi2(x2)} is a subgroup, and psi is induced exactly when its
+    multiplication image covers dom(psi)."""
+    G = D.universe
+    mul, inv = G._mul, G._inv
+    Pp = psi.domain
+    s2set = F2.support.member_set
+    cand1 = tuple(sorted(x1 for x1 in F1.support.members
+                         if any(mul[inv[x1]][p] in s2set for p in Pp.members)))
+    P1max = Subgroup(G, cand1, check=False)
+    s1set = F1.support.member_set
+    cand2 = tuple(sorted(x2 for x2 in F2.support.members
+                         if any(mul[p][inv[x2]] in s1set for p in Pp.members)))
+    P2max = Subgroup(G, cand2, check=False)
+    pset = Pp.member_set
+    for P1 in subgroup_lattice(P1max):
+        for phi1 in F1.isos_from(P1):
+            for P2 in subgroup_lattice(P2max):
+                for phi2 in F2.isos_from(P2):
+                    covered = set()
+                    for x1 in P1.members:
+                        fx1 = phi1(x1)
+                        for x2 in P2.members:
+                            t = mul[x1][x2]
+                            if t in pset and psi(t) == mul[fx1][phi2(x2)]:
+                                covered.add(t)
+                    if pset <= covered:
+                        return True
+    return False
+
+
+def is_central_product_literal(D: FusionSystem, F1: FusionSystem,
+                               F2: FusionSystem) -> bool:
+    """The clauses of the definition, checked literally on Homs: central
+    intersection, commuting supports, D over S1 S2 containing both factors,
+    every pushed pair (phi1, phi2) a morphism of D, and every psi of D
+    induced by some pair."""
+    S1, S2 = F1.support, F2.support
+    meet = S1.meet(S2)
+    for Fi in (F1, F2):
+        if not meet.member_set <= z_of(Fi).member_set:
+            return False
+    if not S1.is_elementwise_commuting(S2):
+        return False
+    T = D.universe.generated_subgroup(S1.members + S2.members)
+    if D.support != T:
+        return False
+    if not (subsystem_contains(D, F1) and subsystem_contains(D, F2)):
+        return False
+    for P1 in F1.subgroups():
+        for phi1 in F1.isos_from(P1):
+            for P2 in F2.subgroups():
+                for phi2 in F2.isos_from(P2):
+                    pushed = push_product_pair(D, phi1, phi2)
+                    if pushed is None or not D.contains_morphism(pushed):
+                        return False
+    for Pp in D.subgroups():
+        for psi in D.isos_from(Pp):
+            if not induced_by_some_pair(D, F1, F2, psi):
+                return False
+    return True
 
 
 def generated_fusion_system(support: Subgroup, p: int,

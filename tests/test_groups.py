@@ -13,11 +13,11 @@ from fusionkit.fusion import fusion_of_group
 from fusionkit.groups import (FiniteGroup, Hom, Subgroup, active_caps,
                               as_group, center, centralizer, derived_subgroup,
                               group_from_permutations, group_from_table,
-                              maximal_subgroups, normalizer,
+                              normalizer,
                               normal_subgroups, o_p, o_p_prime, o_upper_p,
                               p_part, quotient, subgroup_lattice,
                               sylow_subgroup)
-from oracles import (conjugate_morphism, product_group,
+from oracles import (conjugate_morphism, maximal_subgroups, product_group,
                      subgroup_lattice_bruteforce)
 
 

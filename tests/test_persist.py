@@ -15,7 +15,7 @@ from fusionkit.fusion import (FusionSystem, close_morphisms, fusion_of_group,
                               subsystem_equal)
 from fusionkit.groups import FiniteGroup, Hom, sylow_subgroup
 from fusionkit.persist import load_system, system_payload
-from oracles import aut_generating_set_greedy
+from oracles import aut_generating_set_greedy, close_morphisms_literal
 
 
 def corpus_payload(name, p):
@@ -24,7 +24,8 @@ def corpus_payload(name, p):
 
 
 def literal_load(payload):
-    """Oracle: close the whole record and compare it with F_S(W)."""
+    """Oracle: close the whole record with the Hom-form closure and compare
+    it with F_S(W)."""
     G = FiniteGroup(payload["group_name"], payload["table"],
                     generator_indices=payload.get("generator_indices"))
     S = G.subgroup(payload["support"])
@@ -40,7 +41,7 @@ def literal_load(payload):
             member = G.subgroup(bridge["member"])
             seeds.append(Hom(rep, member, bridge["from_rep"], check=True))
             seeds.append(Hom(member, rep, bridge["to_rep"], check=True))
-    rebuilt = FusionSystem(S, p, explicit=close_morphisms(S, seeds))
+    rebuilt = FusionSystem(S, p, explicit=close_morphisms_literal(S, seeds))
     if not subsystem_equal(rebuilt, fresh):
         raise VerificationFailed("generator record does not regenerate")
 

@@ -179,15 +179,19 @@ class TestCentralProduct:
             central_product_subsystem(F_s4, E_a4, E_a4)
 
     def test_star_products_in_either_order_share_derived_data(self, s4xc2):
+        """Every commuting pair of distinct factors: the closure's witnesses
+        do not depend on the order of the seeds, so both orders give one
+        content key."""
         ctx = EntryContext("s4xc2@2", s4xc2, 2)
-        E1, E2 = next((A, B) for A, B in ctx.commuting_pairs
-                      if A.support != B.support)
-        D12 = _star_product(ctx.F, E1, E2)
-        D21 = _star_product(ctx.F, E2, E1)
-        assert D12 is not D21 and D12.name != D21.name
-        assert D12.content_key == D21.content_key
-        assert is_saturated(D21) is is_saturated(D12)
-        assert classify(D21) is classify(D12)
+        pairs = [(A, B) for A, B in ctx.commuting_pairs if A is not B]
+        assert len(pairs) == 21
+        for E1, E2 in pairs:
+            D12 = _star_product(ctx.F, E1, E2)
+            D21 = _star_product(ctx.F, E2, E1)
+            assert D12 is not D21 and D12.name != D21.name
+            assert D12.content_key == D21.content_key
+            assert is_saturated(D21) is is_saturated(D12)
+            assert classify(D21) is classify(D12)
 
     def test_inner_only_candidate_is_not_a_central_product(self, F_q8c4, q8c4):
         # strip the non-inner morphisms at the top level: surjectivity of the
