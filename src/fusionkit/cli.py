@@ -11,6 +11,7 @@ other ``FusionkitError``, and a non-positive ``--group-cap`` or
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -210,7 +211,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all_pass else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: it holds no state of a
+    call, so every ``main`` call reuses it."""
     ap = argparse.ArgumentParser(prog="fusionkit",
                                  description="saturated fusion systems of "
                                              "finite groups at desk scale")

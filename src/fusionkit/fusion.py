@@ -269,17 +269,18 @@ def _first_conjugations(P: Subgroup, conjugators: Sequence[int],
     """(w, images of the members of P under c_w) for the first w in
     ``conjugators`` of each distinct map c_w|P with P^w inside the subgroup
     ``inside``.  c_w|P is determined by the images of gens(P), and P^w lies
-    in a subgroup iff they do, so a w giving a known map costs |gens(P)|
-    conjugations."""
-    conj = P.parent.conj
-    gens = P.generators
+    in a subgroup iff they do, so a w giving a known map costs one pick of
+    gens(P) off the conjugation row of w."""
+    row = P.parent.conj_row
+    of_gens, of_members = picker(P.generators), picker(P.members)
     seen: set[tuple[int, ...]] = set()
     for w in conjugators:
-        key = tuple(conj(x, w) for x in gens)
+        r = row(w)
+        key = of_gens(r)
         if key not in seen:
             seen.add(key)
-            if all(y in inside for y in key):
-                yield w, tuple(conj(x, w) for x in P.members)
+            if inside.issuperset(key):
+                yield w, of_members(r)
 
 
 def _classes(F: FusionSystem) -> tuple[tuple[Subgroup, ...], ...]:
@@ -406,9 +407,9 @@ def close_morphisms(support: Subgroup, seeds: Iterable[Hom],
         if w is not None and w < witness.get((i, images), w + 1):
             witness[i, images] = w
 
-    conj = support.parent.conj
+    row, of_members = support.parent.conj_row, picker(support.members)
     for r in support.members:
-        seed(0, tuple([conj(x, r) for x in support.members]), r)
+        seed(0, of_members(row(r)), r)
     for h in seeds:
         i = index.get(h.domain.members)
         if i is None:

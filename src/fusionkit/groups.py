@@ -20,12 +20,20 @@ member, ``picker`` reads a key off at given positions (restriction, or
 composition through the positions of a map's images), and
 ``lattice_covers`` gives each lattice member its maximal subgroups with
 their restriction pickers, from the covering relation in one pass.
+
+Conjugation runs on lookup rows: ``FiniteGroup.conj_row(g)`` is the row
+x -> x^g over the whole group, built on first use and cached as a compact
+``array``, so the images of a subgroup's generators or members under c_g
+are one ``picker`` call on it.  ``group_from_permutations`` builds its
+table rows with pickers too, and ``Subgroup`` is a slotted class whose
+member set, generators and positions are slots filled on first use.
 """
 
 from __future__ import annotations
 
+from array import array
+from dataclasses import dataclass
 from operator import itemgetter
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import CapExceeded, NotAGroup, NotNormal, ParseError
@@ -76,7 +84,7 @@ class FiniteGroup:
     """Finite group backed by a full multiplication table."""
 
     __slots__ = ("name", "order", "_mul", "_inv", "_orders", "_cache",
-                 "perm_images", "generator_indices")
+                 "_conj_rows", "perm_images", "generator_indices")
 
     def __init__(self, name: str, mul_table: Sequence[Sequence[int]],
                  perm_images: Optional[Sequence[tuple[int, ...]]] = None,
@@ -113,6 +121,7 @@ class FiniteGroup:
         self._orders = tuple(orders)
         self.perm_images = tuple(perm_images) if perm_images is not None else None
         self._cache: dict = {}
+        self._conj_rows: list[Optional[array]] = [None] * n
 
     def _validate(self) -> None:
         """Check that the table is a group with identity 0.
@@ -195,6 +204,21 @@ class FiniteGroup:
         """Right conjugation x^g = g^-1 x g."""
         return self._mul[self._mul[self._inv[g]][x]][g]
 
+    def conj_row(self, g: int) -> array:
+        """The row of c_g: ``conj_row(g)[x] == conj(x, g)`` for every x.
+
+        Built on first use, as ((g^-1 x) g)_x from the row of g^-1 and the
+        column of g, and cached as an ``array`` of typecode 'H' (or 'I'
+        above 65,536 elements), a quarter of the memory of a tuple row."""
+        row = self._conj_rows[g]
+        if row is None:
+            mul = self._mul
+            times_g = tuple(map(itemgetter(g), mul))           # y -> yg
+            row = array("H" if self.order <= 1 << 16 else "I",
+                        picker(mul[self._inv[g]])(times_g))
+            self._conj_rows[g] = row
+        return row
+
     def commutator(self, x: int, y: int) -> int:
         """[x, y] = x^-1 y^-1 x y."""
         return self._mul[self._mul[self._mul[self._inv[x]][self._inv[y]]][x]][y]
@@ -272,29 +296,37 @@ class FiniteGroup:
         return Subgroup(self, self.closure(seed), check=False)
 
 
-@dataclass(frozen=True, eq=False)
 class Subgroup:
-    """Canonical subgroup of a FiniteGroup: a sorted member index tuple."""
+    """Canonical subgroup of a FiniteGroup: a sorted member index tuple.
 
-    parent: FiniteGroup
-    members: tuple[int, ...]
-    check: bool = field(default=True, compare=False, repr=False)
+    With ``check`` the members are validated as a subgroup (identity,
+    inverses, products); ``NotAGroup`` otherwise.  The member set,
+    generators and positions are slots filled on first use."""
 
-    def __post_init__(self) -> None:
-        if self.check:
-            mem = set(self.members)
+    __slots__ = ("parent", "members", "_member_set", "_generators",
+                 "_positions")
+
+    def __init__(self, parent: FiniteGroup, members: tuple[int, ...],
+                 check: bool = True) -> None:
+        self.parent = parent
+        self.members = members
+        self._member_set: Optional[frozenset[int]] = None
+        self._generators: Optional[tuple[int, ...]] = None
+        self._positions: Optional[dict[int, int]] = None
+        if check:
+            mem = self.member_set
             if 0 not in mem:
                 raise NotAGroup("subgroup must contain the identity")
-            mul, inv = self.parent._mul, self.parent._inv
-            for a in self.members:
+            mul, inv = parent._mul, parent._inv
+            for a in members:
                 if inv[a] not in mem:
                     raise NotAGroup(f"subgroup not closed under inversion at {a}")
                 row = mul[a]
-                for b in self.members:
+                for b in members:
                     if row[b] not in mem:
                         raise NotAGroup(f"subgroup not closed at ({a},{b})")
 
-    # Identity is (parent, members); the check flag is construction detail.
+    # Identity is (parent, members).
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Subgroup) and self.parent is other.parent
                 and self.members == other.members)
@@ -314,10 +346,9 @@ class Subgroup:
 
     @property
     def member_set(self) -> frozenset[int]:
-        ms = self.__dict__.get("_member_set")
+        ms = self._member_set
         if ms is None:
-            ms = frozenset(self.members)
-            object.__setattr__(self, "_member_set", ms)
+            ms = self._member_set = frozenset(self.members)
         return ms
 
     @property
@@ -325,19 +356,17 @@ class Subgroup:
         """The at most log2|H| members that Dimino's algorithm keeps over the
         sorted ``members``: a function of ``members`` alone, so two copies of
         one subgroup have the same generators."""
-        gens = self.__dict__.get("_generators")
+        gens = self._generators
         if gens is None:
-            gens = tuple(self.parent._dimino(self.members)[1])
-            object.__setattr__(self, "_generators", gens)
+            gens = self._generators = tuple(self.parent._dimino(self.members)[1])
         return gens
 
     @property
     def positions(self) -> dict[int, int]:
         """Each member's position in ``members``, cached on the subgroup."""
-        at = self.__dict__.get("_positions")
+        at = self._positions
         if at is None:
-            at = {x: i for i, x in enumerate(self.members)}
-            object.__setattr__(self, "_positions", at)
+            at = self._positions = {x: i for i, x in enumerate(self.members)}
         return at
 
     def __le__(self, other: "Subgroup") -> bool:
@@ -350,9 +379,8 @@ class Subgroup:
         return len(self.members) == 1
 
     def conjugate(self, g: int) -> "Subgroup":
-        conj = self.parent.conj
-        return Subgroup(self.parent, tuple(sorted(conj(x, g) for x in self.members)),
-                        check=False)
+        moved = picker(self.members)(self.parent.conj_row(g))
+        return Subgroup(self.parent, tuple(sorted(moved)), check=False)
 
     def join(self, other: "Subgroup") -> "Subgroup":
         """Subgroup generated by both."""
@@ -377,9 +405,9 @@ class Subgroup:
         """Is self normalized by other?  H^g = H for every g in other iff
         gens(H)^g <= H for every g in gens(other)."""
         mem = self.member_set
-        conj = self.parent.conj
-        return all(conj(x, g) in mem for x in self.generators
-                   for g in other.generators)
+        of_gens = picker(self.generators)
+        row = self.parent.conj_row
+        return all(mem.issuperset(of_gens(row(g))) for g in other.generators)
 
     def is_elementwise_commuting(self, other: "Subgroup") -> bool:
         mul = self.parent._mul
@@ -545,8 +573,7 @@ class Hom:
     @staticmethod
     def conjugation(P: Subgroup, g: int, codomain: Optional[Subgroup] = None) -> "Hom":
         """c_g restricted to P: x -> g^-1 x g, corestricted unless a codomain is given."""
-        conj = P.parent.conj
-        imgs = tuple(conj(x, g) for x in P.members)
+        imgs = picker(P.members)(P.parent.conj_row(g))
         cod = codomain if codomain is not None else Subgroup(
             P.parent, tuple(sorted(imgs)), check=False)
         return Hom(P, cod, imgs, witness=g, check=False)
@@ -608,20 +635,19 @@ def normalizer(ambient: Subgroup, H: Subgroup) -> Subgroup:
     """N_ambient(H): the g with H^g <= H, that is gens(H)^g <= H."""
     G = ambient.parent
     mem = H.member_set
-    conj = G.conj
-    gens = H.generators
-    out = [g for g in ambient.members
-           if all(conj(x, g) in mem for x in gens)]
+    of_gens = picker(H.generators)
+    row = G.conj_row
+    out = [g for g in ambient.members if mem.issuperset(of_gens(row(g)))]
     return Subgroup(G, tuple(out), check=False)
 
 
 def centralizer(ambient: Subgroup, H: Subgroup) -> Subgroup:
-    """C_ambient(H): the g that commute with gens(H)."""
+    """C_ambient(H): the g that commute with gens(H), that is fix them."""
     G = ambient.parent
-    mul = G._mul
     gens = H.generators
-    out = [g for g in ambient.members
-           if all(mul[g][x] == mul[x][g] for x in gens)]
+    of_gens = picker(gens)
+    row = G.conj_row
+    out = [g for g in ambient.members if of_gens(row(g)) == gens]
     return Subgroup(G, tuple(out), check=False)
 
 
@@ -658,8 +684,10 @@ def o_p(ambient: Subgroup, p: int) -> Subgroup:
     """O_p: the intersection of all Sylow p-subgroups."""
     P = sylow_subgroup(ambient, p)
     core = set(P.members)
+    of_members = picker(P.members)
+    row = ambient.parent.conj_row
     for g in ambient.members:
-        core &= {ambient.parent.conj(x, g) for x in P.members}
+        core.intersection_update(of_members(row(g)))
         if len(core) == 1:
             break
     return Subgroup(ambient.parent, tuple(sorted(core)), check=False)
@@ -794,8 +822,7 @@ def normal_subgroups(ambient: Subgroup) -> tuple[Subgroup, ...]:
     # class is computed once, as the orbit of its first member under
     # gens(ambient).
     atoms: dict[tuple[int, ...], Subgroup] = {}
-    conj = G.conj
-    gens = ambient.generators
+    rows = [G.conj_row(h) for h in ambient.generators]
     seen = {0}
     for g in ambient.members:
         if g in seen:
@@ -803,8 +830,8 @@ def normal_subgroups(ambient: Subgroup) -> tuple[Subgroup, ...]:
         orbit = [g]
         seen.add(g)
         for x in orbit:
-            for h in gens:
-                y = conj(x, h)
+            for row in rows:
+                y = row[x]
                 if y not in seen:
                     seen.add(y)
                     orbit.append(y)
@@ -829,12 +856,15 @@ def normal_subgroups(ambient: Subgroup) -> tuple[Subgroup, ...]:
 
 
 def picker(pos: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """t -> (t[pos[0]], t[pos[1]], ...), a tuple even for one position.
+    """t -> (t[pos[0]], t[pos[1]], ...), a tuple even for one position or
+    none (a trivial subgroup has no generators).
 
     With ``pos`` the positions of the members of Q in the members of P, it
     restricts an image key given on P to Q; with ``pos`` the positions of
     the images of a map h in its codomain, it turns the image key of a map
     g from that codomain into the key of h then g."""
+    if not pos:
+        return lambda t: ()
     if len(pos) == 1:
         j = pos[0]
         return lambda t: (t[j],)
@@ -911,18 +941,15 @@ def group_from_permutations(name: str,
             raise NotAGroup(f"{list(images)} is not a permutation of 1..{degree}")
         gens.append(perm)
     ident = tuple(range(degree))
-
-    def compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        # Apply a first, then b (right action on points).
-        return tuple(b[a[i]] for i in range(degree))
-
+    # a then b (right action on points) is picker(a)(b).
     elems = {ident}
     frontier = [ident]
     while frontier:
         new = []
         for x in frontier:
+            then = picker(x)
             for g in gens:
-                y = compose(x, g)
+                y = then(g)
                 if y not in elems:
                     elems.add(y)
                     new.append(y)
@@ -932,7 +959,8 @@ def group_from_permutations(name: str,
         frontier = new
     ordered = [ident] + sorted(p for p in elems if p != ident)
     index_of = {p: i for i, p in enumerate(ordered)}
-    table = [[index_of[compose(a, b)] for b in ordered] for a in ordered]
+    index = index_of.__getitem__
+    table = [list(map(index, map(picker(a), ordered))) for a in ordered]
     return FiniteGroup(name, table, perm_images=ordered, check=False,
                        generator_indices=[index_of[g] for g in gens])
 

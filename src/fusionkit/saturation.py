@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 from .errors import NotAGroup, NotSaturated
 from .fusion import FusionSystem, MorphismGroup
 from .groups import (Hom, Subgroup, centralizer, normalizer, o_p, o_upper_p,
-                     p_part)
+                     p_part, picker)
 
 
 @dataclass(frozen=True)
@@ -120,15 +120,20 @@ def _automizer_keys(F: FusionSystem, Q: Subgroup) -> frozenset:
 def _extension_group(F: FusionSystem, phi: Hom, n_s_p: Subgroup,
                      aut_s_keys: frozenset) -> Subgroup:
     """N_phi for an isomorphism ``phi`` onto its codomain Q, given
-    N_S(dom phi) and the keys of Aut_S(Q) on gens(Q) (``_automizer_keys``)."""
+    N_S(dom phi) and the keys of Aut_S(Q) on gens(Q) (``_automizer_keys``).
+
+    With pre = phi^-1(gens(Q)), g is in N_phi iff phi(pre^g) is a key, that
+    is iff pre^g is a key pulled back through the bijection phi^-1, so each
+    g costs one pick of pre off its conjugation row."""
     P, Q = phi.domain, phi.codomain
-    conj = F.universe.conj
     back = dict(zip(phi.images, P.members))
     if len(back) != P.order:
         raise NotAGroup("only isomorphisms onto the codomain invert")
-    pre = [back[y] for y in Q.generators]
-    out = [g for g in n_s_p.members
-           if tuple(phi(conj(x, g)) for x in pre) in aut_s_keys]
+    pull = back.__getitem__
+    of_pre = picker(list(map(pull, Q.generators)))
+    pulled = {tuple(map(pull, key)) for key in aut_s_keys}
+    row = F.universe.conj_row
+    out = [g for g in n_s_p.members if of_pre(row(g)) in pulled]
     return Subgroup(F.universe, tuple(out), check=False)
 
 
@@ -248,13 +253,13 @@ def _reachable(F: FusionSystem, P: Subgroup, family: Sequence[Subgroup],
 
 
 def is_conjugation_family(F: FusionSystem, family: Sequence[Subgroup]) -> bool:
-    """Exhaustive test: every morphism factors through the family."""
+    """Exhaustive test: every morphism factors through the family.  The
+    answer depends on F's content and the family alone, so it is memoized
+    in F's slot under the family's member tuples."""
     fam = sorted(family, key=Subgroup.sort_key)
-    for P in F.subgroups():
-        reached, _ = _reachable(F, P, fam)
-        if not F._keys_from(P) <= reached:
-            return False
-    return True
+    return F.memo(("conjugation-family", tuple(R.members for R in fam)),
+                  lambda: all(F._keys_from(P) <= _reachable(F, P, fam)[0]
+                              for P in F.subgroups()))
 
 
 def canonical_family(F: FusionSystem) -> tuple[Subgroup, ...]:

@@ -1,8 +1,9 @@
 """Reference code the tests run against the package: brute-force oracles,
 the member-level forms of the group kernel (closure, normalizer,
 centralizer, normality, automizers, iso-sets, extension groups, normal
-subgroups, maximal subgroups) that the package computes on generating sets
-or on the lattice's covering relation, the exhaustive fusion-axiom audit,
+subgroups, maximal subgroups) that the package computes on generating sets,
+conjugation rows or the lattice's covering relation, the per-pair table of
+a permutation group, the exhaustive fusion-axiom audit,
 the literal morphism and subsystem transports (``conjugate_morphism`` is
 the Hom form of ``groups.Twist``), the greedy automorphism generating sets
 of the persisted records, and the direct product F1 x F2 with the product
@@ -121,6 +122,20 @@ def closure_literal(G: FiniteGroup, seed: Iterable[int]) -> tuple[int, ...]:
                         new.append(y)
         frontier = new
     return tuple(sorted(elems))
+
+
+def permutation_table_literal(G: FiniteGroup) -> list[list[int]]:
+    """The multiplication table of a group built by
+    ``group_from_permutations``, from its ``perm_images`` with one
+    composition per pair: a*b applies a first, then b."""
+    ordered = G.perm_images
+    degree = len(ordered[0])
+    index_of = {perm: i for i, perm in enumerate(ordered)}
+
+    def compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(b[a[i]] for i in range(degree))
+
+    return [[index_of[compose(a, b)] for b in ordered] for a in ordered]
 
 
 def normalizer_literal(ambient: Subgroup, H: Subgroup) -> Subgroup:

@@ -330,6 +330,27 @@ class TestCommands:
         assert a.read_bytes() == b.read_bytes()
 
 
+def test_one_process_serves_several_requests(s4_file, tmp_path, capsys):
+    """``main`` reuses one parser per process: build, centralizer, a usage
+    error, then centralizer again, each with its own exit code and output."""
+    fsk = tmp_path / "s4@2.fsk"
+    assert main(["build", str(s4_file), "-p", "2", "--out", str(fsk)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("built F(s4@2): |G|=24, |S|=8") and str(fsk) in out
+    argv = ["centralizer", str(fsk), "--normal", "order:4"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert first.startswith("T = S n N: order 4\n")
+    assert "C_F(E): support order" in first
+    with pytest.raises(SystemExit) as usage:
+        main(["centralizer", str(fsk)])
+    assert usage.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--normal" in captured.err
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+
+
 @pytest.mark.xfail(strict=True, raises=KeyError,
                    reason="product on factors whose supports do not commute "
                           "dies in Hom.fixes_pointwise (known defect)")

@@ -2,9 +2,12 @@
 
 ``FiniteGroup.closure`` runs Dimino's algorithm, and the action tests
 (normalizer, centralizer, normality, commuting, automizers, realized
-iso-sets, extension groups) read only ``Subgroup.generators``.  Each is
-compared with the literal form in ``oracles``, over every subgroup pair of
-a few corpus groups and over groups generated by two permutations."""
+iso-sets, extension groups) read only ``Subgroup.generators``, picked off
+the cached conjugation rows ``FiniteGroup.conj_row``.  Each is compared
+with the literal form in ``oracles``, over every subgroup pair of a few
+corpus groups and over groups generated by two permutations, as are the
+rows themselves and the picker-built permutation tables.  The slotted
+``Subgroup`` keeps its validation, equality and hashing."""
 
 from __future__ import annotations
 
@@ -12,15 +15,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fusionkit.corpus import builtin_group
+from fusionkit.errors import NotAGroup
 from fusionkit.fusion import fusion_of_group
 from fusionkit.groups import (Subgroup, centralizer, normal_subgroups,
-                              normalizer, subgroup_lattice, sylow_subgroup)
+                              normalizer, picker, subgroup_lattice,
+                              sylow_subgroup)
 from fusionkit.saturation import extension_group
 from oracles import (automizer_in_literal, centralizer_literal,
                      closure_literal, extension_group_literal,
                      is_elementwise_commuting_literal, is_normal_in_literal,
                      isos_from_literal, normal_subgroups_literal,
-                     normalizer_literal)
+                     normalizer_literal, permutation_table_literal)
 from test_fusion import perm_groups
 
 
@@ -37,6 +42,17 @@ def check_generators(H: Subgroup) -> None:
     assert G.closure(gens) == H.members
     assert 2 ** len(gens) <= H.order
     assert Subgroup(G, H.members, check=False).generators == gens
+
+
+def check_rows(G) -> None:
+    """conj_row(g)[x] is x^g for every x and g, and the picker-built table
+    is the per-pair composition table."""
+    for g in range(G.order):
+        row = G.conj_row(g)
+        assert len(row) == G.order
+        assert all(row[x] == G.conj(x, g) for x in range(G.order))
+        assert G.conj_row(g) is row
+    assert G._mul == tuple(map(tuple, permutation_table_literal(G)))
 
 
 def check_pair(ambient: Subgroup, H: Subgroup) -> None:
@@ -63,6 +79,7 @@ def check_system(G, p: int) -> None:
 @pytest.mark.parametrize("name", ["d8", "s4", "q8c4", "s3xs3", "gl23", "d8xc2"])
 def test_every_subgroup_pair(name):
     G = builtin_group(name)
+    check_rows(G)
     subs = subgroup_lattice(G.full_subgroup)
     for H in subs:
         check_generators(H)
@@ -82,10 +99,11 @@ def test_corpus_systems(name, p):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.data())
 def test_generated_groups(data):
-    """Over groups generated by two permutations of degree <= 5: closure of
-    a random seed, generators, three drawn subgroups against each other and
+    """Over groups generated by two permutations of degree <= 5:
+    conjugation rows and the table, closure of a random seed, generators, three drawn subgroups against each other and
     the whole group, normal subgroups and F_S(G)."""
     G, p = data.draw(perm_groups())
+    check_rows(G)
     seed = data.draw(st.lists(st.integers(0, G.order - 1), max_size=4))
     assert G.closure(seed) == closure_literal(G, seed)
     subs = subgroup_lattice(G.full_subgroup)
@@ -98,3 +116,25 @@ def test_generated_groups(data):
     assert normal_subgroups(G.full_subgroup) == normal_subgroups_literal(
         G.full_subgroup)
     check_system(G, p)
+
+
+def test_picker_of_no_positions():
+    """A trivial subgroup has no generators, so its picker reads nothing."""
+    assert builtin_group("s4").trivial_subgroup.generators == ()
+    assert picker(())((5, 6, 7)) == ()
+    assert picker((2,))((5, 6, 7)) == (7,)
+
+
+def test_slotted_subgroup():
+    """Validation, equality and hashing of the slotted Subgroup."""
+    G = builtin_group("s4")
+    H = sylow_subgroup(G.full_subgroup, 2)
+    with pytest.raises(NotAGroup, match="identity"):
+        Subgroup(G, H.members[1:])
+    with pytest.raises(NotAGroup, match="closed"):
+        Subgroup(G, (0,) + tuple(x for x in H.members if x != 0)[:2])
+    a, b = Subgroup(G, H.members), Subgroup(G, H.members, check=False)
+    assert a == b == H and hash(a) == hash(b) == hash(H)
+    assert a != G.full_subgroup
+    assert not hasattr(a, "__dict__")
+    assert a.generators == H.generators and a.positions == H.positions

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from fusionkit import saturation
 from fusionkit.corpus import builtin_group
 from fusionkit.errors import NotSaturated
-from fusionkit.fusion import fusion_of_group, generated_subsystem
+from fusionkit.fusion import (fusion_of_group, generated_subsystem,
+                              realized_subsystem)
 from fusionkit.groups import Hom, Subgroup, center, normalizer, sylow_subgroup
 from fusionkit.saturation import (alperin_decompose, canonical_family,
                                   classify, extension_group, extend_morphism,
@@ -170,6 +172,27 @@ class TestConjugationFamilies:
 
     def test_center_alone_fails(self, F_s4):
         assert not is_conjugation_family(F_s4, [center(F_s4.support)])
+
+    def test_answer_is_memoized_per_content(self, monkeypatch):
+        """A second call on F and the same family, in any order or on a copy
+        of F sharing its slot, runs no reachability search."""
+        G = builtin_group("gl23")
+        F = fusion_of_group(G, sylow_subgroup(G.full_subgroup, 2), 2)
+        searched = []
+        reachable = saturation._reachable
+
+        def counting(F, P, family, record_paths=False):
+            searched.append(P.members)
+            return reachable(F, P, family, record_paths)
+
+        monkeypatch.setattr(saturation, "_reachable", counting)
+        family = canonical_family(F)
+        assert is_conjugation_family(F, family)
+        assert len(searched) == len(F.subgroups())
+        copy = realized_subsystem(F, F.witness, F.support)
+        assert is_conjugation_family(F, tuple(reversed(family)))
+        assert is_conjugation_family(copy, family)
+        assert len(searched) == len(F.subgroups())
 
 
 class TestAlperin:
