@@ -3,9 +3,9 @@ the member-level forms of the group kernel (closure, normalizer,
 centralizer, normality, automizers, iso-sets, extension groups, normal
 subgroups, maximal subgroups) that the package computes on generating sets,
 conjugation rows or the lattice's covering relation, the per-pair table of
-a permutation group, the exhaustive fusion-axiom audit,
-the literal morphism and subsystem transports (``conjugate_morphism`` is
-the Hom form of ``groups.Twist``), the greedy automorphism generating sets
+a permutation group, the exhaustive fusion-axiom audit, the literal
+morphism and subsystem transports (``conjugate_morphism`` is the Hom form
+of ``groups.Twist``), the greedy automorphism generating sets
 of the persisted records, and the direct product F1 x F2 with the product
 structure theorem behind ``induced_by_some_pair``.
 

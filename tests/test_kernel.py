@@ -100,8 +100,9 @@ def test_corpus_systems(name, p):
 @given(st.data())
 def test_generated_groups(data):
     """Over groups generated by two permutations of degree <= 5:
-    conjugation rows and the table, closure of a random seed, generators, three drawn subgroups against each other and
-    the whole group, normal subgroups and F_S(G)."""
+    conjugation rows and the table, closure of a random seed, generators,
+    three drawn subgroups against each other and the whole group, normal
+    subgroups and F_S(G)."""
     G, p = data.draw(perm_groups())
     check_rows(G)
     seed = data.draw(st.lists(st.integers(0, G.order - 1), max_size=4))
