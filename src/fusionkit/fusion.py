@@ -270,12 +270,15 @@ def _first_conjugations(P: Subgroup, conjugators: Sequence[int],
     ``conjugators`` of each distinct map c_w|P with P^w inside the subgroup
     ``inside``.  c_w|P is determined by the images of gens(P), and P^w lies
     in a subgroup iff they do, so a w giving a known map costs one pick of
-    gens(P) off the conjugation row of w."""
-    row = P.parent.conj_row
+    gens(P) off the conjugation row of w, read straight from the row cache
+    (``conj_row`` builds only the rows still missing)."""
+    rows, conj_row = P.parent._conj_rows, P.parent.conj_row
     of_gens, of_members = picker(P.generators), picker(P.members)
     seen: set[tuple[int, ...]] = set()
     for w in conjugators:
-        r = row(w)
+        r = rows[w]
+        if r is None:
+            r = conj_row(w)
         key = of_gens(r)
         if key not in seen:
             seen.add(key)
@@ -520,6 +523,11 @@ class MorphismGroup:
     Elements are Hom objects with equal domain and codomain; index 0 is the
     identity.  Used to run the group-theoretic operators (O_p, O^p, Sylow)
     on automorphism groups.
+
+    The table is filled on image keys: a then b has the key
+    ``picker(positions of a.images in P)(b.images)``, so no Hom is built
+    per pair.  The per-pair ``Hom.then`` form is
+    ``morphism_group_table_literal`` in ``tests/oracles.py``.
     """
 
     def __init__(self, autos: Sequence[Hom]) -> None:
@@ -536,15 +544,13 @@ class MorphismGroup:
         self.homs: tuple[Hom, ...] = (ident,) + tuple(rest)
         self.base = P
         index = {h.images: i for i, h in enumerate(self.homs)}
+        at = {x: i for i, x in enumerate(P.members)}
+        keys = [h.images for h in self.homs]
         table = []
-        for a in self.homs:
-            row = []
-            for b in self.homs:
-                c = a.then(b)
-                k = index.get(c.images)
-                if k is None:
-                    raise NotAGroup("automorphism set is not closed under composition")
-                row.append(k)
+        for a in keys:
+            row = list(map(index.get, map(picker([at[y] for y in a]), keys)))
+            if None in row:
+                raise NotAGroup("automorphism set is not closed under composition")
             table.append(row)
         self.group = FiniteGroup(f"Aut({P.order})", table, check=False)
         self._index = index

@@ -12,7 +12,10 @@ action tests (``normalizer``, ``centralizer``, ``Subgroup.is_normal_in``,
 gens(H)^g <= H, and g centralizes H iff it commutes with gens(H).  These
 equivalences need H to be a subgroup, so callers pass subgroups, never the
 unchecked point sets of ``Hom.from_pairs``.  ``normal_subgroups`` computes
-one orbit per conjugacy class.  The member-level forms are the oracles in
+one orbit per conjugacy class.  ``subgroup_lattice`` joins each subgroup H
+found with the cyclic subgroups <c> not in it (c in H decides <c> <= H),
+each join <H, c> one Dimino step from the members and generators of H
+(``FiniteGroup._extend``).  The member-level forms are the oracles in
 ``tests/oracles.py``.
 
 Maps are often handled as image keys: ``Subgroup.positions`` places each
@@ -95,22 +98,22 @@ class FiniteGroup:
             raise NotAGroup("empty multiplication table")
         self.name = name
         self.order = n
-        self._mul = tuple(tuple(map(int, row)) for row in mul_table)
-        self.generator_indices: Optional[tuple[int, ...]] = (
-            tuple(int(g) for g in generator_indices)
-            if generator_indices is not None else None)
+        self._mul = tuple(map(tuple, mul_table))
+        for a, row in enumerate(self._mul):
+            if not set(map(type, row)) <= {int}:
+                raise ParseError(f"row {a} has a non-integer entry")
+        self.generator_indices: Optional[tuple[int, ...]] = None
+        if generator_indices is not None:
+            self.generator_indices = tuple(generator_indices)
+            if not set(map(type, self.generator_indices)) <= {int}:
+                raise ParseError(f"generator_indices {list(generator_indices)} "
+                                 f"are not all integers")
         if check:
             self._validate()
-        inv = [0] * n
-        for a in range(n):
-            row = self._mul[a]
-            for b in range(n):
-                if row[b] == 0:
-                    inv[a] = b
-                    break
-            else:
-                raise NotAGroup(f"element {a} has no inverse")
-        self._inv = tuple(inv)
+        try:
+            self._inv = tuple(row.index(0) for row in self._mul)
+        except ValueError:
+            raise NotAGroup("an element has no inverse") from None
         orders = [0] * n
         for a in range(n):
             x, k = a, 1
@@ -137,6 +140,12 @@ class FiniteGroup:
         x(y(wg)).  So n^2 |Gamma| products decide associativity at every
         order.  Gamma is ``generator_indices`` when given, which must then
         generate the table (ParseError otherwise); else a greedy set.
+
+        The test runs on the columns of the table, which the column check
+        builds anyway: with cols[y][x] = xy, the products ((xy)g)_x are
+        ``picker(cols[y])(cols[g])`` and the products (x(yg))_x are
+        cols[yg], so (xy)g = x(yg) for all x iff the two tuples are equal.
+        One picker per y serves every g in Gamma.
         """
         n = self.order
         rng = range(n)
@@ -150,7 +159,8 @@ class FiniteGroup:
                 raise NotAGroup(f"row {a} is not a permutation of 0..{n-1}")
             if row[0] != a or mul[0][a] != a:
                 raise NotAGroup("index 0 is not a two-sided identity")
-        for a, col in enumerate(zip(*mul)):
+        cols = tuple(zip(*mul))                      # cols[y][x] = xy
+        for a, col in enumerate(cols):
             if set(col) != full:
                 raise NotAGroup(f"column {a} is not a permutation of 0..{n-1}")
         gens = self.generator_indices
@@ -167,12 +177,14 @@ class FiniteGroup:
             if len(self._right_span(gens, {0})) != n:
                 raise ParseError(f"generator_indices {list(gens)} do not "
                                  f"generate the table")
-        for g in gens:
-            col = tuple(row[g] for row in mul)       # col[y] = yg
-            times_g = itemgetter(*col)               # row -> (x(yg))_y
-            for x, row in enumerate(mul):
-                if times_g(row) != itemgetter(*row)(col):   # vs ((xy)g)_y
-                    y = next(y for y in rng if col[row[y]] != row[col[y]])
+        gen_cols = [(g, cols[g]) for g in gens]
+        for y, row in enumerate(mul):
+            times_y = picker(cols[y])                # col -> ((xy)g)_x
+            for g, col in gen_cols:
+                right = cols[row[g]]                 # (x(yg))_x
+                left = times_y(col)
+                if left != right:
+                    x = next(x for x in rng if left[x] != right[x])
                     raise NotAGroup(f"associativity fails at ({x},{y},{g})")
 
     def _right_span(self, gens: Sequence[int], reached: set[int]) -> set[int]:
@@ -264,33 +276,49 @@ class FiniteGroup:
         seed elements kept as generators, in sorted seed order.
 
         A seed element s outside the subgroup H built so far is kept, and
-        <H, s> is enumerated as the right cosets H r reached from H s by
-        right multiplication by the kept generators; each kept generator at
+        <H, s> is enumerated by ``_dimino_step``; each kept generator at
         least doubles |H|.  A seed element already in H costs one lookup.
         """
-        mul = self._mul
         elems = [0]
         member = {0}
         gens: list[int] = []
         for s in sorted(set(seed)):
-            if s in member:
-                continue
-            gens.append(s)
-            rows = [mul[h] for h in elems]         # H, fixed while <H, s> grows
-            reps = [s]
-            coset = [row[s] for row in rows]       # the coset H s
-            elems.extend(coset)
-            member.update(coset)
-            for r in reps:                         # reps grows as cosets appear
-                row_r = mul[r]
-                for g in gens:
-                    y = row_r[g]
-                    if y not in member:
-                        reps.append(y)
-                        coset = [row[y] for row in rows]
-                        elems.extend(coset)
-                        member.update(coset)
+            if s not in member:
+                gens.append(s)
+                self._dimino_step(elems, member, gens)
         return elems, gens
+
+    def _dimino_step(self, elems: list[int], member: set[int],
+                     gens: list[int]) -> None:
+        """One step of Dimino's algorithm, in place: ``elems`` (with its set
+        ``member``) is a subgroup H generated by ``gens[:-1]``, and s =
+        ``gens[-1]`` lies outside it.  Grow both to <H, s>, enumerated as
+        the right cosets H r reached from H s by right multiplication by
+        ``gens``: the union of the cosets met is closed under right
+        multiplication by every generator, so it is <H, s>."""
+        mul = self._mul
+        rows = [mul[h] for h in elems]             # H, fixed while <H, s> grows
+        s = gens[-1]
+        reps = [s]
+        coset = [row[s] for row in rows]           # the coset H s
+        elems.extend(coset)
+        member.update(coset)
+        for r in reps:                             # reps grows as cosets appear
+            row_r = mul[r]
+            for g in gens:
+                y = row_r[g]
+                if y not in member:
+                    reps.append(y)
+                    coset = [row[y] for row in rows]
+                    elems.extend(coset)
+                    member.update(coset)
+
+    def _extend(self, H: "Subgroup", s: int) -> tuple[int, ...]:
+        """<H, s> for an s outside H, as a sorted index tuple: one Dimino
+        step from the members and generators of H."""
+        elems = list(H.members)
+        self._dimino_step(elems, set(H.member_set), [*H.generators, s])
+        return tuple(sorted(elems))
 
     def generated_subgroup(self, seed: Iterable[int]) -> "Subgroup":
         return Subgroup(self, self.closure(seed), check=False)
@@ -771,6 +799,12 @@ def subgroup_lattice(H: Subgroup) -> tuple[Subgroup, ...]:
     """All subgroups of H in the canonical order (descending size, then lex),
     at most ``active_caps.lattice`` of them.
 
+    Every subgroup is a join of cyclic subgroups, so the lattice is the
+    closure of the cyclic subgroups (each read off the powers of its first
+    generator c) under K -> <K, c>.  <c> <= K iff c is in K, and <K, c> is
+    one Dimino step from K (``FiniteGroup._extend``).  The closure-join
+    form is ``subgroup_lattice_literal`` in ``tests/oracles.py``.
+
     This order is the iteration order used by every other module.
     """
     cap = active_caps.lattice
@@ -779,25 +813,30 @@ def subgroup_lattice(H: Subgroup) -> tuple[Subgroup, ...]:
     cached = G._cache.get(key)
     if cached is not None:
         return cached
+    mul = G._mul
     seen: dict[tuple[int, ...], Subgroup] = {}
     trivial = (0,)
     seen[trivial] = Subgroup(G, trivial, check=False)
-    cyclics: list[tuple[int, ...]] = []
+    cyclics: list[int] = []                 # the first generator of each <c>
     for g in H.members:
-        mem = G.closure((g,))
+        powers, x = [0], g
+        while x != 0:
+            powers.append(x)
+            x = mul[x][g]
+        mem = tuple(sorted(powers))
         if mem not in seen:
-            sub = Subgroup(G, mem, check=False)
-            seen[mem] = sub
-            cyclics.append(mem)
+            seen[mem] = Subgroup(G, mem, check=False)
+            cyclics.append(g)
     frontier = list(seen.values())
     while frontier:
         new: list[Subgroup] = []
         for sub in frontier:
-            for cyc in cyclics:
-                if set(cyc) <= sub.member_set:
+            inside = sub.member_set
+            for c in cyclics:
+                if c in inside:             # <c> <= sub
                     continue
-                mem = G.closure(sub.members + cyc)
-                if len(mem) <= H.order and mem not in seen:
+                mem = G._extend(sub, c)
+                if mem not in seen:
                     bigger = Subgroup(G, mem, check=False)
                     seen[mem] = bigger
                     new.append(bigger)
@@ -936,7 +975,9 @@ def group_from_permutations(name: str,
     for images in generators:
         if len(images) != degree:
             raise NotAGroup("generators act on different point sets")
-        perm = tuple(int(x) - 1 for x in images)
+        if not set(map(type, images)) <= {int}:
+            raise ParseError(f"{list(images)} has a non-integer image")
+        perm = tuple(x - 1 for x in images)
         if sorted(perm) != list(range(degree)):
             raise NotAGroup(f"{list(images)} is not a permutation of 1..{degree}")
         gens.append(perm)

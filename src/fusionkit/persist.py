@@ -5,9 +5,12 @@ generator record: one representative per conjugacy class of subgroups, a
 generating set of its automorphism group, and bridging isomorphisms (both
 directions) to every other class member.
 
-Loading validates the table (``FiniteGroup._validate``: Latin square,
-identity, Light's associativity test), rebuilds F = F_S(W) from the stored
-table, and then proves that the record generates exactly F.  The proof is a
+Files are compact JSON.  Table entries, generator indices and the prime
+must be exact integers (ParseError otherwise).  Loading validates the table
+(``FiniteGroup._validate``: Latin square, identity, Light's associativity
+test), rebuilds F = F_S(W) from the stored table, and then proves that the
+record generates exactly F.  A witness holding every element is the whole
+group and is not checked again (``_witness``).  The proof is a
 certificate checked against F (``_record_certifies``); when it fails, the
 record is closed literally (``close_morphisms``) and compared with F, so a
 record with a dropped generator or class still loads when its closure
@@ -73,7 +76,22 @@ def system_payload(F: FusionSystem) -> dict:
 
 
 def save_system(F: FusionSystem, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(system_payload(F), indent=1) + "\n")
+    """Write ``system_payload(F)`` as compact JSON.  Without ``indent`` the
+    standard library encodes with its C encoder."""
+    Path(path).write_text(
+        json.dumps(system_payload(F), separators=(",", ":")) + "\n")
+
+
+def _witness(G: FiniteGroup, members: list) -> Subgroup:
+    """The stored witness as a subgroup of the validated table G.
+
+    When its members, sorted and de-duplicated, are 0..|G|-1, it is
+    ``G.full_subgroup`` with no further check: a validated table is a
+    group, so the set of all its elements holds the identity and every
+    inverse and product.  Any other witness is checked as a subgroup."""
+    if set(map(type, members)) <= {int} and set(members) == set(range(G.order)):
+        return G.full_subgroup
+    return G.subgroup(members)
 
 
 def _record_certifies(
@@ -151,10 +169,10 @@ def load_system(path: str | Path) -> FusionSystem:
         G = FiniteGroup(payload["group_name"], payload["table"], check=True,
                         generator_indices=payload.get("generator_indices"))
         S = G.subgroup(payload["support"])
-        W = G.subgroup(payload["witness"])
-        p = int(payload["prime"])
-        if not is_prime(p):
-            raise ParseError(f"prime {p} is not a prime")
+        W = _witness(G, payload["witness"])
+        p = payload["prime"]
+        if type(p) is not int or not is_prime(p):
+            raise ParseError(f"prime {p!r} is not a prime")
         fresh = fusion_of_group(W, S, p, name=payload.get("name", ""))
         record = []
         for entry in payload["classes"]:

@@ -2,11 +2,12 @@
 the member-level forms of the group kernel (closure, normalizer,
 centralizer, normality, automizers, iso-sets, extension groups, normal
 subgroups, maximal subgroups) that the package computes on generating sets,
-conjugation rows or the lattice's covering relation, the per-pair table of
-a permutation group, the exhaustive fusion-axiom audit, the literal
-morphism and subsystem transports (``conjugate_morphism`` is the Hom form
-of ``groups.Twist``), the greedy automorphism generating sets
-of the persisted records, and the direct product F1 x F2 with the product
+conjugation rows or the lattice's covering relation, the subgroup lattice
+by a fresh closure per join, the per-pair tables of a permutation group and
+of an automorphism group (``Hom.then`` per pair), the exhaustive
+fusion-axiom audit, the literal morphism and subsystem transports
+(``conjugate_morphism`` is the Hom form of ``groups.Twist``), the greedy
+automorphism generating sets of the persisted records, and the direct product F1 x F2 with the product
 structure theorem behind ``induced_by_some_pair``.
 
 The Hom forms of the four morphism-algebra paths the package runs on image
@@ -26,7 +27,8 @@ from typing import Iterable, Optional, Sequence
 
 from fusionkit.centralizers import z_of
 from fusionkit.errors import (CapExceeded, DomainMismatch,
-                              MorphismOutsideSupport, VerificationFailed)
+                              MorphismOutsideSupport, NotAGroup,
+                              VerificationFailed)
 from fusionkit.fusion import (FusionSystem, close_morphisms,
                               subsystem_contains, transport_isos)
 from fusionkit.groups import (FiniteGroup, Hom, Subgroup, active_caps,
@@ -232,6 +234,50 @@ def normal_subgroups_literal(ambient: Subgroup) -> tuple[Subgroup, ...]:
                     new.append(found[mem])
         frontier = new
     return tuple(sorted(found.values(), key=Subgroup.sort_key))
+
+
+def subgroup_lattice_literal(H: Subgroup) -> tuple[Subgroup, ...]:
+    """All subgroups of H, canonical order: the cyclic subgroups, then joins
+    with them until nothing new appears, each join a fresh closure of the
+    members of both."""
+    G = H.parent
+    seen: dict[tuple[int, ...], Subgroup] = {(0,): Subgroup(G, (0,), check=False)}
+    cyclics: list[tuple[int, ...]] = []
+    for g in H.members:
+        mem = G.closure((g,))
+        if mem not in seen:
+            seen[mem] = Subgroup(G, mem, check=False)
+            cyclics.append(mem)
+    frontier = list(seen.values())
+    while frontier:
+        new: list[Subgroup] = []
+        for sub in frontier:
+            for cyc in cyclics:
+                if set(cyc) <= sub.member_set:
+                    continue
+                mem = G.closure(sub.members + cyc)
+                if mem not in seen:
+                    seen[mem] = Subgroup(G, mem, check=False)
+                    new.append(seen[mem])
+        frontier = new
+    return tuple(sorted(seen.values(), key=Subgroup.sort_key))
+
+
+def morphism_group_table_literal(homs: Sequence[Hom]) -> list[list[int]]:
+    """The composition table of ``MorphismGroup.homs``: the index of
+    ``a.then(b)``, one Hom per pair; NotAGroup when a composite is
+    missing."""
+    index = {h.images: i for i, h in enumerate(homs)}
+    table = []
+    for a in homs:
+        row = []
+        for b in homs:
+            k = index.get(a.then(b).images)
+            if k is None:
+                raise NotAGroup("automorphism set is not closed under composition")
+            row.append(k)
+        table.append(row)
+    return table
 
 
 # -- fusion systems -------------------------------------------------------------

@@ -131,17 +131,37 @@ def _add_support_index(payload):
     payload["support"].append(999)
 
 
+def _float_generator_index(payload):
+    payload["generator_indices"][0] += 0.5      # int() would truncate it back
+
+
+def _table_with(entry):
+    """q8's table with the entry 1 at (1, 0) replaced by ``entry``."""
+    table = builtin_table("q8")
+    table[1][0] = entry
+    return {"name": "g", "kind": "multiplication-table", "table": table}
+
+
+def _s4_with_image(image):
+    """s4's generators with the image 2 of the first replaced by ``image``."""
+    return {"name": "g", "kind": "permutation-generators",
+            "generators": [[image, 1, 3, 4], [2, 3, 4, 1]]}
+
+
 class TestMalformedInput:
-    """Malformed fields exit 2 with an ``error:`` line, never a traceback."""
+    """Malformed fields exit 2 with an ``error:`` line, never a traceback.
+    Integer fields take exact integers only: a string, float or bool that
+    ``int()`` would accept is still a parse error."""
 
     @pytest.mark.parametrize("mutate", [
         _set("prime", "x"), _set_table_entry, _set("table", 5),
         _set("classes", 3), _add_support_index,
         _set("generator_indices", [999]), _set("generator_indices", [1]),
-        _set("prime", 4), _set("prime", 1),
+        _set("prime", 4), _set("prime", 1), _set("prime", 2.5),
+        _set("prime", "2"), _float_generator_index,
     ], ids=["prime", "table-entry", "table", "classes", "support-index",
             "generator-index-range", "generator-index-span", "prime-composite",
-            "prime-one"])
+            "prime-one", "prime-float", "prime-string", "generator-index-float"])
     def test_malformed_fsk(self, mutate, s4_fsk, tmp_path, capsys):
         payload = json.loads(s4_fsk.read_text())
         mutate(payload)
@@ -157,7 +177,11 @@ class TestMalformedInput:
         {"name": "g", "kind": "permutation-generators", "generators": ["21", "12"]},
         {"name": "g", "kind": "permutation-generators", "generators": [5, 6]},
         {"name": "g", "kind": "multiplication-table", "table": [[0, 1], [1, "x"]]},
-    ], ids=["string-generators", "non-list-generators", "string-table-entry"])
+        _table_with("1"), _table_with(1.0), _table_with(True),
+        _s4_with_image(2.5), _s4_with_image("2"),
+    ], ids=["string-generators", "non-list-generators", "string-table-entry",
+            "numeric-string-table-entry", "float-table-entry",
+            "bool-table-entry", "float-image", "string-image"])
     def test_malformed_group_file(self, payload, tmp_path, capsys):
         f = tmp_path / "g.json"
         f.write_text(json.dumps(payload))

@@ -6,17 +6,20 @@ iso-sets, extension groups) read only ``Subgroup.generators``, picked off
 the cached conjugation rows ``FiniteGroup.conj_row``.  Each is compared
 with the literal form in ``oracles``, over every subgroup pair of a few
 corpus groups and over groups generated by two permutations, as are the
-rows themselves and the picker-built permutation tables.  The slotted
-``Subgroup`` keeps its validation, equality and hashing."""
+rows themselves and the picker-built permutation tables.  The subgroup
+lattice built by one Dimino step per join and the picker-built table of
+``MorphismGroup`` are compared with their closure-join and ``Hom.then``
+forms.  The slotted ``Subgroup`` keeps its validation, equality and
+hashing."""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fusionkit.corpus import builtin_group
+from fusionkit.corpus import CORPUS_ENTRIES, builtin_group
 from fusionkit.errors import NotAGroup
-from fusionkit.fusion import fusion_of_group
+from fusionkit.fusion import MorphismGroup, fusion_of_group
 from fusionkit.groups import (Subgroup, centralizer, normal_subgroups,
                               normalizer, picker, subgroup_lattice,
                               sylow_subgroup)
@@ -24,8 +27,9 @@ from fusionkit.saturation import extension_group
 from oracles import (automizer_in_literal, centralizer_literal,
                      closure_literal, extension_group_literal,
                      is_elementwise_commuting_literal, is_normal_in_literal,
-                     isos_from_literal, normal_subgroups_literal,
-                     normalizer_literal, permutation_table_literal)
+                     isos_from_literal, morphism_group_table_literal,
+                     normal_subgroups_literal, normalizer_literal,
+                     permutation_table_literal, subgroup_lattice_literal)
 from test_fusion import perm_groups
 
 
@@ -76,6 +80,45 @@ def check_system(G, p: int) -> None:
             assert extension_group(F, phi) == extension_group_literal(F, phi)
 
 
+def check_lattices_and_auts(G, p: int) -> None:
+    """The lattices of a Sylow p-subgroup S and of G match the closure-join
+    form, member tuple for member tuple and in order, and the table of each
+    Aut_F(P) of F_S(G) matches the per-pair Hom.then table."""
+    S = sylow_subgroup(G.full_subgroup, p)
+    for H in (S, G.full_subgroup):
+        assert ([K.members for K in subgroup_lattice(H)]
+                == [K.members for K in subgroup_lattice_literal(H)])
+    F = fusion_of_group(G, S, p)
+    for P in F.subgroups():
+        mg = MorphismGroup(F.automorphisms(P))
+        assert ([list(row) for row in mg.group._mul]
+                == morphism_group_table_literal(mg.homs))
+
+
+SMALL = sorted({(name, p) for name, p in CORPUS_ENTRIES
+                if builtin_group(name).order <= 48})
+
+
+@pytest.mark.parametrize("name,p", SMALL, ids=[f"{n}@{p}" for n, p in SMALL])
+def test_lattices_and_aut_tables(name, p):
+    check_lattices_and_auts(builtin_group(name), p)
+
+
+def test_morphism_group_rejects_an_open_set():
+    """A set with the identity that is not closed under composition is not
+    a group, in the picker form as in the Hom.then form."""
+    G = builtin_group("s4")
+    F = fusion_of_group(G, sylow_subgroup(G.full_subgroup, 2), 2)
+    P = next(P for P in F.subgroups() if len(F.automorphisms(P)) == 6)
+    ident = next(h for h in F.automorphisms(P) if h.is_identity())
+    third = next(h for h in F.automorphisms(P)
+                 if not h.is_identity() and not h.then(h).is_identity())
+    with pytest.raises(NotAGroup, match="not closed"):
+        MorphismGroup([ident, third])
+    with pytest.raises(NotAGroup, match="not closed"):
+        morphism_group_table_literal([ident, third])
+
+
 @pytest.mark.parametrize("name", ["d8", "s4", "q8c4", "s3xs3", "gl23", "d8xc2"])
 def test_every_subgroup_pair(name):
     G = builtin_group(name)
@@ -102,7 +145,8 @@ def test_generated_groups(data):
     """Over groups generated by two permutations of degree <= 5:
     conjugation rows and the table, closure of a random seed, generators,
     three drawn subgroups against each other and the whole group, normal
-    subgroups and F_S(G)."""
+    subgroups, F_S(G), the lattices of S and G and the tables of the
+    Aut_F(P)."""
     G, p = data.draw(perm_groups())
     check_rows(G)
     seed = data.draw(st.lists(st.integers(0, G.order - 1), max_size=4))
@@ -117,6 +161,7 @@ def test_generated_groups(data):
     assert normal_subgroups(G.full_subgroup) == normal_subgroups_literal(
         G.full_subgroup)
     check_system(G, p)
+    check_lattices_and_auts(G, p)
 
 
 def test_picker_of_no_positions():

@@ -1,21 +1,30 @@
-"""Loading .fsk files: the record certificate against the literal closure."""
+"""Saving and loading .fsk files: the record certificate against the
+literal closure, the round trip, the full-group witness and the
+associativity report."""
 
 from __future__ import annotations
 
 import copy
 import itertools
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
 from fusionkit import persist
-from fusionkit.corpus import CORPUS_ENTRIES, builtin_group
+from fusionkit.cli import main
+from fusionkit.corpus import CORPUS_ENTRIES, builtin_group, builtin_group_path
 from fusionkit.errors import NotAGroup, VerificationFailed
 from fusionkit.fusion import (FusionSystem, close_morphisms, fusion_of_group,
                               subsystem_equal)
 from fusionkit.groups import FiniteGroup, Hom, sylow_subgroup
-from fusionkit.persist import load_system, system_payload
+from fusionkit.persist import load_system, save_system, system_payload
 from oracles import aut_generating_set_greedy, close_morphisms_literal
+from test_fusion import perm_groups
+from test_groups import intercalates, literal_associative, swap_intercalate
 
 
 def corpus_payload(name, p):
@@ -214,3 +223,134 @@ def test_mutations_reach_every_decision(tmp_path, monkeypatch):
         path.write_text(json.dumps(payload))
         kinds.add(decide(path, monkeypatch))
     assert {(None, False), (None, True), (VerificationFailed, True)} <= kinds
+
+
+# -- round trip, witnesses and the associativity report -------------------------
+
+
+def check_round_trip(F, path):
+    """``path`` holds ``save_system(F)``: it parses to ``system_payload(F)``
+    and loads to a system with F's table, content key and iso-sets."""
+    assert json.loads(path.read_text()) == system_payload(F)
+    got = load_system(path)
+    assert got.universe._mul == F.universe._mul
+    assert got.content_key == F.content_key
+    assert [P.members for P in got.subgroups()] == [P.members for P in F.subgroups()]
+    assert all(got._keys_from(P) == F._keys_from(F.universe.subgroup(P.members))
+               for P in got.subgroups())
+    # the same system rebuilt over the loaded table is equal to it
+    G = got.universe
+    assert subsystem_equal(got, fusion_of_group(
+        G.subgroup(F.witness.members), G.subgroup(F.support.members), F.p))
+
+
+@pytest.mark.parametrize("name,p", SMALL, ids=[f"{n}@{p}" for n, p in SMALL])
+def test_build_round_trip(name, p, tmp_path, capsys):
+    """``fusionkit build`` then ``load_system`` on each entry of order <= 48."""
+    path = tmp_path / "x.fsk"
+    assert main(["build", str(builtin_group_path(name)), "-p", str(p),
+                 "--out", str(path)]) == 0
+    G = builtin_group(name)
+    check_round_trip(fusion_of_group(G, sylow_subgroup(G.full_subgroup, p), p,
+                                     name=f"F({G.name}@{p})"), path)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(perm_groups())
+def test_generated_round_trip(case):
+    """``save_system`` then ``load_system`` on groups generated by two
+    permutations of degree <= 5."""
+    G, p = case
+    F = fusion_of_group(G, sylow_subgroup(G.full_subgroup, p), p)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.fsk"
+        save_system(F, path)
+        check_round_trip(F, path)
+
+
+def test_saved_files_are_compact(tmp_path):
+    """One line of JSON with no whitespace between tokens."""
+    path = tmp_path / "x.fsk"
+    G = builtin_group("s4")
+    save_system(fusion_of_group(G, sylow_subgroup(G.full_subgroup, 2), 2), path)
+    text = path.read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert ", " not in text and ": " not in text
+
+
+@pytest.mark.parametrize("edit", [lambda w: w[::-1], lambda w: w + w[:3]],
+                         ids=["unsorted", "repeats"])
+def test_full_witness_is_not_rechecked(edit, tmp_path, monkeypatch):
+    """A witness holding every element, in any order and with repeats, is
+    the whole group: it loads without the checked subgroup construction."""
+    payload = corpus_payload("s4", 2)
+    payload["witness"] = edit(payload["witness"])
+    path = tmp_path / "x.fsk"
+    path.write_text(json.dumps(payload))
+    checked = []
+    subgroup = FiniteGroup.subgroup
+
+    def counted(self, members, check=True):
+        members = list(members)
+        if check and len(set(members)) == self.order:
+            checked.append(members)
+        return subgroup(self, members, check)
+
+    monkeypatch.setattr(FiniteGroup, "subgroup", counted)
+    F = load_system(path)
+    assert not checked
+    assert F.witness is F.universe.full_subgroup
+
+
+def test_witness_that_is_not_a_subgroup_exits_two(tmp_path, capsys):
+    """A witness one element short of the whole group is still checked as a
+    subgroup, and fails."""
+    payload = corpus_payload("s4", 2)
+    payload["witness"] = payload["witness"][:-1]
+    path = tmp_path / "x.fsk"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(NotAGroup):
+        load_system(path)
+    assert main(["centralizer", str(path), "--normal", "order:4"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def failing_triple(exc):
+    """The (x, y, g) named by an associativity NotAGroup."""
+    found = re.search(r"associativity fails at \((\d+),(\d+),(\d+)\)", str(exc))
+    assert found, str(exc)
+    return tuple(map(int, found.groups()))
+
+
+def assert_names_a_failing_triple(table, call):
+    with pytest.raises(NotAGroup, match="associativity") as info:
+        call()
+    x, y, g = failing_triple(info.value)
+    assert table[table[x][y]][g] != table[x][table[y][g]]
+
+
+@pytest.mark.parametrize("name", sorted({n for n, p in SMALL}))
+def test_associativity_report_names_a_failing_triple(name):
+    """On every non-associative swap of the first intercalates of each table
+    of order <= 48, the reported (x, y, g) really fails (xy)g = x(yg)."""
+    table = [list(row) for row in builtin_group(name)._mul]
+    rest = range(1, len(table))
+    for quad in intercalates(table, rest, set(rest))[:4]:
+        bad = swap_intercalate(table, quad)
+        if not literal_associative(bad):
+            assert_names_a_failing_triple(bad, lambda: FiniteGroup("t", bad))
+
+
+def test_load_reports_a_failing_triple(tmp_path):
+    """A stored table made non-associative fails to load with NotAGroup at
+    a triple that really fails."""
+    payload = corpus_payload("s4", 2)
+    del payload["generator_indices"]
+    rest = range(1, len(payload["table"]))
+    payload["table"] = next(
+        bad for bad in (swap_intercalate(payload["table"], quad)
+                        for quad in intercalates(payload["table"], rest, set(rest)))
+        if not literal_associative(bad))
+    path = tmp_path / "x.fsk"
+    path.write_text(json.dumps(payload))
+    assert_names_a_failing_triple(payload["table"], lambda: load_system(path))
