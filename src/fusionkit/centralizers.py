@@ -6,20 +6,23 @@ subsystem C_F(E), and the coincidence formula for its automorphism groups.
 Each Theorem A post-check is stated once, as a predicate returning a located
 counterexample or None: ``c_s_counterexample`` for C_S(E) and
 ``r_star_counterexample`` for R*.  ``c_s_of`` and ``compute_centralizer_data``
-raise TheoremViolation from them; the verification suite reports them."""
+raise TheoremViolation from them; the verification suite reports them.
+A-circle, H(P) and the coincidence formula are decided on the table of
+Aut_F(P) (``saturation.aut_group``); their Hom forms are oracles in
+``tests/oracles.py``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import TheoremViolation, VerificationFailed
 from .fusion import FusionSystem, generated_subsystem, subsystem_contains
-from .groups import (Hom, Subgroup, Twist, centralizer, normalizer,
+from .groups import (Hom, Subgroup, centralizer, normalizer, picker,
                      subgroup_lattice)
 from .models import Model, model_of, normal_model, script_G
-from .saturation import classify, o_upper_p_automorphisms
+from .saturation import aut_group, classify, o_upper_p_automorphisms
 from .subsystems import (centralizer_subsystem, is_normal, is_strongly_closed,
                          normalizer_subsystem, weakly_closed_subgroups_in)
 
@@ -31,8 +34,10 @@ def contained_in_centralizer(F: FusionSystem, E: FusionSystem, X: Subgroup,
     ``path`` selects the full hom-set test ("full"), the generating-set test
     on the centric radical fully normalized classes of E ("generators"), or
     both with an agreement assertion ("both", the default).  The generating
-    path is only sound for saturated E.
+    path is only sound for saturated E.  Any other path is a ValueError.
     """
+    if path not in ("full", "generators", "both"):
+        raise ValueError(f"unknown containment path {path!r}")
     C = centralizer_subsystem(F, X)
     if not E.support.member_set <= C.support.member_set:
         return False
@@ -109,28 +114,26 @@ def c_s_of(F: FusionSystem, E: FusionSystem,
 def a_circle(F: FusionSystem, E: FusionSystem, P: Subgroup) -> tuple[Hom, ...]:
     """Automorphisms moving P only inside P n T and restricting into E there.
 
-    Verified to form a subgroup normal in Aut_F(P).
+    Verified on the table of Aut_F(P) to form a normal subgroup.
     """
     T = E.support
     G = F.universe
     PT = P.meet(T)
+    at = P.positions
+    restrict = picker([at[x] for x in PT.members])
     out = []
     for phi in F.automorphisms(P):
         if not all(G.mul(G.inv(x), phi(x)) in PT.member_set for x in P.members):
             continue
-        if phi.restrict_cores(PT).images not in E._keys_from(PT):
+        if restrict(phi.images) not in E._keys_from(PT):
             continue
         out.append(phi)
-    keys = {h.images for h in out}
-    for a in out:
-        for b in out:
-            if a.then(b).images not in keys:
-                raise VerificationFailed("A-circle is not closed under composition")
-    for chi in F.automorphisms(P):
-        twist = Twist(chi, P)
-        for a in out:
-            if twist.images(a.images) not in keys:
-                raise VerificationFailed("A-circle is not normal in Aut_F(P)")
+    A = aut_group(F, P)
+    sub = A.subgroup_of(out)
+    if sub is None:
+        raise VerificationFailed("A-circle is not closed under composition")
+    if not sub.is_normal_in(A.group.full_subgroup):
+        raise VerificationFailed("A-circle is not normal in Aut_F(P)")
     return tuple(sorted(out, key=Hom.sort_key))
 
 
@@ -141,11 +144,8 @@ def h_group(F: FusionSystem, E: FusionSystem, P: Subgroup) -> tuple[Hom, ...]:
     PN = F.universe.generated_subgroup(P.members + NT.members)
     out = [phi for phi in F.automorphisms(P)
            if any(psi.codomain == PN for psi in F.extensions(phi, PN))]
-    keys = {h.images for h in out}
-    for a in out:
-        for b in out:
-            if a.then(b).images not in keys:
-                raise VerificationFailed("H(P) is not closed under composition")
+    if aut_group(F, P).subgroup_of(out) is None:
+        raise VerificationFailed("H(P) is not closed under composition")
     return tuple(sorted(out, key=Hom.sort_key))
 
 
@@ -194,26 +194,26 @@ def r_star_counterexample(F: FusionSystem, E: FusionSystem,
 # -- focal and hyperfocal subgroups --------------------------------------------------
 
 
-def focal_subgroup(F: FusionSystem) -> Subgroup:
-    """foc(F) = <[P, Aut_F(P)] : P <= S>."""
+def _commutators(F: FusionSystem,
+                 autos: Callable[[Subgroup], Sequence[Hom]]) -> Subgroup:
+    """<[P, autos(P)] : P <= S>, generated by the x^-1 x^phi."""
     G = F.universe
     gens: set[int] = set()
     for P in F.subgroups():
-        for phi in F.automorphisms(P):
+        for phi in autos(P):
             for x in P.members:
                 gens.add(G.mul(G.inv(x), phi(x)))
     return G.generated_subgroup(gens)
+
+
+def focal_subgroup(F: FusionSystem) -> Subgroup:
+    """foc(F) = <[P, Aut_F(P)] : P <= S>."""
+    return _commutators(F, F.automorphisms)
 
 
 def hyperfocal_subgroup(F: FusionSystem) -> Subgroup:
     """hyp(F) = <[P, O^p(Aut_F(P))] : P <= S>."""
-    G = F.universe
-    gens: set[int] = set()
-    for P in F.subgroups():
-        for phi in o_upper_p_automorphisms(F, P):
-            for x in P.members:
-                gens.add(G.mul(G.inv(x), phi(x)))
-    return G.generated_subgroup(gens)
+    return _commutators(F, lambda P: o_upper_p_automorphisms(F, P))
 
 
 # -- the centralizer subsystem ---------------------------------------------------
@@ -301,7 +301,8 @@ def coincide_check(F: FusionSystem, E: FusionSystem,
                    CFE: Optional[FusionSystem] = None,
                    C_S_E: Optional[Subgroup] = None) -> bool:
     """Aut_{C_F(E)}(P) = O^p(Aut_{C_F(T)}(P)) * Aut_{C_S(E)}(P) for every
-    P fully normalized and centric in C_F(E)."""
+    P fully normalized and centric in C_F(E), as a product set on the
+    table of Aut_{C_F(E)}(P), where both factors must lie."""
     R = C_S_E if C_S_E is not None else c_s_of(F, E)
     cfe = CFE if CFE is not None else c_F_of(F, E, C_S_E=R)
     CFT = centralizer_subsystem(F, E.support)
@@ -309,11 +310,11 @@ def coincide_check(F: FusionSystem, E: FusionSystem,
     for P in cfe.subgroups():
         if not (cls.is_fully_normalized(P) and cls.is_centric(P)):
             continue
-        lhs = {h.images for h in cfe.automorphisms(P)}
-        op_part = o_upper_p_automorphisms(CFT, P)
-        aut_r = cfe.automizer_in(R, P)
-        rhs = {a.then(b).images for a in op_part for b in aut_r}
-        if lhs != rhs:
+        A = aut_group(cfe, P)
+        op_part = A.subgroup_of(o_upper_p_automorphisms(CFT, P))
+        aut_r = A.subgroup_of(cfe.automizer_in(R, P))
+        if (op_part is None or aut_r is None or op_part.product_set(aut_r)
+                != A.group.full_subgroup.members):
             return False
     return True
 

@@ -7,7 +7,8 @@ its image followed by an inclusion, so Hom(P,Q) is the set of members of
 ``isos_from(P)`` whose image lies in Q, and this representation is
 lossless.  The module also builds subsystems (realized, inner, generated by
 worklist closure, full subcategories), transports iso-sets along injective
-maps (``transport_isos``) and compares subsystems hom-set by hom-set.
+maps as image keys (``transport_isos``, one ``groups.Twist`` per subgroup)
+and compares subsystems hom-set by hom-set.
 
 Systems are immutable once constructed; only ``name`` may be reassigned.
 Every system has a content key.  A system given by a witness group alone
@@ -45,8 +46,8 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (DomainMismatch, MorphismOutsideSupport, NotAGroup,
                      NotSylow)
-from .groups import (FiniteGroup, Hom, Subgroup, lattice_covers, p_part,
-                     picker, subgroup_lattice)
+from .groups import (FiniteGroup, Hom, Subgroup, Twist, lattice_covers,
+                     p_part, picker, subgroup_lattice)
 
 
 class FusionSystem:
@@ -200,14 +201,6 @@ class FusionSystem:
 
     def automorphisms(self, P: Subgroup) -> tuple[Hom, ...]:
         return tuple(h for h in self.isos_from(P) if h.codomain == P)
-
-    def inner_automorphisms(self, P: Subgroup) -> tuple[Hom, ...]:
-        """Aut_P(P): conjugations by elements of P itself."""
-        found = {}
-        for x in P.members:
-            h = Hom.conjugation(P, x, codomain=P)
-            found.setdefault(h.images, h)
-        return tuple(sorted(found.values(), key=Hom.sort_key))
 
     def automizer_in(self, R: Subgroup, P: Subgroup) -> tuple[Hom, ...]:
         """Aut_R(P): conjugations by elements of N_R(P)."""
@@ -471,14 +464,17 @@ def generated_subsystem(F: FusionSystem, R: Subgroup,
 # -- morphism/subsystem transport -----------------------------------------------
 
 
-def transport_isos(E: FusionSystem, sigma: Hom) -> dict[tuple[int, ...], tuple[Hom, ...]]:
-    """Iso-sets of E pushed through an injective map defined on the support."""
+def transport_isos(E: FusionSystem, sigma: Hom) -> dict[tuple[int, ...], frozenset]:
+    """Iso-sets of E pushed through a map injective on the support, on keys:
+    sigma(P) to the image keys of the maps sigma(x) -> sigma(x^phi), one
+    ``Twist`` per P.  The Hom form is ``transport_isos_literal`` in
+    ``tests/oracles.py``."""
     if not E.support.member_set <= sigma.domain.member_set:
         raise DomainMismatch("transport map is not defined on the support")
-    out: dict[tuple[int, ...], tuple[Hom, ...]] = {}
+    out: dict[tuple[int, ...], frozenset] = {}
     for P in E.subgroups():
-        out[sigma.apply_set(P.members)] = tuple(
-            sorted((h.push(sigma) for h in E.isos_from(P)), key=Hom.sort_key))
+        twist = Twist(sigma, P)
+        out[twist.target] = frozenset(map(twist.images, E._keys_from(P)))
     return out
 
 
@@ -522,7 +518,8 @@ class MorphismGroup:
 
     Elements are Hom objects with equal domain and codomain; index 0 is the
     identity.  Used to run the group-theoretic operators (O_p, O^p, Sylow)
-    on automorphism groups.
+    on automorphism groups, and (``subgroup_of``) to decide subgroup,
+    normality and product statements on the table.
 
     The table is filled on image keys: a then b has the key
     ``picker(positions of a.images in P)(b.images)``, so no Hom is built
@@ -561,9 +558,17 @@ class MorphismGroup:
             raise NotAGroup("automorphism is not in this group")
         return k
 
-    def subgroup_from_homs(self, homs: Iterable[Hom]) -> Subgroup:
-        return self.group.subgroup(sorted(self.index_of(h) for h in homs),
-                                   check=False)
+    def subgroup_of(self, homs: Iterable[Hom]) -> Optional[Subgroup]:
+        """``homs`` as a subgroup of ``group``; None when one is not in this
+        group or they are not a subgroup, that is, not the subgroup they
+        generate (one closure of their indices)."""
+        found = set(map(self._index.get, (h.images for h in homs)))
+        if None in found:
+            return None
+        members = tuple(sorted(found))
+        if self.group.closure(members) != members:
+            return None
+        return Subgroup(self.group, members, check=False)
 
     def homs_of(self, sub: Subgroup) -> tuple[Hom, ...]:
         if sub.parent is not self.group:

@@ -10,8 +10,8 @@ members it keeps over the sorted members, cached on the subgroup.  The
 action tests (``normalizer``, ``centralizer``, ``Subgroup.is_normal_in``,
 ``Subgroup.is_elementwise_commuting``) read only generators: H^g <= H iff
 gens(H)^g <= H, and g centralizes H iff it commutes with gens(H).  These
-equivalences need H to be a subgroup, so callers pass subgroups, never the
-unchecked point sets of ``Hom.from_pairs``.  ``normal_subgroups`` computes
+equivalences need H to be a subgroup, so callers pass subgroups, never
+unchecked point sets.  ``normal_subgroups`` computes
 one orbit per conjugacy class.  ``subgroup_lattice`` joins each subgroup H
 found with the cyclic subgroups <c> not in it (c in H decides <c> <= H),
 each join <H, c> one Dimino step from the members and generators of H
@@ -561,33 +561,6 @@ class Hom:
         cod = Subgroup(self.codomain.parent, tuple(sorted(imgs)), check=False)
         return Hom(P, cod, imgs, witness=self.witness, check=False)
 
-    def push(self, sigma: "Hom") -> Optional["Hom"]:
-        """sigma(x) -> sigma(self(x)), corestricted onto its image; None when
-        that map is ill-defined or not injective (see ``from_pairs``), never
-        when sigma and self are both injective."""
-        return Hom.from_pairs(sigma.codomain.parent,
-                              ((sigma(x), sigma(y))
-                               for x, y in zip(self.domain.members, self.images)))
-
-    @staticmethod
-    def from_pairs(parent: FiniteGroup,
-                   pairs: Iterable[tuple[int, int]]) -> Optional["Hom"]:
-        """The map x -> y of ``pairs`` in ``parent``, from the set of the
-        x's onto the set of the y's (neither is checked to be a subgroup).
-        None when some x is paired with two different y's or two x's share
-        one y."""
-        mp: dict[int, int] = {}
-        for x, y in pairs:
-            if mp.setdefault(x, y) != y:
-                return None
-        image = set(mp.values())
-        if len(image) != len(mp):
-            return None
-        members = tuple(sorted(mp))
-        return Hom(Subgroup(parent, members, check=False),
-                   Subgroup(parent, tuple(sorted(image)), check=False),
-                   tuple(mp[x] for x in members), check=False)
-
     def inverse(self) -> "Hom":
         if not self.is_injective or self.image != self.codomain:
             raise NotAGroup("only isomorphisms onto the codomain invert")
@@ -639,8 +612,11 @@ class Twist:
 
     phi^alpha sends x^alpha to (x^phi)^alpha.  ``target`` is P^alpha as a
     sorted member tuple and ``images(phi.images)`` is the image key of
-    phi^alpha on it, the key ``Hom.push`` would give.  The moved domain and
-    its sort order are computed once, so each phi costs one tuple."""
+    phi^alpha on it.  The same holds for any map alpha injective there, in
+    another universe too, which is how ``fusion.transport_isos`` pushes
+    iso-sets; the Hom form is ``push`` in ``tests/oracles.py``.  The moved
+    domain and its sort order are computed once, so each phi costs one
+    tuple."""
 
     __slots__ = ("target", "_order", "_map")
 

@@ -97,7 +97,7 @@ def _verify_model(F: FusionSystem, M: FiniteGroup, sigma: Hom) -> None:
     FM = fusion_of_group(M, Ssig, p)
     moved = transport_isos(F, sigma)
     for P in FM.subgroups():
-        if {h.images for h in FM.isos_from(P)} != {h.images for h in moved[P.members]}:
+        if FM._keys_from(P) != moved[P.members]:
             raise VerificationFailed(
                 f"model fusion differs from F at subgroup {list(P.members)}")
     Q = o_p(M.full_subgroup, p)
@@ -141,8 +141,7 @@ def normal_model(F: FusionSystem, model: Model, E: FusionSystem) -> Subgroup:
     M = model.group
     Tsig = sigma.subgroup_image(E.support)
     Ssig = model.sylow_image
-    target = {mem: {h.images for h in homs}
-              for mem, homs in transport_isos(E, sigma).items()}
+    target = transport_isos(E, sigma)
     hits = []
     for N in normal_subgroups(M.full_subgroup):
         if not Tsig.member_set <= N.member_set:
@@ -152,7 +151,7 @@ def normal_model(F: FusionSystem, model: Model, E: FusionSystem) -> Subgroup:
         if N.member_set & Ssig.member_set != Tsig.member_set:
             continue
         EN = FusionSystem(Tsig, p, witness=N)
-        if all({h.images for h in EN.isos_from(Subgroup(M, mem, check=False))} == keys
+        if all(EN._keys_from(Subgroup(M, mem, check=False)) == keys
                for mem, keys in target.items()):
             hits.append(N)
     if not hits:

@@ -5,8 +5,10 @@ generator record: one representative per conjugacy class of subgroups, a
 generating set of its automorphism group, and bridging isomorphisms (both
 directions) to every other class member.
 
-Files are compact JSON.  Table entries, generator indices and the prime
-must be exact integers (ParseError otherwise).  Loading validates the table
+Files are compact JSON.  Every integer field (table entries, generator
+indices, the prime, the support, the witness, class members and record map
+images) must hold exact integers, so ``true`` is not 1 (ParseError
+otherwise).  Loading validates the table
 (``FiniteGroup._validate``: Latin square, identity, Light's associativity
 test), rebuilds F = F_S(W) from the stored table, and then proves that the
 record generates exactly F.  A witness holding every element is the whole
@@ -82,6 +84,14 @@ def save_system(F: FusionSystem, path: str | Path) -> None:
         json.dumps(system_payload(F), separators=(",", ":")) + "\n")
 
 
+def _ints(values: list) -> list:
+    """``values`` if all are exact integers (a ``bool`` is an ``int``, so
+    ``true`` would pass as 1); ParseError otherwise."""
+    if not set(map(type, values)) <= {int}:
+        raise ParseError(f"{values!r} are not all integers")
+    return values
+
+
 def _witness(G: FiniteGroup, members: list) -> Subgroup:
     """The stored witness as a subgroup of the validated table G.
 
@@ -89,7 +99,7 @@ def _witness(G: FiniteGroup, members: list) -> Subgroup:
     ``G.full_subgroup`` with no further check: a validated table is a
     group, so the set of all its elements holds the identity and every
     inverse and product.  Any other witness is checked as a subgroup."""
-    if set(map(type, members)) <= {int} and set(members) == set(range(G.order)):
+    if set(members) == set(range(G.order)):
         return G.full_subgroup
     return G.subgroup(members)
 
@@ -168,22 +178,23 @@ def load_system(path: str | Path) -> FusionSystem:
     try:
         G = FiniteGroup(payload["group_name"], payload["table"], check=True,
                         generator_indices=payload.get("generator_indices"))
-        S = G.subgroup(payload["support"])
-        W = _witness(G, payload["witness"])
+        S = G.subgroup(_ints(payload["support"]))
+        W = _witness(G, _ints(payload["witness"]))
         p = payload["prime"]
         if type(p) is not int or not is_prime(p):
             raise ParseError(f"prime {p!r} is not a prime")
         fresh = fusion_of_group(W, S, p, name=payload.get("name", ""))
         record = []
         for entry in payload["classes"]:
-            rep = G.subgroup(entry["rep"])
-            auts = [Hom(rep, rep, images, check=True)
+            rep = G.subgroup(_ints(entry["rep"]))
+            auts = [Hom(rep, rep, _ints(images), check=True)
                     for images in entry["aut_generators"]]
             bridges = []
             for bridge in entry["bridges"]:
-                member = G.subgroup(bridge["member"])
-                bridges.append((Hom(rep, member, bridge["from_rep"], check=True),
-                                Hom(member, rep, bridge["to_rep"], check=True)))
+                member = G.subgroup(_ints(bridge["member"]))
+                bridges.append((
+                    Hom(rep, member, _ints(bridge["from_rep"]), check=True),
+                    Hom(member, rep, _ints(bridge["to_rep"]), check=True)))
             record.append((rep, auts, bridges))
         if _record_certifies(fresh, record):
             return fresh

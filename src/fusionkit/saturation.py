@@ -92,7 +92,9 @@ def _classify(F: FusionSystem) -> SubgroupClassification:
             fully_a.add(P.members)
         mg = aut_group(F, P)
         core = o_p(mg.group.full_subgroup, F.p)
-        inner = mg.subgroup_from_homs(F.inner_automorphisms(P))
+        inner = mg.subgroup_of(F.automizer_in(P, P))
+        if inner is None:
+            raise NotAGroup("automorphism is not in this group")
         if core == inner:
             radical.add(P.members)
     return SubgroupClassification(F, frozenset(fully_n), frozenset(fully_c),

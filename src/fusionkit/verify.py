@@ -41,7 +41,7 @@ from .models import (Model, is_constrained, model_of, models_isomorphic_over_s,
                      normal_in_system, normal_model, script_G)
 from .products import (ProductReport, centralize_each_other,
                        verify_product_theorems)
-from .saturation import classify, is_saturated
+from .saturation import aut_group, classify, is_saturated
 from .subsystems import (bounded_extensions, centralizer_subsystem,
                          invariance_condition, is_normal, is_weakly_closed,
                          normal_subsystem_in, normalizer_subsystem,
@@ -318,17 +318,24 @@ def verify_easy_centralizer(F: FusionSystem, E: FusionSystem,
 def verify_frattini_cons(F: FusionSystem, E: FusionSystem,
                          h_sets: Optional[dict] = None,
                          a_sets: Optional[dict] = None) -> Optional[dict]:
-    """Aut_F(P) = H(P) A-circle(P) for every fully normalized P."""
+    """Aut_F(P) = H(P) A-circle(P) for every fully normalized P, as a
+    product set on the table of Aut_F(P) (``aut_group``).  A counterexample
+    names the first automorphism outside the product; an injected factor
+    that is not a subgroup of Aut_F(P) is one too."""
     cls = classify(F)
     for P in F.subgroups():
         if not cls.is_fully_normalized(P):
             continue
         hs = (h_sets or {}).get(P.members) or h_group(F, E, P)
         asets = (a_sets or {}).get(P.members) or a_circle(F, E, P)
-        product = {g.then(b).images for g in hs for b in asets}
-        want = {h.images for h in F.automorphisms(P)}
-        if product != want:
-            return {"P": _sub(P), "missing": sorted(want - product)[:1]}
+        A = aut_group(F, P)
+        H, C = A.subgroup_of(hs), A.subgroup_of(asets)
+        if H is None or C is None:
+            return {"P": _sub(P), "kind": "factor is not a subgroup of Aut_F(P)"}
+        product = set(H.product_set(C))
+        if len(product) != A.group.order:
+            return {"P": _sub(P), "missing": [min(
+                h.images for i, h in enumerate(A.homs) if i not in product)]}
     return None
 
 

@@ -6,17 +6,22 @@ conjugation rows or the lattice's covering relation, the subgroup lattice
 by a fresh closure per join, the per-pair tables of a permutation group and
 of an automorphism group (``Hom.then`` per pair), the exhaustive
 fusion-axiom audit, the literal morphism and subsystem transports
-(``conjugate_morphism`` is the Hom form of ``groups.Twist``), the greedy
-automorphism generating sets of the persisted records, and the direct product F1 x F2 with the product
+(``push`` and ``from_pairs``; ``conjugate_morphism`` is the Hom form of
+``groups.Twist`` and ``transport_isos_literal`` that of
+``fusion.transport_isos``), the greedy automorphism generating sets of the
+persisted records, and the direct product F1 x F2 with the product
 structure theorem behind ``induced_by_some_pair``.
 
-The Hom forms of the four morphism-algebra paths the package runs on image
-keys are here too: the worklist closure (``close_morphisms_literal``, with
-the first-met witness rule), the reachability search of conjugation
-families (``reachable_literal``), the star generators
-(``star_generators_literal``) and the central-product test
+The Hom forms of the morphism-algebra paths the package runs on image keys
+or on the table of Aut_F(P) are here too: the worklist closure
+(``close_morphisms_literal``, with the first-met witness rule), the
+reachability search of conjugation families (``reachable_literal``), the
+star generators (``star_generators_literal``), the central-product test
 (``is_central_product_literal`` over ``push_product_pair`` and
-``induced_by_some_pair``).  No package code path calls any of it."""
+``induced_by_some_pair``), and the subgroup, normality and product tests on
+automorphism sets (``aut_sets_normal_literal``, ``a_circle_literal``,
+``h_group_literal``, ``frattini_cons_literal``,
+``coincide_check_literal``).  No package code path calls any of it."""
 
 from __future__ import annotations
 
@@ -25,14 +30,16 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from fusionkit.centralizers import z_of
+from fusionkit.centralizers import c_F_of, c_s_of, z_of
 from fusionkit.errors import (CapExceeded, DomainMismatch,
                               MorphismOutsideSupport, NotAGroup,
                               VerificationFailed)
 from fusionkit.fusion import (FusionSystem, close_morphisms,
-                              subsystem_contains, transport_isos)
+                              subsystem_contains)
 from fusionkit.groups import (FiniteGroup, Hom, Subgroup, active_caps,
-                              as_group, subgroup_lattice)
+                              as_group, normalizer, subgroup_lattice)
+from fusionkit.saturation import classify, o_upper_p_automorphisms
+from fusionkit.subsystems import centralizer_subsystem
 
 
 # -- groups ---------------------------------------------------------------------
@@ -280,6 +287,100 @@ def morphism_group_table_literal(homs: Sequence[Hom]) -> list[list[int]]:
     return table
 
 
+# -- subgroups of Aut_F(P), pair by pair ----------------------------------------
+
+
+def _closed(homs: Sequence[Hom]) -> bool:
+    """Every composite a then b of two members is a member."""
+    keys = {h.images for h in homs}
+    return all(a.then(b).images in keys for a in homs for b in homs)
+
+
+def _normalized(homs: Sequence[Hom], F: FusionSystem, P: Subgroup) -> bool:
+    """Every conjugate a^chi, chi in Aut_F(P), of a member is a member."""
+    keys = {h.images for h in homs}
+    return all(conjugate_morphism(a, chi).images in keys
+               for chi in F.automorphisms(P) for a in homs)
+
+
+def aut_sets_normal_literal(F: FusionSystem, E: FusionSystem,
+                            P: Subgroup) -> bool:
+    """Aut_E(P) lies in Aut_F(P), holds the identity, is closed under
+    composition and is normalized by Aut_F(P)."""
+    aut_e = E.automorphisms(P)
+    keys_e = {h.images for h in aut_e}
+    return (keys_e <= {h.images for h in F.automorphisms(P)}
+            and P.members in keys_e and _closed(aut_e)
+            and _normalized(aut_e, F, P))
+
+
+def a_circle_literal(F: FusionSystem, E: FusionSystem,
+                     P: Subgroup) -> tuple[Hom, ...]:
+    """The automorphisms moving P only inside P n T whose restriction to
+    P n T, built as a Hom, lies in E; the same alarms as the package."""
+    G = F.universe
+    PT = P.meet(E.support)
+    out = [phi for phi in F.automorphisms(P)
+           if all(G.mul(G.inv(x), phi(x)) in PT.member_set for x in P.members)
+           and phi.restrict_cores(PT).images in E._keys_from(PT)]
+    if not _closed(out):
+        raise VerificationFailed("A-circle is not closed under composition")
+    if not _normalized(out, F, P):
+        raise VerificationFailed("A-circle is not normal in Aut_F(P)")
+    return tuple(sorted(out, key=Hom.sort_key))
+
+
+def h_group_literal(F: FusionSystem, E: FusionSystem,
+                    P: Subgroup) -> tuple[Hom, ...]:
+    """The automorphisms of P extending to P N_T(P); the same alarm as the
+    package."""
+    NT = normalizer(E.support, P)
+    PN = F.universe.generated_subgroup(P.members + NT.members)
+    out = [phi for phi in F.automorphisms(P)
+           if any(psi.codomain == PN for psi in F.extensions(phi, PN))]
+    if not _closed(out):
+        raise VerificationFailed("H(P) is not closed under composition")
+    return tuple(sorted(out, key=Hom.sort_key))
+
+
+def frattini_cons_literal(F: FusionSystem, E: FusionSystem,
+                          h_sets: Optional[dict] = None,
+                          a_sets: Optional[dict] = None) -> Optional[dict]:
+    """Aut_F(P) = H(P) A-circle(P) for every fully normalized P, with the
+    product formed as ``g.then(b)`` per pair; the first missing image key
+    located."""
+    cls = classify(F)
+    for P in F.subgroups():
+        if not cls.is_fully_normalized(P):
+            continue
+        hs = (h_sets or {}).get(P.members) or h_group_literal(F, E, P)
+        asets = (a_sets or {}).get(P.members) or a_circle_literal(F, E, P)
+        product = {g.then(b).images for g in hs for b in asets}
+        want = {h.images for h in F.automorphisms(P)}
+        if product != want:
+            return {"P": list(P.members), "missing": sorted(want - product)[:1]}
+    return None
+
+
+def coincide_check_literal(F: FusionSystem, E: FusionSystem) -> bool:
+    """Aut_{C_F(E)}(P) = O^p(Aut_{C_F(T)}(P)) * Aut_{C_S(E)}(P) for every
+    P fully normalized and centric in C_F(E), the product formed as
+    ``a.then(b)`` per pair."""
+    R = c_s_of(F, E)
+    cfe = c_F_of(F, E, C_S_E=R)
+    CFT = centralizer_subsystem(F, E.support)
+    cls = classify(cfe)
+    for P in cfe.subgroups():
+        if not (cls.is_fully_normalized(P) and cls.is_centric(P)):
+            continue
+        lhs = {h.images for h in cfe.automorphisms(P)}
+        rhs = {a.then(b).images for a in o_upper_p_automorphisms(CFT, P)
+               for b in cfe.automizer_in(R, P)}
+        if lhs != rhs:
+            return False
+    return True
+
+
 # -- fusion systems -------------------------------------------------------------
 
 
@@ -379,10 +480,10 @@ def push_product_pair(D: FusionSystem, phi1: Hom, phi2: Hom) -> Optional[Hom]:
     """Image of phi1 x phi2 under the multiplication map, or None when the
     pushed map is ill-defined or non-injective."""
     mul = D.universe._mul
-    return Hom.from_pairs(D.universe,
-                          ((mul[x1][x2], mul[y1][y2])
-                           for x1, y1 in zip(phi1.domain.members, phi1.images)
-                           for x2, y2 in zip(phi2.domain.members, phi2.images)))
+    return from_pairs(D.universe,
+                      ((mul[x1][x2], mul[y1][y2])
+                       for x1, y1 in zip(phi1.domain.members, phi1.images)
+                       for x2, y2 in zip(phi2.domain.members, phi2.images)))
 
 
 def induced_by_some_pair(D: FusionSystem, F1: FusionSystem, F2: FusionSystem,
@@ -463,26 +564,65 @@ def generated_fusion_system(support: Subgroup, p: int,
                         name=name or f"gen_{support.order}")
 
 
+def from_pairs(parent: FiniteGroup,
+               pairs: Iterable[tuple[int, int]]) -> Optional[Hom]:
+    """The map x -> y of ``pairs`` in ``parent``, from the set of the x's
+    onto the set of the y's (neither is checked to be a subgroup).  None
+    when some x is paired with two different y's or two x's share one y."""
+    mp: dict[int, int] = {}
+    for x, y in pairs:
+        if mp.setdefault(x, y) != y:
+            return None
+    image = set(mp.values())
+    if len(image) != len(mp):
+        return None
+    members = tuple(sorted(mp))
+    return Hom(Subgroup(parent, members, check=False),
+               Subgroup(parent, tuple(sorted(image)), check=False),
+               tuple(mp[x] for x in members), check=False)
+
+
+def push(h: Hom, sigma: Hom) -> Optional[Hom]:
+    """sigma(x) -> sigma(h(x)), corestricted onto its image; None when that
+    map is ill-defined or not injective (see ``from_pairs``), never when
+    sigma and h are both injective."""
+    return from_pairs(sigma.codomain.parent,
+                      ((sigma(x), sigma(y))
+                       for x, y in zip(h.domain.members, h.images)))
+
+
+def transport_isos_literal(E: FusionSystem, sigma: Hom
+                           ) -> dict[tuple[int, ...], tuple[Hom, ...]]:
+    """Iso-sets of E pushed through an injective map defined on the
+    support, one ``push`` per morphism."""
+    if not E.support.member_set <= sigma.domain.member_set:
+        raise DomainMismatch("transport map is not defined on the support")
+    return {sigma.apply_set(P.members): tuple(
+                sorted((push(h, sigma) for h in E.isos_from(P)),
+                       key=Hom.sort_key))
+            for P in E.subgroups()}
+
+
 def conjugate_morphism(phi: Hom, alpha: Hom) -> Optional[Hom]:
     """phi^alpha = (alpha|_P)^-1 . phi . alpha on P^alpha: the map
     x^alpha -> (x^phi)^alpha, corestricted onto its image.  None when phi
-    or alpha is not injective on <P, P^phi> (``Hom.push``)."""
+    or alpha is not injective on <P, P^phi> (``push``)."""
     dom = phi.domain.member_set | set(phi.images)
     if not dom <= alpha.domain.member_set:
         raise DomainMismatch("alpha is not defined on <P, P^phi>")
-    return phi.push(alpha)
+    return push(phi, alpha)
 
 
 def conjugate_subsystem(E: FusionSystem, alpha: Hom) -> FusionSystem:
     """E^alpha: the subsystem over T^alpha with hom-sets {phi^alpha}."""
-    explicit = transport_isos(E, alpha)
+    explicit = transport_isos_literal(E, alpha)
     return FusionSystem(alpha.subgroup_image(E.support), E.p, explicit=explicit, ambient=E.ambient,
                         name=f"({E.name})^a")
 
 
 def transported_system(E: FusionSystem, sigma: Hom, name: str = "") -> FusionSystem:
     """E carried into another universe along an injective map (no ambient)."""
-    explicit = transport_isos(E, sigma)
+    explicit = transport_isos_literal(E, sigma)
     return FusionSystem(sigma.subgroup_image(E.support), E.p, explicit=explicit, name=name or f"{E.name}^t")
 
 
@@ -586,7 +726,7 @@ def direct_product(F1: FusionSystem, F2: FusionSystem) -> DirectProduct:
         for h1 in F1.isos_from(P1):
             for P2 in F2.subgroups():
                 for h2 in F2.isos_from(P2):
-                    gens.append(Hom.from_pairs(
+                    gens.append(from_pairs(
                         PG, ((pack(x1, x2), pack(h1(x1), h2(x2)))
                              for x1 in P1.members for x2 in P2.members)))
     system = generated_fusion_system(full, F1.p, gens,
@@ -601,9 +741,9 @@ def direct_product(F1: FusionSystem, F2: FusionSystem) -> DirectProduct:
     pi2 = Hom(full, F2.support,
               tuple(F2.support.members[i % nb] for i in range(PG.order)),
               check=False)
-    hat1 = FusionSystem(iota1.image, F1.p, explicit=transport_isos(F1, iota1),
+    hat1 = FusionSystem(iota1.image, F1.p, explicit=transport_isos_literal(F1, iota1),
                         ambient=system, name="hat1")
-    hat2 = FusionSystem(iota2.image, F2.p, explicit=transport_isos(F2, iota2),
+    hat2 = FusionSystem(iota2.image, F2.p, explicit=transport_isos_literal(F2, iota2),
                         ambient=system, name="hat2")
     return DirectProduct(system, PG, iota1, iota2, pi1, pi2, hat1, hat2)
 
@@ -616,7 +756,7 @@ def direct_product_structure_ok(dp: DirectProduct,
     for P in dp.system.subgroups():
         for h in dp.system.isos_from(P):
             for F_i, pi in ((F1, dp.pi1), (F2, dp.pi2)):
-                comp = h.push(pi)
+                comp = push(h, pi)
                 if comp is None or not F_i.contains_morphism(comp):
                     return False
     return True

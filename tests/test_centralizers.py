@@ -8,6 +8,7 @@ import pytest
 from fusionkit import centralizers
 from fusionkit.centralizers import (a_circle, c_F_of, c_s_of, centralized_set,
                                     coincide_check, compute_centralizer_data,
+                                    contained_in_centralizer,
                                     focal_subgroup, h_group, hyperfocal_subgroup, r_star,
                                     weakly_closed_analysis, z_of)
 from fusionkit.corpus import builtin_group
@@ -30,6 +31,15 @@ class TestCentralizedFamily:
         full = centralized_set(F_s4, E_a4, path="full")
         gens = centralized_set(F_s4, E_a4, path="generators")
         assert [X.members for X in full] == [X.members for X in gens]
+
+    @pytest.mark.parametrize("path", ["generator", "Full", ""])
+    def test_unknown_path_raises(self, F_s4, E_a4, path):
+        """A mistyped path is an error, not a silently empty family."""
+        with pytest.raises(ValueError, match="unknown containment path"):
+            contained_in_centralizer(F_s4, E_a4, F_s4.universe.trivial_subgroup,
+                                     path=path)
+        with pytest.raises(ValueError):
+            centralized_set(F_s4, E_a4, path=path)
 
     def test_product_case_second_factor_in_family(self):
         g = builtin_group("a4xa4")

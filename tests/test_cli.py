@@ -135,6 +135,26 @@ def _float_generator_index(payload):
     payload["generator_indices"][0] += 0.5      # int() would truncate it back
 
 
+def _bool_entry(pick):
+    """Replace the first 0 or 1 in the list ``pick(payload)`` with the
+    bool of equal value: ``bool`` is an ``int`` subclass, so an unchecked
+    ``true`` would load as 1."""
+    def mutate(payload):
+        values = pick(payload)
+        i = next(i for i, v in enumerate(values) if v in (0, 1))
+        values[i] = bool(values[i])
+    return mutate
+
+
+def _bridge(payload):
+    return next(e for e in payload["classes"] if e["bridges"])["bridges"][0]
+
+
+def _aut_image(payload):
+    return next(e for e in payload["classes"] if e["aut_generators"])[
+        "aut_generators"][0]
+
+
 def _table_with(entry):
     """q8's table with the entry 1 at (1, 0) replaced by ``entry``."""
     table = builtin_table("q8")
@@ -159,9 +179,16 @@ class TestMalformedInput:
         _set("generator_indices", [999]), _set("generator_indices", [1]),
         _set("prime", 4), _set("prime", 1), _set("prime", 2.5),
         _set("prime", "2"), _float_generator_index,
+        _bool_entry(lambda d: d["support"]), _bool_entry(lambda d: d["witness"]),
+        _bool_entry(lambda d: d["classes"][-1]["rep"]),
+        _bool_entry(lambda d: _bridge(d)["member"]), _bool_entry(_aut_image),
+        _bool_entry(lambda d: _bridge(d)["from_rep"]),
+        _bool_entry(lambda d: _bridge(d)["to_rep"]),
     ], ids=["prime", "table-entry", "table", "classes", "support-index",
             "generator-index-range", "generator-index-span", "prime-composite",
-            "prime-one", "prime-float", "prime-string", "generator-index-float"])
+            "prime-one", "prime-float", "prime-string", "generator-index-float",
+            "support-bool", "witness-bool", "rep-bool", "member-bool",
+            "aut-image-bool", "from-rep-bool", "to-rep-bool"])
     def test_malformed_fsk(self, mutate, s4_fsk, tmp_path, capsys):
         payload = json.loads(s4_fsk.read_text())
         mutate(payload)

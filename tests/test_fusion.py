@@ -208,8 +208,8 @@ class TestMorphismGroup:
 
     def test_subgroup_round_trip(self, F_s4, V4):
         mg = MorphismGroup(F_s4.automorphisms(V4))
-        inner = F_s4.inner_automorphisms(V4)
-        sub = mg.subgroup_from_homs(inner)
+        inner = F_s4.automizer_in(V4, V4)
+        sub = mg.subgroup_of(inner)
         assert set(mg.homs_of(sub)) == set(inner)
 
 

@@ -73,7 +73,7 @@ def check_system(G, p: int) -> None:
     F = fusion_of_group(G, S, p)
     for P in F.subgroups():
         assert _homs(F.isos_from(P)) == _homs(isos_from_literal(F, P))
-        for R in (S, G.full_subgroup):
+        for R in (S, G.full_subgroup, P):
             assert (_homs(F.automizer_in(R, P))
                     == _homs(automizer_in_literal(F, R, P)))
         for phi in F.isos_from(P):

@@ -147,31 +147,38 @@ class TestInvariance:
             invariance_condition(F_s4, inner_system(F_s4, Z), "f")
 
 
-def invariance_verdicts(G, p):
-    """Check the fast invariance tests against their literal oracles for
-    every strongly closed T of F = F_S(G) and every E over T among F_T(N)
-    (S n N = T), the inner system on T, <Aut_F(T)>_T and <alpha>_T for
-    alpha in Aut_F(T) (often not Aut_F(T)-stable); return the invariance
-    and stability verdicts."""
+def invariance_systems(G, p):
+    """F = F_S(G) and, for every strongly closed T of F, the subsystems E
+    over T among F_T(N) (S n N = T), the inner system on T, <Aut_F(T)>_T
+    and <alpha>_T for alpha in Aut_F(T) (often not Aut_F(T)-stable)."""
     S = sylow_subgroup(G.full_subgroup, p)
     F = fusion_of_group(G, S, p)
     normals = normal_subgroups(G.full_subgroup)
-    verdicts = []
+    systems = []
     for T in F.subgroups():
         if not is_strongly_closed(F, T):
             continue
-        systems = [realized_subsystem(F, N, T) for N in normals
-                   if S.meet(N) == T]
+        systems += [realized_subsystem(F, N, T) for N in normals
+                    if S.meet(N) == T]
         auts = F.automorphisms(T)
         systems += [inner_system(F, T), generated_subsystem(F, T, auts)]
         systems += [generated_subsystem(F, T, [alpha]) for alpha in auts]
-        for E in systems:
-            invariant = is_normal(F, E).invariant
-            assert invariant == (_condition_f(F, E) is None)
-            stable = all(subsystem_equal(conjugate_subsystem(E, alpha), E)
-                         for alpha in auts)
-            assert (_stability(F, E) is None) == stable
-            verdicts.append((invariant, stable))
+    return F, systems
+
+
+def invariance_verdicts(G, p):
+    """Check the fast invariance tests against their literal oracles on
+    the ``invariance_systems`` of G; return the invariance and stability
+    verdicts."""
+    F, systems = invariance_systems(G, p)
+    verdicts = []
+    for E in systems:
+        invariant = is_normal(F, E).invariant
+        assert invariant == (_condition_f(F, E) is None)
+        stable = all(subsystem_equal(conjugate_subsystem(E, alpha), E)
+                     for alpha in F.automorphisms(E.support))
+        assert (_stability(F, E) is None) == stable
+        verdicts.append((invariant, stable))
     return verdicts
 
 
