@@ -54,7 +54,7 @@ def compare(F, E, seen: Counter) -> None:
                          (h_group, h_group_literal)):
             got = outcome(new, F, E, P)
             assert got == outcome(old, F, E, P)
-            if isinstance(got[0], str):
+            if got and isinstance(got[0], str):
                 seen[got[1]] += 1
     assert (outcome(verify_frattini_cons, F, E)
             == outcome(frattini_cons_literal, F, E))
