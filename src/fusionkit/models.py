@@ -2,6 +2,12 @@
 quotient-by-odd-core model construction (construct then verify), unique
 normal-subgroup models, and the constrained local system used for R*.
 
+F-normality of a subgroup P (``normal_in_system``) runs on restriction
+keys: a morphism phi from Q extends to some psi from QP with psi(P) = P
+iff phi.images is the restriction to Q of the key of such a psi, so one
+set of keys per (Q, P) answers for every phi from Q.  The per-phi
+extension search is ``normal_in_system_literal`` in ``tests/oracles.py``.
+
 A model is derived data of its system: ``model_of`` builds and verifies it
 once per content and keeps it in the system's registry slot, so every local
 system that recurs within an entry reuses it.  The Theorem A post-checks on
@@ -29,6 +35,13 @@ def normal_in_system(F: FusionSystem, P: Subgroup) -> bool:
     centric radical fully normalized family (every morphism factors through
     them and the extension condition is closed under the factoring steps);
     otherwise fall back to the full quantifier.
+
+    Each source Q is decided on keys: phi from Q extends to some psi in
+    ``isos_from(QP)`` with psi(P) = P iff phi.images is the restriction to
+    Q of such a psi, so one set of restriction keys per (Q, P)
+    (``FusionSystem.restriction_keys``) answers for every phi.  The
+    per-phi extension search is ``normal_in_system_literal`` in
+    ``tests/oracles.py``.
     """
     if not P.is_normal_in(F.support):
         return False
@@ -36,13 +49,13 @@ def normal_in_system(F: FusionSystem, P: Subgroup) -> bool:
         sources = [(R, F.automorphisms(R)) for R in canonical_family(F)]
     else:
         sources = [(Q, F.isos_from(Q)) for Q in F.subgroups()]
-    pset = P.member_set
     for Q, homs in sources:
+        if not homs:
+            continue
         QP = F.universe.generated_subgroup(Q.members + P.members)
-        for phi in homs:
-            if not any({psi(x) for x in P.members} == pset
-                       for psi in F.extensions(phi, QP)):
-                return False
+        keys = F.restriction_keys(QP, Q, stabilizing=P)
+        if any(phi.images not in keys for phi in homs):
+            return False
     return True
 
 

@@ -1,24 +1,40 @@
 """Saturation machinery: classification flags, the extension axiom,
 saturation checking, conjugation families and Alperin decomposition.
+
+The exhaustive predicates run on counts and keys, with the same
+quantifiers, alarms and reports as their Hom forms in ``tests/oracles.py``
+(``classify_literal``, ``saturation_report_literal``):
+
+- fully automized is |N_S(P)| = |C_S(P)| |Aut_F(P)|_p, since Aut_S(P) is
+  N_S(P)/C_S(P); one pass over S per P gives both orders;
+- ``radical`` covers centric subgroups only: O_p(Aut_F(P)) is computed for
+  centric P, the only ones ``cr_set`` reads;
+- N_phi is a union of the classes of N_S(P) by their action on gens(P)
+  (the cosets of C_S(P)), one member deciding each class, so N_S(P) is
+  split once per P, each phi costs one pick per class and each union is
+  built once;
+- phi extends to N_phi iff phi.images is the restriction to P of the key
+  of some morphism from N_phi, one set per (P, N_phi).
+
 Conjugation families are searched breadth-first on image tuples
-(``_reachable``); its Hom form is ``reachable_literal`` in
-``tests/oracles.py``."""
+(``_reachable``); its Hom form is ``reachable_literal``."""
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import chain, compress
+from typing import Callable, Optional, Sequence
 
 from .errors import NotAGroup, NotSaturated
 from .fusion import FusionSystem, MorphismGroup
-from .groups import (Hom, Subgroup, centralizer, normalizer, o_p, o_upper_p,
-                     p_part, picker)
+from .groups import Hom, Subgroup, o_p, o_upper_p, p_part, picker
 
 
 @dataclass(frozen=True)
 class SubgroupClassification:
-    """Per-subgroup saturation-theoretic flags for one fusion system."""
+    """Per-subgroup saturation-theoretic flags for one fusion system.
+    ``radical`` holds the radical subgroups among the centric ones only."""
 
     system: FusionSystem
     fully_normalized: frozenset[tuple[int, ...]]
@@ -65,19 +81,35 @@ def classify(F: FusionSystem) -> SubgroupClassification:
 
 
 def _classify(F: FusionSystem) -> SubgroupClassification:
+    """The flags on counts.  One pass over S per P picks gens(P)^g for
+    every g in S: g normalizes P iff that lies in P and centralizes P iff
+    it is gens(P), so N_S(P) and C_S(P) come from one pass.  Fully
+    automized compares |N_S(P)| with |C_S(P)| |Aut_F(P)|_p, since
+    Aut_S(P) = {c_g|P : g in N_S(P)} and c_g|P = c_h|P iff g h^-1 is in
+    C_S(P), so |Aut_S(P)| = |N_S(P)|/|C_S(P)|.  O_p(Aut_F(P)) is computed
+    for centric P only, the only ones ``cr_set`` reads.  ``aut_group`` and
+    the inner-automizer alarm run for every P.  The alarm tests c_g|P for
+    g in gens(P): the table of Aut_F(P) is closed under composition and
+    c_gh|P = c_g|P then c_h|P, so Aut_P(P) lies in Aut_F(P) iff those
+    maps do, and it is the subgroup they generate.  The Hom form is
+    ``classify_literal`` in ``tests/oracles.py``."""
     S = F.support
+    rows = list(map(F.universe.conj_row, S.members))
     n_of: dict[tuple[int, ...], int] = {}
     c_of: dict[tuple[int, ...], int] = {}
+    self_centralizing: dict[tuple[int, ...], bool] = {}
     for P in F.subgroups():
-        n_of[P.members] = normalizer(S, P).order
-        c_of[P.members] = centralizer(S, P).order
+        gens, pset = P.generators, P.member_set
+        acting = list(map(picker(gens), rows))
+        n_of[P.members] = sum(map(pset.issuperset, acting))
+        C = [g for g, key in zip(S.members, acting) if key == gens]
+        c_of[P.members] = len(C)
+        self_centralizing[P.members] = pset.issuperset(C)
     fully_n, fully_c, fully_a, centric, radical = set(), set(), set(), set(), set()
     for cls in F.classes():
         max_n = max(n_of[Q.members] for Q in cls)
         max_c = max(c_of[Q.members] for Q in cls)
-        cls_centric = all(c_of[Q.members] <= Q.order
-                          and centralizer(S, Q).member_set <= Q.member_set
-                          for Q in cls)
+        cls_centric = all(self_centralizing[Q.members] for Q in cls)
         for Q in cls:
             if n_of[Q.members] == max_n:
                 fully_n.add(Q.members)
@@ -87,15 +119,12 @@ def _classify(F: FusionSystem) -> SubgroupClassification:
                 centric.add(Q.members)
     for P in F.subgroups():
         auts = F.automorphisms(P)
-        aut_s = F.automizer_in(S, P)
-        if len(aut_s) == p_part(len(auts), F.p):
+        if n_of[P.members] == c_of[P.members] * p_part(len(auts), F.p):
             fully_a.add(P.members)
         mg = aut_group(F, P)
-        core = o_p(mg.group.full_subgroup, F.p)
-        inner = mg.subgroup_of(F.automizer_in(P, P))
-        if inner is None:
-            raise NotAGroup("automorphism is not in this group")
-        if core == inner:
+        inner = mg.group.generated_subgroup(
+            [mg.index_of(Hom.conjugation(P, g)) for g in P.generators])
+        if P.members in centric and o_p(mg.group.full_subgroup, F.p) == inner:
             radical.add(P.members)
     return SubgroupClassification(F, frozenset(fully_n), frozenset(fully_c),
                                   frozenset(fully_a), frozenset(centric),
@@ -108,40 +137,64 @@ def _classify(F: FusionSystem) -> SubgroupClassification:
 def extension_group(F: FusionSystem, phi: Hom) -> Subgroup:
     """N_phi = {g in N_S(P) : phi^-1 c_g phi in Aut_S(P^phi)}."""
     phi = phi.cores()
-    return _extension_group(F, phi, normalizer(F.support, phi.domain),
-                            _automizer_keys(F, phi.codomain))
+    return _extension_groups(F, phi.domain, {})(phi)
 
 
-def _automizer_keys(F: FusionSystem, Q: Subgroup) -> frozenset:
-    """Aut_S(Q) keyed by the images of gens(Q), which determine an
-    automorphism of Q."""
-    return frozenset(tuple(h(y) for y in Q.generators)
-                     for h in F.automizer_in(F.support, Q))
+def _extension_groups(F: FusionSystem, P: Subgroup,
+                      aut_s: dict[tuple[int, ...], tuple]
+                      ) -> Callable[[Hom], Subgroup]:
+    """phi -> N_phi for the maps phi from P onto their codomains.  gens(Q)
+    and the keys of Aut_S(Q) on them, the gens(Q)^g inside Q for g in S,
+    are kept in ``aut_s`` by the members of Q.
 
-
-def _extension_group(F: FusionSystem, phi: Hom, n_s_p: Subgroup,
-                     aut_s_keys: frozenset) -> Subgroup:
-    """N_phi for an isomorphism ``phi`` onto its codomain Q, given
-    N_S(dom phi) and the keys of Aut_S(Q) on gens(Q) (``_automizer_keys``).
-
-    With pre = phi^-1(gens(Q)), g is in N_phi iff phi(pre^g) is a key, that
-    is iff pre^g is a key pulled back through the bijection phi^-1, so each
-    g costs one pick of pre off its conjugation row."""
-    P, Q = phi.domain, phi.codomain
-    back = dict(zip(phi.images, P.members))
-    if len(back) != P.order:
-        raise NotAGroup("only isomorphisms onto the codomain invert")
-    pull = back.__getitem__
-    of_pre = picker(list(map(pull, Q.generators)))
-    pulled = {tuple(map(pull, key)) for key in aut_s_keys}
+    With pre = phi^-1(gens(Q)) and pulled = {phi^-1(h(gens(Q))) : h in
+    Aut_S(Q)}, g in N_S(P) lies in N_phi iff pre^g is in pulled.  As pre
+    lies in P, pre^g depends on c_g|P alone, which c_g on gens(P) fixes:
+    N_phi is a union of the classes of N_S(P) by their action on gens(P)
+    (the cosets of C_S(P)), and one member decides its class.  So N_S(P)
+    is split once per P, each phi costs one pick per class, and each
+    union is built as a Subgroup once."""
+    S = F.support
     row = F.universe.conj_row
-    out = [g for g in n_s_p.members if of_pre(row(g)) in pulled]
-    return Subgroup(F.universe, tuple(out), check=False)
+    pset = P.member_set
+    acting = list(map(picker(P.generators), map(row, S.members)))
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for g, key in compress(zip(S.members, acting),
+                           map(pset.issuperset, acting)):
+        classes.setdefault(key, []).append(g)
+    blocks = list(classes.values())
+    reps = [(1 << i, row(block[0])) for i, block in enumerate(blocks)]
+    members, order = P.members, P.order
+    made: dict[int, Subgroup] = {}
 
+    def n_phi(phi: Hom) -> Subgroup:
+        Q = phi.codomain
+        back = dict(zip(phi.images, members))
+        if len(back) != order:
+            raise NotAGroup("only isomorphisms onto the codomain invert")
+        got = aut_s.get(Q.members)
+        if got is None:
+            gens, qset = Q.generators, Q.member_set
+            of_q = picker(gens)
+            got = aut_s[Q.members] = (gens, frozenset(
+                filter(qset.issuperset, map(of_q, map(row, S.members)))))
+        gens, keys = got
+        pull = back.__getitem__
+        of_pre = picker(list(map(pull, gens)))
+        pulled = {tuple(map(pull, key)) for key in keys}
+        mask = 0
+        for bit, r in reps:
+            if of_pre(r) in pulled:
+                mask |= bit
+        got = made.get(mask)
+        if got is None:
+            inside = (block for i, block in enumerate(blocks) if mask >> i & 1)
+            got = made[mask] = Subgroup(
+                F.universe, tuple(sorted(chain.from_iterable(inside))),
+                check=False)
+        return got
 
-def extend_morphism(F: FusionSystem, phi: Hom, U: Subgroup) -> Optional[Hom]:
-    """Some psi in Hom_F(U, S) with psi|_P = phi, or None (Absent)."""
-    return next(F.extensions(phi, U), None)
+    return n_phi
 
 
 @dataclass(frozen=True)
@@ -164,6 +217,12 @@ def is_saturated(F: FusionSystem) -> SaturationReport:
 
 
 def _saturation_report(F: FusionSystem) -> SaturationReport:
+    """The report on keys.  N_phi comes from ``_extension_groups``, and phi
+    extends to N_phi iff phi.images is the restriction to P of the key of
+    some psi in ``isos_from(N_phi)``; that set is built once per (P,
+    N_phi) (``FusionSystem.restriction_keys``).  Failures come in the
+    order of the per-phi Hom form, ``saturation_report_literal`` in
+    ``tests/oracles.py``."""
     failures: list[dict] = []
     cls = classify(F)
     for P in F.subgroups():
@@ -175,20 +234,20 @@ def _saturation_report(F: FusionSystem) -> SaturationReport:
         if not cls.is_fully_centralized(P):
             failures.append({"axiom": "sylow", "kind": "not_fully_centralized",
                              "subgroup": list(P.members)})
-    aut_s_keys: dict[tuple[int, ...], frozenset] = {}
+    aut_s: dict[tuple[int, ...], tuple] = {}
     for P in F.subgroups():
-        n_s_p = None
-        for phi in F.isos_from(P):
-            Q = phi.codomain
-            if not cls.is_fully_centralized(Q):
-                continue
-            if n_s_p is None:
-                n_s_p = normalizer(F.support, P)
-            keys = aut_s_keys.get(Q.members)
+        isos = [phi for phi in F.isos_from(P)
+                if phi.codomain.members in cls.fully_centralized]
+        if not isos:
+            continue
+        n_phi = _extension_groups(F, P, aut_s)
+        extends: dict[tuple[int, ...], frozenset] = {}
+        for phi in isos:
+            nphi = n_phi(phi)
+            keys = extends.get(nphi.members)
             if keys is None:
-                keys = aut_s_keys[Q.members] = _automizer_keys(F, Q)
-            nphi = _extension_group(F, phi, n_s_p, keys)
-            if extend_morphism(F, phi, nphi) is None:
+                keys = extends[nphi.members] = F.restriction_keys(nphi, P)
+            if phi.images not in keys:
                 failures.append({"axiom": "extension",
                                  "subgroup": list(P.members),
                                  "images": list(phi.images),

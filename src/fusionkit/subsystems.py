@@ -19,19 +19,23 @@ from .errors import NotStronglyClosed, NotSylow, VerificationFailed
 from .fusion import (FusionSystem, full_subcategory, generated_subsystem,
                      realized_subsystem, subsystem_equal)
 from .groups import (Hom, Subgroup, Twist, center, centralizer, normalizer,
-                     p_part, subgroup_lattice)
+                     p_part, picker, subgroup_lattice)
 from .saturation import aut_group, classify, is_conjugation_family, is_saturated
 
 
 def is_strongly_closed(F: FusionSystem, T: Subgroup) -> bool:
-    """No element of T has an F-conjugate outside T."""
+    """No element of T has an F-conjugate outside T: h(P n T) <= T for
+    every morphism h from every P, with the images of P n T read off the
+    image key of h by one ``picker`` per P.  The per-element form is
+    ``is_strongly_closed_literal`` in ``tests/oracles.py``."""
     tset = T.member_set
     for P in F.subgroups():
-        cut = P.member_set & tset
+        cut = [i for i, x in enumerate(P.members) if x in tset]
         if not cut:
             continue
+        of_cut = picker(cut)
         for h in F.isos_from(P):
-            if not {h(x) for x in cut} <= tset:
+            if not tset.issuperset(of_cut(h.images)):
                 return False
     return True
 

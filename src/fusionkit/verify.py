@@ -321,13 +321,18 @@ def verify_frattini_cons(F: FusionSystem, E: FusionSystem,
     """Aut_F(P) = H(P) A-circle(P) for every fully normalized P, as a
     product set on the table of Aut_F(P) (``aut_group``).  A counterexample
     names the first automorphism outside the product; an injected factor
-    that is not a subgroup of Aut_F(P) is one too."""
+    that is not a subgroup of Aut_F(P), an empty one included, is one
+    too."""
     cls = classify(F)
     for P in F.subgroups():
         if not cls.is_fully_normalized(P):
             continue
-        hs = (h_sets or {}).get(P.members) or h_group(F, E, P)
-        asets = (a_sets or {}).get(P.members) or a_circle(F, E, P)
+        hs = (h_sets or {}).get(P.members)
+        if hs is None:
+            hs = h_group(F, E, P)
+        asets = (a_sets or {}).get(P.members)
+        if asets is None:
+            asets = a_circle(F, E, P)
         A = aut_group(F, P)
         H, C = A.subgroup_of(hs), A.subgroup_of(asets)
         if H is None or C is None:

@@ -18,10 +18,16 @@ or on the table of Aut_F(P) are here too: the worklist closure
 reachability search of conjugation families (``reachable_literal``), the
 star generators (``star_generators_literal``), the central-product test
 (``is_central_product_literal`` over ``push_product_pair`` and
-``induced_by_some_pair``), and the subgroup, normality and product tests on
+``induced_by_some_pair``), the subgroup, normality and product tests on
 automorphism sets (``aut_sets_normal_literal``, ``a_circle_literal``,
 ``h_group_literal``, ``frattini_cons_literal``,
-``coincide_check_literal``).  No package code path calls any of it."""
+``coincide_check_literal``), and the per-morphism forms of the
+predicates the package decides on counts and restriction keys: the
+classification (``classify_literal``), the saturation report through
+``extend_morphism`` (``saturation_report_literal``), F-normality of a
+subgroup (``normal_in_system_literal``) and strong closure
+(``is_strongly_closed_literal``).  No package code path calls any of
+it."""
 
 from __future__ import annotations
 
@@ -37,8 +43,11 @@ from fusionkit.errors import (CapExceeded, DomainMismatch,
 from fusionkit.fusion import (FusionSystem, close_morphisms,
                               subsystem_contains)
 from fusionkit.groups import (FiniteGroup, Hom, Subgroup, active_caps,
-                              as_group, normalizer, subgroup_lattice)
-from fusionkit.saturation import classify, o_upper_p_automorphisms
+                              as_group, centralizer, normalizer, o_p, p_part,
+                              picker, subgroup_lattice)
+from fusionkit.saturation import (SaturationReport, SubgroupClassification,
+                                  aut_group, canonical_family, classify,
+                                  is_saturated, o_upper_p_automorphisms)
 from fusionkit.subsystems import centralizer_subsystem
 
 
@@ -220,6 +229,11 @@ def extension_group_literal(F: FusionSystem, phi: Hom) -> Subgroup:
         check=False)
 
 
+def extend_morphism(F: FusionSystem, phi: Hom, U: Subgroup) -> Optional[Hom]:
+    """Some psi in Hom_F(U, S) with psi|_P = phi, or None (Absent)."""
+    return next(F.extensions(phi, U), None)
+
+
 def normal_subgroups_literal(ambient: Subgroup) -> tuple[Subgroup, ...]:
     """Joins of the normal closures of single elements, one full orbit per
     element."""
@@ -353,8 +367,12 @@ def frattini_cons_literal(F: FusionSystem, E: FusionSystem,
     for P in F.subgroups():
         if not cls.is_fully_normalized(P):
             continue
-        hs = (h_sets or {}).get(P.members) or h_group_literal(F, E, P)
-        asets = (a_sets or {}).get(P.members) or a_circle_literal(F, E, P)
+        hs = (h_sets or {}).get(P.members)
+        if hs is None:
+            hs = h_group_literal(F, E, P)
+        asets = (a_sets or {}).get(P.members)
+        if asets is None:
+            asets = a_circle_literal(F, E, P)
         product = {g.then(b).images for g in hs for b in asets}
         want = {h.images for h in F.automorphisms(P)}
         if product != want:
@@ -378,6 +396,141 @@ def coincide_check_literal(F: FusionSystem, E: FusionSystem) -> bool:
                for b in cfe.automizer_in(R, P)}
         if lhs != rhs:
             return False
+    return True
+
+
+# -- saturation, F-normality and strong closure, morphism by morphism --------
+
+
+def classify_literal(F: FusionSystem) -> SubgroupClassification:
+    """The flags with Aut_S(P) built as Homs (``automizer_in``), C_S(Q)
+    computed again for the centric test, and O_p(Aut_F(P)) for every P, so
+    ``radical`` covers every subgroup."""
+    S = F.support
+    n_of: dict[tuple[int, ...], int] = {}
+    c_of: dict[tuple[int, ...], int] = {}
+    for P in F.subgroups():
+        n_of[P.members] = normalizer(S, P).order
+        c_of[P.members] = centralizer(S, P).order
+    fully_n, fully_c, fully_a, centric, radical = set(), set(), set(), set(), set()
+    for cls in F.classes():
+        max_n = max(n_of[Q.members] for Q in cls)
+        max_c = max(c_of[Q.members] for Q in cls)
+        cls_centric = all(c_of[Q.members] <= Q.order
+                          and centralizer(S, Q).member_set <= Q.member_set
+                          for Q in cls)
+        for Q in cls:
+            if n_of[Q.members] == max_n:
+                fully_n.add(Q.members)
+            if c_of[Q.members] == max_c:
+                fully_c.add(Q.members)
+            if cls_centric:
+                centric.add(Q.members)
+    for P in F.subgroups():
+        auts = F.automorphisms(P)
+        aut_s = F.automizer_in(S, P)
+        if len(aut_s) == p_part(len(auts), F.p):
+            fully_a.add(P.members)
+        mg = aut_group(F, P)
+        core = o_p(mg.group.full_subgroup, F.p)
+        inner = mg.subgroup_of(F.automizer_in(P, P))
+        if inner is None:
+            raise NotAGroup("automorphism is not in this group")
+        if core == inner:
+            radical.add(P.members)
+    return SubgroupClassification(F, frozenset(fully_n), frozenset(fully_c),
+                                  frozenset(fully_a), frozenset(centric),
+                                  frozenset(radical))
+
+
+def _automizer_keys(F: FusionSystem, Q: Subgroup) -> frozenset:
+    """Aut_S(Q) keyed by the images of gens(Q), from its Homs."""
+    return frozenset(tuple(h(y) for y in Q.generators)
+                     for h in F.automizer_in(F.support, Q))
+
+
+def _extension_group(F: FusionSystem, phi: Hom, n_s_p: Subgroup,
+                     aut_s_keys: frozenset) -> Subgroup:
+    """N_phi by one pick per member g of N_S(P): g is in N_phi iff pre^g,
+    pre = phi^-1(gens(Q)), is a key of Aut_S(Q) pulled back through
+    phi^-1."""
+    P, Q = phi.domain, phi.codomain
+    back = dict(zip(phi.images, P.members))
+    if len(back) != P.order:
+        raise NotAGroup("only isomorphisms onto the codomain invert")
+    pull = back.__getitem__
+    of_pre = picker(list(map(pull, Q.generators)))
+    pulled = {tuple(map(pull, key)) for key in aut_s_keys}
+    row = F.universe.conj_row
+    out = [g for g in n_s_p.members if of_pre(row(g)) in pulled]
+    return Subgroup(F.universe, tuple(out), check=False)
+
+
+def saturation_report_literal(F: FusionSystem) -> SaturationReport:
+    """The Sylow failures, then N_phi computed for each isomorphism phi
+    onto a fully centralized subgroup and an extension to it searched
+    morphism by morphism (``extend_morphism``)."""
+    failures: list[dict] = []
+    cls = classify(F)
+    for P in F.subgroups():
+        if not cls.is_fully_normalized(P):
+            continue
+        if not cls.is_fully_automized(P):
+            failures.append({"axiom": "sylow", "kind": "not_fully_automized",
+                             "subgroup": list(P.members)})
+        if not cls.is_fully_centralized(P):
+            failures.append({"axiom": "sylow", "kind": "not_fully_centralized",
+                             "subgroup": list(P.members)})
+    aut_s_keys: dict[tuple[int, ...], frozenset] = {}
+    for P in F.subgroups():
+        n_s_p = None
+        for phi in F.isos_from(P):
+            Q = phi.codomain
+            if not cls.is_fully_centralized(Q):
+                continue
+            if n_s_p is None:
+                n_s_p = normalizer(F.support, P)
+            keys = aut_s_keys.get(Q.members)
+            if keys is None:
+                keys = aut_s_keys[Q.members] = _automizer_keys(F, Q)
+            nphi = _extension_group(F, phi, n_s_p, keys)
+            if extend_morphism(F, phi, nphi) is None:
+                failures.append({"axiom": "extension",
+                                 "subgroup": list(P.members),
+                                 "images": list(phi.images),
+                                 "n_phi": list(nphi.members)})
+    return SaturationReport(not failures, tuple(failures))
+
+
+def normal_in_system_literal(F: FusionSystem, P: Subgroup) -> bool:
+    """P normal in F with the extensions to QP searched per morphism phi
+    from each source Q, psi(P) = P tested as a set."""
+    if not P.is_normal_in(F.support):
+        return False
+    if is_saturated(F).ok:
+        sources = [(R, F.automorphisms(R)) for R in canonical_family(F)]
+    else:
+        sources = [(Q, F.isos_from(Q)) for Q in F.subgroups()]
+    pset = P.member_set
+    for Q, homs in sources:
+        QP = F.universe.generated_subgroup(Q.members + P.members)
+        for phi in homs:
+            if not any({psi(x) for x in P.members} == pset
+                       for psi in F.extensions(phi, QP)):
+                return False
+    return True
+
+
+def is_strongly_closed_literal(F: FusionSystem, T: Subgroup) -> bool:
+    """h(x) in T for every x in P n T, every morphism h from every P."""
+    tset = T.member_set
+    for P in F.subgroups():
+        cut = P.member_set & tset
+        if not cut:
+            continue
+        for h in F.isos_from(P):
+            if not {h(x) for x in cut} <= tset:
+                return False
     return True
 
 

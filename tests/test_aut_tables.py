@@ -121,6 +121,19 @@ def test_injected_factors(F_s4, E_a4, V4):
                    "kind": "factor is not a subgroup of Aut_F(P)"}
 
 
+def test_injected_empty_factors_are_taken_literally(F_s4, E_a4, V4):
+    """An injected empty H(V4) and A-circle(V4) replace the computed
+    factors: their product is empty, so both forms find a counterexample
+    where the computed factors give none."""
+    empty = {V4.members: ()}
+    assert verify_frattini_cons(F_s4, E_a4) is None
+    got = verify_frattini_cons(F_s4, E_a4, h_sets=empty, a_sets=empty)
+    assert got == {"P": list(V4.members),
+                   "kind": "factor is not a subgroup of Aut_F(P)"}
+    assert frattini_cons_literal(F_s4, E_a4, h_sets=empty,
+                                 a_sets=empty)["P"] == list(V4.members)
+
+
 @pytest.mark.parametrize("label", ["s4@2", "s4xc2@2"])
 def test_predicates_compose_no_hom_pair(label, monkeypatch):
     """With ``Hom.then`` refusing to run, invariance conditions (b)-(e),

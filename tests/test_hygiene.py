@@ -27,7 +27,8 @@ NO_CALLER_NEEDED = {
     "builtin_group_path": "perfbench/ imports it",
     "central_product_subsystem": "perfbench/ imports it; the verified F1*F2",
     "extension_group": "the public definitional N_phi; tests compare the "
-                       "hot path _extension_group with it",
+                       "class form _extension_groups, which saturation "
+                       "runs, with its Hom and member forms through it",
     "with_added_iso": "mutation helper of the self-tests",
     "with_removed_iso": "mutation helper of the self-tests",
     "inner_only_shadow": "mutation helper of the self-tests and of "

@@ -1,35 +1,56 @@
-"""The morphism algebra on image keys against its Hom forms in
-``oracles.py``: the closure of generated systems, the reachability search
-of conjugation families, the star generators and the central-product test.
-The inputs are the ones a full ``run_suite`` pass builds for every corpus
-entry of order at most 48, recorded as it runs."""
+"""The key and count forms against their Hom forms in ``oracles.py``: the
+closure of generated systems, the reachability search of conjugation
+families, the star generators, the central-product test, the
+classification flags, the saturation report, F-normality of subgroups
+and strong closure.  The inputs are the ones a full ``run_suite`` pass
+builds for every corpus entry of order at most 48, recorded as it runs,
+with hom-removed and hom-added mutants of those entries and groups
+generated by two permutations."""
 
 from __future__ import annotations
 
-import pytest
+import inspect
+import sys
+from collections import Counter
 
-from fusionkit import fusion, groups, persist, products, saturation, verify
+import pytest
+from hypothesis import given, settings
+
+import oracles
+from fusionkit import (centralizers, fusion, groups, models, persist,
+                       products, saturation, subsystems, verify)
 from fusionkit.corpus import builtin_group, corpus_entries
-from fusionkit.errors import MorphismOutsideSupport
-from fusionkit.fusion import close_morphisms
-from fusionkit.groups import (Hom, lattice_covers, subgroup_lattice,
-                              sylow_subgroup)
+from fusionkit.errors import DomainMismatch, MorphismOutsideSupport, NotAGroup
+from fusionkit.fusion import (FusionSystem, close_morphisms, fusion_of_group,
+                              generated_subsystem, realized_subsystem)
+from fusionkit.groups import (Hom, lattice_covers, normal_subgroups,
+                              subgroup_lattice, sylow_subgroup)
+from fusionkit.models import normal_in_system
 from fusionkit.products import (_star_product, centralize_each_other,
                                 is_central_product, star_generators)
-from fusionkit.saturation import _reachable, canonical_family
-from fusionkit.verify import EntryContext, run_suite, with_replaced_isos
-from oracles import (close_morphisms_literal, is_central_product_literal,
-                     maximal_subgroups, reachable_literal,
+from fusionkit.saturation import (_classify, _reachable, _saturation_report,
+                                  canonical_family, classify)
+from fusionkit.subsystems import is_strongly_closed
+from fusionkit.verify import (EntryContext, run_suite, with_added_iso,
+                              with_removed_iso, with_replaced_isos)
+from oracles import (classify_literal, close_morphisms_literal,
+                     is_central_product_literal, is_strongly_closed_literal,
+                     maximal_subgroups, normal_in_system_literal,
+                     reachable_literal, saturation_report_literal,
                      star_generators_literal)
+from test_fusion import perm_groups
 
 SMALL = [(label, G, p) for label, G, p in corpus_entries() if G.order <= 48]
 
 
 @pytest.fixture(scope="module")
 def recorded():
-    """The arguments of every closure, reachability search and star
-    generator call in one ``run_suite`` pass over the small entries."""
-    calls = {"close": [], "reach": [], "star": []}
+    """The arguments of every closure, reachability search, star generator
+    call, classification, saturation report, F-normality test of a
+    subgroup and strong-closure test in one ``run_suite`` pass over the
+    small entries."""
+    calls = {"close": [], "reach": [], "star": [], "classify": [],
+             "saturation": [], "normal": [], "strong": []}
 
     def closing(support, seeds):
         seeds = list(seeds)
@@ -44,11 +65,33 @@ def recorded():
         calls["star"].append((F, F1, F2))
         return star_generators(F, F1, F2)
 
+    def classifying(F):
+        calls["classify"].append(F)
+        return _classify(F)
+
+    def saturating(F):
+        calls["saturation"].append(F)
+        return _saturation_report(F)
+
+    def normal_in(F, P):
+        calls["normal"].append((F, P))
+        return normal_in_system(F, P)
+
+    def strongly_closed(F, T):
+        calls["strong"].append((F, T))
+        return is_strongly_closed(F, T)
+
     with pytest.MonkeyPatch.context() as mp:
         for module in (fusion, verify, persist):
             mp.setattr(module, "close_morphisms", closing)
         mp.setattr(saturation, "_reachable", reaching)
         mp.setattr(products, "star_generators", starring)
+        mp.setattr(saturation, "_classify", classifying)
+        mp.setattr(saturation, "_saturation_report", saturating)
+        for module in (models, verify):
+            mp.setattr(module, "normal_in_system", normal_in)
+        for module in (subsystems, centralizers):
+            mp.setattr(module, "is_strongly_closed", strongly_closed)
         for label, G, p in SMALL:
             run_suite(label, G, p)
     return calls
@@ -226,3 +269,201 @@ def test_closure_rejects_what_leaves_the_support(d8):
             closure(small, [bad_image])
         with pytest.raises(MorphismOutsideSupport):
             closure(S, [not_a_hom])
+
+
+# -- classification, saturation, F-normality and strong closure ---------------
+
+
+def _outcome(compute):
+    """The value of ``compute()``, or the type of the package error it
+    raises."""
+    try:
+        return compute()
+    except (NotAGroup, DomainMismatch) as exc:
+        return type(exc)
+
+
+def _flags(cls):
+    """The flag sets, ``radical`` on centric subgroups, and ``cr_set``."""
+    if isinstance(cls, type):
+        return cls
+    return (cls.fully_normalized, cls.fully_centralized, cls.fully_automized,
+            cls.centric, cls.radical & cls.centric,
+            [P.members for P in cls.cr_set()])
+
+
+def _kind(got):
+    return got.__name__ if isinstance(got, type) else bool(got)
+
+
+def compare_system(F: FusionSystem, seen: Counter) -> None:
+    """The classification and the saturation report of F in both forms:
+    equal flags and ``cr_set``, equal reports (failures included, in
+    order), or the same error.  The new ``radical`` holds centric
+    subgroups only."""
+    new = _outcome(lambda: _classify(F))
+    assert _flags(new) == _flags(_outcome(lambda: classify_literal(F)))
+    if not isinstance(new, type):
+        assert new.radical <= new.centric
+    seen["classify", _kind(new)] += 1
+    report = _outcome(lambda: _saturation_report(F))
+    assert report == _outcome(lambda: saturation_report_literal(F))
+    seen["saturation", _kind(report)] += 1
+
+
+def compare_subgroup(F: FusionSystem, P, seen: Counter) -> None:
+    """F-normality of P and strong closure of P in F, in both forms."""
+    got = _outcome(lambda: normal_in_system(F, P))
+    assert got == _outcome(lambda: normal_in_system_literal(F, P))
+    seen["normal", _kind(got)] += 1
+    got = _outcome(lambda: is_strongly_closed(F, P))
+    assert got == _outcome(lambda: is_strongly_closed_literal(F, P))
+    seen["strong", _kind(got)] += 1
+
+
+def _distinct(systems):
+    """Each content once per top (the calls hold their systems alive)."""
+    out = {}
+    for F in systems:
+        out.setdefault((id(F.top()), F.content_key), F)
+    return list(out.values())
+
+
+def test_classification_and_saturation_match_the_hom_forms(recorded):
+    """Every system the suite classifies or saturates: the entries, their
+    normal subsystems, C_F(E), local systems and F1*F2 candidates.  All
+    of them are saturated; the failing reports come from the mutants."""
+    seen: Counter = Counter()
+    for F in _distinct(recorded["classify"] + recorded["saturation"]):
+        compare_system(F, seen)
+    assert seen["classify", True] > 300
+    assert seen["saturation", True] > 300
+
+
+def test_normality_and_strong_closure_match_the_hom_forms(recorded):
+    seen: Counter = Counter()
+    calls = {(id(F.top()), F.content_key, P.members): (F, P)
+             for F, P in recorded["normal"] + recorded["strong"]}
+    for F, P in calls.values():
+        compare_subgroup(F, P, seen)
+    assert seen["normal", True] > 20 and seen["normal", False] > 0
+    assert seen["strong", True] > 100 and seen["strong", False] > 0
+
+
+def mutants(F: FusionSystem) -> list[FusionSystem]:
+    """F without its first non-identity morphism from each P
+    (``with_removed_iso``); F with the map x -> y on <x> added, for the
+    first two cyclic <x> and the first y of x's order it is not a
+    morphism for, closed and not closed (``with_added_iso``); F with a
+    map onto the trivial subgroup added to the first subgroup of order p;
+    and F missing the iso-set of its smallest nontrivial subgroup."""
+    G, S = F.universe, F.support
+    out = []
+    for P in F.subgroups():
+        isos = F.isos_from(P)
+        first = next((i for i, h in enumerate(isos) if not h.is_identity()),
+                     None)
+        if first is not None:
+            out.append(with_removed_iso(F, P, first))
+    added = 0
+    for P in F.subgroups():
+        if added == 2 or len(P.generators) != 1:
+            continue
+        x = P.generators[0]
+        for y in S.members:
+            if G.element_order(y) == P.order:
+                hom = Hom.from_generator_images(
+                    P, G.generated_subgroup([y]), [x], [y])
+                if not F.contains_morphism(hom):
+                    out += [with_added_iso(F, hom),
+                            with_added_iso(F, hom, close=False)]
+                    added += 1
+                    break
+    small = [P for P in F.subgroups() if P.order == F.p]
+    if small:
+        P = small[0]
+        trivial = Hom(P, G.trivial_subgroup, (0,) * P.order, check=False)
+        out.append(with_replaced_isos(F, P, F.isos_from(P) + (trivial,)))
+    if len(F.subgroups()) > 1:
+        explicit = dict(F.materialize())
+        del explicit[F.subgroups()[-2].members]
+        out.append(FusionSystem(S, F.p, explicit=explicit))
+    return out
+
+
+def test_mutants_match_the_hom_forms():
+    """The four predicates on mutants of the small entries: failing
+    reports, and the errors of the literal forms (NotAGroup for a removed
+    automorphism or a map that is not injective, DomainMismatch for a
+    missing iso-set or a subgroup outside the support)."""
+    seen: Counter = Counter()
+    for _, G, p in SMALL:
+        F = fusion_of_group(G, sylow_subgroup(G.full_subgroup, p), p)
+        for M in mutants(F):
+            compare_system(M, seen)
+            for P in M.subgroups():
+                compare_subgroup(M, P, seen)
+        compare_subgroup(F, G.full_subgroup, seen)
+    assert seen["classify", "NotAGroup"] > 0
+    assert seen["classify", "DomainMismatch"] > 0
+    assert seen["saturation", False] > 20 and seen["saturation", True] > 0
+    assert seen["saturation", "NotAGroup"] > seen["classify", "NotAGroup"]
+    assert seen["normal", "DomainMismatch"] > 0
+    assert seen["strong", "DomainMismatch"] > 0
+    for kind in ("normal", "strong"):
+        assert seen[kind, True] > 0 and seen[kind, False] > 0
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(perm_groups())
+def test_generated_groups_match_the_hom_forms(group):
+    """F, its normal subsystems and the normalizer of each fully
+    normalized subgroup, with every subgroup of S tested for F-normality
+    and strong closure."""
+    G, p = group
+    S = sylow_subgroup(G.full_subgroup, p)
+    F = fusion_of_group(G, S, p)
+    seen: Counter = Counter()
+    systems = [F] + [realized_subsystem(F, N, S.meet(N))
+                     for N in normal_subgroups(G.full_subgroup)]
+    systems += [generated_subsystem(F, S, F.automorphisms(S))]
+    for D in systems:
+        compare_system(D, seen)
+    for P in F.subgroups():
+        compare_subgroup(F, P, seen)
+    assert seen["saturation", True] == len(systems)
+
+
+@pytest.mark.parametrize("label", ["s4@2", "d8xc2@2"])
+def test_classify_takes_o_p_once_per_centric_subgroup(label, monkeypatch):
+    G, p = next((G, p) for lab, G, p in SMALL if lab == label)
+    F = fusion_of_group(G, sylow_subgroup(G.full_subgroup, p), p)
+    calls = []
+    o_p = saturation.o_p
+
+    def counting(ambient, q):
+        calls.append(ambient)
+        return o_p(ambient, q)
+
+    monkeypatch.setattr(saturation, "o_p", counting)
+    cls = classify(F)
+    assert 0 < len(calls) == len(cls.centric) < len(F.subgroups())
+
+
+def test_the_suite_calls_no_oracle(s4):
+    """No function of ``oracles.py`` runs in a suite pass on s4@2."""
+    codes = {fn.__code__: name for name, fn in vars(oracles).items()
+             if inspect.isfunction(fn) and fn.__module__ == "oracles"}
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            called.add(codes[frame.f_code])
+
+    sys.setprofile(profile)
+    try:
+        results = run_suite("s4@2", s4, 2)
+    finally:
+        sys.setprofile(None)
+    assert all(r.passed for r in results)
+    assert len(codes) > 40 and not called

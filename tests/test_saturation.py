@@ -11,9 +11,10 @@ from fusionkit.fusion import (fusion_of_group, generated_subsystem,
                               realized_subsystem)
 from fusionkit.groups import Hom, Subgroup, center, normalizer, sylow_subgroup
 from fusionkit.saturation import (alperin_decompose, canonical_family,
-                                  classify, extension_group, extend_morphism,
+                                  classify, extension_group,
                                   is_conjugation_family, is_saturated,
                                   o_upper_p_automorphisms)
+from oracles import extend_morphism
 from test_fusion import s4_mutants
 
 
