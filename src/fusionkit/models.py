@@ -36,12 +36,9 @@ def normal_in_system(F: FusionSystem, P: Subgroup) -> bool:
     them and the extension condition is closed under the factoring steps);
     otherwise fall back to the full quantifier.
 
-    Each source Q is decided on keys: phi from Q extends to some psi in
-    ``isos_from(QP)`` with psi(P) = P iff phi.images is the restriction to
-    Q of such a psi, so one set of restriction keys per (Q, P)
-    (``FusionSystem.restriction_keys``) answers for every phi.  The
-    per-phi extension search is ``normal_in_system_literal`` in
-    ``tests/oracles.py``.
+    One set of restriction keys per (Q, P), from
+    ``FusionSystem.restriction_keys``, decides every phi from Q; see the
+    module docstring.
     """
     if not P.is_normal_in(F.support):
         return False

@@ -417,21 +417,20 @@ def test_mutants_match_the_hom_forms():
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(perm_groups())
 def test_generated_groups_match_the_hom_forms(group):
-    """F, its normal subsystems and the normalizer of each fully
-    normalized subgroup, with every subgroup of S tested for F-normality
-    and strong closure."""
+    """F, its normal subsystems F_{S n N}(N) (realized, so saturated) and
+    the system generated by Aut_F(S), with every subgroup of S tested for
+    F-normality and strong closure."""
     G, p = group
     S = sylow_subgroup(G.full_subgroup, p)
     F = fusion_of_group(G, S, p)
     seen: Counter = Counter()
-    systems = [F] + [realized_subsystem(F, N, S.meet(N))
-                     for N in normal_subgroups(G.full_subgroup)]
-    systems += [generated_subsystem(F, S, F.automorphisms(S))]
-    for D in systems:
+    realized = [F] + [realized_subsystem(F, N, S.meet(N))
+                      for N in normal_subgroups(G.full_subgroup)]
+    for D in realized + [generated_subsystem(F, S, F.automorphisms(S))]:
         compare_system(D, seen)
     for P in F.subgroups():
         compare_subgroup(F, P, seen)
-    assert seen["saturation", True] == len(systems)
+    assert seen["saturation", True] >= len(realized)
 
 
 @pytest.mark.parametrize("label", ["s4@2", "d8xc2@2"])
