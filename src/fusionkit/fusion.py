@@ -11,16 +11,19 @@ maps as image keys (``transport_isos``, one ``groups.Twist`` per subgroup)
 and compares subsystems hom-set by hom-set.
 
 Systems are immutable once constructed; only ``name`` may be reassigned.
+A morphism is its domain and its image tuple and nothing more: as in
+Aschbacher-Kessar-Oliver, Def. I.2.1, a fusion system is its hom-sets, and
+no result depends on the element that realizes a map.
+
 Every system has a content key.  A system given by a witness group alone
 is determined by ``(support.members, witness.members)``.  A system with
 explicit iso-sets is keyed by an ``ExplicitKey``: the support, the witness
-(or None) and the whole table of ``(images, witness)`` per morphism, so
-equal keys mean the same iso-sets, Hom for Hom; it compares by value, so
-two different tables never share a key.  A system's derived data
-(iso-sets, classes, classification, saturation, local subsystems,
-normality reports) lives in a slot of the registry on its top system,
-shared by every system with the same content key under that top, so it is
-computed once per content.
+(or None) and the image tuples of every iso-set, so equal keys mean the
+same iso-sets, map for map; it compares by value, so two different tables
+never share a key.  A system's derived data (iso-sets, classes,
+classification, saturation, local subsystems, normality reports) lives in
+a slot of the registry on its top system, shared by every system with the
+same content key under that top, so it is computed once per content.
 
 Conjugated morphisms are tested on keys: ``groups.Twist`` pushes the image
 key of a morphism through an automorphism, and
@@ -31,11 +34,10 @@ Closure and composition run on keys too.  ``close_morphisms`` keeps each
 map as its domain's lattice position and its image tuple, composes through
 the positions of the images in the codomain (``groups.picker``) and
 restricts through the covering relation of the lattice
-(``groups.lattice_covers``, computed once per lattice).  It records for
-each map the smallest witness over all its derivations, so the table, and
-with it the content key, does not depend on the order of the seeds, and
-it builds one Hom per morphism it returns.  The Hom form of the closure is
-``close_morphisms_literal`` in ``tests/oracles.py``.
+(``groups.lattice_covers``, computed once per lattice).  The table it
+returns, and with it the content key, does not depend on the order of
+the seeds, and it builds one Hom per morphism it returns.  The Hom form
+of the closure is ``close_morphisms_literal`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -54,22 +56,24 @@ class FusionSystem:
     """Fusion system over ``support`` inside the parent group of the support.
 
     Either ``witness`` (a realizing subgroup W: morphisms are conjugations by
-    elements of W) or ``explicit`` iso-sets must be supplied.  ``ambient``
-    points at the outermost (top) system a subsystem lives in; subsystems of
-    subsystems are re-based so towers never form.
+    elements of W) or ``explicit`` iso-sets must be supplied.  A morphism
+    records its domain and images only, never the element of W behind it.
+    ``ambient`` points at the outermost (top) system a subsystem lives in;
+    subsystems of subsystems are re-based so towers never form.
 
     ``content_key`` is ``(support.members, witness.members)`` when the
     witness alone defines the system, and an ``ExplicitKey`` of the tables
     when ``explicit`` iso-sets are given, with or without a witness: then
     the witness does not determine the hom-sets (the mutation self-tests
-    corrupt systems this way), so the key holds the tables themselves and
-    compares them by value.  Two different tables never share a key, and a
-    realized key (a plain tuple) never equals an explicit one.  Systems with
-    equal content keys under one top share a slot of derived data
-    (``_isos``, ``_iso_keys``, ``_cache``) in the top's ``_registry``; each
-    copy keeps its own ``name``.  The registry lives on the top, not on the
-    universe, so it is freed with the top system, and a mutated top, being a
-    new top, starts an empty one.
+    corrupt systems this way), so the key holds the image tuples of the
+    iso-sets themselves and compares them by value.  Two different tables
+    never share a key, and a realized key (a plain tuple) never equals an
+    explicit one.  Systems with equal content keys under one top share a
+    slot of derived data (``_isos``, ``_iso_keys``, ``_cache``) in the
+    top's ``_registry``, whatever seeds produced their tables; each copy
+    keeps its own ``name``.  The registry lives on the top, not on the
+    universe, so it is freed with the top system, and a mutated top, being
+    a new top, starts an empty one.
 
     A result that depends on two systems is memoized in one system's slot
     under the other's content key (see ``pair_key`` and ``memo``).
@@ -154,9 +158,9 @@ class FusionSystem:
         else:
             out = tuple(sorted(
                 (Hom(P, Subgroup(self.universe, tuple(sorted(imgs)), check=False),
-                     imgs, witness=w, check=False)
-                 for w, imgs in _first_conjugations(P, self.witness.members,
-                                                    self.support.member_set)),
+                     imgs, check=False)
+                 for imgs in _first_conjugations(P, self.witness.members,
+                                                 self.support.member_set)),
                 key=Hom.sort_key))
         self._isos[P.members] = out
         return out
@@ -171,7 +175,7 @@ class FusionSystem:
     def extensions(self, phi: Hom, U: Subgroup) -> Iterator[Hom]:
         """Lazily yield each psi in ``isos_from(U)``, in that order, with
         psi|_{dom phi} = phi; dom phi must lie in U.  A generator, so that
-        a caller needing one witness stops at the first."""
+        a caller needing one extension stops at the first."""
         if not phi.domain.member_set <= U.member_set:
             raise DomainMismatch("phi is not defined inside U")
         at = U.positions
@@ -223,8 +227,8 @@ class FusionSystem:
     def automizer_in(self, R: Subgroup, P: Subgroup) -> tuple[Hom, ...]:
         """Aut_R(P): conjugations by elements of N_R(P)."""
         return tuple(sorted(
-            (Hom(P, P, imgs, witness=g, check=False)
-             for g, imgs in _first_conjugations(P, R.members, P.member_set)),
+            (Hom(P, P, imgs, check=False)
+             for imgs in _first_conjugations(P, R.members, P.member_set)),
             key=Hom.sort_key))
 
     # -- conjugacy ---------------------------------------------------------------
@@ -249,10 +253,10 @@ class ExplicitKey:
     """Content key of a system given by explicit iso-sets.
 
     ``table`` is ``(support.members, witness.members or None, rows)`` with
-    one row per subgroup, in sorted order: its members and the
-    ``(images, witness)`` of each Hom of its iso-set, in order.  The key
-    compares by value, so two systems share a slot exactly when their
-    tables agree Hom for Hom, witnesses included; the hash is computed once.
+    one row per subgroup, in sorted order: its members and the image tuple
+    of each Hom of its iso-set, in order.  The key compares by value, so
+    two systems share a slot exactly when their tables agree map for map;
+    the hash is computed once.
     """
 
     __slots__ = ("table", "_hash")
@@ -261,7 +265,7 @@ class ExplicitKey:
                  explicit: dict[tuple[int, ...], tuple[Hom, ...]]) -> None:
         self.table = (support.members,
                       witness.members if witness is not None else None,
-                      tuple((mem, tuple((h.images, h.witness) for h in explicit[mem]))
+                      tuple((mem, tuple(h.images for h in explicit[mem]))
                             for mem in sorted(explicit)))
         self._hash = hash(self.table)
 
@@ -275,10 +279,9 @@ class ExplicitKey:
 
 
 def _first_conjugations(P: Subgroup, conjugators: Sequence[int],
-                        inside: frozenset[int]
-                        ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(w, images of the members of P under c_w) for the first w in
-    ``conjugators`` of each distinct map c_w|P with P^w inside the subgroup
+                        inside: frozenset[int]) -> Iterator[tuple[int, ...]]:
+    """The images of the members of P under c_w, once for each distinct map
+    c_w|P with w in ``conjugators`` and P^w inside the subgroup
     ``inside``.  c_w|P is determined by the images of gens(P), and P^w lies
     in a subgroup iff they do, so a w giving a known map costs one pick of
     gens(P) off the conjugation row of w, read straight from the row cache
@@ -294,7 +297,7 @@ def _first_conjugations(P: Subgroup, conjugators: Sequence[int],
         if key not in seen:
             seen.add(key)
             if inside.issuperset(key):
-                yield w, of_members(r)
+                yield of_members(r)
 
 
 def _classes(F: FusionSystem) -> tuple[tuple[Subgroup, ...], ...]:
@@ -380,15 +383,10 @@ def close_morphisms(support: Subgroup, seeds: Iterable[Hom],
     and the picker of g into the picker of the composite.  Restriction to
     the maximal subgroups goes through ``lattice_covers``.  A seed whose
     domain or image, or a restriction whose image, is not a subgroup of
-    the support raises ``MorphismOutsideSupport``.
-
-    Witness: the smallest witness over all derivations of a map, that is
-    over the seeds equal to it (c_r has witness r) and the restrictions to
-    it of maps with a witness (a composite has none), or None when no
-    derivation has one.  It does not depend on the order of the seeds.
-    One pass over the domains in descending order settles it, since every
-    restriction comes from a larger domain.  One Hom is built per member of
-    the final table, on the lattice's Subgroup objects.
+    the support raises ``MorphismOutsideSupport``.  The table depends only
+    on the image keys of the seeds, not on their order or on how their Homs
+    were built.  One Hom is built per member of the final table, on the
+    lattice's Subgroup objects.
     """
     subs = subgroup_lattice(support)
     covers = lattice_covers(support)
@@ -398,7 +396,6 @@ def close_morphisms(support: Subgroup, seeds: Iterable[Hom],
     # with their picker.  ``tables`` is by domain, ``into`` by codomain.
     tables: list[dict[tuple[int, ...], _Arrow]] = [{} for _ in subs]
     into: list[list[tuple[int, tuple[int, ...], _Arrow]]] = [[] for _ in subs]
-    witness: dict[tuple[int, tuple[int, ...]], int] = {}
     work: deque[tuple[int, tuple[int, ...], _Arrow]] = deque()
 
     def add(i: int, images: tuple[int, ...], c: int,
@@ -415,20 +412,18 @@ def close_morphisms(support: Subgroup, seeds: Iterable[Hom],
         at = subs[c].positions
         add(i, images, c, tuple([at[y] for y in images]))
 
-    def seed(i: int, images: tuple[int, ...], w: Optional[int]) -> None:
+    def seed(i: int, images: tuple[int, ...]) -> None:
         if images not in tables[i]:
             add_new(i, images, tuple(sorted(set(images))))
-        if w is not None and w < witness.get((i, images), w + 1):
-            witness[i, images] = w
 
     row, of_members = support.parent.conj_row, picker(support.members)
     for r in support.members:
-        seed(0, of_members(row(r)), r)
+        seed(0, of_members(row(r)))
     for h in seeds:
         i = index.get(h.domain.members)
         if i is None:
             raise MorphismOutsideSupport("morphism domain leaves the support")
-        seed(i, h.images, h.witness)
+        seed(i, h.images)
     while work:
         i, images, (c, pos, pick) = work.popleft()
         for m, restrict in covers[i]:
@@ -444,20 +439,10 @@ def close_morphisms(support: Subgroup, seeds: Iterable[Hom],
             composite = f_pick(images)
             if composite not in tables[j]:
                 add(j, composite, c, f_pick(pos))
-    for i in range(len(subs)):
-        for images in tables[i]:
-            w = witness.get((i, images))
-            if w is None:
-                continue
-            for m, restrict in covers[i]:
-                key = (m, restrict(images))
-                if w < witness.get(key, w + 1):
-                    witness[key] = w
     out = {}
     for i, P in enumerate(subs):
         rows = sorted((c, images) for images, (c, _, _) in tables[i].items())
-        out[P.members] = tuple(Hom(P, subs[c], images,
-                                   witness=witness.get((i, images)), check=False)
+        out[P.members] = tuple(Hom(P, subs[c], images, check=False)
                                for c, images in rows)
     return out
 

@@ -458,15 +458,13 @@ class Hom:
     fusion-system morphisms always stay inside one parent and are injective.
     """
 
-    __slots__ = ("domain", "codomain", "images", "witness", "_map", "_key", "_image_sub")
+    __slots__ = ("domain", "codomain", "images", "_map", "_key", "_image_sub")
 
     def __init__(self, domain: Subgroup, codomain: Subgroup,
-                 images: Sequence[int], witness: Optional[int] = None,
-                 check: bool = True) -> None:
+                 images: Sequence[int], check: bool = True) -> None:
         self.domain = domain
         self.codomain = codomain
         self.images = tuple(images)
-        self.witness = witness
         self._map = dict(zip(domain.members, self.images))
         self._key = (id(domain.parent), id(codomain.parent), domain.members,
                      codomain.members, self.images)
@@ -553,13 +551,13 @@ class Hom:
         img = self.image
         if img == self.codomain:
             return self
-        return Hom(self.domain, img, self.images, witness=self.witness, check=False)
+        return Hom(self.domain, img, self.images, check=False)
 
     def restrict_cores(self, P: Subgroup) -> "Hom":
         mp = self._map
         imgs = tuple(mp[x] for x in P.members)
         cod = Subgroup(self.codomain.parent, tuple(sorted(imgs)), check=False)
-        return Hom(P, cod, imgs, witness=self.witness, check=False)
+        return Hom(P, cod, imgs, check=False)
 
     def inverse(self) -> "Hom":
         if not self.is_injective or self.image != self.codomain:
@@ -569,7 +567,7 @@ class Hom:
 
     @staticmethod
     def identity(P: Subgroup) -> "Hom":
-        return Hom(P, P, P.members, witness=0, check=False)
+        return Hom(P, P, P.members, check=False)
 
     @staticmethod
     def conjugation(P: Subgroup, g: int, codomain: Optional[Subgroup] = None) -> "Hom":
@@ -577,7 +575,7 @@ class Hom:
         imgs = picker(P.members)(P.parent.conj_row(g))
         cod = codomain if codomain is not None else Subgroup(
             P.parent, tuple(sorted(imgs)), check=False)
-        return Hom(P, cod, imgs, witness=g, check=False)
+        return Hom(P, cod, imgs, check=False)
 
     @staticmethod
     def from_generator_images(domain: Subgroup, codomain: Subgroup,

@@ -79,7 +79,7 @@ def o_p_system(F: FusionSystem) -> Subgroup:
 
 
 def is_constrained(F: FusionSystem) -> tuple[bool, Optional[Subgroup]]:
-    """Constrained = has a normal centric subgroup; witness is O_p(F)."""
+    """Constrained = O_p(F) is centric; returns the flag and O_p(F), or None."""
     Q = o_p_system(F)
     if classify(F).is_centric(Q):
         return True, Q
@@ -92,7 +92,6 @@ class Model:
 
     group: FiniteGroup
     sigma: Hom                # injective: S -> M, image a Sylow p-subgroup
-    provenance: str
 
     @property
     def sylow_image(self) -> Subgroup:
@@ -141,7 +140,7 @@ def _model(F: FusionSystem) -> Model:
                 tuple(qt.projection(back[x]) for x in F.support.members),
                 check=False)
     _verify_model(F, M, sigma)
-    return Model(M, sigma, provenance=f"N_G(Q)/O_{F.p}'(N_G(Q)), |Q|={Q.order}")
+    return Model(M, sigma)
 
 
 def normal_model(F: FusionSystem, model: Model, E: FusionSystem) -> Subgroup:

@@ -294,7 +294,7 @@ def _product_report(F: FusionSystem, F1: FusionSystem,
                 alarms.append(f"F1*F2 is not {label}")
     elif z1 and z2:
         # Central intersection fine yet not centralizing: any candidate over
-        # S1 S2 would witness (ii) without (i); test the canonical one.
+        # S1 S2 would satisfy (ii) without (i); test the canonical one.
         if is_central_product(_star_product(F, F1, F2), F1, F2):
             alarms.append("central product exists although factors do not centralize")
             star_cp = True

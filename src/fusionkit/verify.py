@@ -27,9 +27,9 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .centralizers import (CentralizerData, a_circle, c_F_of, c_s_counterexample,
                            c_s_of, centralized_set, coincide_check,
-                           compute_centralizer_data, contained_in_centralizer,
-                           family_join, focal_subgroup, h_group,
-                           hyperfocal_subgroup, r_star, r_star_counterexample,
+                           compute_centralizer_data, family_join,
+                           focal_subgroup, h_group, hyperfocal_subgroup,
+                           r_star, r_star_counterexample,
                            weakly_closed_analysis, z_of)
 from .errors import FusionkitError
 from .fusion import (FusionSystem, Hom, close_morphisms, fusion_of_group,
@@ -283,8 +283,7 @@ def verify_easy_centralizer(F: FusionSystem, E: FusionSystem,
         X_set = centralized_set(F, E)
     family = {X.members for X in X_set}
     NET = normalizer_subsystem(E, T)
-    net_centralized = {X.members: contained_in_centralizer(F, NET, X)
-                       for X in subgroup_lattice(CST)}
+    net_family = {X.members for X in centralized_set(F, NET)}
     for X in subgroup_lattice(CST):
         XT = F.universe.generated_subgroup(X.members + T.members)
         C_X = centralizer_subsystem(F, X)
@@ -306,12 +305,8 @@ def verify_easy_centralizer(F: FusionSystem, E: FusionSystem,
                                 "beta": list(beta.images), "phi": list(phi.images)}
             if X.members in family and Xphi.members not in family:
                 return {"clause": "b", "X": _sub(X), "image": _sub(Xphi)}
-            if net_centralized[X.members]:
-                moved_ok = net_centralized.get(Xphi.members)
-                if moved_ok is None:
-                    moved_ok = contained_in_centralizer(F, NET, Xphi)
-                if not moved_ok:
-                    return {"clause": "c", "X": _sub(X), "image": _sub(Xphi)}
+            if X.members in net_family and Xphi.members not in net_family:
+                return {"clause": "c", "X": _sub(X), "image": _sub(Xphi)}
     return None
 
 
@@ -395,10 +390,7 @@ def verify_cfcg0(F: FusionSystem, E: FusionSystem,
     """Aut_E(T) extends to TC_S(T) moving it only inside T and fixing any X
     whose centralizer contains N_E(T)."""
     T = E.support
-    CST = centralizer(F.support, T)
-    NET = normalizer_subsystem(E, T)
-    targets = [X for X in subgroup_lattice(CST)
-               if contained_in_centralizer(F, NET, X)]
+    targets = centralized_set(F, normalizer_subsystem(E, T))
     alphas = tuple(auts) if auts is not None else E.automorphisms(T)
     search = bounded_extensions(F, T, T)
     found = [tuple(search(alpha)) for alpha in alphas]
@@ -557,7 +549,7 @@ def verify_model1a(ctx: EntryContext, E: FusionSystem) -> Optional[dict]:
         return {"kind": "alternative model failed", "detail": str(exc)}
     conj = Hom.conjugation(ctx.S, g)
     sigma2 = conj.then(model2.sigma)
-    transported = Model(model2.group, sigma2, provenance="sylow-conjugate")
+    transported = Model(model2.group, sigma2)
     if not models_isomorphic_over_s(data.local_system, data.model, transported):
         return {"kind": "no isomorphism over S between model choices"}
     return None

@@ -6,7 +6,8 @@ import pytest
 
 from fusionkit.corpus import builtin_group
 from fusionkit.fusion import fusion_of_group
-from fusionkit.groups import o_p, o_upper_p, sylow_subgroup
+from fusionkit.groups import (centralizer, normal_subgroups, o_p, o_upper_p,
+                              sylow_subgroup)
 from fusionkit.subsystems import normal_subsystem_in
 
 
@@ -65,7 +66,6 @@ def F_s4xc2(s4xc2):
 @pytest.fixture(scope="session")
 def E_s4x1(F_s4xc2, s4xc2):
     """The copy of the S4-fusion over D8 x 1 inside S4 x C2."""
-    from fusionkit.groups import centralizer, normal_subgroups
     cands = [N for N in normal_subgroups(s4xc2.full_subgroup)
              if N.order == 24 and centralizer(N, N).order == 1]
     return normal_subsystem_in(F_s4xc2, cands[0])

@@ -7,8 +7,8 @@ from __future__ import annotations
 from fusionkit.corpus import builtin_group
 from fusionkit.errors import FusionkitError
 from fusionkit.fusion import fusion_of_group, inner_system
-from fusionkit.groups import (Hom, center, centralizer, normal_subgroups,
-                              subgroup_lattice, sylow_subgroup)
+from fusionkit.groups import (Hom, center, centralizer, normal_subgroups, o_p,
+                              o_upper_p, subgroup_lattice, sylow_subgroup)
 from fusionkit.products import zcentralize_witnesses
 from fusionkit.subsystems import normal_subsystem_in
 from fusionkit.verify import (verify_cfcg0, verify_easy_centralizer,
@@ -31,7 +31,6 @@ class Env:
             g = builtin_group("s4")
             S = sylow_subgroup(g.full_subgroup, 2)
             F = fusion_of_group(g, S, 2)
-            from fusionkit.groups import o_p, o_upper_p
             V = o_p(g.full_subgroup, 2)
             E = normal_subsystem_in(F, o_upper_p(g.full_subgroup, 2))
             self._cache["s4"] = (g, F, V, E)

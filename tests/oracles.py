@@ -14,9 +14,9 @@ structure theorem behind ``induced_by_some_pair``.
 
 The Hom forms of the morphism-algebra paths the package runs on image keys
 or on the table of Aut_F(P) are here too: the worklist closure
-(``close_morphisms_literal``, with the first-met witness rule), the
-reachability search of conjugation families (``reachable_literal``), the
-star generators (``star_generators_literal``), the central-product test
+(``close_morphisms_literal``), the reachability search of conjugation
+families (``reachable_literal``), the star generators
+(``star_generators_literal``), the central-product test
 (``is_central_product_literal`` over ``push_product_pair`` and
 ``induced_by_some_pair``), the subgroup, normality and product tests on
 automorphism sets (``aut_sets_normal_literal``, ``a_circle_literal``,
@@ -26,8 +26,10 @@ predicates the package decides on counts and restriction keys: the
 classification (``classify_literal``), the saturation report through
 ``extend_morphism`` (``saturation_report_literal``), F-normality of a
 subgroup (``normal_in_system_literal``) and strong closure
-(``is_strongly_closed_literal``).  No package code path calls any of
-it."""
+(``is_strongly_closed_literal``).  As in the package, a Hom is its
+domain, codomain and image tuple: no oracle records which element
+realizes a map, and none compares such elements.  No package code path
+calls any of it."""
 
 from __future__ import annotations
 
@@ -188,22 +190,22 @@ def is_elementwise_commuting_literal(H: Subgroup, K: Subgroup) -> bool:
 
 def automizer_in_literal(F: FusionSystem, R: Subgroup,
                          P: Subgroup) -> tuple[Hom, ...]:
-    """Aut_R(P): c_g on every member of P, for every g in R with P^g = P;
-    the first g per map is its witness."""
+    """Aut_R(P): c_g on every member of P, for every g in R with P^g = P,
+    one Hom per distinct map."""
     found: dict[tuple, Hom] = {}
     conj = F.universe.conj
     pset = P.member_set
     for g in R.members:
         imgs = tuple(conj(x, g) for x in P.members)
         if imgs not in found and set(imgs) == pset:
-            found[imgs] = Hom(P, P, imgs, witness=g, check=False)
+            found[imgs] = Hom(P, P, imgs, check=False)
     return tuple(sorted(found.values(), key=Hom.sort_key))
 
 
 def isos_from_literal(F: FusionSystem, P: Subgroup) -> tuple[Hom, ...]:
     """The iso-set of a realized system: c_w on every member of P, for
-    every w in the witness with P^w in S; the first w per map is its
-    witness."""
+    every w in the witness group with P^w in S, one Hom per distinct
+    map."""
     found: dict[tuple, Hom] = {}
     supp = F.support.member_set
     conj = F.universe.conj
@@ -211,7 +213,7 @@ def isos_from_literal(F: FusionSystem, P: Subgroup) -> tuple[Hom, ...]:
         imgs = tuple(conj(x, w) for x in P.members)
         if imgs not in found and set(imgs) <= supp:
             cod = Subgroup(F.universe, tuple(sorted(imgs)), check=False)
-            found[imgs] = Hom(P, cod, imgs, witness=w, check=False)
+            found[imgs] = Hom(P, cod, imgs, check=False)
     return tuple(sorted(found.values(), key=Hom.sort_key))
 
 
@@ -541,8 +543,7 @@ def close_morphisms_literal(support: Subgroup, seeds: Iterable[Hom],
                             ) -> dict[tuple[int, ...], tuple[Hom, ...]]:
     """Worklist closure on Hom objects: inner maps of the support plus
     ``seeds``, closed under restriction to maximal subgroups and composition
-    on both sides.  A map keeps the first witness it meets, and a queued
-    Hom's restrictions inherit the witness it carries."""
+    on both sides, one Hom per distinct map."""
     subs = subgroup_lattice(support)
     registry: dict[tuple[int, ...], dict[tuple, Hom]] = {P.members: {} for P in subs}
     by_image: dict[tuple[int, ...], list[Hom]] = {P.members: [] for P in subs}
@@ -558,14 +559,10 @@ def close_morphisms_literal(support: Subgroup, seeds: Iterable[Hom],
             raise MorphismOutsideSupport("morphism domain leaves the support")
         if h.codomain.members not in registry:
             raise MorphismOutsideSupport("morphism image leaves the support")
-        key = h.images
-        old = slot.get(key)
-        if old is None:
-            slot[key] = h
+        if h.images not in slot:
+            slot[h.images] = h
             by_image[h.codomain.members].append(h)
             work.append(h)
-        elif (old.witness is None and h.witness is not None):
-            slot[key] = h  # same map, better provenance
 
     for r in support.members:
         add(Hom.conjugation(support, r))

@@ -4,6 +4,7 @@ C_F(E) and the coincidence formula."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 
 from fusionkit import centralizers
 from fusionkit.centralizers import (a_circle, c_F_of, c_s_of, centralized_set,
@@ -12,11 +13,20 @@ from fusionkit.centralizers import (a_circle, c_F_of, c_s_of, centralized_set,
                                     focal_subgroup, h_group, hyperfocal_subgroup, r_star,
                                     weakly_closed_analysis, z_of)
 from fusionkit.corpus import builtin_group
-from fusionkit.errors import TheoremViolation
+from fusionkit.errors import TheoremViolation, VerificationFailed
 from fusionkit.fusion import (fusion_of_group, inner_system, subsystem_equal)
 from fusionkit.groups import (center, centralizer, derived_subgroup,
                               normal_subgroups, sylow_subgroup)
-from fusionkit.subsystems import normal_subsystem_in
+from fusionkit.subsystems import is_strongly_closed, normal_subsystem_in
+from oracles import is_strongly_closed_literal
+from test_fusion import perm_groups
+
+# The two property tests below each run 100 derandomized perm_groups
+# examples.  Counted by (|G|, |Z(G)|, |[G,G]|), those cover 13 distinct
+# groups in 21 (group, prime) pairs for the focal subgroup, and 15 groups in
+# 22 pairs for strong closure, of orders 1 to 120: S5, A5 and S3 x C2 in
+# both, the Frobenius group of order 20 in the strong-closure test only.
+GENERATED = settings(max_examples=100, deadline=None, derandomize=True)
 
 
 class TestCentralizedFamily:
@@ -78,6 +88,19 @@ class TestCSE:
         assert data.R_star.order == 4
         assert data.C_S_E.member_set < data.R_star.member_set
 
+    @GENERATED
+    @given(perm_groups())
+    def test_strongly_closed_on_generated_groups(self, group):
+        """C_S(E) is strongly closed in F for E = F_{S n N}(N), every
+        normal subgroup N of G, by the package test and the per-morphism
+        oracle."""
+        G, p = group
+        F = fusion_of_group(G, sylow_subgroup(G.full_subgroup, p), p)
+        for N in normal_subgroups(G.full_subgroup):
+            C = c_s_of(F, normal_subsystem_in(F, N))
+            assert is_strongly_closed(F, C)
+            assert is_strongly_closed_literal(F, C)
+
     def test_theorem_a_c_on_s4xc2(self, F_s4xc2, E_s4x1):
         data = compute_centralizer_data(F_s4xc2, E_s4x1)
         info = weakly_closed_analysis(F_s4xc2, E_s4x1, data)
@@ -134,6 +157,14 @@ class TestFocal:
         F = fusion_of_group(G, S, p)
         assert focal_subgroup(F) == S.meet(derived_subgroup(G.full_subgroup))
 
+    @GENERATED
+    @given(perm_groups())
+    def test_focal_equals_s_meet_derived_on_generated_groups(self, group):
+        G, p = group
+        S = sylow_subgroup(G.full_subgroup, p)
+        F = fusion_of_group(G, S, p)
+        assert focal_subgroup(F) == S.meet(derived_subgroup(G.full_subgroup))
+
     def test_focal_of_abelian_inner_is_trivial(self):
         g = builtin_group("c2xc4")
         F = fusion_of_group(g, g.full_subgroup, 2)
@@ -181,7 +212,6 @@ class TestFrattiniSubgroups:
     def test_alarm_on_corrupt_candidate_subsystem(self, F_s4, V4):
         # Inner Sylow fusion posing as the normal subsystem: the inner part
         # of Aut(V4) is not normal in S3, so A-circle raises its alarm.
-        from fusionkit.errors import VerificationFailed
         ES = inner_system(F_s4, F_s4.support)
         with pytest.raises(VerificationFailed):
             a_circle(F_s4, ES, V4)

@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 
 from fusionkit.cli import main, resolve_morphism, resolve_subgroup
-from fusionkit.corpus import builtin_group_path, corpus_entries, ingest
+from fusionkit.corpus import (builtin_group, builtin_group_path,
+                              corpus_entries, ingest)
 from fusionkit.errors import (FusionkitError, NotAGroup, ParseError,
                               TheoremViolation)
-from fusionkit.groups import active_caps
+from fusionkit.groups import active_caps, sylow_subgroup
 from fusionkit.persist import load_system
 
 
@@ -87,7 +88,6 @@ class TestIngest:
 
 
 def builtin_table(name):
-    from fusionkit.corpus import builtin_group
     G = builtin_group(name)
     return [list(row) for row in G._mul]
 
@@ -95,9 +95,7 @@ def builtin_table(name):
 class TestPersistence:
     def test_round_trip(self, s4_fsk):
         F = load_system(s4_fsk)
-        from fusionkit.corpus import builtin_group
         from fusionkit.fusion import fusion_of_group
-        from fusionkit.groups import sylow_subgroup
         g = builtin_group("s4")
         fresh = fusion_of_group(g, sylow_subgroup(g.full_subgroup, 2), 2)
         # same universe table, same support, hom-set-wise equal

@@ -12,9 +12,9 @@ from fusionkit.fusion import (MorphismGroup, full_subcategory,
                               fusion_of_group, generated_subsystem,
                               inner_system, realized_subsystem,
                               subsystem_contains, subsystem_equal)
-from fusionkit.groups import (Hom, Twist, center, group_from_permutations,
-                              normal_subgroups, normalizer, o_p, o_upper_p,
-                              sylow_subgroup)
+from fusionkit.groups import (Hom, Twist, center, centralizer,
+                              group_from_permutations, normal_subgroups,
+                              normalizer, o_p, o_upper_p, sylow_subgroup)
 from fusionkit.saturation import classify, is_saturated
 from fusionkit.subsystems import (centralizer_subsystem, is_normal,
                                   normal_subsystem_in, normalizer_subsystem)
@@ -36,7 +36,6 @@ class TestRealizedSystems:
 
     def test_aut_v4_has_order_six(self, F_s4, V4, s4):
         # independent oracle: |N_G(V4)| / |C_G(V4)| = 24/4
-        from fusionkit.groups import centralizer, normalizer
         n = normalizer(s4.full_subgroup, V4).order
         c = centralizer(s4.full_subgroup, V4).order
         assert n // c == 6
@@ -71,8 +70,6 @@ class TestRealizedSystems:
         assert F.morphism_count() == len(F.subgroups())
 
     def test_trivial_sylow(self):
-        from fusionkit.groups import sylow_subgroup
-        from fusionkit.saturation import is_saturated
         g = builtin_group("c3xc3")
         S = sylow_subgroup(g.full_subgroup, 2)   # 2 does not divide 9
         F = fusion_of_group(g, S, 2)
@@ -80,16 +77,12 @@ class TestRealizedSystems:
         assert is_saturated(F).ok
 
     def test_witness_round_trip(self, F_s4, V4, s4):
-        for h in F_s4.isos_from(V4):
-            assert h.witness is not None
-            rebuilt = Hom.conjugation(V4, h.witness)
-            assert rebuilt.images == h.images
-        # every witness restriction is in the hom-set
+        """The iso-set from V4 is exactly the maps c_g|V4, g in S4, with
+        image in S."""
         keys = {h.images for h in F_s4.isos_from(V4)}
-        for g in range(24):
-            h = Hom.conjugation(V4, g)
-            if set(h.images) <= F_s4.support.member_set:
-                assert h.images in keys
+        conjugations = {Hom.conjugation(V4, g).images for g in range(s4.order)}
+        assert keys == {imgs for imgs in conjugations
+                        if set(imgs) <= F_s4.support.member_set}
 
 
 class TestGeneratedSubsystems:
@@ -219,7 +212,6 @@ def test_generated_monotone_property(picks):
     g = builtin_group("s4")
     S = sylow_subgroup(g.full_subgroup, 2)
     F = fusion_of_group(g, S, 2)
-    from fusionkit.groups import o_p
     V = o_p(g.full_subgroup, 2)
     auts = list(F.automorphisms(V))
     chosen = [auts[i] for i in sorted(picks)]
@@ -288,6 +280,20 @@ class TestContentRegistry:
         assert is_normal(F_s4, E2) is is_normal(F_s4, E1)
         # N_F(V4) has the content of F itself: V4 is normal in S4
         assert is_saturated(normalizer_subsystem(F_s4, V4)) is is_saturated(F_s4)
+
+    def test_equal_tables_share_one_slot_whatever_the_seeds(self, F_s4, V4):
+        """A morphism is its image key: the same non-inner automorphism of
+        V4, once read off F and once built from generator images, seeds one
+        table, so both generated systems have one content key and slot."""
+        inner = {h.images for h in F_s4.automizer_in(F_s4.support, V4)}
+        h = next(a for a in F_s4.automorphisms(V4) if a.images not in inner)
+        gens = V4.generators
+        same = Hom.from_generator_images(V4, V4, gens, [h(x) for x in gens])
+        assert same is not h and same.images == h.images
+        A = generated_subsystem(F_s4, V4, [h])
+        B = generated_subsystem(F_s4, V4, [same])
+        assert A is not B and A.content_key == B.content_key
+        assert A._cache is B._cache
 
     def test_normal_subsystem_in_twice_computes_once(self, monkeypatch):
         calls = []

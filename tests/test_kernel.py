@@ -34,8 +34,7 @@ from test_fusion import perm_groups
 
 
 def _homs(homs):
-    return [(h.domain.members, h.codomain.members, h.images, h.witness)
-            for h in homs]
+    return [(h.domain.members, h.codomain.members, h.images) for h in homs]
 
 
 def check_generators(H: Subgroup) -> None:

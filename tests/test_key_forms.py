@@ -103,12 +103,11 @@ def _rows(table):
 
 
 def test_closure_matches_the_hom_form(recorded):
-    """Equal image tables, in order; a witness is None exactly when the
-    first-met witness of the Hom form is, and otherwise no larger."""
-    seen, lower = set(), 0
+    """Equal image tables, in order."""
+    seen = set()
     for support, seeds in recorded["close"]:
         key = (id(support.parent), support.members,
-               tuple((h.domain.members, h.images, h.witness) for h in seeds))
+               tuple((h.domain.members, h.images) for h in seeds))
         if key in seen:
             continue
         seen.add(key)
@@ -116,14 +115,7 @@ def test_closure_matches_the_hom_form(recorded):
         old = close_morphisms_literal(support, seeds)
         assert list(new) == list(old)
         assert _rows(new) == _rows(old)
-        for mem in new:
-            for a, b in zip(new[mem], old[mem]):
-                assert (a.witness is None) == (b.witness is None)
-                if a.witness is not None:
-                    assert a.witness <= b.witness
-                    lower += a.witness < b.witness
     assert len(seen) > 300      # generated C_F(E), F1*F2, mutants, records
-    assert lower > 0            # the smallest witness is not the first met
 
 
 def test_reachable_matches_the_hom_form(recorded):

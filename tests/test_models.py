@@ -9,7 +9,7 @@ from fusionkit.corpus import builtin_group
 from fusionkit.errors import ModelNotFound, NotConstrained
 from fusionkit.fusion import (fusion_of_group, generated_subsystem,
                               subsystem_equal)
-from fusionkit.groups import Hom, centralizer, sylow_subgroup
+from fusionkit.groups import Hom, center, centralizer, o_p, sylow_subgroup
 from fusionkit.models import (Model, find_isomorphism_extending,
                               is_constrained, model_of,
                               models_isomorphic_over_s, normal_in_system,
@@ -23,7 +23,6 @@ class TestNormalInSystem:
         assert normal_in_system(F_s4, V4)
 
     def test_center_not_normal_in_f(self, F_s4):
-        from fusionkit.groups import center
         assert not normal_in_system(F_s4, center(F_s4.support))
 
     def test_o_p(self, F_s4, V4):
@@ -189,10 +188,9 @@ class TestIsomorphismSearch:
                                           [r, s4.mul(r, refl)])
         twisted = Model(m.group, Hom(S, m.group.full_subgroup,
                                      tuple(m.sigma(theta(x)) for x in S.members),
-                                     check=False), "twisted")
+                                     check=False))
         assert not models_isomorphic_over_s(F_s4, m, twisted)
 
 
 def o_p_members(s4):
-    from fusionkit.groups import o_p
     return o_p(s4.full_subgroup, 2).member_set

@@ -6,7 +6,8 @@ import pytest
 
 from fusionkit.corpus import builtin_group
 from fusionkit.errors import CapExceeded, NotCentralizing
-from fusionkit.fusion import fusion_of_group, inner_system, subsystem_equal
+from fusionkit.fusion import (fusion_of_group, inner_system,
+                              subsystem_contains, subsystem_equal)
 from fusionkit.groups import (Hom, Subgroup, active_caps, center,
                               group_from_permutations, normal_subgroups,
                               subgroup_lattice, sylow_subgroup)
@@ -16,8 +17,8 @@ from fusionkit.products import (_star_product, central_product_subsystem,
                                 verify_product_theorems,
                                 zcentralize_witnesses)
 from fusionkit.saturation import classify, is_saturated
-from fusionkit.subsystems import normal_subsystem_in
-from fusionkit.verify import EntryContext
+from fusionkit.subsystems import is_strongly_closed, normal_subsystem_in
+from fusionkit.verify import EntryContext, with_replaced_isos
 from oracles import (direct_product, direct_product_structure_ok,
                      transported_system)
 
@@ -86,7 +87,6 @@ class TestDirectProduct:
         assert is_saturated(dp.system).ok
 
     def test_hats_are_subsystems(self, F_a4, F_c2):
-        from fusionkit.fusion import subsystem_contains
         dp = direct_product(F_a4, F_c2)
         assert subsystem_contains(dp.system, dp.hat1)
         assert subsystem_contains(dp.system, dp.hat2)
@@ -122,7 +122,6 @@ class TestInducedFunctors:
     """The projection of a direct product onto a factor induces a functor."""
 
     def test_kernel_strongly_closed(self, F_a4, F_c2):
-        from fusionkit.subsystems import is_strongly_closed
         dp = direct_product(F_a4, F_c2)
         ker = Subgroup(dp.group,
                        tuple(sorted(i for i in dp.system.support.members
@@ -179,9 +178,9 @@ class TestCentralProduct:
             central_product_subsystem(F_s4, E_a4, E_a4)
 
     def test_star_products_in_either_order_share_derived_data(self, s4xc2):
-        """Every commuting pair of distinct factors: the closure's witnesses
-        do not depend on the order of the seeds, so both orders give one
-        content key."""
+        """Every commuting pair of distinct factors: both orders generate
+        the same image tables, and a content key is its table, so both
+        orders give one content key."""
         ctx = EntryContext("s4xc2@2", s4xc2, 2)
         pairs = [(A, B) for A, B in ctx.commuting_pairs if A is not B]
         assert len(pairs) == 21
@@ -196,7 +195,6 @@ class TestCentralProduct:
     def test_inner_only_candidate_is_not_a_central_product(self, F_q8c4, q8c4):
         # strip the non-inner morphisms at the top level: surjectivity of the
         # induced functor fails for a factor with outer automorphisms
-        from fusionkit.verify import with_replaced_isos
         q8 = next(P for P in subgroup_lattice(q8c4.full_subgroup)
                   if P.order == 8 and
                   sum(1 for x in P.members if q8c4.element_order(x) == 2) == 1)

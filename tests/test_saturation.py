@@ -9,7 +9,8 @@ from fusionkit.corpus import builtin_group
 from fusionkit.errors import NotSaturated
 from fusionkit.fusion import (fusion_of_group, generated_subsystem,
                               realized_subsystem)
-from fusionkit.groups import Hom, Subgroup, center, normalizer, sylow_subgroup
+from fusionkit.groups import (Hom, Subgroup, center, centralizer, normalizer,
+                              sylow_subgroup)
 from fusionkit.saturation import (alperin_decompose, canonical_family,
                                   classify, extension_group,
                                   is_conjugation_family, is_saturated,
@@ -87,7 +88,6 @@ class TestExtensionAxiom:
                         extension_group_by_composition(F, phi)
 
     def test_n_phi_of_inclusion_is_normalizer(self, F_s4, V4):
-        from fusionkit.groups import normalizer
         incl = Hom.identity(V4)     # V4 -> S corestricted onto its image
         assert extension_group(F_s4, incl) == normalizer(F_s4.support, V4)
 
@@ -97,14 +97,12 @@ class TestExtensionAxiom:
         assert extension_group(F_s4, phi) == V4
 
     def test_n_phi_of_inner_twist(self, F_s4, V4):
-        from fusionkit.groups import normalizer
         for s in F_s4.support.members:
             phi = Hom.conjugation(V4, s)
             assert extension_group(F_s4, phi).order == normalizer(
                 F_s4.support, V4).order
 
     def test_sandwich(self, F_s4):
-        from fusionkit.groups import centralizer, normalizer
         for P in F_s4.subgroups():
             for phi in F_s4.isos_from(P):
                 nphi = extension_group(F_s4, phi)

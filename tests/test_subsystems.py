@@ -12,7 +12,8 @@ from fusionkit.fusion import (fusion_of_group, generated_subsystem,
                               inner_system, realized_subsystem,
                               subsystem_equal)
 from fusionkit.groups import (Hom, center, centralizer, normal_subgroups,
-                              o_upper_p, subgroup_lattice, sylow_subgroup)
+                              normalizer, o_upper_p, subgroup_lattice,
+                              sylow_subgroup)
 from fusionkit.subsystems import (_condition_f, _stability,
                                   centralizer_subsystem,
                                   centralizer_subsystem_by_extension,
@@ -88,7 +89,6 @@ class TestLocalSubsystems:
         assert subsystem_equal(normalizer_subsystem(F_s4, V4), F_s4)
 
     def test_normalizer_of_transposition_subgroup(self, F_s4, s4, V4):
-        from fusionkit.groups import normalizer
         P = next(P for P in F_s4.subgroups()
                  if P.order == 2 and not P.member_set <= V4.member_set)
         N = normalizer_subsystem(F_s4, P)

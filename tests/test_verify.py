@@ -14,26 +14,26 @@ from fusionkit import saturation, verify as verify_mod
 from fusionkit.centralizers import (compute_centralizer_data,
                                     contained_in_centralizer)
 from fusionkit.corpus import builtin_group
-from fusionkit.fusion import FusionSystem, fusion_of_group, inner_system
-from fusionkit.groups import (Hom, center, centralizer, normal_subgroups,
+from fusionkit.fusion import (FusionSystem, fusion_of_group,
+                              generated_subsystem, inner_system)
+from fusionkit.groups import (Hom, center, centralizer, normal_subgroups, o_p,
                               subgroup_lattice, sylow_subgroup)
 from fusionkit.products import (is_central_product, verify_product_theorems,
                                 zcentralize_witnesses)
 from fusionkit.saturation import is_saturated
 from fusionkit.subsystems import (extension_witness, is_normal,
                                   normal_subsystem_in, normalizer_subsystem)
-from fusionkit.verify import (CHECK_ORDER, EntryContext, run_suite,
-                              suite_report, inner_only_shadow,
-                              verify_cfcg0, verify_coincide,
+from fusionkit.verify import (CHECK_ORDER, EntryContext, inner_only_shadow,
+                              run_suite, suite_report, verify_cfcg0,
+                              verify_cfe_normal, verify_coincide,
                               verify_easy_centralizer, verify_ffef,
                               verify_finvariant_equiv,
                               verify_first_characterization, verify_focprop,
-                              verify_frattini_cons, verify_gn,
-                              verify_l_f1f2, verify_local_normal,
-                              verify_main_cfe, verify_main_cse_a,
+                              verify_frattini_cons, verify_gn, verify_l_f1f2,
+                              verify_local_normal, verify_main_cfe,
+                              verify_main_cse_a, verify_main_cse_b,
                               verify_main_cse_c, verify_model1b,
                               verify_prophelp, verify_show_weakly_normal,
-                              verify_cfe_normal,
                               verify_weakly_closed_centralized,
                               verify_wellknown, verify_x_invariant,
                               with_added_iso, with_removed_iso,
@@ -275,7 +275,6 @@ class TestMutationsCentralizer:
         assert verify_main_cse_a(bad_F, E_a4) is not None
 
     def test_main_cse_b_corrupted_data(self, s4xc2, F_s4xc2, E_s4x1, data_s4xc2):
-        from fusionkit.verify import verify_main_cse_b
         ctx = EntryContext("s4xc2@2", s4xc2, 2)
         bad_data = dataclasses.replace(
             data_s4xc2, R_star=F_s4xc2.universe.trivial_subgroup)
@@ -323,7 +322,6 @@ class TestMutationsModels:
         from fusionkit.models import Model, model_of
         m = model_of(F_s4)
         S = F_s4.support
-        from fusionkit.groups import o_p
         r = next(x for x in S.members if s4.element_order(x) == 4)
         refl = next(x for x in S.members if s4.element_order(x) == 2
                     and x not in o_p(s4.full_subgroup, 2).member_set)
@@ -331,7 +329,7 @@ class TestMutationsModels:
                                           [r, s4.mul(r, refl)])
         sigma = Hom(S, m.group.full_subgroup,
                     tuple(m.sigma(theta(x)) for x in S.members), check=False)
-        return m, Model(m.group, sigma, "twisted")
+        return m, Model(m.group, sigma)
 
     def test_model1a_twisted_embedding(self, F_s4, s4):
         from fusionkit.models import models_isomorphic_over_s
@@ -344,7 +342,6 @@ class TestMutationsModels:
 
     def test_model1c_unrealizable_subsystem(self, F_s4, V4, s4):
         from fusionkit.errors import ModelNotFound
-        from fusionkit.fusion import generated_subsystem
         from fusionkit.models import model_of, normal_model
         full = generated_subsystem(F_s4, V4, F_s4.automorphisms(V4))
         with pytest.raises(ModelNotFound):
