@@ -3,9 +3,9 @@
 Subcommands: build, centralizer, product, alperin, verify.  Exit codes:
 0 on success (verify: all checks pass), 1 on check failures or alarms
 (``VerificationFailed`` and its subclasses), 2 on usage/parse errors (every
-other ``FusionkitError``, and a non-positive ``--group-cap`` or
-``--lattice-cap``).  The two cap flags set the process-wide
-``groups.active_caps``.
+other ``FusionkitError``, a non-positive ``--group-cap`` or
+``--lattice-cap``, and a verify that selects no check or no entry).  The
+two cap flags set the process-wide ``groups.active_caps``.
 """
 
 from __future__ import annotations
@@ -177,11 +177,13 @@ def cmd_alperin(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     checks: Optional[list[str]] = None
-    if args.checks and args.checks != "all":
+    if args.checks != "all":
         checks = [c.strip() for c in args.checks.split(",") if c.strip()]
         unknown = [c for c in checks if c not in CHECK_ORDER]
         if unknown:
             return _fail(f"unknown checks: {unknown} (known: {list(CHECK_ORDER)})")
+        if not checks:
+            return _fail("--checks selects no check")
     if args.target == "corpus":
         if args.corpus_dir:
             entries = []
@@ -189,12 +191,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 G = ingest(path)
                 for p in corpus_mod.designated_primes(path):
                     entries.append((f"{path.stem}@{p}", G, p))
-            entries = tuple(entries)
         else:
             entries = corpus_mod.corpus_entries()
     else:
         F = load_system(args.target)
         entries = ((Path(args.target).stem, F.universe, F.p),)
+    if not entries:
+        return _fail("no entry to verify: no group file, or none within --group-cap")
     reports = []
     all_pass = True
     for label, G, p in entries:

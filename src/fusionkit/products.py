@@ -17,12 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .centralizers import z_of
+from .centralizers import contained_in_centralizer, z_of
 from .errors import NotCentralizing, VerificationFailed
 from .fusion import FusionSystem, generated_subsystem, subsystem_contains
 from .groups import Hom, Subgroup, picker
 from .saturation import classify, is_saturated
-from .subsystems import centralizer_subsystem, extension_witness, is_normal
+from .subsystems import extension_witness, is_normal
 
 
 # -- central products -----------------------------------------------------------
@@ -31,8 +31,8 @@ from .subsystems import centralizer_subsystem, extension_witness, is_normal
 def centralize_each_other(F: FusionSystem, F1: FusionSystem,
                           F2: FusionSystem) -> bool:
     """F1 <= C_F(S2) and F2 <= C_F(S1)."""
-    return (subsystem_contains(centralizer_subsystem(F, F2.support), F1)
-            and subsystem_contains(centralizer_subsystem(F, F1.support), F2))
+    return (contained_in_centralizer(F, F1, F2.support)
+            and contained_in_centralizer(F, F2, F1.support))
 
 
 def star_generators(F: FusionSystem, F1: FusionSystem,

@@ -27,9 +27,9 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .centralizers import (CentralizerData, a_circle, c_F_of, c_s_counterexample,
                            c_s_of, centralized_set, coincide_check,
-                           compute_centralizer_data, family_join,
-                           focal_subgroup, h_group, hyperfocal_subgroup,
-                           r_star, r_star_counterexample,
+                           compute_centralizer_data, contained_in_centralizer,
+                           family_join, focal_subgroup, h_group,
+                           hyperfocal_subgroup, r_star, r_star_counterexample,
                            weakly_closed_analysis, z_of)
 from .errors import FusionkitError
 from .fusion import (FusionSystem, Hom, close_morphisms, fusion_of_group,
@@ -46,42 +46,6 @@ from .subsystems import (bounded_extensions, centralizer_subsystem,
                          invariance_condition, is_normal, is_weakly_closed,
                          normal_subsystem_in, normalizer_subsystem,
                          realized_subsystem)
-
-CHECK_ORDER: tuple[str, ...] = (
-    "saturation",
-    "Finvariant.equiv",
-    "FfEf",
-    "Wellknown",
-    "LocalNormalSubsystems",
-    "PropHelp",
-    "EasyCentralizer",
-    "FrattiniCons",
-    "XInvariant",
-    "WeaklyClosedCentralized",
-    "GN",
-    "CFCG0",
-    "FirstCharacterization",
-    "MainCSE.a",
-    "MainCSE.b",
-    "MainCSE.c",
-    "FocProp",
-    "ShowWeaklyNormal",
-    "CFENormal",
-    "MainCFE",
-    "Coincide",
-    "Model1.a",
-    "Model1.b",
-    "Model1.c",
-    "RadicalIntersect",
-    "ZCentralize",
-    "NormalCentralizeEachOther",
-    "L:F1F2Centralize",
-    "P:F1F2Centralize",
-    "MainCentralProduct",
-    "focal-oracle",
-    "centralizer-oracle",
-)
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -596,7 +560,7 @@ def verify_l_f1f2(F: FusionSystem, E1: FusionSystem, E2: FusionSystem,
     """F_i <= C_F(S_{3-i}) forces S1 n S2 <= Z(F_i), directionally."""
     meet = E1.support.meet(E2.support)
     for Fi, Fj in ((E1, E2), (E2, E1)):
-        contained = subsystem_contains(centralizer_subsystem(F, Fj.support), Fi)
+        contained = contained_in_centralizer(F, Fi, Fj.support)
         z = (z_values or {}).get(Fi.support.members) or z_of(Fi)
         if contained and not meet.member_set <= z.member_set:
             return {"factor": _sub(Fi.support), "meet": _sub(meet)}
@@ -694,16 +658,33 @@ def _check_focal_oracle(ctx: EntryContext) -> Optional[dict]:
     return None
 
 
+def _generated_family(F: FusionSystem, E: FusionSystem) -> tuple[Subgroup, ...]:
+    """The centralized family of E by the generating-set route: the X <=
+    C_S(T) with Aut_E(Q) <= Aut_{C_F(X)}(Q) for each Q in E^crf.  Sound for
+    saturated E, which those Aut_E(Q) generate (Alperin), so E <= C_F(X) iff
+    they lie in C_F(X).  Only an oracle: on the unsaturated mutants of the
+    self-tests Alperin fails, and the route can accept an X that the
+    definition (``centralized_set``) rejects."""
+    auts = [(Q, {h.images for h in E.automorphisms(Q)})
+            for Q in classify(E).crf_set()]
+    return tuple(X for X in subgroup_lattice(centralizer(F.support, E.support))
+                 if all(keys <= centralizer_subsystem(F, X)._keys_from(Q)
+                        for Q, keys in auts))
+
+
 def _centralizer_oracle(ctx: EntryContext, E: FusionSystem) -> Optional[dict]:
-    """Brute-force family recomputation (full hom-sets) matches the
-    generating-set route, subgroup by subgroup."""
-    brute = centralized_set(ctx.F, E, path="full")
-    structured = centralized_set(ctx.F, E, path="generators")
-    if [X.members for X in brute] != [X.members for X in structured]:
-        return {"brute": [_sub(X) for X in brute],
-                "structured": [_sub(X) for X in structured]}
-    if [X.members for X in brute] != [X.members for X in ctx.data_for(E).X_set]:
-        return {"kind": "family drifted"}
+    """The centralized families of E and of N_E(T), recomputed by the
+    generating-set route, match the definition subgroup by subgroup; E's
+    family also matches the one C_S(E) was built from."""
+    NET = normalizer_subsystem(E, E.support)
+    for where, D in (({}, E), ({"system": "N_E(T)"}, NET)):
+        brute = [X.members for X in centralized_set(ctx.F, D)]
+        structured = [X.members for X in _generated_family(ctx.F, D)]
+        if brute != structured:
+            return {**where, "brute": [list(X) for X in brute],
+                    "structured": [list(X) for X in structured]}
+        if D is E and brute != [X.members for X in ctx.data_for(E).X_set]:
+            return {"kind": "family drifted"}
     return None
 
 
@@ -757,6 +738,8 @@ CHECKS: dict[str, Callable[[EntryContext], Optional[dict]]] = {
     "focal-oracle": _check_focal_oracle,
     "centralizer-oracle": _per_pair(_centralizer_oracle),
 }
+
+CHECK_ORDER: tuple[str, ...] = tuple(CHECKS)
 
 
 def run_suite(label: str, group: FiniteGroup, p: int,

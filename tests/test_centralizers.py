@@ -6,10 +6,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from fusionkit import centralizers
+from fusionkit import centralizers, verify
 from fusionkit.centralizers import (a_circle, c_F_of, c_s_of, centralized_set,
                                     coincide_check, compute_centralizer_data,
-                                    contained_in_centralizer,
                                     focal_subgroup, h_group, hyperfocal_subgroup, r_star,
                                     weakly_closed_analysis, z_of)
 from fusionkit.corpus import builtin_group
@@ -17,15 +16,20 @@ from fusionkit.errors import TheoremViolation, VerificationFailed
 from fusionkit.fusion import (fusion_of_group, inner_system, subsystem_equal)
 from fusionkit.groups import (center, centralizer, derived_subgroup,
                               normal_subgroups, sylow_subgroup)
-from fusionkit.subsystems import is_strongly_closed, normal_subsystem_in
-from oracles import is_strongly_closed_literal
+from fusionkit.products import (_star_product, centralize_each_other,
+                                is_central_product)
+from fusionkit.subsystems import (is_strongly_closed, normal_subsystem_in,
+                                  normalizer_subsystem)
+from fusionkit.verify import EntryContext, run_suite
+from oracles import is_central_product_literal, is_strongly_closed_literal
 from test_fusion import perm_groups
 
-# The two property tests below each run 100 derandomized perm_groups
+# The three property tests below each run 100 derandomized perm_groups
 # examples.  Counted by (|G|, |Z(G)|, |[G,G]|), those cover 13 distinct
-# groups in 21 (group, prime) pairs for the focal subgroup, and 15 groups in
-# 22 pairs for strong closure, of orders 1 to 120: S5, A5 and S3 x C2 in
-# both, the Frobenius group of order 20 in the strong-closure test only.
+# groups in 21 (group, prime) pairs for the focal subgroup, 15 groups in
+# 22 pairs for strong closure, and 14 groups in 21 pairs for the
+# containment differential test, of orders 1 to 120: S5, A5 and S3 x C2 in
+# all three, the Frobenius group of order 20 in the last two.
 GENERATED = settings(max_examples=100, deadline=None, derandomize=True)
 
 
@@ -36,20 +40,6 @@ class TestCentralizedFamily:
 
     def test_s4_pair_family_is_trivial_only(self, F_s4, E_a4):
         assert [X.order for X in centralized_set(F_s4, E_a4)] == [1]
-
-    def test_paths_agree(self, F_s4, E_a4):
-        full = centralized_set(F_s4, E_a4, path="full")
-        gens = centralized_set(F_s4, E_a4, path="generators")
-        assert [X.members for X in full] == [X.members for X in gens]
-
-    @pytest.mark.parametrize("path", ["generator", "Full", ""])
-    def test_unknown_path_raises(self, F_s4, E_a4, path):
-        """A mistyped path is an error, not a silently empty family."""
-        with pytest.raises(ValueError, match="unknown containment path"):
-            contained_in_centralizer(F_s4, E_a4, F_s4.universe.trivial_subgroup,
-                                     path=path)
-        with pytest.raises(ValueError):
-            centralized_set(F_s4, E_a4, path=path)
 
     def test_product_case_second_factor_in_family(self):
         g = builtin_group("a4xa4")
@@ -68,6 +58,64 @@ class TestCentralizedFamily:
         F = fusion_of_group(g, g.full_subgroup, 2)
         E = normal_subsystem_in(F, g.full_subgroup)
         assert c_s_of(F, E) == g.full_subgroup
+
+
+class TestCentralizerOracle:
+    """``centralizer-oracle`` compares the definition with the
+    generating-set route, for E and for N_E(T)."""
+
+    S4_TOP = {"N_order": 24, "T": [0, 1, 6, 7, 16, 17, 22, 23]}
+
+    @staticmethod
+    def oracle_on_s4():
+        return run_suite("s4@2", builtin_group("s4"), 2,
+                         check_ids=["centralizer-oracle"])[0]
+
+    def test_passes_on_honest_input(self):
+        assert self.oracle_on_s4().passed
+
+    @pytest.mark.parametrize("system,payload", [
+        ("E", {"brute": [[0]], "structured": []}),
+        ("N_E(T)", {"system": "N_E(T)", "brute": [[0, 7], [0]],
+                    "structured": [[0]]}),
+    ])
+    def test_a_dropped_member_is_located(self, monkeypatch, system, payload):
+        """A generating route that loses the first member of one family
+        (N_E(T) is the system whose name starts with ``N_``) fails at the
+        first normal pair, S4 itself, and says which family differs."""
+        real = verify._generated_family
+
+        def dropping(F, D):
+            family = real(F, D)
+            hit = D.name.startswith("N_") == (system == "N_E(T)")
+            return family[1:] if hit else family
+
+        monkeypatch.setattr(verify, "_generated_family", dropping)
+        result = self.oracle_on_s4()
+        assert result.status == "fail"
+        assert result.counterexample == {**payload, "pair": self.S4_TOP}
+
+    @GENERATED
+    @given(perm_groups())
+    def test_containment_agrees_on_generated_groups(self, group):
+        """For every normal subsystem E of a generated group: the
+        centralized families of E and of N_E(T) by the definition and by
+        the generating-set route agree, and for each commuting pair the
+        star product's central-product test matches the literal one, and
+        E1 and E2 centralize each other iff S1 n S2 <= Z(E1) n Z(E2)."""
+        G, p = group
+        ctx = EntryContext("generated", G, p)
+        for _, E in ctx.normal_pairs:
+            for D in (E, normalizer_subsystem(E, E.support)):
+                assert centralized_set(ctx.F, D) == \
+                    verify._generated_family(ctx.F, D)
+        for E1, E2 in ctx.commuting_pairs:
+            D = _star_product(ctx.F, E1, E2)
+            assert is_central_product(D, E1, E2) == \
+                is_central_product_literal(D, E1, E2)
+            meet = E1.support.meet(E2.support).member_set
+            central = all(meet <= z_of(Ei).member_set for Ei in (E1, E2))
+            assert centralize_each_other(ctx.F, E1, E2) == central
 
 
 class TestCSE:

@@ -336,6 +336,22 @@ class TestCommands:
         code = main(["verify", "corpus", "--checks", "NoSuch"])
         assert code == 2
 
+    @pytest.mark.parametrize("checks", [",", "", " , "])
+    def test_empty_check_selection_is_a_usage_error(self, checks, capsys):
+        """A selection that names no check verifies nothing: exit 2."""
+        code = main(["verify", "corpus", "--checks", checks])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and "no check" in captured.err
+
+    def test_corpus_dir_without_group_files_is_a_usage_error(self, tmp_path,
+                                                             capsys):
+        (tmp_path / "notes.txt").write_text("not a group file")
+        code = main(["verify", "corpus", "--corpus-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and "no entry" in captured.err
+
     def test_verification_failed_exits_one(self, corrupt_fsk, capsys):
         code = main(["centralizer", str(corrupt_fsk), "--normal", "order:12"])
         assert code == 1
@@ -452,6 +468,12 @@ class TestCaps:
                   for line in capsys.readouterr().out.splitlines()]
         assert len(labels) == 20
         assert "a4xa4@2" not in labels and "a6@2" not in labels
+
+    def test_group_cap_below_every_entry_is_a_usage_error(self, capsys):
+        code = main(["--group-cap", "1", "verify", "corpus"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and "no entry" in captured.err
 
     def test_caps_do_not_leak_into_later_calls(self, capsys):
         """A cap set by one in-process call is not the default of the next."""
