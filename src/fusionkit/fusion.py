@@ -450,7 +450,12 @@ def close_morphisms(support: Subgroup, seeds: Iterable[Hom],
 def generated_subsystem(F: FusionSystem, R: Subgroup,
                         generators: Iterable[Hom],
                         check_inside: bool = True) -> FusionSystem:
-    """<C>_R: the smallest subsystem of F over R containing the generators."""
+    """<C>_R: the smallest subsystem of F over R containing the generators.
+
+    The support and inside checks run on every call.  The closure table
+    depends only on R and the generators' (domain, image) keys, so it is
+    memoized in F's slot under them; each call returns a fresh system,
+    since callers rename it."""
     gens = [h.cores() for h in generators]
     rset = R.member_set
     for h in gens:
@@ -459,7 +464,9 @@ def generated_subsystem(F: FusionSystem, R: Subgroup,
                 f"generator {h!r} leaves the support of order {R.order}")
         if check_inside and not F.contains_morphism(h):
             raise MorphismOutsideSupport(f"generator {h!r} is not a morphism of F")
-    explicit = close_morphisms(R, gens)
+    key = ("closure", R.members,
+           frozenset((h.domain.members, h.images) for h in gens))
+    explicit = F.memo(key, lambda: close_morphisms(R, gens))
     return FusionSystem(R, F.p, explicit=explicit, ambient=F.top(),
                         name=f"<{len(gens)} gens>_{R.order}")
 
@@ -552,7 +559,7 @@ class MorphismGroup:
             if None in row:
                 raise NotAGroup("automorphism set is not closed under composition")
             table.append(row)
-        self.group = FiniteGroup(f"Aut({P.order})", table, check=False)
+        self.group = FiniteGroup(f"Aut({P.order})", table)
         self._index = index
 
     def index_of(self, h: Hom) -> int:

@@ -27,9 +27,13 @@ their restriction pickers, from the covering relation in one pass.
 Conjugation runs on lookup rows: ``FiniteGroup.conj_row(g)`` is the row
 x -> x^g over the whole group, built on first use and cached as a compact
 ``array``, so the images of a subgroup's generators or members under c_g
-are one ``picker`` call on it.  ``group_from_permutations`` builds its
-table rows with pickers too, and ``Subgroup`` is a slotted class whose
+are one ``picker`` call on it.  ``Subgroup`` is a slotted class whose
 member set, generators and positions are slots filled on first use.
+
+Every table from outside, whether permutations, a full table or the
+generator columns of an ``.fsk`` file, is built or checked by one kernel,
+``cayley_columns``: a walk over the right Cayley graph from the identity
+whose consistency checks are Light's associativity test.
 """
 
 from __future__ import annotations
@@ -84,36 +88,25 @@ def p_part(n: int, p: int) -> int:
 
 
 class FiniteGroup:
-    """Finite group backed by a full multiplication table."""
+    """Finite group backed by a full multiplication table.
+
+    The constructor trusts its table: it serves the tables built inside the
+    package (``MorphismGroup``, ``quotient``, ``as_group``).  Outside input
+    comes in through ``group_from_permutations``, ``group_from_table`` and
+    ``group_from_columns``, which prove their table a group with
+    ``cayley_columns`` and record the generating set it walked in
+    ``generator_indices``; a permutation group also keeps each element's
+    permutation in ``perm_images``."""
 
     __slots__ = ("name", "order", "_mul", "_inv", "_orders", "_cache",
                  "_conj_rows", "perm_images", "generator_indices")
 
-    def __init__(self, name: str, mul_table: Sequence[Sequence[int]],
-                 perm_images: Optional[Sequence[tuple[int, ...]]] = None,
-                 check: bool = True,
-                 generator_indices: Optional[Sequence[int]] = None) -> None:
+    def __init__(self, name: str, mul_table: Sequence[Sequence[int]]) -> None:
         n = len(mul_table)
-        if n == 0:
-            raise NotAGroup("empty multiplication table")
         self.name = name
         self.order = n
         self._mul = tuple(map(tuple, mul_table))
-        for a, row in enumerate(self._mul):
-            if not set(map(type, row)) <= {int}:
-                raise ParseError(f"row {a} has a non-integer entry")
-        self.generator_indices: Optional[tuple[int, ...]] = None
-        if generator_indices is not None:
-            self.generator_indices = tuple(generator_indices)
-            if not set(map(type, self.generator_indices)) <= {int}:
-                raise ParseError(f"generator_indices {list(generator_indices)} "
-                                 f"are not all integers")
-        if check:
-            self._validate()
-        try:
-            self._inv = tuple(row.index(0) for row in self._mul)
-        except ValueError:
-            raise NotAGroup("an element has no inverse") from None
+        self._inv = tuple(row.index(0) for row in self._mul)
         orders = [0] * n
         for a in range(n):
             x, k = a, 1
@@ -122,87 +115,10 @@ class FiniteGroup:
                 k += 1
             orders[a] = k
         self._orders = tuple(orders)
-        self.perm_images = tuple(perm_images) if perm_images is not None else None
+        self.perm_images: Optional[tuple[tuple[int, ...], ...]] = None
+        self.generator_indices: Optional[tuple[int, ...]] = None
         self._cache: dict = {}
         self._conj_rows: list[Optional[array]] = [None] * n
-
-    def _validate(self) -> None:
-        """Check that the table is a group with identity 0.
-
-        Rows and columns must be permutations of 0..n-1 (a Latin square) and
-        0 a two-sided identity.  That does not force associativity, which is
-        decided exactly by Light's test (Clifford and Preston, *The Algebraic
-        Theory of Semigroups* I, Section 1.2): let Gamma generate the table
-        by right multiplication from the identity, so every z is
-        ((1 g_1) g_2) ... g_k with each g_i in Gamma.  If (xy)g = x(yg) for
-        all x, y and every g in Gamma, then (xy)z = x(yz) for all x, y, z,
-        by induction on k: (xy)(wg) = ((xy)w)g = (x(yw))g = x((yw)g) =
-        x(y(wg)).  So n^2 |Gamma| products decide associativity at every
-        order.  Gamma is ``generator_indices`` when given, which must then
-        generate the table (ParseError otherwise); else a greedy set.
-
-        The test runs on the columns of the table, which the column check
-        builds anyway: with cols[y][x] = xy, the products ((xy)g)_x are
-        ``picker(cols[y])(cols[g])`` and the products (x(yg))_x are
-        cols[yg], so (xy)g = x(yg) for all x iff the two tuples are equal.
-        One picker per y serves every g in Gamma.
-        """
-        n = self.order
-        rng = range(n)
-        full = set(rng)
-        mul = self._mul
-        for a in rng:
-            row = mul[a]
-            if len(row) != n:
-                raise NotAGroup(f"row {a} has length {len(row)}, expected {n}")
-            if set(row) != full:
-                raise NotAGroup(f"row {a} is not a permutation of 0..{n-1}")
-            if row[0] != a or mul[0][a] != a:
-                raise NotAGroup("index 0 is not a two-sided identity")
-        cols = tuple(zip(*mul))                      # cols[y][x] = xy
-        for a, col in enumerate(cols):
-            if set(col) != full:
-                raise NotAGroup(f"column {a} is not a permutation of 0..{n-1}")
-        gens = self.generator_indices
-        if gens is None:
-            gens, reached = [], {0}
-            for a in rng:
-                if a not in reached:
-                    gens.append(a)
-                    self._right_span(gens, reached)
-        else:
-            if not all(0 <= g < n for g in gens):
-                raise ParseError(f"generator_indices {list(gens)} out of range "
-                                 f"0..{n-1}")
-            if len(self._right_span(gens, {0})) != n:
-                raise ParseError(f"generator_indices {list(gens)} do not "
-                                 f"generate the table")
-        gen_cols = [(g, cols[g]) for g in gens]
-        for y, row in enumerate(mul):
-            times_y = picker(cols[y])                # col -> ((xy)g)_x
-            for g, col in gen_cols:
-                right = cols[row[g]]                 # (x(yg))_x
-                left = times_y(col)
-                if left != right:
-                    x = next(x for x in rng if left[x] != right[x])
-                    raise NotAGroup(f"associativity fails at ({x},{y},{g})")
-
-    def _right_span(self, gens: Sequence[int], reached: set[int]) -> set[int]:
-        """Grow ``reached`` (in place) to everything reached from it by right
-        multiplication by ``gens``; return it."""
-        mul = self._mul
-        frontier = list(reached)
-        while frontier:
-            new = []
-            for x in frontier:
-                row = mul[x]
-                for g in gens:
-                    y = row[g]
-                    if y not in reached:
-                        reached.add(y)
-                        new.append(y)
-            frontier = new
-        return reached
 
     # -- basic arithmetic ---------------------------------------------------
 
@@ -747,7 +663,7 @@ def quotient(ambient: Subgroup, N: Subgroup) -> QuotientGroup:
     m = len(reps)
     table = [[coset_of[mul[reps[i]][reps[j]]] for j in range(m)] for i in range(m)]
     qname = f"{G.name}/{N.order}"
-    Q = FiniteGroup(qname, table, check=False)
+    Q = FiniteGroup(qname, table)
     # Index 0 really is the identity coset: reps[0] is the minimal element of N.
     if coset_of[0] != 0:
         raise NotAGroup("identity coset mislabeled")
@@ -761,7 +677,7 @@ def as_group(H: Subgroup, name: Optional[str] = None) -> tuple[FiniteGroup, Hom]
     G = H.parent
     index_of = {g: i for i, g in enumerate(H.members)}
     table = [[index_of[G.mul(a, b)] for b in H.members] for a in H.members]
-    grp = FiniteGroup(name or f"{G.name}|{H.order}", table, check=False)
+    grp = FiniteGroup(name or f"{G.name}|{H.order}", table)
     embed = Hom(grp.full_subgroup, H, H.members, check=False)
     return grp, embed
 
@@ -934,13 +850,116 @@ def _bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
-# -- permutation input ---------------------------------------------------------
+# -- outside input: tables built and checked from generator columns -----------
+
+
+def cayley_columns(n: int, gens: Sequence[int],
+                   gen_columns: Sequence[Sequence[int]],
+                   given: Optional[Sequence[tuple[int, ...]]] = None,
+                   ) -> list[tuple[int, ...]]:
+    """The columns of a group of order ``n`` (``cols[y][x]`` is xy, with 0
+    the identity), built or checked from the right multiplications by a
+    generating set: ``gen_columns[k][x]`` is x ``gens[k]``.
+
+    Each generator column must be a permutation of 0..n-1 made of exact
+    integers whose entry 0 is its generator's index (NotAGroup otherwise;
+    ParseError for a non-integer entry or an index out of range).  The walk
+    starts at 0, whose column is the identity, and runs breadth-first over
+    the right Cayley graph.  On each edge (y, g) it forms ((xy)g)_x with one
+    ``picker(cols[y])`` call on g's column.  When the walk first reaches z
+    = yg, that tuple becomes the column of z, unless the columns are
+    ``given`` (a table read from outside), and is otherwise compared with
+    the column of z, whose entries are x(yg).  A failed comparison raises
+    NotAGroup naming an (x, y, g) with (xy)g != x(yg).  The walk must reach
+    all n elements, or ParseError: the generators do not generate.  Last,
+    0 must be a two-sided identity: its column is the identity and entry 0
+    of every column is its own index.
+
+    Why that proves a group.  The n |gens| comparisons are Light's test
+    (Clifford and Preston, *The Algebraic Theory of Semigroups* I, Section
+    1.2): (xy)g = x(yg) for all x, y and every g in gens, where every z is
+    ((0 g_1) g_2) ... g_k with each g_i in gens, since the walk reached it.
+    Then (xy)z = x(yz) for all x, y, z, by induction on k:
+    (xy)(wg) = ((xy)w)g = (x(yw))g = x((yw)g) = x(y(wg)).  So the table
+    is associative, and 0 is its identity.  Each column is a composite of
+    generator columns (the column of yg is that of y followed by that of
+    g), so each is a permutation: right multiplication by z is a bijection,
+    z has a left inverse, and an associative table with an identity and
+    left inverses is a group.  The rows are ``zip(*columns)``.  The work is
+    n |gens| pickers of n entries, in C."""
+    full = set(range(n))
+    if not set(map(type, gens)) <= {int}:
+        raise ParseError(f"generator_indices {list(gens)!r} are not all integers")
+    if not all(0 <= g < n for g in gens):
+        raise ParseError(f"generator_indices {list(gens)} out of range 0..{n-1}")
+    if len(gens) != len(gen_columns):
+        raise ParseError(f"{len(gens)} generator indices but "
+                         f"{len(gen_columns)} generator columns")
+    pairs = list(zip(gens, map(tuple, gen_columns)))
+    for g, col in pairs:
+        if not set(map(type, col)) <= {int}:
+            raise ParseError(f"the column of generator {g} has a non-integer entry")
+        if len(col) != n or set(col) != full:
+            raise NotAGroup(f"the column of generator {g} is not a permutation "
+                            f"of 0..{n-1}")
+        if col[0] != g:
+            raise NotAGroup(f"entry 0 of the column of generator {g} is {col[0]}")
+    cols: list = list(given) if given is not None else [None] * n
+    if given is None:
+        cols[0] = tuple(range(n))
+    seen = bytearray(n)
+    seen[0] = 1
+    reached = [0]
+    for y in reached:                                # reached grows
+        times_y = picker(cols[y])                    # col -> ((xy)g)_x
+        for g, col in pairs:
+            z = col[y]
+            got = times_y(col)
+            if not seen[z]:
+                seen[z] = 1
+                reached.append(z)
+                if given is None:
+                    cols[z] = got
+                    continue
+            have = cols[z]                           # (x(yg))_x
+            if have != got:
+                x = next(x for x in range(n) if have[x] != got[x])
+                raise NotAGroup(f"associativity fails at ({x},{y},{g})")
+    if len(reached) != n:
+        raise ParseError(f"generator_indices {list(gens)} do not generate "
+                         f"the table")
+    if cols[0] != tuple(range(n)) or any(col[0] != z for z, col in enumerate(cols)):
+        raise NotAGroup("index 0 is not a two-sided identity")
+    return cols
+
+
+def _from_columns(name: str, gens: Sequence[int],
+                  cols: list[tuple[int, ...]]) -> FiniteGroup:
+    G = FiniteGroup(name, list(zip(*cols)))
+    G.generator_indices = tuple(gens)
+    return G
+
+
+def group_from_columns(name: str, order: int, generator_indices: Sequence[int],
+                       generator_columns: Sequence[Sequence[int]]) -> FiniteGroup:
+    """The group of ``order`` elements whose right multiplications by
+    ``generator_indices`` are ``generator_columns``, checked as outside
+    input by ``cayley_columns``."""
+    if type(order) is not int or order < 1:
+        raise ParseError(f"order {order!r} is not a positive integer")
+    gens = list(generator_indices)
+    return _from_columns(name, gens,
+                         cayley_columns(order, gens, list(generator_columns)))
 
 
 def group_from_permutations(name: str,
                             generators: Sequence[Sequence[int]]) -> FiniteGroup:
-    """Build the full multiplication table from 1-based permutation images;
-    the group order is bounded by ``active_caps.group``."""
+    """The group generated by 1-based permutation images, of order at most
+    ``active_caps.group``.  Its elements are the identity, then the other
+    permutations in sorted order; a then b applies a first.  Only the
+    columns of the generators are computed, during the enumeration, and
+    ``cayley_columns`` builds the table from them.  The per-pair form is
+    ``group_from_permutations_literal`` in ``tests/oracles.py``."""
     cap = active_caps.group
     if not generators:
         raise NotAGroup("at least one generator is required")
@@ -956,32 +975,83 @@ def group_from_permutations(name: str,
             raise NotAGroup(f"{list(images)} is not a permutation of 1..{degree}")
         gens.append(perm)
     ident = tuple(range(degree))
-    # a then b (right action on points) is picker(a)(b).
-    elems = {ident}
+    # a then b (right action on points) is picker(a)(b); times[x] holds
+    # x then g for each generator g.
+    times = {ident: None}
     frontier = [ident]
     while frontier:
         new = []
         for x in frontier:
             then = picker(x)
-            for g in gens:
-                y = then(g)
-                if y not in elems:
-                    elems.add(y)
+            times[x] = row = [then(g) for g in gens]
+            for y in row:
+                if y not in times:
+                    times[y] = None
                     new.append(y)
-                    if len(elems) > cap:
+                    if len(times) > cap:
                         raise CapExceeded(
                             f"group generated exceeds cap {cap}")
         frontier = new
-    ordered = [ident] + sorted(p for p in elems if p != ident)
-    index_of = {p: i for i, p in enumerate(ordered)}
-    index = index_of.__getitem__
-    table = [list(map(index, map(picker(a), ordered))) for a in ordered]
-    return FiniteGroup(name, table, perm_images=ordered, check=False,
-                       generator_indices=[index_of[g] for g in gens])
+    ordered = [ident] + sorted(p for p in times if p != ident)
+    index = {p: i for i, p in enumerate(ordered)}.__getitem__
+    gen_cols = [tuple(map(index, col))
+                for col in zip(*map(times.__getitem__, ordered))]
+    gen_idx = [index(g) for g in gens]
+    G = _from_columns(name, gen_idx, cayley_columns(len(ordered), gen_idx, gen_cols))
+    G.perm_images = tuple(ordered)
+    return G
+
+
+def right_span_generators(mul: Sequence[Sequence[int]]) -> list[int]:
+    """Greedy generators of a table by right multiplication from 0: each
+    element not yet reached from 0 by right multiplication by those kept
+    before it."""
+    gens: list[int] = []
+    reached = {0}
+    for a in range(len(mul)):
+        if a in reached:
+            continue
+        gens.append(a)
+        frontier = list(reached)
+        while frontier:
+            new = []
+            for x in frontier:
+                row = mul[x]
+                for g in gens:
+                    y = row[g]
+                    if y not in reached:
+                        reached.add(y)
+                        new.append(y)
+            frontier = new
+    return gens
 
 
 def group_from_table(name: str, table: Sequence[Sequence[int]]) -> FiniteGroup:
+    """A group given by its full multiplication table, index 0 the
+    identity.  The table is outside input: it must be n rows of n exact
+    integers (ParseError otherwise), each row a permutation of 0..n-1
+    (NotAGroup otherwise).  ``cayley_columns`` then runs Light's test with
+    every column given, on ``right_span_generators``, and checks the
+    identity; its argument shows that the columns are permutations too.
+    The order is bounded by ``active_caps.group``."""
     cap = active_caps.group
-    if len(table) > cap:
-        raise CapExceeded(f"group order {len(table)} exceeds cap {cap}")
-    return FiniteGroup(name, table, check=True)
+    n = len(table)
+    if n > cap:
+        raise CapExceeded(f"group order {n} exceeds cap {cap}")
+    if n == 0:
+        raise NotAGroup("empty multiplication table")
+    rows = tuple(map(tuple, table))
+    full = set(range(n))
+    for a, row in enumerate(rows):
+        if not set(map(type, row)) <= {int}:
+            raise ParseError(f"row {a} has a non-integer entry")
+        if len(row) != n:
+            raise NotAGroup(f"row {a} has length {len(row)}, expected {n}")
+        if set(row) != full:
+            raise NotAGroup(f"row {a} is not a permutation of 0..{n-1}")
+    cols = list(zip(*rows))
+    gens = right_span_generators(rows)
+    cayley_columns(n, gens, [cols[g] for g in gens], given=cols)
+    G = FiniteGroup(name, rows)
+    G.generator_indices = tuple(gens)
+    return G

@@ -1,22 +1,28 @@
 """Versioned on-disk container for built fusion systems (.fsk files).
 
-The container stores the ambient group table, the support, the prime, and a
+The container stores the ambient group as the right multiplications by a
+generating set (format 2: ``order``, ``generator_indices`` and
+``generator_columns``, with no n x n table), the support, the prime, and a
 generator record: one representative per conjugacy class of subgroups, a
 generating set of its automorphism group, and bridging isomorphisms (both
-directions) to every other class member.
+directions) to every other class member.  A format-1 file, which stored the
+whole table, is refused as an unsupported format; ``fusionkit build``
+writes it again.
 
-Files are compact JSON.  Every integer field (table entries, generator
-indices, the prime, the support, the witness, class members and record map
-images) must hold exact integers, so ``true`` is not 1 (ParseError
-otherwise).  Loading validates the table
-(``FiniteGroup._validate``: Latin square, identity, Light's associativity
-test), rebuilds F = F_S(W) from the stored table, and then proves that the
-record generates exactly F.  A witness holding every element is the whole
-group and is not checked again (``_witness``).  The proof is a
-certificate checked against F (``_record_certifies``); when it fails, the
-record is closed literally (``close_morphisms``) and compared with F, so a
-record with a dropped generator or class still loads when its closure
-agrees, and a corrupted record cannot load quietly.
+Files are compact JSON.  Every integer field (the order, generator indices
+and columns, the prime, the support, the witness, class members and record
+map images) must hold exact integers, so ``true`` is not 1 (ParseError
+otherwise).  Loading builds the table from the generator columns and proves
+it a group on the way (``groups.cayley_columns``: each column a
+permutation whose entry 0 is its generator, a walk of the right Cayley
+graph that reaches every element, and Light's associativity test on every
+edge), rebuilds F = F_S(W) from it, and then proves that the record
+generates exactly F.  A witness holding every element is the whole group
+and is not checked again (``_witness``).  The proof is a certificate
+checked against F (``_record_certifies``); when it fails, the record is
+closed literally (``close_morphisms``) and compared with F, so a record
+with a dropped generator or class still loads when its closure agrees, and
+a corrupted record cannot load quietly.
 """
 
 from __future__ import annotations
@@ -27,10 +33,11 @@ from pathlib import Path
 from .errors import ParseError, VerificationFailed
 from .fusion import (FusionSystem, Hom, close_morphisms, fusion_of_group,
                      subsystem_equal)
-from .groups import FiniteGroup, Subgroup, is_prime
+from .groups import (FiniteGroup, Subgroup, group_from_columns, is_prime,
+                     right_span_generators)
 from .saturation import aut_group
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _aut_generating_set(F: FusionSystem, P: Subgroup) -> list[Hom]:
@@ -61,20 +68,21 @@ def system_payload(F: FusionSystem) -> dict:
                 "to_rep": list(to_rep.images),
             })
         classes.append(entry)
-    payload = {
+    gens = G.generator_indices
+    if gens is None:
+        gens = right_span_generators(G._mul)
+    return {
         "format": FORMAT_VERSION,
         "name": F.name,
         "group_name": G.name,
         "prime": F.p,
         "order": G.order,
-        "table": [list(row) for row in G._mul],
+        "generator_indices": list(gens),
+        "generator_columns": [[row[g] for row in G._mul] for g in gens],
         "support": list(F.support.members),
         "witness": list(F.witness.members),
         "classes": classes,
     }
-    if G.generator_indices is not None:
-        payload["generator_indices"] = list(G.generator_indices)
-    return payload
 
 
 def save_system(F: FusionSystem, path: str | Path) -> None:
@@ -93,11 +101,10 @@ def _ints(values: list) -> list:
 
 
 def _witness(G: FiniteGroup, members: list) -> Subgroup:
-    """The stored witness as a subgroup of the validated table G.
+    """The stored witness as a subgroup of the checked group G.
 
     When its members, sorted and de-duplicated, are 0..|G|-1, it is
-    ``G.full_subgroup`` with no further check: a validated table is a
-    group, so the set of all its elements holds the identity and every
+    ``G.full_subgroup`` with no further check: G is a group, so the set of all its elements holds the identity and every
     inverse and product.  Any other witness is checked as a subgroup."""
     if set(members) == set(range(G.order)):
         return G.full_subgroup
@@ -158,15 +165,16 @@ def _record_certifies(
 
 
 def load_system(path: str | Path) -> FusionSystem:
-    """Load a persisted system: F_S(W) rebuilt from the stored table, once
-    the generator record is shown to generate exactly it.
+    """Load a persisted system: F_S(W) over the group built from the stored
+    generator columns, once the generator record is shown to generate
+    exactly it.
 
     The proof is the record certificate (``_record_certifies``).  When it
     fails, the decision falls back to closing the record literally and
     comparing the closure with F_S(W), so a record that still generates the
     system loads.  Raises ParseError on unreadable or malformed files,
-    NotAGroup on a table or record map that is not a group or a
-    homomorphism, VerificationFailed when the record regenerates other
+    NotAGroup on generator columns or record maps that do not make a group
+    or a homomorphism, VerificationFailed when the record regenerates other
     fusion.
     """
     try:
@@ -176,8 +184,9 @@ def load_system(path: str | Path) -> FusionSystem:
     if not isinstance(payload, dict) or payload.get("format") != FORMAT_VERSION:
         raise ParseError(f"{path}: unsupported container format")
     try:
-        G = FiniteGroup(payload["group_name"], payload["table"], check=True,
-                        generator_indices=payload.get("generator_indices"))
+        G = group_from_columns(payload["group_name"], payload["order"],
+                               payload["generator_indices"],
+                               payload["generator_columns"])
         S = G.subgroup(_ints(payload["support"]))
         W = _witness(G, _ints(payload["witness"]))
         p = payload["prime"]

@@ -87,12 +87,15 @@ def _classify(F: FusionSystem) -> SubgroupClassification:
     automized compares |N_S(P)| with |C_S(P)| |Aut_F(P)|_p, since
     Aut_S(P) = {c_g|P : g in N_S(P)} and c_g|P = c_h|P iff g h^-1 is in
     C_S(P), so |Aut_S(P)| = |N_S(P)|/|C_S(P)|.  O_p(Aut_F(P)) is computed
-    for centric P only, the only ones ``cr_set`` reads.  ``aut_group`` and
-    the inner-automizer alarm run for every P.  The alarm tests c_g|P for
-    g in gens(P): the table of Aut_F(P) is closed under composition and
-    c_gh|P = c_g|P then c_h|P, so Aut_P(P) lies in Aut_F(P) iff those
-    maps do, and it is the subgroup they generate.  The Hom form is
-    ``classify_literal`` in ``tests/oracles.py``."""
+    for centric P only, the only ones ``cr_set`` reads.  The
+    inner-automizer alarm runs for every P.  It tests c_g|P for g in
+    gens(P): the table of Aut_F(P) is closed under composition and c_gh|P
+    = c_g|P then c_h|P, so Aut_P(P) lies in Aut_F(P) iff those maps do,
+    and it is the subgroup they generate.  When Aut_F(P) is the identity
+    alone, no table is built: the alarm is that some c_g|P is not the
+    identity, that is, gens(P) do not commute, and O_p(Aut_F(P)) and
+    Aut_P(P) are both trivial, so P is radical iff it is centric.  The Hom
+    form is ``classify_literal`` in ``tests/oracles.py``."""
     S = F.support
     rows = list(map(F.universe.conj_row, S.members))
     n_of: dict[tuple[int, ...], int] = {}
@@ -121,6 +124,12 @@ def _classify(F: FusionSystem) -> SubgroupClassification:
         auts = F.automorphisms(P)
         if n_of[P.members] == c_of[P.members] * p_part(len(auts), F.p):
             fully_a.add(P.members)
+        if len(auts) == 1 and auts[0].is_identity():
+            if not P.is_elementwise_commuting(P):
+                raise NotAGroup("automorphism is not in this group")
+            if P.members in centric:
+                radical.add(P.members)
+            continue
         mg = aut_group(F, P)
         inner = mg.group.generated_subgroup(
             [mg.index_of(Hom.conjugation(P, g)) for g in P.generators])

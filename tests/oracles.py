@@ -109,7 +109,7 @@ def product_group(A: FiniteGroup, B: FiniteGroup, cap: Optional[int] = None,
                 base = a2 * nb
                 for b2 in range(B.order):
                     row[base + b2] = pa + mb[b2]
-    P = FiniteGroup(name or f"{A.name}x{B.name}", table, check=False)
+    P = FiniteGroup(name or f"{A.name}x{B.name}", table)
     full = P.full_subgroup
     iota_a = Hom(A.full_subgroup, full, tuple(a * nb for a in range(A.order)), check=False)
     iota_b = Hom(B.full_subgroup, full, tuple(range(B.order)), check=False)
@@ -144,11 +144,9 @@ def closure_literal(G: FiniteGroup, seed: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(elems))
 
 
-def permutation_table_literal(G: FiniteGroup) -> list[list[int]]:
-    """The multiplication table of a group built by
-    ``group_from_permutations``, from its ``perm_images`` with one
-    composition per pair: a*b applies a first, then b."""
-    ordered = G.perm_images
+def _composition_table(ordered: Sequence[tuple[int, ...]]) -> list[list[int]]:
+    """a*b for every pair of permutations of ``ordered``, by index: one
+    composition per pair, applying a first, then b."""
     degree = len(ordered[0])
     index_of = {perm: i for i, perm in enumerate(ordered)}
 
@@ -156,6 +154,59 @@ def permutation_table_literal(G: FiniteGroup) -> list[list[int]]:
         return tuple(b[a[i]] for i in range(degree))
 
     return [[index_of[compose(a, b)] for b in ordered] for a in ordered]
+
+
+def permutation_table_literal(G: FiniteGroup) -> list[list[int]]:
+    """The multiplication table of a group built by
+    ``group_from_permutations``, from its ``perm_images`` with one
+    composition per pair: a*b applies a first, then b."""
+    return _composition_table(G.perm_images)
+
+
+def group_from_permutations_literal(name: str,
+                                    generators: Sequence[Sequence[int]]
+                                    ) -> FiniteGroup:
+    """``group_from_permutations`` with the whole table filled pair by
+    pair: the closure of the 1-based generators under composition, the
+    identity first and the other permutations sorted, and a*b the index of
+    a then b."""
+    gens = [tuple(x - 1 for x in images) for images in generators]
+    ident = tuple(range(len(gens[0])))
+    elems, frontier = {ident}, [ident]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = tuple(g[i] for i in x)
+                if y not in elems:
+                    elems.add(y)
+                    new.append(y)
+        frontier = new
+    ordered = [ident] + sorted(elems - {ident})
+    G = FiniteGroup(name, _composition_table(ordered))
+    G.perm_images = tuple(ordered)
+    G.generator_indices = tuple(ordered.index(g) for g in gens)
+    return G
+
+
+def cayley_columns_literal(n: int, gen_columns: Sequence[Sequence[int]],
+                           ) -> dict[int, list[int]]:
+    """The column of each element reached from 0 by right multiplication
+    by the generators, as ``groups.cayley_columns`` first meets it: the
+    composite of generator columns along the first path of a
+    breadth-first walk, generators in the given order, entry by entry.
+    Nothing is checked, so on columns that are not a group's the columns
+    are those the kernel compared against."""
+    cols = {0: list(range(n))}
+    queue = deque([0])
+    while queue:
+        y = queue.popleft()
+        for col in gen_columns:
+            z = col[y]
+            if z not in cols:
+                cols[z] = [col[cols[y][x]] for x in range(n)]
+                queue.append(z)
+    return cols
 
 
 def normalizer_literal(ambient: Subgroup, H: Subgroup) -> Subgroup:

@@ -121,8 +121,37 @@ def _set(key, value):
     return lambda payload: payload.__setitem__(key, value)
 
 
-def _set_table_entry(payload):
-    payload["table"][1][2] = "x"
+def _set_column_entry(payload):
+    payload["generator_columns"][0][2] = "x"
+
+
+def _set_column(payload):
+    payload["generator_columns"][0] = 5
+
+
+def _set_generator_index(value):
+    def mutate(payload):
+        payload["generator_indices"][0] = value
+    return mutate
+
+
+def _set_column_value(at, value):
+    def mutate(payload):
+        payload["generator_columns"][0][at] = value
+    return mutate
+
+
+def _swap_column_entries(i, j):
+    def mutate(payload):
+        col = payload["generator_columns"][0]
+        col[i], col[j] = col[j], col[i]
+    return mutate
+
+
+def _first_generator_only(payload):
+    """The first generator of s4, (1 2), which does not generate it."""
+    payload["generator_indices"] = payload["generator_indices"][:1]
+    payload["generator_columns"] = payload["generator_columns"][:1]
 
 
 def _add_support_index(payload):
@@ -172,9 +201,9 @@ class TestMalformedInput:
     ``int()`` would accept is still a parse error."""
 
     @pytest.mark.parametrize("mutate", [
-        _set("prime", "x"), _set_table_entry, _set("table", 5),
+        _set("prime", "x"), _set_column_entry, _set("generator_columns", 5),
         _set("classes", 3), _add_support_index,
-        _set("generator_indices", [999]), _set("generator_indices", [1]),
+        _set_generator_index(999), _first_generator_only,
         _set("prime", 4), _set("prime", 1), _set("prime", 2.5),
         _set("prime", "2"), _float_generator_index,
         _bool_entry(lambda d: d["support"]), _bool_entry(lambda d: d["witness"]),
@@ -182,11 +211,18 @@ class TestMalformedInput:
         _bool_entry(lambda d: _bridge(d)["member"]), _bool_entry(_aut_image),
         _bool_entry(lambda d: _bridge(d)["from_rep"]),
         _bool_entry(lambda d: _bridge(d)["to_rep"]),
-    ], ids=["prime", "table-entry", "table", "classes", "support-index",
+        _set_column, _bool_entry(lambda d: d["generator_columns"][0]),
+        _set_generator_index("6"), _set("generator_indices", 5),
+        _set_generator_index(True), _set("order", "24"), _set("order", True),
+        _set("order", 24.0), _set("order", [24]),
+    ], ids=["prime", "column-entry", "columns", "classes", "support-index",
             "generator-index-range", "generator-index-span", "prime-composite",
             "prime-one", "prime-float", "prime-string", "generator-index-float",
             "support-bool", "witness-bool", "rep-bool", "member-bool",
-            "aut-image-bool", "from-rep-bool", "to-rep-bool"])
+            "aut-image-bool", "from-rep-bool", "to-rep-bool", "column",
+            "column-bool", "generator-index-string", "generator-indices",
+            "generator-index-bool", "order-string", "order-bool", "order-float",
+            "order-list"])
     def test_malformed_fsk(self, mutate, s4_fsk, tmp_path, capsys):
         payload = json.loads(s4_fsk.read_text())
         mutate(payload)
@@ -196,6 +232,22 @@ class TestMalformedInput:
             load_system(bad)
         code = main(["centralizer", str(bad), "--normal", "gens:g0"])
         assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("mutate,match", [
+        (_set_column_value(5, 4), "not a permutation"),
+        (_swap_column_entries(0, 1), "entry 0"),
+        (_swap_column_entries(1, 2), "associativity"),
+    ], ids=["column-not-a-permutation", "column-entry-0", "column-swap"])
+    def test_generator_columns_that_are_not_a_group(self, mutate, match, s4_fsk,
+                                                    tmp_path, capsys):
+        payload = json.loads(s4_fsk.read_text())
+        mutate(payload)
+        bad = tmp_path / "bad.fsk"
+        bad.write_text(json.dumps(payload))
+        with pytest.raises(NotAGroup, match=match):
+            load_system(bad)
+        assert main(["centralizer", str(bad), "--normal", "gens:g0"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize("payload", [

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,8 +20,9 @@ from fusionkit.groups import (Hom, Twist, center, centralizer,
 from fusionkit.saturation import classify, is_saturated
 from fusionkit.subsystems import (centralizer_subsystem, is_normal,
                                   normal_subsystem_in, normalizer_subsystem)
-from fusionkit import subsystems
-from fusionkit.verify import inner_only_shadow, with_added_iso, with_removed_iso
+from fusionkit import fusion, subsystems
+from fusionkit.verify import (inner_only_shadow, run_suite, with_added_iso,
+                              with_removed_iso)
 from oracles import (conjugate_morphism, conjugate_subsystem,
                      validate_fusion_system)
 
@@ -121,6 +124,41 @@ class TestGeneratedSubsystems:
         gen = generated_subsystem(F_s4, F_s4.support,
                                   [order3_autos(F_s4, V4)[0]])
         assert subsystem_contains(F_s4, gen)
+
+    def test_closure_runs_once_per_input(self, monkeypatch):
+        """One suite pass on s4xc2@2 closes each distinct (support,
+        generator keys) input once."""
+        runs = Counter()
+        close = fusion.close_morphisms
+
+        def counted(support, seeds):
+            seeds = list(seeds)
+            runs[support.members, frozenset((h.domain.members, h.images)
+                                            for h in seeds)] += 1
+            return close(support, seeds)
+
+        monkeypatch.setattr(fusion, "close_morphisms", counted)
+        results = run_suite("s4xc2@2", builtin_group("s4xc2"), 2)
+        assert all(r.status == "pass" for r in results)
+        assert runs and max(runs.values()) == 1
+
+    def test_memoized_closure_still_checks_and_is_fresh(self, E_a4, V4):
+        """A repeated input returns a new system with the same table, and
+        the inside check runs again: a map outside E is refused although
+        its closure is memoized."""
+    def test_memoized_closure_still_checks_and_is_fresh(self, F_s4, E_a4, V4):
+        """A repeated input returns a new system with the same table, and
+        the inside check runs on every call: an automorphism of V4 outside
+        E is refused although its closure is memoized."""
+        tau = next(h for h in F_s4.automorphisms(V4)
+                   if not E_a4.contains_morphism(h))
+        first = generated_subsystem(E_a4, V4, [tau], check_inside=False)
+        again = generated_subsystem(E_a4, V4, [tau], check_inside=False)
+        assert again is not first and again.content_key == first.content_key
+        again.name = "renamed"
+        assert first.name != "renamed"
+        with pytest.raises(MorphismOutsideSupport, match="not a morphism of F"):
+            generated_subsystem(E_a4, V4, [tau])
 
 
 class TestConjugation:

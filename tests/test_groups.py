@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,15 +11,18 @@ from hypothesis import given, settings, strategies as st
 from fusionkit.corpus import CORPUS_ENTRIES, builtin_group
 from fusionkit.errors import CapExceeded, NotAGroup, NotNormal, ParseError
 from fusionkit.fusion import fusion_of_group
-from fusionkit.groups import (FiniteGroup, Hom, Subgroup, active_caps,
-                              as_group, center, centralizer, derived_subgroup,
+from fusionkit.groups import (Hom, Subgroup, active_caps, as_group,
+                              cayley_columns, center, centralizer,
+                              derived_subgroup, group_from_columns,
                               group_from_permutations, group_from_table,
                               normalizer,
                               normal_subgroups, o_p, o_p_prime, o_upper_p,
                               p_part, quotient, subgroup_lattice,
                               sylow_subgroup)
-from oracles import (conjugate_morphism, from_pairs, maximal_subgroups,
+from oracles import (cayley_columns_literal, conjugate_morphism, from_pairs,
+                     group_from_permutations_literal, maximal_subgroups,
                      product_group, push, subgroup_lattice_bruteforce)
+from test_fusion import perm_groups
 
 
 def brute_centralizer(G, H):
@@ -374,13 +378,14 @@ class TestLightAssociativity:
             assert light_accepts(bad) == literal_associative(bad)
 
     def test_generator_indices_must_generate(self):
-        table = builtin_group("s4")._mul
-        gens = builtin_group("s4").generator_indices
-        assert FiniteGroup("s4", table, generator_indices=gens).order == 24
+        G = builtin_group("s4")
+        gens = G.generator_indices
+        cols = columns_of(G, gens)
+        assert group_from_columns("s4", 24, gens, cols)._mul == G._mul
         with pytest.raises(ParseError, match="out of range"):
-            FiniteGroup("s4", table, generator_indices=[999])
+            group_from_columns("s4", 24, [999], cols[:1])
         with pytest.raises(ParseError, match="do not generate"):
-            FiniteGroup("s4", table, generator_indices=gens[:1])
+            group_from_columns("s4", 24, gens[:1], cols[:1])
 
 
 @st.composite
@@ -400,9 +405,16 @@ def small_tables(draw):
     return table, G.generator_indices
 
 
-def light_accepts(table, generator_indices=None):
+def light_accepts(table, gens=None):
+    """Does the table pass as a group: through ``group_from_table``, or,
+    with ``gens``, through ``cayley_columns`` walked on them with every
+    column given?"""
     try:
-        FiniteGroup("t", table, generator_indices=generator_indices)
+        if gens is None:
+            group_from_table("t", table)
+        else:
+            cols = list(zip(*table))
+            cayley_columns(len(table), gens, [cols[g] for g in gens], given=cols)
     except NotAGroup:
         return False
     return True
@@ -414,5 +426,102 @@ def test_light_agrees_with_literal_on_swapped_tables(case):
     table, gens = case
     literal = literal_associative(table)
     assert light_accepts(table) == literal
-    if len(FiniteGroup("t", table, check=False)._right_span(gens, {0})) == len(table):
-        assert light_accepts(table, gens) == literal
+    try:
+        accepted = light_accepts(table, gens)
+    except ParseError:                 # gens do not generate the swapped table
+        return
+    assert accepted == literal
+
+
+# -- the Cayley-graph kernel ----------------------------------------------------
+
+
+def failing_triple(exc):
+    """The (x, y, g) named by an associativity NotAGroup."""
+    found = re.search(r"associativity fails at \((\d+),(\d+),(\d+)\)", str(exc))
+    assert found, str(exc)
+    return tuple(map(int, found.groups()))
+
+
+def columns_of(G, gens):
+    """The right multiplications by ``gens``: column g is (xg)_x."""
+    return [[row[g] for row in G._mul] for g in gens]
+
+
+def generators_of(G):
+    """The 1-based permutation generators ``group_from_permutations`` got."""
+    return [[x + 1 for x in G.perm_images[g]] for g in G.generator_indices]
+
+
+def assert_same_group(got, want):
+    assert got._mul == want._mul
+    assert got.generator_indices == want.generator_indices
+    assert got.perm_images == want.perm_images
+
+
+BUNDLED = sorted({name for name, _ in CORPUS_ENTRIES})
+
+
+class TestCayleyColumns:
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_permutations_match_literal(self, name):
+        """The table built from the generator columns is the per-pair
+        table, with the same generator indices and permutations."""
+        G = builtin_group(name)
+        assert_same_group(G, group_from_permutations_literal(
+            name, generators_of(G)))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(perm_groups())
+    def test_generated_permutations_match_literal(self, case):
+        G, _ = case
+        assert_same_group(G, group_from_permutations_literal(
+            "gen", generators_of(G)))
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_columns_rebuild_the_table(self, name):
+        G = builtin_group(name)
+        gens = G.generator_indices
+        got = group_from_columns(name, G.order, gens, columns_of(G, gens))
+        assert got._mul == G._mul and got.generator_indices == gens
+
+    def test_column_that_is_not_a_permutation(self):
+        G = builtin_group("s4")
+        cols = columns_of(G, G.generator_indices)
+        cols[0][5] = cols[0][4]
+        with pytest.raises(NotAGroup, match="not a permutation"):
+            group_from_columns("s4", 24, G.generator_indices, cols)
+
+    def test_column_whose_entry_0_is_another_element(self):
+        """A right multiplication by another element, stored under a
+        generator's index."""
+        G = builtin_group("s4")
+        gens = G.generator_indices
+        cols = columns_of(G, [gens[0] + 1, gens[1]])
+        with pytest.raises(NotAGroup, match="entry 0"):
+            group_from_columns("s4", 24, gens, cols)
+
+    def test_columns_that_do_not_generate(self):
+        """The columns of <(1 2)> in S4 reach 2 of 24 elements."""
+        G = builtin_group("s4")
+        g = G.generator_indices[0]
+        with pytest.raises(ParseError, match="do not generate"):
+            group_from_columns("s4", 24, [g], columns_of(G, [g]))
+
+    @pytest.mark.parametrize("name", ["s3xs3", "s4", "q8", "gl23"])
+    def test_swapped_column_entries_name_a_failing_triple(self, name):
+        """Swapping two entries (not entry 0) of a generator column leaves
+        a permutation, and the walk reports an (x, y, g) at which the
+        columns it met disagree: (xy)g != x(yg), re-checked on the columns
+        of the breadth-first walk."""
+        G = builtin_group(name)
+        gens = G.generator_indices
+        for i, j in [(1, 2), (2, G.order - 1)]:
+            cols = columns_of(G, gens)
+            cols[-1][i], cols[-1][j] = cols[-1][j], cols[-1][i]
+            with pytest.raises(NotAGroup, match="associativity") as info:
+                group_from_columns(name, G.order, gens, cols)
+            x, y, g = failing_triple(info.value)
+            walked = cayley_columns_literal(G.order, cols)
+            col_g = cols[gens.index(g)]
+            assert col_g[walked[y][x]] != walked[col_g[y]][x]

@@ -57,6 +57,12 @@ def recorded():
         calls["close"].append((support, seeds))
         return close_morphisms(support, seeds)
 
+    def generating(F, R, generators, check_inside=True):
+        # a memoized closure runs once, but each call's input is recorded
+        generators = list(generators)
+        calls["close"].append((R, [h.cores() for h in generators]))
+        return generated_subsystem(F, R, generators, check_inside)
+
     def reaching(F, P, family, record_paths=False):
         calls["reach"].append((F, P, tuple(family)))
         return _reachable(F, P, family, record_paths)
@@ -84,6 +90,8 @@ def recorded():
     with pytest.MonkeyPatch.context() as mp:
         for module in (fusion, verify, persist):
             mp.setattr(module, "close_morphisms", closing)
+        for module in (centralizers, products, subsystems):
+            mp.setattr(module, "generated_subsystem", generating)
         mp.setattr(saturation, "_reachable", reaching)
         mp.setattr(products, "star_generators", starring)
         mp.setattr(saturation, "_classify", classifying)

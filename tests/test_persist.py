@@ -7,7 +7,6 @@ from __future__ import annotations
 import copy
 import itertools
 import json
-import re
 import tempfile
 from pathlib import Path
 
@@ -16,15 +15,19 @@ from hypothesis import given, settings
 
 from fusionkit import persist
 from fusionkit.cli import main
-from fusionkit.corpus import CORPUS_ENTRIES, builtin_group, builtin_group_path
-from fusionkit.errors import NotAGroup, VerificationFailed
+from fusionkit.corpus import (CORPUS_ENTRIES, builtin_group, builtin_group_path,
+                              ingest)
+from fusionkit.errors import NotAGroup, ParseError, VerificationFailed
 from fusionkit.fusion import (FusionSystem, close_morphisms, fusion_of_group,
                               subsystem_equal)
-from fusionkit.groups import FiniteGroup, Hom, sylow_subgroup
+from fusionkit.groups import (FiniteGroup, Hom, group_from_table,
+                              right_span_generators, sylow_subgroup)
 from fusionkit.persist import load_system, save_system, system_payload
-from oracles import aut_generating_set_greedy, close_morphisms_literal
+from oracles import (aut_generating_set_greedy, cayley_columns_literal,
+                     close_morphisms_literal)
 from test_fusion import perm_groups
-from test_groups import intercalates, literal_associative, swap_intercalate
+from test_groups import (failing_triple, intercalates, literal_associative,
+                         swap_intercalate)
 
 
 def corpus_payload(name, p):
@@ -32,11 +35,19 @@ def corpus_payload(name, p):
     return system_payload(fusion_of_group(G, sylow_subgroup(G.full_subgroup, p), p))
 
 
+def literal_group(payload):
+    """The group of a payload's generator columns, its table read off the
+    columns of the breadth-first walk, entry by entry; nothing checked."""
+    n = payload["order"]
+    cols = cayley_columns_literal(n, payload["generator_columns"])
+    return FiniteGroup(payload["group_name"],
+                       [[cols[y][x] for y in range(n)] for x in range(n)])
+
+
 def literal_load(payload):
     """Oracle: close the whole record with the Hom-form closure and compare
     it with F_S(W)."""
-    G = FiniteGroup(payload["group_name"], payload["table"],
-                    generator_indices=payload.get("generator_indices"))
+    G = literal_group(payload)
     S = G.subgroup(payload["support"])
     W = G.subgroup(payload["witness"])
     p = int(payload["prime"])
@@ -99,7 +110,7 @@ def mutations(payload):
     """(label, mutated payload): dropped generators, bridges and classes,
     foreign automorphisms added or swapped in, a class split in two, and
     bridges replaced by other group maps or collapsed onto 1."""
-    G = FiniteGroup("g", payload["table"], check=False)
+    G = literal_group(payload)
     W = G.subgroup(payload["witness"])
     F = fusion_of_group(W, G.subgroup(payload["support"]), payload["prime"])
 
@@ -176,7 +187,9 @@ def test_corpus_records_load_without_closure(name, p, tmp_path, monkeypatch):
 
     monkeypatch.setattr(persist, "close_morphisms", closure_called)
     F = load_system(path)
-    assert F.universe.order == builtin_group(name).order
+    G = builtin_group(name)
+    assert F.universe._mul == G._mul
+    assert F.universe.generator_indices == G.generator_indices
 
 
 @pytest.mark.parametrize("name,p", CORPUS_ENTRIES,
@@ -315,13 +328,6 @@ def test_witness_that_is_not_a_subgroup_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def failing_triple(exc):
-    """The (x, y, g) named by an associativity NotAGroup."""
-    found = re.search(r"associativity fails at \((\d+),(\d+),(\d+)\)", str(exc))
-    assert found, str(exc)
-    return tuple(map(int, found.groups()))
-
-
 def assert_names_a_failing_triple(table, call):
     with pytest.raises(NotAGroup, match="associativity") as info:
         call()
@@ -338,19 +344,54 @@ def test_associativity_report_names_a_failing_triple(name):
     for quad in intercalates(table, rest, set(rest))[:4]:
         bad = swap_intercalate(table, quad)
         if not literal_associative(bad):
-            assert_names_a_failing_triple(bad, lambda: FiniteGroup("t", bad))
+            assert_names_a_failing_triple(bad, lambda: group_from_table("t", bad))
 
 
 def test_load_reports_a_failing_triple(tmp_path):
-    """A stored table made non-associative fails to load with NotAGroup at
-    a triple that really fails."""
+    """A stored generator column with two entries swapped is still a
+    permutation with the right entry 0, and fails to load with NotAGroup
+    at an (x, y, g) where the columns the walk met give (xy)g != x(yg)."""
     payload = corpus_payload("s4", 2)
-    del payload["generator_indices"]
-    rest = range(1, len(payload["table"]))
-    payload["table"] = next(
-        bad for bad in (swap_intercalate(payload["table"], quad)
-                        for quad in intercalates(payload["table"], rest, set(rest)))
-        if not literal_associative(bad))
+    col = payload["generator_columns"][0]
+    col[1], col[2] = col[2], col[1]
     path = tmp_path / "x.fsk"
     path.write_text(json.dumps(payload))
-    assert_names_a_failing_triple(payload["table"], lambda: load_system(path))
+    with pytest.raises(NotAGroup, match="associativity") as info:
+        load_system(path)
+    x, y, g = failing_triple(info.value)
+    cols = payload["generator_columns"]
+    walked = cayley_columns_literal(payload["order"], cols)
+    col_g = cols[payload["generator_indices"].index(g)]
+    assert col_g[walked[y][x]] != walked[col_g[y]][x]
+
+
+def test_format_1_file_exits_two(tmp_path, capsys):
+    """A file of the format that stored the whole table is refused."""
+    payload = corpus_payload("s4", 2)
+    G = builtin_group("s4")
+    payload["format"] = 1
+    payload["table"] = [list(row) for row in G._mul]
+    del payload["generator_columns"]
+    path = tmp_path / "x.fsk"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ParseError, match="unsupported container format"):
+        load_system(path)
+    assert main(["centralizer", str(path), "--normal", "order:4"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_table_group_round_trip(tmp_path, capsys):
+    """A system built from a multiplication-table group file stores the
+    greedy right-span generators and loads to the same table."""
+    table = [list(row) for row in builtin_group("q8")._mul]
+    group_file = tmp_path / "q8t.json"
+    group_file.write_text(json.dumps(
+        {"name": "q8t", "kind": "multiplication-table", "table": table}))
+    path = tmp_path / "q8t.fsk"
+    assert main(["build", str(group_file), "-p", "2", "--out", str(path)]) == 0
+    G = ingest(group_file)
+    assert list(G.generator_indices) == right_span_generators(table)
+    assert json.loads(path.read_text())["generator_indices"] == \
+        right_span_generators(table)
+    check_round_trip(fusion_of_group(G, sylow_subgroup(G.full_subgroup, 2), 2,
+                                     name="F(q8t@2)"), path)

@@ -7,15 +7,15 @@ import pytest
 from fusionkit import saturation
 from fusionkit.corpus import builtin_group
 from fusionkit.errors import NotSaturated
-from fusionkit.fusion import (fusion_of_group, generated_subsystem,
-                              realized_subsystem)
+from fusionkit.fusion import (MorphismGroup, fusion_of_group,
+                              generated_subsystem, realized_subsystem)
 from fusionkit.groups import (Hom, Subgroup, center, centralizer, normalizer,
                               sylow_subgroup)
 from fusionkit.saturation import (alperin_decompose, canonical_family,
                                   classify, extension_group,
                                   is_conjugation_family, is_saturated,
                                   o_upper_p_automorphisms)
-from oracles import extend_morphism
+from oracles import classify_literal, extend_morphism
 from test_fusion import s4_mutants
 
 
@@ -27,6 +27,27 @@ def cross_map(F, V4):
 
 
 class TestClassification:
+    def test_trivial_automizers_build_no_table(self, monkeypatch):
+        """Classifying s4@2's F builds no MorphismGroup for a one-element
+        Aut_F(P), and the flags are those of the Hom form."""
+        built = []
+
+        class Counted(MorphismGroup):
+            def __init__(self, autos):
+                built.append(len(autos))
+                super().__init__(autos)
+
+        monkeypatch.setattr(saturation, "MorphismGroup", Counted)
+        G = builtin_group("s4")
+        F = fusion_of_group(G, sylow_subgroup(G.full_subgroup, 2), 2)
+        assert any(len(F.automorphisms(P)) == 1 for P in F.subgroups())
+        got = classify(F)
+        assert built and 1 not in built
+        want = classify_literal(F)
+        assert (got.centric, got.fully_automized) == (want.centric,
+                                                      want.fully_automized)
+        assert got.radical == want.radical & want.centric
+
     def test_v4_flags(self, F_s4, V4):
         cls = classify(F_s4)
         assert cls.is_fully_normalized(V4)
