@@ -6,8 +6,8 @@ generating set (format 2: ``order``, ``generator_indices`` and
 generator record: one representative per conjugacy class of subgroups, a
 generating set of its automorphism group, and bridging isomorphisms (both
 directions) to every other class member.  A format-1 file, which stored the
-whole table, is refused as an unsupported format; ``fusionkit build``
-writes it again.
+whole table, is refused as an unsupported format; rebuild it from its group
+file with ``fusionkit build``.
 
 Files are compact JSON.  Every integer field (the order, generator indices
 and columns, the prime, the support, the witness, class members and record
@@ -104,8 +104,9 @@ def _witness(G: FiniteGroup, members: list) -> Subgroup:
     """The stored witness as a subgroup of the checked group G.
 
     When its members, sorted and de-duplicated, are 0..|G|-1, it is
-    ``G.full_subgroup`` with no further check: G is a group, so the set of all its elements holds the identity and every
-    inverse and product.  Any other witness is checked as a subgroup."""
+    ``G.full_subgroup`` with no further check: G is a group, so the set of
+    all its elements holds the identity and every inverse and product.  Any
+    other witness is checked as a subgroup."""
     if set(members) == set(range(G.order)):
         return G.full_subgroup
     return G.subgroup(members)

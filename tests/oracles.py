@@ -3,8 +3,11 @@ the member-level forms of the group kernel (closure, normalizer,
 centralizer, normality, automizers, iso-sets, extension groups, normal
 subgroups, maximal subgroups) that the package computes on generating sets,
 conjugation rows or the lattice's covering relation, the subgroup lattice
-by a fresh closure per join, the per-pair tables of a permutation group and
-of an automorphism group (``Hom.then`` per pair), the exhaustive
+by a fresh closure per join, the per-pair tables of a permutation group
+(``group_from_permutations_literal``) and of an automorphism group
+(``Hom.then`` per pair), the columns the Cayley-graph walk of
+``groups.cayley_columns`` meets, entry by entry
+(``cayley_columns_literal``), the exhaustive
 fusion-axiom audit, the literal morphism and subsystem transports
 (``push`` and ``from_pairs``; ``conjugate_morphism`` is the Hom form of
 ``groups.Twist`` and ``transport_isos_literal`` that of

@@ -121,10 +121,6 @@ def _set(key, value):
     return lambda payload: payload.__setitem__(key, value)
 
 
-def _set_column_entry(payload):
-    payload["generator_columns"][0][2] = "x"
-
-
 def _set_column(payload):
     payload["generator_columns"][0] = 5
 
@@ -201,7 +197,7 @@ class TestMalformedInput:
     ``int()`` would accept is still a parse error."""
 
     @pytest.mark.parametrize("mutate", [
-        _set("prime", "x"), _set_column_entry, _set("generator_columns", 5),
+        _set("prime", "x"), _set_column_value(2, "x"), _set("generator_columns", 5),
         _set("classes", 3), _add_support_index,
         _set_generator_index(999), _first_generator_only,
         _set("prime", 4), _set("prime", 1), _set("prime", 2.5),

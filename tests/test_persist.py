@@ -1,6 +1,7 @@
 """Saving and loading .fsk files: the record certificate against the
-literal closure, the round trip, the full-group witness and the
-associativity report."""
+literal closure, the round trip (of every corpus entry and of a
+multiplication-table group), the full-group witness, the associativity
+report on stored generator columns and the refusal of format 1."""
 
 from __future__ import annotations
 
