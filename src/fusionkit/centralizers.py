@@ -24,7 +24,8 @@ from .fusion import FusionSystem, generated_subsystem, subsystem_contains
 from .groups import (Hom, Subgroup, centralizer, normalizer, picker,
                      subgroup_lattice)
 from .models import Model, model_of, normal_model, script_G
-from .saturation import aut_group, classify, o_upper_p_automorphisms
+from .saturation import (aut_group, classify, o_upper_p_automorphisms,
+                         only_identity)
 from .subsystems import (centralizer_subsystem, is_normal, is_strongly_closed,
                          normalizer_subsystem, weakly_closed_subgroups_in)
 
@@ -39,7 +40,7 @@ def centralized_set(F: FusionSystem, E: FusionSystem) -> tuple[Subgroup, ...]:
     """The centralized family: all X <= C_S(T) with E <= C_F(X), in
     canonical order; C_S(E) is its largest member."""
     T = E.support
-    CST = centralizer(F.support, T)
+    CST = centralizer(F.support, T, F.table_for(T))
     return tuple(X for X in subgroup_lattice(CST)
                  if contained_in_centralizer(F, E, X))
 
@@ -88,7 +89,9 @@ def c_s_of(F: FusionSystem, E: FusionSystem,
 def a_circle(F: FusionSystem, E: FusionSystem, P: Subgroup) -> tuple[Hom, ...]:
     """Automorphisms moving P only inside P n T and restricting into E there.
 
-    Verified on the table of Aut_F(P) to form a normal subgroup.
+    Verified on the table of Aut_F(P) to form a normal subgroup; when
+    Aut_F(P) is the identity alone, without a table: then it must be the
+    identity alone.
     """
     T = E.support
     G = F.universe
@@ -102,6 +105,10 @@ def a_circle(F: FusionSystem, E: FusionSystem, P: Subgroup) -> tuple[Hom, ...]:
         if restrict(phi.images) not in E._keys_from(PT):
             continue
         out.append(phi)
+    if only_identity(F.automorphisms(P), P):
+        if not only_identity(out, P):
+            raise VerificationFailed("A-circle is not closed under composition")
+        return tuple(out)
     A = aut_group(F, P)
     sub = A.subgroup_of(out)
     if sub is None:
@@ -112,13 +119,17 @@ def a_circle(F: FusionSystem, E: FusionSystem, P: Subgroup) -> tuple[Hom, ...]:
 
 
 def h_group(F: FusionSystem, E: FusionSystem, P: Subgroup) -> tuple[Hom, ...]:
-    """Automorphisms of P extending to P N_T(P); verified to form a subgroup."""
+    """Automorphisms of P extending to P N_T(P); verified to form a
+    subgroup, without a table when Aut_F(P) is the identity alone."""
     T = E.support
-    NT = normalizer(T, P)
+    NT = normalizer(T, P, F.table_for(P))
     PN = F.universe.generated_subgroup(P.members + NT.members)
-    out = [phi for phi in F.automorphisms(P)
+    autos = F.automorphisms(P)
+    out = [phi for phi in autos
            if any(psi.codomain == PN for psi in F.extensions(phi, PN))]
-    if aut_group(F, P).subgroup_of(out) is None:
+    closed = (only_identity(out, P) if only_identity(autos, P)
+              else aut_group(F, P).subgroup_of(out) is not None)
+    if not closed:
         raise VerificationFailed("H(P) is not closed under composition")
     return tuple(sorted(out, key=Hom.sort_key))
 
@@ -140,7 +151,7 @@ def r_star(F: FusionSystem, E: FusionSystem
     model = model_of(Gsys)
     N = normal_model(Gsys, model, NET)
     sigma = model.sigma
-    CSN = centralizer(model.sylow_image, N)
+    CSN = centralizer(model.sylow_image, N, N)
     members = tuple(x for x in F.support.members if sigma(x) in CSN.member_set)
     return Subgroup(F.universe, members, check=False), Gsys, model, N
 
@@ -152,7 +163,7 @@ def r_star_counterexample(F: FusionSystem, E: FusionSystem,
     exactly when X <= ``R_star``.  Returns the first failing clause as a
     located counterexample, or None."""
     T = E.support
-    CST = centralizer(F.support, T)
+    CST = centralizer(F.support, T, F.table_for(T))
     if not R_star.member_set <= CST.member_set:
         return {"kind": "R* leaves C_S(T)", "R_star": list(R_star.members)}
     NET = normalizer_subsystem(E, T)
@@ -276,7 +287,9 @@ def coincide_check(F: FusionSystem, E: FusionSystem,
                    C_S_E: Optional[Subgroup] = None) -> bool:
     """Aut_{C_F(E)}(P) = O^p(Aut_{C_F(T)}(P)) * Aut_{C_S(E)}(P) for every
     P fully normalized and centric in C_F(E), as a product set on the
-    table of Aut_{C_F(E)}(P), where both factors must lie."""
+    table of Aut_{C_F(E)}(P), where both factors must lie.  When
+    Aut_{C_F(E)}(P) is the identity alone no table is built: both factors
+    must be the identity alone."""
     R = C_S_E if C_S_E is not None else c_s_of(F, E)
     cfe = CFE if CFE is not None else c_F_of(F, E, C_S_E=R)
     CFT = centralizer_subsystem(F, E.support)
@@ -284,9 +297,15 @@ def coincide_check(F: FusionSystem, E: FusionSystem,
     for P in cfe.subgroups():
         if not (cls.is_fully_normalized(P) and cls.is_centric(P)):
             continue
+        op_auts = o_upper_p_automorphisms(CFT, P)
+        r_auts = cfe.automizer_in(R, P)
+        if only_identity(cfe.automorphisms(P), P):
+            if not (only_identity(op_auts, P) and only_identity(r_auts, P)):
+                return False
+            continue
         A = aut_group(cfe, P)
-        op_part = A.subgroup_of(o_upper_p_automorphisms(CFT, P))
-        aut_r = A.subgroup_of(cfe.automizer_in(R, P))
+        op_part = A.subgroup_of(op_auts)
+        aut_r = A.subgroup_of(r_auts)
         if (op_part is None or aut_r is None or op_part.product_set(aut_r)
                 != A.group.full_subgroup.members):
             return False

@@ -77,6 +77,13 @@ class FusionSystem:
 
     A result that depends on two systems is memoized in one system's slot
     under the other's content key (see ``pair_key`` and ``memo``).
+
+    ``base`` is the subgroup whose conjugation table the system reads
+    (``groups.Subgroup.row``): the top's support when it lies in the same
+    universe and holds this support, else this support.  So every system
+    under one top moves its subgroups on one table, |S| entries per
+    conjugator.  A realized system reads the rows of its witness off that
+    table once (``_witness_rows``).
     """
 
     def __init__(self, support: Subgroup, p: int,
@@ -104,12 +111,21 @@ class FusionSystem:
             slot = top._registry.setdefault(self.content_key, ({}, {}, {}))
         else:
             slot = ({}, {}, {})
+        self.base = (top.support if top.universe is self.universe
+                     and support.member_set <= top.support.member_set
+                     else support)
         self._isos: dict[tuple[int, ...], tuple[Hom, ...]] = slot[0]
         self._iso_keys: dict[tuple[int, ...], frozenset] = slot[1]
         self._cache: dict = slot[2]
+        self._witness_rows: Optional[tuple[tuple[int, ...], ...]] = None
 
     def top(self) -> "FusionSystem":
         return self.ambient if self.ambient is not None else self
+
+    def table_for(self, X: Subgroup) -> Subgroup:
+        """The subgroup whose conjugation table moves X: ``base`` when it
+        holds X, else X itself."""
+        return self.base if X.member_set <= self.base.member_set else X
 
     @property
     def realized(self) -> bool:
@@ -145,7 +161,9 @@ class FusionSystem:
     # -- morphisms ---------------------------------------------------------------
 
     def isos_from(self, P: Subgroup) -> tuple[Hom, ...]:
-        """All morphisms from P, corestricted onto their images."""
+        """All morphisms from P, corestricted onto their images, in
+        ``Hom.sort_key`` order.  From a witness the maps are sorted on
+        (image members, images), which is that order for one domain."""
         got = self._isos.get(P.members)
         if got is not None:
             return got
@@ -156,12 +174,16 @@ class FusionSystem:
             if out is None:
                 raise DomainMismatch("iso-sets do not cover this subgroup")
         else:
-            out = tuple(sorted(
-                (Hom(P, Subgroup(self.universe, tuple(sorted(imgs)), check=False),
-                     imgs, check=False)
-                 for imgs in _first_conjugations(P, self.witness.members,
-                                                 self.support.member_set)),
-                key=Hom.sort_key))
+            rows = self._witness_rows
+            if rows is None:
+                rows = self._witness_rows = self.base.rows(self.witness.members)
+            U = self.universe
+            out = tuple(
+                Hom(P, Subgroup(U, image, check=False), imgs, check=False)
+                for image, imgs in sorted(
+                    (tuple(sorted(imgs)), imgs)
+                    for imgs in _first_conjugations(
+                        P, rows, self.support.member_set, self.base)))
         self._isos[P.members] = out
         return out
 
@@ -225,11 +247,12 @@ class FusionSystem:
         return tuple(h for h in self.isos_from(P) if h.codomain == P)
 
     def automizer_in(self, R: Subgroup, P: Subgroup) -> tuple[Hom, ...]:
-        """Aut_R(P): conjugations by elements of N_R(P)."""
-        return tuple(sorted(
-            (Hom(P, P, imgs, check=False)
-             for imgs in _first_conjugations(P, R.members, P.member_set)),
-            key=Hom.sort_key))
+        """Aut_R(P): conjugations by elements of N_R(P), sorted on their
+        images (``Hom.sort_key`` order for one domain and codomain)."""
+        return tuple(Hom(P, P, imgs, check=False)
+                     for imgs in sorted(_first_conjugations(
+                         P, self.base.rows(R.members), P.member_set,
+                         self.base)))
 
     # -- conjugacy ---------------------------------------------------------------
 
@@ -278,26 +301,23 @@ class ExplicitKey:
                                  and self.table == other.table)
 
 
-def _first_conjugations(P: Subgroup, conjugators: Sequence[int],
-                        inside: frozenset[int]) -> Iterator[tuple[int, ...]]:
+def _first_conjugations(P: Subgroup, rows: Sequence[tuple[int, ...]],
+                        inside: frozenset[int], base: Subgroup
+                        ) -> Iterator[tuple[int, ...]]:
     """The images of the members of P under c_w, once for each distinct map
-    c_w|P with w in ``conjugators`` and P^w inside the subgroup
-    ``inside``.  c_w|P is determined by the images of gens(P), and P^w lies
-    in a subgroup iff they do, so a w giving a known map costs one pick of
-    gens(P) off the conjugation row of w, read straight from the row cache
-    (``conj_row`` builds only the rows still missing)."""
-    rows, conj_row = P.parent._conj_rows, P.parent.conj_row
-    of_gens, of_members = picker(P.generators), picker(P.members)
-    seen: set[tuple[int, ...]] = set()
-    for w in conjugators:
-        r = rows[w]
-        if r is None:
-            r = conj_row(w)
-        key = of_gens(r)
-        if key not in seen:
-            seen.add(key)
-            if inside.issuperset(key):
-                yield of_members(r)
+    c_w|P with P^w inside the subgroup ``inside``, for the conjugators w
+    whose ``rows`` in the conjugation table of ``base``, a subgroup
+    containing P, are given.  c_w|P is determined by the images of
+    gens(P), and P^w lies in a subgroup iff they do, so a w giving a known
+    map costs one pick of gens(P) off its row.  The maps come in the order
+    of the first w giving each, and any w giving a map gives its member
+    images."""
+    at = base.positions
+    of_gens = picker([at[x] for x in P.generators])
+    of_members = picker([at[x] for x in P.members])
+    for key, r in dict(zip(map(of_gens, rows), rows)).items():
+        if inside.issuperset(key):
+            yield of_members(r)
 
 
 def _classes(F: FusionSystem) -> tuple[tuple[Subgroup, ...], ...]:
@@ -416,9 +436,8 @@ def close_morphisms(support: Subgroup, seeds: Iterable[Hom],
         if images not in tables[i]:
             add_new(i, images, tuple(sorted(set(images))))
 
-    row, of_members = support.parent.conj_row, picker(support.members)
     for r in support.members:
-        seed(0, of_members(row(r)))
+        seed(0, support.row(r))
     for h in seeds:
         i = index.get(h.domain.members)
         if i is None:
@@ -454,8 +473,9 @@ def generated_subsystem(F: FusionSystem, R: Subgroup,
 
     The support and inside checks run on every call.  The closure table
     depends only on R and the generators' (domain, image) keys, so it is
-    memoized in F's slot under them; each call returns a fresh system,
-    since callers rename it."""
+    memoized under them in the slot of F's top system, where every system
+    under that top finds it; each call returns a fresh system, since
+    callers rename it."""
     gens = [h.cores() for h in generators]
     rset = R.member_set
     for h in gens:
@@ -464,10 +484,12 @@ def generated_subsystem(F: FusionSystem, R: Subgroup,
                 f"generator {h!r} leaves the support of order {R.order}")
         if check_inside and not F.contains_morphism(h):
             raise MorphismOutsideSupport(f"generator {h!r} is not a morphism of F")
-    key = ("closure", R.members,
-           frozenset((h.domain.members, h.images) for h in gens))
-    explicit = F.memo(key, lambda: close_morphisms(R, gens))
-    return FusionSystem(R, F.p, explicit=explicit, ambient=F.top(),
+    top = F.top()
+    key = (("closure", R.members,
+            frozenset((h.domain.members, h.images) for h in gens))
+           if R.parent is top.universe else None)
+    explicit = top.memo(key, lambda: close_morphisms(R, gens))
+    return FusionSystem(R, F.p, explicit=explicit, ambient=top,
                         name=f"<{len(gens)} gens>_{R.order}")
 
 

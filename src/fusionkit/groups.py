@@ -5,17 +5,15 @@ the right action x^g = g^-1 x g, and homomorphisms compose left to right
 (apply ``f`` first in ``f.then(g)``).
 
 The kernel works on small generating sets.  ``FiniteGroup.closure`` runs
-Dimino's algorithm, and ``Subgroup.generators`` is the at most log2|H|
-members it keeps over the sorted members, cached on the subgroup.  The
-action tests (``normalizer``, ``centralizer``, ``Subgroup.is_normal_in``,
+Dimino's algorithm, memoized by seed set, and ``Subgroup.generators`` is
+the at most log2|H| members it keeps over the sorted members.  The action
+tests (``normalizer``, ``centralizer``, ``Subgroup.is_normal_in``,
 ``Subgroup.is_elementwise_commuting``) read only generators: H^g <= H iff
 gens(H)^g <= H, and g centralizes H iff it commutes with gens(H).  These
 equivalences need H to be a subgroup, so callers pass subgroups, never
-unchecked point sets.  ``normal_subgroups`` computes
-one orbit per conjugacy class.  ``subgroup_lattice`` joins each subgroup H
-found with the cyclic subgroups <c> not in it (c in H decides <c> <= H),
-each join <H, c> one Dimino step from the members and generators of H
-(``FiniteGroup._extend``).  The member-level forms are the oracles in
+unchecked point sets.  ``normal_subgroups`` computes one orbit per
+conjugacy class.  ``subgroup_lattice`` takes a p-group and walks up from 1
+by steps P -> P<x> of index p.  The member-level forms are the oracles in
 ``tests/oracles.py``.
 
 Maps are often handled as image keys: ``Subgroup.positions`` places each
@@ -24,11 +22,20 @@ composition through the positions of a map's images), and
 ``lattice_covers`` gives each lattice member its maximal subgroups with
 their restriction pickers, from the covering relation in one pass.
 
-Conjugation runs on lookup rows: ``FiniteGroup.conj_row(g)`` is the row
-x -> x^g over the whole group, built on first use and cached as a compact
-``array``, so the images of a subgroup's generators or members under c_g
-are one ``picker`` call on it.  ``Subgroup`` is a slotted class whose
-member set, generators and positions are slots filled on first use.
+Conjugation reads only what it moves.  Each subgroup A has a conjugation
+table: ``A.row(g)`` is the tuple (x^g for x in A.members), built on first
+use from the row of g^-1 and kept on A, so it costs |A| lookups and
+never |G|.  The images of a subgroup H <= A under c_g are one ``picker``
+call, through ``A.positions``, on that row.  A group-level operator reads
+the table of the subgroup it moves; a fusion system reads the table of
+its top support S (``fusion.FusionSystem.base``), so every witness scan
+costs |S| entries per conjugator.
+
+There is one ``Subgroup`` per (group, member tuple): the constructor
+returns the object its group holds for those members, so the member set,
+generators, positions and conjugation table of a subgroup are computed
+once, and equal subgroups are the same object.  The objects live and die
+with their group.
 
 Every table from outside, whether permutations, a full table or the
 generator columns of an ``.fsk`` file, is built or checked by one kernel,
@@ -38,8 +45,8 @@ whose consistency checks are Light's associativity test.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -99,7 +106,7 @@ class FiniteGroup:
     permutation in ``perm_images``."""
 
     __slots__ = ("name", "order", "_mul", "_inv", "_orders", "_cache",
-                 "_conj_rows", "perm_images", "generator_indices")
+                 "_subgroups", "_closures", "perm_images", "generator_indices")
 
     def __init__(self, name: str, mul_table: Sequence[Sequence[int]]) -> None:
         n = len(mul_table)
@@ -118,7 +125,8 @@ class FiniteGroup:
         self.perm_images: Optional[tuple[tuple[int, ...], ...]] = None
         self.generator_indices: Optional[tuple[int, ...]] = None
         self._cache: dict = {}
-        self._conj_rows: list[Optional[array]] = [None] * n
+        self._subgroups: dict[tuple[int, ...], Subgroup] = {}
+        self._closures: dict[frozenset[int], Subgroup] = {}
 
     # -- basic arithmetic ---------------------------------------------------
 
@@ -131,21 +139,6 @@ class FiniteGroup:
     def conj(self, x: int, g: int) -> int:
         """Right conjugation x^g = g^-1 x g."""
         return self._mul[self._mul[self._inv[g]][x]][g]
-
-    def conj_row(self, g: int) -> array:
-        """The row of c_g: ``conj_row(g)[x] == conj(x, g)`` for every x.
-
-        Built on first use, as ((g^-1 x) g)_x from the row of g^-1 and the
-        column of g, and cached as an ``array`` of typecode 'H' (or 'I'
-        above 65,536 elements), a quarter of the memory of a tuple row."""
-        row = self._conj_rows[g]
-        if row is None:
-            mul = self._mul
-            times_g = tuple(map(itemgetter(g), mul))           # y -> yg
-            row = array("H" if self.order <= 1 << 16 else "I",
-                        picker(mul[self._inv[g]])(times_g))
-            self._conj_rows[g] = row
-        return row
 
     def commutator(self, x: int, y: int) -> int:
         """[x, y] = x^-1 y^-1 x y."""
@@ -176,15 +169,11 @@ class FiniteGroup:
 
     @property
     def full_subgroup(self) -> "Subgroup":
-        sub = self._cache.get("full")
-        if sub is None:
-            sub = Subgroup(self, tuple(range(self.order)), check=False)
-            self._cache["full"] = sub
-        return sub
+        return Subgroup(self, tuple(range(self.order)), check=False)
 
     def closure(self, seed: Iterable[int]) -> tuple[int, ...]:
         """Subgroup generated by ``seed``, as a sorted index tuple."""
-        return tuple(sorted(self._dimino(seed)[0]))
+        return self.generated_subgroup(seed).members
 
     def _dimino(self, seed: Iterable[int]) -> tuple[list[int], list[int]]:
         """Dimino's algorithm (Butler, *Fundamental Algorithms for
@@ -229,54 +218,44 @@ class FiniteGroup:
                     elems.extend(coset)
                     member.update(coset)
 
-    def _extend(self, H: "Subgroup", s: int) -> tuple[int, ...]:
-        """<H, s> for an s outside H, as a sorted index tuple: one Dimino
-        step from the members and generators of H."""
-        elems = list(H.members)
-        self._dimino_step(elems, set(H.member_set), [*H.generators, s])
-        return tuple(sorted(elems))
-
     def generated_subgroup(self, seed: Iterable[int]) -> "Subgroup":
-        return Subgroup(self, self.closure(seed), check=False)
+        """<seed>, memoized by the seed set."""
+        key = frozenset(seed)
+        sub = self._closures.get(key)
+        if sub is None:
+            sub = self._closures[key] = Subgroup(
+                self, tuple(sorted(self._dimino(key)[0])), check=False)
+        return sub
 
 
 class Subgroup:
     """Canonical subgroup of a FiniteGroup: a sorted member index tuple.
 
-    With ``check`` the members are validated as a subgroup (identity,
-    inverses, products); ``NotAGroup`` otherwise.  The member set,
-    generators and positions are slots filled on first use."""
+    ``Subgroup(parent, members, check)`` returns the one object ``parent``
+    holds for ``members``, made on first request, so equal subgroups are
+    the same object and compare and hash by identity.  With ``check`` the
+    members are validated as a subgroup (identity, inverses, products) on
+    every call; ``NotAGroup`` otherwise, and nothing is kept.  The member
+    set, generators and positions are slots filled on first use, and
+    ``row`` fills the conjugation table."""
 
     __slots__ = ("parent", "members", "_member_set", "_generators",
-                 "_positions")
+                 "_positions", "_rows")
 
-    def __init__(self, parent: FiniteGroup, members: tuple[int, ...],
-                 check: bool = True) -> None:
-        self.parent = parent
-        self.members = members
-        self._member_set: Optional[frozenset[int]] = None
-        self._generators: Optional[tuple[int, ...]] = None
-        self._positions: Optional[dict[int, int]] = None
+    def __new__(cls, parent: FiniteGroup, members: tuple[int, ...],
+                check: bool = True) -> "Subgroup":
         if check:
-            mem = self.member_set
-            if 0 not in mem:
-                raise NotAGroup("subgroup must contain the identity")
-            mul, inv = parent._mul, parent._inv
-            for a in members:
-                if inv[a] not in mem:
-                    raise NotAGroup(f"subgroup not closed under inversion at {a}")
-                row = mul[a]
-                for b in members:
-                    if row[b] not in mem:
-                        raise NotAGroup(f"subgroup not closed at ({a},{b})")
-
-    # Identity is (parent, members).
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Subgroup) and self.parent is other.parent
-                and self.members == other.members)
-
-    def __hash__(self) -> int:
-        return hash((id(self.parent), self.members))
+            _check_subgroup(parent, members)
+        sub = parent._subgroups.get(members)
+        if sub is None:
+            sub = parent._subgroups[members] = object.__new__(cls)
+            sub.parent = parent
+            sub.members = members
+            sub._member_set = None
+            sub._generators = None
+            sub._positions = None
+            sub._rows = None
+        return sub
 
     def __len__(self) -> int:
         return len(self.members)
@@ -298,8 +277,7 @@ class Subgroup:
     @property
     def generators(self) -> tuple[int, ...]:
         """The at most log2|H| members that Dimino's algorithm keeps over the
-        sorted ``members``: a function of ``members`` alone, so two copies of
-        one subgroup have the same generators."""
+        sorted ``members``: a function of ``members`` alone."""
         gens = self._generators
         if gens is None:
             gens = self._generators = tuple(self.parent._dimino(self.members)[1])
@@ -322,9 +300,37 @@ class Subgroup:
     def is_trivial(self) -> bool:
         return len(self.members) == 1
 
+    def row(self, g: int) -> tuple[int, ...]:
+        """The row of c_g in this subgroup's conjugation table:
+        ``row(g)[i]`` is ``members[i]``^g, for any g of the parent group.
+        Built on first use as ((g^-1 x) g)_x from the row of g^-1, |H|
+        lookups, and kept.  The table is a list by g, made on the first
+        row."""
+        table = self._rows
+        if table is None:
+            table = self._rows = [None] * self.parent.order
+        got = table[g]
+        if got is None:
+            mul = self.parent._mul
+            left = mul[self.parent._inv[g]]
+            got = table[g] = tuple([mul[left[x]][g] for x in self.members])
+        return got
+
+    def rows(self, gs: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+        """``row(g)`` for each g of ``gs``, in order: one ``picker`` call on
+        the table, and ``row`` only for the rows still missing."""
+        table = self._rows
+        if table is None:
+            table = self._rows = [None] * self.parent.order
+        got = picker(gs)(table)
+        if None in got:
+            row = self.row
+            got = tuple([r if r is not None else row(g)
+                         for g, r in zip(gs, got)])
+        return got
+
     def conjugate(self, g: int) -> "Subgroup":
-        moved = picker(self.members)(self.parent.conj_row(g))
-        return Subgroup(self.parent, tuple(sorted(moved)), check=False)
+        return Subgroup(self.parent, tuple(sorted(self.row(g))), check=False)
 
     def join(self, other: "Subgroup") -> "Subgroup":
         """Subgroup generated by both."""
@@ -347,11 +353,11 @@ class Subgroup:
 
     def is_normal_in(self, other: "Subgroup") -> bool:
         """Is self normalized by other?  H^g = H for every g in other iff
-        gens(H)^g <= H for every g in gens(other)."""
+        gens(H)^g <= H for every g in gens(other); read off H's table."""
         mem = self.member_set
-        of_gens = picker(self.generators)
-        row = self.parent.conj_row
-        return all(mem.issuperset(of_gens(row(g))) for g in other.generators)
+        at = self.positions
+        of_gens = picker([at[x] for x in self.generators])
+        return all(mem.issuperset(of_gens(self.row(g))) for g in other.generators)
 
     def is_elementwise_commuting(self, other: "Subgroup") -> bool:
         mul = self.parent._mul
@@ -366,12 +372,33 @@ class Subgroup:
         return f"Subgroup(order={self.order}, members={list(self.members)})"
 
 
+def _check_subgroup(parent: FiniteGroup, members: tuple[int, ...]) -> None:
+    """NotAGroup unless ``members`` hold the identity and are closed under
+    inverses and products."""
+    mem = frozenset(members)
+    if 0 not in mem:
+        raise NotAGroup("subgroup must contain the identity")
+    mul, inv = parent._mul, parent._inv
+    for a in members:
+        if inv[a] not in mem:
+            raise NotAGroup(f"subgroup not closed under inversion at {a}")
+        row = mul[a]
+        for b in members:
+            if row[b] not in mem:
+                raise NotAGroup(f"subgroup not closed at ({a},{b})")
+
+
 class Hom:
     """Homomorphism between subgroups, stored as a total image list.
 
     ``images[i]`` is the image of ``domain.members[i]``.  The domain and
     codomain may live in different parent groups (projections, embeddings);
     fusion-system morphisms always stay inside one parent and are injective.
+
+    Most maps are only ever read as image keys, so the dict ``_map`` (x ->
+    image) and the identity ``_key`` are slots left unset until first read
+    (``__getattr__``).  Subgroups are interned, so ``_key`` holds the domain
+    and codomain objects themselves.
     """
 
     __slots__ = ("domain", "codomain", "images", "_map", "_key", "_image_sub")
@@ -380,13 +407,20 @@ class Hom:
                  images: Sequence[int], check: bool = True) -> None:
         self.domain = domain
         self.codomain = codomain
-        self.images = tuple(images)
-        self._map = dict(zip(domain.members, self.images))
-        self._key = (id(domain.parent), id(codomain.parent), domain.members,
-                     codomain.members, self.images)
+        self.images = images if type(images) is tuple else tuple(images)
         self._image_sub: Optional[Subgroup] = None
         if check:
             self.validate()
+
+    def __getattr__(self, name: str):
+        """Fill the slot ``_map`` or ``_key`` on its first read."""
+        if name == "_map":
+            self._map = dict(zip(self.domain.members, self.images))
+            return self._map
+        if name == "_key":
+            self._key = (self.domain, self.codomain, self.images)
+            return self._key
+        raise AttributeError(name)
 
     def validate(self) -> "Hom":
         cod = self.codomain.member_set
@@ -487,8 +521,9 @@ class Hom:
 
     @staticmethod
     def conjugation(P: Subgroup, g: int, codomain: Optional[Subgroup] = None) -> "Hom":
-        """c_g restricted to P: x -> g^-1 x g, corestricted unless a codomain is given."""
-        imgs = picker(P.members)(P.parent.conj_row(g))
+        """c_g restricted to P: x -> g^-1 x g, corestricted unless a codomain
+        is given; the images are the row of g in P's table."""
+        imgs = P.row(g)
         cod = codomain if codomain is not None else Subgroup(
             P.parent, tuple(sorted(imgs)), check=False)
         return Hom(P, cod, imgs, check=False)
@@ -549,28 +584,31 @@ class Twist:
 # -- classical operators ------------------------------------------------------
 
 
-def normalizer(ambient: Subgroup, H: Subgroup) -> Subgroup:
-    """N_ambient(H): the g with H^g <= H, that is gens(H)^g <= H."""
-    G = ambient.parent
+def normalizer(ambient: Subgroup, H: Subgroup, base: Subgroup) -> Subgroup:
+    """N_ambient(H): the g with H^g <= H, that is gens(H)^g <= H, picked
+    off the conjugation table of ``base``, a subgroup containing H."""
     mem = H.member_set
-    of_gens = picker(H.generators)
-    row = G.conj_row
-    out = [g for g in ambient.members if mem.issuperset(of_gens(row(g)))]
-    return Subgroup(G, tuple(out), check=False)
+    at = base.positions
+    of_gens = picker([at[x] for x in H.generators])
+    keys = map(of_gens, base.rows(ambient.members))
+    out = compress(ambient.members, map(mem.issuperset, keys))
+    return Subgroup(ambient.parent, tuple(out), check=False)
 
 
-def centralizer(ambient: Subgroup, H: Subgroup) -> Subgroup:
-    """C_ambient(H): the g that commute with gens(H), that is fix them."""
-    G = ambient.parent
+def centralizer(ambient: Subgroup, H: Subgroup, base: Subgroup) -> Subgroup:
+    """C_ambient(H): the g that commute with gens(H), that is fix them,
+    picked off the conjugation table of ``base``, a subgroup containing
+    H."""
     gens = H.generators
-    of_gens = picker(gens)
-    row = G.conj_row
-    out = [g for g in ambient.members if of_gens(row(g)) == gens]
-    return Subgroup(G, tuple(out), check=False)
+    at = base.positions
+    of_gens = picker([at[x] for x in gens])
+    keys = map(of_gens, base.rows(ambient.members))
+    out = compress(ambient.members, map(gens.__eq__, keys))
+    return Subgroup(ambient.parent, tuple(out), check=False)
 
 
 def center(ambient: Subgroup) -> Subgroup:
-    return centralizer(ambient, ambient)
+    return centralizer(ambient, ambient, ambient)
 
 
 def sylow_subgroup(ambient: Subgroup, p: int) -> Subgroup:
@@ -579,7 +617,7 @@ def sylow_subgroup(ambient: Subgroup, p: int) -> Subgroup:
     target = p_part(ambient.order, p)
     P = Subgroup(G, (0,), check=False)
     while P.order < target:
-        N = normalizer(ambient, P)
+        N = normalizer(ambient, P, P)
         for g in N.members:
             if g in P or G.element_order(g) % p != 0:
                 continue
@@ -594,18 +632,17 @@ def sylow_subgroup(ambient: Subgroup, p: int) -> Subgroup:
                 break
         else:
             raise NotAGroup("Sylow search stalled; ambient is not a group?")
-    best = min((P.conjugate(g).members for g in ambient.members))
+    best = min(tuple(sorted(P.row(g))) for g in ambient.members)
     return Subgroup(G, best, check=False)
 
 
 def o_p(ambient: Subgroup, p: int) -> Subgroup:
-    """O_p: the intersection of all Sylow p-subgroups."""
+    """O_p: the intersection of all Sylow p-subgroups, the P^g read off
+    the table of P."""
     P = sylow_subgroup(ambient, p)
     core = set(P.members)
-    of_members = picker(P.members)
-    row = ambient.parent.conj_row
     for g in ambient.members:
-        core.intersection_update(of_members(row(g)))
+        core.intersection_update(P.row(g))
         if len(core) == 1:
             break
     return Subgroup(ambient.parent, tuple(sorted(core)), check=False)
@@ -686,49 +723,69 @@ def as_group(H: Subgroup, name: Optional[str] = None) -> tuple[FiniteGroup, Hom]
 
 
 def subgroup_lattice(H: Subgroup) -> tuple[Subgroup, ...]:
-    """All subgroups of H in the canonical order (descending size, then lex),
-    at most ``active_caps.lattice`` of them.
+    """All subgroups of the p-group H in the canonical order (descending
+    size, then lex), at most ``active_caps.lattice`` of them; ValueError
+    when |H| is not a prime power.
 
-    Every subgroup is a join of cyclic subgroups, so the lattice is the
-    closure of the cyclic subgroups (each read off the powers of its first
-    generator c) under K -> <K, c>.  <c> <= K iff c is in K, and <K, c> is
-    one Dimino step from K (``FiniteGroup._extend``).  The closure-join
-    form is ``subgroup_lattice_literal`` in ``tests/oracles.py``.
+    The walk starts at 1 and goes up by steps of index p: from each P
+    found, to P<x> for every x of N_H(P) outside P with x^p in P, the
+    normalizer read off H's conjugation table.  Why that finds every
+    subgroup, and only subgroups.  P<x> is the union of the cosets P x^i,
+    i < p: x normalizes P and x^p lies in P, so those cosets are closed
+    under multiplication, and P<x> is a subgroup of order p|P|.
+    Conversely, every subgroup Q of a p-group has a chain 1 = Q_0 < Q_1 <
+    ... < Q_m = Q in which each Q_i is normal in Q_{i+1} of index p (a
+    maximal subgroup of a p-group is normal of index p), and Q_{i+1} =
+    Q_i<x> for any x in Q_{i+1} outside Q_i: x normalizes Q_i, and x^p
+    lies in Q_i since Q_{i+1}/Q_i has order p.  So by induction on i the
+    walk reaches every Q_i (Holt, Eick and O'Brien, *Handbook of
+    Computational Group Theory*, 2005).  Every x of P<x> outside P gives
+    the same step, so those x are skipped once it is taken.  The
+    closure-join form is ``subgroup_lattice_literal`` in
+    ``tests/oracles.py``.
 
     This order is the iteration order used by every other module.
     """
     cap = active_caps.lattice
     G = H.parent
-    key = ("lattice", H.members, cap)
+    key = ("lattice", H, cap)
     cached = G._cache.get(key)
     if cached is not None:
         return cached
+    n = H.order
+    p = next((q for q in range(2, n + 1) if n % q == 0), 2)
+    if p_part(n, p) != n:
+        raise ValueError(f"subgroup_lattice needs a p-group, got order {n}")
     mul = G._mul
-    seen: dict[tuple[int, ...], Subgroup] = {}
-    trivial = (0,)
-    seen[trivial] = Subgroup(G, trivial, check=False)
-    cyclics: list[int] = []                 # the first generator of each <c>
-    for g in H.members:
-        powers, x = [0], g
-        while x != 0:
-            powers.append(x)
-            x = mul[x][g]
-        mem = tuple(sorted(powers))
-        if mem not in seen:
-            seen[mem] = Subgroup(G, mem, check=False)
-            cyclics.append(g)
-    frontier = list(seen.values())
+    at = H.positions
+    h_rows = H.rows(H.members)
+    to_p = {}                               # x -> x^p
+    for x in H.members:
+        y = x
+        for _ in range(p - 1):
+            y = mul[y][x]
+        to_p[x] = y
+    trivial = Subgroup(G, (0,), check=False)
+    seen: dict[tuple[int, ...], Subgroup] = {trivial.members: trivial}
+    frontier = [trivial]
     while frontier:
         new: list[Subgroup] = []
-        for sub in frontier:
-            inside = sub.member_set
-            for c in cyclics:
-                if c in inside:             # <c> <= sub
+        for P in frontier:
+            pset = P.member_set
+            of_gens = picker([at[x] for x in P.generators])
+            done = set(pset)
+            for x, r in zip(H.members, h_rows):
+                if (x in done or to_p[x] not in pset
+                        or not pset.issuperset(of_gens(r))):
                     continue
-                mem = G._extend(sub, c)
+                elems, y = list(P.members), x
+                for _ in range(p - 1):      # the cosets P x^i, 0 < i < p
+                    elems.extend([mul[h][y] for h in P.members])
+                    y = mul[y][x]
+                done.update(elems)
+                mem = tuple(sorted(elems))
                 if mem not in seen:
-                    bigger = Subgroup(G, mem, check=False)
-                    seen[mem] = bigger
+                    seen[mem] = bigger = Subgroup(G, mem, check=False)
                     new.append(bigger)
                     if len(seen) > cap:
                         raise CapExceeded(
@@ -742,16 +799,17 @@ def subgroup_lattice(H: Subgroup) -> tuple[Subgroup, ...]:
 def normal_subgroups(ambient: Subgroup) -> tuple[Subgroup, ...]:
     """All normal subgroups of ``ambient``, canonical order."""
     G = ambient.parent
-    key = ("normals", ambient.members)
+    key = ("normals", ambient)
     cached = G._cache.get(key)
     if cached is not None:
         return cached
     # Atoms: normal closures of single elements; normal subgroups are joins.
     # All members of a conjugacy class have one normal closure, so each
     # class is computed once, as the orbit of its first member under
-    # gens(ambient).
+    # gens(ambient), read off the rows of gens(ambient) in its table.
     atoms: dict[tuple[int, ...], Subgroup] = {}
-    rows = [G.conj_row(h) for h in ambient.generators]
+    rows = [ambient.row(h) for h in ambient.generators]
+    at = ambient.positions
     seen = {0}
     for g in ambient.members:
         if g in seen:
@@ -759,8 +817,9 @@ def normal_subgroups(ambient: Subgroup) -> tuple[Subgroup, ...]:
         orbit = [g]
         seen.add(g)
         for x in orbit:
+            i = at[x]
             for row in rows:
-                y = row[x]
+                y = row[i]
                 if y not in seen:
                     seen.add(y)
                     orbit.append(y)
@@ -813,7 +872,7 @@ def lattice_covers(H: Subgroup) -> tuple[tuple[tuple[int, Callable], ...], ...]:
     below P."""
     cap = active_caps.lattice
     G = H.parent
-    key = ("covers", H.members, cap)
+    key = ("covers", H, cap)
     cached = G._cache.get(key)
     if cached is not None:
         return cached

@@ -110,7 +110,7 @@ def _verify_model(F: FusionSystem, M: FiniteGroup, sigma: Hom) -> None:
             raise VerificationFailed(
                 f"model fusion differs from F at subgroup {list(P.members)}")
     Q = o_p(M.full_subgroup, p)
-    if not centralizer(M.full_subgroup, Q).member_set <= Q.member_set:
+    if not centralizer(M.full_subgroup, Q, Q).member_set <= Q.member_set:
         raise VerificationFailed("model is not p-constrained: C_M(O_p) leaves O_p")
 
 
@@ -130,7 +130,7 @@ def _model(F: FusionSystem) -> Model:
     constrained, Q = is_constrained(F)
     if not constrained:
         raise NotConstrained("system has no normal centric subgroup")
-    H = normalizer(F.witness, Q)
+    H = normalizer(F.witness, Q, F.table_for(Q))
     Hgrp, embed = as_group(H, name=f"N({F.name})")
     back = {g: i for i, g in enumerate(H.members)}
     K = o_p_prime(Hgrp.full_subgroup, F.p)
@@ -180,7 +180,7 @@ def script_G(F: FusionSystem, E: FusionSystem) -> tuple[FusionSystem, FusionSyst
     """
     T = E.support
     V = F.universe.generated_subgroup(
-        T.members + centralizer(F.support, T).members)
+        T.members + centralizer(F.support, T, F.table_for(T)).members)
     N1 = normalizer_subsystem(F, T)
     Gsys = normalizer_subsystem(N1, V)
     NET = normalizer_subsystem(E, T)

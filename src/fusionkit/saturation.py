@@ -69,8 +69,19 @@ def aut_group(F: FusionSystem, P: Subgroup) -> MorphismGroup:
                   lambda: MorphismGroup(F.automorphisms(P)))
 
 
+def only_identity(homs: Sequence[Hom], P: Subgroup) -> bool:
+    """Is the set of ``homs`` the identity of P alone?  Aut_F(P) = 1 is
+    decided by it without a table, and a set of maps is a subgroup of the
+    trivial group iff it is the identity alone."""
+    return {h.images for h in homs} == {P.members}
+
+
 def o_upper_p_automorphisms(F: FusionSystem, P: Subgroup) -> tuple[Hom, ...]:
-    """O^p(Aut_F(P)) as a set of morphisms."""
+    """O^p(Aut_F(P)) as a set of morphisms; Aut_F(P) itself, with no
+    table, when it is the identity alone."""
+    auts = F.automorphisms(P)
+    if only_identity(auts, P):
+        return auts
     mg = aut_group(F, P)
     sub = o_upper_p(mg.group.full_subgroup, F.p)
     return mg.homs_of(sub)
@@ -81,9 +92,10 @@ def classify(F: FusionSystem) -> SubgroupClassification:
 
 
 def _classify(F: FusionSystem) -> SubgroupClassification:
-    """The flags on counts.  One pass over S per P picks gens(P)^g for
-    every g in S: g normalizes P iff that lies in P and centralizes P iff
-    it is gens(P), so N_S(P) and C_S(P) come from one pass.  Fully
+    """The flags on counts, read off the conjugation table of ``F.base``.
+    One pass over S per P picks gens(P)^g for every g in S: g normalizes
+    P iff that lies in P and centralizes P iff it is gens(P), so N_S(P)
+    and C_S(P) come from one pass.  Fully
     automized compares |N_S(P)| with |C_S(P)| |Aut_F(P)|_p, since
     Aut_S(P) = {c_g|P : g in N_S(P)} and c_g|P = c_h|P iff g h^-1 is in
     C_S(P), so |Aut_S(P)| = |N_S(P)|/|C_S(P)|.  O_p(Aut_F(P)) is computed
@@ -96,14 +108,15 @@ def _classify(F: FusionSystem) -> SubgroupClassification:
     identity, that is, gens(P) do not commute, and O_p(Aut_F(P)) and
     Aut_P(P) are both trivial, so P is radical iff it is centric.  The Hom
     form is ``classify_literal`` in ``tests/oracles.py``."""
-    S = F.support
-    rows = list(map(F.universe.conj_row, S.members))
+    S, base = F.support, F.base
+    rows = base.rows(S.members)
+    at = base.positions
     n_of: dict[tuple[int, ...], int] = {}
     c_of: dict[tuple[int, ...], int] = {}
     self_centralizing: dict[tuple[int, ...], bool] = {}
     for P in F.subgroups():
         gens, pset = P.generators, P.member_set
-        acting = list(map(picker(gens), rows))
+        acting = list(map(picker([at[x] for x in gens]), rows))
         n_of[P.members] = sum(map(pset.issuperset, acting))
         C = [g for g, key in zip(S.members, acting) if key == gens]
         c_of[P.members] = len(C)
@@ -124,15 +137,17 @@ def _classify(F: FusionSystem) -> SubgroupClassification:
         auts = F.automorphisms(P)
         if n_of[P.members] == c_of[P.members] * p_part(len(auts), F.p):
             fully_a.add(P.members)
-        if len(auts) == 1 and auts[0].is_identity():
+        if only_identity(auts, P):
             if not P.is_elementwise_commuting(P):
                 raise NotAGroup("automorphism is not in this group")
             if P.members in centric:
                 radical.add(P.members)
             continue
         mg = aut_group(F, P)
+        of_members = picker([at[x] for x in P.members])
         inner = mg.group.generated_subgroup(
-            [mg.index_of(Hom.conjugation(P, g)) for g in P.generators])
+            [mg.index_of(Hom(P, P, of_members(base.row(g)), check=False))
+             for g in P.generators])
         if P.members in centric and o_p(mg.group.full_subgroup, F.p) == inner:
             radical.add(P.members)
     return SubgroupClassification(F, frozenset(fully_n), frozenset(fully_c),
@@ -152,9 +167,10 @@ def extension_group(F: FusionSystem, phi: Hom) -> Subgroup:
 def _extension_groups(F: FusionSystem, P: Subgroup,
                       aut_s: dict[tuple[int, ...], tuple]
                       ) -> Callable[[Hom], Subgroup]:
-    """phi -> N_phi for the maps phi from P onto their codomains.  gens(Q)
-    and the keys of Aut_S(Q) on them, the gens(Q)^g inside Q for g in S,
-    are kept in ``aut_s`` by the members of Q.
+    """phi -> N_phi for the maps phi from P onto their codomains, read off
+    the conjugation table of ``F.base``.  gens(Q) and the keys of Aut_S(Q)
+    on them, the gens(Q)^g inside Q for g in S, are kept in ``aut_s`` by
+    the members of Q.
 
     With pre = phi^-1(gens(Q)) and pulled = {phi^-1(h(gens(Q))) : h in
     Aut_S(Q)}, g in N_S(P) lies in N_phi iff pre^g is in pulled.  As pre
@@ -164,9 +180,10 @@ def _extension_groups(F: FusionSystem, P: Subgroup,
     is split once per P, each phi costs one pick per class, and each
     union is built as a Subgroup once."""
     S = F.support
-    row = F.universe.conj_row
+    row, at = F.base.row, F.base.positions
+    s_rows = F.base.rows(S.members)
     pset = P.member_set
-    acting = list(map(picker(P.generators), map(row, S.members)))
+    acting = list(map(picker([at[x] for x in P.generators]), s_rows))
     classes: dict[tuple[int, ...], list[int]] = {}
     for g, key in compress(zip(S.members, acting),
                            map(pset.issuperset, acting)):
@@ -184,12 +201,12 @@ def _extension_groups(F: FusionSystem, P: Subgroup,
         got = aut_s.get(Q.members)
         if got is None:
             gens, qset = Q.generators, Q.member_set
-            of_q = picker(gens)
+            of_q = picker([at[x] for x in gens])
             got = aut_s[Q.members] = (gens, frozenset(
-                filter(qset.issuperset, map(of_q, map(row, S.members)))))
+                filter(qset.issuperset, map(of_q, s_rows))))
         gens, keys = got
         pull = back.__getitem__
-        of_pre = picker(list(map(pull, gens)))
+        of_pre = picker([at[pull(y)] for y in gens])
         pulled = {tuple(map(pull, key)) for key in keys}
         mask = 0
         for bit, r in reps:

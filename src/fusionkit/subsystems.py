@@ -20,7 +20,8 @@ from .fusion import (FusionSystem, full_subcategory, generated_subsystem,
                      realized_subsystem, subsystem_equal)
 from .groups import (Hom, Subgroup, Twist, center, centralizer, normalizer,
                      p_part, picker, subgroup_lattice)
-from .saturation import aut_group, classify, is_conjugation_family, is_saturated
+from .saturation import (aut_group, classify, is_conjugation_family,
+                         is_saturated, only_identity)
 
 
 def is_strongly_closed(F: FusionSystem, T: Subgroup) -> bool:
@@ -56,7 +57,8 @@ def centralizer_subsystem(F: FusionSystem, X: Subgroup) -> FusionSystem:
     """C_F(X) over C_S(X): morphisms extending to PX acting as the identity on X.
 
     Witness filtering when F is group-realized, extension search otherwise;
-    the two agree morphism-for-morphism on realized systems.
+    the two agree morphism-for-morphism on realized systems.  C_S(X) and
+    the witness C_W(X) are read off the table of ``F.table_for(X)``.
     """
     return F.memo(("CF", X.members), lambda: _centralizer_subsystem(F, X))
 
@@ -64,35 +66,41 @@ def centralizer_subsystem(F: FusionSystem, X: Subgroup) -> FusionSystem:
 def _centralizer_subsystem(F: FusionSystem, X: Subgroup) -> FusionSystem:
     if not F.realized:
         return centralizer_subsystem_by_extension(F, X)
-    return FusionSystem(centralizer(F.support, X), F.p,
-                        witness=centralizer(F.witness, X), ambient=F.top(),
+    base = F.table_for(X)
+    return FusionSystem(centralizer(F.support, X, base), F.p,
+                        witness=centralizer(F.witness, X, base),
+                        ambient=F.top(),
                         name=f"C_{F.name}({X.order})")
 
 
 def centralizer_subsystem_by_extension(F: FusionSystem, X: Subgroup) -> FusionSystem:
     return _local_by_extension(
-        F, centralizer(F.support, X), X,
+        F, centralizer(F.support, X, F.table_for(X)), X,
         lambda PX: F.extensions(Hom.identity(X), PX),
         f"C_{F.name}({X.order})")
 
 
 def normalizer_subsystem(F: FusionSystem, Q: Subgroup) -> FusionSystem:
-    """N_F(Q) over N_S(Q): morphisms extending to PQ and mapping Q onto Q."""
+    """N_F(Q) over N_S(Q): morphisms extending to PQ and mapping Q onto Q;
+    N_S(Q) and the witness N_W(Q) are read off the table of
+    ``F.table_for(Q)``."""
     return F.memo(("NF", Q.members), lambda: _normalizer_subsystem(F, Q))
 
 
 def _normalizer_subsystem(F: FusionSystem, Q: Subgroup) -> FusionSystem:
     if not F.realized:
         return normalizer_subsystem_by_extension(F, Q)
-    return FusionSystem(normalizer(F.support, Q), F.p,
-                        witness=normalizer(F.witness, Q), ambient=F.top(),
+    base = F.table_for(Q)
+    return FusionSystem(normalizer(F.support, Q, base), F.p,
+                        witness=normalizer(F.witness, Q, base),
+                        ambient=F.top(),
                         name=f"N_{F.name}({Q.order})")
 
 
 def normalizer_subsystem_by_extension(F: FusionSystem, Q: Subgroup) -> FusionSystem:
     qset = Q.member_set
     return _local_by_extension(
-        F, normalizer(F.support, Q), Q,
+        F, normalizer(F.support, Q, F.table_for(Q)), Q,
         lambda PQ: (psi for psi in F.isos_from(PQ)
                     if {psi(x) for x in Q.members} == qset),
         f"N_{F.name}({Q.order})")
@@ -142,8 +150,12 @@ def _stability(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
 
 def _aut_sets_normal(F: FusionSystem, E: FusionSystem, P: Subgroup) -> bool:
     """Aut_E(P) is a subgroup of Aut_F(P) normalized by it, decided on the
-    table of Aut_F(P) (``aut_group``); the per-pair Hom form is
-    ``aut_sets_normal_literal`` in ``tests/oracles.py``."""
+    table of Aut_F(P) (``aut_group``), or, when Aut_F(P) is the identity
+    alone, without one: then Aut_E(P) must be the identity alone.  The
+    per-pair Hom form is ``aut_sets_normal_literal`` in
+    ``tests/oracles.py``."""
+    if only_identity(F.automorphisms(P), P):
+        return only_identity(E.automorphisms(P), P)
     A = aut_group(F, P)
     sub = A.subgroup_of(E.automorphisms(P))
     return sub is not None and sub.is_normal_in(A.group.full_subgroup)
@@ -292,7 +304,7 @@ def bounded_extensions(F: FusionSystem, T: Subgroup, bound: Subgroup
     a map from alpha in Aut_F(T) to a lazy iterator, in ``isos_from``
     order, over the ext in Aut_F(TC_S(T)) with ext|_T = alpha and
     [C_S(T), ext] <= bound."""
-    C = centralizer(F.support, T)
+    C = centralizer(F.support, T, F.table_for(T))
     V = Subgroup(F.universe, T.product_set(C), check=False)  # C centralizes T
     bset = bound.member_set
     mul, inv = F.universe._mul, F.universe._inv

@@ -41,7 +41,7 @@ from .models import (Model, is_constrained, model_of, models_isomorphic_over_s,
                      normal_in_system, normal_model, script_G)
 from .products import (ProductReport, centralize_each_other,
                        verify_product_theorems)
-from .saturation import aut_group, classify, is_saturated
+from .saturation import aut_group, classify, is_saturated, only_identity
 from .subsystems import (bounded_extensions, centralizer_subsystem,
                          invariance_condition, is_normal, is_weakly_closed,
                          normal_subsystem_in, normalizer_subsystem,
@@ -209,7 +209,7 @@ def verify_prophelp(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     cls_f = classify(F)
     cls_e = classify(E)
     T = E.support
-    CST = centralizer(F.support, T)
+    CST = centralizer(F.support, T, F.table_for(T))
     for X in F.subgroups():
         if not cls_f.is_fully_normalized(X):
             continue
@@ -219,7 +219,7 @@ def verify_prophelp(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
         bound = set(Q.product_set(CST))
         if not X.member_set <= bound:
             continue
-        CSX = centralizer(F.support, X)
+        CSX = centralizer(F.support, X, F.table_for(X))
         V = F.universe.generated_subgroup(X.members + CSX.members)
         FX = normalizer_subsystem(normalizer_subsystem(F, X), V)
         if not is_saturated(FX).ok:
@@ -242,7 +242,7 @@ def verify_easy_centralizer(F: FusionSystem, E: FusionSystem,
     """Conjugating along morphisms defined on XT preserves centralizing:
     the membership equivalence, the family, and the N_E(T) condition."""
     T = E.support
-    CST = centralizer(F.support, T)
+    CST = centralizer(F.support, T, F.table_for(T))
     if X_set is None:
         X_set = centralized_set(F, E)
     family = {X.members for X in X_set}
@@ -278,10 +278,11 @@ def verify_frattini_cons(F: FusionSystem, E: FusionSystem,
                          h_sets: Optional[dict] = None,
                          a_sets: Optional[dict] = None) -> Optional[dict]:
     """Aut_F(P) = H(P) A-circle(P) for every fully normalized P, as a
-    product set on the table of Aut_F(P) (``aut_group``).  A counterexample
-    names the first automorphism outside the product; an injected factor
-    that is not a subgroup of Aut_F(P), an empty one included, is one
-    too."""
+    product set on the table of Aut_F(P) (``aut_group``); when Aut_F(P) is
+    the identity alone, without a table: both factors must be the identity
+    alone.  A counterexample names the first automorphism outside the
+    product; an injected factor that is not a subgroup of Aut_F(P), an
+    empty one included, is one too."""
     cls = classify(F)
     for P in F.subgroups():
         if not cls.is_fully_normalized(P):
@@ -292,6 +293,10 @@ def verify_frattini_cons(F: FusionSystem, E: FusionSystem,
         asets = (a_sets or {}).get(P.members)
         if asets is None:
             asets = a_circle(F, E, P)
+        if only_identity(F.automorphisms(P), P):
+            if not (only_identity(hs, P) and only_identity(asets, P)):
+                return {"P": _sub(P), "kind": "factor is not a subgroup of Aut_F(P)"}
+            continue
         A = aut_group(F, P)
         H, C = A.subgroup_of(hs), A.subgroup_of(asets)
         if H is None or C is None:
@@ -321,7 +326,7 @@ def verify_weakly_closed_centralized(F: FusionSystem, E: FusionSystem,
                                      ) -> Optional[dict]:
     """Weakly closed R <= C_S(T) centralized by Aut_E(T) lie in the family."""
     T = E.support
-    CST = centralizer(F.support, T)
+    CST = centralizer(F.support, T, F.table_for(T))
     if X_set is None:
         X_set = centralized_set(F, E)
     family = {X.members for X in X_set}
@@ -533,7 +538,7 @@ def verify_model1b(F_of_model: FusionSystem, model: Model) -> Optional[dict]:
             return {"P": _sub(P), "normal_in_system": in_sys,
                     "normal_in_model": in_model}
         if in_sys and cls.is_centric(P):
-            CM = centralizer(M.full_subgroup, Pm)
+            CM = centralizer(M.full_subgroup, Pm, Pm)
             if not CM.member_set <= Pm.member_set:
                 return {"P": _sub(P), "kind": "C_M(P) leaves P"}
     return None
@@ -667,7 +672,9 @@ def _generated_family(F: FusionSystem, E: FusionSystem) -> tuple[Subgroup, ...]:
     definition (``centralized_set``) rejects."""
     auts = [(Q, {h.images for h in E.automorphisms(Q)})
             for Q in classify(E).crf_set()]
-    return tuple(X for X in subgroup_lattice(centralizer(F.support, E.support))
+    T = E.support
+    CST = centralizer(F.support, T, F.table_for(T))
+    return tuple(X for X in subgroup_lattice(CST)
                  if all(keys <= centralizer_subsystem(F, X)._keys_from(Q)
                         for Q, keys in auts))
 
@@ -696,12 +703,14 @@ CHECKS: dict[str, Callable[[EntryContext], Optional[dict]]] = {
     "LocalNormalSubsystems": _per_pair(
         lambda ctx, E: verify_local_normal(ctx.F, E)),
     "PropHelp": _per_pair(lambda ctx, E: verify_prophelp(ctx.F, E)),
-    "EasyCentralizer": _per_pair(
-        lambda ctx, E: verify_easy_centralizer(ctx.F, E)),
+    "EasyCentralizer": _per_pair(lambda ctx, E: verify_easy_centralizer(
+        ctx.F, E, X_set=ctx.data_for(E).X_set)),
     "FrattiniCons": _per_pair(lambda ctx, E: verify_frattini_cons(ctx.F, E)),
-    "XInvariant": _per_pair(lambda ctx, E: verify_x_invariant(ctx.F, E)),
+    "XInvariant": _per_pair(lambda ctx, E: verify_x_invariant(
+        ctx.F, E, X_set=ctx.data_for(E).X_set)),
     "WeaklyClosedCentralized": _per_pair(
-        lambda ctx, E: verify_weakly_closed_centralized(ctx.F, E)),
+        lambda ctx, E: verify_weakly_closed_centralized(
+            ctx.F, E, X_set=ctx.data_for(E).X_set)),
     "GN": _per_pair(lambda ctx, E: verify_gn(ctx.F, E)),
     "CFCG0": _per_pair(lambda ctx, E: verify_cfcg0(ctx.F, E)),
     "FirstCharacterization": _per_pair(
@@ -711,7 +720,8 @@ CHECKS: dict[str, Callable[[EntryContext], Optional[dict]]] = {
     "MainCSE.b": _per_pair(verify_main_cse_b),
     "MainCSE.c": _per_pair(
         lambda ctx, E: verify_main_cse_c(ctx.F, E, ctx.data_for(E))),
-    "FocProp": _per_pair(lambda ctx, E: verify_focprop(ctx.F, E)),
+    "FocProp": _per_pair(lambda ctx, E: verify_focprop(
+        ctx.F, E, C_S_E=ctx.data_for(E).C_S_E)),
     "ShowWeaklyNormal": _per_pair(
         lambda ctx, E: verify_show_weakly_normal(ctx.F, E, ctx.cfe_for(E))),
     "CFENormal": _per_pair(

@@ -67,5 +67,5 @@ def F_s4xc2(s4xc2):
 def E_s4x1(F_s4xc2, s4xc2):
     """The copy of the S4-fusion over D8 x 1 inside S4 x C2."""
     cands = [N for N in normal_subgroups(s4xc2.full_subgroup)
-             if N.order == 24 and centralizer(N, N).order == 1]
+             if N.order == 24 and centralizer(N, N, N).order == 1]
     return normal_subsystem_in(F_s4xc2, cands[0])

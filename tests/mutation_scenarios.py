@@ -42,7 +42,7 @@ class Env:
             S = sylow_subgroup(g.full_subgroup, 2)
             F = fusion_of_group(g, S, 2)
             N = next(N for N in normal_subgroups(g.full_subgroup)
-                     if N.order == 24 and centralizer(N, N).order == 1)
+                     if N.order == 24 and centralizer(N, N, N).order == 1)
             E = normal_subsystem_in(F, N)
             self._cache["s4xc2"] = (g, F, E)
         return self._cache["s4xc2"]

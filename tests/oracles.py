@@ -2,8 +2,9 @@
 the member-level forms of the group kernel (closure, normalizer,
 centralizer, normality, automizers, iso-sets, extension groups, normal
 subgroups, maximal subgroups) that the package computes on generating sets,
-conjugation rows or the lattice's covering relation, the subgroup lattice
-by a fresh closure per join, the per-pair tables of a permutation group
+subgroup conjugation tables or the lattice's covering relation, the
+subgroup lattice of any group by a fresh closure per join (the package
+walks p-groups by steps of index p), the per-pair tables of a permutation group
 (``group_from_permutations_literal``) and of an automorphism group
 (``Hom.then`` per pair), the columns the Cayley-graph walk of
 ``groups.cayley_columns`` meets, entry by entry
@@ -49,7 +50,7 @@ from fusionkit.fusion import (FusionSystem, close_morphisms,
                               subsystem_contains)
 from fusionkit.groups import (FiniteGroup, Hom, Subgroup, active_caps,
                               as_group, centralizer, normalizer, o_p, p_part,
-                              picker, subgroup_lattice)
+                              subgroup_lattice)
 from fusionkit.saturation import (SaturationReport, SubgroupClassification,
                                   aut_group, canonical_family, classify,
                                   is_saturated, o_upper_p_automorphisms)
@@ -404,7 +405,7 @@ def h_group_literal(F: FusionSystem, E: FusionSystem,
                     P: Subgroup) -> tuple[Hom, ...]:
     """The automorphisms of P extending to P N_T(P); the same alarm as the
     package."""
-    NT = normalizer(E.support, P)
+    NT = normalizer(E.support, P, P)
     PN = F.universe.generated_subgroup(P.members + NT.members)
     out = [phi for phi in F.automorphisms(P)
            if any(psi.codomain == PN for psi in F.extensions(phi, PN))]
@@ -466,14 +467,14 @@ def classify_literal(F: FusionSystem) -> SubgroupClassification:
     n_of: dict[tuple[int, ...], int] = {}
     c_of: dict[tuple[int, ...], int] = {}
     for P in F.subgroups():
-        n_of[P.members] = normalizer(S, P).order
-        c_of[P.members] = centralizer(S, P).order
+        n_of[P.members] = normalizer(S, P, P).order
+        c_of[P.members] = centralizer(S, P, P).order
     fully_n, fully_c, fully_a, centric, radical = set(), set(), set(), set(), set()
     for cls in F.classes():
         max_n = max(n_of[Q.members] for Q in cls)
         max_c = max(c_of[Q.members] for Q in cls)
         cls_centric = all(c_of[Q.members] <= Q.order
-                          and centralizer(S, Q).member_set <= Q.member_set
+                          and centralizer(S, Q, Q).member_set <= Q.member_set
                           for Q in cls)
         for Q in cls:
             if n_of[Q.members] == max_n:
@@ -515,11 +516,12 @@ def _extension_group(F: FusionSystem, phi: Hom, n_s_p: Subgroup,
     if len(back) != P.order:
         raise NotAGroup("only isomorphisms onto the codomain invert")
     pull = back.__getitem__
-    of_pre = picker(list(map(pull, Q.generators)))
+    pre = list(map(pull, Q.generators))
     pulled = {tuple(map(pull, key)) for key in aut_s_keys}
-    row = F.universe.conj_row
-    out = [g for g in n_s_p.members if of_pre(row(g)) in pulled]
-    return Subgroup(F.universe, tuple(out), check=False)
+    G = F.universe
+    out = [g for g in n_s_p.members
+           if tuple(G.conj(x, g) for x in pre) in pulled]
+    return Subgroup(G, tuple(out), check=False)
 
 
 def saturation_report_literal(F: FusionSystem) -> SaturationReport:
@@ -545,7 +547,7 @@ def saturation_report_literal(F: FusionSystem) -> SaturationReport:
             if not cls.is_fully_centralized(Q):
                 continue
             if n_s_p is None:
-                n_s_p = normalizer(F.support, P)
+                n_s_p = normalizer(F.support, P, P)
             keys = aut_s_keys.get(Q.members)
             if keys is None:
                 keys = aut_s_keys[Q.members] = _automizer_keys(F, Q)

@@ -50,7 +50,8 @@ class TestCentralizedFamily:
         data = compute_centralizer_data(F, E)
         # C_S(E) is the Sylow of the other factor
         assert data.C_S_E.order == 4
-        assert data.C_S_E.member_set <= centralizer(S, E.support).member_set
+        CST = centralizer(S, E.support, E.support)
+        assert data.C_S_E.member_set <= CST.member_set
         assert data.R_star == data.C_S_E
 
     def test_abelian_self_pair(self):

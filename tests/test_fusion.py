@@ -39,8 +39,8 @@ class TestRealizedSystems:
 
     def test_aut_v4_has_order_six(self, F_s4, V4, s4):
         # independent oracle: |N_G(V4)| / |C_G(V4)| = 24/4
-        n = normalizer(s4.full_subgroup, V4).order
-        c = centralizer(s4.full_subgroup, V4).order
+        n = normalizer(s4.full_subgroup, V4, V4).order
+        c = centralizer(s4.full_subgroup, V4, V4).order
         assert n // c == 6
         assert len(F_s4.automorphisms(V4)) == 6
 
@@ -146,6 +146,26 @@ class TestGeneratedSubsystems:
         """A repeated input returns a new system with the same table, and
         the inside check runs again: a map outside E is refused although
         its closure is memoized."""
+    def test_closure_is_shared_under_one_top(self, monkeypatch):
+        """One input asked under a top and under a subsystem of it is
+        closed once: the memo lives in the top's slot."""
+        runs = []
+        close = fusion.close_morphisms
+
+        def counted(support, seeds):
+            runs.append(support)
+            return close(support, seeds)
+
+        monkeypatch.setattr(fusion, "close_morphisms", counted)
+        G = builtin_group("s4")
+        F = fusion_of_group(G, sylow_subgroup(G.full_subgroup, 2), 2)
+        V4 = o_p(G.full_subgroup, 2)
+        E = normal_subsystem_in(F, o_upper_p(G.full_subgroup, 2))
+        gens = E.automorphisms(V4)
+        tables = [generated_subsystem(D, V4, gens)._explicit for D in (F, E, F)]
+        assert runs == [V4]
+        assert tables[0] is tables[1] is tables[2]
+
     def test_memoized_closure_still_checks_and_is_fresh(self, F_s4, E_a4, V4):
         """A repeated input returns a new system with the same table, and
         the inside check runs on every call: an automorphism of V4 outside
@@ -477,8 +497,8 @@ def test_shared_results_match_a_fresh_registry(data):
     shared = []
     for _ in range(2):
         E = realized_subsystem(F, N, S.meet(N))
-        local = realized_subsystem(F, normalizer(G.full_subgroup, Q),
-                                   normalizer(S, Q))
+        local = realized_subsystem(F, normalizer(G.full_subgroup, Q, Q),
+                                   normalizer(S, Q, Q))
         gen = generated_subsystem(F, S, F.automorphisms(S))
         shared.append((is_saturated(E), is_normal(F, E), is_saturated(local),
                        is_saturated(gen), is_normal(F, gen)))

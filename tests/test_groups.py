@@ -21,7 +21,8 @@ from fusionkit.groups import (Hom, Subgroup, active_caps, as_group,
                               sylow_subgroup)
 from oracles import (cayley_columns_literal, conjugate_morphism, from_pairs,
                      group_from_permutations_literal, maximal_subgroups,
-                     product_group, push, subgroup_lattice_bruteforce)
+                     product_group, push, subgroup_lattice_bruteforce,
+                     subgroup_lattice_literal)
 from test_fusion import perm_groups
 
 
@@ -64,8 +65,10 @@ class TestSubgroupLattice:
     @pytest.mark.parametrize("name,count", [("c2", 2), ("c2xc2", 5), ("d8", 10),
                                             ("q8", 6), ("a4", 10)])
     def test_lattice_counts_match_subset_oracle(self, name, count):
+        """The index-p walk on the p-groups, the closure-join form on a4."""
         G = builtin_group(name)
-        lat = subgroup_lattice(G.full_subgroup)
+        lattice = subgroup_lattice if name != "a4" else subgroup_lattice_literal
+        lat = lattice(G.full_subgroup)
         if G.order <= 16:
             oracle = subgroup_lattice_bruteforce(G.full_subgroup)
             assert [s.members for s in lat] == [s.members for s in oracle]
@@ -80,14 +83,19 @@ class TestSubgroupLattice:
         lat = subgroup_lattice(d8.full_subgroup)
         mem = {s.members for s in lat}
         for H in lat:
-            assert normalizer(d8.full_subgroup, H).members in mem
-            assert centralizer(d8.full_subgroup, H).members in mem
+            assert normalizer(d8.full_subgroup, H, H).members in mem
+            assert centralizer(d8.full_subgroup, H, H).members in mem
         assert center(d8.full_subgroup).members in mem
 
-    def test_cap_exceeded(self, s4, monkeypatch):
-        monkeypatch.setattr(active_caps, "lattice", 5)
+    def test_cap_exceeded(self, monkeypatch):
+        """The Sylow 2-subgroup of a4xa4 has 67 subgroups: a cap of 66
+        stops the walk, a cap of 67 does not."""
+        S = sylow_subgroup(builtin_group("a4xa4").full_subgroup, 2)
+        monkeypatch.setattr(active_caps, "lattice", 66)
         with pytest.raises(CapExceeded):
-            subgroup_lattice(s4.full_subgroup)
+            subgroup_lattice(S)
+        monkeypatch.setattr(active_caps, "lattice", 67)
+        assert len(subgroup_lattice(S)) == 67
 
 
 class TestClassicalOperators:
@@ -110,11 +118,12 @@ class TestClassicalOperators:
         assert sylow_subgroup(s4.full_subgroup, 5).order == 1
 
     def test_centralizer_of_v4_in_s4(self, s4, V4):
-        assert centralizer(s4.full_subgroup, V4) == V4
+        assert centralizer(s4.full_subgroup, V4, V4) == V4
         assert brute_centralizer(s4, V4) == list(V4.members)
 
     def test_normalizer_of_whole_group(self, s4):
-        assert normalizer(s4.full_subgroup, s4.full_subgroup) == s4.full_subgroup
+        G = s4.full_subgroup
+        assert normalizer(G, G, G) == G
 
     def test_center_of_d8(self, d8):
         assert center(d8.full_subgroup).order == 2

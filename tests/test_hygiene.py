@@ -154,8 +154,8 @@ def _defaulted(fn: ast.FunctionDef, skip: int) -> list[tuple[str, Optional[int]]
 
 def _definitions(tree: ast.AST):
     """(called name, reported name, function node, skipped leading
-    parameters) for every function and method; ``Class.__init__`` is
-    called by the class's name."""
+    parameters) for every function and method; ``Class.__init__`` and
+    ``Class.__new__`` are called by the class's name."""
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef):
             for item in node.body:
@@ -164,8 +164,8 @@ def _definitions(tree: ast.AST):
                 decorators = {d.id for d in item.decorator_list
                               if isinstance(d, ast.Name)}
                 skip = 0 if "staticmethod" in decorators else 1
-                if item.name == "__init__":
-                    yield node.name, f"{node.name}.__init__", item, skip
+                if item.name in ("__init__", "__new__"):
+                    yield node.name, f"{node.name}.{item.name}", item, skip
                 else:
                     yield item.name, item.name, item, skip
         elif isinstance(node, (ast.FunctionDef, ast.Module)):
@@ -292,11 +292,15 @@ def test_detects_an_unset_default():
                   "        return k\n"
                   "    @staticmethod\n"
                   "    def s(j=0):\n"
-                  "        return j\n")}
+                  "        return j\n"
+                  "class N:\n"
+                  "    def __new__(cls, a, b=0, c=1):\n"
+                  "        return object.__new__(cls)\n")}
     callers = {"a": defs["a"],
                "b": ("f(1, z=3)\n"
                      "g(*args)\n"
                      "K(4).m(5)\n"
-                     "K.s()\n")}
-    assert unset_defaults(defs, callers) == ["K.__init__(mode)", "f(w)",
-                                             "f(y)", "s(j)"]
+                     "K.s()\n"
+                     "N(1, c=2)\n")}
+    assert unset_defaults(defs, callers) == ["K.__init__(mode)", "N.__new__(b)",
+                                             "f(w)", "f(y)", "s(j)"]

@@ -3,14 +3,14 @@
 ``FiniteGroup.closure`` runs Dimino's algorithm, and the action tests
 (normalizer, centralizer, normality, commuting, automizers, realized
 iso-sets, extension groups) read only ``Subgroup.generators``, picked off
-the cached conjugation rows ``FiniteGroup.conj_row``.  Each is compared
-with the literal form in ``oracles``, over every subgroup pair of a few
-corpus groups and over groups generated by two permutations, as are the
-rows themselves and the picker-built permutation tables.  The subgroup
-lattice built by one Dimino step per join and the picker-built table of
-``MorphismGroup`` are compared with their closure-join and ``Hom.then``
-forms.  The slotted ``Subgroup`` keeps its validation, equality and
-hashing."""
+the conjugation table ``Subgroup.row`` of a subgroup containing them.
+Each is compared with the literal form in ``oracles``, over every subgroup
+pair of a few corpus groups and over groups generated by two permutations,
+as are the tables themselves and the picker-built permutation tables.
+The index-p lattice of every subgroup of a Sylow subgroup and the
+picker-built table of ``MorphismGroup`` are compared with their
+closure-join and ``Hom.then`` forms.  The interned ``Subgroup`` keeps its
+validation, and two constructions give one object."""
 
 from __future__ import annotations
 
@@ -20,9 +20,9 @@ from hypothesis import given, settings, strategies as st
 from fusionkit.corpus import CORPUS_ENTRIES, builtin_group
 from fusionkit.errors import NotAGroup
 from fusionkit.fusion import MorphismGroup, fusion_of_group
-from fusionkit.groups import (Subgroup, centralizer, normal_subgroups,
-                              normalizer, picker, subgroup_lattice,
-                              sylow_subgroup)
+from fusionkit.groups import (Subgroup, centralizer,
+                              normal_subgroups, normalizer, picker,
+                              subgroup_lattice, sylow_subgroup)
 from fusionkit.saturation import extension_group
 from oracles import (automizer_in_literal, centralizer_literal,
                      closure_literal, extension_group_literal,
@@ -38,29 +38,41 @@ def _homs(homs):
 
 
 def check_generators(H: Subgroup) -> None:
-    """gens(H) generates H, has at most log2|H| members, and is the same
-    for a second copy of H."""
+    """gens(H) generates H and has at most log2|H| members; a second
+    construction of H is H itself."""
     G, gens = H.parent, H.generators
     assert set(gens) <= H.member_set
     assert G.closure(gens) == H.members
     assert 2 ** len(gens) <= H.order
-    assert Subgroup(G, H.members, check=False).generators == gens
+    assert Subgroup(G, H.members, check=False) is H
+
+
+def check_table(A: Subgroup) -> None:
+    """A.row(g)[i] is members[i]^g for every member and every g of the
+    group, and a row is built once."""
+    G = A.parent
+    for g in range(G.order):
+        row = A.row(g)
+        assert row == tuple(G.conj(x, g) for x in A.members)
+        assert A.row(g) is row
 
 
 def check_rows(G) -> None:
-    """conj_row(g)[x] is x^g for every x and g, and the picker-built table
-    is the per-pair composition table."""
-    for g in range(G.order):
-        row = G.conj_row(g)
-        assert len(row) == G.order
-        assert all(row[x] == G.conj(x, g) for x in range(G.order))
-        assert G.conj_row(g) is row
+    """The tables of G, of a Sylow subgroup and of the trivial subgroup,
+    and the picker-built table is the per-pair composition table."""
+    for p in (2, 3):
+        check_table(sylow_subgroup(G.full_subgroup, p))
+    check_table(G.full_subgroup)
+    check_table(G.trivial_subgroup)
     assert G._mul == tuple(map(tuple, permutation_table_literal(G)))
 
 
 def check_pair(ambient: Subgroup, H: Subgroup) -> None:
-    assert normalizer(ambient, H) == normalizer_literal(ambient, H)
-    assert centralizer(ambient, H) == centralizer_literal(ambient, H)
+    """The action tests against their literal forms, read off H's own
+    table and off the whole group's."""
+    for base in (H, H.parent.full_subgroup):
+        assert normalizer(ambient, H, base) == normalizer_literal(ambient, H)
+        assert centralizer(ambient, H, base) == centralizer_literal(ambient, H)
     assert H.is_normal_in(ambient) == is_normal_in_literal(H, ambient)
     assert (H.is_elementwise_commuting(ambient)
             == is_elementwise_commuting_literal(H, ambient))
@@ -80,11 +92,12 @@ def check_system(G, p: int) -> None:
 
 
 def check_lattices_and_auts(G, p: int) -> None:
-    """The lattices of a Sylow p-subgroup S and of G match the closure-join
-    form, member tuple for member tuple and in order, and the table of each
-    Aut_F(P) of F_S(G) matches the per-pair Hom.then table."""
+    """The index-p lattice of every subgroup of a Sylow p-subgroup S
+    matches the closure-join form, member tuple for member tuple and in
+    order, and the table of each Aut_F(P) of F_S(G) matches the per-pair
+    Hom.then table."""
     S = sylow_subgroup(G.full_subgroup, p)
-    for H in (S, G.full_subgroup):
+    for H in subgroup_lattice(S):
         assert ([K.members for K in subgroup_lattice(H)]
                 == [K.members for K in subgroup_lattice_literal(H)])
     F = fusion_of_group(G, S, p)
@@ -122,7 +135,7 @@ def test_morphism_group_rejects_an_open_set():
 def test_every_subgroup_pair(name):
     G = builtin_group(name)
     check_rows(G)
-    subs = subgroup_lattice(G.full_subgroup)
+    subs = subgroup_lattice_literal(G.full_subgroup)
     for H in subs:
         check_generators(H)
         for K in subs:
@@ -142,15 +155,15 @@ def test_corpus_systems(name, p):
 @given(st.data())
 def test_generated_groups(data):
     """Over groups generated by two permutations of degree <= 5:
-    conjugation rows and the table, closure of a random seed, generators,
+    conjugation tables and the table, closure of a random seed, generators,
     three drawn subgroups against each other and the whole group, normal
-    subgroups, F_S(G), the lattices of S and G and the tables of the
-    Aut_F(P)."""
+    subgroups, F_S(G), the lattices of the subgroups of S and the tables
+    of the Aut_F(P)."""
     G, p = data.draw(perm_groups())
     check_rows(G)
     seed = data.draw(st.lists(st.integers(0, G.order - 1), max_size=4))
     assert G.closure(seed) == closure_literal(G, seed)
-    subs = subgroup_lattice(G.full_subgroup)
+    subs = subgroup_lattice_literal(G.full_subgroup)
     drawn = [data.draw(st.sampled_from(subs)) for _ in range(3)]
     drawn.append(G.full_subgroup)
     for H in drawn:
@@ -171,7 +184,10 @@ def test_picker_of_no_positions():
 
 
 def test_slotted_subgroup():
-    """Validation, equality and hashing of the slotted Subgroup."""
+    """The slotted Subgroup is interned, one per (group, member tuple):
+    every construction of a member tuple, checked or not, is the same
+    object, and check=True still validates on every call, also for a tuple
+    already made unchecked."""
     G = builtin_group("s4")
     H = sylow_subgroup(G.full_subgroup, 2)
     with pytest.raises(NotAGroup, match="identity"):
@@ -179,7 +195,61 @@ def test_slotted_subgroup():
     with pytest.raises(NotAGroup, match="closed"):
         Subgroup(G, (0,) + tuple(x for x in H.members if x != 0)[:2])
     a, b = Subgroup(G, H.members), Subgroup(G, H.members, check=False)
-    assert a == b == H and hash(a) == hash(b) == hash(H)
-    assert a != G.full_subgroup
+    assert a is b is H and a == H and hash(a) == hash(H)
+    assert G.subgroup(reversed(H.members)) is H
+    assert G.generated_subgroup(H.generators) is H
+    assert a != G.full_subgroup and G.full_subgroup is G.full_subgroup
     assert not hasattr(a, "__dict__")
-    assert a.generators == H.generators and a.positions == H.positions
+    bad = (0,) + tuple(x for x in H.members if x != 0)[:2]
+    Subgroup(G, bad, check=False)          # trusted, so kept
+    with pytest.raises(NotAGroup, match="closed"):
+        Subgroup(G, bad)
+    assert (Subgroup(builtin_group("c2"), (0,), check=False)
+            is not G.trivial_subgroup)
+
+
+def test_closure_is_memoized_by_seed_set():
+    """Seeds with one set share one closure, whatever their order and
+    repeats, and it is the literal closure."""
+    G = builtin_group("s4")
+    seed = [5, 9, 5, 2]
+    sub = G.generated_subgroup(seed)
+    assert G.generated_subgroup([2, 9, 5]) is sub
+    assert G.closure(seed) == sub.members == closure_literal(G, seed)
+
+
+@pytest.mark.parametrize("name", sorted({name for name, _ in CORPUS_ENTRIES}))
+def test_tables_of_bundled_groups(name):
+    """The conjugation tables of each bundled group's Sylow subgroups,
+    whole group and trivial subgroup against G.conj."""
+    check_rows(builtin_group(name))
+
+
+def check_index_p_lattices(G, p: int) -> None:
+    """The index-p lattice of every subgroup of a Sylow p-subgroup is the
+    closure-join lattice, member tuple for member tuple and in order."""
+    S = sylow_subgroup(G.full_subgroup, p)
+    for H in subgroup_lattice(S):
+        assert ([K.members for K in subgroup_lattice(H)]
+                == [K.members for K in subgroup_lattice_literal(H)])
+
+
+@pytest.mark.parametrize("name,p", CORPUS_ENTRIES,
+                         ids=[f"{n}@{p}" for n, p in CORPUS_ENTRIES])
+def test_index_p_lattice_on_corpus_entries(name, p):
+    check_index_p_lattices(builtin_group(name), p)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(perm_groups())
+def test_index_p_lattice_on_generated_groups(group):
+    """At p = 2 and p = 3 on groups generated by two permutations."""
+    for p in (2, 3):
+        check_index_p_lattices(group[0], p)
+
+
+def test_lattice_needs_a_p_group():
+    G = builtin_group("s4")
+    with pytest.raises(ValueError, match="p-group"):
+        subgroup_lattice(G.full_subgroup)
+    assert subgroup_lattice(G.trivial_subgroup) == (G.trivial_subgroup,)

@@ -229,20 +229,17 @@ def test_key_forms_build_no_surplus_homs(label, hom_count):
 
 @pytest.mark.parametrize("name", ["d8", "s4", "q8c4", "s4xc2", "gl23", "a4xa4"])
 def test_lattice_covers_are_the_maximal_subgroups(name):
-    """On the Sylow 2-subgroup, and on the whole group up to order 24."""
+    """On the Sylow 2-subgroup; the lattice needs a p-group."""
     G = builtin_group(name)
-    tops = [sylow_subgroup(G.full_subgroup, 2)]
-    if G.order <= 24:
-        tops.append(G.full_subgroup)
-    for top in tops:
-        subs = subgroup_lattice(top)
-        covers = lattice_covers(top)
-        assert lattice_covers(top) is covers            # cached per lattice
-        for P, row in zip(subs, covers):
-            maxes = maximal_subgroups(P, [K for K in subs if K <= P])
-            assert [subs[j] for j, _ in row] == list(maxes)
-            for j, restrict in row:
-                assert restrict(P.members) == subs[j].members
+    top = sylow_subgroup(G.full_subgroup, 2)
+    subs = subgroup_lattice(top)
+    covers = lattice_covers(top)
+    assert lattice_covers(top) is covers                # cached per lattice
+    for P, row in zip(subs, covers):
+        maxes = maximal_subgroups(P, [K for K in subs if K <= P])
+        assert [subs[j] for j, _ in row] == list(maxes)
+        for j, restrict in row:
+            assert restrict(P.members) == subs[j].members
 
 
 def test_closure_rejects_what_leaves_the_support(d8):

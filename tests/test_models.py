@@ -160,7 +160,7 @@ class TestScriptG:
         m = model_of(Gsys)
         assert m.group.order == 12  # N_{A5}(V4) = A4, trivial odd part of... A4
         N = normal_model(Gsys, m, NET)
-        assert centralizer(m.sylow_image, N).order == 1
+        assert centralizer(m.sylow_image, N, N).order == 1
 
 
 class TestIsomorphismSearch:

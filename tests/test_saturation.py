@@ -15,6 +15,7 @@ from fusionkit.saturation import (alperin_decompose, canonical_family,
                                   classify, extension_group,
                                   is_conjugation_family, is_saturated,
                                   o_upper_p_automorphisms)
+from fusionkit.verify import run_suite
 from oracles import classify_literal, extend_morphism
 from test_fusion import s4_mutants
 
@@ -47,6 +48,23 @@ class TestClassification:
         assert (got.centric, got.fully_automized) == (want.centric,
                                                       want.fully_automized)
         assert got.radical == want.radical & want.centric
+
+    def test_suite_pass_builds_no_one_element_table(self, monkeypatch):
+        """A suite pass on s4xc2@2 decides every one-element Aut_F(P)
+        without a MorphismGroup (h_group, A-circle, FrattiniCons, O^p,
+        invariance and coincidence): 125 tables, none of order 1 (167, 42
+        of them of order 1, when only the classification skipped them)."""
+        built = []
+
+        class Counted(MorphismGroup):
+            def __init__(self, autos):
+                built.append(len(autos))
+                super().__init__(autos)
+
+        monkeypatch.setattr(saturation, "MorphismGroup", Counted)
+        results = run_suite("s4xc2@2", builtin_group("s4xc2"), 2)
+        assert all(r.passed for r in results)
+        assert 1 not in built and len(built) == 125
 
     def test_v4_flags(self, F_s4, V4):
         cls = classify(F_s4)
@@ -90,7 +108,7 @@ def extension_group_by_composition(F, phi):
     aut_s = {h.images for h in F.automizer_in(F.support, Q)}
     inv = phi.inverse()
     return Subgroup(F.universe, tuple(
-        g for g in normalizer(F.support, P).members
+        g for g in normalizer(F.support, P, P).members
         if inv.then(Hom.conjugation(P, g, codomain=P)).then(phi).images
         in aut_s), check=False)
 
@@ -110,7 +128,7 @@ class TestExtensionAxiom:
 
     def test_n_phi_of_inclusion_is_normalizer(self, F_s4, V4):
         incl = Hom.identity(V4)     # V4 -> S corestricted onto its image
-        assert extension_group(F_s4, incl) == normalizer(F_s4.support, V4)
+        assert extension_group(F_s4, incl) == normalizer(F_s4.support, V4, V4)
 
     def test_n_phi_of_order3_is_v4(self, F_s4, V4):
         phi = next(h for h in F_s4.automorphisms(V4)
@@ -121,15 +139,15 @@ class TestExtensionAxiom:
         for s in F_s4.support.members:
             phi = Hom.conjugation(V4, s)
             assert extension_group(F_s4, phi).order == normalizer(
-                F_s4.support, V4).order
+                F_s4.support, V4, V4).order
 
     def test_sandwich(self, F_s4):
         for P in F_s4.subgroups():
             for phi in F_s4.isos_from(P):
                 nphi = extension_group(F_s4, phi)
-                lower = P.product_set(centralizer(F_s4.support, P))
+                lower = P.product_set(centralizer(F_s4.support, P, P))
                 assert set(lower) <= nphi.member_set
-                assert nphi.member_set <= normalizer(F_s4.support, P).member_set
+                assert nphi.member_set <= normalizer(F_s4.support, P, P).member_set
 
     def test_extend_identity(self, F_s4, V4):
         got = extend_morphism(F_s4, Hom.identity(V4), F_s4.support)
@@ -173,7 +191,7 @@ class TestSaturation:
         cls = classify(F_s4)
         for P in F_s4.subgroups():
             assert any(cls.is_fully_normalized(alpha.subgroup_image(P))
-                       for alpha in F_s4.isos_from(normalizer(F_s4.support, P)))
+                       for alpha in F_s4.isos_from(normalizer(F_s4.support, P, P)))
 
 
 class TestConjugationFamilies:

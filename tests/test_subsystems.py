@@ -92,8 +92,8 @@ class TestLocalSubsystems:
         P = next(P for P in F_s4.subgroups()
                  if P.order == 2 and not P.member_set <= V4.member_set)
         N = normalizer_subsystem(F_s4, P)
-        assert N.support == normalizer(F_s4.support, P)
-        assert N.witness == normalizer(s4.full_subgroup, P)
+        assert N.support == normalizer(F_s4.support, P, P)
+        assert N.witness == normalizer(s4.full_subgroup, P, P)
 
     def test_centralizer_axioms(self, F_s4, V4):
         assert validate_fusion_system(centralizer_subsystem(F_s4, V4)) == []
@@ -207,7 +207,7 @@ def literal_extension_exists(F, alpha, bound, fixed, over):
     some ext in Aut_F(TC_S(T)) agreeing with alpha on T, with [x, ext] in
     ``bound`` for every x in ``over`` and fixing ``fixed`` pointwise."""
     T = alpha.domain
-    C = centralizer(F.support, T)
+    C = centralizer(F.support, T, T)
     V = F.universe.generated_subgroup(T.members + C.members)
     G = F.universe
     for ext in F.automorphisms(V):
@@ -234,7 +234,7 @@ def extension_verdicts(G, p):
     on_c, on_v = (lambda C, V: C), (lambda C, V: V)
     verdicts = []
     for T in F.subgroups():
-        C = centralizer(S, T)
+        C = centralizer(S, T, T)
         closed = is_strongly_closed(F, T)
         bounds = ((G.trivial_subgroup, (on_c,)), (center(T), (on_c,)),
                   (T, (on_c, on_v) if closed else (on_c,)), (S, (on_c,)))

@@ -6,11 +6,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from collections import Counter
 
 import pytest
 
-from fusionkit import saturation, verify as verify_mod
+from fusionkit import centralizers, saturation, verify as verify_mod
 from fusionkit.centralizers import (compute_centralizer_data,
                                     contained_in_centralizer)
 from fusionkit.corpus import builtin_group
@@ -140,6 +141,29 @@ class TestSuiteRuns:
         results = run_suite("d8xc2@2", builtin_group("d8xc2"), 2)
         assert all(r.passed for r in results)
         assert counts and max(counts.values()) == 1
+
+    def test_checks_read_the_memoized_family(self, monkeypatch):
+        """A suite pass on s4@2 (4 normal pairs) computes E's centralized
+        family once per pair for C_S(E), and EasyCentralizer, XInvariant,
+        WeaklyClosedCentralized and FocProp read it from the pair's
+        centralizer data.  The other calls are N_E(T)'s family in
+        EasyCentralizer and CFCG0, the two of centralizer-oracle and Z(E)
+        (``c_s_of``) in the product reports: 24 calls, 40 when those four
+        checks recomputed E's family."""
+        callers: Counter = Counter()
+        real = centralizers.centralized_set
+
+        def counted(F, E):
+            callers[sys._getframe(1).f_code.co_name] += 1
+            return real(F, E)
+
+        monkeypatch.setattr(centralizers, "centralized_set", counted)
+        monkeypatch.setattr(verify_mod, "centralized_set", counted)
+        results = run_suite("s4@2", builtin_group("s4"), 2)
+        assert all(r.passed for r in results)
+        assert callers == {"_centralizer_data": 4, "verify_easy_centralizer": 4,
+                           "verify_cfcg0": 4, "c_s_of": 4,
+                           "_centralizer_oracle": 8}
 
     def test_determinism_two_runs_identical(self, s4):
         ids = ["saturation", "MainCSE.a", "FocProp", "Coincide",
@@ -486,7 +510,7 @@ def cfcg0_per_pair(F, E, auts=None):
     X-major, each recomputing C_S(T) and TC_S(T)."""
     T = E.support
     NET = normalizer_subsystem(E, T)
-    targets = [X for X in subgroup_lattice(centralizer(F.support, T))
+    targets = [X for X in subgroup_lattice(centralizer(F.support, T, T))
                if contained_in_centralizer(F, NET, X)]
     alphas = tuple(auts) if auts is not None else E.automorphisms(T)
     for X in targets:
