@@ -3,6 +3,17 @@ its join, the two automorphism subgroups of the Frattini factorization, R*
 via models, focal and hyperfocal subgroups, the centralizer subsystem
 C_F(E), and the coincidence formula for its automorphism groups.
 
+R* is C_S(N) for N the normal model of N_E(T) in a model of the
+constrained local system N_{N_F(T)}(V), V = T C_S(T).  V is normal and
+centric in that system by construction, and ``models`` proves it from the
+system's witness, so the model is built on V (see
+``models.constrained_local_system`` for the proof that W'/O_{p'}(W') is
+p-constrained); the model on O_p of the local system is the same up to
+isomorphism over S, so R* and the model orders are those of the literal
+route.  The family of N_E(T), the X <= C_S(T) it centralizes, is computed
+once per pair (``normalizer_family``) and read by the R* post-check and
+the suite.
+
 E <= C_F(X) is asked one way, by ``contained_in_centralizer``; its
 generating-set form is the ``centralizer-oracle`` check of ``verify``.
 Each Theorem A post-check is stated once, as a predicate returning a located
@@ -23,7 +34,7 @@ from .errors import TheoremViolation, VerificationFailed
 from .fusion import FusionSystem, generated_subsystem, subsystem_contains
 from .groups import (Hom, Subgroup, centralizer, normalizer, picker,
                      subgroup_lattice)
-from .models import Model, model_of, normal_model, script_G
+from .models import Model, constrained_local_system, model_on, normal_model
 from .saturation import (aut_group, classify, o_upper_p_automorphisms,
                          only_identity)
 from .subsystems import (centralizer_subsystem, is_normal, is_strongly_closed,
@@ -142,13 +153,17 @@ def r_star(F: FusionSystem, E: FusionSystem
     """R* = C_S(N) computed in a model of the constrained local system.
 
     Returns (R*, the local system, its model, the normal model of N_E(T)).
-    A pure derivation: the local system is post-checked by ``script_G`` and
-    its model is built once per content by ``model_of``; the
-    characterization of R* is post-checked by ``r_star_counterexample``,
-    which ``compute_centralizer_data`` and the suite call.
+    A pure derivation: ``constrained_local_system`` post-checks the local
+    system and proves V = T C_S(T) normal and centric in it from its
+    witness, so the model is built on V (``model_on``) with no scan for
+    O_p of the local system; any model on a normal centric subgroup is
+    the same up to isomorphism over S, so R* and both model orders are
+    those of the model on O_p.  The characterization of R* is
+    post-checked by ``r_star_counterexample``, which
+    ``compute_centralizer_data`` and the suite call.
     """
-    Gsys, NET = script_G(F, E)
-    model = model_of(Gsys)
+    Gsys, NET, Q = constrained_local_system(F, E)
+    model = model_on(Gsys, Q)
     N = normal_model(Gsys, model, NET)
     sigma = model.sigma
     CSN = centralizer(model.sylow_image, N, N)
@@ -156,20 +171,34 @@ def r_star(F: FusionSystem, E: FusionSystem
     return Subgroup(F.universe, members, check=False), Gsys, model, N
 
 
+def normalizer_family(F: FusionSystem, E: FusionSystem) -> tuple[Subgroup, ...]:
+    """The centralized family of N_E(T), ``centralized_set(F, N_E(T))``:
+    the X <= C_S(T) with N_E(T) <= C_F(X).  Memoized in F's slot under
+    E's content key; ``compute_centralizer_data`` computes it first, for
+    the post-check on R*, and the suite's checks read it."""
+    return F.memo(F.pair_key("N_E(T)-family", E),
+                  lambda: _normalizer_family(F, E))
+
+
+def _normalizer_family(F: FusionSystem, E: FusionSystem) -> tuple[Subgroup, ...]:
+    return centralized_set(F, normalizer_subsystem(E, E.support))
+
+
 def r_star_counterexample(F: FusionSystem, E: FusionSystem,
                           R_star: Subgroup) -> Optional[dict]:
     """The Theorem A post-check on R*, the one statement of its clauses:
     ``R_star`` <= C_S(T), and for every X <= C_S(T), N_E(T) <= C_F(X)
-    exactly when X <= ``R_star``.  Returns the first failing clause as a
+    exactly when X <= ``R_star``; the X with N_E(T) <= C_F(X) are the
+    memoized ``normalizer_family``.  Returns the first failing clause as a
     located counterexample, or None."""
     T = E.support
     CST = centralizer(F.support, T, F.table_for(T))
     if not R_star.member_set <= CST.member_set:
         return {"kind": "R* leaves C_S(T)", "R_star": list(R_star.members)}
-    NET = normalizer_subsystem(E, T)
+    family = {X.members for X in normalizer_family(F, E)}
     for X in subgroup_lattice(CST):
         inside = X.member_set <= R_star.member_set
-        centralizes = contained_in_centralizer(F, NET, X)
+        centralizes = X.members in family
         if inside != centralizes:
             return {"X": list(X.members), "inside_R_star": inside,
                     "centralizes": centralizes}

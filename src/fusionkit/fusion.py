@@ -131,6 +131,13 @@ class FusionSystem:
     def realized(self) -> bool:
         return self.witness is not None
 
+    @property
+    def from_witness(self) -> bool:
+        """Is the system F_S(W) of its witness W: no explicit iso-sets, so
+        its morphisms are the conjugations by W, and its automorphism sets
+        are groups of group automorphisms?"""
+        return self._explicit is None
+
     def pair_key(self, tag: str, *others: "FusionSystem") -> Optional[tuple]:
         """Key for a result on this system and ``others``, memoized in this
         system's slot; None when some other system lives in another
@@ -174,23 +181,36 @@ class FusionSystem:
             if out is None:
                 raise DomainMismatch("iso-sets do not cover this subgroup")
         else:
-            rows = self._witness_rows
-            if rows is None:
-                rows = self._witness_rows = self.base.rows(self.witness.members)
+            keys = self._iso_keys.get(P.members)
             U = self.universe
             out = tuple(
                 Hom(P, Subgroup(U, image, check=False), imgs, check=False)
                 for image, imgs in sorted(
                     (tuple(sorted(imgs)), imgs)
-                    for imgs in _first_conjugations(
-                        P, rows, self.support.member_set, self.base)))
+                    for imgs in (keys if keys is not None
+                                 else self._conjugation_keys(P))))
         self._isos[P.members] = out
         return out
 
+    def _conjugation_keys(self, P: Subgroup) -> Iterator[tuple[int, ...]]:
+        """The image keys of the maps c_w|P into the support, w in the
+        witness, each once (``_first_conjugations``)."""
+        rows = self._witness_rows
+        if rows is None:
+            rows = self._witness_rows = self.base.rows(self.witness.members)
+        return _first_conjugations(P, rows, self.support.member_set, self.base)
+
     def _keys_from(self, P: Subgroup) -> frozenset:
+        """The image keys of ``isos_from(P)``.  A system given by its
+        witness alone reads them off the conjugation table without
+        building a Hom, and ``isos_from`` then builds its Homs from them."""
         got = self._iso_keys.get(P.members)
         if got is None:
-            got = frozenset(h.images for h in self.isos_from(P))
+            if (self._explicit is None and P.members not in self._isos
+                    and P.member_set <= self.support.member_set):
+                got = frozenset(self._conjugation_keys(P))
+            else:
+                got = frozenset(h.images for h in self.isos_from(P))
             self._iso_keys[P.members] = got
         return got
 

@@ -11,10 +11,13 @@ tests (``normalizer``, ``centralizer``, ``Subgroup.is_normal_in``,
 ``Subgroup.is_elementwise_commuting``) read only generators: H^g <= H iff
 gens(H)^g <= H, and g centralizes H iff it commutes with gens(H).  These
 equivalences need H to be a subgroup, so callers pass subgroups, never
-unchecked point sets.  ``normal_subgroups`` computes one orbit per
-conjugacy class.  ``subgroup_lattice`` takes a p-group and walks up from 1
-by steps P -> P<x> of index p.  The member-level forms are the oracles in
-``tests/oracles.py``.
+unchecked point sets.  ``conjugacy_classes`` computes one orbit per
+class; ``normal_subgroups`` joins their normal closures, and ``o_p_prime``
+joins only the closures that are p'-groups.  ``o_p`` is the ``core`` of a
+Sylow subgroup from the normalizer-step search, cut down on the rows of
+gens(ambient), with no canonical Sylow subgroup.  ``subgroup_lattice``
+takes a p-group and walks up from 1 by steps P -> P<x> of index p.  The
+member-level forms are the oracles in ``tests/oracles.py``.
 
 Maps are often handled as image keys: ``Subgroup.positions`` places each
 member, ``picker`` reads a key off at given positions (restriction, or
@@ -612,7 +615,16 @@ def center(ambient: Subgroup) -> Subgroup:
 
 
 def sylow_subgroup(ambient: Subgroup, p: int) -> Subgroup:
-    """A Sylow p-subgroup of ``ambient``; canonical smallest member tuple."""
+    """A Sylow p-subgroup of ``ambient``; canonical smallest member tuple,
+    the least P^g over every g of ambient."""
+    P = _sylow_search(ambient, p)
+    best = min(tuple(sorted(P.row(g))) for g in ambient.members)
+    return Subgroup(ambient.parent, best, check=False)
+
+
+def _sylow_search(ambient: Subgroup, p: int) -> Subgroup:
+    """Some Sylow p-subgroup of ``ambient``, grown from 1 by p-elements of
+    the normalizer of the p-subgroup found so far."""
     G = ambient.parent
     target = p_part(ambient.order, p)
     P = Subgroup(G, (0,), check=False)
@@ -632,29 +644,45 @@ def sylow_subgroup(ambient: Subgroup, p: int) -> Subgroup:
                 break
         else:
             raise NotAGroup("Sylow search stalled; ambient is not a group?")
-    best = min(tuple(sorted(P.row(g))) for g in ambient.members)
-    return Subgroup(G, best, check=False)
+    return P
+
+
+def core(ambient: Subgroup, P: Subgroup) -> Subgroup:
+    """The largest subgroup of P normal in ``ambient``: P cut down to its
+    meet with its images under gens(ambient), read off its table, until
+    no generator moves it.  Every step keeps the core, which each g fixes;
+    the last subgroup C lies in C^g for every generator, so C^g = C and
+    C is normalized by the group they generate."""
+    C = P
+    while True:
+        mem = C.member_set
+        cut = mem.intersection(*C.rows(ambient.generators))
+        if len(cut) == len(mem):
+            return C
+        C = Subgroup(ambient.parent, tuple(sorted(cut)), check=False)
 
 
 def o_p(ambient: Subgroup, p: int) -> Subgroup:
-    """O_p: the intersection of all Sylow p-subgroups, the P^g read off
-    the table of P."""
-    P = sylow_subgroup(ambient, p)
-    core = set(P.members)
-    for g in ambient.members:
-        core.intersection_update(P.row(g))
-        if len(core) == 1:
-            break
-    return Subgroup(ambient.parent, tuple(sorted(core)), check=False)
+    """O_p: the intersection of all Sylow p-subgroups, that is the core of
+    any one of them; no canonical Sylow subgroup is needed."""
+    return core(ambient, _sylow_search(ambient, p))
 
 
 def o_p_prime(ambient: Subgroup, p: int) -> Subgroup:
-    """O_{p'}: the largest normal subgroup of order coprime to p."""
-    best = Subgroup(ambient.parent, (0,), check=False)
-    for N in normal_subgroups(ambient):
-        if N.order % p != 0 and N.order > best.order:
-            best = N
-    return best
+    """O_{p'}: the largest normal subgroup of order coprime to p, as the
+    join of the normal closures <x^ambient> of the p'-elements x whose
+    closure is a p'-group, one per conjugacy class.
+
+    Why the join is O_{p'}.  Each such closure is a normal p'-subgroup,
+    so it lies in O_{p'}, and so does their join.  Conversely, every x of
+    O_{p'} is a p'-element whose closure lies in O_{p'}, a p'-group, so x
+    lies in one of the joined closures.  The walk over every normal
+    subgroup is ``o_p_prime_literal`` in ``tests/oracles.py``."""
+    G = ambient.parent
+    atoms = (G.generated_subgroup(cls) for cls in conjugacy_classes(ambient)
+             if G.element_order(cls[0]) % p)
+    return G.generated_subgroup(
+        [x for atom in atoms if atom.order % p for x in atom.members])
 
 
 def o_upper_p(ambient: Subgroup, p: int) -> Subgroup:
@@ -710,10 +738,13 @@ def quotient(ambient: Subgroup, N: Subgroup) -> QuotientGroup:
 
 
 def as_group(H: Subgroup, name: Optional[str] = None) -> tuple[FiniteGroup, Hom]:
-    """Materialize a subgroup as a standalone FiniteGroup plus the embedding."""
+    """Materialize a subgroup as a standalone FiniteGroup plus the embedding.
+    Row a of the table is the row of a in the parent's table, picked at
+    H's members and renumbered by H's positions."""
     G = H.parent
-    index_of = {g: i for i, g in enumerate(H.members)}
-    table = [[index_of[G.mul(a, b)] for b in H.members] for a in H.members]
+    index_of = H.positions.__getitem__
+    pick = picker(H.members)
+    table = [list(map(index_of, pick(G._mul[a]))) for a in H.members]
     grp = FiniteGroup(name or f"{G.name}|{H.order}", table)
     embed = Hom(grp.full_subgroup, H, H.members, check=False)
     return grp, embed
@@ -796,21 +827,14 @@ def subgroup_lattice(H: Subgroup) -> tuple[Subgroup, ...]:
     return out
 
 
-def normal_subgroups(ambient: Subgroup) -> tuple[Subgroup, ...]:
-    """All normal subgroups of ``ambient``, canonical order."""
-    G = ambient.parent
-    key = ("normals", ambient)
-    cached = G._cache.get(key)
-    if cached is not None:
-        return cached
-    # Atoms: normal closures of single elements; normal subgroups are joins.
-    # All members of a conjugacy class have one normal closure, so each
-    # class is computed once, as the orbit of its first member under
-    # gens(ambient), read off the rows of gens(ambient) in its table.
-    atoms: dict[tuple[int, ...], Subgroup] = {}
-    rows = [ambient.row(h) for h in ambient.generators]
+def conjugacy_classes(ambient: Subgroup) -> tuple[tuple[int, ...], ...]:
+    """The conjugacy classes of the non-identity elements of ``ambient``,
+    in order of their first member: each the orbit of that member under
+    gens(ambient), read off the rows of gens(ambient) in its table."""
+    rows = ambient.rows(ambient.generators)
     at = ambient.positions
     seen = {0}
+    out = []
     for g in ambient.members:
         if g in seen:
             continue
@@ -823,9 +847,23 @@ def normal_subgroups(ambient: Subgroup) -> tuple[Subgroup, ...]:
                 if y not in seen:
                     seen.add(y)
                     orbit.append(y)
-        mem = G.closure(orbit)
-        if mem not in atoms:
-            atoms[mem] = Subgroup(G, mem, check=False)
+        out.append(tuple(orbit))
+    return tuple(out)
+
+
+def normal_subgroups(ambient: Subgroup) -> tuple[Subgroup, ...]:
+    """All normal subgroups of ``ambient``, canonical order."""
+    G = ambient.parent
+    key = ("normals", ambient)
+    cached = G._cache.get(key)
+    if cached is not None:
+        return cached
+    # Atoms: normal closures of single elements, one per conjugacy class;
+    # normal subgroups are joins of atoms.
+    atoms: dict[tuple[int, ...], Subgroup] = {}
+    for cls in conjugacy_classes(ambient):
+        atom = G.generated_subgroup(cls)
+        atoms.setdefault(atom.members, atom)
     found: dict[tuple[int, ...], Subgroup] = {(0,): Subgroup(G, (0,), check=False)}
     frontier = list(found.values())
     atom_list = list(atoms.values())

@@ -8,10 +8,28 @@ iff phi.images is the restriction to Q of the key of such a psi, so one
 set of keys per (Q, P) answers for every phi from Q.  The per-phi
 extension search is ``normal_in_system_literal`` in ``tests/oracles.py``.
 
-A model is derived data of its system: ``model_of`` builds and verifies it
-once per content and keeps it in the system's registry slot, so every local
-system that recurs within an entry reuses it.  The Theorem A post-checks on
-R* and C_S(E) live in ``centralizers``."""
+A model is built on a normal centric subgroup Q that the caller proved
+(``model_on``): N_W(Q)/O_{p'}(N_W(Q)) for the witness W.  Any normal
+centric subgroup gives the same model up to isomorphism over S
+(Aschbacher, Kessar and Oliver, *Fusion Systems in Algebra and Topology*,
+2011, Part III, Section 5).  R* takes V = T C_S(T), which the witness
+of the local system N_{N_F(T)}(V) proves normal and centric
+(``constrained_local_system``), so no subgroup is tested for F-normality
+and no saturation report of the local system is made; ``model_of`` is the
+route on O_p(F), found by that scan, which the suite keeps as a check.
+Inside the model four steps have exact cheaper forms, each proved in its
+docstring: O_{p'} is the join of the p'-class closures
+(``groups.o_p_prime``), O_p(M) is the core of the verified Sylow image
+(``_verify_model``), the fusion is compared on the sigma-images of F's
+lattice, and ``normal_model`` searches only the normal subgroups above
+the normal closure of T^sigma whose p-part stays at most |T|.  The model
+on O_p(F) with the walks over every normal subgroup is
+``model_on_o_p_literal`` in ``tests/oracles.py``.
+
+A model is derived data of its system: it is built and verified once per
+content and normal centric subgroup and kept in the system's registry
+slot, so every local system that recurs within an entry reuses it.  The
+Theorem A post-checks on R* and C_S(E) live in ``centralizers``."""
 
 from __future__ import annotations
 
@@ -22,7 +40,7 @@ from .errors import (ModelNotFound, ModelNotUnique, NotConstrained,
                      VerificationFailed)
 from .fusion import FusionSystem, fusion_of_group, transport_isos
 from .groups import (FiniteGroup, Hom, Subgroup, as_group, centralizer,
-                     normal_subgroups, normalizer, o_p, o_p_prime, p_part,
+                     conjugacy_classes, core, normalizer, o_p_prime, p_part,
                      quotient)
 from .saturation import canonical_family, classify, is_saturated
 from .subsystems import is_normal, normalizer_subsystem
@@ -99,52 +117,123 @@ class Model:
 
 
 def _verify_model(F: FusionSystem, M: FiniteGroup, sigma: Hom) -> None:
+    """The alarms on a constructed model: sigma(S) is a Sylow p-subgroup
+    of M, M's fusion on it is F's pushed by sigma, and C_M(O_p(M)) <=
+    O_p(M).  The fusion is compared on the sigma-images of F's lattice,
+    which are the subgroups of sigma(S) since sigma is injective (|S| is
+    the p-part of |M|); a mismatch names the first one in the canonical
+    order of M.  O_p(M) is the core of the Sylow subgroup sigma(S)."""
     p = F.p
     Ssig = sigma.image
     if Ssig.order != p_part(M.order, p):
         raise VerificationFailed("model image is not a Sylow p-subgroup")
     FM = fusion_of_group(M, Ssig, p)
     moved = transport_isos(F, sigma)
-    for P in FM.subgroups():
-        if FM._keys_from(P) != moved[P.members]:
-            raise VerificationFailed(
-                f"model fusion differs from F at subgroup {list(P.members)}")
-    Q = o_p(M.full_subgroup, p)
+    bad = [mem for mem, keys in moved.items()
+           if FM._keys_from(Subgroup(M, mem, check=False)) != keys]
+    if bad:
+        P = min(bad, key=lambda mem: (-len(mem), mem))
+        raise VerificationFailed(
+            f"model fusion differs from F at subgroup {list(P)}")
+    Q = core(M.full_subgroup, Ssig)
     if not centralizer(M.full_subgroup, Q, Q).member_set <= Q.member_set:
         raise VerificationFailed("model is not p-constrained: C_M(O_p) leaves O_p")
 
 
 def model_of(F: FusionSystem) -> Model:
-    """Model for a constrained group-realized system: N_G(O_p(F))/O_{p'}.
-
-    The construction is verified exhaustively (Sylow image, fusion match,
-    C_M(O_p(M)) <= O_p(M)); a verification failure is an alarm, never a
-    silent return.  Built once per content: memoized in F's slot.
-    """
+    """The model of a constrained group-realized system on O_p(F): its
+    F-normal-subgroup scan decides constrainedness, then ``model_on``
+    builds the model.  The route ``verify`` keeps as a check of the
+    cheaper one ``r_star`` takes."""
     if not F.realized:
         raise NotConstrained("model construction needs a group-realized system")
-    return F.memo("model", lambda: _model(F))
-
-
-def _model(F: FusionSystem) -> Model:
     constrained, Q = is_constrained(F)
     if not constrained:
         raise NotConstrained("system has no normal centric subgroup")
-    H = normalizer(F.witness, Q, F.table_for(Q))
-    Hgrp, embed = as_group(H, name=f"N({F.name})")
-    back = {g: i for i, g in enumerate(H.members)}
+    return model_on(F, Q)
+
+
+def model_on(F: FusionSystem, Q: Subgroup) -> Model:
+    """Model for a group-realized system F = F_S(W) on a normal centric
+    subgroup Q the caller proved: N_W(Q)/O_{p'}(N_W(Q)), which is W
+    itself when W normalizes Q.
+
+    Any normal centric subgroup gives the same model up to isomorphism
+    over S (Aschbacher, Kessar and Oliver, *Fusion Systems in Algebra and
+    Topology*, 2011, Part III, Section 5); every construction is
+    verified exhaustively by ``_verify_model`` (Sylow image, fusion match,
+    C_M(O_p(M)) <= O_p(M)), and a failure is an alarm, never a silent
+    return.  Built once per content and Q: memoized in F's slot.
+    """
+    if not F.realized:
+        raise NotConstrained("model construction needs a group-realized system")
+    return F.memo(("model", Q.members), lambda: _model(F, Q))
+
+
+def _model(F: FusionSystem, Q: Subgroup) -> Model:
+    W = F.witness
+    H = W if Q.is_normal_in(W) else normalizer(W, Q, F.table_for(Q))
+    Hgrp, _ = as_group(H, name=f"N({F.name})")
+    back = H.positions
     K = o_p_prime(Hgrp.full_subgroup, F.p)
-    qt = quotient(Hgrp.full_subgroup, K)
-    M = qt.group
-    sigma = Hom(F.support, M.full_subgroup,
-                tuple(qt.projection(back[x]) for x in F.support.members),
-                check=False)
+    if K.is_trivial():      # H/1 is H: ``quotient`` would copy its table
+        M, images = Hgrp, [back[x] for x in F.support.members]
+    else:
+        qt = quotient(Hgrp.full_subgroup, K)
+        M = qt.group
+        images = [qt.projection(back[x]) for x in F.support.members]
+    sigma = Hom(F.support, M.full_subgroup, tuple(images), check=False)
     _verify_model(F, M, sigma)
     return Model(M, sigma)
 
 
+def _normal_overgroups(M: FiniteGroup, A: Subgroup, p: int) -> list[Subgroup]:
+    """The normal subgroups N of M with A <= N and |N|_p = |A|, A a
+    p-subgroup.
+
+    Such N contain the normal closure B of A, the join of the classes
+    that meet A, and are the joins of B with normal closures of classes
+    (atoms).  Each is reached from B by joining one atom at a time, every
+    step inside N, so with p-part at most |N|_p = |A|; a join whose p-part
+    exceeds |A| lies in no such N (|J| divides |N| for J <= N), and the
+    walk drops it.  So the walk meets exactly these N."""
+    G = M.full_subgroup
+    classes = conjugacy_classes(G)
+    aset = A.member_set
+    B = M.generated_subgroup(
+        [x for cls in classes if not aset.isdisjoint(cls) for x in cls])
+    if p_part(B.order, p) > A.order:
+        return []
+    atoms = {atom.members: atom for atom in map(M.generated_subgroup, classes)
+             if not atom.member_set <= B.member_set}
+    found = {B.members: B}
+    dropped: set[tuple[int, ...]] = set()
+    frontier = [B]
+    while frontier:
+        new = []
+        for sub in frontier:
+            for atom in atoms.values():
+                j = sub.join(atom)
+                if j.members in found or j.members in dropped:
+                    continue
+                if p_part(j.order, p) > A.order:
+                    dropped.add(j.members)
+                    continue
+                found[j.members] = j
+                new.append(j)
+        frontier = new
+    return [N for N in found.values() if p_part(N.order, p) == A.order]
+
+
 def normal_model(F: FusionSystem, model: Model, E: FusionSystem) -> Subgroup:
-    """The unique normal subgroup of the model which is a model for E."""
+    """The unique normal subgroup of the model which is a model for E.
+
+    A candidate N contains T^sigma, and its Sylow p-subgroup is N n
+    sigma(S) = T^sigma; so only the normal subgroups above T^sigma whose
+    order has p-part |T| are searched (``_normal_overgroups``), and those
+    are all such candidates, so the uniqueness alarm stays exact.  The
+    walk over every normal subgroup of the model is
+    ``normal_model_literal`` in ``tests/oracles.py``."""
     p = F.p
     sigma = model.sigma
     M = model.group
@@ -152,11 +241,7 @@ def normal_model(F: FusionSystem, model: Model, E: FusionSystem) -> Subgroup:
     Ssig = model.sylow_image
     target = transport_isos(E, sigma)
     hits = []
-    for N in normal_subgroups(M.full_subgroup):
-        if not Tsig.member_set <= N.member_set:
-            continue
-        if p_part(N.order, p) != Tsig.order:
-            continue
+    for N in _normal_overgroups(M, Tsig, p):
         if N.member_set & Ssig.member_set != Tsig.member_set:
             continue
         EN = FusionSystem(Tsig, p, witness=N)
@@ -171,12 +256,40 @@ def normal_model(F: FusionSystem, model: Model, E: FusionSystem) -> Subgroup:
     return hits[0]
 
 
-def script_G(F: FusionSystem, E: FusionSystem) -> tuple[FusionSystem, FusionSystem]:
-    """The constrained local system N_{N_F(T)}(T C_S(T)) and N_E(T) inside it.
+def _normal_centric_by_witness(D: FusionSystem, V: Subgroup) -> bool:
+    """Is V normal and centric in D, by D's witness?  D = F_S(W) is given
+    by W alone, V <= S, W normalizes V and C_S(V) <= V.  Then every
+    morphism c_w of D extends to c_w on PV, which maps V onto V, so V is
+    normal in D; its only D-conjugate is V, so V is centric."""
+    return (D.from_witness
+            and V.member_set <= D.support.member_set
+            and V.is_normal_in(D.witness)
+            and centralizer(D.support, V, D.table_for(V)).member_set
+            <= V.member_set)
+
+
+def constrained_local_system(F: FusionSystem, E: FusionSystem
+                             ) -> tuple[FusionSystem, FusionSystem, Subgroup]:
+    """The constrained local system N_{N_F(T)}(V), V = T C_S(T), N_E(T)
+    inside it, and a normal centric subgroup of the local system.
+
+    V itself is that subgroup when the local system is realized: its
+    witness N_{N_W(T)}(V) normalizes V, and C_S(V) <= C_S(T) <= V since
+    T <= V (``_normal_centric_by_witness`` checks both).  Then the model
+    is W'/O_{p'}(W') for that witness W', and W'/O_{p'}(W') is
+    p-constrained: C_{W'}(V) is normal in W', and its Sylow p-subgroup
+    C_S(V) = Z(V) is central in it, so by Burnside's transfer theorem
+    C_{W'}(V) = Z(V) x O_{p'}(C_{W'}(V)), whose p'-factor lies in
+    O_{p'}(W').  By coprime action C_{W'/K}(VK/K) = C_{W'}(V)K/K for K =
+    O_{p'}(W'): if gK centralizes VK/K, V^g is a Sylow p-subgroup of VK,
+    so V^g = V^k for some k in K, and g k^-1 normalizes V and centralizes
+    it modulo K, hence centralizes it, as V n K = 1.  So the centralizer
+    of VK/K is Z(V)K/K <= VK/K, and so is that of O_p(W'/K) >= VK/K.
+    Only when the local system has no witness is its O_p found by the
+    F-normal-subgroup scan (``is_constrained``).
 
     Always post-checked: the local system is constrained and N_E(T) is
-    normal in it (``VerificationFailed`` otherwise).  Its model comes from
-    ``model_of``, built once per content.
+    normal in it (``VerificationFailed`` otherwise).
     """
     T = E.support
     V = F.universe.generated_subgroup(
@@ -184,11 +297,20 @@ def script_G(F: FusionSystem, E: FusionSystem) -> tuple[FusionSystem, FusionSyst
     N1 = normalizer_subsystem(F, T)
     Gsys = normalizer_subsystem(N1, V)
     NET = normalizer_subsystem(E, T)
-    constrained, _ = is_constrained(Gsys)
-    if not constrained:
-        raise VerificationFailed("local system for R* is not constrained")
+    Q = V
+    if not _normal_centric_by_witness(Gsys, V):
+        constrained, Q = is_constrained(Gsys)
+        if not constrained:
+            raise VerificationFailed("local system for R* is not constrained")
     if not is_normal(Gsys, NET).normal:
         raise VerificationFailed("N_E(T) is not normal in the local system")
+    return Gsys, NET, Q
+
+
+def script_G(F: FusionSystem, E: FusionSystem) -> tuple[FusionSystem, FusionSystem]:
+    """The constrained local system N_{N_F(T)}(T C_S(T)) and N_E(T) inside
+    it, post-checked as in ``constrained_local_system``."""
+    Gsys, NET, _ = constrained_local_system(F, E)
     return Gsys, NET
 
 

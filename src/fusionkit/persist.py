@@ -35,7 +35,7 @@ from .fusion import (FusionSystem, Hom, close_morphisms, fusion_of_group,
                      subsystem_equal)
 from .groups import (FiniteGroup, Subgroup, group_from_columns, is_prime,
                      right_span_generators)
-from .saturation import aut_group
+from .saturation import aut_group, key_span
 
 FORMAT_VERSION = 2
 
@@ -126,7 +126,8 @@ def _record_certifies(
        codomains of ``F.isos_from(rep)``;
     3. the recorded classes cover every subgroup of S exactly once;
     4. each class's aut generators close under composition to
-       |Aut_F(rep)| maps.
+       |Aut_F(rep)| maps, counted by a closure on image keys
+       (``saturation.key_span``), with no table of Aut_F(rep).
 
     Then closure(record) = F.  By 1, every seed lies in F, which contains
     the inner maps of S and is closed under restriction and composition, so
@@ -158,8 +159,7 @@ def _record_certifies(
         covered |= cls
         if not all(F.contains_morphism(h) for h in auts):
             return False
-        mg = aut_group(F, rep)
-        span = mg.group.closure(mg.index_of(h) for h in auts)
+        span = key_span(rep, [h.images for h in auts])
         if len(span) != len(F.automorphisms(rep)):
             return False
     return len(covered) == len(F.subgroups())

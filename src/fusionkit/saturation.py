@@ -76,6 +76,44 @@ def only_identity(homs: Sequence[Hom], P: Subgroup) -> bool:
     return {h.images for h in homs} == {P.members}
 
 
+def key_span(P: Subgroup, gens: Sequence[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """The image keys of the maps of P generated by the maps with keys
+    ``gens``: the closure of the identity key under composition with each
+    generator, on keys (h then g has the key ``picker(positions of
+    h.images in P)(g.images)``, as in ``MorphismGroup``).  In a finite
+    group the monoid generated is the group generated, so for
+    automorphisms this is the subgroup they generate; no table is built."""
+    at = P.positions
+    span = {P.members}
+    queue = [P.members]
+    for key in queue:
+        then = picker([at[y] for y in key])
+        for g in gens:
+            new = then(g)
+            if new not in span:
+                span.add(new)
+                queue.append(new)
+    return span
+
+
+def key_generators(P: Subgroup, autos: Sequence[Hom]) -> Optional[list[Hom]]:
+    """The maps of ``autos``, in order, that lie outside the span of those
+    kept before them, when the image keys of ``autos`` are closed under
+    composition, so that those maps generate them (``key_span``); None
+    when they are not closed."""
+    keys = {h.images for h in autos}
+    gens: list[Hom] = []
+    span = {P.members}
+    for h in autos:
+        if h.images in span:
+            continue
+        gens.append(h)
+        span = key_span(P, [g.images for g in gens])
+        if not span <= keys:
+            return None
+    return gens if span == keys else None
+
+
 def o_upper_p_automorphisms(F: FusionSystem, P: Subgroup) -> tuple[Hom, ...]:
     """O^p(Aut_F(P)) as a set of morphisms; Aut_F(P) itself, with no
     table, when it is the identity alone."""

@@ -29,8 +29,8 @@ from .centralizers import (CentralizerData, a_circle, c_F_of, c_s_counterexample
                            c_s_of, centralized_set, coincide_check,
                            compute_centralizer_data, contained_in_centralizer,
                            family_join, focal_subgroup, h_group,
-                           hyperfocal_subgroup, r_star, r_star_counterexample,
-                           weakly_closed_analysis, z_of)
+                           hyperfocal_subgroup, normalizer_family, r_star,
+                           r_star_counterexample, weakly_closed_analysis, z_of)
 from .errors import FusionkitError
 from .fusion import (FusionSystem, Hom, close_morphisms, fusion_of_group,
                      inner_system, subsystem_contains)
@@ -246,8 +246,7 @@ def verify_easy_centralizer(F: FusionSystem, E: FusionSystem,
     if X_set is None:
         X_set = centralized_set(F, E)
     family = {X.members for X in X_set}
-    NET = normalizer_subsystem(E, T)
-    net_family = {X.members for X in centralized_set(F, NET)}
+    net_family = {X.members for X in normalizer_family(F, E)}
     for X in subgroup_lattice(CST):
         XT = F.universe.generated_subgroup(X.members + T.members)
         C_X = centralizer_subsystem(F, X)
@@ -342,11 +341,17 @@ def verify_weakly_closed_centralized(F: FusionSystem, E: FusionSystem,
 
 
 def verify_gn(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
-    """The R*-local system is constrained over S with N_E(T) normal in it."""
+    """The R*-local system is constrained over S with N_E(T) normal in it.
+    ``script_G`` proves it constrained from T C_S(T); the check also
+    decides it by the F-normal-subgroup scan for O_p (``is_constrained``),
+    the route of ``model_of``, which ``r_star`` does not take."""
     try:
         Gsys, NET = script_G(F, E)
+        constrained, _ = is_constrained(Gsys)
     except FusionkitError as exc:
         return {"kind": str(exc)}
+    if not constrained:
+        return {"kind": "local system for R* is not constrained"}
     if Gsys.support != F.support:
         return {"kind": "local system is not over S"}
     if not is_saturated(Gsys).ok:
@@ -359,7 +364,7 @@ def verify_cfcg0(F: FusionSystem, E: FusionSystem,
     """Aut_E(T) extends to TC_S(T) moving it only inside T and fixing any X
     whose centralizer contains N_E(T)."""
     T = E.support
-    targets = centralized_set(F, normalizer_subsystem(E, T))
+    targets = normalizer_family(F, E)
     alphas = tuple(auts) if auts is not None else E.automorphisms(T)
     search = bounded_extensions(F, T, T)
     found = [tuple(search(alpha)) for alpha in alphas]

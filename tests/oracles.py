@@ -30,7 +30,15 @@ predicates the package decides on counts and restriction keys: the
 classification (``classify_literal``), the saturation report through
 ``extend_morphism`` (``saturation_report_literal``), F-normality of a
 subgroup (``normal_in_system_literal``) and strong closure
-(``is_strongly_closed_literal``).  As in the package, a Hom is its
+(``is_strongly_closed_literal``).  The model of a constrained system
+built on O_p(F), found by the scan for F-normal subgroups
+(``model_on_o_p_literal``, with ``o_p_prime_literal``,
+``verify_model_literal`` and ``core_literal``), the normal model searched
+over every normal subgroup (``normal_model_literal``) and R* on that
+model (``r_star_on_o_p_literal``) are here, as are the loops over every
+automorphism of the stability and extension clauses of the normality
+report (``stability_literal``, ``extension_property_literal``) and the
+per-product table of ``as_group`` (``as_group_literal``).  As in the package, a Hom is its
 domain, codomain and image tuple: no oracle records which element
 realizes a map, and none compares such elements.  No package code path
 calls any of it."""
@@ -43,18 +51,21 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from fusionkit.centralizers import c_F_of, c_s_of, z_of
-from fusionkit.errors import (CapExceeded, DomainMismatch,
-                              MorphismOutsideSupport, NotAGroup,
-                              VerificationFailed)
+from fusionkit.errors import (CapExceeded, DomainMismatch, ModelNotFound,
+                              ModelNotUnique, MorphismOutsideSupport,
+                              NotAGroup, NotConstrained, VerificationFailed)
 from fusionkit.fusion import (FusionSystem, close_morphisms,
-                              subsystem_contains)
-from fusionkit.groups import (FiniteGroup, Hom, Subgroup, active_caps,
-                              as_group, centralizer, normalizer, o_p, p_part,
-                              subgroup_lattice)
+                              fusion_of_group, subsystem_contains,
+                              transport_isos)
+from fusionkit.groups import (FiniteGroup, Hom, Subgroup, Twist, active_caps,
+                              as_group, centralizer, normal_subgroups,
+                              normalizer, o_p, p_part, quotient,
+                              subgroup_lattice, sylow_subgroup)
+from fusionkit.models import Model, is_constrained, script_G
 from fusionkit.saturation import (SaturationReport, SubgroupClassification,
                                   aut_group, canonical_family, classify,
                                   is_saturated, o_upper_p_automorphisms)
-from fusionkit.subsystems import centralizer_subsystem
+from fusionkit.subsystems import bounded_extensions, centralizer_subsystem
 
 
 # -- groups ---------------------------------------------------------------------
@@ -892,6 +903,147 @@ def aut_generating_set_greedy(F: FusionSystem, P: Subgroup) -> list[Hom]:
                             new.append(c.images)
             frontier = new
     return chosen
+
+
+# -- models and the normality report ----------------------------------------------
+
+
+def as_group_literal(H: Subgroup) -> FiniteGroup:
+    """H as a standalone group, its table filled product by product."""
+    G = H.parent
+    index_of = {g: i for i, g in enumerate(H.members)}
+    return FiniteGroup(f"{G.name}|{H.order}",
+                       [[index_of[G.mul(a, b)] for b in H.members]
+                        for a in H.members])
+
+
+def core_literal(ambient: Subgroup, P: Subgroup) -> Subgroup:
+    """The largest subgroup of P normal in ``ambient``: the meet of P^g
+    over every g of ambient."""
+    G = ambient.parent
+    members = set(P.members)
+    for g in ambient.members:
+        members &= {G.conj(x, g) for x in P.members}
+    return Subgroup(G, tuple(sorted(members)), check=False)
+
+
+def o_p_prime_literal(ambient: Subgroup, p: int) -> Subgroup:
+    """O_{p'}: the largest member of order prime to p in the walk over
+    every normal subgroup."""
+    best = Subgroup(ambient.parent, (0,), check=False)
+    for N in normal_subgroups(ambient):
+        if N.order % p != 0 and N.order > best.order:
+            best = N
+    return best
+
+
+def verify_model_literal(F: FusionSystem, M: FiniteGroup, sigma: Hom) -> None:
+    """The model alarms with the fusion compared over the lattice of
+    sigma(S) in M and O_p(M) the meet of the conjugates of a Sylow
+    subgroup found by search."""
+    p = F.p
+    Ssig = sigma.image
+    if Ssig.order != p_part(M.order, p):
+        raise VerificationFailed("model image is not a Sylow p-subgroup")
+    FM = fusion_of_group(M, Ssig, p)
+    moved = transport_isos(F, sigma)
+    for P in FM.subgroups():
+        if FM._keys_from(P) != moved[P.members]:
+            raise VerificationFailed(
+                f"model fusion differs from F at subgroup {list(P.members)}")
+    Q = core_literal(M.full_subgroup, sylow_subgroup(M.full_subgroup, p))
+    if not centralizer_literal(M.full_subgroup, Q).member_set <= Q.member_set:
+        raise VerificationFailed("model is not p-constrained: C_M(O_p) leaves O_p")
+
+
+def model_on_o_p_literal(F: FusionSystem) -> Model:
+    """The model built on O_p(F), O_p(F) found by the scan for F-normal
+    subgroups: N_W(O_p(F))/O_{p'}, with O_{p'} from the walk over every
+    normal subgroup, verified by ``verify_model_literal``."""
+    if not F.realized:
+        raise NotConstrained("model construction needs a group-realized system")
+    constrained, Q = is_constrained(F)
+    if not constrained:
+        raise NotConstrained("system has no normal centric subgroup")
+    H = normalizer_literal(F.witness, Q)
+    Hgrp = as_group_literal(H)
+    K = o_p_prime_literal(Hgrp.full_subgroup, F.p)
+    qt = quotient(Hgrp.full_subgroup, K)
+    M = qt.group
+    back = {g: i for i, g in enumerate(H.members)}
+    sigma = Hom(F.support, M.full_subgroup,
+                tuple(qt.projection(back[x]) for x in F.support.members),
+                check=False)
+    verify_model_literal(F, M, sigma)
+    return Model(M, sigma)
+
+
+def normal_model_literal(F: FusionSystem, model: Model, E: FusionSystem) -> Subgroup:
+    """The normal subgroup of the model realizing E, searched over every
+    normal subgroup of the model."""
+    p = F.p
+    sigma = model.sigma
+    M = model.group
+    Tsig = sigma.subgroup_image(E.support)
+    Ssig = model.sylow_image
+    target = transport_isos(E, sigma)
+    hits = []
+    for N in normal_subgroups(M.full_subgroup):
+        if not Tsig.member_set <= N.member_set:
+            continue
+        if p_part(N.order, p) != Tsig.order:
+            continue
+        if N.member_set & Ssig.member_set != Tsig.member_set:
+            continue
+        EN = FusionSystem(Tsig, p, witness=N)
+        if all(EN._keys_from(Subgroup(M, mem, check=False)) == keys
+               for mem, keys in target.items()):
+            hits.append(N)
+    if not hits:
+        raise ModelNotFound("no normal subgroup of the model realizes the subsystem")
+    if len(hits) > 1:
+        raise ModelNotUnique(
+            f"{len(hits)} normal subgroups realize the subsystem")
+    return hits[0]
+
+
+def r_star_on_o_p_literal(F: FusionSystem, E: FusionSystem
+                          ) -> tuple[Subgroup, Model, Subgroup]:
+    """(R*, the model, the normal model of N_E(T)) with the local system's
+    model built on its O_p (``model_on_o_p_literal``)."""
+    Gsys, NET = script_G(F, E)
+    model = model_on_o_p_literal(Gsys)
+    N = normal_model_literal(Gsys, model, NET)
+    CSN = centralizer_literal(model.sylow_image, N)
+    members = tuple(x for x in F.support.members
+                    if model.sigma(x) in CSN.member_set)
+    return Subgroup(F.universe, members, check=False), model, N
+
+
+def stability_literal(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
+    """E^alpha <= E on every P, for every alpha in Aut_F(T) in turn."""
+    T = E.support
+    subs = E.subgroups()
+    by_members = {P.members: P for P in subs}
+    for alpha in F.automorphisms(T):
+        for P in subs:
+            twist = Twist(alpha, P)
+            keys = E._keys_from(by_members[twist.target])
+            for phi in E.isos_from(P):
+                if twist.images(phi.images) not in keys:
+                    return {"kind": "unstable", "alpha": list(alpha.images),
+                            "P": list(P.members), "phi": list(phi.images)}
+    return None
+
+
+def extension_property_literal(F: FusionSystem, E: FusionSystem,
+                               bound: Subgroup) -> Optional[dict]:
+    """An extension search for every alpha in Aut_E(T) in turn."""
+    search = bounded_extensions(F, E.support, bound)
+    for alpha in E.automorphisms(E.support):
+        if next(search(alpha), None) is None:
+            return {"alpha": list(alpha.images), "bound": list(bound.members)}
+    return None
 
 
 # -- direct products --------------------------------------------------------------

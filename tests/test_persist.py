@@ -24,6 +24,7 @@ from fusionkit.fusion import (FusionSystem, close_morphisms, fusion_of_group,
 from fusionkit.groups import (FiniteGroup, Hom, group_from_table,
                               right_span_generators, sylow_subgroup)
 from fusionkit.persist import load_system, save_system, system_payload
+from fusionkit.saturation import aut_group, key_span
 from oracles import (aut_generating_set_greedy, cayley_columns_literal,
                      close_morphisms_literal)
 from test_fusion import perm_groups
@@ -203,6 +204,25 @@ def test_aut_generators_match_greedy_span(name, p):
     for cls in F.classes():
         got = persist._aut_generating_set(F, cls[0])
         assert got == aut_generating_set_greedy(F, cls[0]), cls[0].members
+
+
+@pytest.mark.parametrize("name,p", SMALL, ids=[f"{n}@{p}" for n, p in SMALL])
+def test_key_span_counts_the_table_closure(name, p):
+    """Clause 4 of the certificate counts a span by a closure on image keys
+    (``saturation.key_span``); it is the closure on the table of
+    Aut_F(rep), for the recorded generators and for each set that drops
+    one of them."""
+    G = builtin_group(name)
+    F = fusion_of_group(G, sylow_subgroup(G.full_subgroup, p), p)
+    for cls in F.classes():
+        rep = cls[0]
+        gens = persist._aut_generating_set(F, rep)
+        mg = aut_group(F, rep)
+        for drop in range(-1, len(gens)):
+            kept = [h for i, h in enumerate(gens) if i != drop]
+            want = {mg.homs[i].images
+                    for i in mg.group.closure(mg.index_of(h) for h in kept)}
+            assert key_span(rep, [h.images for h in kept]) == want
 
 
 def decide(path, monkeypatch):

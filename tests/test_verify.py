@@ -146,10 +146,12 @@ class TestSuiteRuns:
         """A suite pass on s4@2 (4 normal pairs) computes E's centralized
         family once per pair for C_S(E), and EasyCentralizer, XInvariant,
         WeaklyClosedCentralized and FocProp read it from the pair's
-        centralizer data.  The other calls are N_E(T)'s family in
-        EasyCentralizer and CFCG0, the two of centralizer-oracle and Z(E)
-        (``c_s_of``) in the product reports: 24 calls, 40 when those four
-        checks recomputed E's family."""
+        centralizer data.  N_E(T)'s family is computed once per pair too
+        (``normalizer_family``), for the post-check on R*, and
+        EasyCentralizer and CFCG0 read it.  The other calls are the two of
+        centralizer-oracle and Z(E) (``c_s_of``) in the product reports:
+        20 calls, 24 when EasyCentralizer and CFCG0 each recomputed N_E(T)'s
+        family, 40 when four checks recomputed E's."""
         callers: Counter = Counter()
         real = centralizers.centralized_set
 
@@ -161,9 +163,8 @@ class TestSuiteRuns:
         monkeypatch.setattr(verify_mod, "centralized_set", counted)
         results = run_suite("s4@2", builtin_group("s4"), 2)
         assert all(r.passed for r in results)
-        assert callers == {"_centralizer_data": 4, "verify_easy_centralizer": 4,
-                           "verify_cfcg0": 4, "c_s_of": 4,
-                           "_centralizer_oracle": 8}
+        assert callers == {"_centralizer_data": 4, "_normalizer_family": 4,
+                           "c_s_of": 4, "_centralizer_oracle": 8}
 
     def test_determinism_two_runs_identical(self, s4):
         ids = ["saturation", "MainCSE.a", "FocProp", "Coincide",
