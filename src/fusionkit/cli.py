@@ -3,9 +3,10 @@
 Subcommands: build, centralizer, product, alperin, verify.  Exit codes:
 0 on success (verify: all checks pass), 1 on check failures or alarms
 (``VerificationFailed`` and its subclasses), 2 on usage/parse errors (every
-other ``FusionkitError``, a non-positive ``--group-cap`` or
-``--lattice-cap``, and a verify that selects no check or no entry).  The
-two cap flags set the process-wide ``groups.active_caps``.
+other ``FusionkitError``, an output file that cannot be written included,
+a non-positive ``--group-cap`` or ``--lattice-cap``, and a verify that
+selects no check or no entry).  The two cap flags set the process-wide
+``groups.active_caps``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .fusion import FusionSystem, Hom, fusion_of_group
 from .groups import (DEFAULT_GROUP_CAP, DEFAULT_LATTICE_CAP, FiniteGroup,
                      Subgroup, active_caps, is_prime, normal_subgroups,
                      sylow_subgroup)
-from .persist import load_system, save_system
+from .persist import load_system, save_system, write_file
 from .saturation import alperin_decompose
 from .subsystems import is_normal, normal_subsystem_in
 from .verify import CHECK_ORDER, run_suite, suite_report
@@ -136,7 +137,7 @@ def cmd_centralizer(args: argparse.Namespace) -> int:
         "normality": is_normal(F, cfe).to_json(),
     }
     if args.json:
-        Path(args.json).write_text(json.dumps(summary, indent=1) + "\n")
+        write_file(args.json, json.dumps(summary, indent=1) + "\n")
     print(f"T = S n N: order {E.support.order}")
     print(f"X family: {[list(X.members) for X in data.X_set]}")
     print(f"C_S(E) = {list(data.C_S_E.members)} (order {data.C_S_E.order})")
@@ -210,7 +211,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             all_pass = False
             print(f"    {r.check_id}: {r.counterexample}")
     if args.json:
-        Path(args.json).write_text(json.dumps(reports, indent=1) + "\n")
+        write_file(args.json, json.dumps(reports, indent=1) + "\n")
     return 0 if all_pass else 1
 
 

@@ -12,8 +12,10 @@ tests (``normalizer``, ``centralizer``, ``Subgroup.is_normal_in``,
 gens(H)^g <= H, and g centralizes H iff it commutes with gens(H).  These
 equivalences need H to be a subgroup, so callers pass subgroups, never
 unchecked point sets.  ``conjugacy_classes`` computes one orbit per
-class; ``normal_subgroups`` joins their normal closures, and ``o_p_prime``
-joins only the closures that are p'-groups.  ``o_p`` is the ``core`` of a
+class; ``normal_joins`` walks the joins of their normal closures from a
+normal subgroup, keeping those a predicate accepts (``normal_subgroups``
+keeps every join from 1), and ``o_p_prime`` joins only the closures that
+are p'-groups.  ``o_p`` is the ``core`` of a
 Sylow subgroup from the normalizer-step search, cut down on the rows of
 gens(ambient), with no canonical Sylow subgroup.  ``subgroup_lattice``
 takes a p-group and walks up from 1 by steps P -> P<x> of index p.  The
@@ -523,13 +525,12 @@ class Hom:
         return Hom(P, P, P.members, check=False)
 
     @staticmethod
-    def conjugation(P: Subgroup, g: int, codomain: Optional[Subgroup] = None) -> "Hom":
-        """c_g restricted to P: x -> g^-1 x g, corestricted unless a codomain
-        is given; the images are the row of g in P's table."""
+    def conjugation(P: Subgroup, g: int) -> "Hom":
+        """c_g restricted to P and corestricted to P^g: x -> g^-1 x g; the
+        images are the row of g in P's table."""
         imgs = P.row(g)
-        cod = codomain if codomain is not None else Subgroup(
-            P.parent, tuple(sorted(imgs)), check=False)
-        return Hom(P, cod, imgs, check=False)
+        return Hom(P, Subgroup(P.parent, tuple(sorted(imgs)), check=False),
+                   imgs, check=False)
 
     @staticmethod
     def from_generator_images(domain: Subgroup, codomain: Subgroup,
@@ -851,32 +852,44 @@ def conjugacy_classes(ambient: Subgroup) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def normal_joins(ambient: Subgroup, start: Subgroup,
+                 keep: Callable[[Subgroup], bool]) -> list[Subgroup]:
+    """The normal subgroups of ``ambient`` that the atom-join walk from
+    ``start``, a normal subgroup of it, reaches: ``start``, then,
+    breadth-first, each join of a reached subgroup with an atom, the
+    normal closure of one conjugacy class, that ``keep`` accepts.  A join
+    that ``keep`` refuses is not walked from.
+
+    Every normal subgroup above ``start`` is the join of ``start`` with
+    atoms, so with every join kept the walk meets all of them."""
+    G = ambient.parent
+    atoms = {a.members: a
+             for a in map(G.generated_subgroup, conjugacy_classes(ambient))}
+    found = {start.members: start}
+    frontier = [start]
+    while frontier:
+        new = []
+        for sub in frontier:
+            for atom in atoms.values():
+                j = sub.join(atom)
+                if j.members not in found and keep(j):
+                    found[j.members] = j
+                    new.append(j)
+        frontier = new
+    return list(found.values())
+
+
 def normal_subgroups(ambient: Subgroup) -> tuple[Subgroup, ...]:
-    """All normal subgroups of ``ambient``, canonical order."""
+    """All normal subgroups of ``ambient``, canonical order: the atom-join
+    walk from 1 with every join kept."""
     G = ambient.parent
     key = ("normals", ambient)
     cached = G._cache.get(key)
     if cached is not None:
         return cached
-    # Atoms: normal closures of single elements, one per conjugacy class;
-    # normal subgroups are joins of atoms.
-    atoms: dict[tuple[int, ...], Subgroup] = {}
-    for cls in conjugacy_classes(ambient):
-        atom = G.generated_subgroup(cls)
-        atoms.setdefault(atom.members, atom)
-    found: dict[tuple[int, ...], Subgroup] = {(0,): Subgroup(G, (0,), check=False)}
-    frontier = list(found.values())
-    atom_list = list(atoms.values())
-    while frontier:
-        new = []
-        for sub in frontier:
-            for atom in atom_list:
-                j = sub.join(atom)
-                if j.members not in found:
-                    found[j.members] = j
-                    new.append(j)
-        frontier = new
-    out = tuple(sorted(found.values(), key=Subgroup.sort_key))
+    trivial = Subgroup(G, (0,), check=False)
+    out = tuple(sorted(normal_joins(ambient, trivial, lambda _: True),
+                       key=Subgroup.sort_key))
     G._cache[key] = out
     return out
 

@@ -2,10 +2,12 @@
 quotient-by-odd-core model construction (construct then verify), unique
 normal-subgroup models, and the constrained local system used for R*.
 
-F-normality of a subgroup P (``normal_in_system``) runs on restriction
-keys: a morphism phi from Q extends to some psi from QP with psi(P) = P
-iff phi.images is the restriction to Q of the key of such a psi, so one
-set of keys per (Q, P) answers for every phi from Q.  The per-phi
+F-normality of a subgroup P (``normal_in_system``) tests P normal in S
+once, on F's conjugation table, and then runs on restriction keys: a
+morphism phi from Q extends to some psi from QP with psi(P) = P iff
+phi.images is the restriction to Q of the key of such a psi, so one set
+of keys per (Q, P) answers for every phi from Q.  The F-normal subgroups
+are memoized per system (``normal_subgroups_of_system``).  The per-phi
 extension search is ``normal_in_system_literal`` in ``tests/oracles.py``.
 
 A model is built on a normal centric subgroup Q that the caller proved
@@ -15,8 +17,10 @@ centric subgroup gives the same model up to isomorphism over S
 2011, Part III, Section 5).  R* takes V = T C_S(T), which the witness
 of the local system N_{N_F(T)}(V) proves normal and centric
 (``constrained_local_system``), so no subgroup is tested for F-normality
-and no saturation report of the local system is made; ``model_of`` is the
-route on O_p(F), found by that scan, which the suite keeps as a check.
+and no saturation report of the local system is made; a local system with
+no such witness raises NotConstrained.  ``model_of`` is the route on
+O_p(F), found by that scan, which the suite keeps as a check.  The model
+is N_W(Q)/O_{p'}(N_W(Q)), with N_W(Q) read off F's conjugation table.
 Inside the model four steps have exact cheaper forms, each proved in its
 docstring: O_{p'} is the join of the p'-class closures
 (``groups.o_p_prime``), O_p(M) is the core of the verified Sylow image
@@ -40,8 +44,8 @@ from .errors import (ModelNotFound, ModelNotUnique, NotConstrained,
                      VerificationFailed)
 from .fusion import FusionSystem, fusion_of_group, transport_isos
 from .groups import (FiniteGroup, Hom, Subgroup, as_group, centralizer,
-                     conjugacy_classes, core, normalizer, o_p_prime, p_part,
-                     quotient)
+                     conjugacy_classes, core, normal_joins, normalizer,
+                     o_p_prime, p_part, quotient)
 from .saturation import canonical_family, classify, is_saturated
 from .subsystems import is_normal, normalizer_subsystem
 
@@ -56,9 +60,10 @@ def normal_in_system(F: FusionSystem, P: Subgroup) -> bool:
 
     One set of restriction keys per (Q, P), from
     ``FusionSystem.restriction_keys``, decides every phi from Q; see the
-    module docstring.
+    module docstring.  P <= S is normal in S iff N_S(P) = S, read off F's
+    conjugation table (``F.table_for``).
     """
-    if not P.is_normal_in(F.support):
+    if normalizer(F.support, P, F.table_for(P)) != F.support:
         return False
     if is_saturated(F).ok:
         sources = [(R, F.automorphisms(R)) for R in canonical_family(F)]
@@ -75,9 +80,9 @@ def normal_in_system(F: FusionSystem, P: Subgroup) -> bool:
 
 
 def normal_subgroups_of_system(F: FusionSystem) -> tuple[Subgroup, ...]:
+    """The subgroups normal in F, in canonical order; memoized in F's slot."""
     return F.memo("F-normal-subgroups", lambda: tuple(
-        P for P in F.subgroups()
-        if P.is_normal_in(F.support) and normal_in_system(F, P)))
+        P for P in F.subgroups() if normal_in_system(F, P)))
 
 
 def o_p_system(F: FusionSystem) -> Subgroup:
@@ -155,8 +160,8 @@ def model_of(F: FusionSystem) -> Model:
 
 def model_on(F: FusionSystem, Q: Subgroup) -> Model:
     """Model for a group-realized system F = F_S(W) on a normal centric
-    subgroup Q the caller proved: N_W(Q)/O_{p'}(N_W(Q)), which is W
-    itself when W normalizes Q.
+    subgroup Q the caller proved: N_W(Q)/O_{p'}(N_W(Q)), with N_W(Q) read
+    off F's conjugation table.
 
     Any normal centric subgroup gives the same model up to isomorphism
     over S (Aschbacher, Kessar and Oliver, *Fusion Systems in Algebra and
@@ -172,7 +177,7 @@ def model_on(F: FusionSystem, Q: Subgroup) -> Model:
 
 def _model(F: FusionSystem, Q: Subgroup) -> Model:
     W = F.witness
-    H = W if Q.is_normal_in(W) else normalizer(W, Q, F.table_for(Q))
+    H = normalizer(W, Q, F.table_for(Q))
     Hgrp, _ = as_group(H, name=f"N({F.name})")
     back = H.positions
     K = o_p_prime(Hgrp.full_subgroup, F.p)
@@ -196,33 +201,16 @@ def _normal_overgroups(M: FiniteGroup, A: Subgroup, p: int) -> list[Subgroup]:
     (atoms).  Each is reached from B by joining one atom at a time, every
     step inside N, so with p-part at most |N|_p = |A|; a join whose p-part
     exceeds |A| lies in no such N (|J| divides |N| for J <= N), and the
-    walk drops it.  So the walk meets exactly these N."""
+    walk (``groups.normal_joins``) does not keep it.  So the walk meets
+    exactly these N."""
     G = M.full_subgroup
-    classes = conjugacy_classes(G)
     aset = A.member_set
-    B = M.generated_subgroup(
-        [x for cls in classes if not aset.isdisjoint(cls) for x in cls])
+    B = M.generated_subgroup([x for cls in conjugacy_classes(G)
+                              if not aset.isdisjoint(cls) for x in cls])
     if p_part(B.order, p) > A.order:
         return []
-    atoms = {atom.members: atom for atom in map(M.generated_subgroup, classes)
-             if not atom.member_set <= B.member_set}
-    found = {B.members: B}
-    dropped: set[tuple[int, ...]] = set()
-    frontier = [B]
-    while frontier:
-        new = []
-        for sub in frontier:
-            for atom in atoms.values():
-                j = sub.join(atom)
-                if j.members in found or j.members in dropped:
-                    continue
-                if p_part(j.order, p) > A.order:
-                    dropped.add(j.members)
-                    continue
-                found[j.members] = j
-                new.append(j)
-        frontier = new
-    return [N for N in found.values() if p_part(N.order, p) == A.order]
+    joins = normal_joins(G, B, lambda J: p_part(J.order, p) <= A.order)
+    return [N for N in joins if p_part(N.order, p) == A.order]
 
 
 def normal_model(F: FusionSystem, model: Model, E: FusionSystem) -> Subgroup:
@@ -271,9 +259,9 @@ def _normal_centric_by_witness(D: FusionSystem, V: Subgroup) -> bool:
 def constrained_local_system(F: FusionSystem, E: FusionSystem
                              ) -> tuple[FusionSystem, FusionSystem, Subgroup]:
     """The constrained local system N_{N_F(T)}(V), V = T C_S(T), N_E(T)
-    inside it, and a normal centric subgroup of the local system.
+    inside it, and V, a normal centric subgroup of the local system.
 
-    V itself is that subgroup when the local system is realized: its
+    V is normal and centric when the local system is realized: its
     witness N_{N_W(T)}(V) normalizes V, and C_S(V) <= C_S(T) <= V since
     T <= V (``_normal_centric_by_witness`` checks both).  Then the model
     is W'/O_{p'}(W') for that witness W', and W'/O_{p'}(W') is
@@ -285,11 +273,11 @@ def constrained_local_system(F: FusionSystem, E: FusionSystem
     so V^g = V^k for some k in K, and g k^-1 normalizes V and centralizes
     it modulo K, hence centralizes it, as V n K = 1.  So the centralizer
     of VK/K is Z(V)K/K <= VK/K, and so is that of O_p(W'/K) >= VK/K.
-    Only when the local system has no witness is its O_p found by the
-    F-normal-subgroup scan (``is_constrained``).
+    A local system with no witness that normalizes V raises
+    NotConstrained, as ``model_on`` does for a system with no witness.
 
-    Always post-checked: the local system is constrained and N_E(T) is
-    normal in it (``VerificationFailed`` otherwise).
+    Always post-checked: N_E(T) is normal in the local system
+    (``VerificationFailed`` otherwise).
     """
     T = E.support
     V = F.universe.generated_subgroup(
@@ -297,14 +285,12 @@ def constrained_local_system(F: FusionSystem, E: FusionSystem
     N1 = normalizer_subsystem(F, T)
     Gsys = normalizer_subsystem(N1, V)
     NET = normalizer_subsystem(E, T)
-    Q = V
     if not _normal_centric_by_witness(Gsys, V):
-        constrained, Q = is_constrained(Gsys)
-        if not constrained:
-            raise VerificationFailed("local system for R* is not constrained")
+        raise NotConstrained(
+            "local system for R* has no witness normalizing T C_S(T)")
     if not is_normal(Gsys, NET).normal:
         raise VerificationFailed("N_E(T) is not normal in the local system")
-    return Gsys, NET, Q
+    return Gsys, NET, V
 
 
 def script_G(F: FusionSystem, E: FusionSystem) -> tuple[FusionSystem, FusionSystem]:

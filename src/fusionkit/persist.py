@@ -5,9 +5,13 @@ generating set (format 2: ``order``, ``generator_indices`` and
 ``generator_columns``, with no n x n table), the support, the prime, and a
 generator record: one representative per conjugacy class of subgroups, a
 generating set of its automorphism group, and bridging isomorphisms (both
-directions) to every other class member.  A format-1 file, which stored the
-whole table, is refused as an unsupported format; rebuild it from its group
-file with ``fusionkit build``.
+directions) to every other class member.  The generators are the maps of
+Aut_F(rep), in canonical order, outside the span of those kept before them,
+picked by a closure on image keys (``saturation.key_generators``) with no
+table of Aut_F(rep); a set of automorphisms that is not closed under
+composition is NotAGroup.  A format-1 file, which stored the whole table,
+is refused as an unsupported format; rebuild it from its group file with
+``fusionkit build``.
 
 Files are compact JSON.  Every integer field (the order, generator indices
 and columns, the prime, the support, the witness, class members and record
@@ -30,21 +34,14 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import ParseError, VerificationFailed
+from .errors import FusionkitError, NotAGroup, ParseError, VerificationFailed
 from .fusion import (FusionSystem, Hom, close_morphisms, fusion_of_group,
                      subsystem_equal)
 from .groups import (FiniteGroup, Subgroup, group_from_columns, is_prime,
                      right_span_generators)
-from .saturation import aut_group, key_span
+from .saturation import key_generators, key_span
 
 FORMAT_VERSION = 2
-
-
-def _aut_generating_set(F: FusionSystem, P: Subgroup) -> list[Hom]:
-    """The generators Dimino's algorithm keeps on Aut_F(P) in canonical
-    order: each automorphism outside the span of those kept before it."""
-    mg = aut_group(F, P)
-    return [mg.homs[i] for i in mg.group.full_subgroup.generators]
 
 
 def system_payload(F: FusionSystem) -> dict:
@@ -54,9 +51,12 @@ def system_payload(F: FusionSystem) -> dict:
     classes = []
     for cls in F.classes():
         rep = cls[0]
+        auts = key_generators(rep, F.automorphisms(rep))
+        if auts is None:
+            raise NotAGroup("automorphism set is not closed under composition")
         entry = {
             "rep": list(rep.members),
-            "aut_generators": [list(h.images) for h in _aut_generating_set(F, rep)],
+            "aut_generators": [list(h.images) for h in auts],
             "bridges": [],
         }
         for member in cls[1:]:
@@ -85,11 +85,19 @@ def system_payload(F: FusionSystem) -> dict:
     }
 
 
+def write_file(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path``; a FusionkitError naming the path when it
+    cannot be written, as a failed read is a ParseError."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise FusionkitError(f"cannot write {path}: {exc}") from exc
+
+
 def save_system(F: FusionSystem, path: str | Path) -> None:
     """Write ``system_payload(F)`` as compact JSON.  Without ``indent`` the
     standard library encodes with its C encoder."""
-    Path(path).write_text(
-        json.dumps(system_payload(F), separators=(",", ":")) + "\n")
+    write_file(path, json.dumps(system_payload(F), separators=(",", ":")) + "\n")
 
 
 def _ints(values: list) -> list:

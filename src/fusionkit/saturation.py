@@ -100,7 +100,16 @@ def key_generators(P: Subgroup, autos: Sequence[Hom]) -> Optional[list[Hom]]:
     """The maps of ``autos``, in order, that lie outside the span of those
     kept before them, when the image keys of ``autos`` are closed under
     composition, so that those maps generate them (``key_span``); None
-    when they are not closed."""
+    when they are not closed.
+
+    A test that the identity passes, and whose passing maps are closed
+    under composition, gives the same outcome looped over these
+    generators as looped over ``autos``.  Let f be the first map of
+    ``autos``, in order, that fails (with a payload or an exception).  The
+    generators kept before f come before it, so they pass, and so does
+    every map they generate; so f is not generated by them and is itself
+    kept.  The loop over the generators therefore stops at the same f, or
+    at none when no map fails."""
     keys = {h.images for h in autos}
     gens: list[Hom] = []
     span = {P.members}

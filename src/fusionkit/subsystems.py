@@ -10,14 +10,15 @@ Proc. LMS 2008; Aschbacher-Kessar-Oliver, "Fusion Systems in Algebra and
 Topology", Prop. I.6.4).  The literal condition (f), ``_condition_f``,
 stays as the oracle that ``invariance_condition`` evaluates.
 
-Stability and the extension property hold for a set of automorphisms
-closed under composition as soon as they hold for a generating set of it
-(``saturation.key_generators``, a closure on image keys with no table),
-so the report tests generators first and runs the loop over every
-automorphism only when the set is not closed or a generator fails; the
-payload and any exception are then the loop's.  The loops are
-``stability_literal`` and ``extension_property_literal`` in
-``tests/oracles.py``."""
+Stability and the extension property are each one loop, with the literal
+body, over the generators of the automorphisms
+(``saturation.key_generators``, a closure on image keys with no table)
+when their keys are closed under composition, and over every automorphism
+otherwise.  The automorphisms that pass are closed under composition, so
+the first one that fails is a generator, and the loop stops there with the
+payload or exception of the loop over every automorphism (the proof is in
+``key_generators``).  Those loops are ``stability_literal`` and
+``extension_property_literal`` in ``tests/oracles.py``."""
 
 from __future__ import annotations
 
@@ -143,21 +144,17 @@ def _stability(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     on every P suffices: alpha permutes the subgroups of T and keeps the
     number of morphisms from each, so the counts force equality.
 
-    Generators decide it.  The alpha with E^alpha = E are closed under
-    composition, since E^(alpha beta) = (E^alpha)^beta, so when the keys
-    of Aut_F(T) are closed under composition and a generating set of it
-    (``saturation.key_generators``) maps every subgroup of T onto a
-    subgroup and E into E, every alpha does.  Otherwise the loop over
-    every alpha runs, with its payload or exception.
+    The alpha with E^alpha = E contain the identity and are closed under
+    composition, since E^(alpha beta) = (E^alpha)^beta, so the loop runs
+    over a generating set of Aut_F(T) when its keys are closed
+    (``saturation.key_generators``), and over every alpha otherwise.
     """
     T = E.support
     alphas = F.automorphisms(T)
     gens = key_generators(T, alphas)
-    if gens is not None and _stable_under(E, gens):
-        return None
     subs = E.subgroups()
     by_members = {P.members: P for P in subs}
-    for alpha in alphas:
+    for alpha in (alphas if gens is None else gens):
         for P in subs:
             twist = Twist(alpha, P)
             keys = E._keys_from(by_members[twist.target])
@@ -166,23 +163,6 @@ def _stability(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
                     return {"kind": "unstable", "alpha": list(alpha.images),
                             "P": list(P.members), "phi": list(phi.images)}
     return None
-
-
-def _stable_under(E: FusionSystem, alphas: Iterable[Hom]) -> bool:
-    """Does each alpha map every subgroup of T onto a subgroup of T, and
-    the maps of E from it into the maps of E from its image?"""
-    subs = E.subgroups()
-    by_members = {P.members: P for P in subs}
-    for alpha in alphas:
-        for P in subs:
-            twist = Twist(alpha, P)
-            target = by_members.get(twist.target)
-            if target is None:
-                return False
-            keys = E._keys_from(target)
-            if any(twist.images(phi.images) not in keys for phi in E.isos_from(P)):
-                return False
-    return True
 
 
 def _aut_sets_normal(F: FusionSystem, E: FusionSystem, P: Subgroup) -> bool:
@@ -369,23 +349,19 @@ def _extension_property(F: FusionSystem, E: FusionSystem,
                         bound: Subgroup) -> Optional[dict]:
     """Each alpha in Aut_E(T) extends to TC_S(T) with [C_S(T), ext] <= bound.
 
-    Generators decide it when F is the system of its witness.  The alpha
-    that extend so are then closed under composition: if ext1 and ext2
+    When F is the system of its witness, the alpha that extend so contain
+    the identity and are closed under composition: if ext1 and ext2
     extend alpha1 and alpha2, then ext1 ext2 lies in Aut_F(TC_S(T)) and
     extends alpha1 alpha2, and c^-1 (c)ext1 ext2 = [c, ext1] [(c)ext1,
     ext2] lies in the bound, since ext1 maps C_S(T), the centralizer of T
-    in TC_S(T), onto itself.  So when the keys of Aut_E(T) are closed
-    under composition and each member of a generating set of them
-    (``saturation.key_generators``) extends, every alpha does.  Otherwise
-    the loop over every alpha runs, with its payload or exception."""
+    in TC_S(T), onto itself.  So the loop then runs over a generating set
+    of Aut_E(T) when its keys are closed (``saturation.key_generators``),
+    and over every alpha otherwise."""
     T = E.support
     search = bounded_extensions(F, T, bound)
     alphas = E.automorphisms(T)
     gens = key_generators(T, alphas) if F.from_witness else None
-    if gens is not None and all(next(search(alpha), None) is not None
-                                for alpha in gens):
-        return None
-    for alpha in alphas:
+    for alpha in (alphas if gens is None else gens):
         if next(search(alpha), None) is None:
             return {"alpha": list(alpha.images), "bound": list(bound.members)}
     return None

@@ -38,7 +38,7 @@ from .groups import (FiniteGroup, Subgroup, Twist, centralizer,
                      derived_subgroup, normal_subgroups, subgroup_lattice,
                      sylow_subgroup)
 from .models import (Model, is_constrained, model_of, models_isomorphic_over_s,
-                     normal_in_system, normal_model, script_G)
+                     normal_model, normal_subgroups_of_system, script_G)
 from .products import (ProductReport, centralize_each_other,
                        verify_product_theorems)
 from .saturation import aut_group, classify, is_saturated, only_identity
@@ -531,13 +531,16 @@ def verify_model1a(ctx: EntryContext, E: FusionSystem) -> Optional[dict]:
 
 def verify_model1b(F_of_model: FusionSystem, model: Model) -> Optional[dict]:
     """Subgroups of S are normal in the system iff normal in the model;
-    normal centric subgroups are self-centralizing in the model."""
+    normal centric subgroups are self-centralizing in the model.  The
+    subgroups normal in the system are its memoized
+    ``normal_subgroups_of_system``."""
     M, sigma = model.group, model.sigma
     model_normals = {N.members for N in normal_subgroups(M.full_subgroup)}
+    system_normals = {P.members for P in normal_subgroups_of_system(F_of_model)}
     cls = classify(F_of_model)
     for P in F_of_model.subgroups():
         Pm = sigma.subgroup_image(P)
-        in_sys = normal_in_system(F_of_model, P)
+        in_sys = P.members in system_normals
         in_model = Pm.members in model_normals
         if in_sys != in_model:
             return {"P": _sub(P), "normal_in_system": in_sys,

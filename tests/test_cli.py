@@ -423,6 +423,24 @@ class TestCommands:
         code = main(["verify", str(missing)])
         assert code == 2
 
+    @pytest.mark.parametrize("command", [
+        lambda fsk, out: ["build", str(builtin_group_path("s4")), "-p", "2",
+                          "--out", out],
+        lambda fsk, out: ["centralizer", fsk, "--normal", "order:12",
+                          "--json", out],
+        lambda fsk, out: ["verify", fsk, "--checks", "saturation",
+                          "--json", out],
+    ], ids=["build-out", "centralizer-json", "verify-json"])
+    def test_unwritable_output_is_a_usage_error(self, command, s4_fsk,
+                                                tmp_path, capsys):
+        """An output path into a missing directory exits 2 with an error
+        line naming it, not a traceback."""
+        out = str(tmp_path / "nodir" / "x.out")
+        code = main(command(str(s4_fsk), out))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot write {out}:")
+
     def test_report_has_no_timings_by_default(self, s4_fsk, tmp_path):
         out = tmp_path / "r.json"
         main(["verify", str(s4_fsk), "--checks", "saturation",

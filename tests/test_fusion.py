@@ -58,7 +58,7 @@ class TestRealizedSystems:
     def test_inner_maps_present(self, F_s4, V4):
         keys = {h.images for h in F_s4.automorphisms(V4)}
         for s in F_s4.support.members:
-            h = Hom.conjugation(V4, s, codomain=V4)
+            h = Hom.conjugation(V4, s)
             assert h.images in keys
 
     def test_axioms_exhaustive(self, F_s4):
@@ -192,8 +192,7 @@ class TestConjugation:
         P = V4
         phi = Hom.conjugation(P, g)
         if set(phi.images) <= F_s4.support.member_set:
-            alpha = Hom.conjugation(
-                s4.full_subgroup, h, codomain=s4.full_subgroup)
+            alpha = Hom.conjugation(s4.full_subgroup, h)
             lhs = conjugate_morphism(phi, alpha)
             rhs = Hom.conjugation(P.conjugate(h), s4.conj(g, h))
             assert lhs.images == rhs.images
@@ -214,7 +213,7 @@ class TestConjugation:
 
     def test_conjugate_subsystem_by_inner_fixes_e(self, F_s4, E_a4, V4):
         for t in V4.members:
-            alpha = Hom.conjugation(V4, t, codomain=V4)
+            alpha = Hom.conjugation(V4, t)
             assert subsystem_equal(conjugate_subsystem(E_a4, alpha), E_a4)
 
     def test_normal_subsystem_invariant_under_all_twists(self, F_s4, E_a4, V4):

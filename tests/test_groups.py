@@ -185,10 +185,10 @@ class TestHoms:
     def test_composition_order_is_left_to_right(self, s4):
         S = sylow_subgroup(s4.full_subgroup, 2)
         g, h = 1, 2
-        a = Hom.conjugation(s4.full_subgroup, g, codomain=s4.full_subgroup)
-        b = Hom.conjugation(s4.full_subgroup, h, codomain=s4.full_subgroup)
+        a = Hom.conjugation(s4.full_subgroup, g)
+        b = Hom.conjugation(s4.full_subgroup, h)
         gh = s4.mul(g, h)
-        c = Hom.conjugation(s4.full_subgroup, gh, codomain=s4.full_subgroup)
+        c = Hom.conjugation(s4.full_subgroup, gh)
         assert a.then(b).images == c.images
 
     def test_from_generator_images_rejects_inconsistent(self, s4, V4):

@@ -5,17 +5,19 @@ from __future__ import annotations
 import pytest
 
 from fusionkit import models
+from fusionkit.centralizers import r_star
 from fusionkit.corpus import builtin_group
 from fusionkit.errors import ModelNotFound, NotConstrained
 from fusionkit.fusion import (fusion_of_group, generated_subsystem,
                               subsystem_equal)
 from fusionkit.groups import Hom, center, centralizer, o_p, sylow_subgroup
-from fusionkit.models import (Model, find_isomorphism_extending,
-                              is_constrained, model_of,
-                              models_isomorphic_over_s, normal_in_system,
-                              normal_model, o_p_system, script_G)
+from fusionkit.models import (Model, constrained_local_system,
+                              find_isomorphism_extending, is_constrained,
+                              model_of, models_isomorphic_over_s,
+                              normal_in_system, normal_model, o_p_system,
+                              script_G)
 from fusionkit.subsystems import normal_subsystem_in
-from fusionkit.verify import run_suite
+from fusionkit.verify import run_suite, with_replaced_isos
 
 
 class TestNormalInSystem:
@@ -161,6 +163,17 @@ class TestScriptG:
         assert m.group.order == 12  # N_{A5}(V4) = A4, trivial odd part of... A4
         N = normal_model(Gsys, m, NET)
         assert centralizer(m.sylow_image, N, N).order == 1
+
+    @pytest.mark.parametrize("route", [constrained_local_system, script_G,
+                                       r_star])
+    def test_system_with_no_witness(self, route, F_s4, E_a4):
+        """F_S4's fusion given by its iso-sets alone: the local system has
+        no witness to prove T C_S(T) normal and centric."""
+        S = F_s4.support
+        F = with_replaced_isos(F_s4, S, F_s4.isos_from(S))
+        assert not F.realized
+        with pytest.raises(NotConstrained):
+            route(F, E_a4)
 
 
 class TestIsomorphismSearch:

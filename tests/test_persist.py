@@ -6,6 +6,7 @@ report on stored generator columns and the refusal of format 1."""
 from __future__ import annotations
 
 import copy
+import hashlib
 import itertools
 import json
 import tempfile
@@ -24,7 +25,8 @@ from fusionkit.fusion import (FusionSystem, close_morphisms, fusion_of_group,
 from fusionkit.groups import (FiniteGroup, Hom, group_from_table,
                               right_span_generators, sylow_subgroup)
 from fusionkit.persist import load_system, save_system, system_payload
-from fusionkit.saturation import aut_group, key_span
+from fusionkit.saturation import aut_group, key_generators, key_span
+from fusionkit.verify import with_removed_iso
 from oracles import (aut_generating_set_greedy, cayley_columns_literal,
                      close_morphisms_literal)
 from test_fusion import perm_groups
@@ -197,12 +199,13 @@ def test_corpus_records_load_without_closure(name, p, tmp_path, monkeypatch):
 @pytest.mark.parametrize("name,p", CORPUS_ENTRIES,
                          ids=[f"{n}@{p}" for n, p in CORPUS_ENTRIES])
 def test_aut_generators_match_greedy_span(name, p):
-    """The generators Dimino keeps on Aut_F(rep) are the greedy span's
-    choice, class by class, so records keep their bytes."""
+    """The generators a record keeps on Aut_F(rep) (``key_generators``)
+    are the greedy span's choice, class by class, so records keep their
+    bytes."""
     G = builtin_group(name)
     F = fusion_of_group(G, sylow_subgroup(G.full_subgroup, p), p)
     for cls in F.classes():
-        got = persist._aut_generating_set(F, cls[0])
+        got = key_generators(cls[0], F.automorphisms(cls[0]))
         assert got == aut_generating_set_greedy(F, cls[0]), cls[0].members
 
 
@@ -216,13 +219,63 @@ def test_key_span_counts_the_table_closure(name, p):
     F = fusion_of_group(G, sylow_subgroup(G.full_subgroup, p), p)
     for cls in F.classes():
         rep = cls[0]
-        gens = persist._aut_generating_set(F, rep)
+        gens = key_generators(rep, F.automorphisms(rep))
         mg = aut_group(F, rep)
         for drop in range(-1, len(gens)):
             kept = [h for i, h in enumerate(gens) if i != drop]
             want = {mg.homs[i].images
                     for i in mg.group.closure(mg.index_of(h) for h in kept)}
             assert key_span(rep, [h.images for h in kept]) == want
+
+
+def test_unclosed_automorphisms_do_not_save(F_s4):
+    """A realized mutant whose Aut_F(rep) is not closed under composition
+    has no generating set to record: saving it is NotAGroup."""
+    P = next(P for P in F_s4.subgroups() if len(F_s4.automorphisms(P)) == 6)
+    index = next(i for i, h in enumerate(F_s4.isos_from(P))
+                 if h.images != P.members)
+    F = with_removed_iso(F_s4, P, index, keep_witness=True)
+    assert F.realized
+    with pytest.raises(NotAGroup):
+        system_payload(F)
+
+
+# sha256 of the file ``fusionkit build`` writes for each corpus entry
+BUILD_SHA256 = {
+    "c2@2": "3bcd4e8de8bac80b54e97e452162fcb7496f2a34636c3eeb036228033eb849ee",
+    "c4@2": "bc298c043c9553344645852da034fa0b1124a97c2b96df042219ccc4100c0d76",
+    "c2xc2@2": "616ab66b6a02bc5184dfe6decbd6e1ec10a2f4b7bfabd5ab7671adb36b0b47a6",
+    "c2xc4@2": "7368b6c9bb88abc2baeb7ccd8a2b2a8bff53bb09b2a80dea48d0f47d78205cb3",
+    "d8@2": "908f2075dcf7618d69214b48fdfe6674955e91deb2606e65099a83bef7c9b923",
+    "q8@2": "1fa578a190b8f8de8e93b5bf9ffc3b94be21fc66e6b5a115b0fe8639987514fb",
+    "q8c4@2": "4dd5126dc9c208654fbb8e97f1fe0f5796be91f414633fe4480aaf1630c7dce4",
+    "a4@2": "1ab2a0be51d5768cf91059de610dcafda8f44e09db949c206dc2277b1a1e9dd2",
+    "c3xc3@3": "bb4b5ce58c4ab304d08cef396c8443c0bfb3125c4bd86cc730d4ce3a6716dc99",
+    "c9@3": "39b39acfaf0df60dbea3f93993b2d3eb6d7e504c55f12537327e2d16c96642da",
+    "a4@3": "e252c0aecf0a10b10d82aca549c93c60324f77a746a7717abe933ac41900df68",
+    "c3c4@3": "83bce59885505ca64858bb6500e36ec77f974f127f84b6bd126c93591c7e48a6",
+    "sl23@2": "df06191a543515907c97a1d7479371238c2afb5381ef54746c25e942850dcdb3",
+    "sl23@3": "2f98fb320442aa79e38772ab0b1cdc9682c28569582ef3a36da644ea0f9f6e3e",
+    "s4@2": "c7ab6921358ee47e84506e0bd1be22cbe7988f1b50378a43745f3cfe8888bd1a",
+    "d8xc2@2": "4ab2d9f78c075fdbe00985682c5c6ca9dce8b0639013ae8e04ba397e36e70aec",
+    "s3xs3@3": "edb0922fcb13c4a110c890f6be2765f16461d7f1c1bf5a073325052c78a77a37",
+    "gl23@2": "53daab8f43b82958cbb671ff212b3c6b0f44b1d0d03b44185ff098e8bb977504",
+    "s4xc2@2": "2a4cf73f9df243f1a92ce3c80dcd7ecb86f4113ae4d9d229092941e9cfacbf44",
+    "a5@2": "82598ca6d254ae31396e18580495ef364c3e7f35e8ba2c384900dee6bd4bc70d",
+    "a4xa4@2": "d403541d237a0d947c71a3939ab729935d93579b93760d1a55ce58ab99477464",
+    "a6@2": "f3e031ecad4149e504da4a5db3644346e1c4d9bae93ba6032ee8c5aa87be770f",
+}
+
+
+@pytest.mark.parametrize("name,p", CORPUS_ENTRIES,
+                         ids=[f"{n}@{p}" for n, p in CORPUS_ENTRIES])
+def test_build_bytes_are_pinned(name, p, tmp_path, capsys):
+    """``fusionkit build`` writes the recorded bytes for every entry."""
+    path = tmp_path / "x.fsk"
+    assert main(["build", str(builtin_group_path(name)), "-p", str(p),
+                 "--out", str(path)]) == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == BUILD_SHA256[f"{name}@{p}"]
 
 
 def decide(path, monkeypatch):

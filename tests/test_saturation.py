@@ -109,7 +109,7 @@ def extension_group_by_composition(F, phi):
     inv = phi.inverse()
     return Subgroup(F.universe, tuple(
         g for g in normalizer(F.support, P, P).members
-        if inv.then(Hom.conjugation(P, g, codomain=P)).then(phi).images
+        if inv.then(Hom.conjugation(P, g)).then(phi).images
         in aut_s), check=False)
 
 
