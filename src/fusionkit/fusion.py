@@ -73,7 +73,11 @@ class FusionSystem:
     top's ``_registry``, whatever seeds produced their tables; each copy
     keeps its own ``name``.  The registry lives on the top, not on the
     universe, so it is freed with the top system, and a mutated top, being
-    a new top, starts an empty one.
+    a new top, starts an empty one.  The subgroups its morphisms name go
+    the same way: the universe interns them weakly, so a subgroup, with
+    its conjugation table, lattice and covers, is freed with the last
+    system or caller that holds it, and the universe keeps only memos by
+    member tuple (``groups.FiniteGroup``).
 
     A result that depends on two systems is memoized in one system's slot
     under the other's content key (see ``pair_key`` and ``memo``).

@@ -36,11 +36,15 @@ the table of the subgroup it moves; a fusion system reads the table of
 its top support S (``fusion.FusionSystem.base``), so every witness scan
 costs |S| entries per conjugator.
 
-There is one ``Subgroup`` per (group, member tuple): the constructor
-returns the object its group holds for those members, so the member set,
-generators, positions and conjugation table of a subgroup are computed
-once, and equal subgroups are the same object.  The objects live and die
-with their group.
+There is at most one live ``Subgroup`` per (group, member tuple): the
+constructor returns the object its group interns for those members, so
+equal subgroups are the same object, and a subgroup's member set,
+positions and conjugation table are computed once while it lives.  The
+group interns weakly: a subgroup dies when no caller, fusion system or
+lattice holds it, and takes its table, lattice, covers and normal
+subgroups with it.  What the group keeps is keyed by member tuples, not
+by subgroups: the closure of each seed set and the generators of each
+member tuple, so a subgroup made again costs no Dimino run.
 
 Every table from outside, whether permutations, a full table or the
 generator columns of an ``.fsk`` file, is built or checked by one kernel,
@@ -50,6 +54,7 @@ whose consistency checks are Light's associativity test.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
@@ -108,10 +113,17 @@ class FiniteGroup:
     ``group_from_columns``, which prove their table a group with
     ``cayley_columns`` and record the generating set it walked in
     ``generator_indices``; a permutation group also keeps each element's
-    permutation in ``perm_images``."""
+    permutation in ``perm_images``.
 
-    __slots__ = ("name", "order", "_mul", "_inv", "_orders", "_cache",
-                 "_subgroups", "_closures", "perm_images", "generator_indices")
+    The group interns its subgroups weakly: ``_subgroups`` maps a member
+    tuple to a weak reference to its live ``Subgroup``.  It memoizes by
+    member tuple only: ``_closures`` maps a seed set to the members of the
+    subgroup it generates, and ``_generators`` a member tuple to the
+    generators Dimino's algorithm keeps over it.  Everything else derived
+    from a subgroup lives on the ``Subgroup`` and dies with it."""
+
+    __slots__ = ("name", "order", "_mul", "_inv", "_orders", "_subgroups",
+                 "_closures", "_generators", "perm_images", "generator_indices")
 
     def __init__(self, name: str, mul_table: Sequence[Sequence[int]]) -> None:
         n = len(mul_table)
@@ -129,9 +141,9 @@ class FiniteGroup:
         self._orders = tuple(orders)
         self.perm_images: Optional[tuple[tuple[int, ...], ...]] = None
         self.generator_indices: Optional[tuple[int, ...]] = None
-        self._cache: dict = {}
-        self._subgroups: dict[tuple[int, ...], Subgroup] = {}
-        self._closures: dict[frozenset[int], Subgroup] = {}
+        self._subgroups: dict[tuple[int, ...], weakref.ref] = {}
+        self._closures: dict[frozenset[int], tuple[int, ...]] = {}
+        self._generators: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     # -- basic arithmetic ---------------------------------------------------
 
@@ -224,42 +236,49 @@ class FiniteGroup:
                     member.update(coset)
 
     def generated_subgroup(self, seed: Iterable[int]) -> "Subgroup":
-        """<seed>, memoized by the seed set."""
+        """<seed>; its member tuple is memoized by the seed set."""
         key = frozenset(seed)
-        sub = self._closures.get(key)
-        if sub is None:
-            sub = self._closures[key] = Subgroup(
-                self, tuple(sorted(self._dimino(key)[0])), check=False)
-        return sub
+        members = self._closures.get(key)
+        if members is None:
+            members = self._closures[key] = tuple(sorted(self._dimino(key)[0]))
+        return Subgroup(self, members, check=False)
 
 
 class Subgroup:
     """Canonical subgroup of a FiniteGroup: a sorted member index tuple.
 
-    ``Subgroup(parent, members, check)`` returns the one object ``parent``
-    holds for ``members``, made on first request, so equal subgroups are
-    the same object and compare and hash by identity.  With ``check`` the
-    members are validated as a subgroup (identity, inverses, products) on
-    every call; ``NotAGroup`` otherwise, and nothing is kept.  The member
-    set, generators and positions are slots filled on first use, and
-    ``row`` fills the conjugation table."""
+    ``Subgroup(parent, members, check)`` returns the live object ``parent``
+    interns for ``members``, or makes and interns one, so equal live
+    subgroups are the same object and compare and hash by identity.  With
+    ``check`` the members are validated as a subgroup (identity, inverses,
+    products) on every call; ``NotAGroup`` otherwise, and nothing is kept.
+    The member set, generators and positions are slots filled on first
+    use, ``row`` fills the conjugation table and ``derived`` holds the
+    lattice, covers and normal subgroups.  All of it lives on the object,
+    so it is freed when the last holder drops the subgroup; the group's
+    intern table holds only a weak reference, which removes its own entry
+    then (``_forget``)."""
 
     __slots__ = ("parent", "members", "_member_set", "_generators",
-                 "_positions", "_rows")
+                 "_positions", "_rows", "_derived", "__weakref__")
 
     def __new__(cls, parent: FiniteGroup, members: tuple[int, ...],
                 check: bool = True) -> "Subgroup":
         if check:
             _check_subgroup(parent, members)
-        sub = parent._subgroups.get(members)
+        table = parent._subgroups
+        ref = table.get(members)
+        sub = ref() if ref is not None else None
         if sub is None:
-            sub = parent._subgroups[members] = object.__new__(cls)
+            sub = object.__new__(cls)
             sub.parent = parent
             sub.members = members
             sub._member_set = None
             sub._generators = None
             sub._positions = None
             sub._rows = None
+            sub._derived = None
+            table[members] = weakref.ref(sub, _forget(table, members))
         return sub
 
     def __len__(self) -> int:
@@ -285,7 +304,11 @@ class Subgroup:
         sorted ``members``: a function of ``members`` alone."""
         gens = self._generators
         if gens is None:
-            gens = self._generators = tuple(self.parent._dimino(self.members)[1])
+            memo = self.parent._generators
+            gens = memo.get(self.members)
+            if gens is None:
+                gens = memo[self.members] = tuple(self.parent._dimino(self.members)[1])
+            self._generators = gens
         return gens
 
     @property
@@ -295,6 +318,18 @@ class Subgroup:
         if at is None:
             at = self._positions = {x: i for i, x in enumerate(self.members)}
         return at
+
+    @property
+    def derived(self) -> dict:
+        """Data derived from this subgroup and kept on it: its lattice and
+        covers, keyed with the lattice cap, and its normal subgroups.  A
+        lattice or a list of normal subgroups holds this subgroup itself,
+        so the subgroup is then in a reference cycle, which the cyclic
+        garbage collector frees."""
+        got = self._derived
+        if got is None:
+            got = self._derived = {}
+        return got
 
     def __le__(self, other: "Subgroup") -> bool:
         return self.member_set <= other.member_set
@@ -375,6 +410,16 @@ class Subgroup:
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, members={list(self.members)})"
+
+
+def _forget(table: dict, members: tuple[int, ...]) -> Callable[[weakref.ref], None]:
+    """The callback of the weak reference interning a subgroup: it deletes
+    the entry for ``members`` only while the entry still holds that dead
+    reference, not one interning a newer subgroup of the same members."""
+    def forget(ref: weakref.ref) -> None:
+        if table.get(members) is ref:
+            del table[members]
+    return forget
 
 
 def _check_subgroup(parent: FiniteGroup, members: tuple[int, ...]) -> None:
@@ -624,24 +669,34 @@ def sylow_subgroup(ambient: Subgroup, p: int) -> Subgroup:
 
 
 def _sylow_search(ambient: Subgroup, p: int) -> Subgroup:
-    """Some Sylow p-subgroup of ``ambient``, grown from 1 by p-elements of
-    the normalizer of the p-subgroup found so far."""
+    """Some Sylow p-subgroup of ``ambient``, grown from 1 by steps P ->
+    P<g_p>: g is the first member of ambient, in member order, outside P
+    whose p-part g_p lies outside P and which normalizes P.
+
+    The conditions are tested cheapest first, so g's row in P's table is
+    read only for the g that pass the others, and N_ambient(P) is never
+    formed; the first g found is the first member of N_ambient(P) that
+    passes, which is what filtering the normalizer gives (the eager form
+    is ``sylow_search_literal`` in ``tests/oracles.py``).  g normalizes P
+    iff its whole row lies in P: ``row`` builds the row in full anyway,
+    and gens(P) would cost a Dimino run for each P of the walk.  Each
+    step grows P to a larger p-group: g_p is a power of g, so it
+    normalizes P too, and P<g_p>/P is cyclic of p-power order.  While P
+    is not a Sylow subgroup, p divides |N_ambient(P) : P| (Sylow's
+    theorem), so a p-element of the normalizer outside P exists and the
+    walk finds one."""
     G = ambient.parent
     target = p_part(ambient.order, p)
     P = Subgroup(G, (0,), check=False)
     while P.order < target:
-        N = normalizer(ambient, P, P)
-        for g in N.members:
-            if g in P or G.element_order(g) % p != 0:
-                continue
-            # Use the p-power part of g so the closure stays a p-group.
+        mem = P.member_set
+        for g in ambient.members:
             k = G.element_order(g)
-            gp = G.power(g, k // p_part(k, p))
-            if gp in P:
+            if g in mem or k % p:
                 continue
-            Q = G.generated_subgroup(P.members + (gp,))
-            if Q.order == p_part(Q.order, p) and Q.order > P.order:
-                P = Q
+            gp = G.power(g, k // p_part(k, p))
+            if gp not in mem and mem.issuperset(P.row(g)):
+                P = G.generated_subgroup(P.members + (gp,))
                 break
         else:
             raise NotAGroup("Sylow search stalled; ambient is not a group?")
@@ -695,9 +750,26 @@ def o_upper_p(ambient: Subgroup, p: int) -> Subgroup:
 
 
 def derived_subgroup(ambient: Subgroup) -> Subgroup:
+    """G' = [G, G] for G = ``ambient``, as the normal closure N of the
+    commutators [a, b] of the generators a, b of G: the subgroup generated
+    by their conjugacy classes, each the orbit under conjugation by
+    gens(G).
+
+    Why N = G'.  N is generated by conjugates of commutators, so N <= G'.
+    G/N is generated by the images of gens(G), which commute pairwise
+    because every [a, b] lies in N; so G/N is abelian, and G' <= N.  The
+    all-pairs form is ``derived_subgroup_literal`` in ``tests/oracles.py``."""
     G = ambient.parent
-    comms = {G.commutator(x, y) for x in ambient.members for y in ambient.members}
-    return G.generated_subgroup(comms)
+    gens = ambient.generators
+    seen = {G.commutator(a, b) for a in gens for b in gens}
+    orbit = list(seen)
+    for x in orbit:                     # orbit grows
+        for g in gens:
+            y = G.conj(x, g)
+            if y not in seen:
+                seen.add(y)
+                orbit.append(y)
+    return G.generated_subgroup(seen)
 
 
 @dataclass(frozen=True)
@@ -776,12 +848,14 @@ def subgroup_lattice(H: Subgroup) -> tuple[Subgroup, ...]:
     closure-join form is ``subgroup_lattice_literal`` in
     ``tests/oracles.py``.
 
-    This order is the iteration order used by every other module.
+    This order is the iteration order used by every other module.  The
+    lattice is kept on H (``Subgroup.derived``) under the cap it was walked
+    with, so a smaller cap walks again and raises.
     """
     cap = active_caps.lattice
     G = H.parent
-    key = ("lattice", H, cap)
-    cached = G._cache.get(key)
+    key = ("lattice", cap)
+    cached = H.derived.get(key)
     if cached is not None:
         return cached
     n = H.order
@@ -823,8 +897,7 @@ def subgroup_lattice(H: Subgroup) -> tuple[Subgroup, ...]:
                         raise CapExceeded(
                             f"subgroup lattice exceeds cap {cap}")
         frontier = new
-    out = tuple(sorted(seen.values(), key=Subgroup.sort_key))
-    G._cache[key] = out
+    out = H.derived[key] = tuple(sorted(seen.values(), key=Subgroup.sort_key))
     return out
 
 
@@ -882,15 +955,12 @@ def normal_joins(ambient: Subgroup, start: Subgroup,
 def normal_subgroups(ambient: Subgroup) -> tuple[Subgroup, ...]:
     """All normal subgroups of ``ambient``, canonical order: the atom-join
     walk from 1 with every join kept."""
-    G = ambient.parent
-    key = ("normals", ambient)
-    cached = G._cache.get(key)
+    cached = ambient.derived.get("normals")
     if cached is not None:
         return cached
-    trivial = Subgroup(G, (0,), check=False)
-    out = tuple(sorted(normal_joins(ambient, trivial, lambda _: True),
-                       key=Subgroup.sort_key))
-    G._cache[key] = out
+    trivial = Subgroup(ambient.parent, (0,), check=False)
+    out = ambient.derived["normals"] = tuple(sorted(
+        normal_joins(ambient, trivial, lambda _: True), key=Subgroup.sort_key))
     return out
 
 
@@ -914,17 +984,15 @@ def lattice_covers(H: Subgroup) -> tuple[tuple[tuple[int, Callable], ...], ...]:
     """The covering relation of ``subgroup_lattice(H)``, by lattice position:
     entry i holds a pair (j, restrict) for each maximal subgroup M =
     lattice[j] of P = lattice[i], in lattice order, where ``restrict`` is
-    the ``picker`` of the positions of M.members in P.members.  Cached per
-    lattice.
+    the ``picker`` of the positions of M.members in P.members.  Kept on H
+    beside the lattice, under the same cap.
 
     One pass from the smallest member up keeps, per member, the bit mask of
     the members strictly below it (K <= P iff gens(K) <= P); M is maximal
     in P iff it is strictly below P and strictly below no member strictly
     below P."""
-    cap = active_caps.lattice
-    G = H.parent
-    key = ("covers", H, cap)
-    cached = G._cache.get(key)
+    key = ("covers", active_caps.lattice)
+    cached = H.derived.get(key)
     if cached is not None:
         return cached
     subs = subgroup_lattice(H)
@@ -947,8 +1015,7 @@ def lattice_covers(H: Subgroup) -> tuple[tuple[tuple[int, Callable], ...], ...]:
         at = P.positions
         out[i] = tuple((j, picker([at[x] for x in subs[j].members]))
                        for j in _bits(mask & ~under))
-    got = tuple(out)
-    G._cache[key] = got
+    got = H.derived[key] = tuple(out)
     return got
 
 

@@ -33,7 +33,9 @@ subgroup (``normal_in_system_literal``) and strong closure
 (``is_strongly_closed_literal``).  The model of a constrained system
 built on O_p(F), found by the scan for F-normal subgroups
 (``model_on_o_p_literal``, with ``o_p_prime_literal``,
-``verify_model_literal`` and ``core_literal``), the normal model searched
+``verify_model_literal`` and ``core_literal``), the eager Sylow search
+(``sylow_search_literal``), the commutators of all pairs
+(``derived_subgroup_literal``), the normal model searched
 over every normal subgroup (``normal_model_literal``) and R* on that
 model (``r_star_on_o_p_literal``) are here, as are the loops over every
 automorphism of the stability and extension clauses of the normality
@@ -925,6 +927,39 @@ def core_literal(ambient: Subgroup, P: Subgroup) -> Subgroup:
     for g in ambient.members:
         members &= {G.conj(x, g) for x in P.members}
     return Subgroup(G, tuple(sorted(members)), check=False)
+
+
+def sylow_search_literal(ambient: Subgroup, p: int) -> Subgroup:
+    """The Sylow search of ``groups._sylow_search`` in its eager form: at
+    each step the whole normalizer N_ambient(P), member by member, then
+    its first member g outside P whose p-part g_p is outside P and for
+    which P<g_p> is a larger p-group."""
+    G = ambient.parent
+    target = p_part(ambient.order, p)
+    P = Subgroup(G, (0,), check=False)
+    while P.order < target:
+        for g in normalizer_literal(ambient, P).members:
+            k = G.element_order(g)
+            if g in P or k % p:
+                continue
+            gp = G.power(g, k // p_part(k, p))
+            if gp in P:
+                continue
+            Q = Subgroup(G, closure_literal(G, P.members + (gp,)), check=False)
+            if Q.order == p_part(Q.order, p) and Q.order > P.order:
+                P = Q
+                break
+        else:
+            raise NotAGroup("Sylow search stalled")
+    return P
+
+
+def derived_subgroup_literal(ambient: Subgroup) -> Subgroup:
+    """[G, G]: the closure of the commutators of all |G|^2 pairs."""
+    G = ambient.parent
+    return Subgroup(G, closure_literal(G, {G.commutator(x, y) for x in ambient.members
+                                           for y in ambient.members}),
+                    check=False)
 
 
 def o_p_prime_literal(ambient: Subgroup, p: int) -> Subgroup:

@@ -15,7 +15,7 @@ from fusionkit.groups import (Hom, Subgroup, active_caps, as_group,
                               cayley_columns, center, centralizer,
                               derived_subgroup, group_from_columns,
                               group_from_permutations, group_from_table,
-                              normalizer,
+                              lattice_covers, normalizer,
                               normal_subgroups, o_p, o_p_prime, o_upper_p,
                               p_part, quotient, subgroup_lattice,
                               sylow_subgroup)
@@ -96,6 +96,21 @@ class TestSubgroupLattice:
             subgroup_lattice(S)
         monkeypatch.setattr(active_caps, "lattice", 67)
         assert len(subgroup_lattice(S)) == 67
+
+    def test_smaller_cap_after_a_cached_lattice(self, monkeypatch):
+        """A lattice and its covers kept on S under a cap of 67 do not
+        serve a cap of 66 (``--lattice-cap 66``), which still raises, and
+        serve 67 again."""
+        S = sylow_subgroup(builtin_group("a4xa4").full_subgroup, 2)
+        monkeypatch.setattr(active_caps, "lattice", 67)
+        lattice, covers = subgroup_lattice(S), lattice_covers(S)
+        monkeypatch.setattr(active_caps, "lattice", 66)
+        with pytest.raises(CapExceeded):
+            subgroup_lattice(S)
+        with pytest.raises(CapExceeded):
+            lattice_covers(S)
+        monkeypatch.setattr(active_caps, "lattice", 67)
+        assert subgroup_lattice(S) is lattice and lattice_covers(S) is covers
 
 
 class TestClassicalOperators:

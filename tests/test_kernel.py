@@ -9,27 +9,40 @@ pair of a few corpus groups and over groups generated by two permutations,
 as are the tables themselves and the picker-built permutation tables.
 The index-p lattice of every subgroup of a Sylow subgroup and the
 picker-built table of ``MorphismGroup`` are compared with their
-closure-join and ``Hom.then`` forms.  The interned ``Subgroup`` keeps its
-validation, and two constructions give one object."""
+closure-join and ``Hom.then`` forms, and the derived subgroup and the
+Sylow search with their all-pairs and eager forms.  The interned
+``Subgroup`` keeps its validation, and two constructions give one object.
+Interning is weak: a subgroup held across ``run_suite`` stays the one
+object for its members, what the suite made dies with it, a subgroup
+holding its own lattice is freed by the cyclic collector, and a subgroup
+made again reuses the group's closure and generator memos."""
 
 from __future__ import annotations
+
+import gc
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fusionkit.corpus import CORPUS_ENTRIES, builtin_group
+from fusionkit.corpus import (CORPUS_ENTRIES, builtin_group, builtin_group_path,
+                              ingest)
 from fusionkit.errors import NotAGroup
 from fusionkit.fusion import MorphismGroup, fusion_of_group
-from fusionkit.groups import (Subgroup, centralizer,
+from fusionkit.groups import (FiniteGroup, Subgroup, _forget, _sylow_search,
+                              centralizer, derived_subgroup, lattice_covers,
                               normal_subgroups, normalizer, picker,
                               subgroup_lattice, sylow_subgroup)
 from fusionkit.saturation import extension_group
+from fusionkit.verify import run_suite
 from oracles import (automizer_in_literal, centralizer_literal,
-                     closure_literal, extension_group_literal,
+                     closure_literal, derived_subgroup_literal,
+                     extension_group_literal,
                      is_elementwise_commuting_literal, is_normal_in_literal,
                      isos_from_literal, morphism_group_table_literal,
                      normal_subgroups_literal, normalizer_literal,
-                     permutation_table_literal, subgroup_lattice_literal)
+                     permutation_table_literal, subgroup_lattice_literal,
+                     sylow_search_literal)
 from test_fusion import perm_groups
 
 
@@ -253,3 +266,105 @@ def test_lattice_needs_a_p_group():
     with pytest.raises(ValueError, match="p-group"):
         subgroup_lattice(G.full_subgroup)
     assert subgroup_lattice(G.trivial_subgroup) == (G.trivial_subgroup,)
+
+
+# -- the derived subgroup and the Sylow search against their literal forms ----
+
+
+def check_derived_and_sylow(G) -> None:
+    """G' from the generators' commutators is the closure of all |G|^2
+    commutators, also in each Sylow subgroup, and the lazy Sylow search
+    finds the subgroup the eager search over the whole normalizer finds."""
+    full = G.full_subgroup
+    assert derived_subgroup(full) is derived_subgroup_literal(full)
+    for p in (q for q in (2, 3, 5) if G.order % q == 0):
+        assert _sylow_search(full, p) is sylow_search_literal(full, p)
+        S = sylow_subgroup(full, p)
+        assert derived_subgroup(S) is derived_subgroup_literal(S)
+
+
+@pytest.mark.parametrize("name", sorted({name for name, _ in CORPUS_ENTRIES}))
+def test_derived_and_sylow_on_corpus_groups(name):
+    check_derived_and_sylow(builtin_group(name))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(perm_groups())
+def test_derived_and_sylow_on_generated_groups(group):
+    check_derived_and_sylow(group[0])
+
+
+# -- weak interning ------------------------------------------------------------
+
+
+def live_subgroups(G: FiniteGroup) -> list[Subgroup]:
+    """The subgroups G interns, after the cyclic collector ran; an entry
+    whose subgroup died is gone from the table."""
+    gc.collect()
+    subs = [ref() for ref in list(G._subgroups.values())]
+    assert None not in subs
+    return subs
+
+
+def test_held_subgroups_outlive_the_suite_and_nothing_else_does():
+    """Across ``run_suite`` on a group the test holds, the subgroups the
+    test holds stay the objects their members give (V lies in every Sylow
+    2-subgroup, so the suite's lattices hold it).  Afterwards the only
+    subgroups of the entry still alive are those and the lattice members
+    they keep."""
+    G = ingest(builtin_group_path("s4"))
+    V = next(N for N in normal_subgroups(G.full_subgroup) if N.order == 4)
+    T = G.generated_subgroup([next(x for x in range(24) if G.element_order(x) == 3)])
+    assert live_subgroups(G) == [V, T]
+    results = run_suite("s4@2", G, 2)
+    assert results and all(r.passed for r in results)
+    assert Subgroup(G, V.members) is V and Subgroup(G, T.members, check=False) is T
+    held = {V, T}
+    for got in (*V.derived.values(), *T.derived.values()):
+        held.update(K for K in got if isinstance(K, Subgroup))
+    assert set(live_subgroups(G)) == held
+
+
+def test_a_subgroup_holding_its_lattice_is_collected():
+    """The lattice and the normal subgroups of S hold S, a reference
+    cycle that the cyclic collector frees, together with S's entry."""
+    G = ingest(builtin_group_path("d8"))
+    S = sylow_subgroup(G.full_subgroup, 2)
+    assert S in subgroup_lattice(S) and S in normal_subgroups(S)
+    lattice_covers(S)
+    dead, members = weakref.ref(S), S.members
+    del S
+    assert live_subgroups(G) == [] and dead() is None
+    assert members not in G._subgroups
+
+
+def test_a_subgroup_made_again_runs_no_dimino(monkeypatch):
+    """A closure and the generators of a member tuple outlive the subgroup
+    they were computed for."""
+    G = ingest(builtin_group_path("s4"))
+    seed = (5, 9, 2)
+    H = G.generated_subgroup(seed)
+    members, gens = H.members, H.generators
+    del H
+    assert live_subgroups(G) == []
+
+    def no_dimino(*args):
+        raise AssertionError("Dimino ran again")
+
+    monkeypatch.setattr(FiniteGroup, "_dimino", no_dimino)
+    H = G.generated_subgroup(reversed(seed))
+    assert H.members == members and H.generators == gens
+
+
+def test_a_dead_reference_drops_only_its_own_entry():
+    """The callback of a dead reference leaves an entry that already
+    interns a newer subgroup of the same members."""
+    G = builtin_group("c2")
+    table: dict = {}
+    H = Subgroup(G, (0, 1), check=False)
+    old, new = (weakref.ref(H, lambda ref: None) for _ in range(2))
+    table[H.members] = new
+    _forget(table, H.members)(old)
+    assert table == {H.members: new}
+    _forget(table, H.members)(new)
+    assert table == {}
