@@ -105,13 +105,14 @@ def a_circle(F: FusionSystem, E: FusionSystem, P: Subgroup) -> tuple[Hom, ...]:
     identity alone.
     """
     T = E.support
-    G = F.universe
+    mul, inv = F.universe._mul, F.universe._inv
     PT = P.meet(T)
+    pt = PT.member_set
     at = P.positions
     restrict = picker([at[x] for x in PT.members])
     out = []
     for phi in F.automorphisms(P):
-        if not all(G.mul(G.inv(x), phi(x)) in PT.member_set for x in P.members):
+        if not all(mul[inv[x]][y] in pt for x, y in zip(P.members, phi.images)):
             continue
         if restrict(phi.images) not in E._keys_from(PT):
             continue
@@ -130,14 +131,15 @@ def a_circle(F: FusionSystem, E: FusionSystem, P: Subgroup) -> tuple[Hom, ...]:
 
 
 def h_group(F: FusionSystem, E: FusionSystem, P: Subgroup) -> tuple[Hom, ...]:
-    """Automorphisms of P extending to P N_T(P); verified to form a
-    subgroup, without a table when Aut_F(P) is the identity alone."""
+    """Automorphisms of P extending to automorphisms of P N_T(P), read
+    off the restrictions of those (``restriction_keys``); verified to form
+    a subgroup, without a table when Aut_F(P) is the identity alone."""
     T = E.support
     NT = normalizer(T, P, F.table_for(P))
-    PN = F.universe.generated_subgroup(P.members + NT.members)
+    PN = Subgroup(F.universe, P.product_set(NT), check=False)  # NT normalizes P
     autos = F.automorphisms(P)
-    out = [phi for phi in autos
-           if any(psi.codomain == PN for psi in F.extensions(phi, PN))]
+    keys = F.restriction_keys(PN, P, stabilizing=PN) if autos else frozenset()
+    out = [phi for phi in autos if phi.images in keys]
     closed = (only_identity(out, P) if only_identity(autos, P)
               else aut_group(F, P).subgroup_of(out) is not None)
     if not closed:
@@ -221,13 +223,14 @@ def _commutators(F: FusionSystem,
 
 
 def focal_subgroup(F: FusionSystem) -> Subgroup:
-    """foc(F) = <[P, Aut_F(P)] : P <= S>."""
-    return _commutators(F, F.automorphisms)
+    """foc(F) = <[P, Aut_F(P)] : P <= S>, memoized in F's slot."""
+    return F.memo("focal", lambda: _commutators(F, F.automorphisms))
 
 
 def hyperfocal_subgroup(F: FusionSystem) -> Subgroup:
-    """hyp(F) = <[P, O^p(Aut_F(P))] : P <= S>."""
-    return _commutators(F, lambda P: o_upper_p_automorphisms(F, P))
+    """hyp(F) = <[P, O^p(Aut_F(P))] : P <= S>, memoized in F's slot."""
+    return F.memo("hyperfocal", lambda: _commutators(
+        F, lambda P: o_upper_p_automorphisms(F, P)))
 
 
 # -- the centralizer subsystem ---------------------------------------------------

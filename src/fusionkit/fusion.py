@@ -21,9 +21,11 @@ explicit iso-sets is keyed by an ``ExplicitKey``: the support, the witness
 (or None) and the image tuples of every iso-set, so equal keys mean the
 same iso-sets, map for map; it compares by value, so two different tables
 never share a key.  A system's derived data (iso-sets, classes,
-classification, saturation, local subsystems, normality reports) lives in
-a slot of the registry on its top system, shared by every system with the
-same content key under that top, so it is computed once per content.
+classification, saturation, local subsystems, normality reports, and the
+predicates the verification suite asks again, such as strong closure and
+stability) lives in a slot of the registry on its top system, shared by
+every system with the same content key under that top, so it is computed
+once per content.
 
 Conjugated morphisms are tested on keys: ``groups.Twist`` pushes the image
 key of a morphism through an automorphism, and

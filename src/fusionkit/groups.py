@@ -934,7 +934,9 @@ def normal_joins(ambient: Subgroup, start: Subgroup,
     that ``keep`` refuses is not walked from.
 
     Every normal subgroup above ``start`` is the join of ``start`` with
-    atoms, so with every join kept the walk meets all of them."""
+    atoms, so with every join kept the walk meets all of them.  A join is
+    the product set: for H and K normal, HK = KH is a subgroup, so it is
+    <H, K>, and no closure runs."""
     G = ambient.parent
     atoms = {a.members: a
              for a in map(G.generated_subgroup, conjugacy_classes(ambient))}
@@ -944,7 +946,8 @@ def normal_joins(ambient: Subgroup, start: Subgroup,
         new = []
         for sub in frontier:
             for atom in atoms.values():
-                j = sub.join(atom)
+                j = (sub if atom.member_set <= sub.member_set
+                     else Subgroup(G, sub.product_set(atom), check=False))
                 if j.members not in found and keep(j):
                     found[j.members] = j
                     new.append(j)

@@ -125,7 +125,12 @@ def key_generators(P: Subgroup, autos: Sequence[Hom]) -> Optional[list[Hom]]:
 
 def o_upper_p_automorphisms(F: FusionSystem, P: Subgroup) -> tuple[Hom, ...]:
     """O^p(Aut_F(P)) as a set of morphisms; Aut_F(P) itself, with no
-    table, when it is the identity alone."""
+    table, when it is the identity alone.  Memoized in F's slot under P's
+    members."""
+    return F.memo(("O^p-auts", P.members), lambda: _o_upper_p_auts(F, P))
+
+
+def _o_upper_p_auts(F: FusionSystem, P: Subgroup) -> tuple[Hom, ...]:
     auts = F.automorphisms(P)
     if only_identity(auts, P):
         return auts

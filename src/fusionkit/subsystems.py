@@ -37,8 +37,14 @@ from .saturation import (aut_group, classify, is_conjugation_family,
 def is_strongly_closed(F: FusionSystem, T: Subgroup) -> bool:
     """No element of T has an F-conjugate outside T: h(P n T) <= T for
     every morphism h from every P, with the images of P n T read off the
-    image key of h by one ``picker`` per P.  The per-element form is
-    ``is_strongly_closed_literal`` in ``tests/oracles.py``."""
+    image key of h by one ``picker`` per P.  Memoized in F's slot under
+    T's members.  The per-element form is ``is_strongly_closed_literal``
+    in ``tests/oracles.py``."""
+    return F.memo(("strongly-closed", T.members),
+                  lambda: _is_strongly_closed(F, T))
+
+
+def _is_strongly_closed(F: FusionSystem, T: Subgroup) -> bool:
     tset = T.member_set
     for P in F.subgroups():
         cut = [i for i, x in enumerate(P.members) if x in tset]
@@ -138,7 +144,8 @@ def _local_by_extension(F: FusionSystem, support: Subgroup, R: Subgroup,
 
 def _stability(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     """E^alpha = E for every alpha in Aut_F(T), compared on image keys;
-    returns a counterexample or None.
+    returns a counterexample or None, memoized in E's slot under F's
+    content key.
 
     phi^alpha sends x^alpha to (x^phi)^alpha.  Containment of E^alpha in E
     on every P suffices: alpha permutes the subgroups of T and keeps the
@@ -149,6 +156,10 @@ def _stability(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     over a generating set of Aut_F(T) when its keys are closed
     (``saturation.key_generators``), and over every alpha otherwise.
     """
+    return E.memo(E.pair_key("stability", F), lambda: _unstable(F, E))
+
+
+def _unstable(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     T = E.support
     alphas = F.automorphisms(T)
     gens = key_generators(T, alphas)
@@ -168,9 +179,17 @@ def _stability(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
 def _aut_sets_normal(F: FusionSystem, E: FusionSystem, P: Subgroup) -> bool:
     """Aut_E(P) is a subgroup of Aut_F(P) normalized by it, decided on the
     table of Aut_F(P) (``aut_group``), or, when Aut_F(P) is the identity
-    alone, without one: then Aut_E(P) must be the identity alone.  The
+    alone, without one: then Aut_E(P) must be the identity alone.
+    Memoized in E's slot under F's content key and P's members.  The
     per-pair Hom form is ``aut_sets_normal_literal`` in
     ``tests/oracles.py``."""
+    key = E.pair_key("aut-sets-normal", F)
+    if key is not None:
+        key += (P.members,)
+    return E.memo(key, lambda: _aut_normal(F, E, P))
+
+
+def _aut_normal(F: FusionSystem, E: FusionSystem, P: Subgroup) -> bool:
     if only_identity(F.automorphisms(P), P):
         return only_identity(E.automorphisms(P), P)
     A = aut_group(F, P)

@@ -35,8 +35,8 @@ from .errors import FusionkitError
 from .fusion import (FusionSystem, Hom, close_morphisms, fusion_of_group,
                      inner_system, subsystem_contains)
 from .groups import (FiniteGroup, Subgroup, Twist, centralizer,
-                     derived_subgroup, normal_subgroups, subgroup_lattice,
-                     sylow_subgroup)
+                     derived_subgroup, normal_subgroups, picker,
+                     subgroup_lattice, sylow_subgroup)
 from .models import (Model, is_constrained, model_of, models_isomorphic_over_s,
                      normal_model, normal_subgroups_of_system, script_G)
 from .products import (ProductReport, centralize_each_other,
@@ -240,36 +240,100 @@ def verify_prophelp(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
 def verify_easy_centralizer(F: FusionSystem, E: FusionSystem,
                             X_set: Optional[Sequence[Subgroup]] = None) -> Optional[dict]:
     """Conjugating along morphisms defined on XT preserves centralizing:
-    the membership equivalence, the family, and the N_E(T) condition."""
+    for each X <= C_S(T) and phi in Hom_F(XT, S), (a) X^phi <= C_S(T) and
+    beta in C_F(X) iff beta^phi in C_F(X^phi) for every beta in E; (b) the
+    centralized family and (c) that of N_E(T) are closed under X -> X^phi.
+
+    Clause (a) runs as one set comparison per (X, phi).  Let K(Y) be the
+    set of E's image keys (P, beta) that lie in C_F(Y), and tau the map
+    (P, beta) -> (P^phi, beta^phi) on E's keys (``Twist``); it reads phi
+    only on T, since P and the images of beta lie in T.  When tau maps
+    E's keys one-to-one into E's keys it permutes them, and then
+    clause (a) at (X, phi) says exactly tau(K(X)) = K(X^phi): each key k
+    has k in K(X) iff tau(k) in C_F(X^phi), that is iff tau(k) in
+    K(X^phi), and tau is onto.  For a normal E that precondition is the
+    invariance of E under Aut_F(T) (Aschbacher-Kessar-Oliver, Fusion
+    Systems in Algebra and Topology, 2011, Sec. I.6); for a corrupted
+    system it can fail, so it is tested once per distinct phi|_T.  K(Y)
+    is computed once per Y, tau once per phi|_T and tau(K(X)) once per
+    (X, phi|_T).  Wherever tau is no permutation or the two sets differ,
+    the loop over every beta runs for that (X, phi) (``_clause_a``), so
+    a failure names the (P, beta) that loop names.  The loop for every
+    (X, phi) is ``easy_centralizer_literal`` in ``tests/oracles.py``."""
     T = E.support
     CST = centralizer(F.support, T, F.table_for(T))
     if X_set is None:
         X_set = centralized_set(F, E)
     family = {X.members for X in X_set}
     net_family = {X.members for X in normalizer_family(F, E)}
+    keys = frozenset((P.members, b) for P in E.subgroups()
+                     for b in E._keys_from(P))
+    kept: dict[tuple[int, ...], frozenset] = {}
+    twists: dict[tuple[int, ...], Optional[dict]] = {}
+
+    def K(Y: Subgroup) -> frozenset:
+        got = kept.get(Y.members)
+        if got is None:
+            C_Y = centralizer_subsystem(F, Y)
+            got = kept[Y.members] = frozenset(
+                k for k in keys if C_Y.contains_key(*k))
+        return got
+
     for X in subgroup_lattice(CST):
-        XT = F.universe.generated_subgroup(X.members + T.members)
-        C_X = centralizer_subsystem(F, X)
-        inside = [(P, [(beta, C_X.contains_morphism(beta))
-                       for beta in E.isos_from(P)]) for P in E.subgroups()]
+        XT = Subgroup(F.universe, X.product_set(T), check=False)  # X centralizes T
+        K_X = K(X)
+        at = XT.positions
+        on_t = picker([at[t] for t in T.members])
+        moved: dict[tuple[int, ...], frozenset] = {}
         for phi in F.isos_from(XT):
             Xphi = phi.subgroup_image(X)
             if not Xphi.member_set <= CST.member_set:
                 return {"clause": "a", "X": _sub(X), "phi": list(phi.images),
                         "kind": "image leaves C_S(T)"}
-            C_Xphi = centralizer_subsystem(F, Xphi)
-            for P, betas in inside:
-                twist = Twist(phi, P)
-                for beta, lhs in betas:
-                    rhs = C_Xphi.contains_key(twist.target,
-                                              twist.images(beta.images))
-                    if lhs != rhs:
-                        return {"clause": "a", "X": _sub(X), "P": _sub(P),
-                                "beta": list(beta.images), "phi": list(phi.images)}
+            r = on_t(phi.images)
+            if r not in twists:
+                twists[r] = _key_twist(phi, E, keys)
+            tau = twists[r]
+            if tau is not None and r not in moved:
+                moved[r] = frozenset(map(tau.__getitem__, K_X))
+            if tau is None or moved[r] != K(Xphi):
+                bad = _clause_a(F, E, X, phi, Xphi, K_X)
+                if bad is not None:
+                    return bad
             if X.members in family and Xphi.members not in family:
                 return {"clause": "b", "X": _sub(X), "image": _sub(Xphi)}
             if X.members in net_family and Xphi.members not in net_family:
                 return {"clause": "c", "X": _sub(X), "image": _sub(Xphi)}
+    return None
+
+
+def _key_twist(phi: Hom, E: FusionSystem, keys: frozenset) -> Optional[dict]:
+    """tau: E's key (P, beta) -> (P^phi, beta^phi), or None unless it
+    maps E's ``keys`` one-to-one into themselves."""
+    tau = {}
+    for P in E.subgroups():
+        twist = Twist(phi, P)
+        for b in E._keys_from(P):
+            k = (twist.target, twist.images(b))
+            if k not in keys:
+                return None
+            tau[(P.members, b)] = k
+    return tau if len(set(tau.values())) == len(tau) else None
+
+
+def _clause_a(F: FusionSystem, E: FusionSystem, X: Subgroup, phi: Hom,
+              Xphi: Subgroup, K_X: frozenset) -> Optional[dict]:
+    """Clause (a) of ``verify_easy_centralizer`` at one (X, phi), beta by
+    beta in scan order; ``K_X`` holds E's keys that lie in C_F(X)."""
+    C_Xphi = centralizer_subsystem(F, Xphi)
+    for P in E.subgroups():
+        twist = Twist(phi, P)
+        for beta in E.isos_from(P):
+            lhs = (P.members, beta.images) in K_X
+            rhs = C_Xphi.contains_key(twist.target, twist.images(beta.images))
+            if lhs != rhs:
+                return {"clause": "a", "X": _sub(X), "P": _sub(P),
+                        "beta": list(beta.images), "phi": list(phi.images)}
     return None
 
 

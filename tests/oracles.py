@@ -39,8 +39,10 @@ built on O_p(F), found by the scan for F-normal subgroups
 over every normal subgroup (``normal_model_literal``) and R* on that
 model (``r_star_on_o_p_literal``) are here, as are the loops over every
 automorphism of the stability and extension clauses of the normality
-report (``stability_literal``, ``extension_property_literal``) and the
-per-product table of ``as_group`` (``as_group_literal``).  As in the package, a Hom is its
+report (``stability_literal``, ``extension_property_literal``), the
+per-product table of ``as_group`` (``as_group_literal``) and
+``EasyCentralizer`` with clause (a) tested beta by beta for every
+(X, phi) (``easy_centralizer_literal``).  As in the package, a Hom is its
 domain, codomain and image tuple: no oracle records which element
 realizes a map, and none compares such elements.  No package code path
 calls any of it."""
@@ -52,7 +54,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from fusionkit.centralizers import c_F_of, c_s_of, z_of
+from fusionkit.centralizers import (c_F_of, c_s_of, centralized_set,
+                                    normalizer_family, z_of)
 from fusionkit.errors import (CapExceeded, DomainMismatch, ModelNotFound,
                               ModelNotUnique, MorphismOutsideSupport,
                               NotAGroup, NotConstrained, VerificationFailed)
@@ -1078,6 +1081,47 @@ def extension_property_literal(F: FusionSystem, E: FusionSystem,
     for alpha in E.automorphisms(E.support):
         if next(search(alpha), None) is None:
             return {"alpha": list(alpha.images), "bound": list(bound.members)}
+    return None
+
+
+def easy_centralizer_literal(F: FusionSystem, E: FusionSystem,
+                             X_set: Optional[Sequence[Subgroup]] = None
+                             ) -> Optional[dict]:
+    """``verify.verify_easy_centralizer`` with clause (a) tested beta by
+    beta for every (X, phi): beta in C_F(X) iff beta^phi in C_F(X^phi)."""
+    T = E.support
+    CST = centralizer(F.support, T, F.table_for(T))
+    if X_set is None:
+        X_set = centralized_set(F, E)
+    family = {X.members for X in X_set}
+    net_family = {X.members for X in normalizer_family(F, E)}
+    for X in subgroup_lattice(CST):
+        XT = F.universe.generated_subgroup(X.members + T.members)
+        C_X = centralizer_subsystem(F, X)
+        inside = [(P, [(beta, C_X.contains_morphism(beta))
+                       for beta in E.isos_from(P)]) for P in E.subgroups()]
+        for phi in F.isos_from(XT):
+            Xphi = phi.subgroup_image(X)
+            if not Xphi.member_set <= CST.member_set:
+                return {"clause": "a", "X": list(X.members),
+                        "phi": list(phi.images), "kind": "image leaves C_S(T)"}
+            C_Xphi = centralizer_subsystem(F, Xphi)
+            for P, betas in inside:
+                twist = Twist(phi, P)
+                for beta, lhs in betas:
+                    rhs = C_Xphi.contains_key(twist.target,
+                                              twist.images(beta.images))
+                    if lhs != rhs:
+                        return {"clause": "a", "X": list(X.members),
+                                "P": list(P.members),
+                                "beta": list(beta.images),
+                                "phi": list(phi.images)}
+            if X.members in family and Xphi.members not in family:
+                return {"clause": "b", "X": list(X.members),
+                        "image": list(Xphi.members)}
+            if X.members in net_family and Xphi.members not in net_family:
+                return {"clause": "c", "X": list(X.members),
+                        "image": list(Xphi.members)}
     return None
 
 

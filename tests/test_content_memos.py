@@ -1,0 +1,156 @@
+"""The predicates the suite asks again with the same content are memoized
+in the registry: strong closure, O^p(Aut_F(P)), the focal and hyperfocal
+subgroups in F's slot, stability and the normality of Aut_E(P) in E's slot
+under F's content key.  No key lets a corrupted system read an honest
+system's answer, or the other way round, and one ``run_suite`` pass over
+the 21 ``suite-corpus`` entries computes each content once.  The
+cross-checks that exist to recompute (``centralizer-oracle``'s family,
+``Model1.c``'s normal model, ``FirstCharacterization``'s and
+``MainCSE.b``'s R*) still recompute."""
+
+from __future__ import annotations
+
+import sys
+from collections import Counter
+
+import pytest
+
+from fusionkit import centralizers, groups, models, verify as verify_mod
+from fusionkit.centralizers import focal_subgroup, hyperfocal_subgroup
+from fusionkit.corpus import (CORPUS_ENTRIES, builtin_group,
+                              builtin_group_path, ingest)
+from fusionkit.fusion import FusionSystem, fusion_of_group, generated_subsystem
+from fusionkit.groups import center, o_p, sylow_subgroup
+from fusionkit.saturation import o_upper_p_automorphisms
+from fusionkit.subsystems import (_aut_sets_normal, _stability,
+                                  is_strongly_closed)
+from fusionkit.verify import inner_only_shadow, run_suite
+
+FAMILIES = ("strongly-closed", "stability", "aut-sets-normal", "O^p-auts",
+            "focal", "hyperfocal")
+
+
+def systems(s4):
+    """A fresh F = F_S(S4), its inner shadow M (a new top whose hom-sets
+    are those of S alone) and E = <alpha>_V4 under F, for alpha the
+    automorphism of V4 that S induces, so Aut_M(V4) = <alpha>."""
+    S = sylow_subgroup(s4.full_subgroup, 2)
+    F = fusion_of_group(s4, S, 2)
+    V4 = o_p(s4.full_subgroup, 2)
+    alpha = next(h for h in F.automizer_in(S, V4) if not h.is_identity())
+    return F, inner_only_shadow(F), generated_subsystem(F, V4, [alpha]), V4
+
+
+ASKS = {
+    "strongly-closed": lambda D, E, V4: is_strongly_closed(D, center(D.support)),
+    "stability": lambda D, E, V4: _stability(D, E) is None,
+    "aut-sets-normal": lambda D, E, V4: _aut_sets_normal(D, E, V4),
+    "O^p-auts": lambda D, E, V4: len(o_upper_p_automorphisms(D, V4)),
+    "focal": lambda D, E, V4: focal_subgroup(D).order,
+    "hyperfocal": lambda D, E, V4: hyperfocal_subgroup(D).order,
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_mutant_and_honest_system_read_their_own_answers(family, s4):
+    """F and its shadow M answer differently; asked in either order, each
+    reads its own answer.  E is one object under F's top, so the pair
+    families hold both answers in E's one slot."""
+    ask = ASKS[family]
+    F, M, E, V4 = systems(s4)
+    honest, mutant = ask(F, E, V4), ask(M, E, V4)
+    F2, M2, E2, _ = systems(s4)
+    assert (ask(M2, E2, V4), ask(F2, E2, V4)) == (mutant, honest)
+    assert honest != mutant
+    assert (ask(F, E, V4), ask(M, E, V4)) == (honest, mutant)
+
+
+@pytest.fixture(scope="module")
+def suite_pass():
+    """Memo fills by family and Dimino runs in one ``run_suite`` pass over
+    the 21 entries besides a4xa4@2, each on a freshly ingested group as
+    the benchmark runs them.  Every memo lives on its entry's top, so the
+    counts do not depend on the order of the entries."""
+    fills: Counter = Counter()
+    dimino = [0]
+    memo, run = FusionSystem.memo, groups.FiniteGroup._dimino
+
+    def counted_memo(self, key, compute):
+        def filling():
+            fills[key if isinstance(key, str) else key and key[0]] += 1
+            return compute()
+        return memo(self, key, filling)
+
+    def counted_dimino(self, seed):
+        dimino[0] += 1
+        return run(self, seed)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FusionSystem, "memo", counted_memo)
+        mp.setattr(groups.FiniteGroup, "_dimino", counted_dimino)
+        for name, p in CORPUS_ENTRIES:
+            if name == "a4xa4":
+                continue
+            results = run_suite(f"{name}@{p}",
+                                ingest(builtin_group_path(name)), p)
+            assert all(r.passed for r in results)
+    return fills, dimino[0]
+
+
+def test_each_content_is_asked_once_per_pass(suite_pass):
+    """Without the memos the pass makes 2,463 strong-closure tests, 884
+    stability tests, 1,596 normality tests of Aut_E(P), 2,137 O^p
+    computations and 263 and 121 focal and hyperfocal subgroups."""
+    fills, _ = suite_pass
+    assert {f: fills[f] for f in FAMILIES} == {
+        "strongly-closed": 385, "stability": 357, "aut-sets-normal": 654,
+        "O^p-auts": 365, "focal": 52, "hyperfocal": 52}
+
+
+def test_dimino_runs_per_pass(suite_pass):
+    """The joins of the atom-join walk (``groups.normal_joins``),
+    EasyCentralizer's XT and H(P)'s P N_T(P) are each a subgroup times one
+    that normalizes it, so they are product sets and run no Dimino; with
+    all three as closures the pass ran it 4,286 times."""
+    _, runs = suite_pass
+    assert runs == 3451
+
+
+def test_normal_joins_leave_no_closure(s4xc2):
+    """The walk over the normal subgroups of S4 x C2 records no seed set
+    besides the conjugacy classes of its atoms."""
+    G = ingest(builtin_group_path("s4xc2"))
+    groups.normal_subgroups(G.full_subgroup)
+    classes = {frozenset(c) for c in groups.conjugacy_classes(G.full_subgroup)}
+    assert set(G._closures) == classes
+    assert [N.members for N in groups.normal_subgroups(G.full_subgroup)] == [
+        N.members for N in groups.normal_subgroups(s4xc2.full_subgroup)]
+
+
+def test_cross_checks_recompute(monkeypatch):
+    """On s4@2 (4 normal pairs, a second Sylow 2-subgroup): R* is computed
+    for the centralizer data, again by FirstCharacterization and on the
+    transported pair by MainCSE.b; Model1.c searches the normal model
+    again after each ``r_star`` found it; centralizer-oracle recomputes both
+    families (``test_verify`` pins those calls)."""
+    callers: Counter = Counter()
+    r_star, normal_model = verify_mod.r_star, models.normal_model
+
+    def counted_r_star(F, E):
+        callers["r_star", sys._getframe(1).f_code.co_name] += 1
+        return r_star(F, E)
+
+    def counted_normal_model(F, model, E):
+        callers["normal_model", sys._getframe(1).f_code.co_name] += 1
+        return normal_model(F, model, E)
+
+    for module in (verify_mod, centralizers):
+        monkeypatch.setattr(module, "r_star", counted_r_star)
+        monkeypatch.setattr(module, "normal_model", counted_normal_model)
+    results = run_suite("s4@2", builtin_group("s4"), 2)
+    assert all(r.passed for r in results)
+    assert callers == {("r_star", "_centralizer_data"): 4,
+                       ("r_star", "verify_first_characterization"): 4,
+                       ("r_star", "verify_main_cse_b"): 4,
+                       ("normal_model", "r_star"): 12,
+                       ("normal_model", "verify_model1c"): 4}

@@ -299,6 +299,30 @@ class TestMutationsCentralizer:
         bad_F = with_removed_iso(F_s4, V4, order3_index(F_s4, V4))
         assert verify_main_cse_a(bad_F, E_a4) is not None
 
+    def test_main_cse_a_join_not_centralized(self, F_s4, E_a4, s4):
+        """C_S(E) = 1 for E = F_V4(A4); Z(S) injected as the join is not
+        centralized by E's automorphisms of order 3."""
+        Z = center(F_s4.support)
+        bad = verify_main_cse_a(F_s4, E_a4, X_set=[s4.trivial_subgroup], C_S_E=Z)
+        assert bad == {"kind": "join is not centralized", "C_S_E": list(Z.members)}
+
+    def test_main_cse_a_member_escapes_the_join(self, F_s4, s4):
+        """The trivial system is centralized by every X <= S; the trivial
+        subgroup injected as the join misses the family's first member, S."""
+        E1 = normal_subsystem_in(F_s4, s4.trivial_subgroup)
+        bad = verify_main_cse_a(F_s4, E1, C_S_E=s4.trivial_subgroup)
+        assert bad == {"kind": "family member escapes the join",
+                       "X": list(F_s4.support.members)}
+
+    def test_main_cse_a_join_not_strongly_closed(self, F_s4, s4):
+        """Z(S) holds the injected family {1, Z(S)} and centralizes the
+        trivial system, but S4 fuses its involution into V4 outside Z(S)."""
+        E1 = normal_subsystem_in(F_s4, s4.trivial_subgroup)
+        Z = center(F_s4.support)
+        bad = verify_main_cse_a(F_s4, E1, X_set=[Z, s4.trivial_subgroup],
+                                C_S_E=Z)
+        assert bad == {"kind": "not strongly closed", "C_S_E": list(Z.members)}
+
     def test_main_cse_b_corrupted_data(self, s4xc2, F_s4xc2, E_s4x1, data_s4xc2):
         ctx = EntryContext("s4xc2@2", s4xc2, 2)
         bad_data = dataclasses.replace(
@@ -434,6 +458,12 @@ class TestMutationsProducts:
 
 class TestSuiteLevelMutations:
     def test_hom_deleted_system_fails_main_cse_a(self, s4):
+        """A failure in context building, not a MainCSE.a counterexample:
+        on F without an automorphism of order 3 of V4, building the normal
+        pairs (``EntryContext.normal_pairs``) already rejects F_T(N), whose
+        normality report fails through extension_z, so the check records
+        that error.  The verifier's own clauses are hit by the direct
+        injections of ``TestMutationsCentralizer``."""
         def mutate(F):
             V = next(P for P in F.subgroups()
                      if P.order == 4 and len(F.automorphisms(P)) == 6)
@@ -443,9 +473,6 @@ class TestSuiteLevelMutations:
                         system_mutator=mutate)
         assert res[0].status == "fail"
         assert res[0].counterexample is not None
-        # The mutant never reaches MainCSE.a's verifier: building the
-        # normal pairs (EntryContext.normal_pairs) already rejects F_T(N),
-        # whose normality report fails through extension_z.
         error = res[0].counterexample["error"]
         assert "VerificationFailed" in error and "normality report" in error
         assert "extension_z" in error
