@@ -322,7 +322,8 @@ class Subgroup:
     @property
     def derived(self) -> dict:
         """Data derived from this subgroup and kept on it: its lattice and
-        covers, keyed with the lattice cap, and its normal subgroups.  A
+        covers, keyed with the lattice cap, its normal subgroups, and its
+        product with each subgroup it commutes with (``products``).  A
         lattice or a list of normal subgroups holds this subgroup itself,
         so the subgroup is then in a reference cycle, which the cyclic
         garbage collector frees."""

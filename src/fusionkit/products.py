@@ -2,15 +2,17 @@
 central product F1*F2 and its definition, and the verification bundle for
 the product theorems.
 
-F1*F2 is the subsystem of F over S1 S2 generated by ``star_generators``:
-the morphisms psi on P1 P2 whose restrictions to P1 and P2 lie in the
-factors, read off psi's image key through positions.
-``is_central_product`` checks every clause of the definition on image
-keys: each pair (phi1, phi2) is pushed once through the multiplication
-map, and surjectivity compares, per subgroup of S1 S2, the keys of D with
-the restrictions of the pushes (the docstring gives the equivalence with
-the literal clause).  The Hom forms, ``star_generators_literal`` and
-``is_central_product_literal``, are in ``tests/oracles.py``."""
+The central-product checks walk the pairs (P1, P2) of subgroups of S1 and
+S2, which commute elementwise, so each P1 P2 is a subgroup: the product
+set.  One datum per pair (``_pair``) holds that interned subgroup with the
+positions of P1 and P2 in it.  F1*F2 is the subsystem of F over S1 S2
+generated by ``star_generators``: the morphisms psi on P1 P2 whose
+restrictions to P1 and P2, read off psi's image key at those positions,
+lie in the factors.  ``is_central_product`` checks every clause of the
+definition in one walk, on image keys and counts; its docstring gives the
+equivalence with the literal clauses.  The Hom forms,
+``star_generators_literal`` and ``is_central_product_literal``, are in
+``tests/oracles.py``."""
 
 from __future__ import annotations
 
@@ -35,31 +37,40 @@ def centralize_each_other(F: FusionSystem, F1: FusionSystem,
             and contained_in_centralizer(F, F2, F1.support))
 
 
+def _pair(P1: Subgroup, P2: Subgroup) -> tuple:
+    """The datum of two subgroups that commute elementwise: their product
+    subgroup P = P1 P2 and the pickers restricting a key on P to P1 and to
+    P2.  Kept on P1 under P2's members (``Subgroup.derived``), so it dies
+    with P1."""
+    key = ("product", P2.members)
+    got = P1.derived.get(key)
+    if got is None:
+        P = Subgroup(P1.parent, P1.product_set(P2), check=False)
+        at = P.positions
+        got = P1.derived[key] = (P, picker([at[x] for x in P1.members]),
+                                 picker([at[x] for x in P2.members]))
+    return got
+
+
 def star_generators(F: FusionSystem, F1: FusionSystem,
                     F2: FusionSystem) -> list[Hom]:
     """Morphisms on P1 P2 landing in S1 S2 whose restrictions lie in the
     factors; psi|_{P1} and psi|_{P2} are read off psi's image key through
-    the positions of P1 and P2 in P = <P1, P2>."""
-    T = F.universe.generated_subgroup(F1.support.members + F2.support.members)
-    tset = T.member_set
+    the pair datum of (P1, P2).  The callers have checked that S1 and S2
+    commute elementwise, so P1 P2 = <P1, P2>."""
+    tset = _pair(F1.support, F2.support)[0].member_set
     gens: list[Hom] = []
     seen: set[tuple] = set()
     for P1 in F1.subgroups():
+        keys1 = F1._keys_from(P1)
         for P2 in F2.subgroups():
-            P = F.universe.generated_subgroup(P1.members + P2.members)
-            at = P.positions
-            to_p1 = picker([at[x] for x in P1.members])
-            to_p2 = picker([at[x] for x in P2.members])
+            P, to_p1, to_p2 = _pair(P1, P2)
+            keys2 = F2._keys_from(P2)
             for psi in F.isos_from(P):
-                if not tset.issuperset(psi.images):
-                    continue
-                if to_p1(psi.images) not in F1._keys_from(P1):
-                    continue
-                if to_p2(psi.images) not in F2._keys_from(P2):
-                    continue
-                key = (P.members, psi.images)
-                if key not in seen:
-                    seen.add(key)
+                k = psi.images
+                if (tset.issuperset(k) and to_p1(k) in keys1
+                        and to_p2(k) in keys2 and (P.members, k) not in seen):
+                    seen.add((P.members, k))
                     gens.append(psi)
     return gens
 
@@ -67,8 +78,8 @@ def star_generators(F: FusionSystem, F1: FusionSystem,
 def _star_product(F: FusionSystem, F1: FusionSystem,
                   F2: FusionSystem) -> FusionSystem:
     """The subsystem of F over S1 S2 generated by ``star_generators``."""
-    T = F.universe.generated_subgroup(F1.support.members + F2.support.members)
-    D = generated_subsystem(F, T, star_generators(F, F1, F2))
+    D = generated_subsystem(F, _pair(F1.support, F2.support)[0],
+                            star_generators(F, F1, F2))
     D.name = f"{F1.name}*{F2.name}"
     return D
 
@@ -93,22 +104,37 @@ def is_central_product(D: FusionSystem, F1: FusionSystem,
     via the product structure theorem), the functor is surjective on every
     hom-set of D, and it carries the canonical factor images onto F1 and F2
     (automatic for multiplication, still asserted through the factor
-    containments).  Checked on image keys; the Hom form is
-    ``tests/oracles.py::is_central_product_literal``.
+    containments).  Checked on image keys in one walk over the pairs
+    (P1, P2), with no pushed map built or kept; the Hom form is
+    ``tests/oracles.py::is_central_product_literal``.  It needs only that
+    every morphism of a system is an injective homomorphism.
 
-    Functor: each pair (phi1, phi2) is pushed once to the key of
-    x1 x2 -> phi1(x1) phi2(x2) on P1 P2, which must be well defined (every
-    factorization of a point gives one value), injective and in D.
+    Meet rule: the push x1 x2 -> phi1(x1) phi2(x2) of (phi1, phi2) on
+    P = P1 P2 is well defined iff phi1 = phi2 on P1 n P2.  Two
+    factorizations x1 x2 = y1 y2 of a point differ by z = y1^-1 x1 =
+    y2 x2^-1 in P1 n P2, as y1 = x1 z^-1 and y2 = z x2, and every z there
+    arises so; the values phi1(x1) phi1(z)^-1 phi2(z) phi2(x2) and
+    phi1(x1) phi2(x2) agree iff phi1(z) = phi2(z).
+
+    Functor: every pair of F1(P1) x F2(P2) must push to a well-defined,
+    injective map in D.  A morphism k of D on P is an injective
+    homomorphism and P1, P2 generate P, so k is the push of (k|P1, k|P2),
+    a pair that agrees on P1 n P2.  So k -> (k|P1, k|P2) maps the keys of
+    D on P that restrict into the factors, the pushes, one to one onto
+    the pairs that agree on P1 n P2 and push into D.  The clause holds at
+    (P1, P2) iff the pushes number |F1(P1)| |F2(P2)|: each pair that
+    disagrees on P1 n P2, or pushes outside D, is one push fewer.
 
     Surjectivity: psi on Pp is induced by (phi1, phi2) with P1 <= S1 n Pp S2
     and P2 <= S2 n S1 Pp (the bounds of the literal form) when every t in
     Pp has a factorization t = x1 x2 with psi(t) = phi1(x1) phi2(x2).  Once
-    every push is well defined, any factorization of t gives the same
-    value, so this holds iff Pp <= P1 P2 and psi is the push restricted to
-    Pp.  So the keys induced on Pp are the restrictions to Pp of the
-    pushes of the bounded pairs whose products cover Pp, and D is hit on
-    every hom-set iff ``D._keys_from(Pp)`` lies in them for every Pp.  The
-    bounds keep this exact for tables not closed under restriction."""
+    every push is well defined, this holds iff Pp <= P1 P2 and psi is the
+    push restricted to Pp.  Given Pp <= P1 P2 <= P1 S2, P1 <= Pp S2 iff
+    Pp S2 = P1 S2, that is iff |Pp : Pp n S2| = |P1 : P1 n S2|, and
+    likewise for P2 with S1; so each pair covers the subgroups Pp <= P1 P2
+    with its two indices.  D is hit on every hom-set iff the restrictions
+    of the pushes cover ``D._keys_from(Pp)`` for every Pp.  The bounds
+    keep this exact for tables not closed under restriction."""
     S1, S2 = F1.support, F2.support
     meet = S1.meet(S2)
     for Fi in (F1, F2):
@@ -116,80 +142,33 @@ def is_central_product(D: FusionSystem, F1: FusionSystem,
             return False
     if not S1.is_elementwise_commuting(S2):
         return False
-    T = D.universe.generated_subgroup(S1.members + S2.members)
-    if D.support != T:
+    if D.support != _pair(S1, S2)[0]:
         return False
     if not (subsystem_contains(D, F1) and subsystem_contains(D, F2)):
         return False
-    mul = D.universe._mul
-    shapes: dict[tuple, tuple] = {}
-    for P1 in F1.subgroups():
-        for phi1 in F1.isos_from(P1):
-            rows1 = [mul[y] for y in phi1.images]
-            for P2 in F2.subgroups():
-                shape = shapes.get((P1.members, P2.members))
-                if shape is None:
-                    shape = shapes[P1.members, P2.members] = _pair_shape(P1, P2)
-                product, _, first, rest, pushed_keys = shape
-                for phi2 in F2.isos_from(P2):
-                    b = phi2.images
-                    pushed = [rows1[i][b[j]] for i, j in first]
-                    if any(rows1[i][b[j]] != pushed[k] for k, i, j in rest):
-                        return False
-                    pushed = tuple(pushed)
-                    if (len(set(pushed)) != len(pushed)
-                            or not D.contains_key(product, pushed)):
-                        return False
-                    pushed_keys.append(pushed)
-    # S1 and S2 commute elementwise, so both are normal in T = S1 S2, and
-    # Pp S2, Pp S1 and P1 P2 are subgroups: containment in them is tested
-    # on generators.
-    by_s1, by_s2 = picker(S1.members), picker(S2.members)
+    set1, set2 = S1.member_set, S2.member_set
+    need: dict[tuple[int, int], list] = {}
     for Pp in D.subgroups():
-        need = set(D._keys_from(Pp))
-        right = set().union(*(by_s2(mul[p]) for p in Pp.members))   # Pp S2
-        left = set().union(*(by_s1(mul[p]) for p in Pp.members))    # Pp S1 = S1 Pp
-        for P1 in F1.subgroups():
-            if not need:
-                break
-            if not right.issuperset(P1.generators):
-                continue
-            for P2 in F2.subgroups():
-                shape = shapes.get((P1.members, P2.members))
-                if shape is None or not left.issuperset(P2.generators):
-                    continue
-                _, at, _, _, pushed_keys = shape
-                if not all(t in at for t in Pp.generators):
-                    continue
-                need.difference_update(map(picker([at[t] for t in Pp.members]),
-                                           pushed_keys))
-                if not need:
-                    break
-        if need:
-            return False
-    return True
-
-
-def _pair_shape(P1: Subgroup, P2: Subgroup) -> tuple:
-    """For pushing maps on P1 and P2: the sorted product set P1 P2, the
-    position of each of its points, the first factorization (i1, i2) of
-    each point by positions in P1 and P2, every other factorization as
-    (point position, i1, i2), and an empty list for the pushed keys."""
-    mul = P1.parent._mul
-    first: dict[int, tuple[int, int]] = {}
-    others = []
-    for i, x1 in enumerate(P1.members):
-        row = mul[x1]
-        for j, x2 in enumerate(P2.members):
-            t = row[x2]
-            if t in first:
-                others.append((t, i, j))
-            else:
-                first[t] = (i, j)
-    product = tuple(sorted(first))
-    at = {t: k for k, t in enumerate(product)}
-    return (product, at, [first[t] for t in product],
-            [(at[t], i, j) for t, i, j in others], [])
+        indices = (Pp.order // len(Pp.member_set & set2),
+                   Pp.order // len(Pp.member_set & set1))
+        need.setdefault(indices, []).append((Pp, set(D._keys_from(Pp))))
+    row2 = [(P2, F2._keys_from(P2), P2.order // len(P2.member_set & set1))
+            for P2 in F2.subgroups()]
+    for P1 in F1.subgroups():
+        keys1 = F1._keys_from(P1)
+        index1 = P1.order // len(P1.member_set & set2)
+        for P2, keys2, index2 in row2:
+            P, to_p1, to_p2 = _pair(P1, P2)
+            pushes = [k for k in D._keys_from(P)
+                      if to_p1(k) in keys1 and to_p2(k) in keys2]
+            if len(pushes) != len(keys1) * len(keys2):
+                return False
+            for Pp, want in need.get((index1, index2), ()):
+                if want and P.member_set.issuperset(Pp.generators):
+                    at = P.positions
+                    want.difference_update(
+                        map(picker([at[x] for x in Pp.members]), pushes))
+    return not any(want for bucket in need.values() for _, want in bucket)
 
 
 # -- the product-theorem verification bundle ----------------------------------------
@@ -242,8 +221,9 @@ class ProductReport:
 def radical_intersect_failure(F: FusionSystem, S1: Subgroup, S2: Subgroup,
                               cr_list: Optional[Sequence[Subgroup]] = None
                               ) -> Optional[list[int]]:
-    """First centric radical R with R n S1S2 != (R n S1)(R n S2), if any."""
-    T = F.universe.generated_subgroup(S1.members + S2.members)
+    """First centric radical R with R n S1S2 != (R n S1)(R n S2), if any;
+    S1 and S2 commute elementwise."""
+    T = _pair(S1, S2)[0]
     for R in (cr_list if cr_list is not None else classify(F).cr_set()):
         lhs = R.member_set & T.member_set
         if lhs != set(R.meet(S1).product_set(R.meet(S2))):
@@ -277,6 +257,7 @@ def _product_report(F: FusionSystem, F1: FusionSystem,
     z1 = meet.member_set <= z_of(F1).member_set
     z2 = meet.member_set <= z_of(F2).member_set
     ce = centralize_each_other(F, F1, F2)
+    commuting = S1.is_elementwise_commuting(S2)
     iff_holds = ce == (z1 and z2)
     if not iff_holds:
         alarms.append(f"centralize={ce} but center conditions=({z1},{z2})")
@@ -292,17 +273,18 @@ def _product_report(F: FusionSystem, F1: FusionSystem,
                             (star_normal, "normal")):
             if not flag:
                 alarms.append(f"F1*F2 is not {label}")
-    elif z1 and z2:
+    elif z1 and z2 and commuting:
         # Central intersection fine yet not centralizing: any candidate over
         # S1 S2 would satisfy (ii) without (i); test the canonical one.
         if is_central_product(_star_product(F, F1, F2), F1, F2):
             alarms.append("central product exists although factors do not centralize")
             star_cp = True
-    # When the central-intersection clause already fails, no subsystem can
-    # be a central product of the factors, so (ii) is false with (i).
+    # When the central-intersection clause already fails, or the supports
+    # do not commute, no subsystem can be a central product of the
+    # factors, so (ii) is false with (i).
 
     radical_bad = None
-    if S1.is_elementwise_commuting(S2):
+    if commuting:
         radical_bad = radical_intersect_failure(F, S1, S2)
         if radical_bad is not None:
             alarms.append(f"radical intersection fails at R={radical_bad}")

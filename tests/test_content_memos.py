@@ -110,10 +110,12 @@ def test_each_content_is_asked_once_per_pass(suite_pass):
 def test_dimino_runs_per_pass(suite_pass):
     """The joins of the atom-join walk (``groups.normal_joins``),
     EasyCentralizer's XT and H(P)'s P N_T(P) are each a subgroup times one
-    that normalizes it, so they are product sets and run no Dimino; with
-    all three as closures the pass ran it 4,286 times."""
+    that normalizes it, and the central-product checks' P1 P2 and S1 S2
+    are products of commuting subgroups, so they are product sets and run
+    no Dimino; with the first three as closures the pass ran it 4,286
+    times, and 3,451 with the products' as closures."""
     _, runs = suite_pass
-    assert runs == 3451
+    assert runs == 3042
 
 
 def test_normal_joins_leave_no_closure(s4xc2):

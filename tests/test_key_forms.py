@@ -185,6 +185,71 @@ def test_central_product_matches_the_hom_form():
     assert answers.get((False, False), 0) > 50      # non-centralizing pairs
 
 
+@pytest.mark.parametrize("label", ["c2xc4@2", "c2xc2@2", "c3xc3@3"])
+def test_self_pairs_on_abelian_supports_match_the_hom_forms(label):
+    """Each pair (E, E) of an abelian entry, where S1 n S2 is all of S1:
+    the meets P1 n P2 of the walk are as large as they can be, and the
+    well-definedness of every push is decided on them.  Star generators,
+    and the central-product test on the star product, on it with only the
+    identity left in Aut(S1 S2) and on the top system."""
+    G, p = next((G, p) for lab, G, p in SMALL if lab == label)
+    ctx = EntryContext(label, G, p)
+    answers = []
+    for _, E in ctx.normal_pairs:
+        assert [(h.domain.members, h.images)
+                for h in star_generators(ctx.F, E, E)] == [
+            (h.domain.members, h.images)
+            for h in star_generators_literal(ctx.F, E, E)]
+        D = _star_product(ctx.F, E, E)
+        ident = [h for h in D.automorphisms(D.support) if h.is_identity()]
+        for X in (D, with_replaced_isos(D, D.support, ident), ctx.F):
+            answers.append(is_central_product(X, E, E))
+            assert answers[-1] == is_central_product_literal(X, E, E)
+    assert True in answers
+
+
+def test_pushes_that_disagree_on_the_meet_are_rejected():
+    """On c2xc4@2, S = <a> x <b> is abelian and F = F_S(S).  F2 is F with
+    one more automorphism of V = <a, b^2>: the swap of b^2 and a.  A pair
+    (id on P1, swap) disagrees on P1 n V when P1 holds b^2 or a, as
+    (id on <b>, swap) does at b^2 alone, so its push onto P1 V is not a
+    map.  D adds the swap to F and closes, so it contains both factors,
+    and Z(F2) is read as Z(F): the meet rule is the one clause left to
+    reject the pairs, and both forms do; without the swap both accept."""
+    G, p = next((G, p) for lab, G, p in SMALL if lab == "c2xc4@2")
+    F = EntryContext("c2xc4@2", G, p).F
+    V = next(P for P in F.subgroups() if P.order == 4
+             and all(G.element_order(x) <= 2 for x in P.members))
+    C4 = next(P for P in F.subgroups() if P.order == 4 and P is not V)
+    b2 = next(x for x in C4.members if G.element_order(x) == 2)
+    a = next(x for x in V.members if x not in C4.member_set and x != 0)
+    swap = Hom(V, V, tuple({b2: a, a: b2}.get(x, x) for x in V.members),
+               check=True)
+    F2 = with_replaced_isos(F, V, list(F.isos_from(V)) + [swap])
+    F2.memo("center", lambda: centralizers.z_of(F))
+    D = with_added_iso(F, swap)
+    assert D.support is F.support and fusion.subsystem_contains(D, F2)
+    assert not is_central_product(D, F, F2)
+    assert not is_central_product_literal(D, F, F2)
+    assert is_central_product(F, F, F) and is_central_product_literal(F, F, F)
+
+
+def test_surjectivity_keeps_the_bounds_of_the_literal_form():
+    """On c2xc2@2, with F = F_S(S) and the factors over <a> and <b>: F2
+    with no morphism on 1 leaves the identity of <a> in D = F induced by
+    no pair within the bounds, P2 <= S2 n S1 <a> = 1, though the pair
+    (<a>, <b>), out of them, covers it.  Both forms reject; with F2
+    whole, both accept."""
+    G, p = next((G, p) for lab, G, p in SMALL if lab == "c2xc2@2")
+    F = EntryContext("c2xc2@2", G, p).F
+    A, B = [P for P in F.subgroups() if P.order == 2][:2]
+    F1, F2 = (subsystems.normal_subsystem_in(F, P) for P in (A, B))
+    assert is_central_product(F, F1, F2) and is_central_product_literal(F, F1, F2)
+    cut = with_replaced_isos(F2, G.trivial_subgroup, [])
+    assert not is_central_product(F, F1, cut)
+    assert not is_central_product_literal(F, F1, cut)
+
+
 @pytest.fixture
 def hom_count(monkeypatch):
     """A counter of ``Hom.__init__`` calls."""

@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from collections import Counter
+
 import pytest
 
-from fusionkit.corpus import builtin_group
+from fusionkit.cli import resolve_subgroup
+from fusionkit.corpus import builtin_group, builtin_group_path, ingest
 from fusionkit.errors import CapExceeded, NotCentralizing
 from fusionkit.fusion import (fusion_of_group, inner_system,
                               subsystem_contains, subsystem_equal)
-from fusionkit.groups import (Hom, Subgroup, active_caps, center,
+from fusionkit.groups import (FiniteGroup, Hom, Subgroup, active_caps, center,
                               group_from_permutations, normal_subgroups,
                               subgroup_lattice, sylow_subgroup)
 from fusionkit.products import (_star_product, central_product_subsystem,
                                 centralize_each_other, is_central_product,
-                                radical_intersect_failure,
+                                radical_intersect_failure, star_generators,
                                 verify_product_theorems,
                                 zcentralize_witnesses)
 from fusionkit.saturation import classify, is_saturated
@@ -245,3 +249,53 @@ class TestProductTheorems:
         F2 = normal_subsystem_in(F_q8c4, center(q8c4.full_subgroup))
         assert zcentralize_witnesses(F_q8c4, F1, F2)
         assert zcentralize_witnesses(F_q8c4, F2, F1)
+
+
+def a4xa4_request():
+    """The pair of the request ``product a4xa4@2 --f1 elts:3,8,36,96 --f2
+    elts:3,8,36,96`` on a freshly ingested group: twice the subsystem over
+    the abelian Sylow 2-subgroup of order 16, whose 67 subgroups make the
+    largest pair walk of the corpus, 4,489 pairs."""
+    G = ingest(builtin_group_path("a4xa4"))
+    F = fusion_of_group(G, sylow_subgroup(G.full_subgroup, 2), 2)
+    E = normal_subsystem_in(F, resolve_subgroup(F, "elts:3,8,36,96"))
+    assert len(E.subgroups()) == 67
+    return F, E
+
+
+def test_largest_request_star_generators_run_no_closure(monkeypatch):
+    """Every P1 P2 is the product set of two commuting subgroups: no
+    ``generated_subgroup`` call and no Dimino run (4,490 calls and 1,828
+    runs when each P1 P2 was a closure)."""
+    F, E = a4xa4_request()
+    calls = Counter()
+    run, generate = FiniteGroup._dimino, FiniteGroup.generated_subgroup
+
+    def counted_dimino(self, seed):
+        calls["dimino"] += 1
+        return run(self, seed)
+
+    def counted_generate(self, seed):
+        calls["generated_subgroup"] += 1
+        return generate(self, seed)
+
+    monkeypatch.setattr(FiniteGroup, "_dimino", counted_dimino)
+    monkeypatch.setattr(FiniteGroup, "generated_subgroup", counted_generate)
+    assert len(star_generators(F, E, E)) == 67
+    assert not calls
+
+
+def test_largest_request_memory():
+    """The tracemalloc peak of the report: 12.9 MB when each pushed key of
+    the 4,489 pairs was kept for the surjectivity pass, 2.2 MB with none
+    kept (Python 3.11)."""
+    F, E = a4xa4_request()
+    tracemalloc.start()
+    try:
+        report = verify_product_theorems(F, E, E)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.star_central_product
+    assert (report.star_order, report.star_morphisms) == (16, 67)
+    assert peak < 4_000_000
