@@ -21,8 +21,10 @@ counterexample or None: ``c_s_counterexample`` for C_S(E) and
 ``r_star_counterexample`` for R*.  ``c_s_of`` and ``compute_centralizer_data``
 raise TheoremViolation from them; the verification suite reports them.
 A-circle, H(P) and the coincidence formula are decided on the table of
-Aut_F(P) (``saturation.aut_group``); their Hom forms are oracles in
-``tests/oracles.py``."""
+Aut_F(P) (``saturation.aut_group``) for every P, a one-element Aut_F(P)
+included; their Hom forms are oracles in ``tests/oracles.py``.  T C_S(T)
+and P N_T(P) are ``Subgroup.product``s, as one factor normalizes the
+other."""
 
 from __future__ import annotations
 
@@ -35,8 +37,7 @@ from .fusion import FusionSystem, generated_subsystem, subsystem_contains
 from .groups import (Hom, Subgroup, centralizer, normalizer, picker,
                      subgroup_lattice)
 from .models import Model, constrained_local_system, model_on, normal_model
-from .saturation import (aut_group, classify, o_upper_p_automorphisms,
-                         only_identity)
+from .saturation import aut_group, classify, o_upper_p_automorphisms
 from .subsystems import (centralizer_subsystem, is_normal, is_strongly_closed,
                          normalizer_subsystem, weakly_closed_subgroups_in)
 
@@ -98,12 +99,8 @@ def c_s_of(F: FusionSystem, E: FusionSystem,
 
 
 def a_circle(F: FusionSystem, E: FusionSystem, P: Subgroup) -> tuple[Hom, ...]:
-    """Automorphisms moving P only inside P n T and restricting into E there.
-
-    Verified on the table of Aut_F(P) to form a normal subgroup; when
-    Aut_F(P) is the identity alone, without a table: then it must be the
-    identity alone.
-    """
+    """Automorphisms moving P only inside P n T and restricting into E
+    there, verified on the table of Aut_F(P) to form a normal subgroup."""
     T = E.support
     mul, inv = F.universe._mul, F.universe._inv
     PT = P.meet(T)
@@ -117,10 +114,6 @@ def a_circle(F: FusionSystem, E: FusionSystem, P: Subgroup) -> tuple[Hom, ...]:
         if restrict(phi.images) not in E._keys_from(PT):
             continue
         out.append(phi)
-    if only_identity(F.automorphisms(P), P):
-        if not only_identity(out, P):
-            raise VerificationFailed("A-circle is not closed under composition")
-        return tuple(out)
     A = aut_group(F, P)
     sub = A.subgroup_of(out)
     if sub is None:
@@ -132,17 +125,15 @@ def a_circle(F: FusionSystem, E: FusionSystem, P: Subgroup) -> tuple[Hom, ...]:
 
 def h_group(F: FusionSystem, E: FusionSystem, P: Subgroup) -> tuple[Hom, ...]:
     """Automorphisms of P extending to automorphisms of P N_T(P), read
-    off the restrictions of those (``restriction_keys``); verified to form
-    a subgroup, without a table when Aut_F(P) is the identity alone."""
+    off the restrictions of those (``restriction_keys``); verified on the
+    table of Aut_F(P) to form a subgroup."""
     T = E.support
     NT = normalizer(T, P, F.table_for(P))
-    PN = Subgroup(F.universe, P.product_set(NT), check=False)  # NT normalizes P
+    PN = P.product(NT)  # NT normalizes P
     autos = F.automorphisms(P)
     keys = F.restriction_keys(PN, P, stabilizing=PN) if autos else frozenset()
     out = [phi for phi in autos if phi.images in keys]
-    closed = (only_identity(out, P) if only_identity(autos, P)
-              else aut_group(F, P).subgroup_of(out) is not None)
-    if not closed:
+    if aut_group(F, P).subgroup_of(out) is None:
         raise VerificationFailed("H(P) is not closed under composition")
     return tuple(sorted(out, key=Hom.sort_key))
 
@@ -319,9 +310,7 @@ def coincide_check(F: FusionSystem, E: FusionSystem,
                    C_S_E: Optional[Subgroup] = None) -> bool:
     """Aut_{C_F(E)}(P) = O^p(Aut_{C_F(T)}(P)) * Aut_{C_S(E)}(P) for every
     P fully normalized and centric in C_F(E), as a product set on the
-    table of Aut_{C_F(E)}(P), where both factors must lie.  When
-    Aut_{C_F(E)}(P) is the identity alone no table is built: both factors
-    must be the identity alone."""
+    table of Aut_{C_F(E)}(P), where both factors must lie."""
     R = C_S_E if C_S_E is not None else c_s_of(F, E)
     cfe = CFE if CFE is not None else c_F_of(F, E, C_S_E=R)
     CFT = centralizer_subsystem(F, E.support)
@@ -331,10 +320,6 @@ def coincide_check(F: FusionSystem, E: FusionSystem,
             continue
         op_auts = o_upper_p_automorphisms(CFT, P)
         r_auts = cfe.automizer_in(R, P)
-        if only_identity(cfe.automorphisms(P), P):
-            if not (only_identity(op_auts, P) and only_identity(r_auts, P)):
-                return False
-            continue
         A = aut_group(cfe, P)
         op_part = A.subgroup_of(op_auts)
         aut_r = A.subgroup_of(r_auts)

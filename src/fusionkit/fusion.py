@@ -571,6 +571,12 @@ def full_subcategory(F: FusionSystem, R: Subgroup) -> FusionSystem:
 # -- automorphism groups as finite groups -------------------------------------------
 
 
+TRIVIAL_TABLE = FiniteGroup("Aut = 1", [[0]])
+# Held, so that the slots of its one subgroup are filled once in the
+# process, not each time a caller interns it again.
+_TRIVIAL_SUBGROUP = TRIVIAL_TABLE.full_subgroup
+
+
 class MorphismGroup:
     """A finite group of automorphisms of one subgroup, under composition.
 
@@ -582,8 +588,15 @@ class MorphismGroup:
     The table is filled on image keys: a then b has the key
     ``picker(positions of a.images in P)(b.images)``, so no Hom is built
     per pair.  The per-pair ``Hom.then`` form is
-    ``morphism_group_table_literal`` in ``tests/oracles.py``.
+    ``morphism_group_table_literal`` in ``tests/oracles.py``.  A set that
+    is the identity alone builds no Hom and no table: its group is
+    ``TRIVIAL_TABLE``, shared by every such set, on which the operators
+    and ``subgroup_of`` answer as on a table of its own; that group's
+    memos and its one subgroup hold no answer that depends on who filled
+    them.
     """
+
+    __slots__ = ("homs", "base", "group", "_index")
 
     def __init__(self, autos: Sequence[Hom]) -> None:
         if not autos:
@@ -592,12 +605,17 @@ class MorphismGroup:
         for h in autos:
             if h.domain != P or h.codomain != P:
                 raise NotAGroup("not all maps are automorphisms of one subgroup")
+        self.base = P
+        if all(h.images == P.members for h in autos):
+            self.homs: tuple[Hom, ...] = (autos[0],)
+            self.group = TRIVIAL_TABLE
+            self._index = {P.members: 0}
+            return
         ident = Hom.identity(P)
         rest = sorted({h for h in autos if h != ident}, key=Hom.sort_key)
         if len(rest) == len(autos):
             raise NotAGroup("automorphism set lacks the identity")
-        self.homs: tuple[Hom, ...] = (ident,) + tuple(rest)
-        self.base = P
+        self.homs = (ident,) + tuple(rest)
         index = {h.images: i for i, h in enumerate(self.homs)}
         at = {x: i for i, x in enumerate(P.members)}
         keys = [h.images for h in self.homs]
@@ -619,14 +637,13 @@ class MorphismGroup:
     def subgroup_of(self, homs: Iterable[Hom]) -> Optional[Subgroup]:
         """``homs`` as a subgroup of ``group``; None when one is not in this
         group or they are not a subgroup, that is, not the subgroup they
-        generate (one closure of their indices)."""
+        generate (one closure of their indices, which holds them and is
+        them iff it is no larger)."""
         found = set(map(self._index.get, (h.images for h in homs)))
         if None in found:
             return None
-        members = tuple(sorted(found))
-        if self.group.closure(members) != members:
-            return None
-        return Subgroup(self.group, members, check=False)
+        sub = self.group.generated_subgroup(found)
+        return sub if sub.order == len(found) else None
 
     def homs_of(self, sub: Subgroup) -> tuple[Hom, ...]:
         if sub.parent is not self.group:

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import reduce
 from itertools import compress
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
@@ -391,6 +392,16 @@ class Subgroup:
         """The set self*other (not necessarily a subgroup), sorted."""
         mul = self.parent._mul
         return tuple(sorted({mul[a][b] for a in self.members for b in other.members}))
+
+    def product(self, other: "Subgroup") -> "Subgroup":
+        """HK for H = self and K = other, one of which normalizes the
+        other, as the caller vouches: then HK = KH is a subgroup, so it is
+        <H, K>, and it is the product set, with no closure."""
+        if other.member_set <= self.member_set:
+            return self
+        if self.member_set <= other.member_set:
+            return other
+        return Subgroup(self.parent, self.product_set(other), check=False)
 
     def is_normal_in(self, other: "Subgroup") -> bool:
         """Is self normalized by other?  H^g = H for every g in other iff
@@ -733,13 +744,14 @@ def o_p_prime(ambient: Subgroup, p: int) -> Subgroup:
     Why the join is O_{p'}.  Each such closure is a normal p'-subgroup,
     so it lies in O_{p'}, and so does their join.  Conversely, every x of
     O_{p'} is a p'-element whose closure lies in O_{p'}, a p'-group, so x
-    lies in one of the joined closures.  The walk over every normal
-    subgroup is ``o_p_prime_literal`` in ``tests/oracles.py``."""
+    lies in one of the joined closures.  The closures are normal, so the
+    join is their product (``Subgroup.product``).  The walk over every
+    normal subgroup is ``o_p_prime_literal`` in ``tests/oracles.py``."""
     G = ambient.parent
     atoms = (G.generated_subgroup(cls) for cls in conjugacy_classes(ambient)
              if G.element_order(cls[0]) % p)
-    return G.generated_subgroup(
-        [x for atom in atoms if atom.order % p for x in atom.members])
+    return reduce(Subgroup.product, (atom for atom in atoms if atom.order % p),
+                  G.trivial_subgroup)
 
 
 def o_upper_p(ambient: Subgroup, p: int) -> Subgroup:
@@ -936,8 +948,8 @@ def normal_joins(ambient: Subgroup, start: Subgroup,
 
     Every normal subgroup above ``start`` is the join of ``start`` with
     atoms, so with every join kept the walk meets all of them.  A join is
-    the product set: for H and K normal, HK = KH is a subgroup, so it is
-    <H, K>, and no closure runs."""
+    ``Subgroup.product``: for H and K normal, HK = KH is <H, K>, and no
+    closure runs."""
     G = ambient.parent
     atoms = {a.members: a
              for a in map(G.generated_subgroup, conjugacy_classes(ambient))}
@@ -947,8 +959,7 @@ def normal_joins(ambient: Subgroup, start: Subgroup,
         new = []
         for sub in frontier:
             for atom in atoms.values():
-                j = (sub if atom.member_set <= sub.member_set
-                     else Subgroup(G, sub.product_set(atom), check=False))
+                j = sub.product(atom)  # both are normal
                 if j.members not in found and keep(j):
                     found[j.members] = j
                     new.append(j)

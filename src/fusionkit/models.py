@@ -72,7 +72,7 @@ def normal_in_system(F: FusionSystem, P: Subgroup) -> bool:
     for Q, homs in sources:
         if not homs:
             continue
-        QP = F.universe.generated_subgroup(Q.members + P.members)
+        QP = Q.product(P)  # P is normal in S
         keys = F.restriction_keys(QP, Q, stabilizing=P)
         if any(phi.images not in keys for phi in homs):
             return False
@@ -88,15 +88,8 @@ def normal_subgroups_of_system(F: FusionSystem) -> tuple[Subgroup, ...]:
 def o_p_system(F: FusionSystem) -> Subgroup:
     """O_p(F): the largest subgroup normal in F."""
     normals = normal_subgroups_of_system(F)
-    best = normals[0]
-    for P in normals:
-        if P.order > best.order:
-            best = P
-    joined = best
-    for P in normals:
-        if not P.member_set <= joined.member_set:
-            joined = joined.join(P)
-    if joined != best:
+    best = max(normals, key=lambda P: P.order)
+    if any(not P.member_set <= best.member_set for P in normals):
         raise VerificationFailed("normal subgroups of F are not directed")
     return best
 
@@ -280,8 +273,8 @@ def constrained_local_system(F: FusionSystem, E: FusionSystem
     (``VerificationFailed`` otherwise).
     """
     T = E.support
-    V = F.universe.generated_subgroup(
-        T.members + centralizer(F.support, T, F.table_for(T)).members)
+    C = centralizer(F.support, T, F.table_for(T))
+    V = T.product(C)  # C centralizes T
     N1 = normalizer_subsystem(F, T)
     Gsys = normalizer_subsystem(N1, V)
     NET = normalizer_subsystem(E, T)

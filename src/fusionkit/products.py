@@ -45,7 +45,7 @@ def _pair(P1: Subgroup, P2: Subgroup) -> tuple:
     key = ("product", P2.members)
     got = P1.derived.get(key)
     if got is None:
-        P = Subgroup(P1.parent, P1.product_set(P2), check=False)
+        P = P1.product(P2)  # P1 and P2 commute elementwise
         at = P.positions
         got = P1.derived[key] = (P, picker([at[x] for x in P1.members]),
                                  picker([at[x] for x in P2.members]))

@@ -16,6 +16,11 @@ quantifiers, alarms and reports as their Hom forms in ``tests/oracles.py``
 - phi extends to N_phi iff phi.images is the restriction to P of the key
   of some morphism from N_phi, one set per (P, N_phi).
 
+Every statement about Aut_F(P) runs on its ``MorphismGroup``
+(``aut_group``), one path for every P: a one-element Aut_F(P) reads the
+shared order-1 table, so the inner-automizer alarm, O_p and O^p need no
+case of their own there.
+
 Conjugation families are searched breadth-first on image tuples
 (``_reachable``); its Hom form is ``reachable_literal``."""
 
@@ -69,13 +74,6 @@ def aut_group(F: FusionSystem, P: Subgroup) -> MorphismGroup:
                   lambda: MorphismGroup(F.automorphisms(P)))
 
 
-def only_identity(homs: Sequence[Hom], P: Subgroup) -> bool:
-    """Is the set of ``homs`` the identity of P alone?  Aut_F(P) = 1 is
-    decided by it without a table, and a set of maps is a subgroup of the
-    trivial group iff it is the identity alone."""
-    return {h.images for h in homs} == {P.members}
-
-
 def key_span(P: Subgroup, gens: Sequence[tuple[int, ...]]) -> set[tuple[int, ...]]:
     """The image keys of the maps of P generated by the maps with keys
     ``gens``: the closure of the identity key under composition with each
@@ -124,16 +122,12 @@ def key_generators(P: Subgroup, autos: Sequence[Hom]) -> Optional[list[Hom]]:
 
 
 def o_upper_p_automorphisms(F: FusionSystem, P: Subgroup) -> tuple[Hom, ...]:
-    """O^p(Aut_F(P)) as a set of morphisms; Aut_F(P) itself, with no
-    table, when it is the identity alone.  Memoized in F's slot under P's
-    members."""
+    """O^p(Aut_F(P)) as a set of morphisms.  Memoized in F's slot under
+    P's members."""
     return F.memo(("O^p-auts", P.members), lambda: _o_upper_p_auts(F, P))
 
 
 def _o_upper_p_auts(F: FusionSystem, P: Subgroup) -> tuple[Hom, ...]:
-    auts = F.automorphisms(P)
-    if only_identity(auts, P):
-        return auts
     mg = aut_group(F, P)
     sub = o_upper_p(mg.group.full_subgroup, F.p)
     return mg.homs_of(sub)
@@ -150,16 +144,14 @@ def _classify(F: FusionSystem) -> SubgroupClassification:
     and C_S(P) come from one pass.  Fully
     automized compares |N_S(P)| with |C_S(P)| |Aut_F(P)|_p, since
     Aut_S(P) = {c_g|P : g in N_S(P)} and c_g|P = c_h|P iff g h^-1 is in
-    C_S(P), so |Aut_S(P)| = |N_S(P)|/|C_S(P)|.  O_p(Aut_F(P)) is computed
-    for centric P only, the only ones ``cr_set`` reads.  The
+    C_S(P), so |Aut_S(P)| = |N_S(P)|/|C_S(P)|.  O_p(Aut_F(P)) and
+    Aut_P(P) are closed on the table for centric P only, the only ones
+    ``cr_set`` reads.  The
     inner-automizer alarm runs for every P.  It tests c_g|P for g in
     gens(P): the table of Aut_F(P) is closed under composition and c_gh|P
     = c_g|P then c_h|P, so Aut_P(P) lies in Aut_F(P) iff those maps do,
-    and it is the subgroup they generate.  When Aut_F(P) is the identity
-    alone, no table is built: the alarm is that some c_g|P is not the
-    identity, that is, gens(P) do not commute, and O_p(Aut_F(P)) and
-    Aut_P(P) are both trivial, so P is radical iff it is centric.  The Hom
-    form is ``classify_literal`` in ``tests/oracles.py``."""
+    and it is the subgroup they generate.  The Hom form is
+    ``classify_literal`` in ``tests/oracles.py``."""
     S, base = F.support, F.base
     rows = base.rows(S.members)
     at = base.positions
@@ -189,18 +181,12 @@ def _classify(F: FusionSystem) -> SubgroupClassification:
         auts = F.automorphisms(P)
         if n_of[P.members] == c_of[P.members] * p_part(len(auts), F.p):
             fully_a.add(P.members)
-        if only_identity(auts, P):
-            if not P.is_elementwise_commuting(P):
-                raise NotAGroup("automorphism is not in this group")
-            if P.members in centric:
-                radical.add(P.members)
-            continue
         mg = aut_group(F, P)
         of_members = picker([at[x] for x in P.members])
-        inner = mg.group.generated_subgroup(
-            [mg.index_of(Hom(P, P, of_members(base.row(g)), check=False))
-             for g in P.generators])
-        if P.members in centric and o_p(mg.group.full_subgroup, F.p) == inner:
+        inner = [mg.index_of(Hom(P, P, of_members(base.row(g)), check=False))
+                 for g in P.generators]
+        if P.members in centric and (o_p(mg.group.full_subgroup, F.p)
+                                     == mg.group.generated_subgroup(inner)):
             radical.add(P.members)
     return SubgroupClassification(F, frozenset(fully_n), frozenset(fully_c),
                                   frozenset(fully_a), frozenset(centric),

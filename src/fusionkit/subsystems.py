@@ -18,7 +18,14 @@ otherwise.  The automorphisms that pass are closed under composition, so
 the first one that fails is a generator, and the loop stops there with the
 payload or exception of the loop over every automorphism (the proof is in
 ``key_generators``).  Those loops are ``stability_literal`` and
-``extension_property_literal`` in ``tests/oracles.py``."""
+``extension_property_literal`` in ``tests/oracles.py``.
+
+Whether Aut_E(P) is a normal subgroup of Aut_F(P), which conditions
+(b)-(e) ask, is decided on the table of Aut_F(P) (``aut_group``) for
+every P, a one-element Aut_F(P) included.  The local systems by
+extension read the morphisms on P R, and the extension search those on
+T C_S(T), each a ``Subgroup.product``, as one factor normalizes the
+other."""
 
 from __future__ import annotations
 
@@ -31,7 +38,7 @@ from .fusion import (FusionSystem, full_subcategory, generated_subsystem,
 from .groups import (Hom, Subgroup, Twist, center, centralizer, normalizer,
                      p_part, picker, subgroup_lattice)
 from .saturation import (aut_group, classify, is_conjugation_family,
-                         is_saturated, key_generators, only_identity)
+                         is_saturated, key_generators)
 
 
 def is_strongly_closed(F: FusionSystem, T: Subgroup) -> bool:
@@ -129,7 +136,7 @@ def _local_by_extension(F: FusionSystem, support: Subgroup, R: Subgroup,
     restrictions to P of the morphisms ``kept(PR)`` yields on PR = <P, R>."""
     explicit: dict[tuple[int, ...], tuple[Hom, ...]] = {}
     for P in subgroup_lattice(support):
-        PR = P.parent.generated_subgroup(P.members + R.members)
+        PR = P.product(R)  # P lies in the support, which normalizes R
         found: dict[tuple, Hom] = {}
         for psi in kept(PR):
             h = psi.restrict_cores(P)
@@ -178,11 +185,9 @@ def _unstable(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
 
 def _aut_sets_normal(F: FusionSystem, E: FusionSystem, P: Subgroup) -> bool:
     """Aut_E(P) is a subgroup of Aut_F(P) normalized by it, decided on the
-    table of Aut_F(P) (``aut_group``), or, when Aut_F(P) is the identity
-    alone, without one: then Aut_E(P) must be the identity alone.
-    Memoized in E's slot under F's content key and P's members.  The
-    per-pair Hom form is ``aut_sets_normal_literal`` in
-    ``tests/oracles.py``."""
+    table of Aut_F(P) (``aut_group``).  Memoized in E's slot under F's
+    content key and P's members.  The per-pair Hom form is
+    ``aut_sets_normal_literal`` in ``tests/oracles.py``."""
     key = E.pair_key("aut-sets-normal", F)
     if key is not None:
         key += (P.members,)
@@ -190,8 +195,6 @@ def _aut_sets_normal(F: FusionSystem, E: FusionSystem, P: Subgroup) -> bool:
 
 
 def _aut_normal(F: FusionSystem, E: FusionSystem, P: Subgroup) -> bool:
-    if only_identity(F.automorphisms(P), P):
-        return only_identity(E.automorphisms(P), P)
     A = aut_group(F, P)
     sub = A.subgroup_of(E.automorphisms(P))
     return sub is not None and sub.is_normal_in(A.group.full_subgroup)
@@ -341,7 +344,7 @@ def bounded_extensions(F: FusionSystem, T: Subgroup, bound: Subgroup
     order, over the ext in Aut_F(TC_S(T)) with ext|_T = alpha and
     [C_S(T), ext] <= bound."""
     C = centralizer(F.support, T, F.table_for(T))
-    V = Subgroup(F.universe, T.product_set(C), check=False)  # C centralizes T
+    V = T.product(C)  # C centralizes T
     bset = bound.member_set
     mul, inv = F.universe._mul, F.universe._inv
 

@@ -41,7 +41,7 @@ from .models import (Model, is_constrained, model_of, models_isomorphic_over_s,
                      normal_model, normal_subgroups_of_system, script_G)
 from .products import (ProductReport, centralize_each_other,
                        verify_product_theorems)
-from .saturation import aut_group, classify, is_saturated, only_identity
+from .saturation import aut_group, classify, is_saturated
 from .subsystems import (bounded_extensions, centralizer_subsystem,
                          invariance_condition, is_normal, is_weakly_closed,
                          normal_subsystem_in, normalizer_subsystem,
@@ -220,7 +220,7 @@ def verify_prophelp(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
         if not X.member_set <= bound:
             continue
         CSX = centralizer(F.support, X, F.table_for(X))
-        V = F.universe.generated_subgroup(X.members + CSX.members)
+        V = X.product(CSX)  # C_S(X) centralizes X
         FX = normalizer_subsystem(normalizer_subsystem(F, X), V)
         if not is_saturated(FX).ok:
             return {"X": _sub(X), "kind": "local system not saturated"}
@@ -280,7 +280,7 @@ def verify_easy_centralizer(F: FusionSystem, E: FusionSystem,
         return got
 
     for X in subgroup_lattice(CST):
-        XT = Subgroup(F.universe, X.product_set(T), check=False)  # X centralizes T
+        XT = X.product(T)  # X centralizes T
         K_X = K(X)
         at = XT.positions
         on_t = picker([at[t] for t in T.members])
@@ -341,11 +341,10 @@ def verify_frattini_cons(F: FusionSystem, E: FusionSystem,
                          h_sets: Optional[dict] = None,
                          a_sets: Optional[dict] = None) -> Optional[dict]:
     """Aut_F(P) = H(P) A-circle(P) for every fully normalized P, as a
-    product set on the table of Aut_F(P) (``aut_group``); when Aut_F(P) is
-    the identity alone, without a table: both factors must be the identity
-    alone.  A counterexample names the first automorphism outside the
-    product; an injected factor that is not a subgroup of Aut_F(P), an
-    empty one included, is one too."""
+    product set on the table of Aut_F(P) (``aut_group``).  A
+    counterexample names the first automorphism outside the product; an
+    injected factor that is not a subgroup of Aut_F(P), an empty one
+    included, is one too."""
     cls = classify(F)
     for P in F.subgroups():
         if not cls.is_fully_normalized(P):
@@ -356,10 +355,6 @@ def verify_frattini_cons(F: FusionSystem, E: FusionSystem,
         asets = (a_sets or {}).get(P.members)
         if asets is None:
             asets = a_circle(F, E, P)
-        if only_identity(F.automorphisms(P), P):
-            if not (only_identity(hs, P) and only_identity(asets, P)):
-                return {"P": _sub(P), "kind": "factor is not a subgroup of Aut_F(P)"}
-            continue
         A = aut_group(F, P)
         H, C = A.subgroup_of(hs), A.subgroup_of(asets)
         if H is None or C is None:

@@ -435,7 +435,9 @@ def frattini_cons_literal(F: FusionSystem, E: FusionSystem,
                           a_sets: Optional[dict] = None) -> Optional[dict]:
     """Aut_F(P) = H(P) A-circle(P) for every fully normalized P, with the
     product formed as ``g.then(b)`` per pair; the first missing image key
-    located."""
+    located.  A factor that is not a subgroup of Aut_F(P) (a map outside
+    it, no identity, or a composite ``a.then(b)`` outside the factor) is
+    reported first, as the package reports an injected one."""
     cls = classify(F)
     for P in F.subgroups():
         if not cls.is_fully_normalized(P):
@@ -446,8 +448,13 @@ def frattini_cons_literal(F: FusionSystem, E: FusionSystem,
         asets = (a_sets or {}).get(P.members)
         if asets is None:
             asets = a_circle_literal(F, E, P)
-        product = {g.then(b).images for g in hs for b in asets}
         want = {h.images for h in F.automorphisms(P)}
+        for factor in (hs, asets):
+            keys = {h.images for h in factor}
+            if not (keys <= want and P.members in keys and _closed(factor)):
+                return {"P": list(P.members),
+                        "kind": "factor is not a subgroup of Aut_F(P)"}
+        product = {g.then(b).images for g in hs for b in asets}
         if product != want:
             return {"P": list(P.members), "missing": sorted(want - product)[:1]}
     return None

@@ -16,13 +16,14 @@ from hypothesis import given, settings
 from fusionkit.centralizers import a_circle, coincide_check, h_group
 from fusionkit.corpus import corpus_entries
 from fusionkit.errors import FusionkitError
-from fusionkit.fusion import transport_isos
+from fusionkit.fusion import TRIVIAL_TABLE, transport_isos
 from fusionkit.groups import Hom
 from fusionkit.models import model_of
+from fusionkit.saturation import aut_group
 from fusionkit.subsystems import (_aut_sets_normal, invariance_condition,
                                   is_normal, normalizer_subsystem)
 from fusionkit.verify import (EntryContext, inner_only_shadow,
-                              verify_frattini_cons)
+                              verify_frattini_cons, with_replaced_isos)
 from oracles import (a_circle_literal, aut_sets_normal_literal,
                      coincide_check_literal, frattini_cons_literal,
                      h_group_literal, transport_isos_literal)
@@ -132,6 +133,47 @@ def test_injected_empty_factors_are_taken_literally(F_s4, E_a4, V4):
                    "kind": "factor is not a subgroup of Aut_F(P)"}
     assert frattini_cons_literal(F_s4, E_a4, h_sets=empty,
                                  a_sets=empty)["P"] == list(V4.members)
+
+
+def test_injected_factors_on_a_trivial_automizer(F_s4, E_a4, V4):
+    """At P = 1 of s4@2, Aut_F(P) is the identity alone, and its table is
+    the shared order-1 one.  Injected there as H(P) and A-circle(P), the
+    identity, the empty set and a map outside Aut_F(P) (an automorphism
+    of V4) give the payload of the Hom form: none for the identity, a
+    factor that is not a subgroup for the other two."""
+    one = next(P for P in F_s4.subgroups() if P.order == 1)
+    assert len(F_s4.automorphisms(one)) == 1
+    assert aut_group(F_s4, one).group is TRIVIAL_TABLE
+    outside = next(h for h in F_s4.automorphisms(V4) if not h.is_identity())
+    payloads = []
+    for factor in ((Hom.identity(one),), (), (outside,)):
+        for h_sets, a_sets in (({one.members: factor}, None),
+                               (None, {one.members: factor}),
+                               ({one.members: factor}, {one.members: factor})):
+            got = verify_frattini_cons(F_s4, E_a4, h_sets, a_sets)
+            assert got == frattini_cons_literal(F_s4, E_a4, h_sets, a_sets)
+            payloads.append(got)
+    bad = {"P": [0], "kind": "factor is not a subgroup of Aut_F(P)"}
+    assert payloads == [None] * 3 + [bad] * 6
+
+
+def test_nontrivial_aut_e_over_a_trivial_aut_f():
+    """A mutant E of c2xc4@2, where every Aut_F(P) is the identity alone,
+    with the inversion of a cyclic subgroup of order 4 added to
+    Aut_E(P): Aut_E(P) is not a subgroup of Aut_F(P) there, and the
+    package agrees with the Hom forms on every P (``compare``)."""
+    G, p = next((G, p) for lab, G, p in SMALL if lab == "c2xc4@2")
+    F = EntryContext("c2xc4@2", G, p).F
+    assert all(len(F.automorphisms(P)) == 1 for P in F.subgroups())
+    C4 = next(P for P in F.subgroups()
+              if P.order == 4 and len(P.generators) == 1)
+    inversion = Hom(C4, C4, tuple(G.inv(x) for x in C4.members))
+    E = with_replaced_isos(F, C4, list(F.isos_from(C4)) + [inversion])
+    assert len(E.automorphisms(C4)) == 2
+    seen: Counter = Counter()
+    compare(F, E, seen)
+    assert not _aut_sets_normal(F, E, C4)
+    assert seen[False] == 1 and seen[True] == len(E.subgroups()) - 1
 
 
 @pytest.mark.parametrize("label", ["s4@2", "s4xc2@2"])

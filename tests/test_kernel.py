@@ -6,7 +6,9 @@ iso-sets, extension groups) read only ``Subgroup.generators``, picked off
 the conjugation table ``Subgroup.row`` of a subgroup containing them.
 Each is compared with the literal form in ``oracles``, over every subgroup
 pair of a few corpus groups and over groups generated by two permutations,
-as are the tables themselves and the picker-built permutation tables.
+as are the tables themselves and the picker-built permutation tables;
+there the product of two subgroups one of which normalizes the other is
+the subgroup they generate.
 The index-p lattice of every subgroup of a Sylow subgroup and the
 picker-built table of ``MorphismGroup`` are compared with their
 closure-join and ``Hom.then`` forms, and the derived subgroup and the
@@ -146,15 +148,23 @@ def test_morphism_group_rejects_an_open_set():
 
 @pytest.mark.parametrize("name", ["d8", "s4", "q8c4", "s3xs3", "gl23", "d8xc2"])
 def test_every_subgroup_pair(name):
+    """Every pair of subgroups, and where one normalizes the other their
+    product, which is the subgroup they generate."""
     G = builtin_group(name)
     check_rows(G)
     subs = subgroup_lattice_literal(G.full_subgroup)
+    products = 0
     for H in subs:
         check_generators(H)
         for K in subs:
             check_pair(K, H)
             assert G.closure(H.members + K.members) == closure_literal(
                 G, H.members + K.members)
+            if H.is_normal_in(K) or K.is_normal_in(H):
+                assert H.product(K) is G.generated_subgroup(H.members
+                                                            + K.members)
+                products += 1
+    assert products > len(subs)
     assert normal_subgroups(G.full_subgroup) == normal_subgroups_literal(
         G.full_subgroup)
 

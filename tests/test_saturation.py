@@ -7,7 +7,7 @@ import pytest
 from fusionkit import saturation
 from fusionkit.corpus import builtin_group
 from fusionkit.errors import NotSaturated
-from fusionkit.fusion import (MorphismGroup, fusion_of_group,
+from fusionkit.fusion import (TRIVIAL_TABLE, MorphismGroup, fusion_of_group,
                               generated_subsystem, realized_subsystem)
 from fusionkit.groups import (Hom, Subgroup, center, centralizer, normalizer,
                               sylow_subgroup)
@@ -27,44 +27,57 @@ def cross_map(F, V4):
     return next(h for h in F.isos_from(c2s[0]) if h.codomain == c2s[1])
 
 
+def count_tables(monkeypatch) -> list[MorphismGroup]:
+    """The list that every ``saturation.aut_group`` fill appends its
+    MorphismGroup to from now on."""
+    built = []
+
+    class Counted(MorphismGroup):
+        def __init__(self, autos):
+            super().__init__(autos)
+            built.append(self)
+
+    monkeypatch.setattr(saturation, "MorphismGroup", Counted)
+    return built
+
+
+def tables(built: list[MorphismGroup]) -> list[int]:
+    """The orders of the tables the MorphismGroups of ``built`` made; every
+    one-element group reads the shared ``TRIVIAL_TABLE`` and makes none."""
+    assert all(mg.group is TRIVIAL_TABLE
+               for mg in built if len(mg.homs) == 1)
+    return [mg.group.order for mg in built if mg.group is not TRIVIAL_TABLE]
+
+
 class TestClassification:
     def test_trivial_automizers_build_no_table(self, monkeypatch):
-        """Classifying s4@2's F builds no MorphismGroup for a one-element
-        Aut_F(P), and the flags are those of the Hom form."""
-        built = []
-
-        class Counted(MorphismGroup):
-            def __init__(self, autos):
-                built.append(len(autos))
-                super().__init__(autos)
-
-        monkeypatch.setattr(saturation, "MorphismGroup", Counted)
+        """Classifying s4@2's F builds no table for a one-element Aut_F(P),
+        whose MorphismGroup reads the shared order-1 table, and the flags
+        are those of the Hom form."""
+        built = count_tables(monkeypatch)
         G = builtin_group("s4")
         F = fusion_of_group(G, sylow_subgroup(G.full_subgroup, 2), 2)
         assert any(len(F.automorphisms(P)) == 1 for P in F.subgroups())
         got = classify(F)
-        assert built and 1 not in built
+        assert any(len(mg.homs) == 1 for mg in built)
+        assert tables(built) and 1 not in tables(built)
         want = classify_literal(F)
         assert (got.centric, got.fully_automized) == (want.centric,
                                                       want.fully_automized)
         assert got.radical == want.radical & want.centric
 
     def test_suite_pass_builds_no_one_element_table(self, monkeypatch):
-        """A suite pass on s4xc2@2 decides every one-element Aut_F(P)
-        without a MorphismGroup (h_group, A-circle, FrattiniCons, O^p,
-        invariance and coincidence): 125 tables, none of order 1 (167, 42
-        of them of order 1, when only the classification skipped them)."""
-        built = []
-
-        class Counted(MorphismGroup):
-            def __init__(self, autos):
-                built.append(len(autos))
-                super().__init__(autos)
-
-        monkeypatch.setattr(saturation, "MorphismGroup", Counted)
+        """A suite pass on s4xc2@2 decides every statement about Aut_F(P)
+        on its MorphismGroup (h_group, A-circle, FrattiniCons, O^p,
+        invariance and coincidence), 520 of them, and the 395 one-element
+        ones read the shared order-1 table: 125 tables, none of order 1,
+        as when the one-element ones were decided beside the table."""
+        built = count_tables(monkeypatch)
         results = run_suite("s4xc2@2", builtin_group("s4xc2"), 2)
         assert all(r.passed for r in results)
-        assert 1 not in built and len(built) == 125
+        assert len(built) == 520
+        assert sum(len(mg.homs) == 1 for mg in built) == 395
+        assert 1 not in tables(built) and len(tables(built)) == 125
 
     def test_v4_flags(self, F_s4, V4):
         cls = classify(F_s4)
