@@ -28,9 +28,8 @@ other."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import TheoremViolation, VerificationFailed
 from .fusion import FusionSystem, generated_subsystem, subsystem_contains
@@ -227,8 +226,7 @@ def hyperfocal_subgroup(F: FusionSystem) -> Subgroup:
 # -- the centralizer subsystem ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CentralizerData:
+class CentralizerData(NamedTuple):
     """Everything the centralizer construction produces for one normal pair."""
 
     E: FusionSystem

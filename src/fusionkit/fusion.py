@@ -89,7 +89,8 @@ class FusionSystem:
     universe and holds this support, else this support.  So every system
     under one top moves its subgroups on one table, |S| entries per
     conjugator.  A realized system reads the rows of its witness off that
-    table once (``_witness_rows``).
+    table once and keeps one row per coset of C_W(base) in its witness W
+    (``_witness_rows``, |W : C_W(base)| rows).
     """
 
     def __init__(self, support: Subgroup, p: int,
@@ -200,10 +201,20 @@ class FusionSystem:
 
     def _conjugation_keys(self, P: Subgroup) -> Iterator[tuple[int, ...]]:
         """The image keys of the maps c_w|P into the support, w in the
-        witness, each once (``_first_conjugations``)."""
+        witness, each once (``_first_conjugations``).
+
+        The witness's rows are kept once each, in the order of their first
+        w.  Two members w, w' of the witness W have equal rows on ``base``
+        iff w' w^-1 centralizes it, that is iff they lie in one coset
+        C_W(base) w, so the rows kept are one per coset.  Since P lies in
+        ``base``, w and w' then give one map c_w|P.  So the first w giving
+        each map is the first of its coset, and its row is kept in its
+        place: ``_first_conjugations`` yields the same keys in the same
+        order as on the rows of all of W."""
         rows = self._witness_rows
         if rows is None:
-            rows = self._witness_rows = self.base.rows(self.witness.members)
+            rows = self._witness_rows = tuple(dict.fromkeys(
+                self.base.rows(self.witness.members)))
         return _first_conjugations(P, rows, self.support.member_set, self.base)
 
     def _keys_from(self, P: Subgroup) -> frozenset:

@@ -55,11 +55,10 @@ whose consistency checks are Light's associativity test.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CapExceeded, NotAGroup, NotNormal, ParseError
 
@@ -484,13 +483,19 @@ class Hom:
             return self._key
         raise AttributeError(name)
 
-    def validate(self) -> "Hom":
+    def check_shape(self) -> "Hom":
+        """One image per member of the domain, each in the codomain."""
         cod = self.codomain.member_set
         if len(self.images) != len(self.domain.members):
             raise NotAGroup("image list length mismatch")
         for y in self.images:
             if y not in cod:
                 raise NotAGroup("image leaves the codomain")
+        return self
+
+    def validate(self) -> "Hom":
+        """``check_shape``, then multiplicativity on every pair."""
+        self.check_shape()
         mul_d = self.domain.parent._mul
         mul_c = self.codomain.parent._mul
         mp = self._map
@@ -785,8 +790,7 @@ def derived_subgroup(ambient: Subgroup) -> Subgroup:
     return G.generated_subgroup(seen)
 
 
-@dataclass(frozen=True)
-class QuotientGroup:
+class QuotientGroup(NamedTuple):
     """G/N with a deterministic coset labeling (minimal representatives)."""
 
     group: FiniteGroup

@@ -37,8 +37,7 @@ Theorem A post-checks on R* and C_S(E) live in ``centralizers``."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (ModelNotFound, ModelNotUnique, NotConstrained,
                      VerificationFailed)
@@ -102,8 +101,7 @@ def is_constrained(F: FusionSystem) -> tuple[bool, Optional[Subgroup]]:
     return False, None
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(NamedTuple):
     """A model for a constrained system: group M with the embedding of S."""
 
     group: FiniteGroup

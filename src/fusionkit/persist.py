@@ -26,7 +26,10 @@ and is not checked again (``_witness``).  The proof is a certificate
 checked against F (``_record_certifies``); when it fails, the record is
 closed literally (``close_morphisms``) and compared with F, so a record
 with a dropped generator or class still loads when its closure agrees, and
-a corrupted record cannot load quietly.
+a corrupted record cannot load quietly.  A record map is checked for its
+length and codomain as it is read.  A map the certificate accepts is a
+member of F, so a homomorphism: multiplicativity is tested only before the
+closure, or when reading or certifying the record raises (``_validate``).
 """
 
 from __future__ import annotations
@@ -173,6 +176,43 @@ def _record_certifies(
     return len(covered) == len(F.subgroups())
 
 
+def _read_record(G: FiniteGroup, classes: list, maps: list[Hom]
+                 ) -> list[tuple[Subgroup, list[Hom], list[tuple[Hom, Hom]]]]:
+    """The generator record of ``classes`` in the form ``_record_certifies``
+    reads, each map appended to ``maps`` in record order.  A map's image
+    list is checked for its length and its codomain here, and not for
+    multiplicativity (``_validate``)."""
+
+    def record_map(domain: Subgroup, codomain: Subgroup, images: list) -> Hom:
+        h = Hom(domain, codomain, _ints(images), check=False).check_shape()
+        maps.append(h)
+        return h
+
+    record = []
+    for entry in classes:
+        rep = G.subgroup(_ints(entry["rep"]))
+        auts = [record_map(rep, rep, images) for images in entry["aut_generators"]]
+        bridges = []
+        for bridge in entry["bridges"]:
+            member = G.subgroup(_ints(bridge["member"]))
+            bridges.append((record_map(rep, member, bridge["from_rep"]),
+                            record_map(member, rep, bridge["to_rep"])))
+        record.append((rep, auts, bridges))
+    return record
+
+
+def _validate(maps: list[Hom]) -> None:
+    """NotAGroup at the first of ``maps`` that is not a homomorphism.
+
+    A certified record needs no such test: each of its maps is a morphism
+    of F = F_S(W), a conjugation map c_w|P or (``to_rep``) the inverse of
+    one, and so a homomorphism.  It runs, in record order, before the
+    record is closed, and when reading or certifying the record raises, so
+    that a map the record reads before the failure is reported first."""
+    for h in maps:
+        h.validate()
+
+
 def load_system(path: str | Path) -> FusionSystem:
     """Load a persisted system: F_S(W) over the group built from the stored
     generator columns, once the generator record is shown to generate
@@ -181,7 +221,9 @@ def load_system(path: str | Path) -> FusionSystem:
     The proof is the record certificate (``_record_certifies``).  When it
     fails, the decision falls back to closing the record literally and
     comparing the closure with F_S(W), so a record that still generates the
-    system loads.  Raises ParseError on unreadable or malformed files,
+    system loads.  Record maps are tested for multiplicativity only when
+    the certificate fails or raises (``_validate``).  Raises ParseError on
+    unreadable or malformed files,
     NotAGroup on generator columns or record maps that do not make a group
     or a homomorphism, VerificationFailed when the record regenerates other
     fusion.
@@ -202,23 +244,17 @@ def load_system(path: str | Path) -> FusionSystem:
         if type(p) is not int or not is_prime(p):
             raise ParseError(f"prime {p!r} is not a prime")
         fresh = fusion_of_group(W, S, p, name=payload.get("name", ""))
-        record = []
-        for entry in payload["classes"]:
-            rep = G.subgroup(_ints(entry["rep"]))
-            auts = [Hom(rep, rep, _ints(images), check=True)
-                    for images in entry["aut_generators"]]
-            bridges = []
-            for bridge in entry["bridges"]:
-                member = G.subgroup(_ints(bridge["member"]))
-                bridges.append((
-                    Hom(rep, member, _ints(bridge["from_rep"]), check=True),
-                    Hom(member, rep, _ints(bridge["to_rep"]), check=True)))
-            record.append((rep, auts, bridges))
-        if _record_certifies(fresh, record):
+        maps: list[Hom] = []
+        try:
+            record = _read_record(G, payload["classes"], maps)
+            certified = _record_certifies(fresh, record)
+        except Exception:
+            _validate(maps)
+            raise
+        if certified:
             return fresh
-        seeds = [h for _, auts, bridges in record
-                 for h in auts + [h for pair in bridges for h in pair]]
-        explicit = close_morphisms(S, seeds)
+        _validate(maps)
+        explicit = close_morphisms(S, maps)
         rebuilt = FusionSystem(S, p, explicit=explicit, name="rebuilt")
         if not subsystem_equal(rebuilt, fresh):
             raise VerificationFailed(

@@ -16,8 +16,7 @@ equivalence with the literal clauses.  The Hom forms,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .centralizers import contained_in_centralizer, z_of
 from .errors import NotCentralizing, VerificationFailed
@@ -174,8 +173,7 @@ def is_central_product(D: FusionSystem, F1: FusionSystem,
 # -- the product-theorem verification bundle ----------------------------------------
 
 
-@dataclass(frozen=True)
-class ProductReport:
+class ProductReport(NamedTuple):
     """Verification results for one pair of normal subsystems with [S1,S2]=1.
 
     When the factors centralize each other, ``star_order`` and

@@ -27,17 +27,15 @@ Conjugation families are searched breadth-first on image tuples
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import chain, compress
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import NotAGroup, NotSaturated
 from .fusion import FusionSystem, MorphismGroup
 from .groups import Hom, Subgroup, o_p, o_upper_p, p_part, picker
 
 
-@dataclass(frozen=True)
-class SubgroupClassification:
+class SubgroupClassification(NamedTuple):
     """Per-subgroup saturation-theoretic flags for one fusion system.
     ``radical`` holds the radical subgroups among the centric ones only."""
 
@@ -261,8 +259,7 @@ def _extension_groups(F: FusionSystem, P: Subgroup,
     return n_phi
 
 
-@dataclass(frozen=True)
-class SaturationReport:
+class SaturationReport(NamedTuple):
     ok: bool
     failures: tuple[dict, ...]
 
@@ -322,8 +319,7 @@ def _saturation_report(F: FusionSystem) -> SaturationReport:
 # -- conjugation families --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FactorStep:
+class FactorStep(NamedTuple):
     """One factor: an automorphism of a family member, applied on stage."""
 
     member: Subgroup
@@ -331,8 +327,7 @@ class FactorStep:
     stage: Subgroup          # P_{i-1}, contained in member
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """phi = (phi_1|_{P_0}) . (phi_2|_{P_1}) . ... through a conjugation family."""
 
     domain: Subgroup

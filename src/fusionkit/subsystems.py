@@ -29,8 +29,7 @@ other."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import NotStronglyClosed, NotSylow, VerificationFailed
 from .fusion import (FusionSystem, full_subcategory, generated_subsystem,
@@ -275,8 +274,7 @@ def invariance_condition(F: FusionSystem, E: FusionSystem, which: str) -> bool:
 # -- normality ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NormalityReport:
+class NormalityReport(NamedTuple):
     """Outcome of the normality test for a subsystem, with counterexamples.
 
     ``invariant`` is Aschbacher's F-invariance: E^alpha = E for every alpha

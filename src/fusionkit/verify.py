@@ -21,9 +21,8 @@ Checks come in three scopes, each run by one loop:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .centralizers import (CentralizerData, a_circle, c_F_of, c_s_counterexample,
                            c_s_of, centralized_set, coincide_check,
@@ -47,8 +46,7 @@ from .subsystems import (bounded_extensions, centralizer_subsystem,
                          normal_subsystem_in, normalizer_subsystem,
                          realized_subsystem)
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     status: str                      # "pass" | "fail"
     millis: float

@@ -19,9 +19,9 @@ from fusionkit import centralizers, groups, models, verify as verify_mod
 from fusionkit.centralizers import focal_subgroup, hyperfocal_subgroup
 from fusionkit.corpus import (CORPUS_ENTRIES, builtin_group,
                               builtin_group_path, ingest)
-from fusionkit.fusion import (TRIVIAL_TABLE, FusionSystem, fusion_of_group,
-                              generated_subsystem)
-from fusionkit.groups import center, o_p, sylow_subgroup
+from fusionkit.fusion import (TRIVIAL_TABLE, FusionSystem, _first_conjugations,
+                              fusion_of_group, generated_subsystem)
+from fusionkit.groups import center, centralizer, o_p, sylow_subgroup
 from fusionkit.saturation import o_upper_p_automorphisms
 from fusionkit.subsystems import (_aut_sets_normal, _stability,
                                   is_strongly_closed)
@@ -124,6 +124,28 @@ def test_dimino_runs_per_pass(suite_pass):
     Aut_P(P) on the table of every P, not of the centric P alone."""
     _, runs = suite_pass
     assert runs == 2825
+
+
+WITNESS_ROWS = {"a4xa4@2": 9, "a6@2": 180}
+
+
+@pytest.mark.parametrize("name,p", CORPUS_ENTRIES,
+                         ids=[f"{n}@{p}" for n, p in CORPUS_ENTRIES])
+def test_one_witness_row_per_coset(name, p):
+    """A realized top keeps |W : C_W(S)| witness rows, one per coset of
+    C_W(S) (9 of the 144 on a4xa4@2, 180 of the 360 on a6@2), and reads
+    from them the keys of every subgroup in the order that all the rows
+    of W give."""
+    G = builtin_group(name)
+    S = sylow_subgroup(G.full_subgroup, p)
+    F = fusion_of_group(G, S, p)
+    every_row = S.rows(G.full_subgroup.members)
+    for P in F.subgroups():
+        assert list(F._conjugation_keys(P)) == list(_first_conjugations(
+            P, every_row, S.member_set, S))
+    index = G.order // centralizer(G.full_subgroup, S, S).order
+    assert len(F._witness_rows) == index
+    assert WITNESS_ROWS.get(f"{name}@{p}", index) == index
 
 
 def test_normal_joins_leave_no_closure(s4xc2):

@@ -4,11 +4,16 @@ one module twice, every module-level function and class of the package
 has a caller in the package, unless ``NO_CALLER_NEEDED`` says why it
 stays, and every defaulted parameter of the package is set by some call in
 ``src/``, ``tests/`` or ``perfbench/``, unless ``NO_SETTER_NEEDED`` says
-why it stays."""
+why it stays.  A fresh interpreter that imports the standard-library
+modules the package names adds only ``fusionkit`` modules when it then
+imports the package, and no module of the package imports
+``dataclasses``, which would load ``inspect`` and its parsers."""
 
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 from typing import Optional
 
@@ -209,6 +214,21 @@ def unset_defaults(defs: dict[str, str], callers: dict[str, str]) -> list[str]:
     return sorted(out)
 
 
+def absolute_imports(source: str) -> list[ast.stmt]:
+    """The import statements of ``source``, at any depth, that name a
+    module by its absolute name."""
+    return [node for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.level == 0]
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules ``source`` imports absolutely."""
+    return {name.split(".")[0] for node in absolute_imports(source)
+            for name in ([a.name for a in node.names]
+                         if isinstance(node, ast.Import) else [node.module])}
+
+
 def _import_id(path: Path) -> str:
     return path.name if path.parent == PACKAGE else f"tests/{path.name}"
 
@@ -221,6 +241,30 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", IMPORT_CHECKED, ids=_import_id)
 def test_no_redundant_imports(path):
     assert redundant_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=_import_id)
+def test_no_dataclasses(path):
+    assert "dataclasses" not in imported_modules(path.read_text())
+
+
+def test_importing_the_package_adds_only_its_modules():
+    """Once the standard-library imports the package names have run, its
+    command line and verifier load nothing but ``fusionkit`` modules."""
+    statements = sorted({ast.unparse(node) for path in MODULES
+                         for node in absolute_imports(path.read_text())})
+    script = (f"import sys\n"
+              f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+              f"for statement in {statements!r}:\n"
+              f"    exec(statement, {{}})\n"
+              f"before = set(sys.modules)\n"
+              f"import fusionkit.cli, fusionkit.verify\n"
+              f"print(sorted(set(sys.modules) - before))\n")
+    run = subprocess.run([sys.executable, "-I", "-c", script],
+                         capture_output=True, text=True, check=True, timeout=60)
+    added = ast.literal_eval(run.stdout)
+    assert "fusionkit.verify" in added
+    assert [m for m in added if m.split(".")[0] != "fusionkit"] == []
 
 
 def test_every_definition_has_a_caller():
@@ -248,6 +292,15 @@ def test_detects_an_unused_import():
            "def f(a: 'A') -> Optional[int]:\n"
            "    '''B'''\n")
     assert unused_imports(src) == ["B (line 3)", "os (line 1)"]
+
+
+def test_detects_an_imported_module():
+    src = ("from __future__ import annotations\n"
+           "import os.path as p, json\n"
+           "from .a import dataclasses\n"
+           "def f():\n"
+           "    from dataclasses import dataclass\n")
+    assert imported_modules(src) == {"__future__", "os", "json", "dataclasses"}
 
 
 def test_detects_a_redundant_import():

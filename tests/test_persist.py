@@ -19,7 +19,8 @@ from fusionkit import persist
 from fusionkit.cli import main
 from fusionkit.corpus import (CORPUS_ENTRIES, builtin_group, builtin_group_path,
                               ingest)
-from fusionkit.errors import NotAGroup, ParseError, VerificationFailed
+from fusionkit.errors import (MorphismOutsideSupport, NotAGroup, ParseError,
+                              VerificationFailed)
 from fusionkit.fusion import (FusionSystem, close_morphisms, fusion_of_group,
                               subsystem_equal)
 from fusionkit.groups import (FiniteGroup, Hom, group_from_table,
@@ -182,14 +183,19 @@ SMALL = [(name, p) for name, p in CORPUS_ENTRIES
 @pytest.mark.parametrize("name,p", CORPUS_ENTRIES,
                          ids=[f"{n}@{p}" for n, p in CORPUS_ENTRIES])
 def test_corpus_records_load_without_closure(name, p, tmp_path, monkeypatch):
-    """Every honest record is certified, so the closure never runs."""
+    """Every honest record is certified, so neither the closure nor the
+    multiplicativity test of a record map runs."""
     path = tmp_path / "x.fsk"
     path.write_text(json.dumps(corpus_payload(name, p)))
 
     def closure_called(*args):
         raise AssertionError("closure fallback ran on an honest record")
 
+    def validated(self):
+        raise AssertionError("a certified record map was validated")
+
     monkeypatch.setattr(persist, "close_morphisms", closure_called)
+    monkeypatch.setattr(Hom, "validate", validated)
     F = load_system(path)
     G = builtin_group(name)
     assert F.universe._mul == G._mul
@@ -310,6 +316,76 @@ def test_mutations_reach_every_decision(tmp_path, monkeypatch):
         path.write_text(json.dumps(payload))
         kinds.add(decide(path, monkeypatch))
     assert {(None, False), (None, True), (VerificationFailed, True)} <= kinds
+
+
+def swap_aut_images(payload):
+    """Swap the second and third images of the first aut generator of the
+    support's class: a bijection that is not multiplicative."""
+    images = payload["classes"][0]["aut_generators"][0]
+    images[1], images[2] = images[2], images[1]
+
+
+def _first_bridge(payload):
+    return next(c for c in payload["classes"] if c["bridges"])["bridges"][0]
+
+
+def from_rep_leaves_member(payload):
+    bridge = _first_bridge(payload)
+    bridge["from_rep"][-1] = min(set(range(payload["order"])) - set(bridge["member"]))
+
+
+def to_rep_not_onto(payload):
+    """The first bridge through the trivial subgroup: ``to_rep`` is
+    injective and not onto its rep, ``from_rep`` the trivial map."""
+    bridge = _first_bridge(payload)
+    bridge.update(member=[0], to_rep=[0], from_rep=[0] * len(bridge["from_rep"]))
+
+
+def swap_aut_images_then_bad_rep(payload):
+    swap_aut_images(payload)
+    payload["classes"][-1]["rep"] = [0, payload["order"]]
+
+
+RECORD_FAULTS = {"swap-aut": swap_aut_images,
+                 "from-rep-leaves-member": from_rep_leaves_member,
+                 "to-rep-not-onto": to_rep_not_onto,
+                 "swap-aut-then-bad-rep": swap_aut_images_then_bad_rep}
+# The error each faulty record loads to, as when every record map was tested
+# for multiplicativity as it was read; "{path}" stands for the file.
+NOT_MULTIPLICATIVE = {"s4@2": (NotAGroup, "map is not multiplicative at (1,16)"),
+                      "a6@2": (NotAGroup, "map is not multiplicative at (3,60)"),
+                      "gl23@2": (NotAGroup, "map is not multiplicative at (3,12)")}
+NOT_REGENERATED = (VerificationFailed,
+                   "{path}: generator record does not regenerate the stored fusion")
+RECORD_FAULT_OUTCOMES = {
+    **{(label, "swap-aut"): NOT_MULTIPLICATIVE[label]
+       for label in NOT_MULTIPLICATIVE},
+    **{(label, "swap-aut-then-bad-rep"): NOT_MULTIPLICATIVE[label]
+       for label in NOT_MULTIPLICATIVE},
+    **{(label, "from-rep-leaves-member"): (NotAGroup, "image leaves the codomain")
+       for label in NOT_MULTIPLICATIVE},
+    ("s4@2", "to-rep-not-onto"): NOT_REGENERATED,
+    ("a6@2", "to-rep-not-onto"): NOT_REGENERATED,
+    ("gl23@2", "to-rep-not-onto"): (MorphismOutsideSupport,
+                                    "morphism image leaves the support"),
+}
+
+
+@pytest.mark.parametrize("label,fault", sorted(RECORD_FAULT_OUTCOMES),
+                         ids=[f"{lab}-{f}" for lab, f in sorted(RECORD_FAULT_OUTCOMES)])
+def test_faulty_record_maps_raise_as_checked_on_read(label, fault, tmp_path):
+    """Record maps are tested for multiplicativity only once the
+    certificate fails or raises, and every faulty record still raises the
+    error, type and message, of testing each map as it is read."""
+    name, p = label.split("@")
+    payload = corpus_payload(name, int(p))
+    RECORD_FAULTS[fault](payload)
+    path = tmp_path / "x.fsk"
+    path.write_text(json.dumps(payload))
+    kind, message = RECORD_FAULT_OUTCOMES[label, fault]
+    with pytest.raises(kind) as info:
+        load_system(path)
+    assert str(info.value) == message.format(path=path)
 
 
 # -- round trip, witnesses and the associativity report -------------------------

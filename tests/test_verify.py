@@ -4,7 +4,6 @@ input makes exactly that verifier fail."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import sys
 from collections import Counter
@@ -325,13 +324,13 @@ class TestMutationsCentralizer:
 
     def test_main_cse_b_corrupted_data(self, s4xc2, F_s4xc2, E_s4x1, data_s4xc2):
         ctx = EntryContext("s4xc2@2", s4xc2, 2)
-        bad_data = dataclasses.replace(
-            data_s4xc2, R_star=F_s4xc2.universe.trivial_subgroup)
+        bad_data = data_s4xc2._replace(
+            R_star=F_s4xc2.universe.trivial_subgroup)
         assert verify_main_cse_b(ctx, E_s4x1, data=bad_data) is not None
 
     def test_main_cse_c_corrupted_data(self, F_s4xc2, E_s4x1, data_s4xc2):
-        bad_data = dataclasses.replace(
-            data_s4xc2, C_S_E=F_s4xc2.universe.trivial_subgroup)
+        bad_data = data_s4xc2._replace(
+            C_S_E=F_s4xc2.universe.trivial_subgroup)
         assert verify_main_cse_c(F_s4xc2, E_s4x1, bad_data) is not None
 
     def test_focprop_undershot_bound(self, a4xa4_pair):
@@ -484,7 +483,7 @@ class TestSuiteLevelMutations:
 
         def corrupted(F, E):
             data = honest(F, E)
-            return dataclasses.replace(data, C_S_E=center(F.support))
+            return data._replace(C_S_E=center(F.support))
 
         monkeypatch.setattr(verify_mod, "compute_centralizer_data", corrupted)
         res = run_suite("s4@2", s4, 2, check_ids=["MainCSE.a"])
