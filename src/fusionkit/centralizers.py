@@ -32,7 +32,8 @@ from functools import reduce
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import TheoremViolation, VerificationFailed
-from .fusion import FusionSystem, generated_subsystem, subsystem_contains
+from .fusion import (FusionSystem, derived, generated_subsystem,
+                     subsystem_contains)
 from .groups import (Hom, Subgroup, centralizer, normalizer, picker,
                      subgroup_lattice)
 from .models import Model, constrained_local_system, model_on, normal_model
@@ -163,16 +164,12 @@ def r_star(F: FusionSystem, E: FusionSystem
     return Subgroup(F.universe, members, check=False), Gsys, model, N
 
 
+@derived
 def normalizer_family(F: FusionSystem, E: FusionSystem) -> tuple[Subgroup, ...]:
     """The centralized family of N_E(T), ``centralized_set(F, N_E(T))``:
-    the X <= C_S(T) with N_E(T) <= C_F(X).  Memoized in F's slot under
-    E's content key; ``compute_centralizer_data`` computes it first, for
-    the post-check on R*, and the suite's checks read it."""
-    return F.memo(F.pair_key("N_E(T)-family", E),
-                  lambda: _normalizer_family(F, E))
-
-
-def _normalizer_family(F: FusionSystem, E: FusionSystem) -> tuple[Subgroup, ...]:
+    the X <= C_S(T) with N_E(T) <= C_F(X).  ``compute_centralizer_data``
+    computes it first, for the post-check on R*, and the suite's checks
+    read it."""
     return centralized_set(F, normalizer_subsystem(E, E.support))
 
 
@@ -212,15 +209,16 @@ def _commutators(F: FusionSystem,
     return G.generated_subgroup(gens)
 
 
+@derived
 def focal_subgroup(F: FusionSystem) -> Subgroup:
-    """foc(F) = <[P, Aut_F(P)] : P <= S>, memoized in F's slot."""
-    return F.memo("focal", lambda: _commutators(F, F.automorphisms))
+    """foc(F) = <[P, Aut_F(P)] : P <= S>."""
+    return _commutators(F, F.automorphisms)
 
 
+@derived
 def hyperfocal_subgroup(F: FusionSystem) -> Subgroup:
-    """hyp(F) = <[P, O^p(Aut_F(P))] : P <= S>, memoized in F's slot."""
-    return F.memo("hyperfocal", lambda: _commutators(
-        F, lambda P: o_upper_p_automorphisms(F, P)))
+    """hyp(F) = <[P, O^p(Aut_F(P))] : P <= S>."""
+    return _commutators(F, lambda P: o_upper_p_automorphisms(F, P))
 
 
 # -- the centralizer subsystem ---------------------------------------------------
@@ -248,14 +246,9 @@ class CentralizerData(NamedTuple):
         }
 
 
+@derived
 def compute_centralizer_data(F: FusionSystem, E: FusionSystem) -> CentralizerData:
-    """The family, C_S(E) and R* for one normal pair, memoized in F's slot
-    under E's content key."""
-    return F.memo(F.pair_key("centralizer-data", E),
-                  lambda: _centralizer_data(F, E))
-
-
-def _centralizer_data(F: FusionSystem, E: FusionSystem) -> CentralizerData:
+    """The family, C_S(E) and R* for one normal pair."""
     X_set = centralized_set(F, E)
     CSE = c_s_of(F, E, X_set)
     Rstar, Gsys, model, N = r_star(F, E)
@@ -276,15 +269,12 @@ def c_F_of(F: FusionSystem, E: FusionSystem,
 
     The focal precondition foc(C_F(T)) <= C_S(E) is checked before any
     construction; it cannot fail on honest input, so a failure aborts.
-    Memoized in F's slot under E's content key and the support used.
+    Memoized per E and support (``_c_F_of``).
     """
-    R = C_S_E if C_S_E is not None else c_s_of(F, E)
-    key = F.pair_key("C_F(E)", E)
-    if key is not None:
-        key += (R.members,)
-    return F.memo(key, lambda: _c_F_of(F, E, R))
+    return _c_F_of(F, E, C_S_E if C_S_E is not None else c_s_of(F, E))
 
 
+@derived
 def _c_F_of(F: FusionSystem, E: FusionSystem, R: Subgroup) -> FusionSystem:
     CFT = centralizer_subsystem(F, E.support)
     foc = focal_subgroup(CFT)
@@ -327,9 +317,10 @@ def coincide_check(F: FusionSystem, E: FusionSystem,
     return True
 
 
+@derived
 def z_of(F: FusionSystem) -> Subgroup:
     """Z(F): the largest subgroup X with F <= C_F(X) (F run self-ambient)."""
-    return F.memo("center", lambda: c_s_of(F, F))
+    return c_s_of(F, F)
 
 
 def weakly_closed_analysis(F: FusionSystem, E: FusionSystem,

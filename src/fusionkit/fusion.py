@@ -25,7 +25,9 @@ classification, saturation, local subsystems, normality reports, and the
 predicates the verification suite asks again, such as strong closure and
 stability) lives in a slot of the registry on its top system, shared by
 every system with the same content key under that top, so it is computed
-once per content.
+once per content.  Each such result is declared by ``derived``, which keys
+it by the content of its arguments and keeps it in the first argument's
+slot.
 
 Conjugated morphisms are tested on keys: ``groups.Twist`` pushes the image
 key of a morphism through an automorphism, and
@@ -46,12 +48,43 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Hashable
+from functools import wraps
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (DomainMismatch, MorphismOutsideSupport, NotAGroup,
                      NotSylow)
 from .groups import (FiniteGroup, Hom, Subgroup, Twist, lattice_covers,
                      p_part, picker, subgroup_lattice)
+
+
+def derived(fn: Callable[..., Any]) -> Callable[..., Any]:
+    """Declare ``fn(F, *args)`` derived data of the system F: its value is
+    kept in F's slot (``FusionSystem.memo``) under the decorated function
+    and the content of each later argument, the content key of a system
+    and the members of a subgroup; an argument of any other type raises
+    TypeError.  When
+    a later system lives in another universe the value is computed and not
+    kept, since content keys of two universes may be equal and mean
+    different systems.  ``__wrapped__`` is ``fn``, the uncached form."""
+    @wraps(fn)
+    def cached(F: FusionSystem, *args: Any) -> Any:
+        key: Optional[tuple] = family
+        for a in args:
+            if isinstance(a, Subgroup):
+                content: Hashable = a.members
+            elif isinstance(a, FusionSystem):
+                content = a.content_key
+                if a.universe is not F.universe:
+                    key = None
+            else:
+                raise TypeError(f"{fn.__qualname__} keys no "
+                                f"{type(a).__name__} argument")
+            if key is not None:
+                key += (content,)
+        return F.memo(key, lambda: fn(F, *args))
+
+    family = (cached,)
+    return cached
 
 
 class FusionSystem:
@@ -81,8 +114,10 @@ class FusionSystem:
     system or caller that holds it, and the universe keeps only memos by
     member tuple (``groups.FiniteGroup``).
 
-    A result that depends on two systems is memoized in one system's slot
-    under the other's content key (see ``pair_key`` and ``memo``).
+    ``memo`` stores a value in this system's slot under a key.  Derived
+    data is declared with ``derived``, which builds that key from the
+    content of the arguments: a result on two systems lives in the first
+    system's slot under the second's content key.
 
     ``base`` is the subgroup whose conjugation table the system reads
     (``groups.Subgroup.row``): the top's support when it lies in the same
@@ -145,17 +180,12 @@ class FusionSystem:
         are groups of group automorphisms?"""
         return self._explicit is None
 
-    def pair_key(self, tag: str, *others: "FusionSystem") -> Optional[tuple]:
-        """Key for a result on this system and ``others``, memoized in this
-        system's slot; None when some other system lives in another
-        universe, so that result is not memoized."""
-        if any(D.universe is not self.universe for D in others):
-            return None
-        return (tag, *(D.content_key for D in others))
-
     def memo(self, key: Optional[Hashable], compute: Callable[[], Any]) -> Any:
         """``compute()``, stored in this system's slot under ``key``; any
-        value is kept, None included."""
+        value is kept, None included, and none when ``key`` is None.
+        Its callers are ``derived`` and the two results whose key is a
+        canonical form of their input: ``generated_subsystem``'s closure
+        and ``saturation.is_conjugation_family``."""
         if key is None:
             return compute()
         got = self._cache.get(key, _MISSING)
@@ -293,9 +323,31 @@ class FusionSystem:
 
     # -- conjugacy ---------------------------------------------------------------
 
+    @derived
     def classes(self) -> tuple[tuple[Subgroup, ...], ...]:
         """The F-conjugacy classes of subgroups of the support."""
-        return self.memo("classes", lambda: _classes(self))
+        subs = self.subgroups()
+        index = {P.members: i for i, P in enumerate(subs)}
+        parent = list(range(len(subs)))
+
+        def find(i: int) -> int:
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        for i, P in enumerate(subs):
+            for h in self.isos_from(P):
+                j = index[h.codomain.members]
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+        buckets: dict[int, list[Subgroup]] = {}
+        for i, P in enumerate(subs):
+            buckets.setdefault(find(i), []).append(P)
+        return tuple(sorted((tuple(sorted(b, key=Subgroup.sort_key))
+                             for b in buckets.values()),
+                            key=lambda c: c[0].sort_key()))
 
     # -- whole-system views --------------------------------------------------------
 
@@ -355,31 +407,6 @@ def _first_conjugations(P: Subgroup, rows: Sequence[tuple[int, ...]],
     for key, r in dict(zip(map(of_gens, rows), rows)).items():
         if inside.issuperset(key):
             yield of_members(r)
-
-
-def _classes(F: FusionSystem) -> tuple[tuple[Subgroup, ...], ...]:
-    subs = F.subgroups()
-    index = {P.members: i for i, P in enumerate(subs)}
-    parent = list(range(len(subs)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, P in enumerate(subs):
-        for h in F.isos_from(P):
-            j = index[h.codomain.members]
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[rj] = ri
-    buckets: dict[int, list[Subgroup]] = {}
-    for i, P in enumerate(subs):
-        buckets.setdefault(find(i), []).append(P)
-    return tuple(sorted((tuple(sorted(b, key=Subgroup.sort_key))
-                         for b in buckets.values()),
-                        key=lambda c: c[0].sort_key()))
 
 
 # -- constructors ---------------------------------------------------------------

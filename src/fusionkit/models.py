@@ -41,7 +41,7 @@ from typing import NamedTuple, Optional
 
 from .errors import (ModelNotFound, ModelNotUnique, NotConstrained,
                      VerificationFailed)
-from .fusion import FusionSystem, fusion_of_group, transport_isos
+from .fusion import FusionSystem, derived, fusion_of_group, transport_isos
 from .groups import (FiniteGroup, Hom, Subgroup, as_group, centralizer,
                      conjugacy_classes, core, normal_joins, normalizer,
                      o_p_prime, p_part, quotient)
@@ -78,10 +78,10 @@ def normal_in_system(F: FusionSystem, P: Subgroup) -> bool:
     return True
 
 
+@derived
 def normal_subgroups_of_system(F: FusionSystem) -> tuple[Subgroup, ...]:
-    """The subgroups normal in F, in canonical order; memoized in F's slot."""
-    return F.memo("F-normal-subgroups", lambda: tuple(
-        P for P in F.subgroups() if normal_in_system(F, P)))
+    """The subgroups normal in F, in canonical order."""
+    return tuple(P for P in F.subgroups() if normal_in_system(F, P))
 
 
 def o_p_system(F: FusionSystem) -> Subgroup:
@@ -149,6 +149,7 @@ def model_of(F: FusionSystem) -> Model:
     return model_on(F, Q)
 
 
+@derived
 def model_on(F: FusionSystem, Q: Subgroup) -> Model:
     """Model for a group-realized system F = F_S(W) on a normal centric
     subgroup Q the caller proved: N_W(Q)/O_{p'}(N_W(Q)), with N_W(Q) read
@@ -163,10 +164,6 @@ def model_on(F: FusionSystem, Q: Subgroup) -> Model:
     """
     if not F.realized:
         raise NotConstrained("model construction needs a group-realized system")
-    return F.memo(("model", Q.members), lambda: _model(F, Q))
-
-
-def _model(F: FusionSystem, Q: Subgroup) -> Model:
     W = F.witness
     H = normalizer(W, Q, F.table_for(Q))
     Hgrp, _ = as_group(H, name=f"N({F.name})")

@@ -20,7 +20,8 @@ from typing import NamedTuple, Optional, Sequence
 
 from .centralizers import contained_in_centralizer, z_of
 from .errors import NotCentralizing, VerificationFailed
-from .fusion import FusionSystem, generated_subsystem, subsystem_contains
+from .fusion import (FusionSystem, derived, generated_subsystem,
+                     subsystem_contains)
 from .groups import Hom, Subgroup, picker
 from .saturation import classify, is_saturated
 from .subsystems import extension_witness, is_normal
@@ -237,18 +238,12 @@ def zcentralize_witnesses(F: FusionSystem, Fi: FusionSystem,
                is not None for beta in Fi.automorphisms(Fi.support))
 
 
+@derived
 def verify_product_theorems(F: FusionSystem, F1: FusionSystem,
                             F2: FusionSystem) -> ProductReport:
     """Clauses: the centralize/center iff, saturation + normality + central
     product of F1*F2 when centralizing, the radical intersection identity,
-    and the extension witnesses.  Memoized in F's slot under the factors'
-    content keys."""
-    return F.memo(F.pair_key("product-report", F1, F2),
-                  lambda: _product_report(F, F1, F2))
-
-
-def _product_report(F: FusionSystem, F1: FusionSystem,
-                    F2: FusionSystem) -> ProductReport:
+    and the extension witnesses."""
     alarms: list[str] = []
     S1, S2 = F1.support, F2.support
     meet = S1.meet(S2)

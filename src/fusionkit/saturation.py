@@ -31,7 +31,7 @@ from itertools import chain, compress
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import NotAGroup, NotSaturated
-from .fusion import FusionSystem, MorphismGroup
+from .fusion import FusionSystem, MorphismGroup, derived
 from .groups import Hom, Subgroup, o_p, o_upper_p, p_part, picker
 
 
@@ -67,9 +67,9 @@ class SubgroupClassification(NamedTuple):
                      if P.members in self.fully_normalized)
 
 
+@derived
 def aut_group(F: FusionSystem, P: Subgroup) -> MorphismGroup:
-    return F.memo(("autgrp", P.members),
-                  lambda: MorphismGroup(F.automorphisms(P)))
+    return MorphismGroup(F.automorphisms(P))
 
 
 def key_span(P: Subgroup, gens: Sequence[tuple[int, ...]]) -> set[tuple[int, ...]]:
@@ -119,23 +119,16 @@ def key_generators(P: Subgroup, autos: Sequence[Hom]) -> Optional[list[Hom]]:
     return gens if span == keys else None
 
 
+@derived
 def o_upper_p_automorphisms(F: FusionSystem, P: Subgroup) -> tuple[Hom, ...]:
-    """O^p(Aut_F(P)) as a set of morphisms.  Memoized in F's slot under
-    P's members."""
-    return F.memo(("O^p-auts", P.members), lambda: _o_upper_p_auts(F, P))
-
-
-def _o_upper_p_auts(F: FusionSystem, P: Subgroup) -> tuple[Hom, ...]:
+    """O^p(Aut_F(P)) as a set of morphisms."""
     mg = aut_group(F, P)
     sub = o_upper_p(mg.group.full_subgroup, F.p)
     return mg.homs_of(sub)
 
 
+@derived
 def classify(F: FusionSystem) -> SubgroupClassification:
-    return F.memo("classification", lambda: _classify(F))
-
-
-def _classify(F: FusionSystem) -> SubgroupClassification:
     """The flags on counts, read off the conjugation table of ``F.base``.
     One pass over S per P picks gens(P)^g for every g in S: g normalizes
     P iff that lies in P and centralizes P iff it is gens(P), so N_S(P)
@@ -267,21 +260,18 @@ class SaturationReport(NamedTuple):
         return self.ok
 
 
+@derived
 def is_saturated(F: FusionSystem) -> SaturationReport:
     """Sylow axiom plus extension axiom, checked exhaustively.
 
     Saturated iff every fully normalized subgroup is fully automized and
     fully centralized, and every isomorphism onto a fully centralized
     subgroup extends over its extension group.
-    """
-    return F.memo("saturation", lambda: _saturation_report(F))
 
-
-def _saturation_report(F: FusionSystem) -> SaturationReport:
-    """The report on keys.  N_phi comes from ``_extension_groups``, and phi
-    extends to N_phi iff phi.images is the restriction to P of the key of
-    some psi in ``isos_from(N_phi)``; that set is built once per (P,
-    N_phi) (``FusionSystem.restriction_keys``).  Failures come in the
+    The report is made on keys.  N_phi comes from ``_extension_groups``,
+    and phi extends to N_phi iff phi.images is the restriction to P of the
+    key of some psi in ``isos_from(N_phi)``; that set is built once per
+    (P, N_phi) (``FusionSystem.restriction_keys``).  Failures come in the
     order of the per-phi Hom form, ``saturation_report_literal`` in
     ``tests/oracles.py``."""
     failures: list[dict] = []

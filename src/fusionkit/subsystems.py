@@ -31,26 +31,21 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .errors import NotStronglyClosed, NotSylow, VerificationFailed
-from .fusion import (FusionSystem, full_subcategory, generated_subsystem,
-                     realized_subsystem, subsystem_equal)
+from .errors import NotNormal, NotStronglyClosed, NotSylow, VerificationFailed
+from .fusion import (FusionSystem, derived, full_subcategory,
+                     generated_subsystem, realized_subsystem, subsystem_equal)
 from .groups import (Hom, Subgroup, Twist, center, centralizer, normalizer,
                      p_part, picker, subgroup_lattice)
 from .saturation import (aut_group, classify, is_conjugation_family,
                          is_saturated, key_generators)
 
 
+@derived
 def is_strongly_closed(F: FusionSystem, T: Subgroup) -> bool:
     """No element of T has an F-conjugate outside T: h(P n T) <= T for
     every morphism h from every P, with the images of P n T read off the
-    image key of h by one ``picker`` per P.  Memoized in F's slot under
-    T's members.  The per-element form is ``is_strongly_closed_literal``
-    in ``tests/oracles.py``."""
-    return F.memo(("strongly-closed", T.members),
-                  lambda: _is_strongly_closed(F, T))
-
-
-def _is_strongly_closed(F: FusionSystem, T: Subgroup) -> bool:
+    image key of h by one ``picker`` per P.  The per-element form is
+    ``is_strongly_closed_literal`` in ``tests/oracles.py``."""
     tset = T.member_set
     for P in F.subgroups():
         cut = [i for i, x in enumerate(P.members) if x in tset]
@@ -75,6 +70,7 @@ def weakly_closed_subgroups_in(F: FusionSystem, R: Subgroup) -> tuple[Subgroup, 
 # -- local subsystems -------------------------------------------------------------
 
 
+@derived
 def centralizer_subsystem(F: FusionSystem, X: Subgroup) -> FusionSystem:
     """C_F(X) over C_S(X): morphisms extending to PX acting as the identity on X.
 
@@ -82,10 +78,6 @@ def centralizer_subsystem(F: FusionSystem, X: Subgroup) -> FusionSystem:
     the two agree morphism-for-morphism on realized systems.  C_S(X) and
     the witness C_W(X) are read off the table of ``F.table_for(X)``.
     """
-    return F.memo(("CF", X.members), lambda: _centralizer_subsystem(F, X))
-
-
-def _centralizer_subsystem(F: FusionSystem, X: Subgroup) -> FusionSystem:
     if not F.realized:
         return centralizer_subsystem_by_extension(F, X)
     base = F.table_for(X)
@@ -102,14 +94,11 @@ def centralizer_subsystem_by_extension(F: FusionSystem, X: Subgroup) -> FusionSy
         f"C_{F.name}({X.order})")
 
 
+@derived
 def normalizer_subsystem(F: FusionSystem, Q: Subgroup) -> FusionSystem:
     """N_F(Q) over N_S(Q): morphisms extending to PQ and mapping Q onto Q;
     N_S(Q) and the witness N_W(Q) are read off the table of
     ``F.table_for(Q)``."""
-    return F.memo(("NF", Q.members), lambda: _normalizer_subsystem(F, Q))
-
-
-def _normalizer_subsystem(F: FusionSystem, Q: Subgroup) -> FusionSystem:
     if not F.realized:
         return normalizer_subsystem_by_extension(F, Q)
     base = F.table_for(Q)
@@ -148,10 +137,10 @@ def _local_by_extension(F: FusionSystem, support: Subgroup, R: Subgroup,
 # -- invariance conditions ---------------------------------------------------------
 
 
+@derived
 def _stability(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     """E^alpha = E for every alpha in Aut_F(T), compared on image keys;
-    returns a counterexample or None, memoized in E's slot under F's
-    content key.
+    returns a counterexample or None.
 
     phi^alpha sends x^alpha to (x^phi)^alpha.  Containment of E^alpha in E
     on every P suffices: alpha permutes the subgroups of T and keeps the
@@ -162,10 +151,6 @@ def _stability(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     over a generating set of Aut_F(T) when its keys are closed
     (``saturation.key_generators``), and over every alpha otherwise.
     """
-    return E.memo(E.pair_key("stability", F), lambda: _unstable(F, E))
-
-
-def _unstable(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     T = E.support
     alphas = F.automorphisms(T)
     gens = key_generators(T, alphas)
@@ -182,23 +167,17 @@ def _unstable(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     return None
 
 
+@derived
 def _aut_sets_normal(F: FusionSystem, E: FusionSystem, P: Subgroup) -> bool:
     """Aut_E(P) is a subgroup of Aut_F(P) normalized by it, decided on the
-    table of Aut_F(P) (``aut_group``).  Memoized in E's slot under F's
-    content key and P's members.  The per-pair Hom form is
+    table of Aut_F(P) (``aut_group``).  The per-pair Hom form is
     ``aut_sets_normal_literal`` in ``tests/oracles.py``."""
-    key = E.pair_key("aut-sets-normal", F)
-    if key is not None:
-        key += (P.members,)
-    return E.memo(key, lambda: _aut_normal(F, E, P))
-
-
-def _aut_normal(F: FusionSystem, E: FusionSystem, P: Subgroup) -> bool:
     A = aut_group(F, P)
     sub = A.subgroup_of(E.automorphisms(P))
     return sub is not None and sub.is_normal_in(A.group.full_subgroup)
 
 
+@derived
 def _condition_f(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     """Strong invariant condition; returns a counterexample or None."""
     T = E.support
@@ -230,14 +209,13 @@ def _generation_identity(F: FusionSystem, E: FusionSystem) -> bool:
 
 def invariance_condition(F: FusionSystem, E: FusionSystem, which: str) -> bool:
     """Evaluate one of the six equivalent invariance conditions literally;
-    (a) and (f) share ``_condition_f``, memoized in E's slot under F's
-    content key, and (b)-(e) share the stability test ``_stability``."""
+    (a) and (f) share ``_condition_f`` and (b)-(e) the stability test
+    ``_stability``, each memoized in F's slot under E's content key."""
     T = E.support
     if not is_strongly_closed(F, T):
         raise NotStronglyClosed(f"support of order {T.order} is not strongly closed")
     if which in ("a", "f"):
-        holds = E.memo(E.pair_key("condition-f", F),
-                       lambda: _condition_f(F, E)) is None
+        holds = _condition_f(F, E) is None
         return holds if which == "f" else holds and _generation_identity(F, E)
     if _stability(F, E) is not None:
         return False
@@ -387,6 +365,7 @@ def _extension_property(F: FusionSystem, E: FusionSystem,
     return None
 
 
+@derived
 def is_normal(F: FusionSystem, E: FusionSystem) -> NormalityReport:
     """Full normality report: strong closure, invariance, saturation,
     Frattini property and both extension variants.
@@ -395,14 +374,7 @@ def is_normal(F: FusionSystem, E: FusionSystem) -> NormalityReport:
     equivalent on a strongly closed T to the strong invariance condition (f)
     (Aschbacher, Proc. LMS 2008; Aschbacher-Kessar-Oliver, Prop. I.6.4);
     ``_condition_f`` evaluates (f) literally and serves as the oracle.
-
-    Memoized in E's slot under F's content key, so it is computed once per
-    pair of contents.
     """
-    return E.memo(E.pair_key("normality", F), lambda: _normality_report(F, E))
-
-
-def _normality_report(F: FusionSystem, E: FusionSystem) -> NormalityReport:
     T = E.support
     counterexamples: list[tuple[str, str]] = []
     sc = is_strongly_closed(F, T)
@@ -439,7 +411,7 @@ def normal_subsystem_in(F: FusionSystem, N: Subgroup) -> FusionSystem:
     if not F.realized:
         raise VerificationFailed("normal subsystems from groups need a realized F")
     if not N.is_normal_in(F.witness):
-        raise NotSylow(f"subgroup of order {N.order} is not normal in the witness")
+        raise NotNormal(f"subgroup of order {N.order} is not normal in the witness")
     T = F.support.meet(N)
     if p_part(N.order, F.p) != T.order:
         raise NotSylow("S n N is not a Sylow p-subgroup of N")

@@ -1,11 +1,15 @@
-"""Shared fixtures: module-scoped systems so caches warm up once."""
+"""Shared fixtures: module-scoped systems so caches warm up once, and
+``counted_memo``, which counts the fills of the registry."""
 
 from __future__ import annotations
+
+from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 
 from fusionkit.corpus import builtin_group
-from fusionkit.fusion import fusion_of_group
+from fusionkit.fusion import FusionSystem, fusion_of_group
 from fusionkit.groups import (centralizer, normal_subgroups, o_p, o_upper_p,
                               sylow_subgroup)
 from fusionkit.subsystems import normal_subsystem_in
@@ -69,3 +73,35 @@ def E_s4x1(F_s4xc2, s4xc2):
     cands = [N for N in normal_subgroups(s4xc2.full_subgroup)
              if N.order == 24 and centralizer(N, N, N).order == 1]
     return normal_subsystem_in(F_s4xc2, cands[0])
+
+
+@contextmanager
+def _counting(*held):
+    """Count the fills of ``FusionSystem.memo`` by family while the block
+    runs.  A fill is one computation stored in a slot; its family is the
+    ``derived`` function of its key, or the tag of a hand-built key.
+    Yields the Counter of fills by family and a list of (system, key) for
+    each fill of a family in ``held``, in the order the fills end; only
+    those systems are kept alive."""
+    fills: Counter = Counter()
+    kept: list = []
+    memo = FusionSystem.memo
+
+    def counted(self, key, compute):
+        def filling():
+            got = compute()
+            fills[key[0]] += 1
+            if key[0] in held:
+                kept.append((self, key))
+            return got
+        return memo(self, key, filling if key is not None else compute)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FusionSystem, "memo", counted)
+        yield fills, kept
+
+
+@pytest.fixture(scope="session")
+def counted_memo():
+    """``with counted_memo(*families) as (fills, kept)``: see ``_counting``."""
+    return _counting

@@ -418,6 +418,15 @@ class TestCommands:
         code = main(["centralizer", str(s4_fsk), "--normal", "order:7"])
         assert code == 2
 
+    def test_non_normal_subgroup_exits_two(self, s4_fsk, capsys):
+        """elts:1 is a subgroup of order 2 that is not normal in S4: exit 2
+        with the reason on stderr and nothing on stdout."""
+        code = main(["centralizer", str(s4_fsk), "--normal", "elts:1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("error: subgroup of order 2 is not normal "
+                                "in the witness\n")
+
     def test_usage_error_on_bad_file(self, tmp_path):
         missing = tmp_path / "missing.fsk"
         code = main(["verify", str(missing)])

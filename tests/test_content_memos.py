@@ -1,12 +1,13 @@
-"""The predicates the suite asks again with the same content are memoized
-in the registry: strong closure, O^p(Aut_F(P)), the focal and hyperfocal
-subgroups in F's slot, stability and the normality of Aut_E(P) in E's slot
-under F's content key.  No key lets a corrupted system read an honest
-system's answer, or the other way round, and one ``run_suite`` pass over
-the 21 ``suite-corpus`` entries computes each content once.  The
-cross-checks that exist to recompute (``centralizer-oracle``'s family,
-``Model1.c``'s normal model, ``FirstCharacterization``'s and
-``MainCSE.b``'s R*) still recompute."""
+"""Every result the suite asks again with the same content is memoized in
+the registry, in the slot of its first system (``fusion.derived``): strong
+closure, O^p(Aut_F(P)), the focal and hyperfocal subgroups in F's slot,
+stability, the normality of Aut_E(P), condition (f) and the normality
+report in F's slot under E's content key.  No key lets a corrupted system
+read an honest system's answer, or the other way round, and one
+``run_suite`` pass over the 21 ``suite-corpus`` entries computes each
+content once, family by family.  The cross-checks that exist to
+recompute (``centralizer-oracle``'s family, ``Model1.c``'s normal model,
+``FirstCharacterization``'s and ``MainCSE.b``'s R*) still recompute."""
 
 from __future__ import annotations
 
@@ -16,19 +17,41 @@ from collections import Counter
 import pytest
 
 from fusionkit import centralizers, groups, models, verify as verify_mod
-from fusionkit.centralizers import focal_subgroup, hyperfocal_subgroup
+from fusionkit.centralizers import (compute_centralizer_data, focal_subgroup,
+                                    hyperfocal_subgroup, normalizer_family,
+                                    z_of)
 from fusionkit.corpus import (CORPUS_ENTRIES, builtin_group,
                               builtin_group_path, ingest)
 from fusionkit.fusion import (TRIVIAL_TABLE, FusionSystem, _first_conjugations,
                               fusion_of_group, generated_subsystem)
 from fusionkit.groups import center, centralizer, o_p, sylow_subgroup
-from fusionkit.saturation import o_upper_p_automorphisms
-from fusionkit.subsystems import (_aut_sets_normal, _stability,
-                                  is_strongly_closed)
+from fusionkit.models import model_on, normal_subgroups_of_system
+from fusionkit.products import verify_product_theorems
+from fusionkit.saturation import (aut_group, classify, is_saturated,
+                                  o_upper_p_automorphisms)
+from fusionkit.subsystems import (_aut_sets_normal, _condition_f, _stability,
+                                  centralizer_subsystem, is_normal,
+                                  is_strongly_closed, normalizer_subsystem)
 from fusionkit.verify import inner_only_shadow, run_suite
 
-FAMILIES = ("strongly-closed", "stability", "aut-sets-normal", "O^p-auts",
-            "focal", "hyperfocal")
+# Each family of the registry under a short name: the function declared
+# with ``derived``, or the tag of one of the two hand-built keys.
+FAMILIES = {
+    "CF": centralizer_subsystem, "autgrp": aut_group,
+    "NF": normalizer_subsystem, "classification": classify,
+    "saturation": is_saturated, "strongly-closed": is_strongly_closed,
+    "center": z_of, "normality": is_normal,
+    "centralizer-data": compute_centralizer_data,
+    "product-report": verify_product_theorems,
+    "aut-sets-normal": _aut_sets_normal,
+    "O^p-auts": o_upper_p_automorphisms, "stability": _stability,
+    "F-normal-subgroups": normal_subgroups_of_system, "closure": "closure",
+    "N_E(T)-family": normalizer_family, "C_F(E)": centralizers._c_F_of,
+    "classes": FusionSystem.classes, "model": model_on,
+    "condition-f": _condition_f, "focal": focal_subgroup,
+    "conjugation-family": "conjugation-family",
+    "hyperfocal": hyperfocal_subgroup,
+}
 
 
 def systems(s4):
@@ -49,14 +72,17 @@ ASKS = {
     "O^p-auts": lambda D, E, V4: len(o_upper_p_automorphisms(D, V4)),
     "focal": lambda D, E, V4: focal_subgroup(D).order,
     "hyperfocal": lambda D, E, V4: hyperfocal_subgroup(D).order,
+    "normality": lambda D, E, V4: is_normal(D, E),
+    "condition-f": lambda D, E, V4: _condition_f(D, E),
 }
 
 
-@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("family", ASKS)
 def test_mutant_and_honest_system_read_their_own_answers(family, s4):
     """F and its shadow M answer differently; asked in either order, each
-    reads its own answer.  E is one object under F's top, so the pair
-    families hold both answers in E's one slot."""
+    reads its own answer.  E is one object under F's top; the pair
+    families keep F's answer in F's slot and M's in M's, each under E's
+    content key."""
     ask = ASKS[family]
     F, M, E, V4 = systems(s4)
     honest, mutant = ask(F, E, V4), ask(M, E, V4)
@@ -67,7 +93,7 @@ def test_mutant_and_honest_system_read_their_own_answers(family, s4):
 
 
 @pytest.fixture(scope="module")
-def suite_pass():
+def suite_pass(counted_memo):
     """Memo fills by family and Dimino runs in one ``run_suite`` pass over
     the 21 entries besides a4xa4@2, each on a freshly ingested group as
     the benchmark runs them.  Every memo lives on its entry's top, so the
@@ -75,22 +101,14 @@ def suite_pass():
     table of every one-element automorphism group (``TRIVIAL_TABLE``)
     keeps its closures for the whole process, so its Dimino runs, one
     per seed set ever asked, are left out of the count."""
-    fills: Counter = Counter()
     dimino = [0]
-    memo, run = FusionSystem.memo, groups.FiniteGroup._dimino
-
-    def counted_memo(self, key, compute):
-        def filling():
-            fills[key if isinstance(key, str) else key and key[0]] += 1
-            return compute()
-        return memo(self, key, filling)
+    run = groups.FiniteGroup._dimino
 
     def counted_dimino(self, seed):
         dimino[0] += self is not TRIVIAL_TABLE
         return run(self, seed)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(FusionSystem, "memo", counted_memo)
+    with counted_memo() as (fills, _), pytest.MonkeyPatch.context() as mp:
         mp.setattr(groups.FiniteGroup, "_dimino", counted_dimino)
         for name, p in CORPUS_ENTRIES:
             if name == "a4xa4":
@@ -102,13 +120,22 @@ def suite_pass():
 
 
 def test_each_content_is_asked_once_per_pass(suite_pass):
-    """Without the memos the pass makes 2,463 strong-closure tests, 884
-    stability tests, 1,596 normality tests of Aut_E(P), 2,137 O^p
-    computations and 263 and 121 focal and hyperfocal subgroups."""
+    """The fills of every family: 7,852 in all.  Without the memos the
+    pass makes 2,463 strong-closure tests, 884 stability tests, 1,596
+    normality tests of Aut_E(P), 2,137 O^p computations and 263 and 121
+    focal and hyperfocal subgroups.  The counts are the same as when the
+    four families on (F, E) kept their results in E's slot: keeping them
+    in F's slot lost no sharing and merged no keys."""
     fills, _ = suite_pass
-    assert {f: fills[f] for f in FAMILIES} == {
-        "strongly-closed": 385, "stability": 357, "aut-sets-normal": 654,
-        "O^p-auts": 365, "focal": 52, "hyperfocal": 52}
+    assert {name: fills[f] for name, f in FAMILIES.items()} == {
+        "CF": 534, "autgrp": 1923, "NF": 646, "classification": 380,
+        "saturation": 380, "strongly-closed": 385, "center": 121,
+        "normality": 348, "centralizer-data": 121, "product-report": 412,
+        "aut-sets-normal": 654, "O^p-auts": 365, "stability": 357,
+        "F-normal-subgroups": 52, "closure": 247, "N_E(T)-family": 121,
+        "C_F(E)": 121, "classes": 380, "model": 46, "condition-f": 134,
+        "focal": 52, "conjugation-family": 21, "hyperfocal": 52}
+    assert sum(fills.values()) == 7852
 
 
 def test_dimino_runs_per_pass(suite_pass):
@@ -159,12 +186,13 @@ def test_normal_joins_leave_no_closure(s4xc2):
         N.members for N in groups.normal_subgroups(s4xc2.full_subgroup)]
 
 
-def test_cross_checks_recompute(monkeypatch):
+def test_cross_checks_recompute(monkeypatch, counted_memo):
     """On s4@2 (4 normal pairs, a second Sylow 2-subgroup): R* is computed
-    for the centralizer data, again by FirstCharacterization and on the
-    transported pair by MainCSE.b; Model1.c searches the normal model
-    again after each ``r_star`` found it; centralizer-oracle recomputes both
-    families (``test_verify`` pins those calls)."""
+    for the centralizer data, filled once per pair, again by
+    FirstCharacterization and on the transported pair by MainCSE.b;
+    Model1.c searches the normal model again after each ``r_star`` found
+    it; centralizer-oracle recomputes both families (``test_verify`` pins
+    those calls)."""
     callers: Counter = Counter()
     r_star, normal_model = verify_mod.r_star, models.normal_model
 
@@ -179,9 +207,11 @@ def test_cross_checks_recompute(monkeypatch):
     for module in (verify_mod, centralizers):
         monkeypatch.setattr(module, "r_star", counted_r_star)
         monkeypatch.setattr(module, "normal_model", counted_normal_model)
-    results = run_suite("s4@2", builtin_group("s4"), 2)
+    with counted_memo() as (fills, _):
+        results = run_suite("s4@2", builtin_group("s4"), 2)
     assert all(r.passed for r in results)
-    assert callers == {("r_star", "_centralizer_data"): 4,
+    assert fills[compute_centralizer_data] == 4
+    assert callers == {("r_star", "compute_centralizer_data"): 4,
                        ("r_star", "verify_first_characterization"): 4,
                        ("r_star", "verify_main_cse_b"): 4,
                        ("normal_model", "r_star"): 12,

@@ -7,10 +7,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fusionkit.corpus import builtin_group
+from fusionkit.corpus import builtin_group, builtin_group_path, ingest
 from fusionkit.errors import (DomainMismatch, MorphismOutsideSupport,
                               NotAGroup, NotSylow)
-from fusionkit.fusion import (MorphismGroup, full_subcategory,
+from fusionkit.fusion import (MorphismGroup, derived, full_subcategory,
                               fusion_of_group, generated_subsystem,
                               inner_system, realized_subsystem,
                               subsystem_contains, subsystem_equal)
@@ -20,7 +20,7 @@ from fusionkit.groups import (Hom, Twist, center, centralizer,
 from fusionkit.saturation import classify, is_saturated
 from fusionkit.subsystems import (centralizer_subsystem, is_normal,
                                   normal_subsystem_in, normalizer_subsystem)
-from fusionkit import fusion, subsystems
+from fusionkit import fusion
 from fusionkit.verify import (inner_only_shadow, run_suite, with_added_iso,
                               with_removed_iso)
 from oracles import (conjugate_morphism, conjugate_subsystem,
@@ -352,24 +352,46 @@ class TestContentRegistry:
         assert A is not B and A.content_key == B.content_key
         assert A._cache is B._cache
 
-    def test_normal_subsystem_in_twice_computes_once(self, monkeypatch):
-        calls = []
-        real = subsystems._normality_report
-
-        def counted(F, E):
-            calls.append(E.content_key)
-            return real(F, E)
-
-        monkeypatch.setattr(subsystems, "_normality_report", counted)
+    def test_normal_subsystem_in_twice_computes_once(self, counted_memo):
         F = fresh_s4_system()
         A4 = o_upper_p(F.universe.full_subgroup, 2)
-        E1 = normal_subsystem_in(F, A4)
-        E2 = normal_subsystem_in(F, A4)
-        assert E1 is not E2 and len(calls) == 1
-        assert classify(E2) is classify(E1)
-        assert is_saturated(E2) is is_saturated(E1)
-        assert is_normal(F, E2) is is_normal(F, E1)
-        assert len(calls) == 1
+        with counted_memo() as (fills, _):
+            E1 = normal_subsystem_in(F, A4)
+            E2 = normal_subsystem_in(F, A4)
+            assert E1 is not E2 and fills[is_normal] == 1
+            assert classify(E2) is classify(E1)
+            assert is_saturated(E2) is is_saturated(E1)
+            assert is_normal(F, E2) is is_normal(F, E1)
+        assert fills[is_normal] == 1
+
+    def test_derived_keys_by_content(self, F_s4, V4):
+        """``derived`` keeps a value in its first system's slot under the
+        content of the later arguments: equal contents read one value, a
+        system of another universe is computed afresh each time, and an
+        argument that has no content raises TypeError."""
+        made = []
+
+        @derived
+        def probe(F, *args):
+            made.append(args)
+            return object()
+
+        A4 = o_upper_p(F_s4.universe.full_subgroup, 2)
+        E1, E2 = (realized_subsystem(F_s4, A4, V4) for _ in range(2))
+        assert probe(F_s4, E1, V4) is probe(F_s4, E2, V4)
+        assert probe(F_s4) is probe(F_s4) is not probe(F_s4, E1, V4)
+        assert F_s4._cache[(probe, E1.content_key, V4.members)] is \
+            probe(F_s4, E2, V4)
+        G = ingest(builtin_group_path("s4"))
+        other = fusion_of_group(G, sylow_subgroup(G.full_subgroup, 2), 2)
+        assert other.content_key == F_s4.content_key
+        stored = len(F_s4._cache)
+        assert probe(F_s4, other) is not probe(F_s4, other)
+        assert len(F_s4._cache) == stored
+        assert len(made) == 4
+        with pytest.raises(TypeError):
+            probe(F_s4, 3)
+        assert probe.__wrapped__(F_s4) is not probe(F_s4)
 
     def test_registry_is_per_top(self, F_s4, A4, V4):
         F = fresh_s4_system()
@@ -436,34 +458,35 @@ class TestContentRegistry:
         assert not any(r.normal for r in reports.values())
         assert reports["added"].to_json() != reports["shadow"].to_json()
         for key, M in mutants.items():
-            fresh = subsystems._normality_report(M, E_a4)
+            fresh = is_normal.__wrapped__(M, E_a4)
             assert reports[key].to_json() == fresh.to_json()
 
     def test_two_mutant_tops_never_read_each_others_pair_memo(self):
         """Two mutant tops over one universe, each the first explicit
-        system of its own registry, memoize their normality reports in one
-        honest E's slot; each reads back its own report, in either order."""
+        system of its own registry, memoize their normality reports on one
+        honest E each in its own slot under E's content key; each reads
+        back its own report, in either order."""
         def setting():
             F = fresh_s4_system()
             E = normal_subsystem_in(F, o_upper_p(F.universe.full_subgroup, 2))
             return F, E, lambda i: with_removed_iso(F, E.support, i,
                                                     keep_witness=True)
         F, E, removed = setting()
-        normal = [subsystems._normality_report(removed(i), E).normal
+        normal = [is_normal.__wrapped__(removed(i), E).normal
                   for i in range(len(F.isos_from(E.support)))]
         pair = (normal.index(False), normal.index(True))
         for order in (pair, pair[::-1]):
             F, E, removed = setting()
             tops = [removed(i) for i in order]
             assert all(M.top() is M for M in tops)
-            assert E.pair_key("normality", tops[0]) != \
-                E.pair_key("normality", tops[1])
+            assert tops[0]._cache is not tops[1]._cache
             reports = [is_normal(M, E) for M in tops]
             assert [r.normal for r in reports] == [normal[i] for i in order]
             for M, report in zip(tops, reports):
                 assert is_normal(M, E) is report
+                assert M._cache[(is_normal, E.content_key)] is report
                 assert report.to_json() == \
-                    subsystems._normality_report(M, E).to_json()
+                    is_normal.__wrapped__(M, E).to_json()
 
 
 @st.composite

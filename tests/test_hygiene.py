@@ -7,7 +7,10 @@ stays, and every defaulted parameter of the package is set by some call in
 why it stays.  A fresh interpreter that imports the standard-library
 modules the package names adds only ``fusionkit`` modules when it then
 imports the package, and no module of the package imports
-``dataclasses``, which would load ``inspect`` and its parsers."""
+``dataclasses``, which would load ``inspect`` and its parsers.  Derived
+data is declared with ``fusion.derived``: no module of the package calls
+``.memo(`` anywhere else, unless ``MEMO_CALLERS`` says why it builds its
+own key."""
 
 from __future__ import annotations
 
@@ -45,6 +48,18 @@ NO_CALLER_NEEDED = {
 }
 # Also exempt: the names in fusionkit.__all__ (the public API).  The names
 # of the README tour all have callers in the package.
+
+# The functions of the package that call ``.memo(``, each with the reason it
+# does not key its result through ``fusion.derived``.
+MEMO_CALLERS = {
+    "fusion.derived": "the decorator itself: it builds the key of every "
+                      "derived result from the content of its arguments",
+    "fusion.generated_subsystem": "the closure is keyed by R and the "
+                                  "frozenset of the generators' keys, "
+                                  "in the top's slot",
+    "saturation.is_conjugation_family": "the family is sorted into its "
+                                        "canonical order first",
+}
 
 # Defaulted parameters no call sets, as "function(parameter)", each with the
 # reason it stays.
@@ -141,6 +156,26 @@ def caller_less(sources: dict[str, str]) -> list[str]:
                        for other, names in loads.items()
                        for name, line in names):
                 out.append(f"{mod}.{node.name}")
+    return sorted(out)
+
+
+def memo_callers(sources: dict[str, str]) -> list[str]:
+    """``module.function`` for each module-level function, or method as
+    ``module.Class.method``, of ``sources`` (module name -> source) that
+    calls an attribute named ``memo``, at any depth inside it."""
+    out = set()
+    for mod, src in sources.items():
+        for node in ast.parse(src).body:
+            defs = (node.body if isinstance(node, ast.ClassDef) else [node])
+            for fn in defs:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                name = (f"{mod}.{node.name}.{fn.name}" if fn is not node
+                        else f"{mod}.{fn.name}")
+                if any(isinstance(n, ast.Call)
+                       and isinstance(n.func, ast.Attribute)
+                       and n.func.attr == "memo" for n in ast.walk(fn)):
+                    out.add(name)
     return sorted(out)
 
 
@@ -275,6 +310,13 @@ def test_every_definition_has_a_caller():
     assert sorted(d.split(".")[1] for d in found) == sorted(NO_CALLER_NEEDED)
 
 
+def test_memo_is_called_only_by_the_allowed_sites():
+    """Every other result is keyed by ``fusion.derived``, so no key is
+    written by hand; a site leaves ``MEMO_CALLERS`` once it stops."""
+    found = memo_callers({p.stem: p.read_text() for p in MODULES})
+    assert found == sorted(MEMO_CALLERS)
+
+
 def test_every_default_is_set_by_a_caller():
     """The unset defaulted parameters are exactly the allow-listed ones, so
     a knob no caller turns is deleted rather than kept."""
@@ -331,6 +373,21 @@ def test_detects_a_caller_less_function():
                      "    pass\n"
                      "f(None)\n")}
     assert caller_less(sources) == ["a.K", "a.planted", "a.recursive"]
+
+
+def test_detects_a_memo_call():
+    sources = {"a": ("def keyed(F):\n"
+                     "    return F.memo(('tag',), lambda: 1)\n"
+                     "def nested(F):\n"
+                     "    def inner():\n"
+                     "        return F.memo(None, lambda: 2)\n"
+                     "    return inner()\n"
+                     "def other(F):\n"
+                     "    return F.memoize(3), memo(4)\n"
+                     "class K:\n"
+                     "    def m(self):\n"
+                     "        return self.memo(('k',), list)\n")}
+    assert memo_callers(sources) == ["a.K.m", "a.keyed", "a.nested"]
 
 
 def test_detects_an_unset_default():

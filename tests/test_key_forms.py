@@ -28,8 +28,8 @@ from fusionkit.groups import (Hom, lattice_covers, normal_subgroups,
 from fusionkit.models import normal_in_system
 from fusionkit.products import (_star_product, centralize_each_other,
                                 is_central_product, star_generators)
-from fusionkit.saturation import (_classify, _reachable, _saturation_report,
-                                  canonical_family, classify)
+from fusionkit.saturation import (_reachable, canonical_family, classify,
+                                  is_saturated)
 from fusionkit.subsystems import is_strongly_closed
 from fusionkit.verify import (EntryContext, run_suite, with_added_iso,
                               with_removed_iso, with_replaced_isos)
@@ -44,7 +44,7 @@ SMALL = [(label, G, p) for label, G, p in corpus_entries() if G.order <= 48]
 
 
 @pytest.fixture(scope="module")
-def recorded():
+def recorded(counted_memo):
     """The arguments of every closure, reachability search, star generator
     call, classification, saturation report, F-normality test of a
     subgroup and strong-closure test in one ``run_suite`` pass over the
@@ -71,14 +71,6 @@ def recorded():
         calls["star"].append((F, F1, F2))
         return star_generators(F, F1, F2)
 
-    def classifying(F):
-        calls["classify"].append(F)
-        return _classify(F)
-
-    def saturating(F):
-        calls["saturation"].append(F)
-        return _saturation_report(F)
-
     def normal_in(F, P):
         calls["normal"].append((F, P))
         return normal_in_system(F, P)
@@ -87,20 +79,21 @@ def recorded():
         calls["strong"].append((F, T))
         return is_strongly_closed(F, T)
 
-    with pytest.MonkeyPatch.context() as mp:
+    with (counted_memo(classify, is_saturated) as (_, kept),
+          pytest.MonkeyPatch.context() as mp):
         for module in (fusion, verify, persist):
             mp.setattr(module, "close_morphisms", closing)
         for module in (centralizers, products, subsystems):
             mp.setattr(module, "generated_subsystem", generating)
         mp.setattr(saturation, "_reachable", reaching)
         mp.setattr(products, "star_generators", starring)
-        mp.setattr(saturation, "_classify", classifying)
-        mp.setattr(saturation, "_saturation_report", saturating)
         mp.setattr(models, "normal_in_system", normal_in)
         for module in (subsystems, centralizers):
             mp.setattr(module, "is_strongly_closed", strongly_closed)
         for label, G, p in SMALL:
             run_suite(label, G, p)
+    for F, key in kept:
+        calls["classify" if key[0] is classify else "saturation"].append(F)
     return calls
 
 
@@ -226,7 +219,8 @@ def test_pushes_that_disagree_on_the_meet_are_rejected():
     swap = Hom(V, V, tuple({b2: a, a: b2}.get(x, x) for x in V.members),
                check=True)
     F2 = with_replaced_isos(F, V, list(F.isos_from(V)) + [swap])
-    F2.memo("center", lambda: centralizers.z_of(F))
+    F2.memo((centralizers.z_of,), lambda: centralizers.z_of(F))
+    assert centralizers.z_of(F2) is centralizers.z_of(F)
     D = with_added_iso(F, swap)
     assert D.support is F.support and fusion.subsystem_contains(D, F2)
     assert not is_central_product(D, F, F2)
@@ -362,12 +356,12 @@ def compare_system(F: FusionSystem, seen: Counter) -> None:
     equal flags and ``cr_set``, equal reports (failures included, in
     order), or the same error.  The new ``radical`` holds centric
     subgroups only."""
-    new = _outcome(lambda: _classify(F))
+    new = _outcome(lambda: classify.__wrapped__(F))
     assert _flags(new) == _flags(_outcome(lambda: classify_literal(F)))
     if not isinstance(new, type):
         assert new.radical <= new.centric
     seen["classify", _kind(new)] += 1
-    report = _outcome(lambda: _saturation_report(F))
+    report = _outcome(lambda: is_saturated.__wrapped__(F))
     assert report == _outcome(lambda: saturation_report_literal(F))
     seen["saturation", _kind(report)] += 1
 

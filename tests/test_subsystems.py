@@ -5,9 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from fusionkit import subsystems
 from fusionkit.corpus import builtin_group, corpus_entries
-from fusionkit.errors import NotStronglyClosed
+from fusionkit.errors import NotNormal, NotStronglyClosed
 from fusionkit.fusion import (fusion_of_group, generated_subsystem,
                               inner_system, realized_subsystem,
                               subsystem_equal)
@@ -121,25 +120,18 @@ class TestInvariance:
         for w in "abcdef":
             assert not invariance_condition(F_s4, ES, w)
 
-    def test_condition_f_runs_once_per_pair(self, monkeypatch):
+    def test_condition_f_runs_once_per_pair(self, counted_memo):
         """Conditions (a) and (f) share one evaluation of the literal
         condition (f), and its passing result, None, is memoized too."""
-        calls = []
-        real = subsystems._condition_f
-
-        def counted(F, E):
-            calls.append(E.content_key)
-            return real(F, E)
-
-        monkeypatch.setattr(subsystems, "_condition_f", counted)
         g = builtin_group("s4")
         F = fusion_of_group(g, sylow_subgroup(g.full_subgroup, 2), 2)
         E = normal_subsystem_in(F, o_upper_p(g.full_subgroup, 2))
-        assert verify_finvariant_equiv(F, E) is None
-        assert len(calls) == 1
-        assert E._cache[E.pair_key("condition-f", F)] is None
-        assert verify_finvariant_equiv(F, E) is None
-        assert len(calls) == 1
+        with counted_memo() as (fills, _):
+            assert verify_finvariant_equiv(F, E) is None
+            assert fills[_condition_f] == 1
+            assert F._cache[(_condition_f, E.content_key)] is None
+            assert verify_finvariant_equiv(F, E) is None
+        assert fills[_condition_f] == 1
 
     def test_requires_strongly_closed_support(self, F_s4):
         Z = center(F_s4.support)
@@ -325,6 +317,13 @@ class TestNormality:
         E = normal_subsystem_in(fusion_of_group(s4, S, 2), A4)
         assert E.support == S.meet(A4) and E.support.order == 4
         assert E.witness == A4
+
+    def test_non_normal_subgroup_raises_not_normal(self, F_s4, s4):
+        N = s4.generated_subgroup([1])
+        assert N.order == 2 and not N.is_normal_in(s4.full_subgroup)
+        with pytest.raises(NotNormal, match="^subgroup of order 2 is not "
+                                            "normal in the witness$"):
+            normal_subsystem_in(F_s4, N)
 
     def test_every_normal_subgroup_gives_normal_subsystem(self):
         for name, p in [("s4", 2), ("sl23", 2), ("s3xs3", 3), ("q8c4", 2)]:

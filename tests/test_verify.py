@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from fusionkit import centralizers, saturation, verify as verify_mod
+from fusionkit import centralizers, verify as verify_mod
 from fusionkit.centralizers import (compute_centralizer_data,
                                     contained_in_centralizer)
 from fusionkit.corpus import builtin_group
@@ -124,24 +124,17 @@ class TestSuiteRuns:
         with_t = suite_report("s4@2", 2, res, timings=True)
         assert "millis" in with_t["checks"][0]
 
-    def test_each_content_is_saturated_once_per_top(self, monkeypatch):
+    def test_each_content_is_saturated_once_per_top(self, counted_memo):
         """Equal generated, local and product systems share one slot, so
         the suite saturates each content once under each top."""
-        counts: Counter = Counter()
-        tops = []                       # held, so no top's id is reused
-        real = saturation._saturation_report
-
-        def counted(F):
-            tops.append(F.top())
-            counts[(id(F.top()), F.content_key)] += 1
-            return real(F)
-
-        monkeypatch.setattr(saturation, "_saturation_report", counted)
-        results = run_suite("d8xc2@2", builtin_group("d8xc2"), 2)
+        with counted_memo(is_saturated) as (_, kept):
+            results = run_suite("d8xc2@2", builtin_group("d8xc2"), 2)
         assert all(r.passed for r in results)
+        # the kept systems hold their tops, so no top's id is reused
+        counts = Counter((id(F.top()), F.content_key) for F, _ in kept)
         assert counts and max(counts.values()) == 1
 
-    def test_checks_read_the_memoized_family(self, monkeypatch):
+    def test_checks_read_the_memoized_family(self, monkeypatch, counted_memo):
         """A suite pass on s4@2 (4 normal pairs) computes E's centralized
         family once per pair for C_S(E), and EasyCentralizer, XInvariant,
         WeaklyClosedCentralized and FocProp read it from the pair's
@@ -160,10 +153,14 @@ class TestSuiteRuns:
 
         monkeypatch.setattr(centralizers, "centralized_set", counted)
         monkeypatch.setattr(verify_mod, "centralized_set", counted)
-        results = run_suite("s4@2", builtin_group("s4"), 2)
+        with counted_memo() as (fills, _):
+            results = run_suite("s4@2", builtin_group("s4"), 2)
         assert all(r.passed for r in results)
-        assert callers == {"_centralizer_data": 4, "_normalizer_family": 4,
-                           "c_s_of": 4, "_centralizer_oracle": 8}
+        assert fills[compute_centralizer_data] == 4
+        assert fills[centralizers.normalizer_family] == 4
+        assert callers == {"compute_centralizer_data": 4,
+                           "normalizer_family": 4, "c_s_of": 4,
+                           "_centralizer_oracle": 8}
 
     def test_determinism_two_runs_identical(self, s4):
         ids = ["saturation", "MainCSE.a", "FocProp", "Coincide",
