@@ -29,7 +29,7 @@ from .groups import (DEFAULT_GROUP_CAP, DEFAULT_LATTICE_CAP, FiniteGroup,
 from .persist import load_system, save_system, write_file
 from .saturation import alperin_decompose
 from .subsystems import is_normal, normal_subsystem_in
-from .verify import CHECK_ORDER, run_suite, suite_report
+from .verify import CHECK_ORDER, run_checks, run_suite, suite_report
 
 
 def _fail(msg: str, code: int = 2) -> int:
@@ -194,15 +194,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     entries.append((f"{path.stem}@{p}", G, p))
         else:
             entries = corpus_mod.corpus_entries()
+        runs = [(label, p, functools.partial(run_suite, label, G, p, checks))
+                for label, G, p in entries]
     else:
         F = load_system(args.target)
-        entries = ((Path(args.target).stem, F.universe, F.p),)
-    if not entries:
+        runs = [(Path(args.target).stem, F.p,
+                 functools.partial(run_checks, F, checks))]
+    if not runs:
         return _fail("no entry to verify: no group file, or none within --group-cap")
     reports = []
     all_pass = True
-    for label, G, p in entries:
-        results = run_suite(label, G, p, check_ids=checks)
+    for label, p, run in runs:
+        results = run()
         reports.append(suite_report(label, p, results, timings=args.timings))
         bad = [r for r in results if not r.passed]
         status = "pass" if not bad else "FAIL"

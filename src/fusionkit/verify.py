@@ -1,4 +1,4 @@
-"""Theorem-by-theorem verification across a corpus entry.
+"""Theorem-by-theorem verification of a realized fusion system.
 
 Every claim of the underlying theory maps to exactly one named check;
 proof-internal lemmas are first-class checks so a regression localizes to
@@ -6,22 +6,26 @@ the earliest failing one.  A failing check carries a minimal counterexample
 payload; an exception inside a check is recorded as a failure, never
 propagated (corrupted inputs from mutation self-tests must fail cleanly).
 
-Checks come in three scopes, each run by one loop:
+Every check takes the realized system F = F_S(W) (``run_checks``), and
+the data the checks share is derived data of F (``fusion.derived``): the
+normal pairs of W, the candidate subsystems, the commuting pairs and the
+top over a second Sylow subgroup.  Checks come in three scopes, each run
+by one loop:
 
 - entry scope (``saturation``, ``Finvariant.equiv``, ``focal-oracle``): the
-  check sees the whole entry and builds its own payload;
-- normal-pair scope (``_per_pair``): one predicate per normal subsystem E,
-  stopping at the first failure, whose payload gains
+  check takes F and builds its own payload;
+- normal-pair scope (``_per_pair``): one predicate ``check(F, E)`` per
+  normal subsystem E, stopping at the first failure, whose payload gains
   ``pair = {"N_order": |N|, "T": E's support}``;
-- commuting-pair scope (``_per_commuting_pair``): one predicate per pair of
-  normal subsystems with elementwise-commuting supports, whose failure
-  payload starts with the supports ``S1`` and ``S2``.
+- commuting-pair scope (``_per_commuting_pair``): one predicate
+  ``check(F, E1, E2)`` per pair of normal subsystems with
+  elementwise-commuting supports, whose failure payload starts with the
+  supports ``S1`` and ``S2``.
 """
 
 from __future__ import annotations
 
 import time
-from functools import cached_property
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .centralizers import (CentralizerData, a_circle, c_F_of, c_s_counterexample,
@@ -30,9 +34,9 @@ from .centralizers import (CentralizerData, a_circle, c_F_of, c_s_counterexample
                            family_join, focal_subgroup, h_group,
                            hyperfocal_subgroup, normalizer_family, r_star,
                            r_star_counterexample, weakly_closed_analysis, z_of)
-from .errors import FusionkitError
-from .fusion import (FusionSystem, Hom, close_morphisms, fusion_of_group,
-                     inner_system, subsystem_contains)
+from .errors import FusionkitError, VerificationFailed
+from .fusion import (FusionSystem, Hom, close_morphisms, derived,
+                     fusion_of_group, inner_system, subsystem_contains)
 from .groups import (FiniteGroup, Subgroup, Twist, centralizer,
                      derived_subgroup, normal_subgroups, picker,
                      subgroup_lattice, sylow_subgroup)
@@ -69,85 +73,70 @@ def _sub(P: Subgroup) -> list[int]:
     return list(P.members)
 
 
-# -- entry context -----------------------------------------------------------------
+# -- the entry's shared data, derived from F ------------------------------------------
 
 
-class EntryContext:
-    """One corpus entry: the realized system and everything derived from it.
+@derived
+def normal_pairs(F: FusionSystem) -> tuple[tuple[Subgroup, FusionSystem], ...]:
+    """(N, E) per normal subgroup N of F's witness, E = F_{S n N}(N),
+    deduplicated by the subsystem."""
+    if not F.realized:
+        raise VerificationFailed("normal subsystems from groups need a realized F")
+    seen: dict[tuple, tuple[Subgroup, FusionSystem]] = {}
+    for N in normal_subgroups(F.witness):
+        E = normal_subsystem_in(F, N)
+        key = tuple(sorted(
+            (P.members, tuple(sorted(E._keys_from(P))))
+            for P in E.subgroups()))
+        if key not in seen:
+            seen[key] = (N, E)
+    return tuple(sorted(seen.values(), key=lambda pair: pair[0].sort_key()))
 
-    Derived data of the entry's systems lives in the registry of ``F``
-    (see ``fusion.FusionSystem``), so it is shared by every check."""
 
-    def __init__(self, label: str, group: FiniteGroup, p: int,
-                 system_mutator: Optional[Callable[[FusionSystem], FusionSystem]] = None
-                 ) -> None:
-        self.label = label
-        self.group = group
-        self.p = p
-        self.S = sylow_subgroup(group.full_subgroup, p)
-        self.F = fusion_of_group(group, self.S, p)
-        if system_mutator is not None:
-            self.F = system_mutator(self.F)
+@derived
+def candidate_subsystems(F: FusionSystem) -> tuple[FusionSystem, ...]:
+    """Saturated subsystems built from subgroups and normal subgroups."""
+    cands: list[FusionSystem] = []
+    for P in F.subgroups():
+        D = inner_system(F, P)
+        if is_saturated(D).ok:
+            cands.append(D)
+    cands.extend(E for _, E in normal_pairs(F))
+    return tuple(cands)
 
-    @cached_property
-    def normal_pairs(self) -> tuple[tuple[Subgroup, FusionSystem], ...]:
-        """(N, E) per normal subgroup of G, deduplicated by the subsystem."""
-        seen: dict[tuple, tuple[Subgroup, FusionSystem]] = {}
-        for N in normal_subgroups(self.group.full_subgroup):
-            E = normal_subsystem_in(self.F, N)
-            key = tuple(sorted(
-                (P.members, tuple(sorted(E._keys_from(P))))
-                for P in E.subgroups()))
-            if key not in seen:
-                seen[key] = (N, E)
-        return tuple(sorted(seen.values(), key=lambda pair: pair[0].sort_key()))
 
-    def data_for(self, E: FusionSystem) -> CentralizerData:
-        return compute_centralizer_data(self.F, E)
+@derived
+def commuting_pairs(F: FusionSystem) -> tuple[tuple[FusionSystem, FusionSystem], ...]:
+    """(E1, E2) over the normal pairs, E1 first, with [S1, S2] = 1."""
+    pairs = []
+    es = [E for _, E in normal_pairs(F)]
+    for i, E1 in enumerate(es):
+        for E2 in es[i:]:
+            if E1.support.is_elementwise_commuting(E2.support):
+                pairs.append((E1, E2))
+    return tuple(pairs)
 
-    def cfe_for(self, E: FusionSystem) -> FusionSystem:
-        return c_F_of(self.F, E, C_S_E=self.data_for(E).C_S_E)
 
-    @cached_property
-    def candidate_subsystems(self) -> tuple[FusionSystem, ...]:
-        """Saturated subsystems built from subgroups and normal subgroups."""
-        cands: list[FusionSystem] = []
-        for P in self.F.subgroups():
-            D = inner_system(self.F, P)
-            if is_saturated(D).ok:
-                cands.append(D)
-        cands.extend(E for _, E in self.normal_pairs)
-        return tuple(cands)
+@derived
+def alternative_sylow(F: FusionSystem) -> Optional[tuple[int, FusionSystem]]:
+    """(g, F_{S^g}(W)) for the smallest g in F's witness W with S^g != S,
+    built once; None when S is the unique Sylow p-subgroup of W."""
+    for g in F.witness.members:
+        S2 = F.support.conjugate(g)
+        if S2 != F.support:
+            return g, fusion_of_group(F.witness, S2, F.p)
+    return None
 
-    @cached_property
-    def commuting_pairs(self) -> tuple[tuple[FusionSystem, FusionSystem], ...]:
-        """(E1, E2) over the normal pairs, E1 first, with [S1, S2] = 1."""
-        pairs = []
-        es = [E for _, E in self.normal_pairs]
-        for i, E1 in enumerate(es):
-            for E2 in es[i:]:
-                if E1.support.is_elementwise_commuting(E2.support):
-                    pairs.append((E1, E2))
-        return tuple(pairs)
 
-    @cached_property
-    def alternative_sylow(self) -> Optional[tuple[int, FusionSystem]]:
-        """(g, F_{S^g}(G)) for the smallest g with S^g != S, built once;
-        None when S is the unique Sylow p-subgroup."""
-        for g in range(self.group.order):
-            S2 = self.S.conjugate(g)
-            if S2 != self.S:
-                return g, fusion_of_group(self.group, S2, self.p)
+def transported(F: FusionSystem, E: FusionSystem
+                ) -> Optional[tuple[int, FusionSystem, FusionSystem]]:
+    """(g, F2, E2): E carried by g to the alternative Sylow top F2, or
+    None when S is the unique Sylow p-subgroup of F's witness."""
+    alt = alternative_sylow(F)
+    if alt is None:
         return None
-
-    def transported(self, E: FusionSystem
-                    ) -> Optional[tuple[int, FusionSystem, FusionSystem]]:
-        """(g, F2, E2): E carried by g to the alternative Sylow top F2, or
-        None when S is the unique Sylow p-subgroup."""
-        if self.alternative_sylow is None:
-            return None
-        g, F2 = self.alternative_sylow
-        return g, F2, realized_subsystem(F2, E.witness, E.support.conjugate(g))
+    g, F2 = alt
+    return g, F2, realized_subsystem(F2, E.witness, E.support.conjugate(g))
 
 
 # -- per-claim verifiers (return a counterexample dict or None) ----------------------
@@ -457,18 +446,17 @@ def verify_main_cse_a(F: FusionSystem, E: FusionSystem,
     return c_s_counterexample(F, E, X_set, C_S_E)
 
 
-def verify_main_cse_b(ctx: EntryContext, E: FusionSystem,
+def verify_main_cse_b(F: FusionSystem, E: FusionSystem,
                       data: Optional[CentralizerData] = None) -> Optional[dict]:
     """R* characterization plus model-choice independence via an
     alternative Sylow conjugate when one exists."""
-    F = ctx.F
     if data is None:
-        data = ctx.data_for(E)
+        data = compute_centralizer_data(F, E)
     bad = verify_first_characterization(F, E, R_star=data.R_star)
     if bad is not None:
         bad.setdefault("kind", "characterization")
         return bad
-    alt = ctx.transported(E)
+    alt = transported(F, E)
     if alt is None:
         return None
     g, F2, E2 = alt
@@ -476,7 +464,7 @@ def verify_main_cse_b(ctx: EntryContext, E: FusionSystem,
         R2 = r_star(F2, E2)[0]
     except FusionkitError as exc:
         return {"kind": "alternative model failed", "detail": str(exc)}
-    G = ctx.group
+    G = F.universe
     ginv = G.inv(g)
     pulled = tuple(sorted(G.conj(x, ginv) for x in R2.members))
     if pulled != data.R_star.members:
@@ -566,22 +554,22 @@ def verify_finvariant_equiv(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     return None
 
 
-def verify_model1a(ctx: EntryContext, E: FusionSystem) -> Optional[dict]:
+def verify_model1a(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     """Models over alternative Sylow choices are isomorphic over the common S."""
-    alt = ctx.transported(E)
+    alt = transported(F, E)
     if alt is None:
         return None
     g, F2, E2 = alt
-    data = ctx.data_for(E)
+    data = compute_centralizer_data(F, E)
     try:
         Gsys2, _ = script_G(F2, E2)
         model2 = model_of(Gsys2)
     except FusionkitError as exc:
         return {"kind": "alternative model failed", "detail": str(exc)}
-    conj = Hom.conjugation(ctx.S, g)
+    conj = Hom.conjugation(F.support, g)
     sigma2 = conj.then(model2.sigma)
-    transported = Model(model2.group, sigma2)
-    if not models_isomorphic_over_s(data.local_system, data.model, transported):
+    moved = Model(model2.group, sigma2)
+    if not models_isomorphic_over_s(data.local_system, data.model, moved):
         return {"kind": "no isomorphism over S between model choices"}
     return None
 
@@ -609,9 +597,9 @@ def verify_model1b(F_of_model: FusionSystem, model: Model) -> Optional[dict]:
     return None
 
 
-def verify_model1c(ctx: EntryContext, E: FusionSystem) -> Optional[dict]:
+def verify_model1c(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     """The normal model exists and is unique (alarm types become failures)."""
-    data = ctx.data_for(E)
+    data = compute_centralizer_data(F, E)
     try:
         NET = normalizer_subsystem(E, E.support)
         N = normal_model(data.local_system, data.model, NET)
@@ -640,15 +628,16 @@ def verify_l_f1f2(F: FusionSystem, E1: FusionSystem, E2: FusionSystem,
 # -- the registry ------------------------------------------------------------------
 
 
-PairCheck = Callable[[EntryContext, FusionSystem], Optional[dict]]
-ProductCheck = Callable[[EntryContext, FusionSystem, FusionSystem], Optional[dict]]
+EntryCheck = Callable[[FusionSystem], Optional[dict]]
+PairCheck = Callable[[FusionSystem, FusionSystem], Optional[dict]]
+ProductCheck = Callable[[FusionSystem, FusionSystem, FusionSystem], Optional[dict]]
 
 
-def _per_pair(check: PairCheck) -> Callable[[EntryContext], Optional[dict]]:
-    """Normal-pair scope: ``check(ctx, E)`` for each normal pair (N, E)."""
-    def run(ctx: EntryContext) -> Optional[dict]:
-        for N, E in ctx.normal_pairs:
-            bad = check(ctx, E)
+def _per_pair(check: PairCheck) -> EntryCheck:
+    """Normal-pair scope: ``check(F, E)`` for each normal pair (N, E)."""
+    def run(F: FusionSystem) -> Optional[dict]:
+        for N, E in normal_pairs(F):
+            bad = check(F, E)
             if bad is not None:
                 bad["pair"] = {"N_order": N.order, "T": _sub(E.support)}
                 return bad
@@ -656,12 +645,12 @@ def _per_pair(check: PairCheck) -> Callable[[EntryContext], Optional[dict]]:
     return run
 
 
-def _per_commuting_pair(check: ProductCheck) -> Callable[[EntryContext], Optional[dict]]:
-    """Commuting-pair scope: ``check(ctx, E1, E2)`` for each commuting pair;
+def _per_commuting_pair(check: ProductCheck) -> EntryCheck:
+    """Commuting-pair scope: ``check(F, E1, E2)`` for each commuting pair;
     a failure may carry no detail beyond the two supports (an empty dict)."""
-    def run(ctx: EntryContext) -> Optional[dict]:
-        for E1, E2 in ctx.commuting_pairs:
-            bad = check(ctx, E1, E2)
+    def run(F: FusionSystem) -> Optional[dict]:
+        for E1, E2 in commuting_pairs(F):
+            bad = check(F, E1, E2)
             if bad is not None:
                 return {"S1": _sub(E1.support), "S2": _sub(E2.support), **bad}
         return None
@@ -670,16 +659,16 @@ def _per_commuting_pair(check: ProductCheck) -> Callable[[EntryContext], Optiona
 
 def _report_holds(holds: Callable[[ProductReport], bool]) -> ProductCheck:
     """A commuting-pair check reading one clause of the product report."""
-    def check(ctx: EntryContext, E1: FusionSystem, E2: FusionSystem
+    def check(F: FusionSystem, E1: FusionSystem, E2: FusionSystem
               ) -> Optional[dict]:
-        return None if holds(verify_product_theorems(ctx.F, E1, E2)) else {}
+        return None if holds(verify_product_theorems(F, E1, E2)) else {}
     return check
 
 
-def _check_star(ctx: EntryContext, E1: FusionSystem, E2: FusionSystem
+def _check_star(F: FusionSystem, E1: FusionSystem, E2: FusionSystem
                 ) -> Optional[dict]:
     """F1 * F2 is a saturated central product exactly when they centralize."""
-    rep = verify_product_theorems(ctx.F, E1, E2)
+    rep = verify_product_theorems(F, E1, E2)
     if rep.centralize:
         if rep.star_saturated is not True or rep.star_central_product is not True:
             return {"saturated": rep.star_saturated,
@@ -689,11 +678,11 @@ def _check_star(ctx: EntryContext, E1: FusionSystem, E2: FusionSystem
     return None
 
 
-def _check_saturation(ctx: EntryContext) -> Optional[dict]:
-    report = is_saturated(ctx.F)
+def _check_saturation(F: FusionSystem) -> Optional[dict]:
+    report = is_saturated(F)
     if not report.ok:
         return dict(report.failures[0])
-    for _, E in ctx.normal_pairs:
+    for _, E in normal_pairs(F):
         rep = is_saturated(E)
         if not rep.ok:
             out = dict(rep.failures[0])
@@ -702,10 +691,9 @@ def _check_saturation(ctx: EntryContext) -> Optional[dict]:
     return None
 
 
-def _check_finvariant(ctx: EntryContext) -> Optional[dict]:
-    F = ctx.F
+def _check_finvariant(F: FusionSystem) -> Optional[dict]:
     candidates: list[FusionSystem] = []
-    for _, E in ctx.normal_pairs:
+    for _, E in normal_pairs(F):
         candidates.append(E)
         candidates.append(inner_system(F, E.support))
     seen = set()
@@ -719,10 +707,10 @@ def _check_finvariant(ctx: EntryContext) -> Optional[dict]:
     return None
 
 
-def _check_focal_oracle(ctx: EntryContext) -> Optional[dict]:
+def _check_focal_oracle(F: FusionSystem) -> Optional[dict]:
     """Independent group-theoretic oracle: foc(F_S(G)) = S n [G,G]."""
-    foc = focal_subgroup(ctx.F)
-    oracle = ctx.S.meet(derived_subgroup(ctx.group.full_subgroup))
+    foc = focal_subgroup(F)
+    oracle = F.support.meet(derived_subgroup(F.witness))
     if foc != oracle:
         return {"focal": _sub(foc), "oracle": _sub(oracle)}
     return None
@@ -744,60 +732,63 @@ def _generated_family(F: FusionSystem, E: FusionSystem) -> tuple[Subgroup, ...]:
                         for Q, keys in auts))
 
 
-def _centralizer_oracle(ctx: EntryContext, E: FusionSystem) -> Optional[dict]:
+def _centralizer_oracle(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     """The centralized families of E and of N_E(T), recomputed by the
     generating-set route, match the definition subgroup by subgroup; E's
     family also matches the one C_S(E) was built from."""
     NET = normalizer_subsystem(E, E.support)
     for where, D in (({}, E), ({"system": "N_E(T)"}, NET)):
-        brute = [X.members for X in centralized_set(ctx.F, D)]
-        structured = [X.members for X in _generated_family(ctx.F, D)]
+        brute = [X.members for X in centralized_set(F, D)]
+        structured = [X.members for X in _generated_family(F, D)]
         if brute != structured:
             return {**where, "brute": [list(X) for X in brute],
                     "structured": [list(X) for X in structured]}
-        if D is E and brute != [X.members for X in ctx.data_for(E).X_set]:
+        if D is E and brute != [X.members for X in
+                                compute_centralizer_data(F, E).X_set]:
             return {"kind": "family drifted"}
     return None
 
 
-CHECKS: dict[str, Callable[[EntryContext], Optional[dict]]] = {
+CHECKS: dict[str, EntryCheck] = {
     "saturation": _check_saturation,
     "Finvariant.equiv": _check_finvariant,
-    "FfEf": _per_pair(lambda ctx, E: verify_ffef(ctx.F, E)),
-    "Wellknown": _per_pair(lambda ctx, E: verify_wellknown(ctx.F, E)),
-    "LocalNormalSubsystems": _per_pair(
-        lambda ctx, E: verify_local_normal(ctx.F, E)),
-    "PropHelp": _per_pair(lambda ctx, E: verify_prophelp(ctx.F, E)),
-    "EasyCentralizer": _per_pair(lambda ctx, E: verify_easy_centralizer(
-        ctx.F, E, X_set=ctx.data_for(E).X_set)),
-    "FrattiniCons": _per_pair(lambda ctx, E: verify_frattini_cons(ctx.F, E)),
-    "XInvariant": _per_pair(lambda ctx, E: verify_x_invariant(
-        ctx.F, E, X_set=ctx.data_for(E).X_set)),
+    "FfEf": _per_pair(verify_ffef),
+    "Wellknown": _per_pair(verify_wellknown),
+    "LocalNormalSubsystems": _per_pair(verify_local_normal),
+    "PropHelp": _per_pair(verify_prophelp),
+    "EasyCentralizer": _per_pair(lambda F, E: verify_easy_centralizer(
+        F, E, X_set=compute_centralizer_data(F, E).X_set)),
+    "FrattiniCons": _per_pair(verify_frattini_cons),
+    "XInvariant": _per_pair(lambda F, E: verify_x_invariant(
+        F, E, X_set=compute_centralizer_data(F, E).X_set)),
     "WeaklyClosedCentralized": _per_pair(
-        lambda ctx, E: verify_weakly_closed_centralized(
-            ctx.F, E, X_set=ctx.data_for(E).X_set)),
-    "GN": _per_pair(lambda ctx, E: verify_gn(ctx.F, E)),
-    "CFCG0": _per_pair(lambda ctx, E: verify_cfcg0(ctx.F, E)),
-    "FirstCharacterization": _per_pair(
-        lambda ctx, E: verify_first_characterization(ctx.F, E)),
-    "MainCSE.a": _per_pair(lambda ctx, E: verify_main_cse_a(
-        ctx.F, E, X_set=ctx.data_for(E).X_set, C_S_E=ctx.data_for(E).C_S_E)),
+        lambda F, E: verify_weakly_closed_centralized(
+            F, E, X_set=compute_centralizer_data(F, E).X_set)),
+    "GN": _per_pair(verify_gn),
+    "CFCG0": _per_pair(verify_cfcg0),
+    "FirstCharacterization": _per_pair(verify_first_characterization),
+    "MainCSE.a": _per_pair(lambda F, E: verify_main_cse_a(
+        F, E, X_set=compute_centralizer_data(F, E).X_set,
+        C_S_E=compute_centralizer_data(F, E).C_S_E)),
     "MainCSE.b": _per_pair(verify_main_cse_b),
     "MainCSE.c": _per_pair(
-        lambda ctx, E: verify_main_cse_c(ctx.F, E, ctx.data_for(E))),
-    "FocProp": _per_pair(lambda ctx, E: verify_focprop(
-        ctx.F, E, C_S_E=ctx.data_for(E).C_S_E)),
-    "ShowWeaklyNormal": _per_pair(
-        lambda ctx, E: verify_show_weakly_normal(ctx.F, E, ctx.cfe_for(E))),
-    "CFENormal": _per_pair(
-        lambda ctx, E: verify_cfe_normal(ctx.F, E, ctx.cfe_for(E))),
-    "MainCFE": _per_pair(lambda ctx, E: verify_main_cfe(
-        ctx.F, E, ctx.cfe_for(E), ctx.candidate_subsystems)),
-    "Coincide": _per_pair(lambda ctx, E: verify_coincide(
-        ctx.F, E, ctx.cfe_for(E), ctx.data_for(E).C_S_E)),
+        lambda F, E: verify_main_cse_c(F, E, compute_centralizer_data(F, E))),
+    "FocProp": _per_pair(lambda F, E: verify_focprop(
+        F, E, C_S_E=compute_centralizer_data(F, E).C_S_E)),
+    "ShowWeaklyNormal": _per_pair(lambda F, E: verify_show_weakly_normal(
+        F, E, c_F_of(F, E, compute_centralizer_data(F, E).C_S_E))),
+    "CFENormal": _per_pair(lambda F, E: verify_cfe_normal(
+        F, E, c_F_of(F, E, compute_centralizer_data(F, E).C_S_E))),
+    "MainCFE": _per_pair(lambda F, E: verify_main_cfe(
+        F, E, c_F_of(F, E, compute_centralizer_data(F, E).C_S_E),
+        candidate_subsystems(F))),
+    "Coincide": _per_pair(lambda F, E: verify_coincide(
+        F, E, c_F_of(F, E, compute_centralizer_data(F, E).C_S_E),
+        compute_centralizer_data(F, E).C_S_E)),
     "Model1.a": _per_pair(verify_model1a),
-    "Model1.b": _per_pair(lambda ctx, E: verify_model1b(
-        ctx.data_for(E).local_system, ctx.data_for(E).model)),
+    "Model1.b": _per_pair(lambda F, E: verify_model1b(
+        compute_centralizer_data(F, E).local_system,
+        compute_centralizer_data(F, E).model)),
     "Model1.c": _per_pair(verify_model1c),
     "RadicalIntersect": _per_commuting_pair(
         _report_holds(lambda rep: rep.radical_intersect)),
@@ -805,8 +796,7 @@ CHECKS: dict[str, Callable[[EntryContext], Optional[dict]]] = {
         _report_holds(lambda rep: rep.z_centralize_witnesses)),
     "NormalCentralizeEachOther": _per_commuting_pair(
         _report_holds(lambda rep: rep.iff_holds)),
-    "L:F1F2Centralize": _per_commuting_pair(
-        lambda ctx, E1, E2: verify_l_f1f2(ctx.F, E1, E2)),
+    "L:F1F2Centralize": _per_commuting_pair(verify_l_f1f2),
     "P:F1F2Centralize": _per_commuting_pair(_check_star),
     "MainCentralProduct": _per_commuting_pair(
         _report_holds(lambda rep: not rep.centralize or rep.star_normal is True)),
@@ -821,24 +811,33 @@ def run_suite(label: str, group: FiniteGroup, p: int,
               check_ids: Optional[Iterable[str]] = None,
               system_mutator: Optional[Callable[[FusionSystem], FusionSystem]] = None
               ) -> list[CheckResult]:
-    """Run the named checks (all by default) on one corpus entry.
+    """Run the named checks (all by default) on one corpus entry ``label``:
+    ``run_checks`` on F_S(G), S the canonical Sylow p-subgroup of G.
+    ``system_mutator`` lets the self-tests corrupt the built system."""
+    F = fusion_of_group(group, sylow_subgroup(group.full_subgroup, p), p)
+    if system_mutator is not None:
+        F = system_mutator(F)
+    return run_checks(F, check_ids)
+
+
+def run_checks(F: FusionSystem, check_ids: Optional[Iterable[str]] = None
+               ) -> list[CheckResult]:
+    """Run the named checks (all by default) on the realized system F.
 
     Results come back in canonical id order; exceptions inside a check are
     recorded as failures carrying the error, so corrupted inputs cannot pass.
-    ``system_mutator`` lets the self-tests corrupt the built system.
     """
     ids = list(check_ids) if check_ids is not None else list(CHECK_ORDER)
     unknown = [i for i in ids if i not in CHECKS]
     if unknown:
         raise KeyError(f"unknown check ids: {unknown}")
-    ctx = EntryContext(label, group, p, system_mutator=system_mutator)
     results: list[CheckResult] = []
     for check_id in CHECK_ORDER:
         if check_id not in ids:
             continue
         start = time.perf_counter()
         try:
-            bad = CHECKS[check_id](ctx)
+            bad = CHECKS[check_id](F)
         except Exception as exc:  # corrupted data must fail, not crash
             bad = {"error": f"{type(exc).__name__}: {exc}"}
         millis = (time.perf_counter() - start) * 1000.0

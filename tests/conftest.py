@@ -1,5 +1,6 @@
-"""Shared fixtures: module-scoped systems so caches warm up once, and
-``counted_memo``, which counts the fills of the registry."""
+"""Shared fixtures: module-scoped systems so caches warm up once,
+``counted_memo``, which counts the fills of the registry, and
+``entry_system``, the system the suite builds for a corpus entry."""
 
 from __future__ import annotations
 
@@ -10,9 +11,15 @@ import pytest
 
 from fusionkit.corpus import builtin_group
 from fusionkit.fusion import FusionSystem, fusion_of_group
-from fusionkit.groups import (centralizer, normal_subgroups, o_p, o_upper_p,
-                              sylow_subgroup)
+from fusionkit.groups import (FiniteGroup, centralizer, normal_subgroups, o_p,
+                              o_upper_p, sylow_subgroup)
 from fusionkit.subsystems import normal_subsystem_in
+
+
+def entry_system(G: FiniteGroup, p: int) -> FusionSystem:
+    """F_S(G) for S the canonical Sylow p-subgroup of G: the system that
+    ``verify.run_suite`` checks for a corpus entry (G, p)."""
+    return fusion_of_group(G, sylow_subgroup(G.full_subgroup, p), p)
 
 
 @pytest.fixture(scope="session")

@@ -13,7 +13,8 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings
 
-from fusionkit.centralizers import a_circle, coincide_check, h_group
+from fusionkit.centralizers import (a_circle, coincide_check,
+                                    compute_centralizer_data, h_group)
 from fusionkit.corpus import corpus_entries
 from fusionkit.errors import FusionkitError
 from fusionkit.fusion import TRIVIAL_TABLE, transport_isos
@@ -22,8 +23,9 @@ from fusionkit.models import model_of
 from fusionkit.saturation import aut_group
 from fusionkit.subsystems import (_aut_sets_normal, invariance_condition,
                                   is_normal, normalizer_subsystem)
-from fusionkit.verify import (EntryContext, inner_only_shadow,
+from fusionkit.verify import (inner_only_shadow, normal_pairs,
                               verify_frattini_cons, with_replaced_isos)
+from conftest import entry_system
 from oracles import (a_circle_literal, aut_sets_normal_literal,
                      coincide_check_literal, frattini_cons_literal,
                      h_group_literal, transport_isos_literal)
@@ -68,12 +70,12 @@ def test_corpus_normal_pairs_and_shadows():
     seen: Counter = Counter()
     pairs = 0
     for label, G, p in SMALL:
-        ctx = EntryContext(label, G, p)
-        for _, E in ctx.normal_pairs:
-            compare(ctx.F, E, seen)
-            assert coincide_check(ctx.F, E) == coincide_check_literal(ctx.F, E)
+        F = entry_system(G, p)
+        for _, E in normal_pairs(F):
+            compare(F, E, seen)
+            assert coincide_check(F, E) == coincide_check_literal(F, E)
             pairs += 1
-        compare(ctx.F, inner_only_shadow(ctx.F), seen)
+        compare(F, inner_only_shadow(F), seen)
     assert pairs == 117
     assert seen[True] > 700 and seen[False] > 0
     assert seen["A-circle is not normal in Aut_F(P)"] > 0
@@ -163,7 +165,7 @@ def test_nontrivial_aut_e_over_a_trivial_aut_f():
     Aut_E(P): Aut_E(P) is not a subgroup of Aut_F(P) there, and the
     package agrees with the Hom forms on every P (``compare``)."""
     G, p = next((G, p) for lab, G, p in SMALL if lab == "c2xc4@2")
-    F = EntryContext("c2xc4@2", G, p).F
+    F = entry_system(G, p)
     assert all(len(F.automorphisms(P)) == 1 for P in F.subgroups())
     C4 = next(P for P in F.subgroups()
               if P.order == 4 and len(P.generators) == 1)
@@ -182,8 +184,8 @@ def test_predicates_compose_no_hom_pair(label, monkeypatch):
     A-circle, H(P), the Frattini factorization and the coincidence formula
     still decide every normal pair."""
     G, p = next((G, p) for lab, G, p in SMALL if lab == label)
-    ctx = EntryContext(label, G, p)
-    F, pairs = ctx.F, ctx.normal_pairs
+    F = entry_system(G, p)
+    pairs = normal_pairs(F)
 
     def refuse(self, other):
         raise AssertionError("a pair of Homs was composed")
@@ -204,9 +206,9 @@ def test_transport_matches_the_hom_form():
     Homs."""
     count = 0
     for label, G, p in SMALL:
-        ctx = EntryContext(label, G, p)
-        for _, E in ctx.normal_pairs:
-            data = ctx.data_for(E)
+        F = entry_system(G, p)
+        for _, E in normal_pairs(F):
+            data = compute_centralizer_data(F, E)
             sigma = model_of(data.local_system).sigma
             for D in (data.local_system,
                       normalizer_subsystem(E, E.support)):

@@ -20,7 +20,8 @@ from fusionkit.products import (_star_product, centralize_each_other,
                                 is_central_product)
 from fusionkit.subsystems import (is_strongly_closed, normal_subsystem_in,
                                   normalizer_subsystem)
-from fusionkit.verify import EntryContext, run_suite
+from fusionkit.verify import commuting_pairs, normal_pairs, run_suite
+from conftest import entry_system
 from oracles import is_central_product_literal, is_strongly_closed_literal
 from test_fusion import perm_groups
 
@@ -105,18 +106,18 @@ class TestCentralizerOracle:
         star product's central-product test matches the literal one, and
         E1 and E2 centralize each other iff S1 n S2 <= Z(E1) n Z(E2)."""
         G, p = group
-        ctx = EntryContext("generated", G, p)
-        for _, E in ctx.normal_pairs:
+        F = entry_system(G, p)
+        for _, E in normal_pairs(F):
             for D in (E, normalizer_subsystem(E, E.support)):
-                assert centralized_set(ctx.F, D) == \
-                    verify._generated_family(ctx.F, D)
-        for E1, E2 in ctx.commuting_pairs:
-            D = _star_product(ctx.F, E1, E2)
+                assert centralized_set(F, D) == \
+                    verify._generated_family(F, D)
+        for E1, E2 in commuting_pairs(F):
+            D = _star_product(F, E1, E2)
             assert is_central_product(D, E1, E2) == \
                 is_central_product_literal(D, E1, E2)
             meet = E1.support.meet(E2.support).member_set
             central = all(meet <= z_of(Ei).member_set for Ei in (E1, E2))
-            assert centralize_each_other(ctx.F, E1, E2) == central
+            assert centralize_each_other(F, E1, E2) == central
 
 
 class TestCSE:

@@ -7,13 +7,15 @@ from pathlib import Path
 
 import pytest
 
+from fusionkit import verify
 from fusionkit.cli import main, resolve_morphism, resolve_subgroup
 from fusionkit.corpus import (builtin_group, builtin_group_path,
                               corpus_entries, ingest)
 from fusionkit.errors import (FusionkitError, NotAGroup, ParseError,
                               TheoremViolation)
 from fusionkit.groups import active_caps, sylow_subgroup
-from fusionkit.persist import load_system
+from fusionkit.persist import load_system, save_system
+from fusionkit.verify import run_suite, suite_report
 
 
 @pytest.fixture()
@@ -378,6 +380,36 @@ class TestCommands:
         assert code == 0
         reports = json.loads(out.read_text())
         assert reports[0]["checks"][0]["status"] == "pass"
+
+    def test_verify_checks_the_loaded_system(self, F_s4, E_a4, tmp_path,
+                                             capsys, monkeypatch):
+        """``verify SYSTEM`` checks the system in the file, not F_S(G) of
+        its universe: on F_{V4}(A4) of s4@2 the normal pairs are those of
+        the witness A4 over V4, three of them, and all 32 checks pass."""
+        path = tmp_path / "a4.fsk"
+        save_system(E_a4, path)
+        seen = []
+        build = verify.normal_subsystem_in
+
+        def recorded(F, N):
+            seen.append((F.support.order, F.witness.order))
+            return build(F, N)
+
+        monkeypatch.setattr(verify, "normal_subsystem_in", recorded)
+        assert main(["verify", str(path)]) == 0
+        assert "pass  (32/32 checks)" in capsys.readouterr().out
+        assert seen == [(4, 12)] * 3
+        assert len(verify.normal_pairs(load_system(path))) == 3
+
+    def test_verify_fsk_reports_the_corpus_entry(self, s4_fsk, tmp_path):
+        """The full report on the saved F_S(S4) is the corpus report of
+        s4@2 but for the label."""
+        out = tmp_path / "report.json"
+        assert main(["verify", str(s4_fsk), "--json", str(out)]) == 0
+        [report] = json.loads(out.read_text())
+        s4 = builtin_group("s4")
+        assert {**report, "entry": "s4@2"} == suite_report(
+            "s4@2", 2, run_suite("s4@2", s4, 2))
 
     def test_verify_exit_code_contract(self, tmp_path, s4_file, capsys):
         # unknown check id is a usage error

@@ -51,6 +51,10 @@ FAMILIES = {
     "condition-f": _condition_f, "focal": focal_subgroup,
     "conjugation-family": "conjugation-family",
     "hyperfocal": hyperfocal_subgroup,
+    "normal-pairs": verify_mod.normal_pairs,
+    "candidate-subsystems": verify_mod.candidate_subsystems,
+    "commuting-pairs": verify_mod.commuting_pairs,
+    "alternative-Sylow": verify_mod.alternative_sylow,
 }
 
 
@@ -120,10 +124,12 @@ def suite_pass(counted_memo):
 
 
 def test_each_content_is_asked_once_per_pass(suite_pass):
-    """The fills of every family: 7,852 in all.  Without the memos the
-    pass makes 2,463 strong-closure tests, 884 stability tests, 1,596
-    normality tests of Aut_E(P), 2,137 O^p computations and 263 and 121
-    focal and hyperfocal subgroups.  The counts are the same as when the
+    """The fills of every family: 7,936 in all, with one fill per entry
+    of each of the four entry families (``verify.normal_pairs`` and the
+    data built from it).  Without the memos the pass makes 2,463
+    strong-closure tests, 884 stability tests, 1,596 normality tests of
+    Aut_E(P), 2,137 O^p computations and 263 and 121 focal and
+    hyperfocal subgroups.  The counts are the same as when the
     four families on (F, E) kept their results in E's slot: keeping them
     in F's slot lost no sharing and merged no keys."""
     fills, _ = suite_pass
@@ -134,8 +140,10 @@ def test_each_content_is_asked_once_per_pass(suite_pass):
         "aut-sets-normal": 654, "O^p-auts": 365, "stability": 357,
         "F-normal-subgroups": 52, "closure": 247, "N_E(T)-family": 121,
         "C_F(E)": 121, "classes": 380, "model": 46, "condition-f": 134,
-        "focal": 52, "conjugation-family": 21, "hyperfocal": 52}
-    assert sum(fills.values()) == 7852
+        "focal": 52, "conjugation-family": 21, "hyperfocal": 52,
+        "normal-pairs": 21, "candidate-subsystems": 21,
+        "commuting-pairs": 21, "alternative-Sylow": 21}
+    assert sum(fills.values()) == 7936
 
 
 def test_dimino_runs_per_pass(suite_pass):

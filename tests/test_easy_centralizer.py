@@ -18,8 +18,9 @@ from fusionkit import verify
 from fusionkit.corpus import corpus_entries
 from fusionkit.errors import NotAGroup
 from fusionkit.groups import Hom, Subgroup, centralizer, subgroup_lattice
-from fusionkit.verify import (EntryContext, verify_easy_centralizer,
+from fusionkit.verify import (normal_pairs, verify_easy_centralizer,
                               with_added_iso, with_removed_iso)
+from conftest import entry_system
 from oracles import easy_centralizer_literal
 from test_fusion import perm_groups
 from test_subsystems import invariance_systems
@@ -73,9 +74,9 @@ def test_corpus_normal_pairs(taus):
     normal E permutes E's keys, so the per-beta loop never runs."""
     seen: Counter = Counter()
     for label, G, p in corpus_entries():
-        ctx = EntryContext(label, G, p)
-        for _, E in ctx.normal_pairs:
-            agree(ctx.F, E, seen)
+        F = entry_system(G, p)
+        for _, E in normal_pairs(F):
+            agree(F, E, seen)
     assert seen == {(None,): 132}
     assert taus["tau", True] > 0 and taus["tau", False] == 0
     assert not any(key[0] == "loop" for key in taus)
@@ -101,9 +102,8 @@ def test_hom_removed_mutants(taus):
     keeping the witness (``with_removed_iso``)."""
     seen: Counter = Counter()
     for label, G, p in SMALL:
-        ctx = EntryContext(label, G, p)
-        F = ctx.F
-        for _, E in ctx.normal_pairs:
+        F = entry_system(G, p)
+        for _, E in normal_pairs(F):
             T = E.support
             CST = centralizer(F.support, T, F.table_for(T))
             for X in subgroup_lattice(CST):
@@ -138,11 +138,10 @@ def injections(XT: Subgroup, S: Subgroup, fixed: Subgroup):
             yield h.cores()
 
 
-def bogus_systems(ctx: EntryContext, pairs, fixing_T: bool):
+def bogus_systems(F, pairs, fixing_T: bool):
     """(F with one map phi on some XT adjoined, unclosed, witness kept; E)
     for every injection phi: XT -> S outside F, the identity on T when
     ``fixing_T`` and on the trivial subgroup otherwise."""
-    F = ctx.F
     for E in pairs:
         T = E.support
         CST = centralizer(F.support, T, F.table_for(T))
@@ -163,15 +162,15 @@ def test_bogus_maps_fail_clause_a(s4, s4xc2, E_s4x1, taus):
     s4xc2@2, for E = S4 x 1, the injections of XT that fix T, so that tau
     is the identity and the two sets K differ."""
     seen: Counter = Counter()
-    ctx = EntryContext("s4@2", s4, 2)
-    for F, E in bogus_systems(ctx, [E for _, E in ctx.normal_pairs], False):
+    top = entry_system(s4, 2)
+    for F, E in bogus_systems(top, [E for _, E in normal_pairs(top)], False):
         agree(F, E, seen)
     assert seen[("a", "image leaves C_S(T)")] > 0
     assert taus["loop", False, True] > 0
-    ctx = EntryContext("s4xc2@2", s4xc2, 2)
-    E = next(E for _, E in ctx.normal_pairs
+    top = entry_system(s4xc2, 2)
+    E = next(E for _, E in normal_pairs(top)
              if E.content_key == E_s4x1.content_key)
-    for F, E in bogus_systems(ctx, [E], True):
+    for F, E in bogus_systems(top, [E], True):
         agree(F, E, seen)
     assert taus["loop", True, True] > 0
     assert seen[("a", "P, beta")] > 0 and seen[(None,)] > 0

@@ -10,7 +10,8 @@ imports the package, and no module of the package imports
 ``dataclasses``, which would load ``inspect`` and its parsers.  Derived
 data is declared with ``fusion.derived``: no module of the package calls
 ``.memo(`` anywhere else, unless ``MEMO_CALLERS`` says why it builds its
-own key."""
+own key, and none names ``functools.cached_property``, a second cache on
+an object that holds a system."""
 
 from __future__ import annotations
 
@@ -179,6 +180,20 @@ def memo_callers(sources: dict[str, str]) -> list[str]:
     return sorted(out)
 
 
+def cached_property_lines(source: str) -> list[int]:
+    """The lines of ``source`` that name ``cached_property``: its import,
+    as a decorator or in any other use, bare or as ``functools``'s."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if ((isinstance(node, ast.Name) and node.id == "cached_property")
+                or (isinstance(node, ast.Attribute)
+                    and node.attr == "cached_property")
+                or (isinstance(node, ast.alias)
+                    and node.name == "cached_property")):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
 def _defaulted(fn: ast.FunctionDef, skip: int) -> list[tuple[str, Optional[int]]]:
     """(name, position among the call's positional arguments, or None for
     keyword-only) of each defaulted parameter; ``skip`` leading parameters
@@ -317,6 +332,13 @@ def test_memo_is_called_only_by_the_allowed_sites():
     assert found == sorted(MEMO_CALLERS)
 
 
+@pytest.mark.parametrize("path", MODULES, ids=_import_id)
+def test_no_cached_property(path):
+    """Data derived from a system is declared with ``fusion.derived``, so
+    it lives in the system's slot and not on an object that holds it."""
+    assert cached_property_lines(path.read_text()) == []
+
+
 def test_every_default_is_set_by_a_caller():
     """The unset defaulted parameters are exactly the allow-listed ones, so
     a knob no caller turns is deleted rather than kept."""
@@ -388,6 +410,19 @@ def test_detects_a_memo_call():
                      "    def m(self):\n"
                      "        return self.memo(('k',), list)\n")}
     assert memo_callers(sources) == ["a.K.m", "a.keyed", "a.nested"]
+
+
+def test_detects_a_cached_property():
+    source = ("import functools\n"
+              "from functools import cached_property as cp, wraps\n"
+              "class C:\n"
+              "    @functools.cached_property\n"
+              "    def a(self):\n"
+              "        return 1\n"
+              "    @cached_property\n"
+              "    def b(self):\n"
+              "        return self.cached_properties, wraps\n")
+    assert cached_property_lines(source) == [2, 4, 7]
 
 
 def test_detects_an_unset_default():

@@ -31,8 +31,10 @@ from fusionkit.products import (_star_product, centralize_each_other,
 from fusionkit.saturation import (_reachable, canonical_family, classify,
                                   is_saturated)
 from fusionkit.subsystems import is_strongly_closed
-from fusionkit.verify import (EntryContext, run_suite, with_added_iso,
-                              with_removed_iso, with_replaced_isos)
+from fusionkit.verify import (commuting_pairs, normal_pairs, run_suite,
+                              with_added_iso, with_removed_iso,
+                              with_replaced_isos)
+from conftest import entry_system
 from oracles import (classify_literal, close_morphisms_literal,
                      is_central_product_literal, is_strongly_closed_literal,
                      maximal_subgroups, normal_in_system_literal,
@@ -136,7 +138,7 @@ def test_reachable_matches_for_every_family_member(label):
     """Each single family member, the whole lattice and the canonical
     family, from every subgroup, with and without recorded paths."""
     G, p = next((G, p) for lab, G, p in SMALL if lab == label)
-    F = EntryContext(label, G, p).F
+    F = entry_system(G, p)
     families = ([canonical_family(F), F.subgroups()]
                 + [(R,) for R in canonical_family(F)])
     for family in families:
@@ -163,13 +165,13 @@ def test_central_product_matches_the_hom_form():
     under restriction) and on the top system."""
     answers = {}
     for label, G, p in SMALL:
-        ctx = EntryContext(label, G, p)
-        for E1, E2 in ctx.commuting_pairs:
-            D = _star_product(ctx.F, E1, E2)
+        F = entry_system(G, p)
+        for E1, E2 in commuting_pairs(F):
+            D = _star_product(F, E1, E2)
             ident = [h for h in D.automorphisms(D.support) if h.is_identity()]
             cut = with_replaced_isos(D, D.support, ident)
-            ce = centralize_each_other(ctx.F, E1, E2)
-            for X in (D, cut, ctx.F):
+            ce = centralize_each_other(F, E1, E2)
+            for X in (D, cut, F):
                 got = is_central_product(X, E1, E2)
                 assert got == is_central_product_literal(X, E1, E2), label
                 answers[got, ce] = answers.get((got, ce), 0) + 1
@@ -186,16 +188,16 @@ def test_self_pairs_on_abelian_supports_match_the_hom_forms(label):
     and the central-product test on the star product, on it with only the
     identity left in Aut(S1 S2) and on the top system."""
     G, p = next((G, p) for lab, G, p in SMALL if lab == label)
-    ctx = EntryContext(label, G, p)
+    F = entry_system(G, p)
     answers = []
-    for _, E in ctx.normal_pairs:
+    for _, E in normal_pairs(F):
         assert [(h.domain.members, h.images)
-                for h in star_generators(ctx.F, E, E)] == [
+                for h in star_generators(F, E, E)] == [
             (h.domain.members, h.images)
-            for h in star_generators_literal(ctx.F, E, E)]
-        D = _star_product(ctx.F, E, E)
+            for h in star_generators_literal(F, E, E)]
+        D = _star_product(F, E, E)
         ident = [h for h in D.automorphisms(D.support) if h.is_identity()]
-        for X in (D, with_replaced_isos(D, D.support, ident), ctx.F):
+        for X in (D, with_replaced_isos(D, D.support, ident), F):
             answers.append(is_central_product(X, E, E))
             assert answers[-1] == is_central_product_literal(X, E, E)
     assert True in answers
@@ -210,7 +212,7 @@ def test_pushes_that_disagree_on_the_meet_are_rejected():
     and Z(F2) is read as Z(F): the meet rule is the one clause left to
     reject the pairs, and both forms do; without the swap both accept."""
     G, p = next((G, p) for lab, G, p in SMALL if lab == "c2xc4@2")
-    F = EntryContext("c2xc4@2", G, p).F
+    F = entry_system(G, p)
     V = next(P for P in F.subgroups() if P.order == 4
              and all(G.element_order(x) <= 2 for x in P.members))
     C4 = next(P for P in F.subgroups() if P.order == 4 and P is not V)
@@ -235,7 +237,7 @@ def test_surjectivity_keeps_the_bounds_of_the_literal_form():
     (<a>, <b>), out of them, covers it.  Both forms reject; with F2
     whole, both accept."""
     G, p = next((G, p) for lab, G, p in SMALL if lab == "c2xc2@2")
-    F = EntryContext("c2xc2@2", G, p).F
+    F = entry_system(G, p)
     A, B = [P for P in F.subgroups() if P.order == 2][:2]
     F1, F2 = (subsystems.normal_subsystem_in(F, P) for P in (A, B))
     assert is_central_product(F, F1, F2) and is_central_product_literal(F, F1, F2)
@@ -264,12 +266,11 @@ def test_key_forms_build_no_surplus_homs(label, hom_count):
     included; reachability without paths and the central-product test
     build none once the systems' iso-sets exist."""
     G, p = next((G, p) for lab, G, p in SMALL if lab == label)
-    ctx = EntryContext(label, G, p)
-    F = ctx.F
+    F = entry_system(G, p)
     family = canonical_family(F)
     for P in F.subgroups():
         F.automorphisms(P)
-    for E1, E2 in ctx.commuting_pairs:
+    for E1, E2 in commuting_pairs(F):
         D = _star_product(F, E1, E2)
         is_central_product(D, E1, E2)      # fills the centres z_of(E_i)
         gens = star_generators(F, E1, E2)

@@ -31,7 +31,8 @@ from fusionkit.models import (is_constrained, models_isomorphic_over_s,
 from fusionkit.saturation import key_generators
 from fusionkit.subsystems import (_extension_property, _stability,
                                   normal_subsystem_in, normalizer_subsystem)
-from fusionkit.verify import EntryContext, with_added_iso, with_removed_iso
+from fusionkit.verify import normal_pairs, with_added_iso, with_removed_iso
+from conftest import entry_system
 from oracles import (as_group_literal, core_literal,
                      extension_property_literal, normal_model_literal,
                      o_p_prime_literal, r_star_on_o_p_literal,
@@ -77,10 +78,10 @@ def test_corpus_models_on_v_and_on_o_p():
     pairs = 0
     differ: Counter = Counter()
     for label, G, p in corpus_entries():
-        ctx = EntryContext(label, G, p)
-        for _, E in ctx.normal_pairs:
+        F = entry_system(G, p)
+        for _, E in normal_pairs(F):
             pairs += 1
-            if routes_agree(ctx.F, E):
+            if routes_agree(F, E):
                 differ[label] += 1
     assert pairs == 132
     assert sum(differ.values()) == 24
@@ -168,9 +169,8 @@ def test_report_clauses_on_mutants():
     and that fail."""
     seen: Counter = Counter()
     for label, G, p in SMALL:
-        ctx = EntryContext(label, G, p)
-        F = ctx.F
-        for _, E in ctx.normal_pairs:
+        F = entry_system(G, p)
+        for _, E in normal_pairs(F):
             T = E.support
             V = F.universe.generated_subgroup(
                 T.members + centralizer(F.support, T, T).members)

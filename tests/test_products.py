@@ -22,7 +22,8 @@ from fusionkit.products import (_star_product, central_product_subsystem,
                                 zcentralize_witnesses)
 from fusionkit.saturation import classify, is_saturated
 from fusionkit.subsystems import is_strongly_closed, normal_subsystem_in
-from fusionkit.verify import EntryContext, with_replaced_isos
+from fusionkit.verify import commuting_pairs, with_replaced_isos
+from conftest import entry_system
 from oracles import (direct_product, direct_product_structure_ok,
                      transported_system)
 
@@ -185,12 +186,12 @@ class TestCentralProduct:
         """Every commuting pair of distinct factors: both orders generate
         the same image tables, and a content key is its table, so both
         orders give one content key."""
-        ctx = EntryContext("s4xc2@2", s4xc2, 2)
-        pairs = [(A, B) for A, B in ctx.commuting_pairs if A is not B]
+        F = entry_system(s4xc2, 2)
+        pairs = [(A, B) for A, B in commuting_pairs(F) if A is not B]
         assert len(pairs) == 21
         for E1, E2 in pairs:
-            D12 = _star_product(ctx.F, E1, E2)
-            D21 = _star_product(ctx.F, E2, E1)
+            D12 = _star_product(F, E1, E2)
+            D21 = _star_product(F, E2, E1)
             assert D12 is not D21 and D12.name != D21.name
             assert D12.content_key == D21.content_key
             assert is_saturated(D21) is is_saturated(D12)

@@ -138,6 +138,16 @@ class TestInvariance:
         with pytest.raises(NotStronglyClosed):
             invariance_condition(F_s4, inner_system(F_s4, Z), "f")
 
+    def test_morphism_leaving_the_support_twists_out(self, F_s4):
+        """Z(S) is not strongly closed in F_S(S4): a morphism psi of F
+        carries it out of Z(S), and (f) fails at P = Z(S) with phi the
+        identity, whose twist by psi is no morphism of the inner system."""
+        Z = center(F_s4.support)
+        bad = _condition_f(F_s4, inner_system(F_s4, Z))
+        assert bad["kind"] == "twist_escapes"
+        assert bad["P"] == bad["phi"] == list(Z.members)
+        assert not set(bad["psi"]) <= Z.member_set
+
 
 def invariance_systems(G, p):
     """F = F_S(G) and, for every strongly closed T of F, the subsystems E

@@ -23,7 +23,7 @@ from fusionkit.products import (is_central_product, verify_product_theorems,
 from fusionkit.saturation import is_saturated
 from fusionkit.subsystems import (extension_witness, is_normal,
                                   normal_subsystem_in, normalizer_subsystem)
-from fusionkit.verify import (CHECK_ORDER, EntryContext, inner_only_shadow,
+from fusionkit.verify import (CHECK_ORDER, inner_only_shadow,
                               run_suite, suite_report, verify_cfcg0,
                               verify_cfe_normal, verify_coincide,
                               verify_easy_centralizer, verify_ffef,
@@ -319,11 +319,10 @@ class TestMutationsCentralizer:
                                 C_S_E=Z)
         assert bad == {"kind": "not strongly closed", "C_S_E": list(Z.members)}
 
-    def test_main_cse_b_corrupted_data(self, s4xc2, F_s4xc2, E_s4x1, data_s4xc2):
-        ctx = EntryContext("s4xc2@2", s4xc2, 2)
+    def test_main_cse_b_corrupted_data(self, F_s4xc2, E_s4x1, data_s4xc2):
         bad_data = data_s4xc2._replace(
             R_star=F_s4xc2.universe.trivial_subgroup)
-        assert verify_main_cse_b(ctx, E_s4x1, data=bad_data) is not None
+        assert verify_main_cse_b(F_s4xc2, E_s4x1, data=bad_data) is not None
 
     def test_main_cse_c_corrupted_data(self, F_s4xc2, E_s4x1, data_s4xc2):
         bad_data = data_s4xc2._replace(
@@ -456,7 +455,7 @@ class TestSuiteLevelMutations:
     def test_hom_deleted_system_fails_main_cse_a(self, s4):
         """A failure in context building, not a MainCSE.a counterexample:
         on F without an automorphism of order 3 of V4, building the normal
-        pairs (``EntryContext.normal_pairs``) already rejects F_T(N), whose
+        pairs (``verify.normal_pairs``) already rejects F_T(N), whose
         normality report fails through extension_z, so the check records
         that error.  The verifier's own clauses are hit by the direct
         injections of ``TestMutationsCentralizer``."""
@@ -500,6 +499,20 @@ class TestSuiteLevelMutations:
         assert res[0].status == "fail"
         assert list(bad)[:2] == ["S1", "S2"]
         assert set(bad["meet"]) <= set(bad["S1"]) & set(bad["S2"])
+
+    def test_system_without_witness_fails_its_normal_pairs(self, s4):
+        """A copy of F by explicit iso-sets alone has no group to take the
+        normal subgroups of: each check that reads the normal pairs
+        records the typed error."""
+        def forget(F):
+            P = F.subgroups()[0]
+            return with_replaced_isos(F, P, F.isos_from(P))
+
+        res = run_suite("s4@2", s4, 2, system_mutator=forget,
+                        check_ids=["saturation", "FfEf", "RadicalIntersect"])
+        assert [r.counterexample for r in res] == [{
+            "error": "VerificationFailed: normal subsystems from groups "
+                     "need a realized F"}] * 3
 
     def test_alternative_sylow_top_built_once(self, s4, monkeypatch):
         # one top for F and one for the alternative Sylow choice, shared by
