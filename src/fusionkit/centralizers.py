@@ -10,9 +10,15 @@ system's witness, so the model is built on V (see
 ``models.constrained_local_system`` for the proof that W'/O_{p'}(W') is
 p-constrained); the model on O_p of the local system is the same up to
 isomorphism over S, so R* and the model orders are those of the literal
-route.  The family of N_E(T), the X <= C_S(T) it centralizes, is computed
-once per pair (``normalizer_family``) and read by the R* post-check and
-the suite.
+route.
+
+Each datum has one source.  The centralized family of E and its join
+C_S(E) are derived data of F (``fusion.derived``): ``centralized_set`` and
+``c_s_of`` compute them once per (F, E) content, and
+``compute_centralizer_data``, the verifiers and the product reports read
+them there.  The family of N_E(T) is ``centralized_set`` of N_E(T)
+(``normalizer_family``), and Z(F) is C_S(F) of F run self-ambient
+(``z_of``), so neither keeps a memo of its own.
 
 E <= C_F(X) is asked one way, by ``contained_in_centralizer``; its
 generating-set form is the ``centralizer-oracle`` check of ``verify``.
@@ -48,6 +54,7 @@ def contained_in_centralizer(F: FusionSystem, E: FusionSystem, X: Subgroup) -> b
     return subsystem_contains(centralizer_subsystem(F, X), E)
 
 
+@derived
 def centralized_set(F: FusionSystem, E: FusionSystem) -> tuple[Subgroup, ...]:
     """The centralized family: all X <= C_S(T) with E <= C_F(X), in
     canonical order; C_S(E) is its largest member."""
@@ -79,15 +86,14 @@ def c_s_counterexample(F: FusionSystem, E: FusionSystem,
     return None
 
 
-def c_s_of(F: FusionSystem, E: FusionSystem,
-           X_set: Optional[tuple[Subgroup, ...]] = None) -> Subgroup:
-    """C_S(E): the join of the centralized-subgroup family.
+@derived
+def c_s_of(F: FusionSystem, E: FusionSystem) -> Subgroup:
+    """C_S(E): the join of the centralized family.
 
     Post-verified by ``c_s_counterexample``; a failure raises a
     TheoremViolation alarm.
     """
-    if X_set is None:
-        X_set = centralized_set(F, E)
+    X_set = centralized_set(F, E)
     R = family_join(F, X_set)
     bad = c_s_counterexample(F, E, X_set, R)
     if bad is not None:
@@ -164,12 +170,9 @@ def r_star(F: FusionSystem, E: FusionSystem
     return Subgroup(F.universe, members, check=False), Gsys, model, N
 
 
-@derived
 def normalizer_family(F: FusionSystem, E: FusionSystem) -> tuple[Subgroup, ...]:
     """The centralized family of N_E(T), ``centralized_set(F, N_E(T))``:
-    the X <= C_S(T) with N_E(T) <= C_F(X).  ``compute_centralizer_data``
-    computes it first, for the post-check on R*, and the suite's checks
-    read it."""
+    the X <= C_S(T) with N_E(T) <= C_F(X)."""
     return centralized_set(F, normalizer_subsystem(E, E.support))
 
 
@@ -177,8 +180,8 @@ def r_star_counterexample(F: FusionSystem, E: FusionSystem,
                           R_star: Subgroup) -> Optional[dict]:
     """The Theorem A post-check on R*, the one statement of its clauses:
     ``R_star`` <= C_S(T), and for every X <= C_S(T), N_E(T) <= C_F(X)
-    exactly when X <= ``R_star``; the X with N_E(T) <= C_F(X) are the
-    memoized ``normalizer_family``.  Returns the first failing clause as a
+    exactly when X <= ``R_star``; the X with N_E(T) <= C_F(X) are
+    ``normalizer_family``.  Returns the first failing clause as a
     located counterexample, or None."""
     T = E.support
     CST = centralizer(F.support, T, F.table_for(T))
@@ -250,7 +253,7 @@ class CentralizerData(NamedTuple):
 def compute_centralizer_data(F: FusionSystem, E: FusionSystem) -> CentralizerData:
     """The family, C_S(E) and R* for one normal pair."""
     X_set = centralized_set(F, E)
-    CSE = c_s_of(F, E, X_set)
+    CSE = c_s_of(F, E)
     Rstar, Gsys, model, N = r_star(F, E)
     bad = r_star_counterexample(F, E, Rstar)
     if bad is not None:
@@ -293,14 +296,12 @@ def _c_F_of(F: FusionSystem, E: FusionSystem, R: Subgroup) -> FusionSystem:
     return CFE
 
 
-def coincide_check(F: FusionSystem, E: FusionSystem,
-                   CFE: Optional[FusionSystem] = None,
-                   C_S_E: Optional[Subgroup] = None) -> bool:
+def coincide_check(F: FusionSystem, E: FusionSystem) -> bool:
     """Aut_{C_F(E)}(P) = O^p(Aut_{C_F(T)}(P)) * Aut_{C_S(E)}(P) for every
     P fully normalized and centric in C_F(E), as a product set on the
     table of Aut_{C_F(E)}(P), where both factors must lie."""
-    R = C_S_E if C_S_E is not None else c_s_of(F, E)
-    cfe = CFE if CFE is not None else c_F_of(F, E, C_S_E=R)
+    R = c_s_of(F, E)
+    cfe = c_F_of(F, E)
     CFT = centralizer_subsystem(F, E.support)
     cls = classify(cfe)
     for P in cfe.subgroups():
@@ -317,7 +318,6 @@ def coincide_check(F: FusionSystem, E: FusionSystem,
     return True
 
 
-@derived
 def z_of(F: FusionSystem) -> Subgroup:
     """Z(F): the largest subgroup X with F <= C_F(X) (F run self-ambient)."""
     return c_s_of(F, F)

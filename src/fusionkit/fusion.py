@@ -20,7 +20,7 @@ is determined by ``(support.members, witness.members)``.  A system with
 explicit iso-sets is keyed by an ``ExplicitKey``: the support, the witness
 (or None) and the image tuples of every iso-set, so equal keys mean the
 same iso-sets, map for map; it compares by value, so two different tables
-never share a key.  A system's derived data (iso-sets, classes,
+never share a key.  A system's derived data (iso-sets,
 classification, saturation, local subsystems, normality reports, and the
 predicates the verification suite asks again, such as strong closure and
 stability) lives in a slot of the registry on its top system, shared by
@@ -323,9 +323,12 @@ class FusionSystem:
 
     # -- conjugacy ---------------------------------------------------------------
 
-    @derived
     def classes(self) -> tuple[tuple[Subgroup, ...], ...]:
-        """The F-conjugacy classes of subgroups of the support."""
+        """The F-conjugacy classes of subgroups of the support, computed
+        on each call: its readers, the memoized ``classify`` and
+        ``persist.system_payload``, ask it once per system.  The traced
+        benchmark replay times it on its own before ``classify``, so there
+        it is computed twice per entry."""
         subs = self.subgroups()
         index = {P.members: i for i, P in enumerate(subs)}
         parent = list(range(len(subs)))

@@ -21,6 +21,22 @@ by one loop:
   ``check(F, E1, E2)`` per pair of normal subsystems with
   elementwise-commuting supports, whose failure payload starts with the
   supports ``S1`` and ``S2``.
+
+A verifier takes only systems and reads each datum it tests from the one
+function that computes it: E's centralized family
+(``centralized_set``), C_S(E) (``c_s_of``), the join MainCSE.a
+post-checks (``family_join``), R* with its local system and model
+(``compute_centralizer_data``, or ``r_star`` where R* is derived again),
+C_F(E) (``c_F_of``), the candidate subsystems, H(P) and A-circle(P)
+(``h_group``, ``a_circle``) and Z(F_i) (``z_of``).  The shared ones are
+derived data of F, computed once per content, and no check reads what
+another left, so a check run alone reports what it reports in the full
+pass; a self-test corrupts a datum by replacing that function, or by a
+mutant system.  The function to replace is the name in its caller's
+module: this module's verifiers resolve ``verify.centralized_set``,
+``verify.c_F_of`` and the rest, while Coincide's ``coincide_check``,
+``c_s_of`` and ``compute_centralizer_data`` live in ``centralizers`` and
+resolve ``centralizers.c_F_of`` and ``centralizers.centralized_set``.
 """
 
 from __future__ import annotations
@@ -28,8 +44,8 @@ from __future__ import annotations
 import time
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .centralizers import (CentralizerData, a_circle, c_F_of, c_s_counterexample,
-                           c_s_of, centralized_set, coincide_check,
+from .centralizers import (a_circle, c_F_of, c_s_counterexample, c_s_of,
+                           centralized_set, coincide_check,
                            compute_centralizer_data, contained_in_centralizer,
                            family_join, focal_subgroup, h_group,
                            hyperfocal_subgroup, normalizer_family, r_star,
@@ -76,14 +92,21 @@ def _sub(P: Subgroup) -> list[int]:
 # -- the entry's shared data, derived from F ------------------------------------------
 
 
+def _group_of(F: FusionSystem) -> Subgroup:
+    """The group W of F = F_S(W), which the normal pairs, the second
+    Sylow subgroup and the focal oracle read; a typed failure when F has
+    none."""
+    if not F.realized:
+        raise VerificationFailed("group-level checks need a realized F")
+    return F.witness
+
+
 @derived
 def normal_pairs(F: FusionSystem) -> tuple[tuple[Subgroup, FusionSystem], ...]:
     """(N, E) per normal subgroup N of F's witness, E = F_{S n N}(N),
     deduplicated by the subsystem."""
-    if not F.realized:
-        raise VerificationFailed("normal subsystems from groups need a realized F")
     seen: dict[tuple, tuple[Subgroup, FusionSystem]] = {}
-    for N in normal_subgroups(F.witness):
+    for N in normal_subgroups(_group_of(F)):
         E = normal_subsystem_in(F, N)
         key = tuple(sorted(
             (P.members, tuple(sorted(E._keys_from(P))))
@@ -121,10 +144,11 @@ def commuting_pairs(F: FusionSystem) -> tuple[tuple[FusionSystem, FusionSystem],
 def alternative_sylow(F: FusionSystem) -> Optional[tuple[int, FusionSystem]]:
     """(g, F_{S^g}(W)) for the smallest g in F's witness W with S^g != S,
     built once; None when S is the unique Sylow p-subgroup of W."""
-    for g in F.witness.members:
+    W = _group_of(F)
+    for g in W.members:
         S2 = F.support.conjugate(g)
         if S2 != F.support:
-            return g, fusion_of_group(F.witness, S2, F.p)
+            return g, fusion_of_group(W, S2, F.p)
     return None
 
 
@@ -224,8 +248,7 @@ def verify_prophelp(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     return None
 
 
-def verify_easy_centralizer(F: FusionSystem, E: FusionSystem,
-                            X_set: Optional[Sequence[Subgroup]] = None) -> Optional[dict]:
+def verify_easy_centralizer(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     """Conjugating along morphisms defined on XT preserves centralizing:
     for each X <= C_S(T) and phi in Hom_F(XT, S), (a) X^phi <= C_S(T) and
     beta in C_F(X) iff beta^phi in C_F(X^phi) for every beta in E; (b) the
@@ -249,9 +272,7 @@ def verify_easy_centralizer(F: FusionSystem, E: FusionSystem,
     (X, phi) is ``easy_centralizer_literal`` in ``tests/oracles.py``."""
     T = E.support
     CST = centralizer(F.support, T, F.table_for(T))
-    if X_set is None:
-        X_set = centralized_set(F, E)
-    family = {X.members for X in X_set}
+    family = {X.members for X in centralized_set(F, E)}
     net_family = {X.members for X in normalizer_family(F, E)}
     keys = frozenset((P.members, b) for P in E.subgroups()
                      for b in E._keys_from(P))
@@ -324,26 +345,18 @@ def _clause_a(F: FusionSystem, E: FusionSystem, X: Subgroup, phi: Hom,
     return None
 
 
-def verify_frattini_cons(F: FusionSystem, E: FusionSystem,
-                         h_sets: Optional[dict] = None,
-                         a_sets: Optional[dict] = None) -> Optional[dict]:
+def verify_frattini_cons(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     """Aut_F(P) = H(P) A-circle(P) for every fully normalized P, as a
     product set on the table of Aut_F(P) (``aut_group``).  A
-    counterexample names the first automorphism outside the product; an
-    injected factor that is not a subgroup of Aut_F(P), an empty one
-    included, is one too."""
+    counterexample names the first automorphism outside the product; a
+    factor from ``h_group`` or ``a_circle`` that is not a subgroup of
+    Aut_F(P), an empty one included, is one too."""
     cls = classify(F)
     for P in F.subgroups():
         if not cls.is_fully_normalized(P):
             continue
-        hs = (h_sets or {}).get(P.members)
-        if hs is None:
-            hs = h_group(F, E, P)
-        asets = (a_sets or {}).get(P.members)
-        if asets is None:
-            asets = a_circle(F, E, P)
         A = aut_group(F, P)
-        H, C = A.subgroup_of(hs), A.subgroup_of(asets)
+        H, C = A.subgroup_of(h_group(F, E, P)), A.subgroup_of(a_circle(F, E, P))
         if H is None or C is None:
             return {"P": _sub(P), "kind": "factor is not a subgroup of Aut_F(P)"}
         product = set(H.product_set(C))
@@ -353,11 +366,9 @@ def verify_frattini_cons(F: FusionSystem, E: FusionSystem,
     return None
 
 
-def verify_x_invariant(F: FusionSystem, E: FusionSystem,
-                       X_set: Optional[Sequence[Subgroup]] = None) -> Optional[dict]:
+def verify_x_invariant(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     """The centralized family is invariant under taking F-conjugates."""
-    if X_set is None:
-        X_set = centralized_set(F, E)
+    X_set = centralized_set(F, E)
     family = {X.members for X in X_set}
     for X in X_set:
         for phi in F.isos_from(X):
@@ -366,15 +377,12 @@ def verify_x_invariant(F: FusionSystem, E: FusionSystem,
     return None
 
 
-def verify_weakly_closed_centralized(F: FusionSystem, E: FusionSystem,
-                                     X_set: Optional[Sequence[Subgroup]] = None
+def verify_weakly_closed_centralized(F: FusionSystem, E: FusionSystem
                                      ) -> Optional[dict]:
     """Weakly closed R <= C_S(T) centralized by Aut_E(T) lie in the family."""
     T = E.support
     CST = centralizer(F.support, T, F.table_for(T))
-    if X_set is None:
-        X_set = centralized_set(F, E)
-    family = {X.members for X in X_set}
+    family = {X.members for X in centralized_set(F, E)}
     for R in subgroup_lattice(CST):
         if not is_weakly_closed(F, R):
             continue
@@ -405,13 +413,12 @@ def verify_gn(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     return None
 
 
-def verify_cfcg0(F: FusionSystem, E: FusionSystem,
-                 auts: Optional[Sequence[Hom]] = None) -> Optional[dict]:
+def verify_cfcg0(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     """Aut_E(T) extends to TC_S(T) moving it only inside T and fixing any X
     whose centralizer contains N_E(T)."""
     T = E.support
     targets = normalizer_family(F, E)
-    alphas = tuple(auts) if auts is not None else E.automorphisms(T)
+    alphas = E.automorphisms(T)
     search = bounded_extensions(F, T, T)
     found = [tuple(search(alpha)) for alpha in alphas]
     for X in targets:
@@ -421,38 +428,30 @@ def verify_cfcg0(F: FusionSystem, E: FusionSystem,
     return None
 
 
-def verify_first_characterization(F: FusionSystem, E: FusionSystem,
-                                  R_star: Optional[Subgroup] = None
+def verify_first_characterization(F: FusionSystem, E: FusionSystem
                                   ) -> Optional[dict]:
     """R* <= C_S(T) and the exact set equality {X <= C_S(T): N_E(T) <=
-    C_F(X)} = subgroups of R*; R* comes from ``r_star`` unless given."""
-    if R_star is None:
-        try:
-            R_star = r_star(F, E)[0]
-        except FusionkitError as exc:
-            return {"kind": str(exc)}
+    C_F(X)} = subgroups of R*, for R* derived again by ``r_star``."""
+    try:
+        R_star = r_star(F, E)[0]
+    except FusionkitError as exc:
+        return {"kind": str(exc)}
     return r_star_counterexample(F, E, R_star)
 
 
-def verify_main_cse_a(F: FusionSystem, E: FusionSystem,
-                      X_set: Optional[Sequence[Subgroup]] = None,
-                      C_S_E: Optional[Subgroup] = None) -> Optional[dict]:
-    """C_S(E) is a member of the family, its unique largest element, and
-    strongly closed."""
-    if X_set is None:
-        X_set = centralized_set(F, E)
-    if C_S_E is None:
-        C_S_E = family_join(F, X_set)
-    return c_s_counterexample(F, E, X_set, C_S_E)
+def verify_main_cse_a(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
+    """C_S(E), the join of the family, is a member of it, its unique
+    largest element, and strongly closed: the clauses ``c_s_of``
+    post-checks, asked of the join here so that a failure is located."""
+    X_set = centralized_set(F, E)
+    return c_s_counterexample(F, E, X_set, family_join(F, X_set))
 
 
-def verify_main_cse_b(F: FusionSystem, E: FusionSystem,
-                      data: Optional[CentralizerData] = None) -> Optional[dict]:
+def verify_main_cse_b(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     """R* characterization plus model-choice independence via an
     alternative Sylow conjugate when one exists."""
-    if data is None:
-        data = compute_centralizer_data(F, E)
-    bad = verify_first_characterization(F, E, R_star=data.R_star)
+    data = compute_centralizer_data(F, E)
+    bad = r_star_counterexample(F, E, data.R_star)
     if bad is not None:
         bad.setdefault("kind", "characterization")
         return bad
@@ -473,10 +472,10 @@ def verify_main_cse_b(F: FusionSystem, E: FusionSystem,
     return None
 
 
-def verify_main_cse_c(F: FusionSystem, E: FusionSystem,
-                      data: CentralizerData) -> Optional[dict]:
+def verify_main_cse_c(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     """Weakly closed subgroups of R* are in the family; C_S(E) is the
     largest weakly closed and the largest strongly closed subgroup of R*."""
+    data = compute_centralizer_data(F, E)
     info = weakly_closed_analysis(F, E, data)
     if not info["all_weakly_closed_in_family"]:
         bad = [W for W in info["weakly_closed"]
@@ -493,11 +492,9 @@ def verify_main_cse_c(F: FusionSystem, E: FusionSystem,
     return None
 
 
-def verify_focprop(F: FusionSystem, E: FusionSystem,
-                   C_S_E: Optional[Subgroup] = None) -> Optional[dict]:
+def verify_focprop(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     """foc(C_F(T)) <= C_S(E), and hence hyp(C_F(T)) <= C_S(E)."""
-    if C_S_E is None:
-        C_S_E = c_s_of(F, E)
+    C_S_E = c_s_of(F, E)
     CFT = centralizer_subsystem(F, E.support)
     foc = focal_subgroup(CFT)
     if not foc.member_set <= C_S_E.member_set:
@@ -508,29 +505,27 @@ def verify_focprop(F: FusionSystem, E: FusionSystem,
     return None
 
 
-def verify_show_weakly_normal(F: FusionSystem, E: FusionSystem,
-                              CFE: FusionSystem) -> Optional[dict]:
-    report = is_normal(F, CFE)
+def verify_show_weakly_normal(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
+    report = is_normal(F, c_F_of(F, E))
     if not report.weakly_normal:
         return {"kind": "not weakly normal",
                 "detail": [list(c) for c in report.counterexamples]}
     return None
 
 
-def verify_cfe_normal(F: FusionSystem, E: FusionSystem,
-                      CFE: FusionSystem) -> Optional[dict]:
-    report = is_normal(F, CFE)
+def verify_cfe_normal(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
+    report = is_normal(F, c_F_of(F, E))
     if not report.normal:
         return {"kind": "not normal",
                 "detail": [list(c) for c in report.counterexamples]}
     return None
 
 
-def verify_main_cfe(F: FusionSystem, E: FusionSystem, CFE: FusionSystem,
-                    candidates: Sequence[FusionSystem]) -> Optional[dict]:
+def verify_main_cfe(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     """D <= C_F(E) iff D and E centralize each other, over all saturated
     candidate subsystems (plus C_F(E) itself)."""
-    for D in list(candidates) + [CFE]:
+    CFE = c_F_of(F, E)
+    for D in candidate_subsystems(F) + (CFE,):
         inside = subsystem_contains(CFE, D)
         cen = centralize_each_other(F, D, E)
         if inside != cen:
@@ -539,9 +534,8 @@ def verify_main_cfe(F: FusionSystem, E: FusionSystem, CFE: FusionSystem,
     return None
 
 
-def verify_coincide(F: FusionSystem, E: FusionSystem, CFE: FusionSystem,
-                    C_S_E: Subgroup) -> Optional[dict]:
-    if not coincide_check(F, E, CFE=CFE, C_S_E=C_S_E):
+def verify_coincide(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
+    if not coincide_check(F, E):
         return {"kind": "automorphism product formula fails"}
     return None
 
@@ -574,12 +568,14 @@ def verify_model1a(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     return None
 
 
-def verify_model1b(F_of_model: FusionSystem, model: Model) -> Optional[dict]:
-    """Subgroups of S are normal in the system iff normal in the model;
+def verify_model1b(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
+    """In the R*-local system and its model (``compute_centralizer_data``),
+    subgroups of S are normal in the system iff normal in the model;
     normal centric subgroups are self-centralizing in the model.  The
     subgroups normal in the system are its memoized
     ``normal_subgroups_of_system``."""
-    M, sigma = model.group, model.sigma
+    data = compute_centralizer_data(F, E)
+    F_of_model, M, sigma = data.local_system, data.model.group, data.model.sigma
     model_normals = {N.members for N in normal_subgroups(M.full_subgroup)}
     system_normals = {P.members for P in normal_subgroups_of_system(F_of_model)}
     cls = classify(F_of_model)
@@ -613,14 +609,13 @@ def verify_model1c(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
 # -- product checks -------------------------------------------------------------
 
 
-def verify_l_f1f2(F: FusionSystem, E1: FusionSystem, E2: FusionSystem,
-                  z_values: Optional[dict] = None) -> Optional[dict]:
+def verify_l_f1f2(F: FusionSystem, E1: FusionSystem, E2: FusionSystem
+                  ) -> Optional[dict]:
     """F_i <= C_F(S_{3-i}) forces S1 n S2 <= Z(F_i), directionally."""
     meet = E1.support.meet(E2.support)
     for Fi, Fj in ((E1, E2), (E2, E1)):
         contained = contained_in_centralizer(F, Fi, Fj.support)
-        z = (z_values or {}).get(Fi.support.members) or z_of(Fi)
-        if contained and not meet.member_set <= z.member_set:
+        if contained and not meet.member_set <= z_of(Fi).member_set:
             return {"factor": _sub(Fi.support), "meet": _sub(meet)}
     return None
 
@@ -710,7 +705,7 @@ def _check_finvariant(F: FusionSystem) -> Optional[dict]:
 def _check_focal_oracle(F: FusionSystem) -> Optional[dict]:
     """Independent group-theoretic oracle: foc(F_S(G)) = S n [G,G]."""
     foc = focal_subgroup(F)
-    oracle = F.support.meet(derived_subgroup(F.witness))
+    oracle = F.support.meet(derived_subgroup(_group_of(F)))
     if foc != oracle:
         return {"focal": _sub(foc), "oracle": _sub(oracle)}
     return None
@@ -732,13 +727,14 @@ def _generated_family(F: FusionSystem, E: FusionSystem) -> tuple[Subgroup, ...]:
                         for Q, keys in auts))
 
 
-def _centralizer_oracle(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
+def _check_centralizer_oracle(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     """The centralized families of E and of N_E(T), recomputed by the
-    generating-set route, match the definition subgroup by subgroup; E's
-    family also matches the one C_S(E) was built from."""
+    definition (``centralized_set`` uncached) and by the generating-set
+    route, match subgroup by subgroup; E's family also matches the
+    memoized one C_S(E) was built from."""
     NET = normalizer_subsystem(E, E.support)
     for where, D in (({}, E), ({"system": "N_E(T)"}, NET)):
-        brute = [X.members for X in centralized_set(F, D)]
+        brute = [X.members for X in centralized_set.__wrapped__(F, D)]
         structured = [X.members for X in _generated_family(F, D)]
         if brute != structured:
             return {**where, "brute": [list(X) for X in brute],
@@ -756,39 +752,23 @@ CHECKS: dict[str, EntryCheck] = {
     "Wellknown": _per_pair(verify_wellknown),
     "LocalNormalSubsystems": _per_pair(verify_local_normal),
     "PropHelp": _per_pair(verify_prophelp),
-    "EasyCentralizer": _per_pair(lambda F, E: verify_easy_centralizer(
-        F, E, X_set=compute_centralizer_data(F, E).X_set)),
+    "EasyCentralizer": _per_pair(verify_easy_centralizer),
     "FrattiniCons": _per_pair(verify_frattini_cons),
-    "XInvariant": _per_pair(lambda F, E: verify_x_invariant(
-        F, E, X_set=compute_centralizer_data(F, E).X_set)),
-    "WeaklyClosedCentralized": _per_pair(
-        lambda F, E: verify_weakly_closed_centralized(
-            F, E, X_set=compute_centralizer_data(F, E).X_set)),
+    "XInvariant": _per_pair(verify_x_invariant),
+    "WeaklyClosedCentralized": _per_pair(verify_weakly_closed_centralized),
     "GN": _per_pair(verify_gn),
     "CFCG0": _per_pair(verify_cfcg0),
     "FirstCharacterization": _per_pair(verify_first_characterization),
-    "MainCSE.a": _per_pair(lambda F, E: verify_main_cse_a(
-        F, E, X_set=compute_centralizer_data(F, E).X_set,
-        C_S_E=compute_centralizer_data(F, E).C_S_E)),
+    "MainCSE.a": _per_pair(verify_main_cse_a),
     "MainCSE.b": _per_pair(verify_main_cse_b),
-    "MainCSE.c": _per_pair(
-        lambda F, E: verify_main_cse_c(F, E, compute_centralizer_data(F, E))),
-    "FocProp": _per_pair(lambda F, E: verify_focprop(
-        F, E, C_S_E=compute_centralizer_data(F, E).C_S_E)),
-    "ShowWeaklyNormal": _per_pair(lambda F, E: verify_show_weakly_normal(
-        F, E, c_F_of(F, E, compute_centralizer_data(F, E).C_S_E))),
-    "CFENormal": _per_pair(lambda F, E: verify_cfe_normal(
-        F, E, c_F_of(F, E, compute_centralizer_data(F, E).C_S_E))),
-    "MainCFE": _per_pair(lambda F, E: verify_main_cfe(
-        F, E, c_F_of(F, E, compute_centralizer_data(F, E).C_S_E),
-        candidate_subsystems(F))),
-    "Coincide": _per_pair(lambda F, E: verify_coincide(
-        F, E, c_F_of(F, E, compute_centralizer_data(F, E).C_S_E),
-        compute_centralizer_data(F, E).C_S_E)),
+    "MainCSE.c": _per_pair(verify_main_cse_c),
+    "FocProp": _per_pair(verify_focprop),
+    "ShowWeaklyNormal": _per_pair(verify_show_weakly_normal),
+    "CFENormal": _per_pair(verify_cfe_normal),
+    "MainCFE": _per_pair(verify_main_cfe),
+    "Coincide": _per_pair(verify_coincide),
     "Model1.a": _per_pair(verify_model1a),
-    "Model1.b": _per_pair(lambda F, E: verify_model1b(
-        compute_centralizer_data(F, E).local_system,
-        compute_centralizer_data(F, E).model)),
+    "Model1.b": _per_pair(verify_model1b),
     "Model1.c": _per_pair(verify_model1c),
     "RadicalIntersect": _per_commuting_pair(
         _report_holds(lambda rep: rep.radical_intersect)),
@@ -801,7 +781,7 @@ CHECKS: dict[str, EntryCheck] = {
     "MainCentralProduct": _per_commuting_pair(
         _report_holds(lambda rep: not rep.centralize or rep.star_normal is True)),
     "focal-oracle": _check_focal_oracle,
-    "centralizer-oracle": _per_pair(_centralizer_oracle),
+    "centralizer-oracle": _per_pair(_check_centralizer_oracle),
 }
 
 CHECK_ORDER: tuple[str, ...] = tuple(CHECKS)

@@ -1,9 +1,14 @@
 """One corruption per lemma check, shared by the mutation tests and the
 acceptance suite.  Each scenario returns True when the corrupted input makes
-the corresponding verifier fail (counterexample or structural error)."""
+the corresponding verifier fail (counterexample or structural error).  A
+verifier takes only systems, so a corrupted datum is injected at the
+function of ``verify`` that the verifier reads it from."""
 
 from __future__ import annotations
 
+from unittest.mock import patch
+
+from fusionkit import verify as verify_mod
 from fusionkit.corpus import builtin_group
 from fusionkit.errors import FusionkitError
 from fusionkit.fusion import fusion_of_group, inner_system
@@ -17,7 +22,7 @@ from fusionkit.verify import (verify_cfcg0, verify_easy_centralizer,
                               verify_prophelp,
                               verify_weakly_closed_centralized,
                               verify_wellknown, verify_x_invariant,
-                              with_added_iso)
+                              with_added_iso, with_replaced_isos)
 
 
 class Env:
@@ -64,12 +69,36 @@ class Env:
                     and g.conj(x, r) != x)
         return Hom.from_generator_images(T, T, [r, refl], [r, g.mul(r, refl)])
 
+    def outer_only(self, E):
+        """E with Aut_E(T) replaced by the outer automorphism of D8 alone,
+        which does not extend to S; its witness is kept, so N_E(T) and
+        its centralized family stay those of E."""
+        return with_replaced_isos(E, E.support, [self.outer_d8()],
+                                  keep_witness=True)
+
 
 def _caught(probe) -> bool:
     try:
         return probe() is not None
     except FusionkitError:
         return True
+
+
+def at_subgroup(real, injected: dict):
+    """``real(F, E, P)`` except at the P whose members ``injected`` maps."""
+    def fake(F, E, P):
+        got = injected.get(P.members)
+        return real(F, E, P) if got is None else got
+    return fake
+
+
+def z_replaced(support, Z):
+    """``z_of`` with Z(F_i) = Z for the factor over ``support``."""
+    real = verify_mod.z_of
+
+    def fake(D):
+        return Z if D.support == support else real(D)
+    return fake
 
 
 def make_scenarios(env: Env) -> dict:
@@ -105,23 +134,29 @@ def make_scenarios(env: Env) -> dict:
     def easy_centralizer():
         _, F, _, E = env.s4()
         Z = center(F.support)
-        return _caught(lambda: verify_easy_centralizer(
-            F, E, X_set=[F.universe.trivial_subgroup, Z]))
+        with patch.object(verify_mod, "centralized_set",
+                          lambda F, E: (F.universe.trivial_subgroup, Z)):
+            return _caught(lambda: verify_easy_centralizer(F, E))
 
     def frattini_cons():
         _, F, V, E = env.s4()
-        ident = (Hom.identity(V),)
-        return _caught(lambda: verify_frattini_cons(
-            F, E, h_sets={V.members: ident}, a_sets={V.members: ident}))
+        ident = {V.members: (Hom.identity(V),)}
+        with patch.object(verify_mod, "h_group",
+                          at_subgroup(verify_mod.h_group, ident)), \
+                patch.object(verify_mod, "a_circle",
+                             at_subgroup(verify_mod.a_circle, ident)):
+            return _caught(lambda: verify_frattini_cons(F, E))
 
     def x_invariant():
         _, F, _, E = env.s4()
-        return _caught(lambda: verify_x_invariant(
-            F, E, X_set=[center(F.support)]))
+        with patch.object(verify_mod, "centralized_set",
+                          lambda F, E: (center(F.support),)):
+            return _caught(lambda: verify_x_invariant(F, E))
 
     def weakly_closed():
         _, F, _, E = env.s4()
-        return _caught(lambda: verify_weakly_closed_centralized(F, E, X_set=[]))
+        with patch.object(verify_mod, "centralized_set", lambda F, E: ()):
+            return _caught(lambda: verify_weakly_closed_centralized(F, E))
 
     def gn():
         _, F, _, _ = env.s4()
@@ -129,7 +164,7 @@ def make_scenarios(env: Env) -> dict:
 
     def cfcg0():
         g, F, E = env.s4xc2()
-        return _caught(lambda: verify_cfcg0(F, E, auts=[env.outer_d8()]))
+        return _caught(lambda: verify_cfcg0(F, env.outer_only(E)))
 
     def zcentralize():
         g, F, E = env.s4xc2()
@@ -152,9 +187,9 @@ def make_scenarios(env: Env) -> dict:
                   sum(1 for x in P.members if g.element_order(x) == 2) == 1)
         F1 = normal_subsystem_in(F, q8)
         F2 = normal_subsystem_in(F, center(g.full_subgroup))
-        return _caught(lambda: verify_l_f1f2(
-            F, F1, F2,
-            z_values={F1.support.members: F.universe.trivial_subgroup}))
+        with patch.object(verify_mod, "z_of",
+                          z_replaced(F1.support, F.universe.trivial_subgroup)):
+            return _caught(lambda: verify_l_f1f2(F, F1, F2))
 
     return {
         "FfEf": ffef,

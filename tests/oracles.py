@@ -1091,16 +1091,13 @@ def extension_property_literal(F: FusionSystem, E: FusionSystem,
     return None
 
 
-def easy_centralizer_literal(F: FusionSystem, E: FusionSystem,
-                             X_set: Optional[Sequence[Subgroup]] = None
+def easy_centralizer_literal(F: FusionSystem, E: FusionSystem
                              ) -> Optional[dict]:
     """``verify.verify_easy_centralizer`` with clause (a) tested beta by
     beta for every (X, phi): beta in C_F(X) iff beta^phi in C_F(X^phi)."""
     T = E.support
     CST = centralizer(F.support, T, F.table_for(T))
-    if X_set is None:
-        X_set = centralized_set(F, E)
-    family = {X.members for X in X_set}
+    family = {X.members for X in centralized_set(F, E)}
     net_family = {X.members for X in normalizer_family(F, E)}
     for X in subgroup_lattice(CST):
         XT = F.universe.generated_subgroup(X.members + T.members)

@@ -9,10 +9,13 @@ transport of iso-sets on keys is compared with its Hom form too."""
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 
+from fusionkit import verify
 from fusionkit.centralizers import (a_circle, coincide_check,
                                     compute_centralizer_data, h_group)
 from fusionkit.corpus import corpus_entries
@@ -26,6 +29,7 @@ from fusionkit.subsystems import (_aut_sets_normal, invariance_condition,
 from fusionkit.verify import (inner_only_shadow, normal_pairs,
                               verify_frattini_cons, with_replaced_isos)
 from conftest import entry_system
+from mutation_scenarios import at_subgroup
 from oracles import (a_circle_literal, aut_sets_normal_literal,
                      coincide_check_literal, frattini_cons_literal,
                      h_group_literal, transport_isos_literal)
@@ -107,19 +111,32 @@ def test_generated_groups(group):
             assert coincide_check(F, E) == coincide_check_literal(F, E)
 
 
+@contextmanager
+def injected(h_sets: Optional[dict], a_sets: Optional[dict]):
+    """H(P) and A-circle(P) replaced at the P that ``h_sets`` and
+    ``a_sets`` name, where ``verify_frattini_cons`` reads them."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, values in (("h_group", h_sets), ("a_circle", a_sets)):
+            mp.setattr(verify, name, at_subgroup(getattr(verify, name),
+                                                 values or {}))
+        yield
+
+
 def test_injected_factors(F_s4, E_a4, V4):
     """Identity-only factors on V4 leave the same first automorphism
     outside the product in both forms; a factor that is not a subgroup of
     Aut_F(V4) = S3, the identity and two of its three involutions, is
     reported as such."""
     ident = {V4.members: (Hom.identity(V4),)}
-    got = verify_frattini_cons(F_s4, E_a4, h_sets=ident, a_sets=ident)
+    with injected(ident, ident):
+        got = verify_frattini_cons(F_s4, E_a4)
     assert got == frattini_cons_literal(F_s4, E_a4, h_sets=ident,
                                         a_sets=ident)
     assert got["missing"] != []
     invs = [h for h in F_s4.automorphisms(V4) if h.then(h).is_identity()]
     broken = {V4.members: tuple(invs[:3])}
-    got = verify_frattini_cons(F_s4, E_a4, h_sets=broken)
+    with injected(broken, None):
+        got = verify_frattini_cons(F_s4, E_a4)
     assert got == {"P": list(V4.members),
                    "kind": "factor is not a subgroup of Aut_F(P)"}
 
@@ -130,7 +147,8 @@ def test_injected_empty_factors_are_taken_literally(F_s4, E_a4, V4):
     where the computed factors give none."""
     empty = {V4.members: ()}
     assert verify_frattini_cons(F_s4, E_a4) is None
-    got = verify_frattini_cons(F_s4, E_a4, h_sets=empty, a_sets=empty)
+    with injected(empty, empty):
+        got = verify_frattini_cons(F_s4, E_a4)
     assert got == {"P": list(V4.members),
                    "kind": "factor is not a subgroup of Aut_F(P)"}
     assert frattini_cons_literal(F_s4, E_a4, h_sets=empty,
@@ -152,7 +170,8 @@ def test_injected_factors_on_a_trivial_automizer(F_s4, E_a4, V4):
         for h_sets, a_sets in (({one.members: factor}, None),
                                (None, {one.members: factor}),
                                ({one.members: factor}, {one.members: factor})):
-            got = verify_frattini_cons(F_s4, E_a4, h_sets, a_sets)
+            with injected(h_sets, a_sets):
+                got = verify_frattini_cons(F_s4, E_a4)
             assert got == frattini_cons_literal(F_s4, E_a4, h_sets, a_sets)
             payloads.append(got)
     bad = {"P": [0], "kind": "factor is not a subgroup of Aut_F(P)"}

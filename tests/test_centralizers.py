@@ -160,10 +160,15 @@ class TestCSE:
 
 
 class TestPostChecks:
-    def test_c_s_of_raises_on_an_injected_member(self, F_s4, E_a4):
+    def test_c_s_of_raises_on_an_injected_member(self, F_s4, E_a4,
+                                                 monkeypatch):
+        """Z(S) injected into E's family; the uncached ``c_s_of`` (its
+        memo may hold the honest C_S(E)) joins and post-checks it."""
         Z = center(F_s4.support)
+        monkeypatch.setattr(centralizers, "centralized_set",
+                            lambda F, E: (F.universe.trivial_subgroup, Z))
         with pytest.raises(TheoremViolation, match="join is not centralized"):
-            c_s_of(F_s4, E_a4, X_set=(F_s4.universe.trivial_subgroup, Z))
+            c_s_of.__wrapped__(F_s4, E_a4)
 
     def test_centralizer_data_raises_on_a_wrong_rstar(self, monkeypatch):
         """The library post-check on R* stays: a wrong R* from the

@@ -17,12 +17,12 @@ from collections import Counter
 import pytest
 
 from fusionkit import centralizers, groups, models, verify as verify_mod
-from fusionkit.centralizers import (compute_centralizer_data, focal_subgroup,
-                                    hyperfocal_subgroup, normalizer_family,
-                                    z_of)
+from fusionkit.centralizers import (c_s_of, centralized_set,
+                                    compute_centralizer_data, focal_subgroup,
+                                    hyperfocal_subgroup)
 from fusionkit.corpus import (CORPUS_ENTRIES, builtin_group,
                               builtin_group_path, ingest)
-from fusionkit.fusion import (TRIVIAL_TABLE, FusionSystem, _first_conjugations,
+from fusionkit.fusion import (TRIVIAL_TABLE, _first_conjugations,
                               fusion_of_group, generated_subsystem)
 from fusionkit.groups import center, centralizer, o_p, sylow_subgroup
 from fusionkit.models import model_on, normal_subgroups_of_system
@@ -40,14 +40,14 @@ FAMILIES = {
     "CF": centralizer_subsystem, "autgrp": aut_group,
     "NF": normalizer_subsystem, "classification": classify,
     "saturation": is_saturated, "strongly-closed": is_strongly_closed,
-    "center": z_of, "normality": is_normal,
+    "C_S(E)": c_s_of, "normality": is_normal,
     "centralizer-data": compute_centralizer_data,
     "product-report": verify_product_theorems,
     "aut-sets-normal": _aut_sets_normal,
     "O^p-auts": o_upper_p_automorphisms, "stability": _stability,
     "F-normal-subgroups": normal_subgroups_of_system, "closure": "closure",
-    "N_E(T)-family": normalizer_family, "C_F(E)": centralizers._c_F_of,
-    "classes": FusionSystem.classes, "model": model_on,
+    "family": centralized_set, "C_F(E)": centralizers._c_F_of,
+    "model": model_on,
     "condition-f": _condition_f, "focal": focal_subgroup,
     "conjugation-family": "conjugation-family",
     "hyperfocal": hyperfocal_subgroup,
@@ -124,9 +124,12 @@ def suite_pass(counted_memo):
 
 
 def test_each_content_is_asked_once_per_pass(suite_pass):
-    """The fills of every family: 7,936 in all, with one fill per entry
+    """The fills of every family: 7,765 in all, with one fill per entry
     of each of the four entry families (``verify.normal_pairs`` and the
-    data built from it).  Without the memos the pass makes 2,463
+    data built from it).  Each of the 121 normal pairs asks three
+    centralized families (E's and N_E(T)'s in F, and E's in E for Z(E))
+    and two joins (C_S(E) and Z(E)); equal contents share a slot, so
+    they fill 230 and 221.  Without the memos the pass makes 2,463
     strong-closure tests, 884 stability tests, 1,596 normality tests of
     Aut_E(P), 2,137 O^p computations and 263 and 121 focal and
     hyperfocal subgroups.  The counts are the same as when the
@@ -135,15 +138,15 @@ def test_each_content_is_asked_once_per_pass(suite_pass):
     fills, _ = suite_pass
     assert {name: fills[f] for name, f in FAMILIES.items()} == {
         "CF": 534, "autgrp": 1923, "NF": 646, "classification": 380,
-        "saturation": 380, "strongly-closed": 385, "center": 121,
+        "saturation": 380, "strongly-closed": 385, "C_S(E)": 221,
         "normality": 348, "centralizer-data": 121, "product-report": 412,
         "aut-sets-normal": 654, "O^p-auts": 365, "stability": 357,
-        "F-normal-subgroups": 52, "closure": 247, "N_E(T)-family": 121,
-        "C_F(E)": 121, "classes": 380, "model": 46, "condition-f": 134,
+        "F-normal-subgroups": 52, "closure": 247, "family": 230,
+        "C_F(E)": 121, "model": 46, "condition-f": 134,
         "focal": 52, "conjugation-family": 21, "hyperfocal": 52,
         "normal-pairs": 21, "candidate-subsystems": 21,
         "commuting-pairs": 21, "alternative-Sylow": 21}
-    assert sum(fills.values()) == 7936
+    assert sum(fills.values()) == 7765
 
 
 def test_dimino_runs_per_pass(suite_pass):

@@ -11,7 +11,11 @@ imports the package, and no module of the package imports
 data is declared with ``fusion.derived``: no module of the package calls
 ``.memo(`` anywhere else, unless ``MEMO_CALLERS`` says why it builds its
 own key, and none names ``functools.cached_property``, a second cache on
-an object that holds a system."""
+an object that holds a system.  A check of the verification suite takes
+only systems: every parameter of a ``verify_*`` or ``_check_*`` function
+of ``verify`` is annotated ``FusionSystem``, and no scope runner of its
+registry is called with a lambda, so each row names its verifier and the
+verifier reads its data itself."""
 
 from __future__ import annotations
 
@@ -61,6 +65,9 @@ MEMO_CALLERS = {
     "saturation.is_conjugation_family": "the family is sorted into its "
                                         "canonical order first",
 }
+
+# The scope runners of ``verify.CHECKS``: each is called with a named check.
+SCOPE_RUNNERS = ("_per_pair", "_per_commuting_pair")
 
 # Defaulted parameters no call sets, as "function(parameter)", each with the
 # reason it stays.
@@ -264,6 +271,39 @@ def unset_defaults(defs: dict[str, str], callers: dict[str, str]) -> list[str]:
     return sorted(out)
 
 
+def _names_a_system(note: Optional[ast.expr]) -> bool:
+    return (isinstance(note, ast.Name) and note.id == "FusionSystem"
+            or isinstance(note, ast.Constant) and note.value == "FusionSystem")
+
+
+def check_data_parameters(source: str) -> list[str]:
+    """``function(parameter)`` for each parameter of a module-level
+    ``verify_*`` or ``_check_*`` function of ``source`` that is not
+    annotated ``FusionSystem``."""
+    out = []
+    for fn in ast.parse(source).body:
+        if not (isinstance(fn, ast.FunctionDef)
+                and fn.name.startswith(("verify_", "_check_"))):
+            continue
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [
+            arg for arg in (a.vararg, a.kwarg) if arg is not None]
+        out += [f"{fn.name}({arg.arg})" for arg in params
+                if not _names_a_system(arg.annotation)]
+    return sorted(out)
+
+
+def lambda_rows(source: str) -> list[int]:
+    """The lines of ``source`` where a scope runner (``SCOPE_RUNNERS``) is
+    called with a lambda among its arguments."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name)
+                  and node.func.id in SCOPE_RUNNERS
+                  and any(isinstance(arg, ast.Lambda) for arg in
+                          node.args + [k.value for k in node.keywords]))
+
+
 def absolute_imports(source: str) -> list[ast.stmt]:
     """The import statements of ``source``, at any depth, that name a
     module by its absolute name."""
@@ -347,6 +387,12 @@ def test_every_default_is_set_by_a_caller():
     for path in MODULES:     # a package module calls under its module name
         callers[path.stem] = callers.pop(str(path.relative_to(REPO)))
     assert unset_defaults(defs, callers) == sorted(NO_SETTER_NEEDED)
+
+
+def test_checks_take_only_systems():
+    source = (PACKAGE / "verify.py").read_text()
+    assert check_data_parameters(source) == []
+    assert lambda_rows(source) == []
 
 
 def test_detects_an_unused_import():
@@ -449,3 +495,21 @@ def test_detects_an_unset_default():
                      "N(1, c=2)\n")}
     assert unset_defaults(defs, callers) == ["K.__init__(mode)", "N.__new__(b)",
                                              "f(w)", "f(y)", "s(j)"]
+
+
+def test_detects_a_check_that_takes_data():
+    source = ("def verify_a(F: FusionSystem, E: 'FusionSystem'):\n"
+              "    pass\n"
+              "def verify_b(F: FusionSystem, E: FusionSystem, X_set=None):\n"
+              "    pass\n"
+              "def _check_c(F, *rest: FusionSystem, **data):\n"
+              "    pass\n"
+              "def helper(F, data):\n"
+              "    pass\n"
+              "CHECKS = {'a': _per_pair(verify_a),\n"
+              "          'b': _per_pair(lambda F, E: verify_b(F, E, ())),\n"
+              "          'c': _per_commuting_pair(check=lambda F, A, B: None),\n"
+              "          'd': _report_holds(lambda rep: rep.iff_holds)}\n")
+    assert check_data_parameters(source) == [
+        "_check_c(F)", "_check_c(data)", "verify_b(X_set)"]
+    assert lambda_rows(source) == [10, 11]

@@ -221,7 +221,8 @@ def test_pushes_that_disagree_on_the_meet_are_rejected():
     swap = Hom(V, V, tuple({b2: a, a: b2}.get(x, x) for x in V.members),
                check=True)
     F2 = with_replaced_isos(F, V, list(F.isos_from(V)) + [swap])
-    F2.memo((centralizers.z_of,), lambda: centralizers.z_of(F))
+    F2.memo((centralizers.c_s_of, F2.content_key),    # Z(F2) = C_S(F2)
+            lambda: centralizers.z_of(F))
     assert centralizers.z_of(F2) is centralizers.z_of(F)
     D = with_added_iso(F, swap)
     assert D.support is F.support and fusion.subsystem_contains(D, F2)

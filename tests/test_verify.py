@@ -13,7 +13,7 @@ import pytest
 from fusionkit import centralizers, verify as verify_mod
 from fusionkit.centralizers import (compute_centralizer_data,
                                     contained_in_centralizer)
-from fusionkit.corpus import builtin_group
+from fusionkit.corpus import builtin_group, builtin_group_path, ingest
 from fusionkit.fusion import (FusionSystem, fusion_of_group,
                               generated_subsystem, inner_system)
 from fusionkit.groups import (Hom, center, centralizer, normal_subgroups, o_p,
@@ -38,6 +38,7 @@ from fusionkit.verify import (CHECK_ORDER, inner_only_shadow,
                               verify_wellknown, verify_x_invariant,
                               with_added_iso, with_removed_iso,
                               with_replaced_isos)
+from mutation_scenarios import at_subgroup, z_replaced
 
 
 def order3_index(F, V4):
@@ -135,32 +136,53 @@ class TestSuiteRuns:
         assert counts and max(counts.values()) == 1
 
     def test_checks_read_the_memoized_family(self, monkeypatch, counted_memo):
-        """A suite pass on s4@2 (4 normal pairs) computes E's centralized
-        family once per pair for C_S(E), and EasyCentralizer, XInvariant,
-        WeaklyClosedCentralized and FocProp read it from the pair's
-        centralizer data.  N_E(T)'s family is computed once per pair too
-        (``normalizer_family``), for the post-check on R*, and
-        EasyCentralizer and CFCG0 read it.  The other calls are the two of
-        centralizer-oracle and Z(E) (``c_s_of``) in the product reports:
-        20 calls, 24 when EasyCentralizer and CFCG0 each recomputed N_E(T)'s
-        family, 40 when four checks recomputed E's."""
-        callers: Counter = Counter()
-        real = centralizers.centralized_set
+        """A suite pass on s4@2 (4 normal pairs) fills 8 slots of
+        ``centralized_set``: the families of E and of N_E(T) for each pair.
+        The four checks that read E's family (EasyCentralizer, XInvariant,
+        WeaklyClosedCentralized and MainCSE.a) each read, for every pair,
+        the tuple that ``compute_centralizer_data(F, E).X_set`` holds.
+        centralizer-oracle recomputes both families uncached, 8 calls, so
+        its "family drifted" comparison never compares the memo with
+        itself."""
+        reads = []
+        uncached: Counter = Counter()
+        real = verify_mod.centralized_set
 
-        def counted(F, E):
-            callers[sys._getframe(1).f_code.co_name] += 1
-            return real(F, E)
+        def recorded(F, E):
+            got = real(F, E)
+            reads.append((sys._getframe(1).f_code.co_name, F, E, got))
+            return got
 
-        monkeypatch.setattr(centralizers, "centralized_set", counted)
-        monkeypatch.setattr(verify_mod, "centralized_set", counted)
+        def recomputed(F, E):
+            uncached[sys._getframe(1).f_code.co_name] += 1
+            return real.__wrapped__(F, E)
+
+        recorded.__wrapped__ = recomputed
+        monkeypatch.setattr(verify_mod, "centralized_set", recorded)
         with counted_memo() as (fills, _):
             results = run_suite("s4@2", builtin_group("s4"), 2)
         assert all(r.passed for r in results)
-        assert fills[compute_centralizer_data] == 4
-        assert fills[centralizers.normalizer_family] == 4
-        assert callers == {"compute_centralizer_data": 4,
-                           "normalizer_family": 4, "c_s_of": 4,
-                           "_centralizer_oracle": 8}
+        assert fills[centralizers.centralized_set] == 8
+        assert uncached == {"_check_centralizer_oracle": 8}
+        assert Counter(name for name, *_ in reads) == {
+            "verify_easy_centralizer": 4, "verify_x_invariant": 4,
+            "verify_weakly_closed_centralized": 4, "verify_main_cse_a": 4}
+        assert all(got is compute_centralizer_data(F, E).X_set
+                   for _, F, E, got in reads)
+
+    @pytest.mark.parametrize("name", ["s4", "d8", "c2xc4"])
+    def test_each_check_alone_matches_the_full_pass(self, name):
+        """Each check reads its data through derived functions of F, not
+        from what an earlier check left: run alone, on a freshly ingested
+        group, it gives the status and payload of the full pass."""
+        label = f"{name}@2"
+        full = run_suite(label, ingest(builtin_group_path(name)), 2)
+        assert [r.check_id for r in full] == list(CHECK_ORDER)
+        for r in full:
+            [alone] = run_suite(label, ingest(builtin_group_path(name)), 2,
+                                [r.check_id])
+            assert (alone.check_id, alone.status, alone.counterexample) == (
+                r.check_id, r.status, r.counterexample)
 
     def test_determinism_two_runs_identical(self, s4):
         ids = ["saturation", "MainCSE.a", "FocProp", "Coincide",
@@ -228,28 +250,41 @@ class TestMutationsCore:
         assert verify_gn(F_s4, s3_closure) is not None
 
 
+def returning(value):
+    """A stand-in for a function of ``verify`` that returns ``value``."""
+    return lambda *args: value
+
+
 class TestMutationsCentralizer:
-    def test_easy_centralizer_family_injection(self, F_s4, E_a4):
+    """A verifier takes only systems; each corrupted datum is injected at
+    the function of ``verify`` the verifier reads it from."""
+
+    def test_easy_centralizer_family_injection(self, F_s4, E_a4, monkeypatch):
         Z = center(F_s4.support)
-        bad = verify_easy_centralizer(F_s4, E_a4,
-                                      X_set=[F_s4.universe.trivial_subgroup, Z])
+        monkeypatch.setattr(verify_mod, "centralized_set",
+                            returning((F_s4.universe.trivial_subgroup, Z)))
+        bad = verify_easy_centralizer(F_s4, E_a4)
         assert bad is not None and bad["clause"] == "b"
 
-    def test_frattini_cons_injection(self, F_s4, E_a4, V4):
-        ident = (Hom.identity(V4),)
-        bad = verify_frattini_cons(F_s4, E_a4,
-                                   h_sets={V4.members: ident},
-                                   a_sets={V4.members: ident})
-        assert bad is not None
+    def test_frattini_cons_injection(self, F_s4, E_a4, V4, monkeypatch):
+        ident = {V4.members: (Hom.identity(V4),)}
+        for name in ("h_group", "a_circle"):
+            monkeypatch.setattr(verify_mod, name,
+                                at_subgroup(getattr(verify_mod, name), ident))
+        assert verify_frattini_cons(F_s4, E_a4) is not None
 
-    def test_x_invariant_injection(self, F_s4, E_a4):
+    def test_x_invariant_injection(self, F_s4, E_a4, monkeypatch):
         Z = center(F_s4.support)
-        assert verify_x_invariant(F_s4, E_a4, X_set=[Z]) is not None
+        monkeypatch.setattr(verify_mod, "centralized_set", returning((Z,)))
+        assert verify_x_invariant(F_s4, E_a4) is not None
 
-    def test_weakly_closed_injection(self, F_s4, E_a4):
-        assert verify_weakly_closed_centralized(F_s4, E_a4, X_set=[]) is not None
+    def test_weakly_closed_injection(self, F_s4, E_a4, monkeypatch):
+        monkeypatch.setattr(verify_mod, "centralized_set", returning(()))
+        assert verify_weakly_closed_centralized(F_s4, E_a4) is not None
 
     def test_cfcg0_unextendable_automorphism(self, F_s4xc2, E_s4x1, s4xc2):
+        """E with Aut_E(T) replaced by an outer automorphism of D8 that
+        does not extend to S; the kept witness keeps N_E(T)'s family."""
         T = E_s4x1.support
         r = next(x for x in T.members if s4xc2.element_order(x) == 4)
         refl = next(x for x in T.members
@@ -258,16 +293,22 @@ class TestMutationsCentralizer:
                     and s4xc2.conj(x, r) != x)
         outer = Hom.from_generator_images(T, T, [r, refl],
                                           [r, s4xc2.mul(r, refl)])
-        assert verify_cfcg0(F_s4xc2, E_s4x1, auts=[outer]) is not None
+        bad_E = with_replaced_isos(E_s4x1, T, [outer], keep_witness=True)
+        assert bad_E.automorphisms(T) == (outer,)
+        assert verify_cfcg0(F_s4xc2, bad_E) == {
+            "X": [0, 1, 14, 15], "alpha": list(outer.images)}
 
-    def test_first_characterization_bad_rstar(self, F_s4xc2, E_s4x1):
-        bad = verify_first_characterization(
-            F_s4xc2, E_s4x1, R_star=F_s4xc2.universe.trivial_subgroup)
+    def test_first_characterization_bad_rstar(self, F_s4xc2, E_s4x1,
+                                              monkeypatch):
+        monkeypatch.setattr(verify_mod, "r_star", returning(
+            (F_s4xc2.universe.trivial_subgroup,)))
+        bad = verify_first_characterization(F_s4xc2, E_s4x1)
         assert bad is not None
 
-    def test_first_characterization_rstar_outside_cst(self, F_s4xc2, E_s4x1):
-        bad = verify_first_characterization(
-            F_s4xc2, E_s4x1, R_star=F_s4xc2.support)
+    def test_first_characterization_rstar_outside_cst(self, F_s4xc2, E_s4x1,
+                                                      monkeypatch):
+        monkeypatch.setattr(verify_mod, "r_star", returning((F_s4xc2.support,)))
+        bad = verify_first_characterization(F_s4xc2, E_s4x1)
         assert bad == {"kind": "R* leaves C_S(T)",
                        "R_star": list(F_s4xc2.support.members)}
 
@@ -285,80 +326,105 @@ class TestMutationsCentralizer:
         assert {"X", "inside_R_star", "centralizes"} <= set(res.counterexample)
         assert "error" not in res.counterexample
 
-    def test_main_cse_a_injected_member(self, F_s4, E_a4):
+    def test_main_cse_a_injected_member(self, F_s4, E_a4, monkeypatch):
         Z = center(F_s4.support)
-        bad = verify_main_cse_a(F_s4, E_a4,
-                                X_set=[F_s4.universe.trivial_subgroup, Z])
+        monkeypatch.setattr(verify_mod, "centralized_set",
+                            returning((F_s4.universe.trivial_subgroup, Z)))
+        bad = verify_main_cse_a(F_s4, E_a4)
         assert bad is not None
 
     def test_main_cse_a_deleted_hom(self, F_s4, E_a4, V4):
         bad_F = with_removed_iso(F_s4, V4, order3_index(F_s4, V4))
         assert verify_main_cse_a(bad_F, E_a4) is not None
 
-    def test_main_cse_a_join_not_centralized(self, F_s4, E_a4, s4):
+    def test_main_cse_a_join_not_centralized(self, F_s4, E_a4, s4,
+                                             monkeypatch):
         """C_S(E) = 1 for E = F_V4(A4); Z(S) injected as the join is not
         centralized by E's automorphisms of order 3."""
         Z = center(F_s4.support)
-        bad = verify_main_cse_a(F_s4, E_a4, X_set=[s4.trivial_subgroup], C_S_E=Z)
+        monkeypatch.setattr(verify_mod, "centralized_set",
+                            returning((s4.trivial_subgroup,)))
+        monkeypatch.setattr(verify_mod, "family_join", returning(Z))
+        bad = verify_main_cse_a(F_s4, E_a4)
         assert bad == {"kind": "join is not centralized", "C_S_E": list(Z.members)}
 
-    def test_main_cse_a_member_escapes_the_join(self, F_s4, s4):
+    def test_main_cse_a_member_escapes_the_join(self, F_s4, s4, monkeypatch):
         """The trivial system is centralized by every X <= S; the trivial
         subgroup injected as the join misses the family's first member, S."""
         E1 = normal_subsystem_in(F_s4, s4.trivial_subgroup)
-        bad = verify_main_cse_a(F_s4, E1, C_S_E=s4.trivial_subgroup)
+        monkeypatch.setattr(verify_mod, "family_join",
+                            returning(s4.trivial_subgroup))
+        bad = verify_main_cse_a(F_s4, E1)
         assert bad == {"kind": "family member escapes the join",
                        "X": list(F_s4.support.members)}
 
-    def test_main_cse_a_join_not_strongly_closed(self, F_s4, s4):
+    def test_main_cse_a_join_not_strongly_closed(self, F_s4, s4, monkeypatch):
         """Z(S) holds the injected family {1, Z(S)} and centralizes the
         trivial system, but S4 fuses its involution into V4 outside Z(S)."""
         E1 = normal_subsystem_in(F_s4, s4.trivial_subgroup)
         Z = center(F_s4.support)
-        bad = verify_main_cse_a(F_s4, E1, X_set=[Z, s4.trivial_subgroup],
-                                C_S_E=Z)
+        monkeypatch.setattr(verify_mod, "centralized_set",
+                            returning((Z, s4.trivial_subgroup)))
+        monkeypatch.setattr(verify_mod, "family_join", returning(Z))
+        bad = verify_main_cse_a(F_s4, E1)
         assert bad == {"kind": "not strongly closed", "C_S_E": list(Z.members)}
 
-    def test_main_cse_b_corrupted_data(self, F_s4xc2, E_s4x1, data_s4xc2):
+    def test_main_cse_b_corrupted_data(self, F_s4xc2, E_s4x1, data_s4xc2,
+                                       monkeypatch):
         bad_data = data_s4xc2._replace(
             R_star=F_s4xc2.universe.trivial_subgroup)
-        assert verify_main_cse_b(F_s4xc2, E_s4x1, data=bad_data) is not None
+        monkeypatch.setattr(verify_mod, "compute_centralizer_data",
+                            returning(bad_data))
+        assert verify_main_cse_b(F_s4xc2, E_s4x1) is not None
 
-    def test_main_cse_c_corrupted_data(self, F_s4xc2, E_s4x1, data_s4xc2):
+    def test_main_cse_c_corrupted_data(self, F_s4xc2, E_s4x1, data_s4xc2,
+                                       monkeypatch):
         bad_data = data_s4xc2._replace(
             C_S_E=F_s4xc2.universe.trivial_subgroup)
-        assert verify_main_cse_c(F_s4xc2, E_s4x1, bad_data) is not None
+        monkeypatch.setattr(verify_mod, "compute_centralizer_data",
+                            returning(bad_data))
+        assert verify_main_cse_c(F_s4xc2, E_s4x1) is not None
 
-    def test_focprop_undershot_bound(self, a4xa4_pair):
+    def test_focprop_undershot_bound(self, a4xa4_pair, monkeypatch):
         F, E = a4xa4_pair
-        bad = verify_focprop(F, E, C_S_E=F.universe.trivial_subgroup)
+        monkeypatch.setattr(verify_mod, "c_s_of",
+                            returning(F.universe.trivial_subgroup))
+        bad = verify_focprop(F, E)
         assert bad is not None and bad["kind"] == "focal"
 
-    def test_show_weakly_normal_bad_cfe(self, F_s4xc2, E_s4x1):
+    def test_show_weakly_normal_bad_cfe(self, F_s4xc2, E_s4x1, monkeypatch):
         z1 = next(P for P in subgroup_lattice(F_s4xc2.support)
                   if P.order == 2 and
                   P.member_set <= E_s4x1.support.member_set)
-        bad_cfe = inner_system(F_s4xc2, z1)
-        assert verify_show_weakly_normal(F_s4xc2, E_s4x1, bad_cfe) is not None
+        monkeypatch.setattr(verify_mod, "c_F_of",
+                            returning(inner_system(F_s4xc2, z1)))
+        assert verify_show_weakly_normal(F_s4xc2, E_s4x1) is not None
 
-    def test_cfe_normal_bad_cfe(self, F_s4xc2, E_s4x1):
+    def test_cfe_normal_bad_cfe(self, F_s4xc2, E_s4x1, monkeypatch):
         z1 = next(P for P in subgroup_lattice(F_s4xc2.support)
                   if P.order == 2 and
                   P.member_set <= E_s4x1.support.member_set)
-        assert verify_cfe_normal(F_s4xc2, E_s4x1,
-                                 inner_system(F_s4xc2, z1)) is not None
+        monkeypatch.setattr(verify_mod, "c_F_of",
+                            returning(inner_system(F_s4xc2, z1)))
+        assert verify_cfe_normal(F_s4xc2, E_s4x1) is not None
 
-    def test_main_cfe_undersized_cfe(self, F_s4xc2, E_s4x1, data_s4xc2):
+    def test_main_cfe_undersized_cfe(self, F_s4xc2, E_s4x1, data_s4xc2,
+                                     monkeypatch):
         small = inner_system(F_s4xc2, F_s4xc2.universe.trivial_subgroup)
         honest_d = inner_system(F_s4xc2, data_s4xc2.C_S_E)
-        bad = verify_main_cfe(F_s4xc2, E_s4x1, small, [honest_d])
+        monkeypatch.setattr(verify_mod, "c_F_of", returning(small))
+        monkeypatch.setattr(verify_mod, "candidate_subsystems",
+                            returning((honest_d,)))
+        bad = verify_main_cfe(F_s4xc2, E_s4x1)
         assert bad is not None
 
-    def test_coincide_stripped_cfe(self, a4xa4_pair):
+    def test_coincide_stripped_cfe(self, a4xa4_pair, monkeypatch):
+        """``coincide_check`` reads C_F(E) from ``centralizers.c_F_of``."""
         F, E = a4xa4_pair
         data = compute_centralizer_data(F, E)
-        bad_cfe = inner_system(F, data.C_S_E)
-        assert verify_coincide(F, E, bad_cfe, data.C_S_E) is not None
+        monkeypatch.setattr(centralizers, "c_F_of",
+                            returning(inner_system(F, data.C_S_E)))
+        assert verify_coincide(F, E) is not None
 
 
 class TestMutationsModels:
@@ -380,9 +446,14 @@ class TestMutationsModels:
         m, twisted = self._twisted_model(F_s4, s4)
         assert not models_isomorphic_over_s(F_s4, m, twisted)
 
-    def test_model1b_twisted_embedding(self, F_s4, s4):
+    def test_model1b_twisted_embedding(self, F_s4, E_a4, s4, monkeypatch):
+        """F_s4 and a twisted model of it injected as the R*-local system
+        and its model."""
         _, twisted = self._twisted_model(F_s4, s4)
-        assert verify_model1b(F_s4, twisted) is not None
+        data = compute_centralizer_data(F_s4, E_a4)
+        monkeypatch.setattr(verify_mod, "compute_centralizer_data", returning(
+            data._replace(local_system=F_s4, model=twisted)))
+        assert verify_model1b(F_s4, E_a4) is not None
 
     def test_model1c_unrealizable_subsystem(self, F_s4, V4, s4):
         from fusionkit.errors import ModelNotFound
@@ -411,11 +482,11 @@ class TestMutationsProducts:
         assert detected(
             lambda: verify_product_theorems(bad_F, F1, F2).iff_holds)
 
-    def test_l_lemma_injected_center(self, F_q8c4, q8c4_factors):
+    def test_l_lemma_injected_center(self, F_q8c4, q8c4_factors, monkeypatch):
         F1, F2 = q8c4_factors
-        bad = verify_l_f1f2(
-            F_q8c4, F1, F2,
-            z_values={F1.support.members: F_q8c4.universe.trivial_subgroup})
+        monkeypatch.setattr(verify_mod, "z_of", z_replaced(
+            F1.support, F_q8c4.universe.trivial_subgroup))
+        bad = verify_l_f1f2(F_q8c4, F1, F2)
         assert bad is not None
 
     def test_central_product_fails_on_stripped_candidate(self, F_q8c4,
@@ -473,15 +544,10 @@ class TestSuiteLevelMutations:
         assert "extension_z" in error
 
     def test_main_cse_a_failure_located_at_pair(self, s4, monkeypatch):
-        # a C_S(E) that E does not centralize fails at the first normal pair,
+        # a join that E does not centralize fails at the first normal pair,
         # and the normal-pair runner locates it by |N| and T
-        honest = verify_mod.compute_centralizer_data
-
-        def corrupted(F, E):
-            data = honest(F, E)
-            return data._replace(C_S_E=center(F.support))
-
-        monkeypatch.setattr(verify_mod, "compute_centralizer_data", corrupted)
+        monkeypatch.setattr(verify_mod, "family_join",
+                            lambda F, X_set: center(F.support))
         res = run_suite("s4@2", s4, 2, check_ids=["MainCSE.a"])
         bad = res[0].counterexample
         assert res[0].status == "fail"
@@ -502,17 +568,18 @@ class TestSuiteLevelMutations:
 
     def test_system_without_witness_fails_its_normal_pairs(self, s4):
         """A copy of F by explicit iso-sets alone has no group to take the
-        normal subgroups of: each check that reads the normal pairs
-        records the typed error."""
+        normal subgroups of, or S n [W, W] for the focal oracle: each
+        check that reads the witness records the typed error."""
         def forget(F):
             P = F.subgroups()[0]
             return with_replaced_isos(F, P, F.isos_from(P))
 
         res = run_suite("s4@2", s4, 2, system_mutator=forget,
-                        check_ids=["saturation", "FfEf", "RadicalIntersect"])
+                        check_ids=["saturation", "FfEf", "RadicalIntersect",
+                                   "focal-oracle"])
         assert [r.counterexample for r in res] == [{
-            "error": "VerificationFailed: normal subsystems from groups "
-                     "need a realized F"}] * 3
+            "error": "VerificationFailed: group-level checks "
+                     "need a realized F"}] * 4
 
     def test_alternative_sylow_top_built_once(self, s4, monkeypatch):
         # one top for F and one for the alternative Sylow choice, shared by
@@ -542,16 +609,15 @@ class TestSuiteLevelMutations:
         assert any(r.status == "fail" for r in res)
 
 
-def cfcg0_per_pair(F, E, auts=None):
+def cfcg0_per_pair(F, E):
     """The literal CFCG0 search: one ``extension_witness`` per (X, alpha),
     X-major, each recomputing C_S(T) and TC_S(T)."""
     T = E.support
     NET = normalizer_subsystem(E, T)
     targets = [X for X in subgroup_lattice(centralizer(F.support, T, T))
                if contained_in_centralizer(F, NET, X)]
-    alphas = tuple(auts) if auts is not None else E.automorphisms(T)
     for X in targets:
-        for alpha in alphas:
+        for alpha in E.automorphisms(T):
             if extension_witness(F, alpha, T, fixed=X) is None:
                 return {"X": list(X.members), "alpha": list(alpha.images)}
     return None
@@ -560,12 +626,15 @@ def cfcg0_per_pair(F, E, auts=None):
 @pytest.mark.parametrize("name", ["s4xc2", "d8xc2", "gl23"])
 def test_cfcg0_matches_the_per_pair_search(name):
     """Hoisting the extension search out of the X loop reports the same
-    first (X, alpha), also for an automorphism list that fails."""
+    first (X, alpha), also for an automorphism list that fails: E with
+    Aut_E(T) replaced by Aut_F(T) and its witness kept, so N_E(T) and its
+    family stay those of E."""
     G = builtin_group(name)
     S = sylow_subgroup(G.full_subgroup, 2)
     F = fusion_of_group(G, S, 2)
     for N in normal_subgroups(G.full_subgroup):
         E = normal_subsystem_in(F, N)
         assert verify_cfcg0(F, E) == cfcg0_per_pair(F, E) is None
-        auts = F.automorphisms(E.support)       # Aut_F(T), beyond Aut_E(T)
-        assert verify_cfcg0(F, E, auts) == cfcg0_per_pair(F, E, auts)
+        T = E.support
+        wider = with_replaced_isos(E, T, F.automorphisms(T), keep_witness=True)
+        assert verify_cfcg0(F, wider) == cfcg0_per_pair(F, wider)
