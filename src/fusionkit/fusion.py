@@ -57,34 +57,55 @@ from .groups import (FiniteGroup, Hom, Subgroup, Twist, lattice_covers,
                      p_part, picker, subgroup_lattice)
 
 
+_MISSING = object()
+
+
 def derived(fn: Callable[..., Any]) -> Callable[..., Any]:
-    """Declare ``fn(F, *args)`` derived data of the system F: its value is
-    kept in F's slot (``FusionSystem.memo``) under the decorated function
-    and the content of each later argument, the content key of a system
-    and the members of a subgroup; an argument of any other type raises
-    TypeError.  When
-    a later system lives in another universe the value is computed and not
-    kept, since content keys of two universes may be equal and mean
-    different systems.  ``__wrapped__`` is ``fn``, the uncached form."""
+    """Declare ``fn(F, *args)`` derived data of the system F: its value,
+    None included, is kept in F's slot (``FusionSystem._cache``) under the
+    decorated function and the content of each later argument: the members
+    of a subgroup, the member tuples of a tuple of subgroups, the content
+    key of a system, or a frozenset itself; any other argument raises
+    TypeError.  A value with a subgroup or system of another universe
+    among its arguments is computed and not kept, since contents of two
+    universes may be equal and mean different things.  ``derived`` alone
+    reads and writes a slot; each fill runs in ``_computed``.
+    ``__wrapped__`` is ``fn``, the uncached form."""
     @wraps(fn)
     def cached(F: FusionSystem, *args: Any) -> Any:
         key: Optional[tuple] = family
+        U = F.universe
         for a in args:
             if isinstance(a, Subgroup):
                 content: Hashable = a.members
+                foreign = a.parent is not U
             elif isinstance(a, FusionSystem):
                 content = a.content_key
-                if a.universe is not F.universe:
-                    key = None
+                foreign = a.universe is not U
+            elif isinstance(a, frozenset):
+                content, foreign = a, False
+            elif isinstance(a, tuple) and all(isinstance(R, Subgroup)
+                                              for R in a):
+                content = tuple(R.members for R in a)
+                foreign = any(R.parent is not U for R in a)
             else:
                 raise TypeError(f"{fn.__qualname__} keys no "
                                 f"{type(a).__name__} argument")
-            if key is not None:
-                key += (content,)
-        return F.memo(key, lambda: fn(F, *args))
+            key = None if foreign or key is None else key + (content,)
+        if key is None:
+            return fn(F, *args)
+        got = F._cache.get(key, _MISSING)
+        if got is _MISSING:
+            got = F._cache[key] = _computed(F, key, fn, args)
+        return got
 
     family = (cached,)
     return cached
+
+
+def _computed(F: FusionSystem, key: tuple, fn: Callable, args: tuple) -> Any:
+    """A fill of ``derived``, to be kept under ``key`` (its family first)."""
+    return fn(F, *args)
 
 
 class FusionSystem:
@@ -104,8 +125,9 @@ class FusionSystem:
     iso-sets themselves and compares them by value.  Two different tables
     never share a key, and a realized key (a plain tuple) never equals an
     explicit one.  Systems with equal content keys under one top share a
-    slot of derived data (``_isos``, ``_iso_keys``, ``_cache``) in the
-    top's ``_registry``, whatever seeds produced their tables; each copy
+    slot of derived data (``_isos``, ``_iso_keys``, and ``_cache``, which
+    ``derived`` alone reads and fills) in the top's ``_registry``,
+    whatever seeds produced their tables; each copy
     keeps its own ``name``.  The registry lives on the top, not on the
     universe, so it is freed with the top system, and a mutated top, being
     a new top, starts an empty one.  The subgroups its morphisms name go
@@ -113,11 +135,6 @@ class FusionSystem:
     its conjugation table, lattice and covers, is freed with the last
     system or caller that holds it, and the universe keeps only memos by
     member tuple (``groups.FiniteGroup``).
-
-    ``memo`` stores a value in this system's slot under a key.  Derived
-    data is declared with ``derived``, which builds that key from the
-    content of the arguments: a result on two systems lives in the first
-    system's slot under the second's content key.
 
     ``base`` is the subgroup whose conjugation table the system reads
     (``groups.Subgroup.row``): the top's support when it lies in the same
@@ -179,20 +196,6 @@ class FusionSystem:
         its morphisms are the conjugations by W, and its automorphism sets
         are groups of group automorphisms?"""
         return self._explicit is None
-
-    def memo(self, key: Optional[Hashable], compute: Callable[[], Any]) -> Any:
-        """``compute()``, stored in this system's slot under ``key``; any
-        value is kept, None included, and none when ``key`` is None.
-        Its callers are ``derived`` and the two results whose key is a
-        canonical form of their input: ``generated_subsystem``'s closure
-        and ``saturation.is_conjugation_family``."""
-        if key is None:
-            return compute()
-        got = self._cache.get(key, _MISSING)
-        if got is _MISSING:
-            got = compute()
-            self._cache[key] = got
-        return got
 
     def __repr__(self) -> str:
         return f"FusionSystem({self.name}, |S|={self.support.order}, p={self.p})"
@@ -359,9 +362,6 @@ class FusionSystem:
 
     def morphism_count(self) -> int:
         return sum(len(self.isos_from(P)) for P in self.subgroups())
-
-
-_MISSING = object()
 
 
 class ExplicitKey:
@@ -540,9 +540,9 @@ def generated_subsystem(F: FusionSystem, R: Subgroup,
 
     The support and inside checks run on every call.  The closure table
     depends only on R and the generators' (domain, image) keys, so it is
-    memoized under them in the slot of F's top system, where every system
-    under that top finds it; each call returns a fresh system, since
-    callers rename it."""
+    derived data of F's top system under them (``_closure_table``), where
+    every system under that top finds it; each call returns a fresh
+    system, since callers rename it."""
     gens = [h.cores() for h in generators]
     rset = R.member_set
     for h in gens:
@@ -552,12 +552,17 @@ def generated_subsystem(F: FusionSystem, R: Subgroup,
         if check_inside and not F.contains_morphism(h):
             raise MorphismOutsideSupport(f"generator {h!r} is not a morphism of F")
     top = F.top()
-    key = (("closure", R.members,
-            frozenset((h.domain.members, h.images) for h in gens))
-           if R.parent is top.universe else None)
-    explicit = top.memo(key, lambda: close_morphisms(R, gens))
+    explicit = _closure_table(
+        top, R, frozenset((h.domain.members, h.images) for h in gens))
     return FusionSystem(R, F.p, explicit=explicit, ambient=top,
                         name=f"<{len(gens)} gens>_{R.order}")
+
+
+@derived
+def _closure_table(top: FusionSystem, R: Subgroup, keys: frozenset) -> dict:
+    """``close_morphisms`` over R, seeded by maps into R with these keys."""
+    return close_morphisms(R, [Hom(Subgroup(R.parent, d, check=False), R, i,
+                                   check=False) for d, i in keys])
 
 
 # -- morphism/subsystem transport -----------------------------------------------
@@ -582,14 +587,10 @@ def transport_isos(E: FusionSystem, sigma: Hom) -> dict[tuple[int, ...], frozens
 
 def subsystem_contains(D1: FusionSystem, D2: FusionSystem) -> bool:
     """Exact hom-set-wise containment D2 <= D1 over the smaller support."""
-    if D1.universe is not D2.universe:
-        return False
-    if not D2.support.member_set <= D1.support.member_set:
-        return False
-    for P in D2.subgroups():
-        if not D2._keys_from(P) <= D1._keys_from(P):
-            return False
-    return True
+    return (D1.universe is D2.universe
+            and D2.support.member_set <= D1.support.member_set
+            and all(D2._keys_from(P) <= D1._keys_from(P)
+                    for P in D2.subgroups()))
 
 
 def subsystem_equal(D1: FusionSystem, D2: FusionSystem) -> bool:
@@ -600,11 +601,9 @@ def subsystem_equal(D1: FusionSystem, D2: FusionSystem) -> bool:
 
 def full_subcategory(F: FusionSystem, R: Subgroup) -> FusionSystem:
     """F|_{<=R}: all F-morphisms between subgroups of R, as an explicit system."""
-    explicit: dict[tuple[int, ...], tuple[Hom, ...]] = {}
-    rset = R.member_set
-    for P in subgroup_lattice(R):
-        homs = tuple(h for h in F.isos_from(P) if set(h.images) <= rset)
-        explicit[P.members] = homs
+    inside = R.member_set.issuperset
+    explicit = {P.members: tuple(h for h in F.isos_from(P) if inside(h.images))
+                for P in subgroup_lattice(R)}
     return FusionSystem(R, F.p, explicit=explicit, ambient=F.top(),
                         name=f"{F.name}|<= {R.order}")
 

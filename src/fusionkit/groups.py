@@ -94,9 +94,11 @@ def is_prime(n: int) -> bool:
 
 
 def p_part(n: int, p: int) -> int:
-    """Largest power of p dividing n; p must be at least 2."""
+    """Largest power of p dividing n, for p >= 2 and n >= 1."""
     if p < 2:
         raise ValueError(f"p_part needs p >= 2, got {p}")
+    if n < 1:
+        raise ValueError(f"p_part needs n >= 1, got {n}")
     m = 1
     while n % p == 0:
         n //= p

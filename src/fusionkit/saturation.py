@@ -187,12 +187,6 @@ def classify(F: FusionSystem) -> SubgroupClassification:
 # -- extension axiom -----------------------------------------------------------
 
 
-def extension_group(F: FusionSystem, phi: Hom) -> Subgroup:
-    """N_phi = {g in N_S(P) : phi^-1 c_g phi in Aut_S(P^phi)}."""
-    phi = phi.cores()
-    return _extension_groups(F, phi.domain, {})(phi)
-
-
 def _extension_groups(F: FusionSystem, P: Subgroup,
                       aut_s: dict[tuple[int, ...], tuple]
                       ) -> Callable[[Hom], Subgroup]:
@@ -364,12 +358,16 @@ def _reachable(F: FusionSystem, P: Subgroup, family: Sequence[Subgroup],
 
 def is_conjugation_family(F: FusionSystem, family: Sequence[Subgroup]) -> bool:
     """Exhaustive test: every morphism factors through the family.  The
-    answer depends on F's content and the family alone, so it is memoized
-    in F's slot under the family's member tuples."""
-    fam = sorted(family, key=Subgroup.sort_key)
-    return F.memo(("conjugation-family", tuple(R.members for R in fam)),
-                  lambda: all(F._keys_from(P) <= _reachable(F, P, fam)[0]
-                              for P in F.subgroups()))
+    answer depends on F's content and the family's members alone, so it is
+    asked of ``_factors_through`` on the family in canonical order."""
+    return _factors_through(F, tuple(sorted(family, key=Subgroup.sort_key)))
+
+
+@derived
+def _factors_through(F: FusionSystem, family: tuple[Subgroup, ...]) -> bool:
+    """Does every morphism of F factor through the sorted ``family``?"""
+    return all(F._keys_from(P) <= _reachable(F, P, family)[0]
+               for P in F.subgroups())
 
 
 def canonical_family(F: FusionSystem) -> tuple[Subgroup, ...]:

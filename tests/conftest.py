@@ -1,6 +1,7 @@
 """Shared fixtures: module-scoped systems so caches warm up once,
-``counted_memo``, which counts the fills of the registry, and
-``entry_system``, the system the suite builds for a corpus entry."""
+``counted_memo``, which counts the fills of the registry,
+``entry_system``, the system the suite builds for a corpus entry, and
+``extension_group``, N_phi for one map."""
 
 from __future__ import annotations
 
@@ -9,10 +10,12 @@ from contextlib import contextmanager
 
 import pytest
 
+from fusionkit import fusion
 from fusionkit.corpus import builtin_group
 from fusionkit.fusion import FusionSystem, fusion_of_group
-from fusionkit.groups import (FiniteGroup, centralizer, normal_subgroups, o_p,
-                              o_upper_p, sylow_subgroup)
+from fusionkit.groups import (FiniteGroup, Hom, Subgroup, centralizer,
+                              normal_subgroups, o_p, o_upper_p, sylow_subgroup)
+from fusionkit.saturation import _extension_groups
 from fusionkit.subsystems import normal_subsystem_in
 
 
@@ -20,6 +23,13 @@ def entry_system(G: FiniteGroup, p: int) -> FusionSystem:
     """F_S(G) for S the canonical Sylow p-subgroup of G: the system that
     ``verify.run_suite`` checks for a corpus entry (G, p)."""
     return fusion_of_group(G, sylow_subgroup(G.full_subgroup, p), p)
+
+
+def extension_group(F: FusionSystem, phi: Hom) -> Subgroup:
+    """N_phi = {g in N_S(P) : phi^-1 c_g phi in Aut_S(P^phi)}, by the
+    class form the saturation report runs (``_extension_groups``)."""
+    phi = phi.cores()
+    return _extension_groups(F, phi.domain, {})(phi)
 
 
 @pytest.fixture(scope="session")
@@ -84,27 +94,26 @@ def E_s4x1(F_s4xc2, s4xc2):
 
 @contextmanager
 def _counting(*held):
-    """Count the fills of ``FusionSystem.memo`` by family while the block
-    runs.  A fill is one computation stored in a slot; its family is the
-    ``derived`` function of its key, or the tag of a hand-built key.
-    Yields the Counter of fills by family and a list of (system, key) for
-    each fill of a family in ``held``, in the order the fills end; only
-    those systems are kept alive."""
+    """Count the fills of the registry by family while the block runs.  A
+    fill is one computation stored in a slot, at the one site where
+    ``fusion.derived`` fills one (``fusion._computed``); its family is the
+    ``derived`` function of its key.  Yields the Counter of fills by
+    family and a list of (system, key) for each fill of a family in
+    ``held``, in the order the fills end; only those systems are kept
+    alive."""
     fills: Counter = Counter()
     kept: list = []
-    memo = FusionSystem.memo
+    compute = fusion._computed
 
-    def counted(self, key, compute):
-        def filling():
-            got = compute()
-            fills[key[0]] += 1
-            if key[0] in held:
-                kept.append((self, key))
-            return got
-        return memo(self, key, filling if key is not None else compute)
+    def counted(F, key, fn, args):
+        got = compute(F, key, fn, args)
+        fills[key[0]] += 1
+        if key[0] in held:
+            kept.append((F, key))
+        return got
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(FusionSystem, "memo", counted)
+        mp.setattr(fusion, "_computed", counted)
         yield fills, kept
 
 

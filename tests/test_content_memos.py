@@ -7,7 +7,10 @@ read an honest system's answer, or the other way round, and one
 ``run_suite`` pass over the 21 ``suite-corpus`` entries computes each
 content once, family by family.  The cross-checks that exist to
 recompute (``centralizer-oracle``'s family, ``Model1.c``'s normal model,
-``FirstCharacterization``'s and ``MainCSE.b``'s R*) still recompute."""
+``FirstCharacterization``'s and ``MainCSE.b``'s R*) still recompute.  The
+closure of a generated subsystem is keyed by the set of its generators'
+keys and a conjugation-family verdict by the family's members, whatever
+their order, and a subgroup of another universe keys nothing."""
 
 from __future__ import annotations
 
@@ -16,7 +19,8 @@ from collections import Counter
 
 import pytest
 
-from fusionkit import centralizers, groups, models, verify as verify_mod
+from fusionkit import (centralizers, fusion, groups, models, saturation,
+                       verify as verify_mod)
 from fusionkit.centralizers import (c_s_of, centralized_set,
                                     compute_centralizer_data, focal_subgroup,
                                     hyperfocal_subgroup)
@@ -24,10 +28,11 @@ from fusionkit.corpus import (CORPUS_ENTRIES, builtin_group,
                               builtin_group_path, ingest)
 from fusionkit.fusion import (TRIVIAL_TABLE, _first_conjugations,
                               fusion_of_group, generated_subsystem)
-from fusionkit.groups import center, centralizer, o_p, sylow_subgroup
+from fusionkit.groups import Hom, center, centralizer, o_p, sylow_subgroup
 from fusionkit.models import model_on, normal_subgroups_of_system
 from fusionkit.products import verify_product_theorems
-from fusionkit.saturation import (aut_group, classify, is_saturated,
+from fusionkit.saturation import (aut_group, classify, is_conjugation_family,
+                                  is_saturated,
                                   o_upper_p_automorphisms)
 from fusionkit.subsystems import (_aut_sets_normal, _condition_f, _stability,
                                   centralizer_subsystem, is_normal,
@@ -35,7 +40,7 @@ from fusionkit.subsystems import (_aut_sets_normal, _condition_f, _stability,
 from fusionkit.verify import inner_only_shadow, run_suite
 
 # Each family of the registry under a short name: the function declared
-# with ``derived``, or the tag of one of the two hand-built keys.
+# with ``derived``.
 FAMILIES = {
     "CF": centralizer_subsystem, "autgrp": aut_group,
     "NF": normalizer_subsystem, "classification": classify,
@@ -45,11 +50,12 @@ FAMILIES = {
     "product-report": verify_product_theorems,
     "aut-sets-normal": _aut_sets_normal,
     "O^p-auts": o_upper_p_automorphisms, "stability": _stability,
-    "F-normal-subgroups": normal_subgroups_of_system, "closure": "closure",
+    "F-normal-subgroups": normal_subgroups_of_system,
+    "closure": fusion._closure_table,
     "family": centralized_set, "C_F(E)": centralizers._c_F_of,
     "model": model_on,
     "condition-f": _condition_f, "focal": focal_subgroup,
-    "conjugation-family": "conjugation-family",
+    "conjugation-family": saturation._factors_through,
     "hyperfocal": hyperfocal_subgroup,
     "normal-pairs": verify_mod.normal_pairs,
     "candidate-subsystems": verify_mod.candidate_subsystems,
@@ -227,3 +233,56 @@ def test_cross_checks_recompute(monkeypatch, counted_memo):
                        ("r_star", "verify_main_cse_b"): 4,
                        ("normal_model", "r_star"): 12,
                        ("normal_model", "verify_model1c"): 4}
+
+
+def test_equal_generator_sets_fill_one_closure(s4, counted_memo):
+    """The automorphisms of V4 in F_S(S4), and the same maps in the
+    opposite order as other Hom objects, fill one closure table on F's
+    top; a smaller set fills a second."""
+    F = fusion_of_group(s4, sylow_subgroup(s4.full_subgroup, 2), 2)
+    V4 = o_p(s4.full_subgroup, 2)
+    gens = F.automorphisms(V4)
+    rebuilt = [Hom.from_generator_images(V4, V4, V4.generators,
+                                         [h(x) for x in V4.generators])
+               for h in reversed(gens)]
+    assert len(gens) > 1
+    assert not any(a is b for a, b in zip(rebuilt, reversed(gens)))
+    with counted_memo() as (fills, _):
+        tables = [generated_subsystem(F, V4, seeds)._explicit
+                  for seeds in (gens, rebuilt)]
+        assert fills[fusion._closure_table] == 1
+        generated_subsystem(F, V4, gens[:1])
+    assert tables[0] is tables[1]
+    assert fills[fusion._closure_table] == 2
+
+
+def test_equal_families_fill_one_verdict(s4, counted_memo):
+    """A family asked as a list, a reversed tuple and sorted fills one
+    conjugation-family verdict; another family fills a second."""
+    F = fusion_of_group(s4, sylow_subgroup(s4.full_subgroup, 2), 2)
+    family = list(F.subgroups())
+    with counted_memo() as (fills, _):
+        assert all(is_conjugation_family(F, fam) for fam in
+                   (family, tuple(reversed(family)), sorted(family, key=id)))
+        assert fills[saturation._factors_through] == 1
+        assert not is_conjugation_family(F, [center(F.support)])
+    assert fills[saturation._factors_through] == 2
+
+
+def test_a_subgroup_of_another_universe_is_not_kept(s4, counted_memo):
+    """The Sylow subgroup of a second copy of S4 has the members of F's
+    support but another parent: a closure over it, or a family holding
+    it, is computed on each call and never kept in F's slot."""
+    F = fusion_of_group(s4, sylow_subgroup(s4.full_subgroup, 2), 2)
+    G = ingest(builtin_group_path("s4"))
+    other = sylow_subgroup(G.full_subgroup, 2)
+    assert other.members == F.support.members and other.parent is not s4
+    stored = len(F._cache)
+    with counted_memo() as (fills, _):
+        tables = [generated_subsystem(F, other, [])._explicit
+                  for _ in range(2)]
+        verdicts = [is_conjugation_family(F, [other]) for _ in range(2)]
+    assert tables[0] is not tables[1] and tables[0].keys() == tables[1].keys()
+    assert verdicts[0] == verdicts[1]
+    assert fills[fusion._closure_table] == fills[saturation._factors_through] == 0
+    assert len(F._cache) == stored

@@ -142,10 +142,6 @@ class TestGeneratedSubsystems:
         assert all(r.status == "pass" for r in results)
         assert runs and max(runs.values()) == 1
 
-    def test_memoized_closure_still_checks_and_is_fresh(self, E_a4, V4):
-        """A repeated input returns a new system with the same table, and
-        the inside check runs again: a map outside E is refused although
-        its closure is memoized."""
     def test_closure_is_shared_under_one_top(self, monkeypatch):
         """One input asked under a top and under a subsystem of it is
         closed once: the memo lives in the top's slot."""
@@ -368,7 +364,8 @@ class TestContentRegistry:
         """``derived`` keeps a value in its first system's slot under the
         content of the later arguments: equal contents read one value, a
         system of another universe is computed afresh each time, and an
-        argument that has no content raises TypeError."""
+        argument that has no content, such as a list or a tuple holding a
+        non-subgroup, raises TypeError."""
         made = []
 
         @derived
@@ -389,8 +386,9 @@ class TestContentRegistry:
         assert probe(F_s4, other) is not probe(F_s4, other)
         assert len(F_s4._cache) == stored
         assert len(made) == 4
-        with pytest.raises(TypeError):
-            probe(F_s4, 3)
+        for bad in (3, (V4, 3), [V4]):
+            with pytest.raises(TypeError):
+                probe(F_s4, bad)
         assert probe.__wrapped__(F_s4) is not probe(F_s4)
 
     def test_registry_is_per_top(self, F_s4, A4, V4):

@@ -132,6 +132,14 @@ class TestClassicalOperators:
     def test_sylow_trivial_prime(self, s4):
         assert sylow_subgroup(s4.full_subgroup, 5).order == 1
 
+    def test_p_part_needs_a_prime_power_to_exist(self):
+        """Every power of p divides 0, so p_part(0, p) has no answer; it
+        raises, as for p < 2, instead of dividing 0 by p for ever."""
+        assert p_part(1, 2) == 1 and p_part(24, 2) == 8
+        for n, p in ((0, 2), (-8, 2), (0, 3), (8, 1)):
+            with pytest.raises(ValueError):
+                p_part(n, p)
+
     def test_centralizer_of_v4_in_s4(self, s4, V4):
         assert centralizer(s4.full_subgroup, V4, V4) == V4
         assert brute_centralizer(s4, V4) == list(V4.members)

@@ -8,10 +8,11 @@ why it stays.  A fresh interpreter that imports the standard-library
 modules the package names adds only ``fusionkit`` modules when it then
 imports the package, and no module of the package imports
 ``dataclasses``, which would load ``inspect`` and its parsers.  Derived
-data is declared with ``fusion.derived``: no module of the package calls
-``.memo(`` anywhere else, unless ``MEMO_CALLERS`` says why it builds its
-own key, and none names ``functools.cached_property``, a second cache on
-an object that holds a system.  A check of the verification suite takes
+data is declared with ``fusion.derived``: it is the one function of the
+package that reads or writes a system's ``_cache``, which only
+``FusionSystem.__init__`` binds besides, and no module names
+``functools.cached_property``, a second cache on an object that holds a
+system.  A check of the verification suite takes
 only systems: every parameter of a ``verify_*`` or ``_check_*`` function
 of ``verify`` is annotated ``FusionSystem``, and no scope runner of its
 registry is called with a lambda, so each row names its verifier and the
@@ -43,9 +44,6 @@ CALLER_FILES = sorted(path for top in ("src", "tests", "perfbench")
 NO_CALLER_NEEDED = {
     "builtin_group_path": "perfbench/ imports it",
     "central_product_subsystem": "perfbench/ imports it; the verified F1*F2",
-    "extension_group": "the public definitional N_phi; tests compare the "
-                       "class form _extension_groups, which saturation "
-                       "runs, with its Hom and member forms through it",
     "with_added_iso": "mutation helper of the self-tests",
     "with_removed_iso": "mutation helper of the self-tests",
     "inner_only_shadow": "mutation helper of the self-tests and of "
@@ -54,17 +52,9 @@ NO_CALLER_NEEDED = {
 # Also exempt: the names in fusionkit.__all__ (the public API).  The names
 # of the README tour all have callers in the package.
 
-# The functions of the package that call ``.memo(``, each with the reason it
-# does not key its result through ``fusion.derived``.
-MEMO_CALLERS = {
-    "fusion.derived": "the decorator itself: it builds the key of every "
-                      "derived result from the content of its arguments",
-    "fusion.generated_subsystem": "the closure is keyed by R and the "
-                                  "frozenset of the generators' keys, "
-                                  "in the top's slot",
-    "saturation.is_conjugation_family": "the family is sorted into its "
-                                        "canonical order first",
-}
+# The only code of the package that names a system's ``_cache``: the
+# constructor binds the slot's dict, and ``derived`` reads and fills it.
+CACHE_SITES = ["fusion.FusionSystem.__init__", "fusion.derived"]
 
 # The scope runners of ``verify.CHECKS``: each is called with a named check.
 SCOPE_RUNNERS = ("_per_pair", "_per_commuting_pair")
@@ -167,23 +157,25 @@ def caller_less(sources: dict[str, str]) -> list[str]:
     return sorted(out)
 
 
-def memo_callers(sources: dict[str, str]) -> list[str]:
-    """``module.function`` for each module-level function, or method as
-    ``module.Class.method``, of ``sources`` (module name -> source) that
-    calls an attribute named ``memo``, at any depth inside it."""
+def cache_sites(sources: dict[str, str]) -> list[str]:
+    """``module.function``, or ``module.Class.method`` for a method, for
+    each module-level function or method of ``sources`` (module name ->
+    source) that names an attribute ``_cache`` at any depth inside it, and
+    ``module (line n)`` for such a name anywhere else."""
     out = set()
     for mod, src in sources.items():
         for node in ast.parse(src).body:
-            defs = (node.body if isinstance(node, ast.ClassDef) else [node])
-            for fn in defs:
-                if not isinstance(fn, ast.FunctionDef):
+            for fn in (node.body if isinstance(node, ast.ClassDef) else [node]):
+                uses = [n.lineno for n in ast.walk(fn)
+                        if isinstance(n, ast.Attribute) and n.attr == "_cache"]
+                if not uses:
                     continue
-                name = (f"{mod}.{node.name}.{fn.name}" if fn is not node
-                        else f"{mod}.{fn.name}")
-                if any(isinstance(n, ast.Call)
-                       and isinstance(n.func, ast.Attribute)
-                       and n.func.attr == "memo" for n in ast.walk(fn)):
-                    out.add(name)
+                if not isinstance(fn, ast.FunctionDef):
+                    out.update(f"{mod} (line {line})" for line in uses)
+                elif fn is node:
+                    out.add(f"{mod}.{fn.name}")
+                else:
+                    out.add(f"{mod}.{node.name}.{fn.name}")
     return sorted(out)
 
 
@@ -365,11 +357,10 @@ def test_every_definition_has_a_caller():
     assert sorted(d.split(".")[1] for d in found) == sorted(NO_CALLER_NEEDED)
 
 
-def test_memo_is_called_only_by_the_allowed_sites():
-    """Every other result is keyed by ``fusion.derived``, so no key is
-    written by hand; a site leaves ``MEMO_CALLERS`` once it stops."""
-    found = memo_callers({p.stem: p.read_text() for p in MODULES})
-    assert found == sorted(MEMO_CALLERS)
+def test_only_derived_touches_a_slot():
+    """Every cached result is keyed by ``fusion.derived``, so no key is
+    written by hand and one site sees every fill and hit."""
+    assert cache_sites({p.stem: p.read_text() for p in MODULES}) == CACHE_SITES
 
 
 @pytest.mark.parametrize("path", MODULES, ids=_import_id)
@@ -443,19 +434,22 @@ def test_detects_a_caller_less_function():
     assert caller_less(sources) == ["a.K", "a.planted", "a.recursive"]
 
 
-def test_detects_a_memo_call():
-    sources = {"a": ("def keyed(F):\n"
-                     "    return F.memo(('tag',), lambda: 1)\n"
+def test_detects_a_cache_use():
+    sources = {"a": ("def reads(F):\n"
+                     "    return F._cache.get(1)\n"
                      "def nested(F):\n"
                      "    def inner():\n"
-                     "        return F.memo(None, lambda: 2)\n"
+                     "        F._cache[2] = 2\n"
                      "    return inner()\n"
-                     "def other(F):\n"
-                     "    return F.memoize(3), memo(4)\n"
+                     "def other(F, _cache):\n"
+                     "    return F.cache, F._caches, _cache\n"
                      "class K:\n"
+                     "    size = len(F._cache)\n"
                      "    def m(self):\n"
-                     "        return self.memo(('k',), list)\n")}
-    assert memo_callers(sources) == ["a.K.m", "a.keyed", "a.nested"]
+                     "        del self._cache\n"),
+               "b": "x = F._cache\n"}
+    assert cache_sites(sources) == ["a (line 10)", "a.K.m", "a.nested",
+                                    "a.reads", "b (line 1)"]
 
 
 def test_detects_a_cached_property():

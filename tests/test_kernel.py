@@ -35,8 +35,8 @@ from fusionkit.groups import (FiniteGroup, Subgroup, _forget, _sylow_search,
                               centralizer, derived_subgroup, lattice_covers,
                               normal_subgroups, normalizer, picker,
                               subgroup_lattice, sylow_subgroup)
-from fusionkit.saturation import extension_group
 from fusionkit.verify import run_suite
+from conftest import extension_group
 from oracles import (automizer_in_literal, centralizer_literal,
                      closure_literal, derived_subgroup_literal,
                      extension_group_literal,

@@ -12,10 +12,10 @@ from fusionkit.fusion import (TRIVIAL_TABLE, MorphismGroup, fusion_of_group,
 from fusionkit.groups import (Hom, Subgroup, center, centralizer, normalizer,
                               sylow_subgroup)
 from fusionkit.saturation import (alperin_decompose, canonical_family,
-                                  classify, extension_group,
-                                  is_conjugation_family, is_saturated,
-                                  o_upper_p_automorphisms)
+                                  classify, is_conjugation_family,
+                                  is_saturated, o_upper_p_automorphisms)
 from fusionkit.verify import run_suite
+from conftest import extension_group
 from oracles import classify_literal, extend_morphism
 from test_fusion import s4_mutants
 

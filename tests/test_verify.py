@@ -5,11 +5,14 @@ input makes exactly that verifier fail."""
 from __future__ import annotations
 
 import json
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import fusionkit
 from fusionkit import centralizers, verify as verify_mod
 from fusionkit.centralizers import (compute_centralizer_data,
                                     contained_in_centralizer)
@@ -39,6 +42,9 @@ from fusionkit.verify import (CHECK_ORDER, inner_only_shadow,
                               with_added_iso, with_removed_iso,
                               with_replaced_isos)
 from mutation_scenarios import at_subgroup, z_replaced
+
+
+PACKAGE = Path(fusionkit.__file__).parent
 
 
 def order3_index(F, V4):
@@ -580,6 +586,34 @@ class TestSuiteLevelMutations:
         assert [r.counterexample for r in res] == [{
             "error": "VerificationFailed: group-level checks "
                      "need a realized F"}] * 4
+
+    def test_identity_removed_system_ends_with_a_typed_failure(self):
+        """Without the identity of the order-2 subgroup P = (0, 1) of s4@2
+        and without the witness, Aut_F(P) is empty, and the order 0 has
+        no p-part: ``classify`` used to loop in ``groups.p_part`` for
+        ever.  In a subprocess with a time limit, the suite ends, every
+        check fails, and ``saturation`` records the ValueError."""
+        script = (f"import json, sys\n"
+                  f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+                  f"from fusionkit.corpus import builtin_group\n"
+                  f"from fusionkit.verify import run_suite, with_removed_iso\n"
+                  f"def mutate(F):\n"
+                  f"    P = next(P for P in F.subgroups()\n"
+                  f"             if P.members == (0, 1))\n"
+                  f"    assert F.isos_from(P)[0].is_identity()\n"
+                  f"    return with_removed_iso(F, P, 0)\n"
+                  f"res = run_suite('s4@2', builtin_group('s4'), 2,\n"
+                  f"                system_mutator=mutate)\n"
+                  f"print(json.dumps([[r.check_id, r.status,\n"
+                  f"                   r.counterexample] for r in res]))\n")
+        run = subprocess.run([sys.executable, "-I", "-c", script],
+                             capture_output=True, text=True, check=True,
+                             timeout=60)
+        results = json.loads(run.stdout)
+        assert [check_id for check_id, _, _ in results] == list(CHECK_ORDER)
+        assert all(status == "fail" for _, status, _ in results)
+        assert results[0] == ["saturation", "fail", {
+            "error": "ValueError: p_part needs n >= 1, got 0"}]
 
     def test_alternative_sylow_top_built_once(self, s4, monkeypatch):
         # one top for F and one for the alternative Sylow choice, shared by
