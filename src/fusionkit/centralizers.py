@@ -1,7 +1,8 @@
 """The centralizer of a normal subsystem: the centralized family, C_S(E) as
 its join, the two automorphism subgroups of the Frattini factorization, R*
-via models, focal and hyperfocal subgroups, the centralizer subsystem
-C_F(E), and the coincidence formula for its automorphism groups.
+via models, focal and hyperfocal subgroups, and the centralizer subsystem
+C_F(E).  The suite's predicates on these (the coincidence formula, the
+closure properties of subgroups of R*) are its checks in ``verify``.
 
 R* is C_S(N) for N the normal model of N_E(T) in a model of the
 constrained local system N_{N_F(T)}(V), V = T C_S(T).  V is normal and
@@ -26,9 +27,9 @@ Each Theorem A post-check is stated once, as a predicate returning a located
 counterexample or None: ``c_s_counterexample`` for C_S(E) and
 ``r_star_counterexample`` for R*.  ``c_s_of`` and ``compute_centralizer_data``
 raise TheoremViolation from them; the verification suite reports them.
-A-circle, H(P) and the coincidence formula are decided on the table of
-Aut_F(P) (``saturation.aut_group``) for every P, a one-element Aut_F(P)
-included; their Hom forms are oracles in ``tests/oracles.py``.  T C_S(T)
+A-circle and H(P) are decided on the table of Aut_F(P)
+(``saturation.aut_group``) for every P, a one-element Aut_F(P) included;
+their Hom forms are oracles in ``tests/oracles.py``.  T C_S(T)
 and P N_T(P) are ``Subgroup.product``s, as one factor normalizes the
 other."""
 
@@ -43,9 +44,9 @@ from .fusion import (FusionSystem, derived, generated_subsystem,
 from .groups import (Hom, Subgroup, centralizer, normalizer, picker,
                      subgroup_lattice)
 from .models import Model, constrained_local_system, model_on, normal_model
-from .saturation import aut_group, classify, o_upper_p_automorphisms
+from .saturation import aut_group, o_upper_p_automorphisms
 from .subsystems import (centralizer_subsystem, is_normal, is_strongly_closed,
-                         normalizer_subsystem, weakly_closed_subgroups_in)
+                         normalizer_subsystem)
 
 
 def contained_in_centralizer(F: FusionSystem, E: FusionSystem, X: Subgroup) -> bool:
@@ -296,45 +297,6 @@ def _c_F_of(F: FusionSystem, E: FusionSystem, R: Subgroup) -> FusionSystem:
     return CFE
 
 
-def coincide_check(F: FusionSystem, E: FusionSystem) -> bool:
-    """Aut_{C_F(E)}(P) = O^p(Aut_{C_F(T)}(P)) * Aut_{C_S(E)}(P) for every
-    P fully normalized and centric in C_F(E), as a product set on the
-    table of Aut_{C_F(E)}(P), where both factors must lie."""
-    R = c_s_of(F, E)
-    cfe = c_F_of(F, E)
-    CFT = centralizer_subsystem(F, E.support)
-    cls = classify(cfe)
-    for P in cfe.subgroups():
-        if not (cls.is_fully_normalized(P) and cls.is_centric(P)):
-            continue
-        op_auts = o_upper_p_automorphisms(CFT, P)
-        r_auts = cfe.automizer_in(R, P)
-        A = aut_group(cfe, P)
-        op_part = A.subgroup_of(op_auts)
-        aut_r = A.subgroup_of(r_auts)
-        if (op_part is None or aut_r is None or op_part.product_set(aut_r)
-                != A.group.full_subgroup.members):
-            return False
-    return True
-
-
 def z_of(F: FusionSystem) -> Subgroup:
     """Z(F): the largest subgroup X with F <= C_F(X) (F run self-ambient)."""
     return c_s_of(F, F)
-
-
-def weakly_closed_analysis(F: FusionSystem, E: FusionSystem,
-                           data: CentralizerData) -> dict:
-    """Theorem-A(c) payload: closure properties of subgroups of R*."""
-    wc = weakly_closed_subgroups_in(F, data.R_star)
-    sc = tuple(P for P in subgroup_lattice(data.R_star) if is_strongly_closed(F, P))
-    largest_wc = max(wc, key=lambda P: (P.order, P.members))
-    largest_sc = max(sc, key=lambda P: (P.order, P.members))
-    in_family = all(any(X == W for X in data.X_set) for W in wc)
-    return {
-        "weakly_closed": wc,
-        "strongly_closed": sc,
-        "largest_weakly_closed": largest_wc,
-        "largest_strongly_closed": largest_sc,
-        "all_weakly_closed_in_family": in_family,
-    }

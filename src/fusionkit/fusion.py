@@ -646,7 +646,7 @@ class MorphismGroup:
             if h.domain != P or h.codomain != P:
                 raise NotAGroup("not all maps are automorphisms of one subgroup")
         self.base = P
-        if all(h.images == P.members for h in autos):
+        if all(h.is_identity() for h in autos):
             self.homs: tuple[Hom, ...] = (autos[0],)
             self.group = TRIVIAL_TABLE
             self._index = {P.members: 0}

@@ -49,7 +49,8 @@ member tuple, so a subgroup made again costs no Dimino run.
 Every table from outside, whether permutations, a full table or the
 generator columns of an ``.fsk`` file, is built or checked by one kernel,
 ``cayley_columns``: a walk over the right Cayley graph from the identity
-whose consistency checks are Light's associativity test.
+whose consistency checks are Light's associativity test.  A map given by
+generator images grows along the same graph, in ``extend_by_generators``.
 """
 
 from __future__ import annotations
@@ -451,6 +452,34 @@ def _check_subgroup(parent: FiniteGroup, members: tuple[int, ...]) -> None:
                 raise NotAGroup(f"subgroup not closed at ({a},{b})")
 
 
+def extend_by_generators(G: FiniteGroup, H: FiniteGroup, gens: Sequence[int],
+                         images: Sequence[int]) -> Optional[dict[int, int]]:
+    """The map f: <gens> -> H with f(1) = 1 and f(xg) = f(x)h for each
+    generator g with image h, grown from 1 along the right Cayley graph;
+    None at the first element reached with two images.  With no conflict
+    f is a homomorphism: its domain D is closed under the generators, so
+    D = <gens>, and f(yx) = f(y)f(x) for x, y in D by induction along a
+    path 1 -> x, as f(yxg) = f(yx)h = f(y)f(x)h = f(y)f(xg)."""
+    mul_g, mul_h = G._mul, H._mul
+    pairs = list(zip(gens, images))
+    mp = {0: 0}
+    frontier = [0]
+    while frontier:
+        new = []
+        for x in frontier:
+            row_g, row_h = mul_g[x], mul_h[mp[x]]
+            for g, h in pairs:
+                y, fy = row_g[g], row_h[h]
+                old = mp.get(y)
+                if old is None:
+                    mp[y] = fy
+                    new.append(y)
+                elif old != fy:
+                    return None
+        frontier = new
+    return mp
+
+
 class Hom:
     """Homomorphism between subgroups, stored as a total image list.
 
@@ -600,24 +629,11 @@ class Hom:
     def from_generator_images(domain: Subgroup, codomain: Subgroup,
                               gens: Sequence[int], images: Sequence[int]) -> "Hom":
         """Extend gen -> image multiplicatively over <gens> = domain (validated)."""
-        G, H = domain.parent, codomain.parent
         if len(gens) != len(images):
             raise NotAGroup("generator and image counts differ")
-        mp = {0: 0}
-        frontier = [0]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g, h in zip(gens, images):
-                    y = G.mul(x, g)
-                    fy = H.mul(mp[x], h)
-                    if y in mp:
-                        if mp[y] != fy:
-                            raise NotAGroup("generator images are inconsistent")
-                    else:
-                        mp[y] = fy
-                        new.append(y)
-            frontier = new
+        mp = extend_by_generators(domain.parent, codomain.parent, gens, images)
+        if mp is None:
+            raise NotAGroup("generator images are inconsistent")
         if set(mp) != domain.member_set:
             raise NotAGroup("generators do not generate the domain")
         return Hom(domain, codomain, tuple(mp[x] for x in domain.members), check=True)

@@ -33,7 +33,9 @@ on O_p(F) with the walks over every normal subgroup is
 A model is derived data of its system: it is built and verified once per
 content and normal centric subgroup and kept in the system's registry
 slot, so every local system that recurs within an entry reuses it.  The
-Theorem A post-checks on R* and C_S(E) live in ``centralizers``."""
+Theorem A post-checks on R* and C_S(E) live in ``centralizers``.  Two
+models are compared over S by an isomorphism search pinned on the images
+of S (``find_isomorphism_extending``)."""
 
 from __future__ import annotations
 
@@ -43,8 +45,8 @@ from .errors import (ModelNotFound, ModelNotUnique, NotConstrained,
                      VerificationFailed)
 from .fusion import FusionSystem, derived, fusion_of_group, transport_isos
 from .groups import (FiniteGroup, Hom, Subgroup, as_group, centralizer,
-                     conjugacy_classes, core, normal_joins, normalizer,
-                     o_p_prime, p_part, quotient)
+                     conjugacy_classes, core, extend_by_generators,
+                     normal_joins, normalizer, o_p_prime, p_part, quotient)
 from .saturation import canonical_family, classify, is_saturated
 from .subsystems import is_normal, normalizer_subsystem
 
@@ -291,59 +293,37 @@ def script_G(F: FusionSystem, E: FusionSystem) -> tuple[FusionSystem, FusionSyst
 # -- model uniqueness ---------------------------------------------------------
 
 
-def _close_partial(G1: FiniteGroup, G2: FiniteGroup,
-                   pairs: dict[int, int]) -> Optional[dict[int, int]]:
-    """Multiplicative closure of a partial map; None on any conflict."""
-    mp = dict(pairs)
-    mp[0] = 0
-    frontier = list(mp)
-    while frontier:
-        new = []
-        for x in frontier:
-            for g, h in list(mp.items()):
-                for a, fa in ((G1.mul(x, g), G2.mul(mp[x], h)),
-                              (G1.mul(g, x), G2.mul(h, mp[x]))):
-                    old = mp.get(a)
-                    if old is None:
-                        mp[a] = fa
-                        new.append(a)
-                    elif old != fa:
-                        return None
-        frontier = new
-    values = set(mp.values())
-    if len(values) != len(mp):
-        return None
-    return mp
-
-
 def find_isomorphism_extending(G1: FiniteGroup, G2: FiniteGroup,
                                pins: dict[int, int]) -> Optional[dict[int, int]]:
-    """Backtracking isomorphism search G1 -> G2 extending the pinned map."""
+    """An isomorphism G1 -> G2 extending the pinned map, or None: a
+    backtracking search over the pinned points, then gens(G1), each given
+    an image of its order, that grows every partial assignment with
+    ``groups.extend_by_generators`` and drops it on a conflict, a repeated
+    image or a broken pin.  The search closing the partial map under
+    products is ``find_isomorphism_literal`` in ``tests/oracles.py``."""
     if G1.order != G2.order:
         return None
-    base = _close_partial(G1, G2, pins)
-    if base is None:
+    points = list(pins) + list(G1.full_subgroup.generators)
+
+    def grow(gens: list[int], images: list[int], k: int
+             ) -> Optional[dict[int, int]]:
+        mp = extend_by_generators(G1, G2, gens, images)
+        if (mp is None or len(set(mp.values())) < len(mp)
+                or any(mp.get(x, y) != y for x, y in pins.items())):
+            return None
+        if len(mp) == G1.order:
+            return mp
+        while points[k] in mp:
+            k += 1
+        x = points[k]
+        order = G1.element_order(x)
+        for y in ([pins[x]] if x in pins else range(G2.order)):
+            if G2.element_order(y) == order:
+                got = grow(gens + [x], images + [y], k + 1)
+                if got is not None:
+                    return got
         return None
-    return _extend_iso(G1, G2, base)
-
-
-def _extend_iso(G1: FiniteGroup, G2: FiniteGroup,
-                partial: dict[int, int]) -> Optional[dict[int, int]]:
-    if len(partial) == G1.order:
-        return partial
-    x = min(g for g in range(G1.order) if g not in partial)
-    used = set(partial.values())
-    ox = G1.element_order(x)
-    for y in range(G2.order):
-        if y in used or G2.element_order(y) != ox:
-            continue
-        nxt = _close_partial(G1, G2, {**partial, x: y})
-        if nxt is None:
-            continue
-        got = _extend_iso(G1, G2, nxt)
-        if got is not None:
-            return got
-    return None
+    return grow([], [], 0)
 
 
 def models_isomorphic_over_s(F: FusionSystem, m1: Model, m2: Model) -> bool:

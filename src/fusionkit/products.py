@@ -16,7 +16,7 @@ equivalence with the literal clauses.  The Hom forms,
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .centralizers import contained_in_centralizer, z_of
 from .errors import NotCentralizing, VerificationFailed
@@ -217,13 +217,12 @@ class ProductReport(NamedTuple):
         }
 
 
-def radical_intersect_failure(F: FusionSystem, S1: Subgroup, S2: Subgroup,
-                              cr_list: Optional[Sequence[Subgroup]] = None
+def radical_intersect_failure(F: FusionSystem, S1: Subgroup, S2: Subgroup
                               ) -> Optional[list[int]]:
     """First centric radical R with R n S1S2 != (R n S1)(R n S2), if any;
     S1 and S2 commute elementwise."""
     T = _pair(S1, S2)[0]
-    for R in (cr_list if cr_list is not None else classify(F).cr_set()):
+    for R in classify(F).cr_set():
         lhs = R.member_set & T.member_set
         if lhs != set(R.meet(S1).product_set(R.meet(S2))):
             return list(R.members)

@@ -169,10 +169,10 @@ def classify(F: FusionSystem) -> SubgroupClassification:
             if cls_centric:
                 centric.add(Q.members)
     for P in F.subgroups():
-        auts = F.automorphisms(P)
-        if n_of[P.members] == c_of[P.members] * p_part(len(auts), F.p):
-            fully_a.add(P.members)
         mg = aut_group(F, P)
+        if n_of[P.members] == c_of[P.members] * p_part(
+                len(F.automorphisms(P)), F.p):
+            fully_a.add(P.members)
         of_members = picker([at[x] for x in P.members])
         inner = [mg.index_of(Hom(P, P, of_members(base.row(g)), check=False))
                  for g in P.generators]

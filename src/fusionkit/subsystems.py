@@ -8,7 +8,8 @@ condition.  On a strongly closed T this is equivalent to the strong
 invariance condition (Aschbacher, "Normal subsystems of fusion systems",
 Proc. LMS 2008; Aschbacher-Kessar-Oliver, "Fusion Systems in Algebra and
 Topology", Prop. I.6.4).  The literal condition (f), ``_condition_f``,
-stays as the oracle that ``invariance_condition`` evaluates.
+stays as the oracle; ``invariance_conditions`` evaluates all six
+conditions in one call.
 
 Stability and the extension property are each one loop, with the literal
 body, over the generators of the automorphisms
@@ -61,10 +62,6 @@ def is_strongly_closed(F: FusionSystem, T: Subgroup) -> bool:
 def is_weakly_closed(F: FusionSystem, T: Subgroup) -> bool:
     """T has no F-conjugate other than itself."""
     return all(h.codomain == T for h in F.isos_from(T))
-
-
-def weakly_closed_subgroups_in(F: FusionSystem, R: Subgroup) -> tuple[Subgroup, ...]:
-    return tuple(P for P in subgroup_lattice(R) if is_weakly_closed(F, P))
 
 
 # -- local subsystems -------------------------------------------------------------
@@ -204,46 +201,33 @@ def _generation_identity(F: FusionSystem, E: FusionSystem) -> bool:
     return subsystem_equal(gen_sys, full_subcategory(F, T))
 
 
-def invariance_condition(F: FusionSystem, E: FusionSystem, which: str) -> bool:
-    """Evaluate one of the six equivalent invariance conditions literally;
-    (a) and (f) share ``_condition_f`` and (b)-(e) the stability test
-    ``_stability``, each memoized in F's slot under E's content key."""
+def invariance_conditions(F: FusionSystem, E: FusionSystem) -> dict[str, bool]:
+    """The six equivalent invariance conditions (a)-(f), evaluated
+    literally, keyed "a" to "f".  (a) is (f), ``_condition_f``, with the
+    generation identity; (b)-(e) are false unless E is stable
+    (``_stability``), and then ask whether Aut_E(P) is normal in Aut_F(P)
+    (``_aut_sets_normal``) for the P of T, the fully normalized P, the
+    fully normalized R n T over the centric radical R, and R n T over a
+    conjugation family.  Each piece is memoized in F's slot under E's
+    content key."""
     T = E.support
     if not is_strongly_closed(F, T):
         raise NotStronglyClosed(f"support of order {T.order} is not strongly closed")
-    if which in ("a", "f"):
-        holds = _condition_f(F, E) is None
-        return holds if which == "f" else holds and _generation_identity(F, E)
+    f = _condition_f(F, E) is None
+    a = f and _generation_identity(F, E)
     if _stability(F, E) is not None:
-        return False
-    if which == "b":
-        return all(_aut_sets_normal(F, E, P) for P in E.subgroups())
+        return {"a": a, "b": False, "c": False, "d": False, "e": False, "f": f}
+    b = all(_aut_sets_normal(F, E, P) for P in E.subgroups())
     cls = classify(F)
-    if which == "c":
-        return all(_aut_sets_normal(F, E, P) for P in E.subgroups()
-                   if cls.is_fully_normalized(P))
-    if which == "d":
-        for R in cls.cr_set():
-            RT = R.meet(T)
-            if cls.is_fully_normalized(RT) and not _aut_sets_normal(F, E, RT):
-                return False
-        return True
-    if which == "e":
-        candidates = [cls.crf_set(),
-                      tuple(R for R in cls.cr_set()
-                            if cls.is_fully_normalized(R.meet(T)))]
-        for fam in candidates:
-            if not fam or not is_conjugation_family(F, fam):
-                continue
-            ok = True
-            for R in fam:
-                if not _aut_sets_normal(F, E, R.meet(T)):
-                    ok = False
-                    break
-            if ok:
-                return True
-        return False
-    raise ValueError(f"unknown invariance condition {which!r}")
+    c = all(_aut_sets_normal(F, E, P) for P in E.subgroups()
+            if cls.is_fully_normalized(P))
+    radicals = tuple(R for R in cls.cr_set()
+                     if cls.is_fully_normalized(R.meet(T)))
+    d = all(_aut_sets_normal(F, E, R.meet(T)) for R in radicals)
+    e = any(fam and is_conjugation_family(F, fam)
+            and all(_aut_sets_normal(F, E, R.meet(T)) for R in fam)
+            for fam in (cls.crf_set(), radicals))
+    return {"a": a, "b": b, "c": c, "d": d, "e": e, "f": f}
 
 
 # -- normality ---------------------------------------------------------------------

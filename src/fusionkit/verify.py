@@ -33,10 +33,11 @@ derived data of F, computed once per content, and no check reads what
 another left, so a check run alone reports what it reports in the full
 pass; a self-test corrupts a datum by replacing that function, or by a
 mutant system.  The function to replace is the name in its caller's
-module: this module's verifiers resolve ``verify.centralized_set``,
-``verify.c_F_of`` and the rest, while Coincide's ``coincide_check``,
+module: this module's verifiers, all four C_F(E) checks included, resolve
+``verify.centralized_set``, ``verify.c_F_of`` and the rest, while
 ``c_s_of`` and ``compute_centralizer_data`` live in ``centralizers`` and
-resolve ``centralizers.c_F_of`` and ``centralizers.centralized_set``.
+resolve ``centralizers.centralized_set``.  Finvariant.equiv reads the six
+invariance conditions from one call (``invariance_conditions``).
 """
 
 from __future__ import annotations
@@ -45,11 +46,11 @@ import time
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .centralizers import (a_circle, c_F_of, c_s_counterexample, c_s_of,
-                           centralized_set, coincide_check,
-                           compute_centralizer_data, contained_in_centralizer,
-                           family_join, focal_subgroup, h_group,
-                           hyperfocal_subgroup, normalizer_family, r_star,
-                           r_star_counterexample, weakly_closed_analysis, z_of)
+                           centralized_set, compute_centralizer_data,
+                           contained_in_centralizer, family_join,
+                           focal_subgroup, h_group, hyperfocal_subgroup,
+                           normalizer_family, r_star, r_star_counterexample,
+                           z_of)
 from .errors import FusionkitError, VerificationFailed
 from .fusion import (FusionSystem, Hom, close_morphisms, derived,
                      fusion_of_group, inner_system, subsystem_contains)
@@ -60,11 +61,12 @@ from .models import (Model, is_constrained, model_of, models_isomorphic_over_s,
                      normal_model, normal_subgroups_of_system, script_G)
 from .products import (ProductReport, centralize_each_other,
                        verify_product_theorems)
-from .saturation import aut_group, classify, is_saturated
+from .saturation import (aut_group, classify, is_saturated,
+                         o_upper_p_automorphisms)
 from .subsystems import (bounded_extensions, centralizer_subsystem,
-                         invariance_condition, is_normal, is_weakly_closed,
-                         normal_subsystem_in, normalizer_subsystem,
-                         realized_subsystem)
+                         invariance_conditions, is_normal, is_strongly_closed,
+                         is_weakly_closed, normal_subsystem_in,
+                         normalizer_subsystem, realized_subsystem)
 
 class CheckResult(NamedTuple):
     check_id: str
@@ -476,19 +478,18 @@ def verify_main_cse_c(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     """Weakly closed subgroups of R* are in the family; C_S(E) is the
     largest weakly closed and the largest strongly closed subgroup of R*."""
     data = compute_centralizer_data(F, E)
-    info = weakly_closed_analysis(F, E, data)
-    if not info["all_weakly_closed_in_family"]:
-        bad = [W for W in info["weakly_closed"]
-               if all(W != X for X in data.X_set)]
-        return {"kind": "weakly closed outside family", "R": _sub(bad[0])}
-    if info["largest_weakly_closed"] != data.C_S_E:
-        return {"kind": "largest weakly closed differs",
-                "got": _sub(info["largest_weakly_closed"]),
-                "C_S_E": _sub(data.C_S_E)}
-    if info["largest_strongly_closed"] != data.C_S_E:
-        return {"kind": "largest strongly closed differs",
-                "got": _sub(info["largest_strongly_closed"]),
-                "C_S_E": _sub(data.C_S_E)}
+    lattice = subgroup_lattice(data.R_star)
+    weakly = [P for P in lattice if is_weakly_closed(F, P)]
+    strongly = [P for P in lattice if is_strongly_closed(F, P)]
+    largest = [max(Ps, key=lambda P: (P.order, P.members))
+               for Ps in (weakly, strongly)]
+    outside = [W for W in weakly if W not in data.X_set]
+    if outside:
+        return {"kind": "weakly closed outside family", "R": _sub(outside[0])}
+    for how, got in zip(("weakly", "strongly"), largest):
+        if got != data.C_S_E:
+            return {"kind": f"largest {how} closed differs", "got": _sub(got),
+                    "C_S_E": _sub(data.C_S_E)}
     return None
 
 
@@ -535,14 +536,29 @@ def verify_main_cfe(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
 
 
 def verify_coincide(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
-    if not coincide_check(F, E):
-        return {"kind": "automorphism product formula fails"}
+    """Aut_{C_F(E)}(P) = O^p(Aut_{C_F(T)}(P)) * Aut_{C_S(E)}(P) for every
+    P fully normalized and centric in C_F(E), as a product set on the
+    table of Aut_{C_F(E)}(P), where both factors must lie."""
+    R = c_s_of(F, E)
+    cfe = c_F_of(F, E)
+    CFT = centralizer_subsystem(F, E.support)
+    cls = classify(cfe)
+    for P in cfe.subgroups():
+        if not (cls.is_fully_normalized(P) and cls.is_centric(P)):
+            continue
+        op_auts = o_upper_p_automorphisms(CFT, P)
+        r_auts = cfe.automizer_in(R, P)
+        A = aut_group(cfe, P)
+        op_part, aut_r = A.subgroup_of(op_auts), A.subgroup_of(r_auts)
+        if (op_part is None or aut_r is None or op_part.product_set(aut_r)
+                != A.group.full_subgroup.members):
+            return {"kind": "automorphism product formula fails"}
     return None
 
 
 def verify_finvariant_equiv(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     """The six conditions (a)-(f) of F-invariance agree on E."""
-    values = {w: invariance_condition(F, E, w) for w in "abcdef"}
+    values = invariance_conditions(F, E)
     if len(set(values.values())) > 1:
         return {"conditions": values, "T": _sub(E.support)}
     return None

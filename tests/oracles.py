@@ -36,8 +36,10 @@ built on O_p(F), found by the scan for F-normal subgroups
 ``verify_model_literal`` and ``core_literal``), the eager Sylow search
 (``sylow_search_literal``), the commutators of all pairs
 (``derived_subgroup_literal``), the normal model searched
-over every normal subgroup (``normal_model_literal``) and R* on that
-model (``r_star_on_o_p_literal``) are here, as are the loops over every
+over every normal subgroup (``normal_model_literal``), R* on that
+model (``r_star_on_o_p_literal``) and the isomorphism search that
+closes a partial map under products on both sides
+(``find_isomorphism_literal``) are here, as are the loops over every
 automorphism of the stability and extension clauses of the normality
 report (``stability_literal``, ``extension_property_literal``), the
 per-product table of ``as_group`` (``as_group_literal``) and
@@ -1063,6 +1065,63 @@ def r_star_on_o_p_literal(F: FusionSystem, E: FusionSystem
     members = tuple(x for x in F.support.members
                     if model.sigma(x) in CSN.member_set)
     return Subgroup(F.universe, members, check=False), model, N
+
+
+def _close_partial(G1: FiniteGroup, G2: FiniteGroup,
+                   pairs: dict[int, int]) -> Optional[dict[int, int]]:
+    """Multiplicative closure of a partial map; None on any conflict."""
+    mp = dict(pairs)
+    mp[0] = 0
+    frontier = list(mp)
+    while frontier:
+        new = []
+        for x in frontier:
+            for g, h in list(mp.items()):
+                for a, fa in ((G1.mul(x, g), G2.mul(mp[x], h)),
+                              (G1.mul(g, x), G2.mul(h, mp[x]))):
+                    old = mp.get(a)
+                    if old is None:
+                        mp[a] = fa
+                        new.append(a)
+                    elif old != fa:
+                        return None
+        frontier = new
+    values = set(mp.values())
+    if len(values) != len(mp):
+        return None
+    return mp
+
+
+def find_isomorphism_literal(G1: FiniteGroup, G2: FiniteGroup,
+                             pins: dict[int, int]) -> Optional[dict[int, int]]:
+    """Backtracking isomorphism search G1 -> G2 extending the pinned map:
+    the partial map closed under products on both sides, then extended at
+    the least unmapped element by each unused image of its order."""
+    if G1.order != G2.order:
+        return None
+    base = _close_partial(G1, G2, pins)
+    if base is None:
+        return None
+    return _extend_iso(G1, G2, base)
+
+
+def _extend_iso(G1: FiniteGroup, G2: FiniteGroup,
+                partial: dict[int, int]) -> Optional[dict[int, int]]:
+    if len(partial) == G1.order:
+        return partial
+    x = min(g for g in range(G1.order) if g not in partial)
+    used = set(partial.values())
+    ox = G1.element_order(x)
+    for y in range(G2.order):
+        if y in used or G2.element_order(y) != ox:
+            continue
+        nxt = _close_partial(G1, G2, {**partial, x: y})
+        if nxt is None:
+            continue
+        got = _extend_iso(G1, G2, nxt)
+        if got is not None:
+            return got
+    return None
 
 
 def stability_literal(F: FusionSystem, E: FusionSystem) -> Optional[dict]:

@@ -16,17 +16,16 @@ import pytest
 from hypothesis import given, settings
 
 from fusionkit import verify
-from fusionkit.centralizers import (a_circle, coincide_check,
-                                    compute_centralizer_data, h_group)
+from fusionkit.centralizers import a_circle, compute_centralizer_data, h_group
 from fusionkit.corpus import corpus_entries
 from fusionkit.errors import FusionkitError
 from fusionkit.fusion import TRIVIAL_TABLE, transport_isos
 from fusionkit.groups import Hom
 from fusionkit.models import model_of
 from fusionkit.saturation import aut_group
-from fusionkit.subsystems import (_aut_sets_normal, invariance_condition,
+from fusionkit.subsystems import (_aut_sets_normal, invariance_conditions,
                                   is_normal, normalizer_subsystem)
-from fusionkit.verify import (inner_only_shadow, normal_pairs,
+from fusionkit.verify import (inner_only_shadow, normal_pairs, verify_coincide,
                               verify_frattini_cons, with_replaced_isos)
 from conftest import entry_system
 from mutation_scenarios import at_subgroup
@@ -77,7 +76,7 @@ def test_corpus_normal_pairs_and_shadows():
         F = entry_system(G, p)
         for _, E in normal_pairs(F):
             compare(F, E, seen)
-            assert coincide_check(F, E) == coincide_check_literal(F, E)
+            assert (verify_coincide(F, E) is None) == coincide_check_literal(F, E)
             pairs += 1
         compare(F, inner_only_shadow(F), seen)
     assert pairs == 117
@@ -108,7 +107,7 @@ def test_generated_groups(group):
     for E in systems:
         compare(F, E, seen)
         if is_normal(F, E).normal:
-            assert coincide_check(F, E) == coincide_check_literal(F, E)
+            assert (verify_coincide(F, E) is None) == coincide_check_literal(F, E)
 
 
 @contextmanager
@@ -199,7 +198,7 @@ def test_nontrivial_aut_e_over_a_trivial_aut_f():
 
 @pytest.mark.parametrize("label", ["s4@2", "s4xc2@2"])
 def test_predicates_compose_no_hom_pair(label, monkeypatch):
-    """With ``Hom.then`` refusing to run, invariance conditions (b)-(e),
+    """With ``Hom.then`` refusing to run, the six invariance conditions,
     A-circle, H(P), the Frattini factorization and the coincidence formula
     still decide every normal pair."""
     G, p = next((G, p) for lab, G, p in SMALL if lab == label)
@@ -211,11 +210,11 @@ def test_predicates_compose_no_hom_pair(label, monkeypatch):
 
     monkeypatch.setattr(Hom, "then", refuse)
     for _, E in pairs:
-        assert all(invariance_condition(F, E, w) for w in "bcde")
+        assert all(invariance_conditions(F, E).values())
         for P in F.subgroups():
             assert a_circle(F, E, P) and h_group(F, E, P)
         assert verify_frattini_cons(F, E) is None
-        assert coincide_check(F, E)
+        assert verify_coincide(F, E) is None
 
 
 def test_transport_matches_the_hom_form():

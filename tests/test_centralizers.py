@@ -8,9 +8,9 @@ from hypothesis import given, settings
 
 from fusionkit import centralizers, verify
 from fusionkit.centralizers import (a_circle, c_F_of, c_s_of, centralized_set,
-                                    coincide_check, compute_centralizer_data,
+                                    compute_centralizer_data,
                                     focal_subgroup, h_group, hyperfocal_subgroup, r_star,
-                                    weakly_closed_analysis, z_of)
+                                    z_of)
 from fusionkit.corpus import builtin_group
 from fusionkit.errors import TheoremViolation, VerificationFailed
 from fusionkit.fusion import (fusion_of_group, inner_system, subsystem_equal)
@@ -152,11 +152,7 @@ class TestCSE:
             assert is_strongly_closed_literal(F, C)
 
     def test_theorem_a_c_on_s4xc2(self, F_s4xc2, E_s4x1):
-        data = compute_centralizer_data(F_s4xc2, E_s4x1)
-        info = weakly_closed_analysis(F_s4xc2, E_s4x1, data)
-        assert info["largest_weakly_closed"] == data.C_S_E
-        assert info["largest_strongly_closed"] == data.C_S_E
-        assert info["all_weakly_closed_in_family"]
+        assert verify.verify_main_cse_c(F_s4xc2, E_s4x1) is None
 
 
 class TestPostChecks:
@@ -300,7 +296,7 @@ class TestCFE:
         assert subsystem_equal(cfe, expected)
 
     def test_coincide(self, F_s4xc2, E_s4x1):
-        assert coincide_check(F_s4xc2, E_s4x1)
+        assert verify.verify_coincide(F_s4xc2, E_s4x1) is None
 
     def test_focprop_alarm_on_corrupted_bound(self):
         # A4 x A4 has a nontrivial foc(C_F(T)), so an undershot C_S(E)

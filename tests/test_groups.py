@@ -216,8 +216,16 @@ class TestHoms:
 
     def test_from_generator_images_rejects_inconsistent(self, s4, V4):
         xs = [x for x in V4.members if x != 0]
-        with pytest.raises(NotAGroup):
+        with pytest.raises(NotAGroup, match="inconsistent"):
             Hom.from_generator_images(V4, V4, xs, [xs[0], xs[0], xs[1]])
+
+    def test_from_generator_images_rejects_bad_shapes(self, s4, V4):
+        xs = [x for x in V4.members if x != 0]
+        with pytest.raises(NotAGroup, match="counts differ"):
+            Hom.from_generator_images(V4, V4, xs, xs[:2])
+        # one involution generates an order-2 subgroup, not V4
+        with pytest.raises(NotAGroup, match="do not generate the domain"):
+            Hom.from_generator_images(V4, V4, xs[:1], xs[:1])
 
     def test_inverse_round_trip(self, s4, V4, F_s4):
         for h in F_s4.automorphisms(V4):

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fusionkit import models
+from fusionkit import models, verify
 from fusionkit.centralizers import r_star
-from fusionkit.corpus import builtin_group
+from fusionkit.corpus import builtin_group, builtin_group_path, corpus_entries
 from fusionkit.errors import ModelNotFound, NotConstrained
 from fusionkit.fusion import (fusion_of_group, generated_subsystem,
                               subsystem_equal)
@@ -18,6 +19,8 @@ from fusionkit.models import (Model, constrained_local_system,
                               script_G)
 from fusionkit.subsystems import normal_subsystem_in
 from fusionkit.verify import run_suite, with_replaced_isos
+from oracles import find_isomorphism_literal
+from test_fusion import perm_groups
 
 
 class TestNormalInSystem:
@@ -207,3 +210,66 @@ class TestIsomorphismSearch:
 
 def o_p_members(s4):
     return o_p(s4.full_subgroup, 2).member_set
+
+
+def agree(G1, G2, pins):
+    """The search and its literal form agree on whether an isomorphism
+    G1 -> G2 extends ``pins``; a map the search returns is a bijective
+    homomorphism extending them.  Returns whether one exists."""
+    got = find_isomorphism_extending(G1, G2, pins)
+    assert (got is None) == (find_isomorphism_literal(G1, G2, pins) is None)
+    if got is not None:
+        iso = Hom(G1.full_subgroup, G2.full_subgroup,
+                  tuple(got[x] for x in range(G1.order)), check=True)
+        assert iso.is_injective
+        assert all(got[x] == y for x, y in pins.items())
+    return got is not None
+
+
+def test_search_matches_literal_on_model1a_pairs(monkeypatch):
+    """Every model pair that Model1.a compares over the corpus, pinned on
+    the embeddings of S."""
+    asked = []
+
+    def recorded(F, m1, m2):
+        pins = {m1.sigma(x): m2.sigma(x) for x in F.support.members}
+        asked.append(agree(m1.group, m2.group, pins))
+        return asked[-1]
+
+    monkeypatch.setattr(verify, "models_isomorphic_over_s", recorded)
+    for label, G, p in corpus_entries():
+        assert all(r.passed for r in run_suite(label, G, p,
+                                               check_ids=["Model1.a"]))
+    assert len(asked) == 26 and all(asked)
+
+
+def test_search_matches_literal_on_bundled_groups():
+    """Every ordered pair of bundled groups of equal order, unpinned."""
+    names = sorted(path.stem for path in
+                   builtin_group_path("c2").parent.glob("*.json"))
+    groups = [builtin_group(name) for name in names]
+    found = [agree(G1, G2, {}) for G1 in groups for G2 in groups
+             if G1.order == G2.order]
+    assert len(found) == 38 and sum(found) == len(groups)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.data())
+def test_search_matches_literal_on_generated_groups(data):
+    """A group generated by two permutations, pinned on a Sylow subgroup
+    by an inner automorphism c_g, which extends, and on the whole group by
+    c_g with the images of two elements x != y of one order swapped,
+    which does not: that bijection is no homomorphism once |G| > 4, as an
+    automorphism moving just two elements would fix a subgroup of order
+    |G| - 2, which divides |G| only when |G| <= 4."""
+    G, p = data.draw(perm_groups())
+    g = data.draw(st.sampled_from(range(G.order)))
+    S = sylow_subgroup(G.full_subgroup, p)
+    assert agree(G, G, {x: G.conj(x, g) for x in S.members})
+    if G.order > 4:
+        x, y = data.draw(st.sampled_from(
+            [(x, y) for x in range(1, G.order) for y in range(x + 1, G.order)
+             if G.element_order(x) == G.element_order(y)]))
+        pins = {z: G.conj(z, g) for z in range(G.order)}
+        pins[x], pins[y] = pins[y], pins[x]
+        assert not agree(G, G, pins)

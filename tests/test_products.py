@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from fusionkit import products
 from fusionkit.cli import resolve_subgroup
 from fusionkit.corpus import builtin_group, builtin_group_path, ingest
 from fusionkit.errors import CapExceeded, NotCentralizing
@@ -231,7 +232,8 @@ class TestProductTheorems:
         # F1 = F2 = the V4 subsystem: T = V4, fine on every centric radical
         assert radical_intersect_failure(F_s4, V4, V4) is None
 
-    def test_radical_intersect_fails_on_injected_member(self, F_q8c4, q8c4):
+    def test_radical_intersect_fails_on_injected_member(self, F_q8c4, q8c4,
+                                                        monkeypatch):
         q8 = next(P for P in subgroup_lattice(q8c4.full_subgroup)
                   if P.order == 8 and
                   sum(1 for x in P.members if q8c4.element_order(x) == 2) == 1)
@@ -239,7 +241,11 @@ class TestProductTheorems:
         mixed = next(P for P in subgroup_lattice(q8c4.full_subgroup)
                      if P.order == 2 and not P.member_set <= q8.member_set
                      and not P.member_set <= Z.member_set)
-        bad = radical_intersect_failure(F_q8c4, q8, Z, cr_list=[mixed])
+        # the classification's one centric radical is the injected member
+        only = frozenset({mixed.members})
+        injected = classify(F_q8c4)._replace(centric=only, radical=only)
+        monkeypatch.setattr(products, "classify", lambda F: injected)
+        bad = radical_intersect_failure(F_q8c4, q8, Z)
         assert bad == list(mixed.members)
 
     def test_zcentralize_witnesses(self, F_q8c4, q8c4):

@@ -17,7 +17,7 @@ from fusionkit.subsystems import (_condition_f, _stability,
                                   centralizer_subsystem,
                                   centralizer_subsystem_by_extension,
                                   extension_witness,
-                                  invariance_condition, is_normal,
+                                  invariance_conditions, is_normal,
                                   is_strongly_closed, is_weakly_closed,
                                   normal_subsystem_in, normalizer_subsystem,
                                   normalizer_subsystem_by_extension)
@@ -107,18 +107,15 @@ class TestLocalSubsystems:
 
 class TestInvariance:
     def test_all_six_conditions_for_normal_subsystem(self, F_s4, E_a4):
-        for w in "abcdef":
-            assert invariance_condition(F_s4, E_a4, w)
+        assert invariance_conditions(F_s4, E_a4) == dict.fromkeys("abcdef", True)
 
     def test_inner_v4_invariant(self, F_s4, V4):
         EV = inner_system(F_s4, V4)
-        for w in "abcdef":
-            assert invariance_condition(F_s4, EV, w)
+        assert invariance_conditions(F_s4, EV) == dict.fromkeys("abcdef", True)
 
     def test_inner_sylow_fails_strong_condition(self, F_s4):
         ES = inner_system(F_s4, F_s4.support)
-        for w in "abcdef":
-            assert not invariance_condition(F_s4, ES, w)
+        assert invariance_conditions(F_s4, ES) == dict.fromkeys("abcdef", False)
 
     def test_condition_f_runs_once_per_pair(self, counted_memo):
         """Conditions (a) and (f) share one evaluation of the literal
@@ -136,7 +133,7 @@ class TestInvariance:
     def test_requires_strongly_closed_support(self, F_s4):
         Z = center(F_s4.support)
         with pytest.raises(NotStronglyClosed):
-            invariance_condition(F_s4, inner_system(F_s4, Z), "f")
+            invariance_conditions(F_s4, inner_system(F_s4, Z))
 
     def test_morphism_leaving_the_support_twists_out(self, F_s4):
         """Z(S) is not strongly closed in F_S(S4): a morphism psi of F

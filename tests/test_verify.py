@@ -425,10 +425,11 @@ class TestMutationsCentralizer:
         assert bad is not None
 
     def test_coincide_stripped_cfe(self, a4xa4_pair, monkeypatch):
-        """``coincide_check`` reads C_F(E) from ``centralizers.c_F_of``."""
+        """Coincide reads C_F(E) from ``verify.c_F_of``, as the other
+        C_F(E) checks do."""
         F, E = a4xa4_pair
         data = compute_centralizer_data(F, E)
-        monkeypatch.setattr(centralizers, "c_F_of",
+        monkeypatch.setattr(verify_mod, "c_F_of",
                             returning(inner_system(F, data.C_S_E)))
         assert verify_coincide(F, E) is not None
 
@@ -588,32 +589,46 @@ class TestSuiteLevelMutations:
                      "need a realized F"}] * 4
 
     def test_identity_removed_system_ends_with_a_typed_failure(self):
-        """Without the identity of the order-2 subgroup P = (0, 1) of s4@2
-        and without the witness, Aut_F(P) is empty, and the order 0 has
-        no p-part: ``classify`` used to loop in ``groups.p_part`` for
-        ever.  In a subprocess with a time limit, the suite ends, every
-        check fails, and ``saturation`` records the ValueError."""
+        """Without the identity of the order-2 subgroup P = (0, 1) of s4@2,
+        Aut_F(P) is empty, and the order 0 has no p-part: ``classify`` used
+        to loop in ``groups.p_part`` for ever.  In a subprocess with a time
+        limit, the suite ends on both mutants.  Without the witness every
+        check fails, and ``saturation`` records the empty automorphism set,
+        which ``classify`` builds before it counts.  With the witness kept,
+        no check records an error outside ``FusionkitError`` either."""
         script = (f"import json, sys\n"
                   f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
                   f"from fusionkit.corpus import builtin_group\n"
                   f"from fusionkit.verify import run_suite, with_removed_iso\n"
-                  f"def mutate(F):\n"
-                  f"    P = next(P for P in F.subgroups()\n"
-                  f"             if P.members == (0, 1))\n"
-                  f"    assert F.isos_from(P)[0].is_identity()\n"
-                  f"    return with_removed_iso(F, P, 0)\n"
-                  f"res = run_suite('s4@2', builtin_group('s4'), 2,\n"
-                  f"                system_mutator=mutate)\n"
-                  f"print(json.dumps([[r.check_id, r.status,\n"
-                  f"                   r.counterexample] for r in res]))\n")
+                  f"def mutant(keep):\n"
+                  f"    def mutate(F):\n"
+                  f"        P = next(P for P in F.subgroups()\n"
+                  f"                 if P.members == (0, 1))\n"
+                  f"        assert F.isos_from(P)[0].is_identity()\n"
+                  f"        return with_removed_iso(F, P, 0, keep_witness=keep)\n"
+                  f"    return mutate\n"
+                  f"print(json.dumps([[[r.check_id, r.status, r.counterexample]\n"
+                  f"                   for r in run_suite('s4@2',\n"
+                  f"                       builtin_group('s4'), 2,\n"
+                  f"                       system_mutator=mutant(keep))]\n"
+                  f"                  for keep in (False, True)]))\n")
         run = subprocess.run([sys.executable, "-I", "-c", script],
                              capture_output=True, text=True, check=True,
                              timeout=60)
-        results = json.loads(run.stdout)
-        assert [check_id for check_id, _, _ in results] == list(CHECK_ORDER)
-        assert all(status == "fail" for _, status, _ in results)
-        assert results[0] == ["saturation", "fail", {
-            "error": "ValueError: p_part needs n >= 1, got 0"}]
+        bare, kept = json.loads(run.stdout)
+        for results in (bare, kept):
+            assert [check_id for check_id, _, _ in results] == list(CHECK_ORDER)
+        assert all(status == "fail" for _, status, _ in bare)
+        assert bare[0] == ["saturation", "fail", {
+            "error": "NotAGroup: empty automorphism set"}]
+        errors = fusionkit.errors
+        typed = {name for name, cls in vars(errors).items()
+                 if isinstance(cls, type)
+                 and issubclass(cls, errors.FusionkitError)}
+        raised = [bad["error"].split(":")[0] for _, _, bad in bare + kept
+                  if bad is not None and "error" in bad]
+        assert raised and set(raised) <= typed
+
 
     def test_alternative_sylow_top_built_once(self, s4, monkeypatch):
         # one top for F and one for the alternative Sylow choice, shared by
