@@ -15,12 +15,16 @@ A morphism is its domain and its image tuple and nothing more: as in
 Aschbacher-Kessar-Oliver, Def. I.2.1, a fusion system is its hom-sets, and
 no result depends on the element that realizes a map.
 
+Both kinds of system keep image keys: a witness system reads them off its
+conjugation table, an explicit one is given each subgroup's set of image
+tuples, and ``isos_from`` builds every Hom from them.
+
 Every system has a content key.  A system given by a witness group alone
 is determined by ``(support.members, witness.members)``.  A system with
 explicit iso-sets is keyed by an ``ExplicitKey``: the support, the witness
-(or None) and the image tuples of every iso-set, so equal keys mean the
-same iso-sets, map for map; it compares by value, so two different tables
-never share a key.  A system's derived data (iso-sets,
+(or None) and its table, so equal keys mean the same iso-sets, map for
+map; it compares by value, so two different tables never share a key.  A
+system's derived data (iso-sets,
 classification, saturation, local subsystems, normality reports, and the
 predicates the verification suite asks again, such as strong closure and
 stability) lives in a slot of the registry on its top system, shared by
@@ -38,10 +42,10 @@ Closure and composition run on keys too.  ``close_morphisms`` keeps each
 map as its domain's lattice position and its image tuple, composes through
 the positions of the images in the codomain (``groups.picker``) and
 restricts through the covering relation of the lattice
-(``groups.lattice_covers``, computed once per lattice).  The table it
-returns, and with it the content key, does not depend on the order of
-the seeds, and it builds one Hom per morphism it returns.  The Hom form
-of the closure is ``close_morphisms_literal`` in ``tests/oracles.py``.
+(``groups.lattice_covers``, computed once per lattice).  The table of
+image keys it returns, and with it the content key, does not depend on
+the order of the seeds, and it builds no Hom.  The Hom form of the
+closure is ``close_morphisms_literal`` in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -112,8 +116,10 @@ class FusionSystem:
     """Fusion system over ``support`` inside the parent group of the support.
 
     Either ``witness`` (a realizing subgroup W: morphisms are conjugations by
-    elements of W) or ``explicit`` iso-sets must be supplied.  A morphism
-    records its domain and images only, never the element of W behind it.
+    elements of W) or ``explicit`` iso-sets must be supplied, as each
+    subgroup's members with the frozenset of its maps' image tuples.  A
+    morphism records its domain and images only, never the element of W
+    behind it.
     ``ambient`` points at the outermost (top) system a subsystem lives in;
     subsystems of subsystems are re-based so towers never form.
 
@@ -121,9 +127,8 @@ class FusionSystem:
     witness alone defines the system, and an ``ExplicitKey`` of the tables
     when ``explicit`` iso-sets are given, with or without a witness: then
     the witness does not determine the hom-sets (the mutation self-tests
-    corrupt systems this way), so the key holds the image tuples of the
-    iso-sets themselves and compares them by value.  Two different tables
-    never share a key, and a realized key (a plain tuple) never equals an
+    corrupt systems this way), so the key holds the table itself and
+    compares it by value.  Two different tables never share a key, and a realized key (a plain tuple) never equals an
     explicit one.  Systems with equal content keys under one top share a
     slot of derived data (``_isos``, ``_iso_keys``, and ``_cache``, which
     ``derived`` alone reads and fills) in the top's ``_registry``,
@@ -147,7 +152,7 @@ class FusionSystem:
 
     def __init__(self, support: Subgroup, p: int,
                  witness: Optional[Subgroup] = None,
-                 explicit: Optional[dict[tuple[int, ...], tuple[Hom, ...]]] = None,
+                 explicit: Optional[dict[tuple[int, ...], frozenset]] = None,
                  ambient: Optional["FusionSystem"] = None,
                  name: str = "") -> None:
         if witness is None and explicit is None:
@@ -208,29 +213,19 @@ class FusionSystem:
     # -- morphisms ---------------------------------------------------------------
 
     def isos_from(self, P: Subgroup) -> tuple[Hom, ...]:
-        """All morphisms from P, corestricted onto their images, in
-        ``Hom.sort_key`` order.  From a witness the maps are sorted on
-        (image members, images), which is that order for one domain."""
+        """All morphisms from P, corestricted onto their images: one Hom
+        per image key of ``_keys_from(P)``, sorted on (image members,
+        images), which is ``Hom.sort_key`` order for one domain.  The image
+        members are the set of the images, so a non-injective key (only a
+        mutant holds one) is corestricted onto its image too."""
         got = self._isos.get(P.members)
-        if got is not None:
-            return got
-        if not P.member_set <= self.support.member_set:
-            raise DomainMismatch("subgroup is not inside the support")
-        if self._explicit is not None:
-            out = self._explicit.get(P.members)
-            if out is None:
-                raise DomainMismatch("iso-sets do not cover this subgroup")
-        else:
-            keys = self._iso_keys.get(P.members)
+        if got is None:
             U = self.universe
-            out = tuple(
+            got = self._isos[P.members] = tuple(
                 Hom(P, Subgroup(U, image, check=False), imgs, check=False)
-                for image, imgs in sorted(
-                    (tuple(sorted(imgs)), imgs)
-                    for imgs in (keys if keys is not None
-                                 else self._conjugation_keys(P))))
-        self._isos[P.members] = out
-        return out
+                for image, imgs in sorted((tuple(sorted(set(imgs))), imgs)
+                                          for imgs in self._keys_from(P)))
+        return got
 
     def _conjugation_keys(self, P: Subgroup) -> Iterator[tuple[int, ...]]:
         """The image keys of the maps c_w|P into the support, w in the
@@ -251,16 +246,19 @@ class FusionSystem:
         return _first_conjugations(P, rows, self.support.member_set, self.base)
 
     def _keys_from(self, P: Subgroup) -> frozenset:
-        """The image keys of ``isos_from(P)``.  A system given by its
-        witness alone reads them off the conjugation table without
-        building a Hom, and ``isos_from`` then builds its Homs from them."""
+        """The image keys of the morphisms from P: the explicit table's set,
+        or, for a system given by its witness alone, the keys read off the
+        conjugation table without building a Hom."""
         got = self._iso_keys.get(P.members)
         if got is None:
-            if (self._explicit is None and P.members not in self._isos
-                    and P.member_set <= self.support.member_set):
+            if not P.member_set <= self.support.member_set:
+                raise DomainMismatch("subgroup is not inside the support")
+            if self._explicit is None:
                 got = frozenset(self._conjugation_keys(P))
             else:
-                got = frozenset(h.images for h in self.isos_from(P))
+                got = self._explicit.get(P.members)
+                if got is None:
+                    raise DomainMismatch("iso-sets do not cover this subgroup")
             self._iso_keys[P.members] = got
         return got
 
@@ -367,21 +365,19 @@ class FusionSystem:
 class ExplicitKey:
     """Content key of a system given by explicit iso-sets.
 
-    ``table`` is ``(support.members, witness.members or None, rows)`` with
-    one row per subgroup, in sorted order: its members and the image tuple
-    of each Hom of its iso-set, in order.  The key compares by value, so
-    two systems share a slot exactly when their tables agree map for map;
-    the hash is computed once.
+    ``table`` is ``(support.members, witness.members or None, frozenset of
+    the table's items)``: each subgroup's members with its set of image
+    keys.  The key compares by value, so two systems share a slot exactly
+    when their tables hold the same maps; the hash is computed once.
     """
 
     __slots__ = ("table", "_hash")
 
     def __init__(self, support: Subgroup, witness: Optional[Subgroup],
-                 explicit: dict[tuple[int, ...], tuple[Hom, ...]]) -> None:
+                 explicit: dict[tuple[int, ...], frozenset]) -> None:
         self.table = (support.members,
                       witness.members if witness is not None else None,
-                      tuple((mem, tuple(h.images for h in explicit[mem]))
-                            for mem in sorted(explicit)))
+                      frozenset(explicit.items()))
         self._hash = hash(self.table)
 
     def __hash__(self) -> int:
@@ -454,7 +450,7 @@ _Arrow = tuple[int, tuple[int, ...], Callable]
 
 
 def close_morphisms(support: Subgroup, seeds: Iterable[Hom],
-                    ) -> dict[tuple[int, ...], tuple[Hom, ...]]:
+                    ) -> dict[tuple[int, ...], frozenset]:
     """Fixed-point closure over ``support``: inner maps of the support plus
     ``seeds``, closed under restriction, corestriction and composition.
 
@@ -470,10 +466,10 @@ def close_morphisms(support: Subgroup, seeds: Iterable[Hom],
     and the picker of g into the picker of the composite.  Restriction to
     the maximal subgroups goes through ``lattice_covers``.  A seed whose
     domain or image, or a restriction whose image, is not a subgroup of
-    the support raises ``MorphismOutsideSupport``.  The table depends only
-    on the image keys of the seeds, not on their order or on how their Homs
-    were built.  One Hom is built per member of the final table, on the
-    lattice's Subgroup objects.
+    the support raises ``MorphismOutsideSupport``.  The table, each
+    subgroup's members with the set of image keys of the maps from it,
+    depends only on the image keys of the seeds, not on their order or on
+    how their Homs were built; no Hom is built.
     """
     subs = subgroup_lattice(support)
     covers = lattice_covers(support)
@@ -525,12 +521,7 @@ def close_morphisms(support: Subgroup, seeds: Iterable[Hom],
             composite = f_pick(images)
             if composite not in tables[j]:
                 add(j, composite, c, f_pick(pos))
-    out = {}
-    for i, P in enumerate(subs):
-        rows = sorted((c, images) for images, (c, _, _) in tables[i].items())
-        out[P.members] = tuple(Hom(P, subs[c], images, check=False)
-                               for c, images in rows)
-    return out
+    return {P.members: frozenset(tables[i]) for i, P in enumerate(subs)}
 
 
 def generated_subsystem(F: FusionSystem, R: Subgroup,
@@ -543,7 +534,7 @@ def generated_subsystem(F: FusionSystem, R: Subgroup,
     derived data of F's top system under them (``_closure_table``), where
     every system under that top finds it; each call returns a fresh
     system, since callers rename it."""
-    gens = [h.cores() for h in generators]
+    gens = list(generators)
     rset = R.member_set
     for h in gens:
         if not (h.domain.member_set <= rset and set(h.images) <= rset):
@@ -602,7 +593,7 @@ def subsystem_equal(D1: FusionSystem, D2: FusionSystem) -> bool:
 def full_subcategory(F: FusionSystem, R: Subgroup) -> FusionSystem:
     """F|_{<=R}: all F-morphisms between subgroups of R, as an explicit system."""
     inside = R.member_set.issuperset
-    explicit = {P.members: tuple(h for h in F.isos_from(P) if inside(h.images))
+    explicit = {P.members: frozenset(filter(inside, F._keys_from(P)))
                 for P in subgroup_lattice(R)}
     return FusionSystem(R, F.p, explicit=explicit, ambient=F.top(),
                         name=f"{F.name}|<= {R.order}")

@@ -71,9 +71,11 @@ def is_weakly_closed(F: FusionSystem, T: Subgroup) -> bool:
 def centralizer_subsystem(F: FusionSystem, X: Subgroup) -> FusionSystem:
     """C_F(X) over C_S(X): morphisms extending to PX acting as the identity on X.
 
-    Witness filtering when F is group-realized, extension search otherwise;
-    the two agree morphism-for-morphism on realized systems.  C_S(X) and
-    the witness C_W(X) are read off the table of ``F.table_for(X)``.
+    Witness filtering when F has a witness (a mutant that keeps its
+    witness too), extension search otherwise; the two agree
+    morphism-for-morphism on systems given by their witness alone
+    (``from_witness``).  C_S(X) and the witness C_W(X) are read off the
+    table of ``F.table_for(X)``.
     """
     if not F.realized:
         return centralizer_subsystem_by_extension(F, X)
@@ -93,9 +95,9 @@ def centralizer_subsystem_by_extension(F: FusionSystem, X: Subgroup) -> FusionSy
 
 @derived
 def normalizer_subsystem(F: FusionSystem, Q: Subgroup) -> FusionSystem:
-    """N_F(Q) over N_S(Q): morphisms extending to PQ and mapping Q onto Q;
-    N_S(Q) and the witness N_W(Q) are read off the table of
-    ``F.table_for(Q)``."""
+    """N_F(Q) over N_S(Q): morphisms extending to PQ and mapping Q onto Q,
+    routed as in ``centralizer_subsystem``; N_S(Q) and the witness N_W(Q)
+    are read off the table of ``F.table_for(Q)``."""
     if not F.realized:
         return normalizer_subsystem_by_extension(F, Q)
     base = F.table_for(Q)
@@ -117,16 +119,15 @@ def normalizer_subsystem_by_extension(F: FusionSystem, Q: Subgroup) -> FusionSys
 def _local_by_extension(F: FusionSystem, support: Subgroup, R: Subgroup,
                         kept: Callable[[Subgroup], Iterable[Hom]],
                         name: str) -> FusionSystem:
-    """The explicit system over ``support`` whose morphisms from P are the
-    restrictions to P of the morphisms ``kept(PR)`` yields on PR = <P, R>."""
-    explicit: dict[tuple[int, ...], tuple[Hom, ...]] = {}
+    """The explicit system over ``support`` whose maps from P are the
+    restrictions to P of the morphisms ``kept(PR)`` yields on PR = <P, R>,
+    their keys read off psi.images by one ``picker`` per P."""
+    explicit: dict[tuple[int, ...], frozenset] = {}
     for P in subgroup_lattice(support):
         PR = P.product(R)  # P lies in the support, which normalizes R
-        found: dict[tuple, Hom] = {}
-        for psi in kept(PR):
-            h = psi.restrict_cores(P)
-            found.setdefault(h.images, h)
-        explicit[P.members] = tuple(sorted(found.values(), key=Hom.sort_key))
+        at = PR.positions
+        to_p = picker([at[x] for x in P.members])
+        explicit[P.members] = frozenset(to_p(psi.images) for psi in kept(PR))
     return FusionSystem(support, F.p, explicit=explicit, ambient=F.top(),
                         name=name)
 

@@ -853,13 +853,15 @@ def suite_report(label: str, p: int, results: Sequence[CheckResult],
 
 def with_replaced_isos(F: FusionSystem, P: Subgroup, homs: Sequence[Hom],
                        keep_witness: bool = False) -> FusionSystem:
-    """A structurally-identical system with the iso-set at P replaced.
+    """A structurally-identical system with the iso-set at P replaced by
+    the set of image keys of ``homs`` (a map given twice is one member).
 
     ``keep_witness`` keeps the realizing group attached (hom-sets still come
     from the explicit tables), so group-level constructions stay available
-    while the fusion data is corrupted."""
-    explicit = dict(F.materialize())
-    explicit[P.members] = tuple(sorted((h.cores() for h in homs), key=Hom.sort_key))
+    while the fusion data is corrupted; its local systems and models come
+    from the witness, not from its iso-sets."""
+    explicit = {Q.members: F._keys_from(Q) for Q in F.subgroups()}
+    explicit[P.members] = frozenset(h.images for h in homs)
     return FusionSystem(F.support, F.p, explicit=explicit, ambient=F.ambient,
                         witness=F.witness if keep_witness else None,
                         name=f"{F.name}~mutated")
@@ -877,9 +879,9 @@ def with_added_iso(F: FusionSystem, hom: Hom, close: bool = True,
     """Adjoin a morphism; by default take the closure so the result is a
     structurally valid (if wrong) fusion system."""
     if not close:
-        homs = list(F.isos_from(hom.domain)) + [hom.cores()]
+        homs = list(F.isos_from(hom.domain)) + [hom]
         return with_replaced_isos(F, hom.domain, homs, keep_witness=keep_witness)
-    seeds = [h for Q in F.subgroups() for h in F.isos_from(Q)] + [hom.cores()]
+    seeds = [h for Q in F.subgroups() for h in F.isos_from(Q)] + [hom]
     explicit = close_morphisms(F.support, seeds)
     return FusionSystem(F.support, F.p, explicit=explicit, ambient=F.ambient,
                         witness=F.witness if keep_witness else None,

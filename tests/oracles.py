@@ -661,6 +661,14 @@ def close_morphisms_literal(support: Subgroup, seeds: Iterable[Hom],
             for mem, slot in registry.items()}
 
 
+def keys_of(table: dict[tuple[int, ...], Iterable[Hom]]
+            ) -> dict[tuple[int, ...], frozenset]:
+    """A table of Homs by domain members as the package stores one: each
+    domain's members with the set of image keys of its maps."""
+    return {mem: frozenset(h.images for h in homs)
+            for mem, homs in table.items()}
+
+
 def reachable_literal(F: FusionSystem, P: Subgroup,
                       family: Sequence[Subgroup]) -> dict[tuple[int, ...], Hom]:
     """Morphisms from P reachable by composing restrictions of family
@@ -790,7 +798,7 @@ def generated_fusion_system(support: Subgroup, p: int,
                             generators: Iterable[Hom],
                             name: str = "") -> FusionSystem:
     """A free-standing generated fusion system (no ambient), e.g. a direct product."""
-    explicit = close_morphisms(support, [h.cores() for h in generators])
+    explicit = close_morphisms(support, generators)
     return FusionSystem(support, p, explicit=explicit,
                         name=name or f"gen_{support.order}")
 
@@ -846,14 +854,14 @@ def conjugate_morphism(phi: Hom, alpha: Hom) -> Optional[Hom]:
 
 def conjugate_subsystem(E: FusionSystem, alpha: Hom) -> FusionSystem:
     """E^alpha: the subsystem over T^alpha with hom-sets {phi^alpha}."""
-    explicit = transport_isos_literal(E, alpha)
+    explicit = keys_of(transport_isos_literal(E, alpha))
     return FusionSystem(alpha.subgroup_image(E.support), E.p, explicit=explicit, ambient=E.ambient,
                         name=f"({E.name})^a")
 
 
 def transported_system(E: FusionSystem, sigma: Hom, name: str = "") -> FusionSystem:
     """E carried into another universe along an injective map (no ambient)."""
-    explicit = transport_isos_literal(E, sigma)
+    explicit = keys_of(transport_isos_literal(E, sigma))
     return FusionSystem(sigma.subgroup_image(E.support), E.p, explicit=explicit, name=name or f"{E.name}^t")
 
 
@@ -1069,9 +1077,10 @@ def r_star_on_o_p_literal(F: FusionSystem, E: FusionSystem
 
 def _close_partial(G1: FiniteGroup, G2: FiniteGroup,
                    pairs: dict[int, int]) -> Optional[dict[int, int]]:
-    """Multiplicative closure of a partial map; None on any conflict."""
-    mp = dict(pairs)
-    mp[0] = 0
+    """Multiplicative closure of a partial map, the identity sent to the
+    identity unless a pin sends it elsewhere; None on any conflict (a pin
+    0 -> y != 0 is one, as y y != y)."""
+    mp = {0: 0, **pairs}
     frontier = list(mp)
     while frontier:
         new = []
@@ -1241,9 +1250,9 @@ def direct_product(F1: FusionSystem, F2: FusionSystem) -> DirectProduct:
     pi2 = Hom(full, F2.support,
               tuple(F2.support.members[i % nb] for i in range(PG.order)),
               check=False)
-    hat1 = FusionSystem(iota1.image, F1.p, explicit=transport_isos_literal(F1, iota1),
+    hat1 = FusionSystem(iota1.image, F1.p, explicit=keys_of(transport_isos_literal(F1, iota1)),
                         ambient=system, name="hat1")
-    hat2 = FusionSystem(iota2.image, F2.p, explicit=transport_isos_literal(F2, iota2),
+    hat2 = FusionSystem(iota2.image, F2.p, explicit=keys_of(transport_isos_literal(F2, iota2)),
                         ambient=system, name="hat2")
     return DirectProduct(system, PG, iota1, iota2, pi1, pi2, hat1, hat2)
 

@@ -22,7 +22,7 @@ from fusionkit.subsystems import (centralizer_subsystem, is_normal,
                                   normal_subsystem_in, normalizer_subsystem)
 from fusionkit import fusion
 from fusionkit.verify import (inner_only_shadow, run_suite, with_added_iso,
-                              with_removed_iso)
+                              with_removed_iso, with_replaced_isos)
 from oracles import (conjugate_morphism, conjugate_subsystem,
                      validate_fusion_system)
 
@@ -324,6 +324,19 @@ class TestContentRegistry:
         keys = [M.content_key for M in mutants.values()]
         assert all(a != b for i, a in enumerate(keys) for b in keys[i + 1:])
 
+    def test_mutant_key_is_the_set_of_its_maps(self, E_a4, V4):
+        """A mutant's table holds a set of maps per subgroup: one iso-set
+        given in two orders gives one content key and, under one top, one
+        slot, and a map given twice is one member of it."""
+        homs = E_a4.isos_from(V4)[1:]
+        one = with_replaced_isos(E_a4, V4, homs)
+        two = with_replaced_isos(E_a4, V4, homs[::-1])
+        assert one.content_key == two.content_key
+        assert one._cache is two._cache and one._isos is two._isos
+        twice = with_replaced_isos(E_a4, V4, homs + homs[:1])
+        assert twice.content_key == one.content_key
+        assert twice.isos_from(V4) == one.isos_from(V4) == homs
+
     def test_equal_content_shares_one_slot(self, F_s4, A4, V4):
         E1 = realized_subsystem(F_s4, A4, V4)
         E2 = realized_subsystem(F_s4, A4, V4)
@@ -408,7 +421,8 @@ class TestContentRegistry:
             assert M._registry is not None and M._registry is not F._registry
             assert M._cache is not F._cache and M._isos is not F._isos
             for P in M.subgroups():
-                assert M.isos_from(P) == M._explicit[P.members]
+                assert M._keys_from(P) is M._explicit[P.members]
+                assert {h.images for h in M.isos_from(P)} == M._keys_from(P)
         with pytest.raises(NotAGroup):
             classify(mutants["removed"])
         assert len(mutants["added"].classes()) < len(honest_classes)

@@ -257,7 +257,8 @@ def test_search_matches_literal_on_bundled_groups():
 @given(st.data())
 def test_search_matches_literal_on_generated_groups(data):
     """A group generated by two permutations, pinned on a Sylow subgroup
-    by an inner automorphism c_g, which extends, and on the whole group by
+    by an inner automorphism c_g, which extends, on the identity by a
+    non-identity element, which nothing extends, and on the whole group by
     c_g with the images of two elements x != y of one order swapped,
     which does not: that bijection is no homomorphism once |G| > 4, as an
     automorphism moving just two elements would fix a subgroup of order
@@ -266,6 +267,8 @@ def test_search_matches_literal_on_generated_groups(data):
     g = data.draw(st.sampled_from(range(G.order)))
     S = sylow_subgroup(G.full_subgroup, p)
     assert agree(G, G, {x: G.conj(x, g) for x in S.members})
+    if G.order > 1:
+        assert not agree(G, G, {0: data.draw(st.sampled_from(range(1, G.order)))})
     if G.order > 4:
         x, y = data.draw(st.sampled_from(
             [(x, y) for x in range(1, G.order) for y in range(x + 1, G.order)

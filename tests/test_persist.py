@@ -29,7 +29,7 @@ from fusionkit.persist import load_system, save_system, system_payload
 from fusionkit.saturation import aut_group, key_generators, key_span
 from fusionkit.verify import with_removed_iso
 from oracles import (aut_generating_set_greedy, cayley_columns_literal,
-                     close_morphisms_literal)
+                     close_morphisms_literal, keys_of)
 from test_fusion import perm_groups
 from test_groups import (failing_triple, intercalates, literal_associative,
                          swap_intercalate)
@@ -66,7 +66,8 @@ def literal_load(payload):
             member = G.subgroup(bridge["member"])
             seeds.append(Hom(rep, member, bridge["from_rep"], check=True))
             seeds.append(Hom(member, rep, bridge["to_rep"], check=True))
-    rebuilt = FusionSystem(S, p, explicit=close_morphisms_literal(S, seeds))
+    rebuilt = FusionSystem(S, p,
+                           explicit=keys_of(close_morphisms_literal(S, seeds)))
     if not subsystem_equal(rebuilt, fresh):
         raise VerificationFailed("generator record does not regenerate")
 

@@ -42,6 +42,7 @@ from fusionkit.verify import (CHECK_ORDER, inner_only_shadow,
                               with_added_iso, with_removed_iso,
                               with_replaced_isos)
 from mutation_scenarios import at_subgroup, z_replaced
+from oracles import keys_of
 
 
 PACKAGE = Path(fusionkit.__file__).parent
@@ -219,7 +220,7 @@ class TestMutationsCore:
             explicit[P.members] = tuple(
                 h for h in F_s4.isos_from(P)
                 if h.codomain.member_set <= V4.member_set)
-        bad = FusionSystem(V4, 2, explicit=explicit, ambient=F_s4)
+        bad = FusionSystem(V4, 2, explicit=keys_of(explicit), ambient=F_s4)
         out = verify_finvariant_equiv(F_s4, bad)
         assert out is not None
         vals = out["conditions"]
