@@ -168,7 +168,7 @@ def r_star(F: FusionSystem, E: FusionSystem
     sigma = model.sigma
     CSN = centralizer(model.sylow_image, N, N)
     members = tuple(x for x in F.support.members if sigma(x) in CSN.member_set)
-    return Subgroup(F.universe, members, check=False), Gsys, model, N
+    return Subgroup(F.universe, members), Gsys, model, N
 
 
 def normalizer_family(F: FusionSystem, E: FusionSystem) -> tuple[Subgroup, ...]:

@@ -222,7 +222,7 @@ class FusionSystem:
         if got is None:
             U = self.universe
             got = self._isos[P.members] = tuple(
-                Hom(P, Subgroup(U, image, check=False), imgs, check=False)
+                Hom(P, Subgroup(U, image), imgs)
                 for image, imgs in sorted((tuple(sorted(set(imgs))), imgs)
                                           for imgs in self._keys_from(P)))
         return got
@@ -308,7 +308,7 @@ class FusionSystem:
             return False
         keys = self._iso_keys.get(domain)
         if keys is None:
-            keys = self._keys_from(Subgroup(self.universe, domain, check=False))
+            keys = self._keys_from(Subgroup(self.universe, domain))
         return images in keys
 
     def automorphisms(self, P: Subgroup) -> tuple[Hom, ...]:
@@ -317,7 +317,7 @@ class FusionSystem:
     def automizer_in(self, R: Subgroup, P: Subgroup) -> tuple[Hom, ...]:
         """Aut_R(P): conjugations by elements of N_R(P), sorted on their
         images (``Hom.sort_key`` order for one domain and codomain)."""
-        return tuple(Hom(P, P, imgs, check=False)
+        return tuple(Hom(P, P, imgs)
                      for imgs in sorted(_first_conjugations(
                          P, self.base.rows(R.members), P.member_set,
                          self.base)))
@@ -552,8 +552,7 @@ def generated_subsystem(F: FusionSystem, R: Subgroup,
 @derived
 def _closure_table(top: FusionSystem, R: Subgroup, keys: frozenset) -> dict:
     """``close_morphisms`` over R, seeded by maps into R with these keys."""
-    return close_morphisms(R, [Hom(Subgroup(R.parent, d, check=False), R, i,
-                                   check=False) for d, i in keys])
+    return close_morphisms(R, [Hom(Subgroup(R.parent, d), R, i) for d, i in keys])
 
 
 # -- morphism/subsystem transport -----------------------------------------------

@@ -116,7 +116,9 @@ class FiniteGroup:
     ``group_from_columns``, which prove their table a group with
     ``cayley_columns`` and record the generating set it walked in
     ``generator_indices``; a permutation group also keeps each element's
-    permutation in ``perm_images``.
+    permutation in ``perm_images``.  Likewise ``subgroup`` validates the
+    member set it is given, while ``Subgroup`` and every subgroup the
+    package computes are trusted.
 
     The group interns its subgroups weakly: ``_subgroups`` maps a member
     tuple to a weak reference to its live ``Subgroup``.  It memoizes by
@@ -180,16 +182,31 @@ class FiniteGroup:
 
     # -- subgroups ----------------------------------------------------------
 
-    def subgroup(self, members: Iterable[int], check: bool = True) -> "Subgroup":
-        return Subgroup(self, tuple(sorted(set(members))), check=check)
+    def subgroup(self, members: Iterable[int]) -> "Subgroup":
+        """The subgroup of outside input ``members``, validated on every call:
+        ``NotAGroup`` unless they hold the identity and are closed under
+        inverses and products."""
+        mem = set(members)
+        if 0 not in mem:
+            raise NotAGroup("subgroup must contain the identity")
+        members = tuple(sorted(mem))
+        mul, inv = self._mul, self._inv
+        for a in members:
+            if inv[a] not in mem:
+                raise NotAGroup(f"subgroup not closed under inversion at {a}")
+            row = mul[a]
+            for b in members:
+                if row[b] not in mem:
+                    raise NotAGroup(f"subgroup not closed at ({a},{b})")
+        return Subgroup(self, members)
 
     @property
     def trivial_subgroup(self) -> "Subgroup":
-        return Subgroup(self, (0,), check=False)
+        return Subgroup(self, (0,))
 
     @property
     def full_subgroup(self) -> "Subgroup":
-        return Subgroup(self, tuple(range(self.order)), check=False)
+        return Subgroup(self, tuple(range(self.order)))
 
     def closure(self, seed: Iterable[int]) -> tuple[int, ...]:
         """Subgroup generated by ``seed``, as a sorted index tuple."""
@@ -244,17 +261,17 @@ class FiniteGroup:
         members = self._closures.get(key)
         if members is None:
             members = self._closures[key] = tuple(sorted(self._dimino(key)[0]))
-        return Subgroup(self, members, check=False)
+        return Subgroup(self, members)
 
 
 class Subgroup:
     """Canonical subgroup of a FiniteGroup: a sorted member index tuple.
 
-    ``Subgroup(parent, members, check)`` returns the live object ``parent``
-    interns for ``members``, or makes and interns one, so equal live
-    subgroups are the same object and compare and hash by identity.  With
-    ``check`` the members are validated as a subgroup (identity, inverses,
-    products) on every call; ``NotAGroup`` otherwise, and nothing is kept.
+    ``Subgroup(parent, members)`` returns the live object ``parent`` interns
+    for ``members``, or makes and interns one, so equal live subgroups are
+    the same object and compare and hash by identity.  It trusts
+    ``members`` to be a sorted subgroup; outside input comes in through
+    ``FiniteGroup.subgroup``, which validates it first.
     The member set, generators and positions are slots filled on first
     use, ``row`` fills the conjugation table and ``derived`` holds the
     lattice, covers and normal subgroups.  All of it lives on the object,
@@ -265,10 +282,7 @@ class Subgroup:
     __slots__ = ("parent", "members", "_member_set", "_generators",
                  "_positions", "_rows", "_derived", "__weakref__")
 
-    def __new__(cls, parent: FiniteGroup, members: tuple[int, ...],
-                check: bool = True) -> "Subgroup":
-        if check:
-            _check_subgroup(parent, members)
+    def __new__(cls, parent: FiniteGroup, members: tuple[int, ...]) -> "Subgroup":
         table = parent._subgroups
         ref = table.get(members)
         sub = ref() if ref is not None else None
@@ -374,7 +388,7 @@ class Subgroup:
         return got
 
     def conjugate(self, g: int) -> "Subgroup":
-        return Subgroup(self.parent, tuple(sorted(self.row(g))), check=False)
+        return Subgroup(self.parent, tuple(sorted(self.row(g))))
 
     def join(self, other: "Subgroup") -> "Subgroup":
         """Subgroup generated by both."""
@@ -387,8 +401,7 @@ class Subgroup:
         return self.parent.generated_subgroup(self.members + other.members)
 
     def meet(self, other: "Subgroup") -> "Subgroup":
-        return Subgroup(self.parent, tuple(sorted(self.member_set & other.member_set)),
-                        check=False)
+        return Subgroup(self.parent, tuple(sorted(self.member_set & other.member_set)))
 
     def product_set(self, other: "Subgroup") -> tuple[int, ...]:
         """The set self*other (not necessarily a subgroup), sorted."""
@@ -403,7 +416,7 @@ class Subgroup:
             return self
         if self.member_set <= other.member_set:
             return other
-        return Subgroup(self.parent, self.product_set(other), check=False)
+        return Subgroup(self.parent, self.product_set(other))
 
     def is_normal_in(self, other: "Subgroup") -> bool:
         """Is self normalized by other?  H^g = H for every g in other iff
@@ -434,22 +447,6 @@ def _forget(table: dict, members: tuple[int, ...]) -> Callable[[weakref.ref], No
         if table.get(members) is ref:
             del table[members]
     return forget
-
-
-def _check_subgroup(parent: FiniteGroup, members: tuple[int, ...]) -> None:
-    """NotAGroup unless ``members`` hold the identity and are closed under
-    inverses and products."""
-    mem = frozenset(members)
-    if 0 not in mem:
-        raise NotAGroup("subgroup must contain the identity")
-    mul, inv = parent._mul, parent._inv
-    for a in members:
-        if inv[a] not in mem:
-            raise NotAGroup(f"subgroup not closed under inversion at {a}")
-        row = mul[a]
-        for b in members:
-            if row[b] not in mem:
-                raise NotAGroup(f"subgroup not closed at ({a},{b})")
 
 
 def extend_by_generators(G: FiniteGroup, H: FiniteGroup, gens: Sequence[int],
@@ -490,19 +487,18 @@ class Hom:
     Most maps are only ever read as image keys, so the dict ``_map`` (x ->
     image) and the identity ``_key`` are slots left unset until first read
     (``__getattr__``).  Subgroups are interned, so ``_key`` holds the domain
-    and codomain objects themselves.
+    and codomain objects themselves.  The constructor trusts its images;
+    ``check_shape`` and ``validate`` are the explicit checks.
     """
 
     __slots__ = ("domain", "codomain", "images", "_map", "_key", "_image_sub")
 
     def __init__(self, domain: Subgroup, codomain: Subgroup,
-                 images: Sequence[int], check: bool = True) -> None:
+                 images: Sequence[int]) -> None:
         self.domain = domain
         self.codomain = codomain
         self.images = images if type(images) is tuple else tuple(images)
         self._image_sub: Optional[Subgroup] = None
-        if check:
-            self.validate()
 
     def __getattr__(self, name: str):
         """Fill the slot ``_map`` or ``_key`` on its first read."""
@@ -565,8 +561,7 @@ class Hom:
     def image(self) -> Subgroup:
         img = self._image_sub
         if img is None:
-            img = Subgroup(self.codomain.parent, tuple(sorted(set(self.images))),
-                           check=False)
+            img = Subgroup(self.codomain.parent, tuple(sorted(set(self.images))))
             self._image_sub = img
         return img
 
@@ -584,51 +579,50 @@ class Hom:
         return all(mp[x] == x for x in X.members)
 
     def subgroup_image(self, P: Subgroup) -> Subgroup:
-        return Subgroup(self.codomain.parent, self.apply_set(P.members), check=False)
+        return Subgroup(self.codomain.parent, self.apply_set(P.members))
 
     # -- constructions -------------------------------------------------------
 
     def then(self, other: "Hom") -> "Hom":
         """Composite: apply self first, then other (left-to-right order)."""
         mp = other._map
-        return Hom(self.domain, other.codomain,
-                   tuple(mp[y] for y in self.images), check=False)
+        return Hom(self.domain, other.codomain, tuple(mp[y] for y in self.images))
 
     def cores(self) -> "Hom":
         """Corestriction onto the image (the canonical iso form)."""
         img = self.image
         if img == self.codomain:
             return self
-        return Hom(self.domain, img, self.images, check=False)
+        return Hom(self.domain, img, self.images)
 
     def restrict_cores(self, P: Subgroup) -> "Hom":
         mp = self._map
         imgs = tuple(mp[x] for x in P.members)
-        cod = Subgroup(self.codomain.parent, tuple(sorted(imgs)), check=False)
-        return Hom(P, cod, imgs, check=False)
+        cod = Subgroup(self.codomain.parent, tuple(sorted(imgs)))
+        return Hom(P, cod, imgs)
 
     def inverse(self) -> "Hom":
         if not self.is_injective or self.image != self.codomain:
             raise NotAGroup("only isomorphisms onto the codomain invert")
         pairs = sorted(zip(self.images, self.domain.members))
-        return Hom(self.codomain, self.domain, tuple(b for _, b in pairs), check=False)
+        return Hom(self.codomain, self.domain, tuple(b for _, b in pairs))
 
     @staticmethod
     def identity(P: Subgroup) -> "Hom":
-        return Hom(P, P, P.members, check=False)
+        return Hom(P, P, P.members)
 
     @staticmethod
     def conjugation(P: Subgroup, g: int) -> "Hom":
         """c_g restricted to P and corestricted to P^g: x -> g^-1 x g; the
         images are the row of g in P's table."""
         imgs = P.row(g)
-        return Hom(P, Subgroup(P.parent, tuple(sorted(imgs)), check=False),
-                   imgs, check=False)
+        return Hom(P, Subgroup(P.parent, tuple(sorted(imgs))), imgs)
 
     @staticmethod
     def from_generator_images(domain: Subgroup, codomain: Subgroup,
                               gens: Sequence[int], images: Sequence[int]) -> "Hom":
-        """Extend gen -> image multiplicatively over <gens> = domain (validated)."""
+        """Extend gen -> image multiplicatively over <gens> = domain, for
+        outside input: the map is checked by ``validate``."""
         if len(gens) != len(images):
             raise NotAGroup("generator and image counts differ")
         mp = extend_by_generators(domain.parent, codomain.parent, gens, images)
@@ -636,7 +630,7 @@ class Hom:
             raise NotAGroup("generator images are inconsistent")
         if set(mp) != domain.member_set:
             raise NotAGroup("generators do not generate the domain")
-        return Hom(domain, codomain, tuple(mp[x] for x in domain.members), check=True)
+        return Hom(domain, codomain, tuple(mp[x] for x in domain.members)).validate()
 
 
 class Twist:
@@ -676,7 +670,7 @@ def normalizer(ambient: Subgroup, H: Subgroup, base: Subgroup) -> Subgroup:
     of_gens = picker([at[x] for x in H.generators])
     keys = map(of_gens, base.rows(ambient.members))
     out = compress(ambient.members, map(mem.issuperset, keys))
-    return Subgroup(ambient.parent, tuple(out), check=False)
+    return Subgroup(ambient.parent, tuple(out))
 
 
 def centralizer(ambient: Subgroup, H: Subgroup, base: Subgroup) -> Subgroup:
@@ -688,7 +682,7 @@ def centralizer(ambient: Subgroup, H: Subgroup, base: Subgroup) -> Subgroup:
     of_gens = picker([at[x] for x in gens])
     keys = map(of_gens, base.rows(ambient.members))
     out = compress(ambient.members, map(gens.__eq__, keys))
-    return Subgroup(ambient.parent, tuple(out), check=False)
+    return Subgroup(ambient.parent, tuple(out))
 
 
 def center(ambient: Subgroup) -> Subgroup:
@@ -700,7 +694,7 @@ def sylow_subgroup(ambient: Subgroup, p: int) -> Subgroup:
     the least P^g over every g of ambient."""
     P = _sylow_search(ambient, p)
     best = min(tuple(sorted(P.row(g))) for g in ambient.members)
-    return Subgroup(ambient.parent, best, check=False)
+    return Subgroup(ambient.parent, best)
 
 
 def _sylow_search(ambient: Subgroup, p: int) -> Subgroup:
@@ -722,7 +716,7 @@ def _sylow_search(ambient: Subgroup, p: int) -> Subgroup:
     walk finds one."""
     G = ambient.parent
     target = p_part(ambient.order, p)
-    P = Subgroup(G, (0,), check=False)
+    P = Subgroup(G, (0,))
     while P.order < target:
         mem = P.member_set
         for g in ambient.members:
@@ -750,7 +744,7 @@ def core(ambient: Subgroup, P: Subgroup) -> Subgroup:
         cut = mem.intersection(*C.rows(ambient.generators))
         if len(cut) == len(mem):
             return C
-        C = Subgroup(ambient.parent, tuple(sorted(cut)), check=False)
+        C = Subgroup(ambient.parent, tuple(sorted(cut)))
 
 
 def o_p(ambient: Subgroup, p: int) -> Subgroup:
@@ -781,7 +775,7 @@ def o_upper_p(ambient: Subgroup, p: int) -> Subgroup:
     """O^p: the subgroup generated by all p'-elements."""
     G = ambient.parent
     gens = [g for g in ambient.members if G.element_order(g) % p != 0]
-    sub = G.generated_subgroup(gens) if gens else Subgroup(G, (0,), check=False)
+    sub = G.generated_subgroup(gens) if gens else Subgroup(G, (0,))
     return sub
 
 
@@ -841,7 +835,7 @@ def quotient(ambient: Subgroup, N: Subgroup) -> QuotientGroup:
     if coset_of[0] != 0:
         raise NotAGroup("identity coset mislabeled")
     proj = Hom(ambient, Q.full_subgroup,
-               tuple(coset_of[g] for g in ambient.members), check=False)
+               tuple(coset_of[g] for g in ambient.members))
     return QuotientGroup(Q, proj, N)
 
 
@@ -854,7 +848,7 @@ def as_group(H: Subgroup, name: Optional[str] = None) -> tuple[FiniteGroup, Hom]
     pick = picker(H.members)
     table = [list(map(index_of, pick(G._mul[a]))) for a in H.members]
     grp = FiniteGroup(name or f"{G.name}|{H.order}", table)
-    embed = Hom(grp.full_subgroup, H, H.members, check=False)
+    embed = Hom(grp.full_subgroup, H, H.members)
     return grp, embed
 
 
@@ -906,7 +900,7 @@ def subgroup_lattice(H: Subgroup) -> tuple[Subgroup, ...]:
         for _ in range(p - 1):
             y = mul[y][x]
         to_p[x] = y
-    trivial = Subgroup(G, (0,), check=False)
+    trivial = Subgroup(G, (0,))
     seen: dict[tuple[int, ...], Subgroup] = {trivial.members: trivial}
     frontier = [trivial]
     while frontier:
@@ -926,7 +920,7 @@ def subgroup_lattice(H: Subgroup) -> tuple[Subgroup, ...]:
                 done.update(elems)
                 mem = tuple(sorted(elems))
                 if mem not in seen:
-                    seen[mem] = bigger = Subgroup(G, mem, check=False)
+                    seen[mem] = bigger = Subgroup(G, mem)
                     new.append(bigger)
                     if len(seen) > cap:
                         raise CapExceeded(
@@ -995,7 +989,7 @@ def normal_subgroups(ambient: Subgroup) -> tuple[Subgroup, ...]:
     cached = ambient.derived.get("normals")
     if cached is not None:
         return cached
-    trivial = Subgroup(ambient.parent, (0,), check=False)
+    trivial = Subgroup(ambient.parent, (0,))
     out = ambient.derived["normals"] = tuple(sorted(
         normal_joins(ambient, trivial, lambda _: True), key=Subgroup.sort_key))
     return out

@@ -128,7 +128,7 @@ def _verify_model(F: FusionSystem, M: FiniteGroup, sigma: Hom) -> None:
     FM = fusion_of_group(M, Ssig, p)
     moved = transport_isos(F, sigma)
     bad = [mem for mem, keys in moved.items()
-           if FM._keys_from(Subgroup(M, mem, check=False)) != keys]
+           if FM._keys_from(Subgroup(M, mem)) != keys]
     if bad:
         P = min(bad, key=lambda mem: (-len(mem), mem))
         raise VerificationFailed(
@@ -177,7 +177,7 @@ def model_on(F: FusionSystem, Q: Subgroup) -> Model:
         qt = quotient(Hgrp.full_subgroup, K)
         M = qt.group
         images = [qt.projection(back[x]) for x in F.support.members]
-    sigma = Hom(F.support, M.full_subgroup, tuple(images), check=False)
+    sigma = Hom(F.support, M.full_subgroup, tuple(images))
     _verify_model(F, M, sigma)
     return Model(M, sigma)
 
@@ -223,7 +223,7 @@ def normal_model(F: FusionSystem, model: Model, E: FusionSystem) -> Subgroup:
         if N.member_set & Ssig.member_set != Tsig.member_set:
             continue
         EN = FusionSystem(Tsig, p, witness=N)
-        if all(EN._keys_from(Subgroup(M, mem, check=False)) == keys
+        if all(EN._keys_from(Subgroup(M, mem)) == keys
                for mem, keys in target.items()):
             hits.append(N)
     if not hits:

@@ -184,7 +184,7 @@ def _read_record(G: FiniteGroup, classes: list, maps: list[Hom]
     multiplicativity (``_validate``)."""
 
     def record_map(domain: Subgroup, codomain: Subgroup, images: list) -> Hom:
-        h = Hom(domain, codomain, _ints(images), check=False).check_shape()
+        h = Hom(domain, codomain, _ints(images)).check_shape()
         maps.append(h)
         return h
 

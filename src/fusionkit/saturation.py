@@ -174,7 +174,7 @@ def classify(F: FusionSystem) -> SubgroupClassification:
                 len(F.automorphisms(P)), F.p):
             fully_a.add(P.members)
         of_members = picker([at[x] for x in P.members])
-        inner = [mg.index_of(Hom(P, P, of_members(base.row(g)), check=False))
+        inner = [mg.index_of(Hom(P, P, of_members(base.row(g))))
                  for g in P.generators]
         if P.members in centric and (o_p(mg.group.full_subgroup, F.p)
                                      == mg.group.generated_subgroup(inner)):
@@ -239,8 +239,7 @@ def _extension_groups(F: FusionSystem, P: Subgroup,
         if got is None:
             inside = (block for i, block in enumerate(blocks) if mask >> i & 1)
             got = made[mask] = Subgroup(
-                F.universe, tuple(sorted(chain.from_iterable(inside))),
-                check=False)
+                F.universe, tuple(sorted(chain.from_iterable(inside))))
         return got
 
     return n_phi
@@ -349,8 +348,7 @@ def _reachable(F: FusionSystem, P: Subgroup, family: Sequence[Subgroup],
                 if new not in reached:
                     reached.add(new)
                     if paths is not None:
-                        stage = Subgroup(F.universe, tuple(sorted(images)),
-                                         check=False)
+                        stage = Subgroup(F.universe, tuple(sorted(images)))
                         paths[new] = (images, FactorStep(R, a, stage))
                     queue.append(new)
     return reached, paths

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .errors import NotNormal, NotStronglyClosed, NotSylow, VerificationFailed
+from .errors import NotAGroup, NotNormal, NotStronglyClosed, NotSylow, VerificationFailed
 from .fusion import (FusionSystem, derived, full_subcategory,
                      generated_subsystem, realized_subsystem, subsystem_equal)
 from .groups import (Hom, Subgroup, Twist, center, centralizer, normalizer,
@@ -147,7 +147,9 @@ def _stability(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     The alpha with E^alpha = E contain the identity and are closed under
     composition, since E^(alpha beta) = (E^alpha)^beta, so the loop runs
     over a generating set of Aut_F(T) when its keys are closed
-    (``saturation.key_generators``), and over every alpha otherwise.
+    (``saturation.key_generators``), and over every alpha otherwise.  An
+    alpha in F's table that is no homomorphism can carry P to a set that is
+    no subgroup; that is ``NotAGroup``.
     """
     T = E.support
     alphas = F.automorphisms(T)
@@ -157,6 +159,9 @@ def _stability(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     for alpha in (alphas if gens is None else gens):
         for P in subs:
             twist = Twist(alpha, P)
+            if twist.target not in by_members:
+                raise NotAGroup(f"alpha {list(alpha.images)} carries P "
+                                f"{list(P.members)} to no subgroup")
             keys = E._keys_from(by_members[twist.target])
             for phi in E.isos_from(P):
                 if twist.images(phi.images) not in keys:
@@ -315,14 +320,12 @@ def bounded_extensions(F: FusionSystem, T: Subgroup, bound: Subgroup
 
 
 def extension_witness(F: FusionSystem, alpha: Hom, bound: Subgroup,
-                      fixed: Optional[Subgroup] = None) -> Optional[Hom]:
+                      fixed: Subgroup) -> Optional[Hom]:
     """The first ext in Aut_F(TC_S(T)), T = dom alpha, with ext|_T = alpha,
     [C_S(T), ext] <= bound and ext|_fixed = id, or None.  The last test is
     on ``fixed``: one outside TC_S(T) raises KeyError there."""
-    for ext in bounded_extensions(F, alpha.domain, bound)(alpha):
-        if fixed is None or ext.fixes_pointwise(fixed):
-            return ext
-    return None
+    return next((ext for ext in bounded_extensions(F, alpha.domain, bound)(alpha)
+                 if ext.fixes_pointwise(fixed)), None)
 
 
 def _extension_property(F: FusionSystem, E: FusionSystem,

@@ -109,7 +109,7 @@ def make_scenarios(env: Env) -> dict:
         refl = next(P for P in subgroup_lattice(T)
                     if P.order == 2 and P != z and not P.is_normal_in(T))
         bogus = Hom(refl, z, tuple(z.members[i] for i, _ in
-                                   enumerate(refl.members)), check=True)
+                                   enumerate(refl.members))).validate()
         return _caught(lambda: verify_ffef(F, with_added_iso(E, bogus, close=True)))
 
     def wellknown():

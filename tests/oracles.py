@@ -91,7 +91,7 @@ def subgroup_lattice_bruteforce(H: Subgroup) -> tuple[Subgroup, ...]:
             mset = set(mem)
             if all(G.inv(a) in mset and G.mul(a, b) in mset
                    for a in mem for b in mem):
-                out.append(Subgroup(G, tuple(sorted(mem)), check=False))
+                out.append(Subgroup(G, tuple(sorted(mem))))
     return tuple(sorted(out, key=Subgroup.sort_key))
 
 
@@ -133,10 +133,10 @@ def product_group(A: FiniteGroup, B: FiniteGroup, cap: Optional[int] = None,
                     row[base + b2] = pa + mb[b2]
     P = FiniteGroup(name or f"{A.name}x{B.name}", table)
     full = P.full_subgroup
-    iota_a = Hom(A.full_subgroup, full, tuple(a * nb for a in range(A.order)), check=False)
-    iota_b = Hom(B.full_subgroup, full, tuple(range(B.order)), check=False)
-    proj_a = Hom(full, A.full_subgroup, tuple(i // nb for i in range(n)), check=False)
-    proj_b = Hom(full, B.full_subgroup, tuple(i % nb for i in range(n)), check=False)
+    iota_a = Hom(A.full_subgroup, full, tuple(a * nb for a in range(A.order)))
+    iota_b = Hom(B.full_subgroup, full, tuple(range(B.order)))
+    proj_a = Hom(full, A.full_subgroup, tuple(i // nb for i in range(n)))
+    proj_b = Hom(full, B.full_subgroup, tuple(i % nb for i in range(n)))
     return P, iota_a, iota_b, proj_a, proj_b
 
 
@@ -236,8 +236,7 @@ def normalizer_literal(ambient: Subgroup, H: Subgroup) -> Subgroup:
     G = ambient.parent
     mem = H.member_set
     return Subgroup(G, tuple(g for g in ambient.members
-                             if all(G.conj(x, g) in mem for x in H.members)),
-                    check=False)
+                             if all(G.conj(x, g) in mem for x in H.members)))
 
 
 def centralizer_literal(ambient: Subgroup, H: Subgroup) -> Subgroup:
@@ -245,8 +244,7 @@ def centralizer_literal(ambient: Subgroup, H: Subgroup) -> Subgroup:
     mul = ambient.parent._mul
     return Subgroup(ambient.parent,
                     tuple(g for g in ambient.members
-                          if all(mul[g][x] == mul[x][g] for x in H.members)),
-                    check=False)
+                          if all(mul[g][x] == mul[x][g] for x in H.members)))
 
 
 def is_normal_in_literal(H: Subgroup, K: Subgroup) -> bool:
@@ -271,7 +269,7 @@ def automizer_in_literal(F: FusionSystem, R: Subgroup,
     for g in R.members:
         imgs = tuple(conj(x, g) for x in P.members)
         if imgs not in found and set(imgs) == pset:
-            found[imgs] = Hom(P, P, imgs, check=False)
+            found[imgs] = Hom(P, P, imgs)
     return tuple(sorted(found.values(), key=Hom.sort_key))
 
 
@@ -285,8 +283,8 @@ def isos_from_literal(F: FusionSystem, P: Subgroup) -> tuple[Hom, ...]:
     for w in F.witness.members:
         imgs = tuple(conj(x, w) for x in P.members)
         if imgs not in found and set(imgs) <= supp:
-            cod = Subgroup(F.universe, tuple(sorted(imgs)), check=False)
-            found[imgs] = Hom(P, cod, imgs, check=False)
+            cod = Subgroup(F.universe, tuple(sorted(imgs)))
+            found[imgs] = Hom(P, cod, imgs)
     return tuple(sorted(found.values(), key=Hom.sort_key))
 
 
@@ -300,8 +298,7 @@ def extension_group_literal(F: FusionSystem, phi: Hom) -> Subgroup:
     keys = {h.images for h in automizer_in_literal(F, F.support, Q)}
     return Subgroup(F.universe, tuple(
         g for g in normalizer_literal(F.support, P).members
-        if tuple(phi(conj(back[y], g)) for y in Q.members) in keys),
-        check=False)
+        if tuple(phi(conj(back[y], g)) for y in Q.members) in keys))
 
 
 def extend_morphism(F: FusionSystem, phi: Hom, U: Subgroup) -> Optional[Hom]:
@@ -317,8 +314,8 @@ def normal_subgroups_literal(ambient: Subgroup) -> tuple[Subgroup, ...]:
     for g in ambient.members:
         if g != 0:
             mem = closure_literal(G, {G.conj(g, h) for h in ambient.members})
-            atoms.setdefault(mem, Subgroup(G, mem, check=False))
-    found = {(0,): Subgroup(G, (0,), check=False)}
+            atoms.setdefault(mem, Subgroup(G, mem))
+    found = {(0,): Subgroup(G, (0,))}
     frontier = list(found.values())
     while frontier:
         new = []
@@ -326,7 +323,7 @@ def normal_subgroups_literal(ambient: Subgroup) -> tuple[Subgroup, ...]:
             for atom in atoms.values():
                 mem = closure_literal(G, sub.members + atom.members)
                 if mem not in found:
-                    found[mem] = Subgroup(G, mem, check=False)
+                    found[mem] = Subgroup(G, mem)
                     new.append(found[mem])
         frontier = new
     return tuple(sorted(found.values(), key=Subgroup.sort_key))
@@ -337,12 +334,12 @@ def subgroup_lattice_literal(H: Subgroup) -> tuple[Subgroup, ...]:
     with them until nothing new appears, each join a fresh closure of the
     members of both."""
     G = H.parent
-    seen: dict[tuple[int, ...], Subgroup] = {(0,): Subgroup(G, (0,), check=False)}
+    seen: dict[tuple[int, ...], Subgroup] = {(0,): Subgroup(G, (0,))}
     cyclics: list[tuple[int, ...]] = []
     for g in H.members:
         mem = G.closure((g,))
         if mem not in seen:
-            seen[mem] = Subgroup(G, mem, check=False)
+            seen[mem] = Subgroup(G, mem)
             cyclics.append(mem)
     frontier = list(seen.values())
     while frontier:
@@ -353,7 +350,7 @@ def subgroup_lattice_literal(H: Subgroup) -> tuple[Subgroup, ...]:
                     continue
                 mem = G.closure(sub.members + cyc)
                 if mem not in seen:
-                    seen[mem] = Subgroup(G, mem, check=False)
+                    seen[mem] = Subgroup(G, mem)
                     new.append(seen[mem])
         frontier = new
     return tuple(sorted(seen.values(), key=Subgroup.sort_key))
@@ -546,7 +543,7 @@ def _extension_group(F: FusionSystem, phi: Hom, n_s_p: Subgroup,
     G = F.universe
     out = [g for g in n_s_p.members
            if tuple(G.conj(x, g) for x in pre) in pulled]
-    return Subgroup(G, tuple(out), check=False)
+    return Subgroup(G, tuple(out))
 
 
 def saturation_report_literal(F: FusionSystem) -> SaturationReport:
@@ -740,11 +737,11 @@ def induced_by_some_pair(D: FusionSystem, F1: FusionSystem, F2: FusionSystem,
     s2set = F2.support.member_set
     cand1 = tuple(sorted(x1 for x1 in F1.support.members
                          if any(mul[inv[x1]][p] in s2set for p in Pp.members)))
-    P1max = Subgroup(G, cand1, check=False)
+    P1max = Subgroup(G, cand1)
     s1set = F1.support.member_set
     cand2 = tuple(sorted(x2 for x2 in F2.support.members
                          if any(mul[p][inv[x2]] in s1set for p in Pp.members)))
-    P2max = Subgroup(G, cand2, check=False)
+    P2max = Subgroup(G, cand2)
     pset = Pp.member_set
     for P1 in subgroup_lattice(P1max):
         for phi1 in F1.isos_from(P1):
@@ -816,9 +813,9 @@ def from_pairs(parent: FiniteGroup,
     if len(image) != len(mp):
         return None
     members = tuple(sorted(mp))
-    return Hom(Subgroup(parent, members, check=False),
-               Subgroup(parent, tuple(sorted(image)), check=False),
-               tuple(mp[x] for x in members), check=False)
+    return Hom(Subgroup(parent, members),
+               Subgroup(parent, tuple(sorted(image))),
+               tuple(mp[x] for x in members))
 
 
 def push(h: Hom, sigma: Hom) -> Optional[Hom]:
@@ -946,7 +943,7 @@ def core_literal(ambient: Subgroup, P: Subgroup) -> Subgroup:
     members = set(P.members)
     for g in ambient.members:
         members &= {G.conj(x, g) for x in P.members}
-    return Subgroup(G, tuple(sorted(members)), check=False)
+    return Subgroup(G, tuple(sorted(members)))
 
 
 def sylow_search_literal(ambient: Subgroup, p: int) -> Subgroup:
@@ -956,7 +953,7 @@ def sylow_search_literal(ambient: Subgroup, p: int) -> Subgroup:
     which P<g_p> is a larger p-group."""
     G = ambient.parent
     target = p_part(ambient.order, p)
-    P = Subgroup(G, (0,), check=False)
+    P = Subgroup(G, (0,))
     while P.order < target:
         for g in normalizer_literal(ambient, P).members:
             k = G.element_order(g)
@@ -965,7 +962,7 @@ def sylow_search_literal(ambient: Subgroup, p: int) -> Subgroup:
             gp = G.power(g, k // p_part(k, p))
             if gp in P:
                 continue
-            Q = Subgroup(G, closure_literal(G, P.members + (gp,)), check=False)
+            Q = Subgroup(G, closure_literal(G, P.members + (gp,)))
             if Q.order == p_part(Q.order, p) and Q.order > P.order:
                 P = Q
                 break
@@ -978,14 +975,13 @@ def derived_subgroup_literal(ambient: Subgroup) -> Subgroup:
     """[G, G]: the closure of the commutators of all |G|^2 pairs."""
     G = ambient.parent
     return Subgroup(G, closure_literal(G, {G.commutator(x, y) for x in ambient.members
-                                           for y in ambient.members}),
-                    check=False)
+                                           for y in ambient.members}))
 
 
 def o_p_prime_literal(ambient: Subgroup, p: int) -> Subgroup:
     """O_{p'}: the largest member of order prime to p in the walk over
     every normal subgroup."""
-    best = Subgroup(ambient.parent, (0,), check=False)
+    best = Subgroup(ambient.parent, (0,))
     for N in normal_subgroups(ambient):
         if N.order % p != 0 and N.order > best.order:
             best = N
@@ -1027,8 +1023,7 @@ def model_on_o_p_literal(F: FusionSystem) -> Model:
     M = qt.group
     back = {g: i for i, g in enumerate(H.members)}
     sigma = Hom(F.support, M.full_subgroup,
-                tuple(qt.projection(back[x]) for x in F.support.members),
-                check=False)
+                tuple(qt.projection(back[x]) for x in F.support.members))
     verify_model_literal(F, M, sigma)
     return Model(M, sigma)
 
@@ -1051,7 +1046,7 @@ def normal_model_literal(F: FusionSystem, model: Model, E: FusionSystem) -> Subg
         if N.member_set & Ssig.member_set != Tsig.member_set:
             continue
         EN = FusionSystem(Tsig, p, witness=N)
-        if all(EN._keys_from(Subgroup(M, mem, check=False)) == keys
+        if all(EN._keys_from(Subgroup(M, mem)) == keys
                for mem, keys in target.items()):
             hits.append(N)
     if not hits:
@@ -1072,7 +1067,7 @@ def r_star_on_o_p_literal(F: FusionSystem, E: FusionSystem
     CSN = centralizer_literal(model.sylow_image, N)
     members = tuple(x for x in F.support.members
                     if model.sigma(x) in CSN.member_set)
-    return Subgroup(F.universe, members, check=False), model, N
+    return Subgroup(F.universe, members), model, N
 
 
 def _close_partial(G1: FiniteGroup, G2: FiniteGroup,
@@ -1141,6 +1136,9 @@ def stability_literal(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     for alpha in F.automorphisms(T):
         for P in subs:
             twist = Twist(alpha, P)
+            if twist.target not in by_members:
+                raise NotAGroup(f"alpha {list(alpha.images)} carries P "
+                                f"{list(P.members)} to no subgroup")
             keys = E._keys_from(by_members[twist.target])
             for phi in E.isos_from(P):
                 if twist.images(phi.images) not in keys:
@@ -1240,16 +1238,12 @@ def direct_product(F1: FusionSystem, F2: FusionSystem) -> DirectProduct:
                              for x1 in P1.members for x2 in P2.members)))
     system = generated_fusion_system(full, F1.p, gens,
                                      name=f"{F1.name}x{F2.name}")
-    iota1 = Hom(F1.support, full, tuple(pack(x, 0) for x in F1.support.members),
-                check=False)
-    iota2 = Hom(F2.support, full, tuple(pack(0, x) for x in F2.support.members),
-                check=False)
+    iota1 = Hom(F1.support, full, tuple(pack(x, 0) for x in F1.support.members))
+    iota2 = Hom(F2.support, full, tuple(pack(0, x) for x in F2.support.members))
     pi1 = Hom(full, F1.support,
-              tuple(F1.support.members[i // nb] for i in range(PG.order)),
-              check=False)
+              tuple(F1.support.members[i // nb] for i in range(PG.order)))
     pi2 = Hom(full, F2.support,
-              tuple(F2.support.members[i % nb] for i in range(PG.order)),
-              check=False)
+              tuple(F2.support.members[i % nb] for i in range(PG.order)))
     hat1 = FusionSystem(iota1.image, F1.p, explicit=keys_of(transport_isos_literal(F1, iota1)),
                         ambient=system, name="hat1")
     hat2 = FusionSystem(iota2.image, F2.p, explicit=keys_of(transport_isos_literal(F2, iota2)),

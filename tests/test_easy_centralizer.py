@@ -107,7 +107,7 @@ def test_hom_removed_mutants(taus):
             T = E.support
             CST = centralizer(F.support, T, F.table_for(T))
             for X in subgroup_lattice(CST):
-                XT = Subgroup(F.universe, X.product_set(T), check=False)
+                XT = Subgroup(F.universe, X.product_set(T))
                 agree(without_first_map(F, XT), E, seen)
             for P in E.subgroups():
                 agree(F, without_first_map(E, P), seen)
@@ -146,7 +146,7 @@ def bogus_systems(F, pairs, fixing_T: bool):
         T = E.support
         CST = centralizer(F.support, T, F.table_for(T))
         for X in subgroup_lattice(CST):
-            XT = Subgroup(F.universe, X.product_set(T), check=False)
+            XT = Subgroup(F.universe, X.product_set(T))
             known = F._keys_from(XT)
             fixed = T if fixing_T else F.universe.trivial_subgroup
             for h in injections(XT, F.support, fixed):

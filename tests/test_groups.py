@@ -48,7 +48,7 @@ class TestStructures:
 
     def test_subgroup_rejects_non_closed(self, s4):
         with pytest.raises(NotAGroup):
-            Subgroup(s4, (0, 1, 2))
+            s4.subgroup((0, 1, 2))
 
     def test_not_a_group_table(self):
         # Latin square (addition mod 3 with a transposition applied) fails.

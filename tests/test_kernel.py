@@ -59,7 +59,7 @@ def check_generators(H: Subgroup) -> None:
     assert set(gens) <= H.member_set
     assert G.closure(gens) == H.members
     assert 2 ** len(gens) <= H.order
-    assert Subgroup(G, H.members, check=False) is H
+    assert Subgroup(G, H.members) is H
 
 
 def check_table(A: Subgroup) -> None:
@@ -208,27 +208,27 @@ def test_picker_of_no_positions():
 
 def test_slotted_subgroup():
     """The slotted Subgroup is interned, one per (group, member tuple):
-    every construction of a member tuple, checked or not, is the same
-    object, and check=True still validates on every call, also for a tuple
-    already made unchecked."""
+    every construction of a member tuple, trusted or validated, is the same
+    object, and ``G.subgroup`` validates on every call, also for a tuple
+    already made trusted."""
     G = builtin_group("s4")
     H = sylow_subgroup(G.full_subgroup, 2)
     with pytest.raises(NotAGroup, match="identity"):
-        Subgroup(G, H.members[1:])
+        G.subgroup(H.members[1:])
     with pytest.raises(NotAGroup, match="closed"):
-        Subgroup(G, (0,) + tuple(x for x in H.members if x != 0)[:2])
-    a, b = Subgroup(G, H.members), Subgroup(G, H.members, check=False)
+        G.subgroup((0,) + tuple(x for x in H.members if x != 0)[:2])
+    a, b = G.subgroup(H.members), Subgroup(G, H.members)
     assert a is b is H and a == H and hash(a) == hash(H)
     assert G.subgroup(reversed(H.members)) is H
     assert G.generated_subgroup(H.generators) is H
     assert a != G.full_subgroup and G.full_subgroup is G.full_subgroup
     assert not hasattr(a, "__dict__")
     bad = (0,) + tuple(x for x in H.members if x != 0)[:2]
-    Subgroup(G, bad, check=False)          # trusted, so kept
+    kept = Subgroup(G, bad)                # trusted, so kept
     with pytest.raises(NotAGroup, match="closed"):
-        Subgroup(G, bad)
-    assert (Subgroup(builtin_group("c2"), (0,), check=False)
-            is not G.trivial_subgroup)
+        G.subgroup(bad)
+    assert Subgroup(G, bad) is kept
+    assert Subgroup(builtin_group("c2"), (0,)) is not G.trivial_subgroup
 
 
 def test_closure_is_memoized_by_seed_set():
@@ -328,7 +328,7 @@ def test_held_subgroups_outlive_the_suite_and_nothing_else_does():
     assert live_subgroups(G) == [V, T]
     results = run_suite("s4@2", G, 2)
     assert results and all(r.passed for r in results)
-    assert Subgroup(G, V.members) is V and Subgroup(G, T.members, check=False) is T
+    assert Subgroup(G, V.members) is V and Subgroup(G, T.members) is T
     held = {V, T}
     for got in (*V.derived.values(), *T.derived.values()):
         held.update(K for K in got if isinstance(K, Subgroup))
@@ -371,7 +371,7 @@ def test_a_dead_reference_drops_only_its_own_entry():
     interns a newer subgroup of the same members."""
     G = builtin_group("c2")
     table: dict = {}
-    H = Subgroup(G, (0, 1), check=False)
+    H = Subgroup(G, (0, 1))
     old, new = (weakref.ref(H, lambda ref: None) for _ in range(2))
     table[H.members] = new
     _forget(table, H.members)(old)

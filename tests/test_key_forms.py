@@ -226,8 +226,7 @@ def test_pushes_that_disagree_on_the_meet_are_rejected(monkeypatch):
     C4 = next(P for P in F.subgroups() if P.order == 4 and P is not V)
     b2 = next(x for x in C4.members if G.element_order(x) == 2)
     a = next(x for x in V.members if x not in C4.member_set and x != 0)
-    swap = Hom(V, V, tuple({b2: a, a: b2}.get(x, x) for x in V.members),
-               check=True)
+    swap = Hom(V, V, tuple({b2: a, a: b2}.get(x, x) for x in V.members)).validate()
     F2 = with_replaced_isos(F, V, list(F.isos_from(V)) + [swap])
     c_s_of = centralizers.c_s_of
     monkeypatch.setattr(centralizers, "c_s_of", lambda X, E: c_s_of(
@@ -317,15 +316,14 @@ def test_closure_rejects_what_leaves_the_support(d8):
     small = next(P for P in subgroup_lattice(S) if P.order == 4)
     z = next(x for x in small.members if d8.element_order(x) == 2)
     y = next(x for x in S.members if x not in small and d8.element_order(x) == 2)
-    bad_domain = Hom(S, S, S.members, check=False)
-    bad_image = Hom(d8.subgroup([0, z]), d8.subgroup([0, y]), (0, y), check=False)
+    bad_domain = Hom(S, S, S.members)
+    bad_image = Hom(d8.subgroup([0, z]), d8.subgroup([0, y]), (0, y))
     cyclic = next(P for P in subgroup_lattice(S) if P.order == 4
                   and any(d8.element_order(x) == 4 for x in P.members))
     a = next(x for x in cyclic.members if d8.element_order(x) == 4)
     a2 = d8.mul(a, a)
     swap = {a: a2, a2: a}
-    not_a_hom = Hom(cyclic, cyclic, tuple(swap.get(x, x) for x in cyclic.members),
-                    check=False)
+    not_a_hom = Hom(cyclic, cyclic, tuple(swap.get(x, x) for x in cyclic.members))
     for closure in (close_morphisms, close_morphisms_literal):
         with pytest.raises(MorphismOutsideSupport):
             closure(small, [bad_domain])
@@ -446,7 +444,7 @@ def mutants(F: FusionSystem) -> list[FusionSystem]:
     small = [P for P in F.subgroups() if P.order == F.p]
     if small:
         P = small[0]
-        trivial = Hom(P, G.trivial_subgroup, (0,) * P.order, check=False)
+        trivial = Hom(P, G.trivial_subgroup, (0,) * P.order)
         out.append(with_replaced_isos(F, P, F.isos_from(P) + (trivial,)))
     if len(F.subgroups()) > 1:
         explicit = keys_of(F.materialize())

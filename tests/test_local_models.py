@@ -47,7 +47,7 @@ def outcome(f, *args):
     """``f(*args)``, or the type and message of the error it raises."""
     try:
         return f(*args)
-    except (FusionkitError, KeyError) as exc:
+    except FusionkitError as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -126,7 +126,7 @@ def _swap(T):
     m = list(T.members)
     if len(m) > 2:
         m[1], m[2] = m[2], m[1]
-    return Hom(T, T, tuple(m), check=False)
+    return Hom(T, T, tuple(m))
 
 
 def report_clauses_agree(F, E, seen: Counter) -> None:

@@ -203,8 +203,7 @@ class TestIsomorphismSearch:
         theta = Hom.from_generator_images(S, S, [r, refl],
                                           [r, s4.mul(r, refl)])
         twisted = Model(m.group, Hom(S, m.group.full_subgroup,
-                                     tuple(m.sigma(theta(x)) for x in S.members),
-                                     check=False))
+                                     tuple(m.sigma(theta(x)) for x in S.members)))
         assert not models_isomorphic_over_s(F_s4, m, twisted)
 
 
@@ -220,7 +219,7 @@ def agree(G1, G2, pins):
     assert (got is None) == (find_isomorphism_literal(G1, G2, pins) is None)
     if got is not None:
         iso = Hom(G1.full_subgroup, G2.full_subgroup,
-                  tuple(got[x] for x in range(G1.order)), check=True)
+                  tuple(got[x] for x in range(G1.order))).validate()
         assert iso.is_injective
         assert all(got[x] == y for x, y in pins.items())
     return got is not None

@@ -61,11 +61,11 @@ def literal_load(payload):
     for entry in payload["classes"]:
         rep = G.subgroup(entry["rep"])
         for images in entry["aut_generators"]:
-            seeds.append(Hom(rep, rep, images, check=True))
+            seeds.append(Hom(rep, rep, images).validate())
         for bridge in entry["bridges"]:
             member = G.subgroup(bridge["member"])
-            seeds.append(Hom(rep, member, bridge["from_rep"], check=True))
-            seeds.append(Hom(member, rep, bridge["to_rep"], check=True))
+            seeds.append(Hom(rep, member, bridge["from_rep"]).validate())
+            seeds.append(Hom(member, rep, bridge["to_rep"]).validate())
     rebuilt = FusionSystem(S, p,
                            explicit=keys_of(close_morphisms_literal(S, seeds)))
     if not subsystem_equal(rebuilt, fresh):
@@ -454,11 +454,11 @@ def test_full_witness_is_not_rechecked(edit, tmp_path, monkeypatch):
     checked = []
     subgroup = FiniteGroup.subgroup
 
-    def counted(self, members, check=True):
+    def counted(self, members):
         members = list(members)
-        if check and len(set(members)) == self.order:
+        if len(set(members)) == self.order:
             checked.append(members)
-        return subgroup(self, members, check)
+        return subgroup(self, members)
 
     monkeypatch.setattr(FiniteGroup, "subgroup", counted)
     F = load_system(path)

@@ -57,7 +57,7 @@ class TestDirectProduct:
         FR = fusion_of_group(realized, S, 2)
         # compare through the support isomorphism (packed index -> element)
         iso = Hom(dp.system.support, S,
-                  tuple(sorted_match(dp, FR)), check=True)
+                  tuple(sorted_match(dp, FR))).validate()
         moved = transported_system(dp.system, iso)
         assert subsystem_equal(moved, FR)
 
@@ -77,7 +77,7 @@ class TestDirectProduct:
         realized = builtin_group("s4xc2")
         S = sylow_subgroup(realized.full_subgroup, 2)
         FR = fusion_of_group(realized, S, 2)
-        iso = Hom(dp.system.support, S, tuple(sorted_match(dp, FR)), check=True)
+        iso = Hom(dp.system.support, S, tuple(sorted_match(dp, FR))).validate()
         assert subsystem_equal(transported_system(dp.system, iso), FR)
 
     def test_a4_times_a4_matches_realized(self, F_a4):
@@ -85,7 +85,7 @@ class TestDirectProduct:
         realized = builtin_group("a4xa4")
         S = sylow_subgroup(realized.full_subgroup, 2)
         FR = fusion_of_group(realized, S, 2)
-        iso = Hom(dp.system.support, S, tuple(sorted_match(dp, FR)), check=True)
+        iso = Hom(dp.system.support, S, tuple(sorted_match(dp, FR))).validate()
         assert subsystem_equal(transported_system(dp.system, iso), FR)
 
     def test_saturated_when_factors_are(self, F_a4, F_c2):
@@ -131,7 +131,7 @@ class TestInducedFunctors:
         dp = direct_product(F_a4, F_c2)
         ker = Subgroup(dp.group,
                        tuple(sorted(i for i in dp.system.support.members
-                                    if dp.pi1(i) == 0)), check=False)
+                                    if dp.pi1(i) == 0)))
         assert is_strongly_closed(dp.system, ker)
 
 

@@ -123,7 +123,7 @@ def extension_group_by_composition(F, phi):
     return Subgroup(F.universe, tuple(
         g for g in normalizer(F.support, P, P).members
         if inv.then(Hom.conjugation(P, g)).then(phi).images
-        in aut_s), check=False)
+        in aut_s))
 
 
 class TestExtensionAxiom:

@@ -46,6 +46,9 @@ from oracles import keys_of
 
 
 PACKAGE = Path(fusionkit.__file__).parent
+TYPED_ERRORS = {name for name, cls in vars(fusionkit.errors).items()
+                if isinstance(cls, type)
+                and issubclass(cls, fusionkit.errors.FusionkitError)}
 
 
 def order3_index(F, V4):
@@ -233,7 +236,7 @@ class TestMutationsCore:
                     if P.order == 2 and P != z
                     and not P.is_normal_in(T))
         bogus = Hom(refl, z, tuple(z.members[i] for i, _ in
-                                   enumerate(refl.members)), check=True)
+                                   enumerate(refl.members))).validate()
         bad = with_added_iso(E_s4x1, bogus, close=True)
         assert verify_ffef(F_s4xc2, bad) is not None
 
@@ -446,7 +449,7 @@ class TestMutationsModels:
         theta = Hom.from_generator_images(S, S, [r, refl],
                                           [r, s4.mul(r, refl)])
         sigma = Hom(S, m.group.full_subgroup,
-                    tuple(m.sigma(theta(x)) for x in S.members), check=False)
+                    tuple(m.sigma(theta(x)) for x in S.members))
         return m, Model(m.group, sigma)
 
     def test_model1a_twisted_embedding(self, F_s4, s4):
@@ -622,13 +625,30 @@ class TestSuiteLevelMutations:
         assert all(status == "fail" for _, status, _ in bare)
         assert bare[0] == ["saturation", "fail", {
             "error": "NotAGroup: empty automorphism set"}]
-        errors = fusionkit.errors
-        typed = {name for name, cls in vars(errors).items()
-                 if isinstance(cls, type)
-                 and issubclass(cls, errors.FusionkitError)}
         raised = [bad["error"].split(":")[0] for _, _, bad in bare + kept
                   if bad is not None and "error" in bad]
-        assert raised and set(raised) <= typed
+        assert raised and set(raised) <= TYPED_ERRORS
+
+    @pytest.mark.parametrize("name", ["c4", "c2xc4"])
+    def test_non_multiplicative_automorphism_fails_typed(self, name):
+        """The bijection of S that swaps its members at positions 1 and 2 is
+        no automorphism, and ``with_added_iso(..., close=False)`` adds it as
+        given.  It carries some subgroup to a set that is no subgroup, so
+        ``subsystems._stability`` raises ``NotAGroup`` naming alpha and P.
+        Every error a check records is a ``FusionkitError``."""
+        def mutate(F):
+            S = F.support
+            images = list(S.members)
+            images[1], images[2] = images[2], images[1]
+            return with_added_iso(F, Hom(S, S, images), close=False,
+                                  keep_witness=True)
+
+        res = run_suite(f"{name}@2", builtin_group(name), 2,
+                        system_mutator=mutate)
+        raised = [r.counterexample["error"] for r in res
+                  if r.counterexample is not None and "error" in r.counterexample]
+        assert any(e.startswith("NotAGroup: alpha ") for e in raised)
+        assert {e.split(":")[0] for e in raised} <= TYPED_ERRORS
 
 
     def test_alternative_sylow_top_built_once(self, s4, monkeypatch):
