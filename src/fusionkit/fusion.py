@@ -280,18 +280,19 @@ class FusionSystem:
         """The image keys of psi|_P for the psi in ``isos_from(U)``, only
         those with psi(R) = R when ``stabilizing`` is R; P must lie in U.
         A map phi from P has such an extension to U (``extensions``) iff
-        phi.images is one of them, so one set answers for every phi."""
+        phi.images is one of them, so one set answers for every phi.  Each
+        psi is read as its image key (``_keys_from``), so no Hom is built."""
         if not P.member_set <= U.member_set:
             raise DomainMismatch("phi is not defined inside U")
         at = U.positions
         to_p = picker([at[x] for x in P.members])
-        homs = self.isos_from(U)
+        keys = self._keys_from(U)
         if stabilizing is None:
-            return frozenset(to_p(psi.images) for psi in homs)
+            return frozenset(map(to_p, keys))
         rset = stabilizing.member_set
         to_r = picker([at[x] for x in stabilizing.members])
-        return frozenset(to_p(psi.images) for psi in homs
-                         if frozenset(to_r(psi.images)) == rset)
+        return frozenset(to_p(key) for key in keys
+                         if frozenset(to_r(key)) == rset)
 
     def contains_morphism(self, h: Hom) -> bool:
         """Is ``h`` (any codomain) a morphism of this system?"""

@@ -184,9 +184,15 @@ class FiniteGroup:
 
     def subgroup(self, members: Iterable[int]) -> "Subgroup":
         """The subgroup of outside input ``members``, validated on every call:
+        ``ParseError``, naming the least, when some are no element index
+        0..|G|-1 (a negative one would alias an element), and then
         ``NotAGroup`` unless they hold the identity and are closed under
         inverses and products."""
         mem = set(members)
+        outside = sorted(x for x in mem if not 0 <= x < self.order)
+        if outside:
+            raise ParseError(f"subgroup member {outside[0]} is not an element "
+                             f"of {self.name} (0..{self.order - 1})")
         if 0 not in mem:
             raise NotAGroup("subgroup must contain the identity")
         members = tuple(sorted(mem))

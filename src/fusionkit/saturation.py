@@ -1,6 +1,21 @@
 """Saturation machinery: classification flags, the extension axiom,
 saturation checking, conjugation families and Alperin decomposition.
 
+Saturation is decided in one of two ways.  A fusion system is saturated
+iff each F-class of subgroups has a member that is fully automized and
+receptive (Roberts-Shpectorov; Aschbacher-Kessar-Oliver, Prop. I.2.5 with
+Lemma I.2.6(c)), and in a saturated system every fully normalized
+subgroup is both.  So on a fusion system one fully normalized member per
+F-class decides (``_saturated_by_classes``).  ``is_saturated`` takes
+that test on a system given by its witness W alone over a support S
+inside W, since F_S(W) is a fusion system: it holds F_S(S) and the
+inverse of each isomorphism.  When the test passes the report is empty;
+when it fails, and on every system with explicit iso-sets, the
+exhaustive report is made.  That report is the one every failing payload
+comes from, and its Hom form is ``saturation_report_literal`` in
+``tests/oracles.py``.  Closures stay on it: ``close_morphisms`` adds no
+inverses, so the closure of arbitrary seeds need not be a fusion system.
+
 The exhaustive predicates run on counts and keys, with the same
 quantifiers, alarms and reports as their Hom forms in ``tests/oracles.py``
 (``classify_literal``, ``saturation_report_literal``):
@@ -16,10 +31,11 @@ quantifiers, alarms and reports as their Hom forms in ``tests/oracles.py``
 - phi extends to N_phi iff phi.images is the restriction to P of the key
   of some morphism from N_phi, one set per (P, N_phi).
 
-Every statement about Aut_F(P) runs on its ``MorphismGroup``
-(``aut_group``), one path for every P: a one-element Aut_F(P) reads the
-shared order-1 table, so the inner-automizer alarm, O_p and O^p need no
-case of their own there.
+The statements about Aut_F(P) that need its group structure run on its
+``MorphismGroup`` (``aut_group``); a one-element Aut_F(P) reads the
+shared order-1 table, so O_p and O^p need no case of their own there.
+The classification builds that table for centric P only, and runs the
+inner-automizer alarm and its group checks on image keys for the rest.
 
 Conjugation families are searched breadth-first on image tuples
 (``_reachable``); its Hom form is ``reachable_literal``."""
@@ -28,7 +44,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import chain, compress
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import NotAGroup, NotSaturated
 from .fusion import FusionSystem, MorphismGroup, derived
@@ -127,22 +143,14 @@ def o_upper_p_automorphisms(F: FusionSystem, P: Subgroup) -> tuple[Hom, ...]:
     return mg.homs_of(sub)
 
 
-@derived
-def classify(F: FusionSystem) -> SubgroupClassification:
-    """The flags on counts, read off the conjugation table of ``F.base``.
-    One pass over S per P picks gens(P)^g for every g in S: g normalizes
-    P iff that lies in P and centralizes P iff it is gens(P), so N_S(P)
-    and C_S(P) come from one pass.  Fully
-    automized compares |N_S(P)| with |C_S(P)| |Aut_F(P)|_p, since
-    Aut_S(P) = {c_g|P : g in N_S(P)} and c_g|P = c_h|P iff g h^-1 is in
-    C_S(P), so |Aut_S(P)| = |N_S(P)|/|C_S(P)|.  O_p(Aut_F(P)) and
-    Aut_P(P) are closed on the table for centric P only, the only ones
-    ``cr_set`` reads.  The
-    inner-automizer alarm runs for every P.  It tests c_g|P for g in
-    gens(P): the table of Aut_F(P) is closed under composition and c_gh|P
-    = c_g|P then c_h|P, so Aut_P(P) lies in Aut_F(P) iff those maps do,
-    and it is the subgroup they generate.  The Hom form is
-    ``classify_literal`` in ``tests/oracles.py``."""
+def _normalizer_counts(F: FusionSystem
+                       ) -> tuple[dict[tuple[int, ...], int],
+                                  dict[tuple[int, ...], int],
+                                  dict[tuple[int, ...], bool]]:
+    """|N_S(P)|, |C_S(P)| and whether C_S(P) lies in P, by the members of
+    each subgroup P, read off the conjugation table of ``F.base``.  One
+    pass over S per P picks gens(P)^g for every g in S: g normalizes P
+    iff that lies in P and centralizes P iff it is gens(P)."""
     S, base = F.support, F.base
     rows = base.rows(S.members)
     at = base.positions
@@ -156,6 +164,32 @@ def classify(F: FusionSystem) -> SubgroupClassification:
         C = [g for g, key in zip(S.members, acting) if key == gens]
         c_of[P.members] = len(C)
         self_centralizing[P.members] = pset.issuperset(C)
+    return n_of, c_of, self_centralizing
+
+
+@derived
+def classify(F: FusionSystem) -> SubgroupClassification:
+    """The flags on counts (``_normalizer_counts``).  Fully automized
+    compares |N_S(P)| with |C_S(P)| |Aut_F(P)|_p, since Aut_S(P) = {c_g|P
+    : g in N_S(P)} and c_g|P = c_h|P iff g h^-1 is in C_S(P), so
+    |Aut_S(P)| = |N_S(P)|/|C_S(P)|.
+
+    The table of Aut_F(P) (``aut_group``) is built for centric P only,
+    the only ones ``cr_set`` reads: O_p(Aut_F(P)) and Aut_P(P) are closed
+    there for the radical test.  Its construction raises ``NotAGroup`` on
+    an automorphism set that is no group (empty, without the identity, or
+    not closed under composition).  For every other P, ``key_generators``
+    finds such a set on image keys, with no table, and only then is the
+    table asked for, to raise the same error; so no count reads an empty
+    set.  The inner-automizer alarm runs for every P, on image keys: it
+    tests c_g|P for g in gens(P), since a table of Aut_F(P) is closed
+    under composition and c_gh|P = c_g|P then c_h|P, so Aut_P(P) lies in
+    Aut_F(P) iff those maps do, and it is the subgroup they generate.
+    The Hom form, with a table for every P, is ``classify_literal`` in
+    ``tests/oracles.py``."""
+    base = F.base
+    at = base.positions
+    n_of, c_of, self_centralizing = _normalizer_counts(F)
     fully_n, fully_c, fully_a, centric, radical = set(), set(), set(), set(), set()
     for cls in F.classes():
         max_n = max(n_of[Q.members] for Q in cls)
@@ -169,15 +203,19 @@ def classify(F: FusionSystem) -> SubgroupClassification:
             if cls_centric:
                 centric.add(Q.members)
     for P in F.subgroups():
-        mg = aut_group(F, P)
-        if n_of[P.members] == c_of[P.members] * p_part(
-                len(F.automorphisms(P)), F.p):
+        auts = F.automorphisms(P)
+        is_centric = P.members in centric
+        if is_centric or key_generators(P, auts) is None:
+            mg = aut_group(F, P)     # raises NotAGroup unless auts is a group
+        if n_of[P.members] == c_of[P.members] * p_part(len(auts), F.p):
             fully_a.add(P.members)
         of_members = picker([at[x] for x in P.members])
-        inner = [mg.index_of(Hom(P, P, of_members(base.row(g))))
-                 for g in P.generators]
-        if P.members in centric and (o_p(mg.group.full_subgroup, F.p)
-                                     == mg.group.generated_subgroup(inner)):
+        inner = [of_members(base.row(g)) for g in P.generators]
+        if not {h.images for h in auts}.issuperset(inner):
+            raise NotAGroup("automorphism is not in this group")
+        if is_centric and (o_p(mg.group.full_subgroup, F.p)
+                           == mg.group.generated_subgroup(
+                               mg.index_of(Hom(P, P, key)) for key in inner)):
             radical.add(P.members)
     return SubgroupClassification(F, frozenset(fully_n), frozenset(fully_c),
                                   frozenset(fully_a), frozenset(centric),
@@ -253,20 +291,88 @@ class SaturationReport(NamedTuple):
         return self.ok
 
 
+def _unextended(F: FusionSystem, P: Subgroup, isos: Sequence[Hom],
+                aut_s: dict[tuple[int, ...], tuple]
+                ) -> Iterator[tuple[Hom, Subgroup]]:
+    """Each map phi of ``isos``, all from P onto their codomains, that has
+    no extension to N_phi, with N_phi, in order and lazily.  N_phi comes
+    from ``_extension_groups``, and phi extends to N_phi iff phi.images is
+    the restriction to P of the key of some psi in ``isos_from(N_phi)``;
+    that set is built once per (P, N_phi)
+    (``FusionSystem.restriction_keys``)."""
+    n_phi = _extension_groups(F, P, aut_s)
+    extends: dict[tuple[int, ...], frozenset] = {}
+    for phi in isos:
+        nphi = n_phi(phi)
+        keys = extends.get(nphi.members)
+        if keys is None:
+            keys = extends[nphi.members] = F.restriction_keys(nphi, P)
+        if phi.images not in keys:
+            yield phi, nphi
+
+
+def _saturated_by_classes(F: FusionSystem) -> bool:
+    """Is a fully normalized member of each F-class fully automized and
+    receptive?  The member is the first in class order with the largest
+    |N_S(P)| (``_normalizer_counts``); fully automized is read on counts,
+    as in ``classify``.  For a fusion system this decides saturation
+    (Roberts-Shpectorov; Aschbacher-Kessar-Oliver, Prop. I.2.5 with Lemma
+    I.2.6(c)): a system is saturated iff each F-class has a member that is
+    fully automized and receptive, and in a saturated system every fully
+    normalized subgroup is both.
+
+    Receptive asks every isomorphism phi onto P from a member Q of its
+    class to extend to N_phi (``_unextended``).  A phi that is c_g|Q for
+    some g in S needs no test: c_g on N_S(Q), which holds N_phi, is a map
+    of F_S(S), which a fusion system holds, and it extends phi.  So phi
+    is tested only when its key is no key of c_g|Q, g in S, one pick of
+    Q's members off each row of S."""
+    n_of, c_of, _ = _normalizer_counts(F)
+    aut_s: dict[tuple[int, ...], tuple] = {}
+    at = F.base.positions
+    s_rows = F.base.rows(F.support.members)
+    for cls in F.classes():
+        P = max(cls, key=lambda Q: n_of[Q.members])
+        if n_of[P.members] != c_of[P.members] * p_part(
+                len(F.automorphisms(P)), F.p):
+            return False
+        for Q in cls:
+            inner = set(map(picker([at[x] for x in Q.members]), s_rows))
+            onto = [phi for phi in F.isos_from(Q)
+                    if phi.codomain == P and phi.images not in inner]
+            if onto and next(_unextended(F, Q, onto, aut_s), None) is not None:
+                return False
+    return True
+
+
 @derived
 def is_saturated(F: FusionSystem) -> SaturationReport:
-    """Sylow axiom plus extension axiom, checked exhaustively.
+    """Sylow axiom plus extension axiom.
 
     Saturated iff every fully normalized subgroup is fully automized and
     fully centralized, and every isomorphism onto a fully centralized
     subgroup extends over its extension group.
 
-    The report is made on keys.  N_phi comes from ``_extension_groups``,
-    and phi extends to N_phi iff phi.images is the restriction to P of the
-    key of some psi in ``isos_from(N_phi)``; that set is built once per
-    (P, N_phi) (``FusionSystem.restriction_keys``).  Failures come in the
-    order of the per-phi Hom form, ``saturation_report_literal`` in
-    ``tests/oracles.py``."""
+    A system given by its witness W alone, over a support S inside W, is
+    F_S(W): its morphisms are the conjugations by W between subgroups of
+    S, so it holds F_S(S), each morphism is an injective homomorphism and
+    each isomorphism's inverse is in it.  It is a fusion system, and the
+    theorem behind ``_saturated_by_classes`` applies: one fully normalized
+    member per F-class, fully automized and receptive, decides it.  When
+    that test passes the report is ``SaturationReport(True, ())`` with no
+    ``classify``.  On any failure, and for every system with explicit
+    iso-sets (closures, products, local systems by extension, mutants),
+    the exhaustive report below is made, so every failing report is the
+    same.  Closures stay on it: ``close_morphisms`` adds no inverses, so
+    the closure of arbitrary seeds need not be a fusion system.
+
+    The exhaustive report is made on keys (``_unextended``), in the order
+    of the per-phi Hom form, ``saturation_report_literal`` in
+    ``tests/oracles.py``, which compares with it on every system."""
+    W = F.witness
+    if (F.from_witness and F.support.member_set <= W.member_set
+            and _saturated_by_classes(F)):
+        return SaturationReport(True, ())
     failures: list[dict] = []
     cls = classify(F)
     for P in F.subgroups():
@@ -284,18 +390,11 @@ def is_saturated(F: FusionSystem) -> SaturationReport:
                 if phi.codomain.members in cls.fully_centralized]
         if not isos:
             continue
-        n_phi = _extension_groups(F, P, aut_s)
-        extends: dict[tuple[int, ...], frozenset] = {}
-        for phi in isos:
-            nphi = n_phi(phi)
-            keys = extends.get(nphi.members)
-            if keys is None:
-                keys = extends[nphi.members] = F.restriction_keys(nphi, P)
-            if phi.images not in keys:
-                failures.append({"axiom": "extension",
-                                 "subgroup": list(P.members),
-                                 "images": list(phi.images),
-                                 "n_phi": list(nphi.members)})
+        for phi, nphi in _unextended(F, P, isos, aut_s):
+            failures.append({"axiom": "extension",
+                             "subgroup": list(P.members),
+                             "images": list(phi.images),
+                             "n_phi": list(nphi.members)})
     return SaturationReport(not failures, tuple(failures))
 
 

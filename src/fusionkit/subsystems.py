@@ -287,15 +287,26 @@ class NormalityReport(NamedTuple):
 
 
 def _frattini_property(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
-    """Every F-morphism on P <= T splits as an E-morphism then an Aut_F(T) part."""
+    """Every F-morphism on P <= T splits as an E-morphism then an Aut_F(T)
+    part: phi = psi then alpha, that is, phi then alpha^-1 is a map of E,
+    for some alpha in Aut_F(T).  Each alpha^-1 is kept as its row on T
+    (entry i is alpha^-1 of the i-th member of T), so the key of phi then
+    alpha^-1 is one pick of the positions of phi.images off that row.
+    The per-member form is ``frattini_property_literal`` in
+    ``tests/oracles.py``."""
     T = E.support
-    inverses = [dict(zip(alpha.images, T.members))
-                for alpha in F.automorphisms(T)]
+    at = T.positions
+    rows = []
+    for alpha in F.automorphisms(T):
+        row = [0] * T.order
+        for x, y in zip(T.members, alpha.images):
+            row[at[y]] = x
+        rows.append(row)
     for P in E.subgroups():
         keys = E._keys_from(P)
         for phi in F.isos_from(P):
-            if not any(tuple(back[y] for y in phi.images) in keys
-                       for back in inverses):
+            then_inverse = picker([at[y] for y in phi.images])
+            if keys.isdisjoint(map(then_inverse, rows)):
                 return {"P": list(P.members), "phi": list(phi.images)}
     return None
 

@@ -42,12 +42,13 @@ closes a partial map under products on both sides
 (``find_isomorphism_literal``) are here, as are the loops over every
 automorphism of the stability and extension clauses of the normality
 report (``stability_literal``, ``extension_property_literal``), the
-per-product table of ``as_group`` (``as_group_literal``) and
-``EasyCentralizer`` with clause (a) tested beta by beta for every
-(X, phi) (``easy_centralizer_literal``).  As in the package, a Hom is its
-domain, codomain and image tuple: no oracle records which element
-realizes a map, and none compares such elements.  No package code path
-calls any of it."""
+Frattini property's loop over every alpha^-1, applied member by member
+(``frattini_property_literal``), the per-product table of ``as_group``
+(``as_group_literal``) and ``EasyCentralizer`` with clause (a) tested
+beta by beta for every (X, phi) (``easy_centralizer_literal``).  As in
+the package, a Hom is its domain, codomain and image tuple: no oracle
+records which element realizes a map, and none compares such elements.
+No package code path calls any of it."""
 
 from __future__ import annotations
 
@@ -1144,6 +1145,22 @@ def stability_literal(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
                 if twist.images(phi.images) not in keys:
                     return {"kind": "unstable", "alpha": list(alpha.images),
                             "P": list(P.members), "phi": list(phi.images)}
+    return None
+
+
+def frattini_property_literal(F: FusionSystem, E: FusionSystem
+                              ) -> Optional[dict]:
+    """The Frattini property with each alpha^-1, alpha in Aut_F(T), kept as
+    a dict and applied to phi member by member."""
+    T = E.support
+    inverses = [dict(zip(alpha.images, T.members))
+                for alpha in F.automorphisms(T)]
+    for P in E.subgroups():
+        keys = E._keys_from(P)
+        for phi in F.isos_from(P):
+            if not any(tuple(back[y] for y in phi.images) in keys
+                       for back in inverses):
+                return {"P": list(P.members), "phi": list(phi.images)}
     return None
 
 

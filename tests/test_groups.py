@@ -50,6 +50,18 @@ class TestStructures:
         with pytest.raises(NotAGroup):
             s4.subgroup((0, 1, 2))
 
+    @pytest.mark.parametrize("members,outside", [([-1, 0, 23], -1),
+                                                 ([0, 99], 99)])
+    def test_subgroup_rejects_members_outside_the_group(self, s4, members,
+                                                        outside):
+        """Members are checked to be elements 0..23 first: -1 would alias
+        the involution 23 and pass the closure test as a third member, and
+        99 would index past the table."""
+        with pytest.raises(ParseError, match=f"subgroup member {outside} is "
+                                            f"not an element of s4 "
+                                            r"\(0\.\.23\)"):
+            s4.subgroup(members)
+
     def test_not_a_group_table(self):
         # Latin square (addition mod 3 with a transposition applied) fails.
         bad = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]

@@ -9,9 +9,10 @@ O_{p'} from the walk over every normal subgroup, the normal model searched
 over every normal subgroup of the model and the model verified over the
 lattice of sigma(S) in M.  The two models are isomorphic over S and give
 the same R* and model orders.  The normality report decides Aut_F(T)-
-stability and the extension property on generating sets; the loops over
-every automorphism give the same payloads and exceptions, on honest
-systems and on mutants whose automorphism sets are not closed."""
+stability and the extension property on generating sets, and the Frattini
+property on rows of the alpha^-1; the loops over every automorphism give
+the same payloads and exceptions, on honest systems and on mutants whose
+automorphism sets are not closed."""
 
 from __future__ import annotations
 
@@ -29,12 +30,14 @@ from fusionkit.groups import (Hom, as_group, center, centralizer, core,
 from fusionkit.models import (is_constrained, models_isomorphic_over_s,
                               normal_model)
 from fusionkit.saturation import key_generators
-from fusionkit.subsystems import (_extension_property, _stability,
+from fusionkit.subsystems import (_extension_property, _frattini_property,
+                                  _stability, is_strongly_closed,
                                   normal_subsystem_in, normalizer_subsystem)
 from fusionkit.verify import normal_pairs, with_added_iso, with_removed_iso
 from conftest import entry_system
 from oracles import (as_group_literal, core_literal,
-                     extension_property_literal, normal_model_literal,
+                     extension_property_literal,
+                     frattini_property_literal, normal_model_literal,
                      o_p_prime_literal, r_star_on_o_p_literal,
                      stability_literal)
 from test_fusion import perm_groups
@@ -131,11 +134,18 @@ def _swap(T):
 
 def report_clauses_agree(F, E, seen: Counter) -> None:
     """The generator forms of stability and of both extension bounds give
-    the payload or exception of their loops over every automorphism.
-    ``seen`` counts each clause by the branch its generator form takes:
-    no generating set (the keys are not closed), or a generating set
-    with a passing or a failing verdict."""
+    the payload or exception of their loops over every automorphism, and
+    the Frattini property on rows of the alpha^-1 gives the first payload
+    of its member-by-member loop on a strongly closed T, the only T the
+    normality report asks it of.  ``seen`` counts each clause by the
+    branch its generator form takes: no generating set (the keys are not
+    closed), or a generating set with a passing or a failing verdict;
+    and the Frattini property by its verdict."""
     T = E.support
+    if is_strongly_closed(F, T):
+        got = outcome(_frattini_property, F, E)
+        assert got == outcome(frattini_property_literal, F, E)
+        seen["frattini", got is None] += 1
     stable_gens = key_generators(T, F.automorphisms(T)) is not None
     got = outcome(_stability, F, E)
     assert got == outcome(stability_literal, F, E)
@@ -159,6 +169,17 @@ def test_report_clauses_on_honest_systems():
     assert seen["stability", True, True] > 500
     assert seen["stability", True, False] >= 20
     assert seen["extension", True, True] > 1000
+    assert seen["frattini", True] > 500 and seen["frattini", False] >= 20
+
+
+def test_frattini_property_on_corpus_pairs():
+    """Every normal pair of every corpus entry, a4xa4@2 included, has the
+    Frattini property in both forms."""
+    for _, G, p in corpus_entries():
+        F = entry_system(G, p)
+        for _, E in normal_pairs(F):
+            assert _frattini_property(F, E) is None
+            assert frattini_property_literal(F, E) is None
 
 
 def test_report_clauses_on_mutants():
@@ -188,6 +209,7 @@ def test_report_clauses_on_mutants():
             mutants += [(F, with_added_iso(E, a)) for a in outer]
             for mF, mE in mutants:
                 report_clauses_agree(mF, mE, seen)
+    assert seen["frattini", True] > 500 and seen["frattini", False] > 100
     for clause in ("stability", "extension"):
         assert seen[clause, False, True] > 20 and seen[clause, False, False] > 20
         assert seen[clause, True, True] > 100 and seen[clause, True, False] > 5

@@ -479,6 +479,24 @@ def test_witness_that_is_not_a_subgroup_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("outside", [99, -1])
+def test_support_member_outside_the_group_exits_two(outside, tmp_path,
+                                                     capsys):
+    """A support holding a member that is no element of the group fails
+    to load with a ParseError that names it, where 99 failed as a
+    malformed record (an index past the table) and -1 aliased the last
+    element."""
+    payload = corpus_payload("s4", 2)
+    payload["support"] = payload["support"] + [outside]
+    path = tmp_path / "x.fsk"
+    path.write_text(json.dumps(payload))
+    message = f"subgroup member {outside} is not an element"
+    with pytest.raises(ParseError, match=message):
+        load_system(path)
+    assert main(["centralizer", str(path), "--normal", "order:4"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def assert_names_a_failing_triple(table, call):
     with pytest.raises(NotAGroup, match="associativity") as info:
         call()

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import re
+from collections import Counter
+
 import pytest
 
 from fusionkit import saturation
-from fusionkit.corpus import builtin_group
-from fusionkit.errors import NotSaturated
+from fusionkit.corpus import builtin_group, corpus_entries
+from fusionkit.errors import DomainMismatch, NotAGroup, NotSaturated
 from fusionkit.fusion import (TRIVIAL_TABLE, MorphismGroup, fusion_of_group,
                               generated_subsystem, realized_subsystem)
 from fusionkit.groups import (Hom, Subgroup, center, centralizer, normalizer,
@@ -14,10 +17,14 @@ from fusionkit.groups import (Hom, Subgroup, center, centralizer, normalizer,
 from fusionkit.saturation import (alperin_decompose, canonical_family,
                                   classify, is_conjugation_family,
                                   is_saturated, o_upper_p_automorphisms)
-from fusionkit.verify import run_suite
-from conftest import extension_group
-from oracles import classify_literal, extend_morphism
+from fusionkit.subsystems import centralizer_subsystem, normalizer_subsystem
+from fusionkit.verify import (normal_pairs, run_suite, with_added_iso,
+                              with_removed_iso, with_replaced_isos)
+from conftest import entry_system, extension_group
+from oracles import (classify_literal, extend_morphism,
+                     saturation_report_literal)
 from test_fusion import s4_mutants
+from test_key_forms import mutants as key_form_mutants
 
 
 def cross_map(F, V4):
@@ -51,33 +58,41 @@ def tables(built: list[MorphismGroup]) -> list[int]:
 
 class TestClassification:
     def test_trivial_automizers_build_no_table(self, monkeypatch):
-        """Classifying s4@2's F builds no table for a one-element Aut_F(P),
-        whose MorphismGroup reads the shared order-1 table, and the flags
-        are those of the Hom form."""
+        """Classifying builds a MorphismGroup for each centric P and for no
+        other: on s4@2 for its 4 centric subgroups, none of them with a
+        one-element Aut_F(P), so its 6 one-element ones build nothing; on
+        c2xc4@2, whose one centric subgroup is S with Aut_F(S) = 1, the
+        one MorphismGroup reads the shared order-1 table.  The flags are
+        those of the Hom form."""
         built = count_tables(monkeypatch)
-        G = builtin_group("s4")
-        F = fusion_of_group(G, sylow_subgroup(G.full_subgroup, 2), 2)
-        assert any(len(F.automorphisms(P)) == 1 for P in F.subgroups())
-        got = classify(F)
-        assert any(len(mg.homs) == 1 for mg in built)
-        assert tables(built) and 1 not in tables(built)
-        want = classify_literal(F)
-        assert (got.centric, got.fully_automized) == (want.centric,
-                                                      want.fully_automized)
-        assert got.radical == want.radical & want.centric
+        for name, made, trivial in (("s4", 4, 0), ("c2xc4", 1, 1)):
+            built.clear()
+            G = builtin_group(name)
+            F = fusion_of_group(G, sylow_subgroup(G.full_subgroup, 2), 2)
+            got = classify(F)
+            assert {mg.base.members for mg in built} == got.centric
+            assert len(built) == made
+            assert sum(len(mg.homs) == 1 for mg in built) == trivial
+            assert 1 not in tables(built)
+            want = classify_literal(F)
+            assert (got.centric, got.fully_automized) == (want.centric,
+                                                          want.fully_automized)
+            assert got.radical == want.radical & want.centric
 
     def test_suite_pass_builds_no_one_element_table(self, monkeypatch):
         """A suite pass on s4xc2@2 decides every statement about Aut_F(P)
         on its MorphismGroup (h_group, A-circle, FrattiniCons, O^p,
-        invariance and coincidence), 520 of them, and the 395 one-element
-        ones read the shared order-1 table: 125 tables, none of order 1,
-        as when the one-element ones were decided beside the table."""
+        invariance and coincidence, and the radical test of centric P),
+        108 of them, and the 48 one-element ones read the shared order-1
+        table: 60 tables, none of order 1.  It made 520 MorphismGroups and
+        125 tables while the classification built one for every P and
+        every saturation report classified its system."""
         built = count_tables(monkeypatch)
         results = run_suite("s4xc2@2", builtin_group("s4xc2"), 2)
         assert all(r.passed for r in results)
-        assert len(built) == 520
-        assert sum(len(mg.homs) == 1 for mg in built) == 395
-        assert 1 not in tables(built) and len(tables(built)) == 125
+        assert len(built) == 108
+        assert sum(len(mg.homs) == 1 for mg in built) == 48
+        assert 1 not in tables(built) and len(tables(built)) == 60
 
     def test_v4_flags(self, F_s4, V4):
         cls = classify(F_s4)
@@ -205,6 +220,88 @@ class TestSaturation:
         for P in F_s4.subgroups():
             assert any(cls.is_fully_normalized(alpha.subgroup_image(P))
                        for alpha in F_s4.isos_from(normalizer(F_s4.support, P, P)))
+
+
+LOCAL_ENTRIES = ("s4@2", "d8xc2@2", "a6@2")
+
+
+def saturation_systems():
+    """Every corpus entry's F (a4xa4@2 included) and the subsystems of its
+    normal pairs, and C_F(X) and N_F(Q) for every X, Q <= S on the
+    entries of ``LOCAL_ENTRIES``."""
+    for label, G, p in corpus_entries():
+        F = entry_system(G, p)
+        yield F
+        for _, E in normal_pairs(F):
+            yield E
+        if label in LOCAL_ENTRIES:
+            for X in F.subgroups():
+                yield centralizer_subsystem(F, X)
+                yield normalizer_subsystem(F, X)
+
+
+def by_classes(F) -> bool:
+    """Does ``is_saturated`` decide F class by class?"""
+    return F.from_witness and F.support.member_set <= F.witness.member_set
+
+
+class TestSaturationByClasses:
+    def test_class_test_matches_the_report(self):
+        """On every system of ``saturation_systems`` the report is that of
+        the per-phi Hom form, and on those given by a witness over a
+        support inside it the class test says saturated exactly when that
+        report does.  All 264 are such witness systems, and 12 of them are
+        not saturated (C_F(X) over C_S(X) for an X that is not fully
+        centralized), so the exhaustive report is made after the class
+        test fails."""
+        seen: Counter = Counter()
+        for D in saturation_systems():
+            got = is_saturated.__wrapped__(D)
+            assert got == saturation_report_literal(D)
+            if by_classes(D):
+                assert saturation._saturated_by_classes(D) == got.ok
+            seen[by_classes(D), got.ok] += 1
+        assert seen[True, True] > 200 and seen[True, False] >= 10
+
+    @pytest.mark.parametrize("keep_witness", [False, True])
+    def test_mutants_keep_the_exhaustive_report(self, keep_witness):
+        """Mutants of the small entries by ``with_removed_iso``,
+        ``with_replaced_isos`` and ``with_added_iso`` (the mutants of
+        ``test_key_forms``, and a bijection of S that is no automorphism
+        added unclosed) have explicit iso-sets, with or without the
+        witness, so none is decided class by class, and each report or
+        error is that of the per-phi Hom form."""
+        seen: Counter = Counter()
+        for label, G, p in corpus_entries():
+            if G.order > 48:
+                continue
+            F = entry_system(G, p)
+            S = F.support
+            found = [] if keep_witness else key_form_mutants(F)
+            for P in F.subgroups():
+                homs = F.isos_from(P)
+                found.append(with_removed_iso(F, P, len(homs) - 1,
+                                              keep_witness=keep_witness))
+                found.append(with_replaced_isos(F, P, homs[:1],
+                                                keep_witness=keep_witness))
+            swapped = list(S.members)
+            if len(swapped) > 3:
+                swapped[1], swapped[2] = swapped[2], swapped[1]
+                found.append(with_added_iso(F, Hom(S, S, tuple(swapped)),
+                                            close=False,
+                                            keep_witness=keep_witness))
+            for M in found:
+                assert not by_classes(M)
+                try:
+                    got = is_saturated.__wrapped__(M)
+                except (NotAGroup, DomainMismatch) as exc:
+                    with pytest.raises(type(exc), match=re.escape(str(exc))):
+                        saturation_report_literal(M)
+                    seen[type(exc)] += 1
+                    continue
+                assert got == saturation_report_literal(M)
+                seen[got.ok] += 1
+        assert seen[True] > 100 and seen[False] > 50 and seen[NotAGroup] > 100
 
 
 class TestConjugationFamilies:
