@@ -128,18 +128,18 @@ class FusionSystem:
     when ``explicit`` iso-sets are given, with or without a witness: then
     the witness does not determine the hom-sets (the mutation self-tests
     corrupt systems this way), so the key holds the table itself and
-    compares it by value.  Two different tables never share a key, and a realized key (a plain tuple) never equals an
-    explicit one.  Systems with equal content keys under one top share a
-    slot of derived data (``_isos``, ``_iso_keys``, and ``_cache``, which
-    ``derived`` alone reads and fills) in the top's ``_registry``,
-    whatever seeds produced their tables; each copy
-    keeps its own ``name``.  The registry lives on the top, not on the
-    universe, so it is freed with the top system, and a mutated top, being
-    a new top, starts an empty one.  The subgroups its morphisms name go
-    the same way: the universe interns them weakly, so a subgroup, with
-    its conjugation table, lattice and covers, is freed with the last
-    system or caller that holds it, and the universe keeps only memos by
-    member tuple (``groups.FiniteGroup``).
+    compares it by value.  Two different tables never share a key, and a
+    realized key (a plain tuple) never equals an explicit one.  Systems
+    with equal content keys under one top share a slot of derived data
+    (``_isos``, ``_iso_keys``, and ``_cache``, which ``derived`` alone
+    reads and fills) in the top's ``_registry``, whatever seeds produced
+    their tables; each copy keeps its own ``name``.  The registry lives
+    on the top, not on the universe, so it is freed with the top system,
+    and a mutated top, being a new top, starts an empty one.  The
+    subgroups its morphisms name go the same way: the universe interns
+    them weakly, so a subgroup, with its conjugation table, lattice and
+    covers, is freed with the last system or caller that holds it, and
+    the universe keeps only memos by member tuple (``groups.FiniteGroup``).
 
     ``base`` is the subgroup whose conjugation table the system reads
     (``groups.Subgroup.row``): the top's support when it lies in the same
@@ -327,7 +327,8 @@ class FusionSystem:
 
     def classes(self) -> tuple[tuple[Subgroup, ...], ...]:
         """The F-conjugacy classes of subgroups of the support, computed
-        on each call: its readers, the memoized ``classify`` and
+        on each call: its readers, the derived class counts of
+        ``saturation`` (read by the class test and ``classify``) and
         ``persist.system_payload``, ask it once per system.  The traced
         benchmark replay times it on its own before ``classify``, so there
         it is computed twice per entry."""

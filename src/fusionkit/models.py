@@ -163,6 +163,11 @@ def model_on(F: FusionSystem, Q: Subgroup) -> Model:
     verified exhaustively by ``_verify_model`` (Sylow image, fusion match,
     C_M(O_p(M)) <= O_p(M)), and a failure is an alarm, never a silent
     return.  Built once per content and Q: memoized in F's slot.
+
+    A mutant that keeps a witness beside its own iso-sets (the mutation
+    self-tests build them) may still be modelled on that witness: the
+    fusion match of ``_verify_model`` compares the model with F's own
+    table, so a witness that disagrees with it is an alarm.
     """
     if not F.realized:
         raise NotConstrained("model construction needs a group-realized system")

@@ -8,10 +8,9 @@ generating set of its automorphism group, and bridging isomorphisms (both
 directions) to every other class member.  The generators are the maps of
 Aut_F(rep), in canonical order, outside the span of those kept before them,
 picked by a closure on image keys (``saturation.key_generators``) with no
-table of Aut_F(rep); a set of automorphisms that is not closed under
-composition is NotAGroup.  A format-1 file, which stored the whole table,
-is refused as an unsupported format; rebuild it from its group file with
-``fusionkit build``.
+table of Aut_F(rep).  Only a system given by its witness is saved.  A
+format-1 file, which stored the whole table, is refused as an unsupported
+format; rebuild it from its group file with ``fusionkit build``.
 
 Files are compact JSON.  Every integer field (the order, generator indices
 and columns, the prime, the support, the witness, class members and record
@@ -37,7 +36,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .errors import FusionkitError, NotAGroup, ParseError, VerificationFailed
+from .errors import FusionkitError, ParseError, VerificationFailed
 from .fusion import (FusionSystem, Hom, close_morphisms, fusion_of_group,
                      subsystem_equal)
 from .groups import (FiniteGroup, Subgroup, group_from_columns, is_prime,
@@ -48,15 +47,17 @@ FORMAT_VERSION = 2
 
 
 def system_payload(F: FusionSystem) -> dict:
-    if not F.realized:
-        raise VerificationFailed("only group-realized systems persist")
+    """The payload of F_S(W), given by its witness W alone: a file stores
+    W, so a system with iso-sets of its own has no file that loads as it,
+    and each Aut_F(rep) is a group, whose generators a record keeps."""
+    if not F.from_witness:
+        raise VerificationFailed(
+            "only systems given by their witness alone persist")
     G = F.universe
     classes = []
     for cls in F.classes():
         rep = cls[0]
         auts = key_generators(rep, F.automorphisms(rep))
-        if auts is None:
-            raise NotAGroup("automorphism set is not closed under composition")
         entry = {
             "rep": list(rep.members),
             "aut_generators": [list(h.images) for h in auts],

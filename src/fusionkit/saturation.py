@@ -143,14 +143,14 @@ def o_upper_p_automorphisms(F: FusionSystem, P: Subgroup) -> tuple[Hom, ...]:
     return mg.homs_of(sub)
 
 
-def _normalizer_counts(F: FusionSystem
-                       ) -> tuple[dict[tuple[int, ...], int],
-                                  dict[tuple[int, ...], int],
-                                  dict[tuple[int, ...], bool]]:
-    """|N_S(P)|, |C_S(P)| and whether C_S(P) lies in P, by the members of
-    each subgroup P, read off the conjugation table of ``F.base``.  One
-    pass over S per P picks gens(P)^g for every g in S: g normalizes P
-    iff that lies in P and centralizes P iff it is gens(P)."""
+@derived
+def _classes_and_counts(F: FusionSystem) -> tuple[tuple, dict, dict, dict]:
+    """The F-classes (``FusionSystem.classes``) and |N_S(P)|, |C_S(P)| and
+    whether C_S(P) lies in P, by the members of each subgroup P, read off
+    the conjugation table of ``F.base``: the one class pass of both the
+    class test and ``classify``.  One pass over S per P picks gens(P)^g
+    for every g in S: g normalizes P iff that lies in P and centralizes P
+    iff it is gens(P)."""
     S, base = F.support, F.base
     rows = base.rows(S.members)
     at = base.positions
@@ -164,12 +164,12 @@ def _normalizer_counts(F: FusionSystem
         C = [g for g, key in zip(S.members, acting) if key == gens]
         c_of[P.members] = len(C)
         self_centralizing[P.members] = pset.issuperset(C)
-    return n_of, c_of, self_centralizing
+    return F.classes(), n_of, c_of, self_centralizing
 
 
 @derived
 def classify(F: FusionSystem) -> SubgroupClassification:
-    """The flags on counts (``_normalizer_counts``).  Fully automized
+    """The flags on counts (``_classes_and_counts``).  Fully automized
     compares |N_S(P)| with |C_S(P)| |Aut_F(P)|_p, since Aut_S(P) = {c_g|P
     : g in N_S(P)} and c_g|P = c_h|P iff g h^-1 is in C_S(P), so
     |Aut_S(P)| = |N_S(P)|/|C_S(P)|.
@@ -189,9 +189,9 @@ def classify(F: FusionSystem) -> SubgroupClassification:
     ``tests/oracles.py``."""
     base = F.base
     at = base.positions
-    n_of, c_of, self_centralizing = _normalizer_counts(F)
+    classes, n_of, c_of, self_centralizing = _classes_and_counts(F)
     fully_n, fully_c, fully_a, centric, radical = set(), set(), set(), set(), set()
-    for cls in F.classes():
+    for cls in classes:
         max_n = max(n_of[Q.members] for Q in cls)
         max_c = max(c_of[Q.members] for Q in cls)
         cls_centric = all(self_centralizing[Q.members] for Q in cls)
@@ -314,7 +314,7 @@ def _unextended(F: FusionSystem, P: Subgroup, isos: Sequence[Hom],
 def _saturated_by_classes(F: FusionSystem) -> bool:
     """Is a fully normalized member of each F-class fully automized and
     receptive?  The member is the first in class order with the largest
-    |N_S(P)| (``_normalizer_counts``); fully automized is read on counts,
+    |N_S(P)| (``_classes_and_counts``); fully automized is read on counts,
     as in ``classify``.  For a fusion system this decides saturation
     (Roberts-Shpectorov; Aschbacher-Kessar-Oliver, Prop. I.2.5 with Lemma
     I.2.6(c)): a system is saturated iff each F-class has a member that is
@@ -327,11 +327,11 @@ def _saturated_by_classes(F: FusionSystem) -> bool:
     of F_S(S), which a fusion system holds, and it extends phi.  So phi
     is tested only when its key is no key of c_g|Q, g in S, one pick of
     Q's members off each row of S."""
-    n_of, c_of, _ = _normalizer_counts(F)
+    classes, n_of, c_of, _ = _classes_and_counts(F)
     aut_s: dict[tuple[int, ...], tuple] = {}
     at = F.base.positions
     s_rows = F.base.rows(F.support.members)
-    for cls in F.classes():
+    for cls in classes:
         P = max(cls, key=lambda Q: n_of[Q.members])
         if n_of[P.members] != c_of[P.members] * p_part(
                 len(F.automorphisms(P)), F.p):
@@ -361,7 +361,7 @@ def is_saturated(F: FusionSystem) -> SaturationReport:
     member per F-class, fully automized and receptive, decides it.  When
     that test passes the report is ``SaturationReport(True, ())`` with no
     ``classify``.  On any failure, and for every system with explicit
-    iso-sets (closures, products, local systems by extension, mutants),
+    iso-sets (closures, products, local systems of such systems, mutants),
     the exhaustive report below is made, so every failing report is the
     same.  Closures stay on it: ``close_morphisms`` adds no inverses, so
     the closure of arbitrary seeds need not be a fusion system.

@@ -23,14 +23,17 @@ payload or exception of the loop over every automorphism (the proof is in
 
 Whether Aut_E(P) is a normal subgroup of Aut_F(P), which conditions
 (b)-(e) ask, is decided on the table of Aut_F(P) (``aut_group``) for
-every P, a one-element Aut_F(P) included.  The local systems by
-extension read the morphisms on P R, and the extension search those on
-T C_S(T), each a ``Subgroup.product``, as one factor normalizes the
-other."""
+every P, a one-element Aut_F(P) included.
+
+C_F(X) and N_F(Q) have one constructor, ``_local``, with one rule: a
+system's morphisms are its table, and a witness is a faster way to read it
+where the two agree.  They read the morphisms on P R, and the extension
+search those on T C_S(T), each a ``Subgroup.product``, as one factor
+normalizes the other."""
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .errors import NotAGroup, NotNormal, NotStronglyClosed, NotSylow, VerificationFailed
 from .fusion import (FusionSystem, derived, full_subcategory,
@@ -69,67 +72,49 @@ def is_weakly_closed(F: FusionSystem, T: Subgroup) -> bool:
 
 @derived
 def centralizer_subsystem(F: FusionSystem, X: Subgroup) -> FusionSystem:
-    """C_F(X) over C_S(X): morphisms extending to PX acting as the identity on X.
-
-    Witness filtering when F has a witness (a mutant that keeps its
-    witness too), extension search otherwise; the two agree
-    morphism-for-morphism on systems given by their witness alone
-    (``from_witness``).  C_S(X) and the witness C_W(X) are read off the
-    table of ``F.table_for(X)``.
-    """
-    if not F.realized:
-        return centralizer_subsystem_by_extension(F, X)
-    base = F.table_for(X)
-    return FusionSystem(centralizer(F.support, X, base), F.p,
-                        witness=centralizer(F.witness, X, base),
-                        ambient=F.top(),
-                        name=f"C_{F.name}({X.order})")
-
-
-def centralizer_subsystem_by_extension(F: FusionSystem, X: Subgroup) -> FusionSystem:
-    return _local_by_extension(
-        F, centralizer(F.support, X, F.table_for(X)), X,
-        lambda PX: F.extensions(Hom.identity(X), PX),
-        f"C_{F.name}({X.order})")
+    """C_F(X) over C_S(X): the restrictions to P of the morphisms from PX
+    that act as the identity on X (``_local``)."""
+    return _local(F, X, centralizer, lambda images: images == X.members,
+                  f"C_{F.name}({X.order})")
 
 
 @derived
 def normalizer_subsystem(F: FusionSystem, Q: Subgroup) -> FusionSystem:
-    """N_F(Q) over N_S(Q): morphisms extending to PQ and mapping Q onto Q,
-    routed as in ``centralizer_subsystem``; N_S(Q) and the witness N_W(Q)
-    are read off the table of ``F.table_for(Q)``."""
-    if not F.realized:
-        return normalizer_subsystem_by_extension(F, Q)
-    base = F.table_for(Q)
-    return FusionSystem(normalizer(F.support, Q, base), F.p,
-                        witness=normalizer(F.witness, Q, base),
-                        ambient=F.top(),
-                        name=f"N_{F.name}({Q.order})")
+    """N_F(Q) over N_S(Q): the restrictions to P of the morphisms from PQ
+    that map Q onto Q (``_local``)."""
+    return _local(F, Q, normalizer, lambda images: set(images) == Q.member_set,
+                  f"N_{F.name}({Q.order})")
 
 
-def normalizer_subsystem_by_extension(F: FusionSystem, Q: Subgroup) -> FusionSystem:
-    qset = Q.member_set
-    return _local_by_extension(
-        F, normalizer(F.support, Q, F.table_for(Q)), Q,
-        lambda PQ: (psi for psi in F.isos_from(PQ)
-                    if {psi(x) for x in Q.members} == qset),
-        f"N_{F.name}({Q.order})")
-
-
-def _local_by_extension(F: FusionSystem, support: Subgroup, R: Subgroup,
-                        kept: Callable[[Subgroup], Iterable[Hom]],
-                        name: str) -> FusionSystem:
-    """The explicit system over ``support`` whose maps from P are the
-    restrictions to P of the morphisms ``kept(PR)`` yields on PR = <P, R>,
-    their keys read off psi.images by one ``picker`` per P."""
+def _local(F: FusionSystem, R: Subgroup,
+           local: Callable[[Subgroup, Subgroup, Subgroup], Subgroup],
+           keeps: Callable[[tuple[int, ...]], bool], name: str) -> FusionSystem:
+    """The local system at R over ``local(S, R)``: its maps from P are the
+    restrictions to P of the maps psi from PR = <P, R> whose images of R
+    pass ``keeps``, read off the image keys of F's table.  A system given
+    by its witness W alone gets the system of ``local(W, R)``, which has
+    exactly those maps; a mutant that also has a witness gets it only
+    when its table equals the read.  Both subgroups are read off the table
+    of ``F.table_for(R)``."""
+    base = F.table_for(R)
+    support = local(F.support, R, base)
+    by_witness = None if F.witness is None else FusionSystem(
+        support, F.p, witness=local(F.witness, R, base), ambient=F.top(),
+        name=name)
+    if F.from_witness:
+        return by_witness
     explicit: dict[tuple[int, ...], frozenset] = {}
     for P in subgroup_lattice(support):
         PR = P.product(R)  # P lies in the support, which normalizes R
         at = PR.positions
         to_p = picker([at[x] for x in P.members])
-        explicit[P.members] = frozenset(to_p(psi.images) for psi in kept(PR))
-    return FusionSystem(support, F.p, explicit=explicit, ambient=F.top(),
+        to_r = picker([at[x] for x in R.members])
+        explicit[P.members] = frozenset(to_p(key) for key in F._keys_from(PR)
+                                        if keeps(to_r(key)))
+    read = FusionSystem(support, F.p, explicit=explicit, ambient=F.top(),
                         name=name)
+    agree = by_witness is not None and subsystem_equal(by_witness, read)
+    return by_witness if agree else read
 
 
 # -- invariance conditions ---------------------------------------------------------

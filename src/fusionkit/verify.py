@@ -858,8 +858,10 @@ def with_replaced_isos(F: FusionSystem, P: Subgroup, homs: Sequence[Hom],
 
     ``keep_witness`` keeps the realizing group attached (hom-sets still come
     from the explicit tables), so group-level constructions stay available
-    while the fusion data is corrupted; its local systems and models come
-    from the witness, not from its iso-sets."""
+    while the fusion data is corrupted.  Its local systems are read off its
+    iso-sets, and are the witness's only where the two agree
+    (``subsystems._local``); a model is built from the witness and checked
+    against the iso-sets (``models.model_on``)."""
     explicit = {Q.members: F._keys_from(Q) for Q in F.subgroups()}
     explicit[P.members] = frozenset(h.images for h in homs)
     return FusionSystem(F.support, F.p, explicit=explicit, ambient=F.ambient,

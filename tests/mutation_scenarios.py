@@ -71,10 +71,8 @@ class Env:
 
     def outer_only(self, E):
         """E with Aut_E(T) replaced by the outer automorphism of D8 alone,
-        which does not extend to S; its witness is kept, so N_E(T) and
-        its centralized family stay those of E."""
-        return with_replaced_isos(E, E.support, [self.outer_d8()],
-                                  keep_witness=True)
+        which does not extend to S."""
+        return with_replaced_isos(E, E.support, [self.outer_d8()])
 
 
 def _caught(probe) -> bool:
@@ -164,7 +162,10 @@ def make_scenarios(env: Env) -> dict:
 
     def cfcg0():
         g, F, E = env.s4xc2()
-        return _caught(lambda: verify_cfcg0(F, env.outer_only(E)))
+        honest = verify_mod.normalizer_family(F, E)
+        with patch.object(verify_mod, "normalizer_family",
+                          lambda F, E: honest):
+            return _caught(lambda: verify_cfcg0(F, env.outer_only(E)))
 
     def zcentralize():
         g, F, E = env.s4xc2()

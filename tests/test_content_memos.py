@@ -44,6 +44,7 @@ from fusionkit.verify import inner_only_shadow, run_suite
 FAMILIES = {
     "CF": centralizer_subsystem, "autgrp": aut_group,
     "NF": normalizer_subsystem, "classification": classify,
+    "class-counts": saturation._classes_and_counts,
     "saturation": is_saturated, "strongly-closed": is_strongly_closed,
     "C_S(E)": c_s_of, "normality": is_normal,
     "centralizer-data": compute_centralizer_data,
@@ -130,7 +131,7 @@ def suite_pass(counted_memo):
 
 
 def test_each_content_is_asked_once_per_pass(suite_pass):
-    """The fills of every family: 6,481 in all, with one fill per entry
+    """The fills of every family: 6,861 in all, with one fill per entry
     of each of the four entry families (``verify.normal_pairs`` and the
     data built from it).  Each of the 121 normal pairs asks three
     centralized families (E's and N_E(T)'s in F, and E's in E for Z(E))
@@ -145,10 +146,14 @@ def test_each_content_is_asked_once_per_pass(suite_pass):
     classification, and the classification builds the table of Aut_F(P)
     for centric P only: with every report classifying its system and
     every P's table built, the pass filled 380 classifications and 1,923
-    automorphism groups (7,765 fills in all)."""
+    automorphism groups (7,765 fills in all).  The F-classes with the
+    counts of |N_S(P)| and |C_S(P)| are one datum (380 fills) of every
+    system that is saturation-tested or classified, which both read; as
+    two computations of each reader, they added no fill (6,481 in all)."""
     fills, _ = suite_pass
     assert {name: fills[f] for name, f in FAMILIES.items()} == {
         "CF": 534, "autgrp": 750, "NF": 646, "classification": 269,
+        "class-counts": 380,
         "saturation": 380, "strongly-closed": 385, "C_S(E)": 221,
         "normality": 348, "centralizer-data": 121, "product-report": 412,
         "aut-sets-normal": 654, "O^p-auts": 365, "stability": 357,
@@ -157,7 +162,7 @@ def test_each_content_is_asked_once_per_pass(suite_pass):
         "focal": 52, "conjugation-family": 21, "hyperfocal": 52,
         "normal-pairs": 21, "candidate-subsystems": 21,
         "commuting-pairs": 21, "alternative-Sylow": 21}
-    assert sum(fills.values()) == 6481
+    assert sum(fills.values()) == 6861
 
 
 def test_dimino_runs_per_pass(suite_pass):

@@ -12,7 +12,8 @@ data is declared with ``fusion.derived``: it is the one function of the
 package that reads or writes a system's ``_cache``, which only
 ``FusionSystem.__init__`` binds besides, and no module names
 ``functools.cached_property``, a second cache on an object that holds a
-system.  A check of the verification suite takes
+system.  Only the mutation helpers of ``verify`` build a system with both
+a witness and explicit iso-sets.  A check of the verification suite takes
 only systems: every parameter of a ``verify_*`` or ``_check_*`` function
 of ``verify`` is annotated ``FusionSystem``, and no scope runner of its
 registry is called with a lambda, so each row names its verifier and the
@@ -55,6 +56,13 @@ NO_CALLER_NEEDED = {
 # The only code of the package that names a system's ``_cache``: the
 # constructor binds the slot's dict, and ``derived`` reads and fills it.
 CACHE_SITES = ["fusion.FusionSystem.__init__", "fusion.derived"]
+
+# The only code of the package that builds a system with both a witness and
+# explicit iso-sets: the mutation helpers.  Every other system is given by
+# its witness or by its table, so the agreement check of
+# ``subsystems._local`` never runs on an honest system.
+WITNESS_AND_TABLE_SITES = ["verify.inner_only_shadow", "verify.with_added_iso",
+                           "verify.with_replaced_isos"]
 
 # The scope runners of ``verify.CHECKS``: each is called with a named check.
 SCOPE_RUNNERS = ("_per_pair", "_per_commuting_pair")
@@ -157,17 +165,16 @@ def caller_less(sources: dict[str, str]) -> list[str]:
     return sorted(out)
 
 
-def cache_sites(sources: dict[str, str]) -> list[str]:
+def _sites(sources: dict[str, str], is_use) -> list[str]:
     """``module.function``, or ``module.Class.method`` for a method, for
     each module-level function or method of ``sources`` (module name ->
-    source) that names an attribute ``_cache`` at any depth inside it, and
-    ``module (line n)`` for such a name anywhere else."""
+    source) that holds a node ``is_use`` accepts at any depth inside it,
+    and ``module (line n)`` for such a node anywhere else."""
     out = set()
     for mod, src in sources.items():
         for node in ast.parse(src).body:
             for fn in (node.body if isinstance(node, ast.ClassDef) else [node]):
-                uses = [n.lineno for n in ast.walk(fn)
-                        if isinstance(n, ast.Attribute) and n.attr == "_cache"]
+                uses = [n.lineno for n in ast.walk(fn) if is_use(n)]
                 if not uses:
                     continue
                 if not isinstance(fn, ast.FunctionDef):
@@ -177,6 +184,30 @@ def cache_sites(sources: dict[str, str]) -> list[str]:
                 else:
                     out.add(f"{mod}.{node.name}.{fn.name}")
     return sorted(out)
+
+
+def cache_sites(sources: dict[str, str]) -> list[str]:
+    """The sites (``_sites``) that name an attribute ``_cache``."""
+    return _sites(sources, lambda n: isinstance(n, ast.Attribute)
+                  and n.attr == "_cache")
+
+
+def _witness_and_table(n: ast.AST) -> bool:
+    """Is ``n`` a call of ``FusionSystem``, bare or as an attribute, that
+    passes both a witness (third) and explicit iso-sets (fourth), by
+    keyword or by position?"""
+    if not (isinstance(n, ast.Call) and "FusionSystem" in (
+            getattr(n.func, "id", None), getattr(n.func, "attr", None))):
+        return False
+    given = {k.arg for k in n.keywords}
+    return (("witness" in given or len(n.args) > 2)
+            and ("explicit" in given or len(n.args) > 3))
+
+
+def witness_and_table_sites(sources: dict[str, str]) -> list[str]:
+    """The sites (``_sites``) that build a system with both a witness and
+    explicit iso-sets."""
+    return _sites(sources, _witness_and_table)
 
 
 def cached_property_lines(source: str) -> list[int]:
@@ -363,6 +394,13 @@ def test_only_derived_touches_a_slot():
     assert cache_sites({p.stem: p.read_text() for p in MODULES}) == CACHE_SITES
 
 
+def test_only_mutation_helpers_give_a_witness_and_a_table():
+    """A system with both a witness and iso-sets of its own is a corrupted
+    system of the self-tests, and only the mutation helpers build one."""
+    assert witness_and_table_sites(
+        {p.stem: p.read_text() for p in MODULES}) == WITNESS_AND_TABLE_SITES
+
+
 @pytest.mark.parametrize("path", MODULES, ids=_import_id)
 def test_no_cached_property(path):
     """Data derived from a system is declared with ``fusion.derived``, so
@@ -450,6 +488,23 @@ def test_detects_a_cache_use():
                "b": "x = F._cache\n"}
     assert cache_sites(sources) == ["a (line 10)", "a.K.m", "a.nested",
                                     "a.reads", "b (line 1)"]
+
+
+def test_detects_a_witness_and_a_table():
+    sources = {"a": ("def mutant(F, t):\n"
+                     "    return FusionSystem(F.support, 2, witness=F.witness,\n"
+                     "                        explicit=t)\n"
+                     "def honest(F, t):\n"
+                     "    return (FusionSystem(F.support, 2, witness=F.witness),\n"
+                     "            fusion.FusionSystem(F.support, 2, explicit=t),\n"
+                     "            Other(F.support, 2, witness=1, explicit=t))\n"
+                     "class K:\n"
+                     "    made = FusionSystem(S, 2, explicit=t, witness=W)\n"
+                     "    def m(self):\n"
+                     "        return fusion.FusionSystem(S, 2, W, t)\n"),
+               "b": "M = FusionSystem(S, 2, W, explicit=t)\n"}
+    assert witness_and_table_sites(sources) == [
+        "a (line 9)", "a.K.m", "a.mutant", "b (line 1)"]
 
 
 def test_detects_a_cached_property():

@@ -27,7 +27,7 @@ from fusionkit.groups import (FiniteGroup, Hom, group_from_table,
                               right_span_generators, sylow_subgroup)
 from fusionkit.persist import load_system, save_system, system_payload
 from fusionkit.saturation import aut_group, key_generators, key_span
-from fusionkit.verify import with_removed_iso
+from fusionkit.verify import inner_only_shadow, with_removed_iso
 from oracles import (aut_generating_set_greedy, cayley_columns_literal,
                      close_morphisms_literal, keys_of)
 from test_fusion import perm_groups
@@ -235,16 +235,26 @@ def test_key_span_counts_the_table_closure(name, p):
             assert key_span(rep, [h.images for h in kept]) == want
 
 
-def test_unclosed_automorphisms_do_not_save(F_s4):
-    """A realized mutant whose Aut_F(rep) is not closed under composition
-    has no generating set to record: saving it is NotAGroup."""
-    P = next(P for P in F_s4.subgroups() if len(F_s4.automorphisms(P)) == 6)
-    index = next(i for i, h in enumerate(F_s4.isos_from(P))
-                 if h.images != P.members)
-    F = with_removed_iso(F_s4, P, index, keep_witness=True)
-    assert F.realized
-    with pytest.raises(NotAGroup):
-        system_payload(F)
+@pytest.mark.parametrize("mutant", ["removed", "shadow"])
+def test_mutants_with_a_witness_do_not_save(F_s4, mutant, tmp_path):
+    """A mutant that keeps the witness beside its own iso-sets has no file
+    that loads as it: the file stores the witness, which regenerates the
+    honest F.  Saving it is VerificationFailed and writes nothing, both
+    for a removed automorphism, which leaves an Aut_F(P) that is no group,
+    and for the inner shadow, whose automorphism sets are groups."""
+    if mutant == "removed":
+        P = next(P for P in F_s4.subgroups()
+                 if len(F_s4.automorphisms(P)) == 6)
+        index = next(i for i, h in enumerate(F_s4.isos_from(P))
+                     if h.images != P.members)
+        M = with_removed_iso(F_s4, P, index, keep_witness=True)
+    else:
+        M = inner_only_shadow(F_s4)
+    assert M.realized and not M.from_witness
+    path = tmp_path / "mutant.fsk"
+    with pytest.raises(VerificationFailed, match="witness alone"):
+        save_system(M, path)
+    assert not path.exists()
 
 
 # sha256 of the file ``fusionkit build`` writes for each corpus entry

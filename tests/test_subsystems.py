@@ -7,21 +7,19 @@ from hypothesis import given, settings
 
 from fusionkit.corpus import builtin_group, corpus_entries
 from fusionkit.errors import NotNormal, NotStronglyClosed
-from fusionkit.fusion import (fusion_of_group, generated_subsystem,
-                              inner_system, realized_subsystem,
-                              subsystem_equal)
+from fusionkit.fusion import (full_subcategory, fusion_of_group,
+                              generated_subsystem, inner_system,
+                              realized_subsystem, subsystem_equal)
 from fusionkit.groups import (Hom, center, centralizer, normal_subgroups,
                               normalizer, o_upper_p, subgroup_lattice,
                               sylow_subgroup)
 from fusionkit.subsystems import (_condition_f, _stability,
-                                  centralizer_subsystem,
-                                  centralizer_subsystem_by_extension,
-                                  extension_witness,
+                                  centralizer_subsystem, extension_witness,
                                   invariance_conditions, is_normal,
                                   is_strongly_closed, is_weakly_closed,
-                                  normal_subsystem_in, normalizer_subsystem,
-                                  normalizer_subsystem_by_extension)
-from fusionkit.verify import verify_finvariant_equiv
+                                  normal_subsystem_in, normalizer_subsystem)
+from fusionkit.verify import (inner_only_shadow, verify_finvariant_equiv,
+                              with_added_iso, with_removed_iso)
 from oracles import conjugate_subsystem, validate_fusion_system
 from test_fusion import perm_groups
 
@@ -46,13 +44,47 @@ class TestClosure:
             assert is_weakly_closed(F, P) == P.is_normal_in(d8.full_subgroup)
 
 
-def local_paths_agree(G, p, realized, by_extension):
-    """On F = F_S(G), the witness-filtered local subsystem at every R <= S
-    equals the one found by extension search, morphism for morphism."""
+def local_paths_agree(G, p, local):
+    """On F = F_S(G), the local subsystem at every R <= S, the system of
+    the witness's centralizer or normalizer, equals the one read off F's
+    table by extension, that of the full subcategory F|<=S, which has the
+    same table and no witness, morphism for morphism."""
     S = sylow_subgroup(G.full_subgroup, p)
     F = fusion_of_group(G, S, p)
+    table = full_subcategory(F, S)
     for R in F.subgroups():
-        assert subsystem_equal(realized(F, R), by_extension(F, R))
+        assert subsystem_equal(local(F, R), local(table, R))
+
+
+def kept_witness_mutants(F):
+    """Mutants of F that keep its witness: the last iso-onto-image removed
+    at the first member of each F-class that has more than one, a
+    bijection of S that is no automorphism (its members at positions 1
+    and 2 swapped) added unclosed, and the inner shadow."""
+    S = F.support
+    found = [with_removed_iso(F, P, len(F.isos_from(P)) - 1,
+                              keep_witness=True)
+             for P, *_ in F.classes() if len(F.isos_from(P)) > 1]
+    if S.order > 3:
+        swapped = list(S.members)
+        swapped[1], swapped[2] = swapped[2], swapped[1]
+        found.append(with_added_iso(F, Hom(S, S, tuple(swapped)),
+                                    close=False, keep_witness=True))
+    return found + [inner_only_shadow(F)]
+
+
+def locals_read_the_table(M):
+    """C_M(X) and N_M(X) at every X <= S are those of M's table alone,
+    the full subcategory M|<=S, which has no witness.  Returns how many
+    differ from the system of M's witness."""
+    table = full_subcategory(M, M.support)
+    moved = 0
+    for X in M.subgroups():
+        for local in (centralizer_subsystem, normalizer_subsystem):
+            got = local(M, X)
+            assert subsystem_equal(got, local(table, X))
+            moved += not got.from_witness
+    return moved
 
 
 class TestLocalSubsystems:
@@ -67,22 +99,44 @@ class TestLocalSubsystems:
     def test_witness_and_extension_paths_agree(self):
         for _, G, p in corpus_entries():
             if G.order <= 48:
-                local_paths_agree(G, p, centralizer_subsystem,
-                                  centralizer_subsystem_by_extension)
+                local_paths_agree(G, p, centralizer_subsystem)
 
     def test_normalizer_paths_agree(self):
         for _, G, p in corpus_entries():
             if G.order <= 48:
-                local_paths_agree(G, p, normalizer_subsystem,
-                                  normalizer_subsystem_by_extension)
+                local_paths_agree(G, p, normalizer_subsystem)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(perm_groups())
     def test_paths_agree_on_generated_groups(self, group):
-        local_paths_agree(*group, centralizer_subsystem,
-                          centralizer_subsystem_by_extension)
-        local_paths_agree(*group, normalizer_subsystem,
-                          normalizer_subsystem_by_extension)
+        local_paths_agree(*group, centralizer_subsystem)
+        local_paths_agree(*group, normalizer_subsystem)
+
+    def test_mutants_with_a_witness_read_their_table(self):
+        """A mutant that keeps the honest witness gets the local systems
+        of its own table, not those of the witness.  On the inner shadow
+        of F_S(S4) the witness's would differ at 3 C_F(X) and 4 N_F(Q)."""
+        moved = 0
+        for _, G, p in corpus_entries():
+            if G.order <= 48:
+                S = sylow_subgroup(G.full_subgroup, p)
+                for M in kept_witness_mutants(fusion_of_group(G, S, p)):
+                    moved += locals_read_the_table(M)
+        assert moved > 0
+
+    def test_the_inner_shadow_of_s4_reads_its_table(self, F_s4):
+        M = inner_only_shadow(F_s4)
+        assert locals_read_the_table(M) == 7
+        assert sum(not centralizer_subsystem(M, X).from_witness
+                   for X in M.subgroups()) == 3
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(perm_groups())
+    def test_mutants_of_generated_groups_read_their_table(self, group):
+        G, p = group
+        S = sylow_subgroup(G.full_subgroup, p)
+        for M in kept_witness_mutants(fusion_of_group(G, S, p)):
+            locals_read_the_table(M)
 
     def test_normalizer_of_normal_subgroup_is_f(self, F_s4, V4):
         assert subsystem_equal(normalizer_subsystem(F_s4, V4), F_s4)

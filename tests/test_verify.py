@@ -15,7 +15,8 @@ import pytest
 import fusionkit
 from fusionkit import centralizers, verify as verify_mod
 from fusionkit.centralizers import (compute_centralizer_data,
-                                    contained_in_centralizer)
+                                    contained_in_centralizer,
+                                    normalizer_family)
 from fusionkit.corpus import builtin_group, builtin_group_path, ingest
 from fusionkit.fusion import (FusionSystem, fusion_of_group,
                               generated_subsystem, inner_system)
@@ -292,9 +293,11 @@ class TestMutationsCentralizer:
         monkeypatch.setattr(verify_mod, "centralized_set", returning(()))
         assert verify_weakly_closed_centralized(F_s4, E_a4) is not None
 
-    def test_cfcg0_unextendable_automorphism(self, F_s4xc2, E_s4x1, s4xc2):
+    def test_cfcg0_unextendable_automorphism(self, F_s4xc2, E_s4x1, s4xc2,
+                                             monkeypatch):
         """E with Aut_E(T) replaced by an outer automorphism of D8 that
-        does not extend to S; the kept witness keeps N_E(T)'s family."""
+        does not extend to S, with N_E(T)'s family injected as that of
+        the honest E."""
         T = E_s4x1.support
         r = next(x for x in T.members if s4xc2.element_order(x) == 4)
         refl = next(x for x in T.members
@@ -303,7 +306,9 @@ class TestMutationsCentralizer:
                     and s4xc2.conj(x, r) != x)
         outer = Hom.from_generator_images(T, T, [r, refl],
                                           [r, s4xc2.mul(r, refl)])
-        bad_E = with_replaced_isos(E_s4x1, T, [outer], keep_witness=True)
+        monkeypatch.setattr(verify_mod, "normalizer_family", returning(
+            verify_mod.normalizer_family(F_s4xc2, E_s4x1)))
+        bad_E = with_replaced_isos(E_s4x1, T, [outer])
         assert bad_E.automorphisms(T) == (outer,)
         assert verify_cfcg0(F_s4xc2, bad_E) == {
             "X": [0, 1, 14, 15], "alpha": list(outer.images)}
@@ -679,11 +684,11 @@ class TestSuiteLevelMutations:
         assert any(r.status == "fail" for r in res)
 
 
-def cfcg0_per_pair(F, E):
-    """The literal CFCG0 search: one ``extension_witness`` per (X, alpha),
-    X-major, each recomputing C_S(T) and TC_S(T)."""
+def cfcg0_per_pair(F, E, NET):
+    """The literal CFCG0 search with N_E(T) given as ``NET``: one
+    ``extension_witness`` per (X, alpha), X-major, each recomputing C_S(T)
+    and TC_S(T)."""
     T = E.support
-    NET = normalizer_subsystem(E, T)
     targets = [X for X in subgroup_lattice(centralizer(F.support, T, T))
                if contained_in_centralizer(F, NET, X)]
     for X in targets:
@@ -693,18 +698,31 @@ def cfcg0_per_pair(F, E):
     return None
 
 
-@pytest.mark.parametrize("name", ["s4xc2", "d8xc2", "gl23"])
-def test_cfcg0_matches_the_per_pair_search(name):
+# The normal pairs of each entry whose E with Aut_E(T) replaced by Aut_F(T)
+# fails CFCG0.
+WIDER_FAILING = {"s4xc2": 2, "d8xc2": 9, "gl23": 0}
+
+
+@pytest.mark.parametrize("name", WIDER_FAILING)
+def test_cfcg0_matches_the_per_pair_search(name, monkeypatch):
     """Hoisting the extension search out of the X loop reports the same
     first (X, alpha), also for an automorphism list that fails: E with
-    Aut_E(T) replaced by Aut_F(T) and its witness kept, so N_E(T) and its
-    family stay those of E."""
+    Aut_E(T) replaced by Aut_F(T), with N_E(T)'s family injected as that
+    of E (``WIDER_FAILING``)."""
     G = builtin_group(name)
     S = sylow_subgroup(G.full_subgroup, 2)
     F = fusion_of_group(G, S, 2)
+    failed = 0
     for N in normal_subgroups(G.full_subgroup):
         E = normal_subsystem_in(F, N)
-        assert verify_cfcg0(F, E) == cfcg0_per_pair(F, E) is None
         T = E.support
-        wider = with_replaced_isos(E, T, F.automorphisms(T), keep_witness=True)
-        assert verify_cfcg0(F, wider) == cfcg0_per_pair(F, wider)
+        NET = normalizer_subsystem(E, T)
+        assert verify_cfcg0(F, E) == cfcg0_per_pair(F, E, NET) is None
+        wider = with_replaced_isos(E, T, F.automorphisms(T))
+        with monkeypatch.context() as mp:
+            mp.setattr(verify_mod, "normalizer_family",
+                       returning(normalizer_family(F, E)))
+            bad = verify_cfcg0(F, wider)
+        assert bad == cfcg0_per_pair(F, wider, NET)
+        failed += bad is not None
+    assert failed == WIDER_FAILING[name]
