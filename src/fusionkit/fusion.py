@@ -262,26 +262,13 @@ class FusionSystem:
             self._iso_keys[P.members] = got
         return got
 
-    def extensions(self, phi: Hom, U: Subgroup) -> Iterator[Hom]:
-        """Lazily yield each psi in ``isos_from(U)``, in that order, with
-        psi|_{dom phi} = phi; dom phi must lie in U.  A generator, so that
-        a caller needing one extension stops at the first."""
-        if not phi.domain.member_set <= U.member_set:
-            raise DomainMismatch("phi is not defined inside U")
-        at = U.positions
-        pairs = [(at[x], y) for x, y in zip(phi.domain.members, phi.images)]
-        for psi in self.isos_from(U):
-            imgs = psi.images
-            if all(imgs[i] == y for i, y in pairs):
-                yield psi
-
     def restriction_keys(self, U: Subgroup, P: Subgroup,
                          stabilizing: Optional[Subgroup] = None) -> frozenset:
         """The image keys of psi|_P for the psi in ``isos_from(U)``, only
         those with psi(R) = R when ``stabilizing`` is R; P must lie in U.
-        A map phi from P has such an extension to U (``extensions``) iff
-        phi.images is one of them, so one set answers for every phi.  Each
-        psi is read as its image key (``_keys_from``), so no Hom is built."""
+        A map phi from P extends to such a psi iff phi.images is one of
+        them, so one set answers for every phi.  Each psi is read as its
+        image key (``_keys_from``), so no Hom is built."""
         if not P.member_set <= U.member_set:
             raise DomainMismatch("phi is not defined inside U")
         at = U.positions
@@ -451,10 +438,12 @@ def inner_system(F: FusionSystem, P: Subgroup) -> FusionSystem:
 _Arrow = tuple[int, tuple[int, ...], Callable]
 
 
-def close_morphisms(support: Subgroup, seeds: Iterable[Hom],
+def close_morphisms(support: Subgroup,
+                    seeds: Iterable[tuple[tuple[int, ...], tuple[int, ...]]],
                     ) -> dict[tuple[int, ...], frozenset]:
     """Fixed-point closure over ``support``: inner maps of the support plus
-    ``seeds``, closed under restriction, corestriction and composition.
+    ``seeds``, each given as its domain's members and its image key,
+    closed under restriction, corestriction and composition.
 
     The fusion-system axioms do not force inverses of isomorphisms, so no
     inverses are added.  Termination: all sets are subsets of the finite set
@@ -470,8 +459,7 @@ def close_morphisms(support: Subgroup, seeds: Iterable[Hom],
     domain or image, or a restriction whose image, is not a subgroup of
     the support raises ``MorphismOutsideSupport``.  The table, each
     subgroup's members with the set of image keys of the maps from it,
-    depends only on the image keys of the seeds, not on their order or on
-    how their Homs were built; no Hom is built.
+    depends only on the set of seeds, not on their order; no Hom is built.
     """
     subs = subgroup_lattice(support)
     covers = lattice_covers(support)
@@ -503,11 +491,11 @@ def close_morphisms(support: Subgroup, seeds: Iterable[Hom],
 
     for r in support.members:
         seed(0, support.row(r))
-    for h in seeds:
-        i = index.get(h.domain.members)
+    for domain, images in seeds:
+        i = index.get(domain)
         if i is None:
             raise MorphismOutsideSupport("morphism domain leaves the support")
-        seed(i, h.images)
+        seed(i, images)
     while work:
         i, images, (c, pos, pick) = work.popleft()
         for m, restrict in covers[i]:
@@ -554,7 +542,7 @@ def generated_subsystem(F: FusionSystem, R: Subgroup,
 @derived
 def _closure_table(top: FusionSystem, R: Subgroup, keys: frozenset) -> dict:
     """``close_morphisms`` over R, seeded by maps into R with these keys."""
-    return close_morphisms(R, [Hom(Subgroup(R.parent, d), R, i) for d, i in keys])
+    return close_morphisms(R, keys)
 
 
 # -- morphism/subsystem transport -----------------------------------------------

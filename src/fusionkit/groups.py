@@ -580,10 +580,6 @@ class Hom:
                 and self.domain.parent is self.codomain.parent
                 and self.images == self.domain.members)
 
-    def fixes_pointwise(self, X: Subgroup) -> bool:
-        mp = self._map
-        return all(mp[x] == x for x in X.members)
-
     def subgroup_image(self, P: Subgroup) -> Subgroup:
         return Subgroup(self.codomain.parent, self.apply_set(P.members))
 

@@ -255,7 +255,8 @@ def load_system(path: str | Path) -> FusionSystem:
         if certified:
             return fresh
         _validate(maps)
-        explicit = close_morphisms(S, maps)
+        explicit = close_morphisms(S, [(h.domain.members, h.images)
+                                       for h in maps])
         rebuilt = FusionSystem(S, p, explicit=explicit, name="rebuilt")
         if not subsystem_equal(rebuilt, fresh):
             raise VerificationFailed(

@@ -232,7 +232,10 @@ def radical_intersect_failure(F: FusionSystem, S1: Subgroup, S2: Subgroup
 def zcentralize_witnesses(F: FusionSystem, Fi: FusionSystem,
                           Fj: FusionSystem) -> bool:
     """Extension witnesses: each beta in Aut_{Fi}(Si) extends to an
-    automorphism of Si C_S(Si) moving C_S(Si) into Si and fixing Sj."""
+    automorphism of Si C_S(Si) moving C_S(Si) into Si and fixing Sj, read
+    off the extension table of Si (``extension_witness``).  An Sj outside
+    Si C_S(Si), as on supports that do not commute, can raise KeyError
+    there."""
     return all(extension_witness(F, beta, Fi.support, fixed=Fj.support)
                is not None for beta in Fi.automorphisms(Fi.support))
 

@@ -11,15 +11,24 @@ Topology", Prop. I.6.4).  The literal condition (f), ``_condition_f``,
 stays as the oracle; ``invariance_conditions`` evaluates all six
 conditions in one call.
 
-Stability and the extension property are each one loop, with the literal
-body, over the generators of the automorphisms
-(``saturation.key_generators``, a closure on image keys with no table)
-when their keys are closed under composition, and over every automorphism
-otherwise.  The automorphisms that pass are closed under composition, so
-the first one that fails is a generator, and the loop stops there with the
-payload or exception of the loop over every automorphism (the proof is in
-``key_generators``).  Those loops are ``stability_literal`` and
-``extension_property_literal`` in ``tests/oracles.py``.
+Stability is one loop, with the literal body, over the generators of
+Aut_F(T) (``saturation.key_generators``, a closure on image keys with no
+table) when their keys are closed under composition, and over every
+automorphism otherwise.  The automorphisms that pass are closed under
+composition, so the first one that fails is a generator, and the loop
+stops there with the payload or exception of the loop over every
+automorphism (the proof is in ``key_generators``).  That loop is
+``stability_literal`` in ``tests/oracles.py``.
+
+The extension condition of normality, the CFCG0 lemma and the extension
+witnesses of the product theorem ask one question of V = TC_S(T): which
+alpha on T extend to an ext in Aut_F(V) with [C_S(T), ext] inside a
+bound.  ``bounded_extensions`` answers it for every alpha at once, as a
+table from each restriction to T to the image keys of its extensions;
+the extension property is one lookup per alpha in Aut_E(T), and
+``extension_witness`` picks the first key that fixes a subgroup.  The
+Hom search per alpha is ``extension_property_literal`` in
+``tests/oracles.py``.
 
 Whether Aut_E(P) is a normal subgroup of Aut_F(P), which conditions
 (b)-(e) ask, is decided on the table of Aut_F(P) (``aut_group``) for
@@ -28,12 +37,12 @@ every P, a one-element Aut_F(P) included.
 C_F(X) and N_F(Q) have one constructor, ``_local``, with one rule: a
 system's morphisms are its table, and a witness is a faster way to read it
 where the two agree.  They read the morphisms on P R, and the extension
-search those on T C_S(T), each a ``Subgroup.product``, as one factor
+table those on T C_S(T), each a ``Subgroup.product``, as one factor
 normalizes the other."""
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import NotAGroup, NotNormal, NotStronglyClosed, NotSylow, VerificationFailed
 from .fusion import (FusionSystem, derived, full_subcategory,
@@ -296,52 +305,53 @@ def _frattini_property(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     return None
 
 
+@derived
 def bounded_extensions(F: FusionSystem, T: Subgroup, bound: Subgroup
-                       ) -> Callable[[Hom], Iterator[Hom]]:
-    """The extension search on T, with C_S(T) and TC_S(T) computed once:
-    a map from alpha in Aut_F(T) to a lazy iterator, in ``isos_from``
-    order, over the ext in Aut_F(TC_S(T)) with ext|_T = alpha and
-    [C_S(T), ext] <= bound."""
+                       ) -> tuple[Subgroup, dict]:
+    """V = TC_S(T) and its extension table: each restriction to T of an ext
+    in Aut_F(V) with [C_S(T), ext] <= bound, with the image keys of those
+    ext in ``isos_from`` order.  A key of ``F._keys_from(V)`` is an
+    automorphism of V iff its images are the members of V, and its
+    restriction and the commutators [c, ext] = c^-1 (c)ext are picked off
+    it, so no Hom is built.  The Hom search over Aut_F(V) is
+    ``extension_property_literal`` in ``tests/oracles.py``."""
     C = centralizer(F.support, T, F.table_for(T))
     V = T.product(C)  # C centralizes T
-    bset = bound.member_set
+    at, vset, bset = V.positions, V.member_set, bound.member_set
+    to_t = picker([at[x] for x in T.members])
     mul, inv = F.universe._mul, F.universe._inv
-
-    def search(alpha: Hom) -> Iterator[Hom]:
-        for ext in F.extensions(alpha, V):
-            if ext.codomain == V and all(mul[inv[c]][ext(c)] in bset
-                                         for c in C.members):
-                yield ext
-    return search
+    on_c = [(at[c], mul[inv[c]]) for c in C.members]
+    table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for key in sorted(F._keys_from(V)):
+        if frozenset(key) == vset and all(by[key[i]] in bset
+                                          for i, by in on_c):
+            table.setdefault(to_t(key), []).append(key)
+    return V, table
 
 
 def extension_witness(F: FusionSystem, alpha: Hom, bound: Subgroup,
                       fixed: Subgroup) -> Optional[Hom]:
     """The first ext in Aut_F(TC_S(T)), T = dom alpha, with ext|_T = alpha,
-    [C_S(T), ext] <= bound and ext|_fixed = id, or None.  The last test is
-    on ``fixed``: one outside TC_S(T) raises KeyError there."""
-    return next((ext for ext in bounded_extensions(F, alpha.domain, bound)(alpha)
-                 if ext.fixes_pointwise(fixed)), None)
+    [C_S(T), ext] <= bound and ext|_fixed = id, or None, read off the table
+    of ``bounded_extensions``.  The last test reads the members of
+    ``fixed`` in order: one outside TC_S(T) raises KeyError there."""
+    V, table = bounded_extensions(F, alpha.domain, bound)
+    at = V.positions
+    for key in table.get(alpha.images, ()):
+        if all(key[at[x]] == x for x in fixed.members):
+            return Hom(V, V, key)
+    return None
 
 
 def _extension_property(F: FusionSystem, E: FusionSystem,
                         bound: Subgroup) -> Optional[dict]:
-    """Each alpha in Aut_E(T) extends to TC_S(T) with [C_S(T), ext] <= bound.
-
-    When F is the system of its witness, the alpha that extend so contain
-    the identity and are closed under composition: if ext1 and ext2
-    extend alpha1 and alpha2, then ext1 ext2 lies in Aut_F(TC_S(T)) and
-    extends alpha1 alpha2, and c^-1 (c)ext1 ext2 = [c, ext1] [(c)ext1,
-    ext2] lies in the bound, since ext1 maps C_S(T), the centralizer of T
-    in TC_S(T), onto itself.  So the loop then runs over a generating set
-    of Aut_E(T) when its keys are closed (``saturation.key_generators``),
-    and over every alpha otherwise."""
+    """Each alpha in Aut_E(T) extends to TC_S(T) with [C_S(T), ext] <= bound:
+    one lookup of alpha in the table of ``bounded_extensions``; the first
+    alpha that fails, in ``isos_from`` order, is the payload."""
     T = E.support
-    search = bounded_extensions(F, T, bound)
-    alphas = E.automorphisms(T)
-    gens = key_generators(T, alphas) if F.from_witness else None
-    for alpha in (alphas if gens is None else gens):
-        if next(search(alpha), None) is None:
+    _, table = bounded_extensions(F, T, bound)
+    for alpha in E.automorphisms(T):
+        if alpha.images not in table:
             return {"alpha": list(alpha.images), "bound": list(bound.members)}
     return None
 

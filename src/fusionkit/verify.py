@@ -63,7 +63,7 @@ from .products import (ProductReport, centralize_each_other,
                        verify_product_theorems)
 from .saturation import (aut_group, classify, is_saturated,
                          o_upper_p_automorphisms)
-from .subsystems import (bounded_extensions, centralizer_subsystem,
+from .subsystems import (centralizer_subsystem, extension_witness,
                          invariance_conditions, is_normal, is_strongly_closed,
                          is_weakly_closed, normal_subsystem_in,
                          normalizer_subsystem, realized_subsystem)
@@ -417,15 +417,14 @@ def verify_gn(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
 
 def verify_cfcg0(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     """Aut_E(T) extends to TC_S(T) moving it only inside T and fixing any X
-    whose centralizer contains N_E(T)."""
+    whose centralizer contains N_E(T): one ``extension_witness`` per (X,
+    alpha), X-major."""
     T = E.support
     targets = normalizer_family(F, E)
     alphas = E.automorphisms(T)
-    search = bounded_extensions(F, T, T)
-    found = [tuple(search(alpha)) for alpha in alphas]
     for X in targets:
-        for alpha, exts in zip(alphas, found):
-            if not any(ext.fixes_pointwise(X) for ext in exts):
+        for alpha in alphas:
+            if extension_witness(F, alpha, T, fixed=X) is None:
                 return {"X": _sub(X), "alpha": list(alpha.images)}
     return None
 
@@ -883,7 +882,9 @@ def with_added_iso(F: FusionSystem, hom: Hom, close: bool = True,
     if not close:
         homs = list(F.isos_from(hom.domain)) + [hom]
         return with_replaced_isos(F, hom.domain, homs, keep_witness=keep_witness)
-    seeds = [h for Q in F.subgroups() for h in F.isos_from(Q)] + [hom]
+    seeds = [(Q.members, key) for Q in F.subgroups()
+             for key in F._keys_from(Q)]
+    seeds.append((hom.domain.members, hom.images))
     explicit = close_morphisms(F.support, seeds)
     return FusionSystem(F.support, F.p, explicit=explicit, ambient=F.ambient,
                         witness=F.witness if keep_witness else None,

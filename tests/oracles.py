@@ -41,7 +41,9 @@ model (``r_star_on_o_p_literal``) and the isomorphism search that
 closes a partial map under products on both sides
 (``find_isomorphism_literal``) are here, as are the loops over every
 automorphism of the stability and extension clauses of the normality
-report (``stability_literal``, ``extension_property_literal``), the
+report (``stability_literal``, and ``extension_property_literal``, a
+search over ``extensions`` per alpha where the package reads one table
+of image keys), the
 Frattini property's loop over every alpha^-1, applied member by member
 (``frattini_property_literal``), the per-product table of ``as_group``
 (``as_group_literal``) and ``EasyCentralizer`` with clause (a) tested
@@ -55,7 +57,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from fusionkit.centralizers import (c_F_of, c_s_of, centralized_set,
                                     normalizer_family, z_of)
@@ -73,7 +75,7 @@ from fusionkit.models import Model, is_constrained, script_G
 from fusionkit.saturation import (SaturationReport, SubgroupClassification,
                                   aut_group, canonical_family, classify,
                                   is_saturated, o_upper_p_automorphisms)
-from fusionkit.subsystems import bounded_extensions, centralizer_subsystem
+from fusionkit.subsystems import centralizer_subsystem
 
 
 # -- groups ---------------------------------------------------------------------
@@ -302,9 +304,20 @@ def extension_group_literal(F: FusionSystem, phi: Hom) -> Subgroup:
         if tuple(phi(conj(back[y], g)) for y in Q.members) in keys))
 
 
+def extensions(F: FusionSystem, phi: Hom, U: Subgroup) -> Iterator[Hom]:
+    """Lazily yield each psi in ``F.isos_from(U)``, in that order, with
+    psi|_{dom phi} = phi, compared member by member; dom phi must lie in
+    U."""
+    if not phi.domain.member_set <= U.member_set:
+        raise DomainMismatch("phi is not defined inside U")
+    for psi in F.isos_from(U):
+        if all(psi(x) == y for x, y in zip(phi.domain.members, phi.images)):
+            yield psi
+
+
 def extend_morphism(F: FusionSystem, phi: Hom, U: Subgroup) -> Optional[Hom]:
     """Some psi in Hom_F(U, S) with psi|_P = phi, or None (Absent)."""
-    return next(F.extensions(phi, U), None)
+    return next(extensions(F, phi, U), None)
 
 
 def normal_subgroups_literal(ambient: Subgroup) -> tuple[Subgroup, ...]:
@@ -424,7 +437,7 @@ def h_group_literal(F: FusionSystem, E: FusionSystem,
     NT = normalizer(E.support, P, P)
     PN = F.universe.generated_subgroup(P.members + NT.members)
     out = [phi for phi in F.automorphisms(P)
-           if any(psi.codomain == PN for psi in F.extensions(phi, PN))]
+           if any(psi.codomain == PN for psi in extensions(F, phi, PN))]
     if not _closed(out):
         raise VerificationFailed("H(P) is not closed under composition")
     return tuple(sorted(out, key=Hom.sort_key))
@@ -597,7 +610,7 @@ def normal_in_system_literal(F: FusionSystem, P: Subgroup) -> bool:
         QP = F.universe.generated_subgroup(Q.members + P.members)
         for phi in homs:
             if not any({psi(x) for x in P.members} == pset
-                       for psi in F.extensions(phi, QP)):
+                       for psi in extensions(F, phi, QP)):
                 return False
     return True
 
@@ -796,7 +809,8 @@ def generated_fusion_system(support: Subgroup, p: int,
                             generators: Iterable[Hom],
                             name: str = "") -> FusionSystem:
     """A free-standing generated fusion system (no ambient), e.g. a direct product."""
-    explicit = close_morphisms(support, generators)
+    explicit = close_morphisms(support, [(h.domain.members, h.images)
+                                         for h in generators])
     return FusionSystem(support, p, explicit=explicit,
                         name=name or f"gen_{support.order}")
 
@@ -1166,10 +1180,17 @@ def frattini_property_literal(F: FusionSystem, E: FusionSystem
 
 def extension_property_literal(F: FusionSystem, E: FusionSystem,
                                bound: Subgroup) -> Optional[dict]:
-    """An extension search for every alpha in Aut_E(T) in turn."""
-    search = bounded_extensions(F, E.support, bound)
-    for alpha in E.automorphisms(E.support):
-        if next(search(alpha), None) is None:
+    """For every alpha in Aut_E(T) in turn, a search of ``extensions`` to
+    V = TC_S(T) for an automorphism ext of V with [c, ext] in ``bound``
+    for every c in C_S(T)."""
+    T, G = E.support, F.universe
+    C = centralizer(F.support, T, T)
+    V = G.generated_subgroup(T.members + C.members)
+    for alpha in E.automorphisms(T):
+        if not any(ext.codomain == V
+                   and all(G.mul(G.inv(c), ext(c)) in bound.member_set
+                           for c in C.members)
+                   for ext in extensions(F, alpha, V)):
             return {"alpha": list(alpha.images), "bound": list(bound.members)}
     return None
 

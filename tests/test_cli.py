@@ -525,7 +525,7 @@ def test_one_process_serves_several_requests(s4_file, tmp_path, capsys):
 
 @pytest.mark.xfail(strict=True, raises=KeyError,
                    reason="product on factors whose supports do not commute "
-                          "dies in Hom.fixes_pointwise (known defect)")
+                          "dies in subsystems.extension_witness (known defect)")
 def test_product_on_non_commuting_supports_exits(tmp_path, capsys):
     src = tmp_path / "d8.json"
     src.write_text(builtin_group_path("d8").read_text())

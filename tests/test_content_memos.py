@@ -20,7 +20,7 @@ from collections import Counter
 import pytest
 
 from fusionkit import (centralizers, fusion, groups, models, saturation,
-                       verify as verify_mod)
+                       subsystems, verify as verify_mod)
 from fusionkit.centralizers import (c_s_of, centralized_set,
                                     compute_centralizer_data, focal_subgroup,
                                     hyperfocal_subgroup)
@@ -62,6 +62,7 @@ FAMILIES = {
     "candidate-subsystems": verify_mod.candidate_subsystems,
     "commuting-pairs": verify_mod.commuting_pairs,
     "alternative-Sylow": verify_mod.alternative_sylow,
+    "extension-table": subsystems.bounded_extensions,
 }
 
 
@@ -131,7 +132,7 @@ def suite_pass(counted_memo):
 
 
 def test_each_content_is_asked_once_per_pass(suite_pass):
-    """The fills of every family: 6,861 in all, with one fill per entry
+    """The fills of every family: 7,103 in all, with one fill per entry
     of each of the four entry families (``verify.normal_pairs`` and the
     data built from it).  Each of the 121 normal pairs asks three
     centralized families (E's and N_E(T)'s in F, and E's in E for Z(E))
@@ -149,7 +150,10 @@ def test_each_content_is_asked_once_per_pass(suite_pass):
     automorphism groups (7,765 fills in all).  The F-classes with the
     counts of |N_S(P)| and |C_S(P)| are one datum (380 fills) of every
     system that is saturation-tested or classified, which both read; as
-    two computations of each reader, they added no fill (6,481 in all)."""
+    two computations of each reader, they added no fill (6,481 in all).
+    The extension table of each (T, bound), which the extension property,
+    CFCG0 and the extension witnesses read, is one datum (242 fills); as
+    a search per alpha it added no fill (6,861 in all)."""
     fills, _ = suite_pass
     assert {name: fills[f] for name, f in FAMILIES.items()} == {
         "CF": 534, "autgrp": 750, "NF": 646, "classification": 269,
@@ -161,8 +165,9 @@ def test_each_content_is_asked_once_per_pass(suite_pass):
         "C_F(E)": 121, "model": 46, "condition-f": 134,
         "focal": 52, "conjugation-family": 21, "hyperfocal": 52,
         "normal-pairs": 21, "candidate-subsystems": 21,
-        "commuting-pairs": 21, "alternative-Sylow": 21}
-    assert sum(fills.values()) == 6861
+        "commuting-pairs": 21, "alternative-Sylow": 21,
+        "extension-table": 242}
+    assert sum(fills.values()) == 7103
 
 
 def test_dimino_runs_per_pass(suite_pass):

@@ -12,12 +12,13 @@ data is declared with ``fusion.derived``: it is the one function of the
 package that reads or writes a system's ``_cache``, which only
 ``FusionSystem.__init__`` binds besides, and no module names
 ``functools.cached_property``, a second cache on an object that holds a
-system.  Only the mutation helpers of ``verify`` build a system with both
-a witness and explicit iso-sets.  A check of the verification suite takes
-only systems: every parameter of a ``verify_*`` or ``_check_*`` function
-of ``verify`` is annotated ``FusionSystem``, and no scope runner of its
-registry is called with a lambda, so each row names its verifier and the
-verifier reads its data itself."""
+system.  Every function declared with ``derived`` is a family of the fill
+pins of ``test_content_memos``.  Only the mutation helpers of ``verify``
+build a system with both a witness and explicit iso-sets.  A check of the
+verification suite takes only systems: every parameter of a ``verify_*``
+or ``_check_*`` function of ``verify`` is annotated ``FusionSystem``, and
+no scope runner of its registry is called with a lambda, so each row
+names its verifier and the verifier reads its data itself."""
 
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ from typing import Optional
 import pytest
 
 import fusionkit
+from test_content_memos import FAMILIES
 
 PACKAGE = Path(fusionkit.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -208,6 +210,24 @@ def witness_and_table_sites(sources: dict[str, str]) -> list[str]:
     """The sites (``_sites``) that build a system with both a witness and
     explicit iso-sets."""
     return _sites(sources, _witness_and_table)
+
+
+def derived_functions(sources: dict[str, str]) -> list[str]:
+    """``module.function``, or ``module.Class.method`` for a method, for
+    each module-level function or method of ``sources`` (module name ->
+    source) decorated with ``derived``, bare or as an attribute."""
+    out = []
+    for mod, src in sources.items():
+        for node in ast.parse(src).body:
+            inside = node.body if isinstance(node, ast.ClassDef) else [node]
+            for fn in inside:
+                if isinstance(fn, ast.FunctionDef) and any(
+                        "derived" in (getattr(d, "id", None),
+                                      getattr(d, "attr", None))
+                        for d in fn.decorator_list):
+                    name = fn.name if fn is node else f"{node.name}.{fn.name}"
+                    out.append(f"{mod}.{name}")
+    return sorted(out)
 
 
 def cached_property_lines(source: str) -> list[int]:
@@ -401,6 +421,16 @@ def test_only_mutation_helpers_give_a_witness_and_a_table():
         {p.stem: p.read_text() for p in MODULES}) == WITNESS_AND_TABLE_SITES
 
 
+def test_every_derived_family_is_pinned():
+    """Each function declared with ``derived`` is a family of the fill pins
+    of ``test_content_memos`` (``FAMILIES``), so a new family fails here
+    by name, not only as a changed total of fills."""
+    pinned = sorted(f"{fn.__module__.rsplit('.', 1)[-1]}.{fn.__qualname__}"
+                    for fn in FAMILIES.values())
+    assert derived_functions(
+        {p.stem: p.read_text() for p in MODULES}) == pinned
+
+
 @pytest.mark.parametrize("path", MODULES, ids=_import_id)
 def test_no_cached_property(path):
     """Data derived from a system is declared with ``fusion.derived``, so
@@ -505,6 +535,33 @@ def test_detects_a_witness_and_a_table():
                "b": "M = FusionSystem(S, 2, W, explicit=t)\n"}
     assert witness_and_table_sites(sources) == [
         "a (line 9)", "a.K.m", "a.mutant", "b (line 1)"]
+
+
+def test_detects_a_derived_function():
+    sources = {"a": ("@derived\n"
+                     "def kept(F):\n"
+                     "    pass\n"
+                     "@fusion.derived\n"
+                     "def dotted(F, T):\n"
+                     "    pass\n"
+                     "@other\n"
+                     "def plain(F):\n"
+                     "    return 'derived'\n"
+                     "def derived(fn):\n"
+                     "    @derived\n"
+                     "    def nested(F):\n"
+                     "        pass\n"
+                     "    return fn\n"
+                     "class K:\n"
+                     "    @derived\n"
+                     "    def m(self):\n"
+                     "        pass\n"),
+               "b": ("@wraps(f)\n"
+                     "@derived\n"
+                     "def stacked(F):\n"
+                     "    pass\n")}
+    assert derived_functions(sources) == ["a.K.m", "a.dotted", "a.kept",
+                                          "b.stacked"]
 
 
 def test_detects_a_cached_property():

@@ -23,7 +23,7 @@ from fusionkit.corpus import builtin_group, corpus_entries
 from fusionkit.errors import DomainMismatch, MorphismOutsideSupport, NotAGroup
 from fusionkit.fusion import (FusionSystem, close_morphisms, fusion_of_group,
                               generated_subsystem, realized_subsystem)
-from fusionkit.groups import (Hom, lattice_covers, normal_subgroups,
+from fusionkit.groups import (Hom, Subgroup, lattice_covers, normal_subgroups,
                               subgroup_lattice, sylow_subgroup)
 from fusionkit.models import normal_in_system
 from fusionkit.products import (_star_product, centralize_each_other,
@@ -62,7 +62,8 @@ def recorded(counted_memo):
     def generating(F, R, generators, check_inside=True):
         # a memoized closure runs once, but each call's input is recorded
         generators = list(generators)
-        calls["close"].append((R, generators))
+        calls["close"].append((R, [(h.domain.members, h.images)
+                                   for h in generators]))
         return generated_subsystem(F, R, generators, check_inside)
 
     def reaching(F, P, family, record_paths=False):
@@ -109,13 +110,14 @@ def test_closure_matches_the_hom_form(recorded):
     the Homs of the literal table, in order."""
     seen = set()
     for support, seeds in recorded["close"]:
-        key = (id(support.parent), support.members,
-               tuple((h.domain.members, h.images) for h in seeds))
+        key = (id(support.parent), support.members, tuple(seeds))
         if key in seen:
             continue
         seen.add(key)
+        U = support.parent
         new = close_morphisms(support, seeds)
-        old = close_morphisms_literal(support, seeds)
+        old = close_morphisms_literal(support, [Hom(Subgroup(U, d), support, i)
+                                                for d, i in seeds])
         assert list(new) == list(old)
         assert new == keys_of(old)
         n = support.order      # a power of p; any prime serves for n = 1
@@ -284,7 +286,8 @@ def test_key_forms_build_no_surplus_homs(label, hom_count):
         is_central_product(D, E1, E2)      # fills the centres z_of(E_i)
         gens = star_generators(F, E1, E2)
         before = hom_count[0]
-        close_morphisms(D.support, gens)
+        close_morphisms(D.support, [(h.domain.members, h.images)
+                                    for h in gens])
         is_central_product(D, E1, E2)
         assert hom_count[0] == before
     before = hom_count[0]
@@ -309,9 +312,10 @@ def test_lattice_covers_are_the_maximal_subgroups(name):
 
 
 def test_closure_rejects_what_leaves_the_support(d8):
-    """The errors of the Hom form: a seed domain outside the support, a
-    seed image outside it, and a restriction whose image is no subgroup
-    (from a seed that is not a homomorphism)."""
+    """The errors of the Hom form, message for message, on the seed's key
+    pair: a seed domain outside the support, a seed image outside it, and
+    a restriction whose image is no subgroup (from a seed that is not a
+    homomorphism)."""
     S = d8.full_subgroup
     small = next(P for P in subgroup_lattice(S) if P.order == 4)
     z = next(x for x in small.members if d8.element_order(x) == 2)
@@ -324,13 +328,14 @@ def test_closure_rejects_what_leaves_the_support(d8):
     a2 = d8.mul(a, a)
     swap = {a: a2, a2: a}
     not_a_hom = Hom(cyclic, cyclic, tuple(swap.get(x, x) for x in cyclic.members))
-    for closure in (close_morphisms, close_morphisms_literal):
-        with pytest.raises(MorphismOutsideSupport):
-            closure(small, [bad_domain])
-        with pytest.raises(MorphismOutsideSupport):
-            closure(small, [bad_image])
-        with pytest.raises(MorphismOutsideSupport):
-            closure(S, [not_a_hom])
+    for support, h, leaves in ((small, bad_domain, "domain"),
+                               (small, bad_image, "image"),
+                               (S, not_a_hom, "image")):
+        message = f"^morphism {leaves} leaves the support$"
+        with pytest.raises(MorphismOutsideSupport, match=message):
+            close_morphisms(support, [(h.domain.members, h.images)])
+        with pytest.raises(MorphismOutsideSupport, match=message):
+            close_morphisms_literal(support, [h])
 
 
 # -- classification, saturation, F-normality and strong closure ---------------

@@ -14,7 +14,8 @@ from fusionkit.groups import (Hom, center, centralizer, normal_subgroups,
                               normalizer, o_upper_p, subgroup_lattice,
                               sylow_subgroup)
 from fusionkit.subsystems import (_condition_f, _stability,
-                                  centralizer_subsystem, extension_witness,
+                                  bounded_extensions, centralizer_subsystem,
+                                  extension_witness,
                                   invariance_conditions, is_normal,
                                   is_strongly_closed, is_weakly_closed,
                                   normal_subsystem_in, normalizer_subsystem)
@@ -342,6 +343,80 @@ class TestExtensionWitness:
             assert extension_witness(F_s4xc2, outer, bound, trivial) is None
             assert not literal_extension_exists(F_s4xc2, outer, bound, trivial,
                                                 lambda C, V: V)
+
+
+def extension_table_literal(F, T, bound):
+    """The table of ``bounded_extensions`` by a loop over every
+    automorphism of V = TC_S(T): the image key of each ext with [c, ext]
+    in ``bound`` for every c in C_S(T), listed under its restriction to
+    T, in ``isos_from`` order."""
+    G = F.universe
+    C = centralizer(F.support, T, T)
+    V = G.generated_subgroup(T.members + C.members)
+    table = {}
+    for ext in F.automorphisms(V):
+        if all(G.mul(G.inv(c), ext(c)) in bound.member_set
+               for c in C.members):
+            table.setdefault(tuple(ext(x) for x in T.members),
+                             []).append(ext.images)
+    return V, table
+
+
+def tables_agree(F, T) -> dict:
+    """``bounded_extensions`` equals the literal loop at T for the bounds
+    1, Z(T), T and S: the same V, restrictions and keys, in the same
+    order.  Returns the tables by bound."""
+    got = {}
+    for bound in (F.universe.trivial_subgroup, center(T), T, F.support):
+        got[bound.members] = bounded_extensions(F, T, bound)
+        assert got[bound.members] == extension_table_literal(F, T, bound)
+    return got
+
+
+def mutants_at_v(F, T):
+    """Mutants of F at V = TC_S(T), each with and without the witness:
+    its last automorphism removed, and a bijection of V that is no
+    homomorphism (its members at positions 1 and 2 swapped) added
+    unclosed."""
+    V = F.universe.generated_subgroup(
+        T.members + centralizer(F.support, T, T).members)
+    last = max(i for i, h in enumerate(F.isos_from(V)) if h.codomain == V)
+    swapped = list(V.members)
+    if V.order > 3:
+        swapped[1], swapped[2] = swapped[2], swapped[1]
+    for keep in (False, True):
+        yield with_removed_iso(F, V, last, keep_witness=keep)
+        if V.order > 3:
+            yield with_added_iso(F, Hom(V, V, tuple(swapped)), close=False,
+                                 keep_witness=keep)
+
+
+def extension_tables(G, p, mutate: bool) -> int:
+    """The table at every T <= S of F = F_S(G), and with ``mutate`` of the
+    mutants at TC_S(T); returns how many mutant tables differ from F's."""
+    S = sylow_subgroup(G.full_subgroup, p)
+    F = fusion_of_group(G, S, p)
+    moved = 0
+    for T in F.subgroups():
+        honest = tables_agree(F, T)
+        for M in (mutants_at_v(F, T) if mutate else ()):
+            moved += tables_agree(M, T) != honest
+    return moved
+
+
+class TestExtensionTable:
+    """``bounded_extensions`` is the loop over every automorphism of
+    TC_S(T), on honest systems and on mutants at TC_S(T)."""
+
+    def test_corpus_up_to_order_48(self):
+        moved = sum(extension_tables(G, p, True)
+                    for _, G, p in corpus_entries() if G.order <= 48)
+        assert moved > 0
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(perm_groups())
+    def test_generated_groups(self, group):
+        extension_tables(*group, True)
 
 
 class TestNormality:

@@ -686,8 +686,8 @@ class TestSuiteLevelMutations:
 
 def cfcg0_per_pair(F, E, NET):
     """The literal CFCG0 search with N_E(T) given as ``NET``: one
-    ``extension_witness`` per (X, alpha), X-major, each recomputing C_S(T)
-    and TC_S(T)."""
+    ``extension_witness`` per (X, alpha), X-major, over the X <= C_S(T)
+    found by testing whether C_F(X) contains N_E(T)."""
     T = E.support
     targets = [X for X in subgroup_lattice(centralizer(F.support, T, T))
                if contained_in_centralizer(F, NET, X)]
@@ -705,10 +705,10 @@ WIDER_FAILING = {"s4xc2": 2, "d8xc2": 9, "gl23": 0}
 
 @pytest.mark.parametrize("name", WIDER_FAILING)
 def test_cfcg0_matches_the_per_pair_search(name, monkeypatch):
-    """Hoisting the extension search out of the X loop reports the same
-    first (X, alpha), also for an automorphism list that fails: E with
-    Aut_E(T) replaced by Aut_F(T), with N_E(T)'s family injected as that
-    of E (``WIDER_FAILING``)."""
+    """``verify_cfcg0`` on the family of N_E(T) (``normalizer_family``)
+    reports the same first (X, alpha) as the per-pair search, also for an
+    automorphism list that fails: E with Aut_E(T) replaced by Aut_F(T),
+    with N_E(T)'s family injected as that of E (``WIDER_FAILING``)."""
     G = builtin_group(name)
     S = sylow_subgroup(G.full_subgroup, 2)
     F = fusion_of_group(G, S, 2)
