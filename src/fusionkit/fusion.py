@@ -21,15 +21,15 @@ tuples, and ``isos_from`` builds every Hom from them.
 
 Every system has a content key.  A system given by a witness group alone
 is determined by ``(support.members, witness.members)``.  A system with
-explicit iso-sets is keyed by an ``ExplicitKey``: the support, the witness
-(or None) and its table, so equal keys mean the same iso-sets, map for
-map; it compares by value, so two different tables never share a key.  A
-system's derived data (iso-sets,
-classification, saturation, local subsystems, normality reports, and the
-predicates the verification suite asks again, such as strong closure and
-stability) lives in a slot of the registry on its top system, shared by
-every system with the same content key under that top, so it is computed
-once per content.  Each such result is declared by ``derived``, which keys
+explicit iso-sets is keyed by the triple of the support's members, the
+witness's members (or None) and the frozenset of its table's items, so
+equal keys mean the same iso-sets, map for map, and two different tables
+never share a key.  A system's derived data (iso-sets, classification,
+saturation, local subsystems, normality reports, and the predicates the
+verification suite asks again, such as strong closure and stability)
+lives in a slot of the registry on its top system, shared by every system
+with the same content key under that top, so it is computed once per
+content.  Each such result is declared by ``derived``, which keys
 it by the content of its arguments and keeps it in the first argument's
 slot.
 
@@ -124,18 +124,20 @@ class FusionSystem:
     subsystems of subsystems are re-based so towers never form.
 
     ``content_key`` is ``(support.members, witness.members)`` when the
-    witness alone defines the system, and an ``ExplicitKey`` of the tables
-    when ``explicit`` iso-sets are given, with or without a witness: then
-    the witness does not determine the hom-sets (the mutation self-tests
+    witness alone defines the system, and ``(support.members,
+    witness.members or None, frozenset(explicit.items()))`` when
+    ``explicit`` iso-sets are given, with or without a witness: then the
+    witness does not determine the hom-sets (the mutation self-tests
     corrupt systems this way), so the key holds the table itself and
-    compares it by value.  Two different tables never share a key, and a
-    realized key (a plain tuple) never equals an explicit one.  Systems
-    with equal content keys under one top share a slot of derived data
-    (``_isos``, ``_iso_keys``, and ``_cache``, which ``derived`` alone
-    reads and fills) in the top's ``_registry``, whatever seeds produced
-    their tables; each copy keeps its own ``name``.  The registry lives
-    on the top, not on the universe, so it is freed with the top system,
-    and a mutated top, being a new top, starts an empty one.  The
+    compares it by value; the frozenset caches its hash.  Two different
+    tables never share a key, and a realized key (a pair) never equals an
+    explicit one (a triple).  Systems with equal content keys under one
+    top share a slot of derived data (``_isos``, ``_iso_keys``, and
+    ``_cache``, which ``derived`` alone reads and fills) in the top's
+    ``_registry``, whatever seeds produced their tables; each copy keeps
+    its own ``name``.  The registry lives on the top, not on the
+    universe, so it is freed with the top system, and a mutated top,
+    being a new top, starts an empty one.  The
     subgroups its morphisms name go the same way: the universe interns
     them weakly, so a subgroup, with its conjugation table, lattice and
     covers, is freed with the last system or caller that holds it, and
@@ -167,7 +169,9 @@ class FusionSystem:
                              f"F_{support.order}")
         self.content_key: Hashable = (
             (support.members, witness.members) if explicit is None
-            else ExplicitKey(support, witness, explicit))
+            else (support.members,
+                  witness.members if witness is not None else None,
+                  frozenset(explicit.items())))
         self._registry: Optional[dict[Hashable, tuple[dict, dict, dict]]] = (
             {} if self.ambient is None else None)
         top = self.top()
@@ -351,33 +355,6 @@ class FusionSystem:
         return sum(len(self.isos_from(P)) for P in self.subgroups())
 
 
-class ExplicitKey:
-    """Content key of a system given by explicit iso-sets.
-
-    ``table`` is ``(support.members, witness.members or None, frozenset of
-    the table's items)``: each subgroup's members with its set of image
-    keys.  The key compares by value, so two systems share a slot exactly
-    when their tables hold the same maps; the hash is computed once.
-    """
-
-    __slots__ = ("table", "_hash")
-
-    def __init__(self, support: Subgroup, witness: Optional[Subgroup],
-                 explicit: dict[tuple[int, ...], frozenset]) -> None:
-        self.table = (support.members,
-                      witness.members if witness is not None else None,
-                      frozenset(explicit.items()))
-        self._hash = hash(self.table)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (isinstance(other, ExplicitKey)
-                                 and self._hash == other._hash
-                                 and self.table == other.table)
-
-
 def _first_conjugations(P: Subgroup, rows: Sequence[tuple[int, ...]],
                         inside: frozenset[int], base: Subgroup
                         ) -> Iterator[tuple[int, ...]]:
@@ -445,9 +422,12 @@ def close_morphisms(support: Subgroup,
     ``seeds``, each given as its domain's members and its image key,
     closed under restriction, corestriction and composition.
 
-    The fusion-system axioms do not force inverses of isomorphisms, so no
-    inverses are added.  Termination: all sets are subsets of the finite set
-    of injections between subgroups of the support.
+    No inverses are added, so the closure holds the inverse of each of its
+    isomorphisms only when the seeds happen to give it; a fusion system
+    holds every such inverse (Aschbacher-Kessar-Oliver, Def. I.2.1(b)), so
+    the closure of arbitrary seeds need not be one (ROADMAP.md, item 7).
+    Termination: all sets are subsets of the finite set of injections
+    between subgroups of the support.
 
     The worklist runs on keys, never on Hom objects.  A map is its domain's
     lattice position and its image tuple; it carries its codomain's
@@ -517,7 +497,11 @@ def close_morphisms(support: Subgroup,
 def generated_subsystem(F: FusionSystem, R: Subgroup,
                         generators: Iterable[Hom],
                         check_inside: bool = True) -> FusionSystem:
-    """<C>_R: the smallest subsystem of F over R containing the generators.
+    """The closure over R of the inner maps of R and the generators under
+    restriction, corestriction and composition (``close_morphisms``).  It
+    adds no inverses, so it is <C>_R, the smallest subsystem of F over R
+    containing the generators, only when it holds the inverse of each of
+    its isomorphisms (ROADMAP.md, item 7).
 
     The support and inside checks run on every call.  The closure table
     depends only on R and the generators' (domain, image) keys, so it is

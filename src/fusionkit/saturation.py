@@ -16,18 +16,20 @@ comes from, and its Hom form is ``saturation_report_literal`` in
 ``tests/oracles.py``.  Closures stay on it: ``close_morphisms`` adds no
 inverses, so the closure of arbitrary seeds need not be a fusion system.
 
-The exhaustive predicates run on counts and keys, with the same
-quantifiers, alarms and reports as their Hom forms in ``tests/oracles.py``
+Both tests read N_S(P), C_S(P), Aut_S(P) and the S-conjugations from P
+off one datum, S's action on P (``_classes_and_counts``): the cosets
+C_S(P)g under their keys gens(P)^g, one pass over S per P.  The
+exhaustive predicates run on counts and keys, with the same quantifiers,
+alarms and reports as their Hom forms in ``tests/oracles.py``
 (``classify_literal``, ``saturation_report_literal``):
 
 - fully automized is |N_S(P)| = |C_S(P)| |Aut_F(P)|_p, since Aut_S(P) is
-  N_S(P)/C_S(P); one pass over S per P gives both orders;
+  N_S(P)/C_S(P);
 - ``radical`` covers centric subgroups only: O_p(Aut_F(P)) is computed for
   centric P, the only ones ``cr_set`` reads;
-- N_phi is a union of the classes of N_S(P) by their action on gens(P)
-  (the cosets of C_S(P)), one member deciding each class, so N_S(P) is
-  split once per P, each phi costs one pick per class and each union is
-  built once;
+- N_phi is a union of the cosets of C_S(P) in N_S(P), one member
+  deciding each coset, so each phi costs one pick per coset and each
+  union is built once;
 - phi extends to N_phi iff phi.images is the restriction to P of the key
   of some morphism from N_phi, one set per (P, N_phi).
 
@@ -43,7 +45,7 @@ Conjugation families are searched breadth-first on image tuples
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain, compress
+from itertools import chain
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import NotAGroup, NotSaturated
@@ -144,27 +146,35 @@ def o_upper_p_automorphisms(F: FusionSystem, P: Subgroup) -> tuple[Hom, ...]:
 
 
 @derived
-def _classes_and_counts(F: FusionSystem) -> tuple[tuple, dict, dict, dict]:
-    """The F-classes (``FusionSystem.classes``) and |N_S(P)|, |C_S(P)| and
-    whether C_S(P) lies in P, by the members of each subgroup P, read off
-    the conjugation table of ``F.base``: the one class pass of both the
-    class test and ``classify``.  One pass over S per P picks gens(P)^g
-    for every g in S: g normalizes P iff that lies in P and centralizes P
-    iff it is gens(P)."""
+def _classes_and_counts(F: FusionSystem) -> tuple[tuple, dict, dict, dict, dict]:
+    """The F-classes (``FusionSystem.classes``), S's action on each
+    subgroup P, and |N_S(P)|, |C_S(P)| and whether C_S(P) lies in P, by
+    the members of P, read off the conjugation table of ``F.base`` with one
+    pick of gens(P) per row of S: the one pass of the class test,
+    ``classify`` and the extension groups.
+
+    The action on P maps each gens(P)^g, g in S, to the tuple of the g
+    giving it, in member order.  c_g|P is fixed by gens(P)^g, so the
+    values are the cosets C_S(P)g, C_S(P) is the value at gens(P), and
+    N_S(P) is the union of the values whose key lies in P."""
     S, base = F.support, F.base
     rows = base.rows(S.members)
     at = base.positions
+    action: dict[tuple[int, ...], dict[tuple[int, ...], tuple[int, ...]]] = {}
     n_of: dict[tuple[int, ...], int] = {}
     c_of: dict[tuple[int, ...], int] = {}
     self_centralizing: dict[tuple[int, ...], bool] = {}
     for P in F.subgroups():
         gens, pset = P.generators, P.member_set
-        acting = list(map(picker([at[x] for x in gens]), rows))
-        n_of[P.members] = sum(map(pset.issuperset, acting))
-        C = [g for g, key in zip(S.members, acting) if key == gens]
+        found: dict[tuple[int, ...], list[int]] = {}
+        for g, key in zip(S.members, map(picker([at[x] for x in gens]), rows)):
+            found.setdefault(key, []).append(g)
+        cosets = action[P.members] = {k: tuple(v) for k, v in found.items()}
+        C = cosets[gens]
+        n_of[P.members] = len(C) * sum(map(pset.issuperset, cosets))
         c_of[P.members] = len(C)
         self_centralizing[P.members] = pset.issuperset(C)
-    return F.classes(), n_of, c_of, self_centralizing
+    return F.classes(), action, n_of, c_of, self_centralizing
 
 
 @derived
@@ -189,7 +199,7 @@ def classify(F: FusionSystem) -> SubgroupClassification:
     ``tests/oracles.py``."""
     base = F.base
     at = base.positions
-    classes, n_of, c_of, self_centralizing = _classes_and_counts(F)
+    classes, _, n_of, c_of, self_centralizing = _classes_and_counts(F)
     fully_n, fully_c, fully_a, centric, radical = set(), set(), set(), set(), set()
     for cls in classes:
         max_n = max(n_of[Q.members] for Q in cls)
@@ -225,31 +235,24 @@ def classify(F: FusionSystem) -> SubgroupClassification:
 # -- extension axiom -----------------------------------------------------------
 
 
-def _extension_groups(F: FusionSystem, P: Subgroup,
-                      aut_s: dict[tuple[int, ...], tuple]
+def _extension_groups(F: FusionSystem, P: Subgroup
                       ) -> Callable[[Hom], Subgroup]:
     """phi -> N_phi for the maps phi from P onto their codomains, read off
-    the conjugation table of ``F.base``.  gens(Q) and the keys of Aut_S(Q)
-    on them, the gens(Q)^g inside Q for g in S, are kept in ``aut_s`` by
-    the members of Q.
+    S's action on P and on each codomain Q (``_classes_and_counts``):
+    Aut_S(Q) on gens(Q) is the set of Q's keys that lie in Q.
 
     With pre = phi^-1(gens(Q)) and pulled = {phi^-1(h(gens(Q))) : h in
     Aut_S(Q)}, g in N_S(P) lies in N_phi iff pre^g is in pulled.  As pre
     lies in P, pre^g depends on c_g|P alone, which c_g on gens(P) fixes:
-    N_phi is a union of the classes of N_S(P) by their action on gens(P)
-    (the cosets of C_S(P)), and one member decides its class.  So N_S(P)
-    is split once per P, each phi costs one pick per class, and each
-    union is built as a Subgroup once."""
-    S = F.support
+    N_phi is a union of the cosets of C_S(P) in N_S(P), the values of P's
+    action whose key lies in P, and one member decides its coset.  So
+    each phi costs one pick per coset, and each union is built as a
+    Subgroup once."""
+    action = _classes_and_counts(F)[1]
     row, at = F.base.row, F.base.positions
-    s_rows = F.base.rows(S.members)
     pset = P.member_set
-    acting = list(map(picker([at[x] for x in P.generators]), s_rows))
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for g, key in compress(zip(S.members, acting),
-                           map(pset.issuperset, acting)):
-        classes.setdefault(key, []).append(g)
-    blocks = list(classes.values())
+    blocks = [block for key, block in action[P.members].items()
+              if pset.issuperset(key)]
     reps = [(1 << i, row(block[0])) for i, block in enumerate(blocks)]
     members, order = P.members, P.order
     made: dict[int, Subgroup] = {}
@@ -259,16 +262,10 @@ def _extension_groups(F: FusionSystem, P: Subgroup,
         back = dict(zip(phi.images, members))
         if len(back) != order:
             raise NotAGroup("only isomorphisms onto the codomain invert")
-        got = aut_s.get(Q.members)
-        if got is None:
-            gens, qset = Q.generators, Q.member_set
-            of_q = picker([at[x] for x in gens])
-            got = aut_s[Q.members] = (gens, frozenset(
-                filter(qset.issuperset, map(of_q, s_rows))))
-        gens, keys = got
-        pull = back.__getitem__
-        of_pre = picker([at[pull(y)] for y in gens])
-        pulled = {tuple(map(pull, key)) for key in keys}
+        pull, qset = back.__getitem__, Q.member_set
+        of_pre = picker([at[pull(y)] for y in Q.generators])
+        pulled = {tuple(map(pull, key)) for key in action[Q.members]
+                  if qset.issuperset(key)}
         mask = 0
         for bit, r in reps:
             if of_pre(r) in pulled:
@@ -291,16 +288,16 @@ class SaturationReport(NamedTuple):
         return self.ok
 
 
-def _unextended(F: FusionSystem, P: Subgroup, isos: Sequence[Hom],
-                aut_s: dict[tuple[int, ...], tuple]
+def _unextended(F: FusionSystem, P: Subgroup, isos: Sequence[Hom]
                 ) -> Iterator[tuple[Hom, Subgroup]]:
     """Each map phi of ``isos``, all from P onto their codomains, that has
     no extension to N_phi, with N_phi, in order and lazily.  N_phi comes
-    from ``_extension_groups``, and phi extends to N_phi iff phi.images is
-    the restriction to P of the key of some psi in ``isos_from(N_phi)``;
-    that set is built once per (P, N_phi)
+    from ``_extension_groups``, which reads S's action from the class
+    datum, so nothing is carried from call to call; phi extends to N_phi
+    iff phi.images is the restriction to P of the key of some psi in
+    ``isos_from(N_phi)``; that set is built once per (P, N_phi)
     (``FusionSystem.restriction_keys``)."""
-    n_phi = _extension_groups(F, P, aut_s)
+    n_phi = _extension_groups(F, P)
     extends: dict[tuple[int, ...], frozenset] = {}
     for phi in isos:
         nphi = n_phi(phi)
@@ -325,22 +322,24 @@ def _saturated_by_classes(F: FusionSystem) -> bool:
     class to extend to N_phi (``_unextended``).  A phi that is c_g|Q for
     some g in S needs no test: c_g on N_S(Q), which holds N_phi, is a map
     of F_S(S), which a fusion system holds, and it extends phi.  So phi
-    is tested only when its key is no key of c_g|Q, g in S, one pick of
-    Q's members off each row of S."""
-    classes, n_of, c_of, _ = _classes_and_counts(F)
-    aut_s: dict[tuple[int, ...], tuple] = {}
-    at = F.base.positions
-    s_rows = F.base.rows(F.support.members)
+    is tested only when its key is no key of c_g|Q, g in S.  c_g|Q
+    depends on the coset C_S(Q)g alone, so those keys are one pick of Q's
+    members off the row of one member of each value of S's action on Q
+    (``_classes_and_counts``)."""
+    classes, action, n_of, c_of, _ = _classes_and_counts(F)
+    row, at = F.base.row, F.base.positions
     for cls in classes:
         P = max(cls, key=lambda Q: n_of[Q.members])
         if n_of[P.members] != c_of[P.members] * p_part(
                 len(F.automorphisms(P)), F.p):
             return False
         for Q in cls:
-            inner = set(map(picker([at[x] for x in Q.members]), s_rows))
+            of_members = picker([at[x] for x in Q.members])
+            inner = {of_members(row(coset[0]))
+                     for coset in action[Q.members].values()}
             onto = [phi for phi in F.isos_from(Q)
                     if phi.codomain == P and phi.images not in inner]
-            if onto and next(_unextended(F, Q, onto, aut_s), None) is not None:
+            if onto and next(_unextended(F, Q, onto), None) is not None:
                 return False
     return True
 
@@ -384,13 +383,12 @@ def is_saturated(F: FusionSystem) -> SaturationReport:
         if not cls.is_fully_centralized(P):
             failures.append({"axiom": "sylow", "kind": "not_fully_centralized",
                              "subgroup": list(P.members)})
-    aut_s: dict[tuple[int, ...], tuple] = {}
     for P in F.subgroups():
         isos = [phi for phi in F.isos_from(P)
                 if phi.codomain.members in cls.fully_centralized]
         if not isos:
             continue
-        for phi, nphi in _unextended(F, P, isos, aut_s):
+        for phi, nphi in _unextended(F, P, isos):
             failures.append({"axiom": "extension",
                              "subgroup": list(P.members),
                              "images": list(phi.images),

@@ -877,8 +877,11 @@ def with_removed_iso(F: FusionSystem, P: Subgroup, index: int,
 
 def with_added_iso(F: FusionSystem, hom: Hom, close: bool = True,
                    keep_witness: bool = False) -> FusionSystem:
-    """Adjoin a morphism; by default take the closure so the result is a
-    structurally valid (if wrong) fusion system."""
+    """Adjoin a morphism.  By default take the closure of F's maps and
+    ``hom`` under restriction, corestriction and composition
+    (``close_morphisms``); it adds no inverses, so the result need not
+    hold the inverse of each of its isomorphisms and need not be a fusion
+    system (ROADMAP.md, item 7)."""
     if not close:
         homs = list(F.isos_from(hom.domain)) + [hom]
         return with_replaced_isos(F, hom.domain, homs, keep_witness=keep_witness)

@@ -29,7 +29,7 @@ def extension_group(F: FusionSystem, phi: Hom) -> Subgroup:
     """N_phi = {g in N_S(P) : phi^-1 c_g phi in Aut_S(P^phi)}, by the
     class form the saturation report runs (``_extension_groups``)."""
     phi = phi.cores()
-    return _extension_groups(F, phi.domain, {})(phi)
+    return _extension_groups(F, phi.domain)(phi)
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from itertools import chain
 
 import pytest
+from hypothesis import given, settings
 
 from fusionkit import saturation
 from fusionkit.corpus import builtin_group, corpus_entries
@@ -18,12 +20,14 @@ from fusionkit.saturation import (alperin_decompose, canonical_family,
                                   classify, is_conjugation_family,
                                   is_saturated, o_upper_p_automorphisms)
 from fusionkit.subsystems import centralizer_subsystem, normalizer_subsystem
-from fusionkit.verify import (normal_pairs, run_suite, with_added_iso,
-                              with_removed_iso, with_replaced_isos)
+from fusionkit.verify import (inner_only_shadow, normal_pairs, run_suite,
+                              with_added_iso, with_removed_iso,
+                              with_replaced_isos)
 from conftest import entry_system, extension_group
-from oracles import (classify_literal, extend_morphism,
+from oracles import (automizer_in_literal, centralizer_literal,
+                     classify_literal, extend_morphism, normalizer_literal,
                      saturation_report_literal)
-from test_fusion import s4_mutants
+from test_fusion import perm_groups, s4_mutants
 from test_key_forms import mutants as key_form_mutants
 
 
@@ -126,6 +130,55 @@ class TestClassification:
     def test_o_upper_p_automorphisms(self, F_s4, V4):
         op = o_upper_p_automorphisms(F_s4, V4)
         assert len(op) == 3  # C3 inside S3
+
+
+def assert_action_is_literal(F) -> dict:
+    """S's action in the class datum of F, checked against the literal
+    forms for every P <= S: its values partition S in member order, each
+    key is gens(P)^g for the g of its value, the value at gens(P) is
+    C_S(P), the values whose key lies in P make up N_S(P), and the keys
+    inside P are the images of gens(P) under Aut_S(P).  Returns it."""
+    S, conj = F.support, F.universe.conj
+    action = saturation._classes_and_counts(F)[1]
+    assert set(action) == {P.members for P in F.subgroups()}
+    for P in F.subgroups():
+        cosets, gens, pset = action[P.members], P.generators, P.member_set
+        values = list(cosets.values())
+        assert all(list(v) == sorted(v) for v in values)
+        assert [v[0] for v in values] == sorted(v[0] for v in values)
+        assert sorted(chain.from_iterable(values)) == list(S.members)
+        for key, v in cosets.items():
+            assert all(tuple(conj(x, g) for x in gens) == key for g in v)
+        assert tuple(cosets[gens]) == centralizer_literal(S, P).members
+        inside = [key for key in cosets if pset.issuperset(key)]
+        assert tuple(sorted(chain.from_iterable(
+            cosets[key] for key in inside))) == normalizer_literal(S, P).members
+        assert set(inside) == {tuple(map(h, gens))
+                               for h in automizer_in_literal(F, S, P)}
+    return action
+
+
+class TestActionDatum:
+    def test_corpus_and_mutants(self):
+        """On the corpus entries of order <= 48, and on mutants of each
+        (``with_removed_iso``, ``inner_only_shadow``): a mutant's table
+        differs from F's, but S's action on each P does not."""
+        for label, G, p in corpus_entries():
+            if G.order > 48:
+                continue
+            F = entry_system(G, p)
+            action = assert_action_is_literal(F)
+            S = F.support
+            removed = with_removed_iso(F, S, len(F.isos_from(S)) - 1)
+            for M in (removed, inner_only_shadow(F)):
+                assert assert_action_is_literal(M) == action
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(perm_groups())
+    def test_generated_groups(self, group):
+        G, p = group
+        assert_action_is_literal(
+            fusion_of_group(G, sylow_subgroup(G.full_subgroup, p), p))
 
 
 def extension_group_by_composition(F, phi):
