@@ -13,16 +13,18 @@ p-constrained); the model on O_p of the local system is the same up to
 isomorphism over S, so R* and the model orders are those of the literal
 route.
 
-Each datum has one source.  The centralized family of E and its join
-C_S(E) are derived data of F (``fusion.derived``): ``centralized_set`` and
-``c_s_of`` compute them once per (F, E) content, and
-``compute_centralizer_data``, the verifiers and the product reports read
-them there.  The family of N_E(T) is ``centralized_set`` of N_E(T)
+Each datum has one source.  Which of E's image keys lie in C_F(Y), for
+each Y <= C_S(T), and C_S(E) are derived data of F (``fusion.derived``):
+``centralizing_keys`` and ``c_s_of`` compute them once per (F, E)
+content.  E's centralized family is read off the keys
+(``centralized_set``), as are EasyCentralizer and WeaklyClosedCentralized
+in ``verify``.  The family of N_E(T) is ``centralized_set`` of N_E(T)
 (``normalizer_family``), and Z(F) is C_S(F) of F run self-ambient
 (``z_of``), so neither keeps a memo of its own.
 
-E <= C_F(X) is asked one way, by ``contained_in_centralizer``; its
-generating-set form is the ``centralizer-oracle`` check of ``verify``.
+Every other reader asks E <= C_F(X) by ``contained_in_centralizer``; the
+``centralizer-oracle`` check of ``verify`` recomputes both families by it
+and by the generating-set form.
 Each Theorem A post-check is stated once, as a predicate returning a located
 counterexample or None: ``c_s_counterexample`` for C_S(E) and
 ``r_star_counterexample`` for R*.  ``c_s_of`` and ``compute_centralizer_data``
@@ -35,6 +37,7 @@ other."""
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from functools import reduce
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -56,13 +59,38 @@ def contained_in_centralizer(F: FusionSystem, E: FusionSystem, X: Subgroup) -> b
 
 
 @derived
-def centralized_set(F: FusionSystem, E: FusionSystem) -> tuple[Subgroup, ...]:
-    """The centralized family: all X <= C_S(T) with E <= C_F(X), in
-    canonical order; C_S(E) is its largest member."""
+def centralizing_keys(F: FusionSystem, E: FusionSystem
+                      ) -> tuple[tuple[Subgroup, frozenset], ...]:
+    """(Y, K(Y)) for each Y <= C_S(T), in canonical order: K(Y) is the set
+    of E's image keys (P, beta) that lie in C_F(Y), read per P <= T as the
+    keys from P that E and C_F(Y) share.  Y <= C_S(T) gives T <= C_S(Y),
+    so E <= C_F(Y) exactly when K(Y) holds every key of E.  K(Y) is read
+    once per content of C_F(Y), and equal sets are kept as one, so a full
+    K(Y) is E's key set itself."""
     T = E.support
     CST = centralizer(F.support, T, F.table_for(T))
-    return tuple(X for X in subgroup_lattice(CST)
-                 if contained_in_centralizer(F, E, X))
+    from_p = [(P, E._keys_from(P)) for P in E.subgroups()]
+    keys = frozenset((P.members, b) for P, bs in from_p for b in bs)
+    seen = {keys: keys}
+    by_content: dict[Hashable, frozenset] = {}
+    out = []
+    for Y in subgroup_lattice(CST):
+        C_Y = centralizer_subsystem(F, Y)
+        K = by_content.get(C_Y.content_key)
+        if K is None:
+            K = frozenset((P.members, b) for P, bs in from_p
+                          for b in bs & C_Y._keys_from(P))
+            K = by_content[C_Y.content_key] = seen.setdefault(K, K)
+        out.append((Y, K))
+    return tuple(out)
+
+
+def centralized_set(F: FusionSystem, E: FusionSystem) -> tuple[Subgroup, ...]:
+    """The centralized family: all X <= C_S(T) with E <= C_F(X), in
+    canonical order, the X whose K(X) is full (``centralizing_keys``);
+    C_S(E) is its largest member."""
+    n = sum(len(E._keys_from(P)) for P in E.subgroups())
+    return tuple(X for X, K in centralizing_keys(F, E) if len(K) == n)
 
 
 def family_join(F: FusionSystem, X_set: Sequence[Subgroup]) -> Subgroup:

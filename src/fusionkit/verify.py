@@ -23,20 +23,21 @@ by one loop:
   supports ``S1`` and ``S2``.
 
 A verifier takes only systems and reads each datum it tests from the one
-function that computes it: E's centralized family
-(``centralized_set``), C_S(E) (``c_s_of``), the join MainCSE.a
-post-checks (``family_join``), R* with its local system and model
-(``compute_centralizer_data``, or ``r_star`` where R* is derived again),
-C_F(E) (``c_F_of``), the candidate subsystems, H(P) and A-circle(P)
-(``h_group``, ``a_circle``) and Z(F_i) (``z_of``).  The shared ones are
-derived data of F, computed once per content, and no check reads what
-another left, so a check run alone reports what it reports in the full
-pass; a self-test corrupts a datum by replacing that function, or by a
-mutant system.  The function to replace is the name in its caller's
-module: this module's verifiers, all four C_F(E) checks included, resolve
-``verify.centralized_set``, ``verify.c_F_of`` and the rest, while
-``c_s_of`` and ``compute_centralizer_data`` live in ``centralizers`` and
-resolve ``centralizers.centralized_set``.  Finvariant.equiv reads the six
+function that computes it: E's keys in each C_F(Y)
+(``centralizing_keys``), E's centralized family (``centralized_set``),
+C_S(E) (``c_s_of``), the join MainCSE.a post-checks (``family_join``), R*
+with its local system and model (``compute_centralizer_data``, or
+``r_star`` where R* is derived again), C_F(E) (``c_F_of``), the candidate
+subsystems, H(P) and A-circle(P) (``h_group``, ``a_circle``) and Z(F_i)
+(``z_of``).  The shared ones are derived data of F, computed once per
+content, and no check reads what another left, so a check run alone
+reports what it reports in the full pass; a self-test corrupts a datum by
+replacing that function, or by a mutant system.  The function to replace
+is the name in its caller's module: this module's verifiers, all four
+C_F(E) checks included, resolve ``verify.centralized_set``,
+``verify.centralizing_keys``, ``verify.c_F_of`` and the rest, while the
+functions of ``centralizers`` resolve ``centralizers.centralized_set`` and
+``centralizers.centralizing_keys``.  Finvariant.equiv reads the six
 invariance conditions from one call (``invariance_conditions``).
 """
 
@@ -46,7 +47,8 @@ import time
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .centralizers import (a_circle, c_F_of, c_s_counterexample, c_s_of,
-                           centralized_set, compute_centralizer_data,
+                           centralized_set, centralizing_keys,
+                           compute_centralizer_data,
                            contained_in_centralizer, family_join,
                            focal_subgroup, h_group, hyperfocal_subgroup,
                            normalizer_family, r_star, r_star_counterexample,
@@ -256,42 +258,34 @@ def verify_easy_centralizer(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     beta in C_F(X) iff beta^phi in C_F(X^phi) for every beta in E; (b) the
     centralized family and (c) that of N_E(T) are closed under X -> X^phi.
 
-    Clause (a) runs as one set comparison per (X, phi).  Let K(Y) be the
-    set of E's image keys (P, beta) that lie in C_F(Y), and tau the map
-    (P, beta) -> (P^phi, beta^phi) on E's keys (``Twist``); it reads phi
-    only on T, since P and the images of beta lie in T.  When tau maps
-    E's keys one-to-one into E's keys it permutes them, and then
+    Clause (a) runs as one set comparison per (X, phi).  K(Y), the set of
+    E's image keys (P, beta) that lie in C_F(Y), is read for every Y <=
+    C_S(T) from ``centralizing_keys``, whose first Y is C_S(T).  Let tau
+    be the map (P, beta) -> (P^phi, beta^phi) on E's keys (``Twist``); it
+    reads phi only on T, since P and the images of beta lie in T.  When
+    tau maps E's keys one-to-one into E's keys it permutes them, and then
     clause (a) at (X, phi) says exactly tau(K(X)) = K(X^phi): each key k
     has k in K(X) iff tau(k) in C_F(X^phi), that is iff tau(k) in
     K(X^phi), and tau is onto.  For a normal E that precondition is the
     invariance of E under Aut_F(T) (Aschbacher-Kessar-Oliver, Fusion
     Systems in Algebra and Topology, 2011, Sec. I.6); for a corrupted
-    system it can fail, so it is tested once per distinct phi|_T.  K(Y)
-    is computed once per Y, tau once per phi|_T and tau(K(X)) once per
-    (X, phi|_T).  Wherever tau is no permutation or the two sets differ,
-    the loop over every beta runs for that (X, phi) (``_clause_a``), so
-    a failure names the (P, beta) that loop names.  The loop for every
-    (X, phi) is ``easy_centralizer_literal`` in ``tests/oracles.py``."""
+    system it can fail, so it is tested once per distinct phi|_T.  tau is
+    computed once per phi|_T and tau(K(X)) once per (X, phi|_T).  Wherever
+    tau is no permutation or the two sets differ, the loop over every
+    beta runs for that (X, phi) (``_clause_a``), so a failure names the
+    (P, beta) that loop names.  The loop for every (X, phi) is
+    ``easy_centralizer_literal`` in ``tests/oracles.py``."""
     T = E.support
-    CST = centralizer(F.support, T, F.table_for(T))
+    rows = centralizing_keys(F, E)
+    CST = rows[0][0]
+    K = {Y.members: K_Y for Y, K_Y in rows}
     family = {X.members for X in centralized_set(F, E)}
     net_family = {X.members for X in normalizer_family(F, E)}
     keys = frozenset((P.members, b) for P in E.subgroups()
                      for b in E._keys_from(P))
-    kept: dict[tuple[int, ...], frozenset] = {}
     twists: dict[tuple[int, ...], Optional[dict]] = {}
-
-    def K(Y: Subgroup) -> frozenset:
-        got = kept.get(Y.members)
-        if got is None:
-            C_Y = centralizer_subsystem(F, Y)
-            got = kept[Y.members] = frozenset(
-                k for k in keys if C_Y.contains_key(*k))
-        return got
-
-    for X in subgroup_lattice(CST):
+    for X, K_X in rows:
         XT = X.product(T)  # X centralizes T
-        K_X = K(X)
         at = XT.positions
         on_t = picker([at[t] for t in T.members])
         moved: dict[tuple[int, ...], frozenset] = {}
@@ -306,7 +300,7 @@ def verify_easy_centralizer(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
             tau = twists[r]
             if tau is not None and r not in moved:
                 moved[r] = frozenset(map(tau.__getitem__, K_X))
-            if tau is None or moved[r] != K(Xphi):
+            if tau is None or moved[r] != K.get(Xphi.members):
                 bad = _clause_a(F, E, X, phi, Xphi, K_X)
                 if bad is not None:
                     return bad
@@ -383,13 +377,12 @@ def verify_weakly_closed_centralized(F: FusionSystem, E: FusionSystem
                                      ) -> Optional[dict]:
     """Weakly closed R <= C_S(T) centralized by Aut_E(T) lie in the family."""
     T = E.support
-    CST = centralizer(F.support, T, F.table_for(T))
     family = {X.members for X in centralized_set(F, E)}
-    for R in subgroup_lattice(CST):
+    auts = [(T.members, a.images) for a in E.automorphisms(T)]
+    for R, K_R in centralizing_keys(F, E):
         if not is_weakly_closed(F, R):
             continue
-        C_R = centralizer_subsystem(F, R)
-        if not all(C_R.contains_morphism(a) for a in E.automorphisms(T)):
+        if not K_R.issuperset(auts):
             continue
         if R.members not in family:
             return {"R": _sub(R)}
@@ -732,7 +725,7 @@ def _generated_family(F: FusionSystem, E: FusionSystem) -> tuple[Subgroup, ...]:
     saturated E, which those Aut_E(Q) generate (Alperin), so E <= C_F(X) iff
     they lie in C_F(X).  Only an oracle: on the unsaturated mutants of the
     self-tests Alperin fails, and the route can accept an X that the
-    definition (``centralized_set``) rejects."""
+    definition (``contained_in_centralizer``) rejects."""
     auts = [(Q, {h.images for h in E.automorphisms(Q)})
             for Q in classify(E).crf_set()]
     T = E.support
@@ -744,12 +737,16 @@ def _generated_family(F: FusionSystem, E: FusionSystem) -> tuple[Subgroup, ...]:
 
 def _check_centralizer_oracle(F: FusionSystem, E: FusionSystem) -> Optional[dict]:
     """The centralized families of E and of N_E(T), recomputed by the
-    definition (``centralized_set`` uncached) and by the generating-set
-    route, match subgroup by subgroup; E's family also matches the
-    memoized one C_S(E) was built from."""
-    NET = normalizer_subsystem(E, E.support)
+    definition (``contained_in_centralizer`` for each X <= S that
+    centralizes T) and by the generating-set route, match subgroup by
+    subgroup; E's family also matches the memoized one C_S(E) was built
+    from."""
+    T = E.support
+    NET = normalizer_subsystem(E, T)
     for where, D in (({}, E), ({"system": "N_E(T)"}, NET)):
-        brute = [X.members for X in centralized_set.__wrapped__(F, D)]
+        brute = [X.members for X in F.subgroups()
+                 if X.is_elementwise_commuting(T)
+                 and contained_in_centralizer(F, D, X)]
         structured = [X.members for X in _generated_family(F, D)]
         if brute != structured:
             return {**where, "brute": [list(X) for X in brute],

@@ -21,7 +21,7 @@ import pytest
 
 from fusionkit import (centralizers, fusion, groups, models, saturation,
                        subsystems, verify as verify_mod)
-from fusionkit.centralizers import (c_s_of, centralized_set,
+from fusionkit.centralizers import (c_s_of, centralizing_keys,
                                     compute_centralizer_data, focal_subgroup,
                                     hyperfocal_subgroup)
 from fusionkit.corpus import (CORPUS_ENTRIES, builtin_group,
@@ -53,7 +53,7 @@ FAMILIES = {
     "O^p-auts": o_upper_p_automorphisms, "stability": _stability,
     "F-normal-subgroups": normal_subgroups_of_system,
     "closure": fusion._closure_table,
-    "family": centralized_set, "C_F(E)": centralizers._c_F_of,
+    "family": centralizing_keys, "C_F(E)": centralizers._c_F_of,
     "model": model_on,
     "condition-f": _condition_f, "focal": focal_subgroup,
     "conjugation-family": saturation._factors_through,
@@ -134,8 +134,9 @@ def suite_pass(counted_memo):
 def test_each_content_is_asked_once_per_pass(suite_pass):
     """The fills of every family: 7,103 in all, with one fill per entry
     of each of the four entry families (``verify.normal_pairs`` and the
-    data built from it).  Each of the 121 normal pairs asks three
-    centralized families (E's and N_E(T)'s in F, and E's in E for Z(E))
+    data built from it).  Each of the 121 normal pairs asks the
+    centralizing keys of three systems, from which the centralized
+    families are read (E's and N_E(T)'s in F, and E's in E for Z(E)),
     and two joins (C_S(E) and Z(E)); equal contents share a slot, so
     they fill 230 and 221.  Without the memos the pass makes 2,463
     strong-closure tests, 884 stability tests, 1,596 normality tests of

@@ -4,7 +4,10 @@ every corpus normal pair, on systems over a strongly closed T that
 Aut_F(T) does not keep (where the twist tau is not a permutation of E's
 keys), on hom-removed mutants of F and of E, on systems with a bogus map
 on XT adjoined, which fail clause (a) in both of its shapes, and on
-groups generated by two permutations."""
+groups generated by two permutations.  On each of those systems, and on
+its N_E(T), the datum the check reads (``centralizing_keys``) is its
+definition: K(Y) is E's keys that C_F(Y) contains, key by key, and it is
+full exactly when E <= C_F(Y)."""
 
 from __future__ import annotations
 
@@ -15,11 +18,14 @@ import pytest
 from hypothesis import given, settings
 
 from fusionkit import verify
-from fusionkit.corpus import corpus_entries
+from fusionkit.centralizers import centralizing_keys, contained_in_centralizer
+from fusionkit.corpus import builtin_group, corpus_entries
 from fusionkit.errors import NotAGroup
 from fusionkit.groups import Hom, Subgroup, centralizer, subgroup_lattice
-from fusionkit.verify import (normal_pairs, verify_easy_centralizer,
-                              with_added_iso, with_removed_iso)
+from fusionkit.subsystems import centralizer_subsystem, normalizer_subsystem
+from fusionkit.verify import (inner_only_shadow, normal_pairs,
+                              verify_easy_centralizer, with_added_iso,
+                              with_removed_iso)
 from conftest import entry_system
 from oracles import easy_centralizer_literal
 from test_fusion import perm_groups
@@ -42,6 +48,27 @@ def agree(F, E, seen: Counter) -> None:
     got = verify_easy_centralizer(F, E)
     assert got == easy_centralizer_literal(F, E)
     seen[shape(got)] += 1
+    for D in (E, normalizer_subsystem(E, E.support)):
+        keys_are_the_definition(F, D)
+
+
+def keys_are_the_definition(F, E) -> Counter:
+    """``centralizing_keys(F, E)`` walks the Y <= C_S(T) in lattice order,
+    and each K(Y) is the set of E's keys that C_F(Y) contains, key by key;
+    it is full exactly when E <= C_F(Y).  Counts the K(Y) by fullness."""
+    T = E.support
+    rows = centralizing_keys(F, E)
+    CST = centralizer(F.support, T, F.table_for(T))
+    assert [Y.members for Y, _ in rows] == [
+        Y.members for Y in subgroup_lattice(CST)]
+    keys = {(P.members, b) for P in E.subgroups() for b in E._keys_from(P)}
+    full: Counter = Counter()
+    for Y, K in rows:
+        C_Y = centralizer_subsystem(F, Y)
+        assert K == {k for k in keys if C_Y.contains_key(*k)}
+        assert (K == keys) == contained_in_centralizer(F, E, Y)
+        full[K == keys] += 1
+    return full
 
 
 @pytest.fixture
@@ -80,6 +107,19 @@ def test_corpus_normal_pairs(taus):
     assert seen == {(None,): 132}
     assert taus["tau", True] > 0 and taus["tau", False] == 0
     assert not any(key[0] == "loop" for key in taus)
+
+
+def test_keys_in_the_inner_shadow():
+    """In the inner shadow M of F = F_S(S4), whose C_M(Y) keep only S's own
+    conjugations, some K(Y) of F's normal pairs is short of E's keys, and
+    each is still the definition, for E and for N_E(T)."""
+    F = entry_system(builtin_group("s4"), 2)
+    M = inner_only_shadow(F)
+    full: Counter = Counter()
+    for _, E in normal_pairs(F):
+        for D in (E, normalizer_subsystem(E, E.support)):
+            full += keys_are_the_definition(M, D)
+    assert full[True] > 0 and full[False] > 0
 
 
 def test_systems_aut_f_t_does_not_keep(taus):

@@ -18,11 +18,16 @@ build a system with both a witness and explicit iso-sets.  A check of the
 verification suite takes only systems: every parameter of a ``verify_*``
 or ``_check_*`` function of ``verify`` is annotated ``FusionSystem``, and
 no scope runner of its registry is called with a lambda, so each row
-names its verifier and the verifier reads its data itself."""
+names its verifier and the verifier reads its data itself.  Every
+backticked ``module.name`` of ``README.md`` whose module is a package
+module names an attribute the package has, unless
+``README_NAMES_NOT_IN_CODE`` says why it does not."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -72,6 +77,12 @@ SCOPE_RUNNERS = ("_per_pair", "_per_commuting_pair")
 # Defaulted parameters no call sets, as "function(parameter)", each with the
 # reason it stays.
 NO_SETTER_NEEDED: dict[str, str] = {}
+
+# Backticked ``module.name`` references of README.md that the package does
+# not define, each with the reason it stays.
+README_NAMES_NOT_IN_CODE = {
+    "fusion.classes": "a layer span of perfbench/replay.py, not an attribute",
+}
 
 
 def _quoted_annotation_names(tree: ast.AST) -> list[tuple[str, int]]:
@@ -347,6 +358,35 @@ def lambda_rows(source: str) -> list[int]:
                           node.args + [k.value for k in node.keywords]))
 
 
+def readme_references(text: str, modules: set[str]) -> list[str]:
+    """The dotted name that opens each backticked span of ``text``, fenced
+    blocks left out, when its first part is one of ``modules``; file
+    names (``name.py``) are left out."""
+    text = re.sub(r"^```.*?^```", "", text, flags=re.S | re.M)
+    out = []
+    for span in re.findall(r"`([^`\n]+)`", text):
+        name = re.match(r"[A-Za-z_]\w*(?:\.\w+)*", span)
+        parts = name.group().split(".") if name else []
+        if len(parts) > 1 and parts[0] in modules and parts[-1] != "py":
+            out.append(name.group())
+    return out
+
+
+def unresolved(references: list[str]) -> list[str]:
+    """The distinct ``module.name`` references that name no attribute of
+    ``fusionkit.module``, followed attribute by attribute."""
+    out = set()
+    for ref in references:
+        module, *path = ref.split(".")
+        obj = importlib.import_module(f"fusionkit.{module}")
+        for attr in path:
+            if not hasattr(obj, attr):
+                out.add(ref)
+                break
+            obj = getattr(obj, attr)
+    return sorted(out)
+
+
 def absolute_imports(source: str) -> list[ast.stmt]:
     """The import statements of ``source``, at any depth, that name a
     module by its absolute name."""
@@ -452,6 +492,15 @@ def test_checks_take_only_systems():
     source = (PACKAGE / "verify.py").read_text()
     assert check_data_parameters(source) == []
     assert lambda_rows(source) == []
+
+
+def test_readme_names_exist():
+    """The README's unresolved names are exactly the allow-listed ones, so
+    a rename that leaves the README behind fails here by name."""
+    refs = readme_references((REPO / "README.md").read_text(),
+                             {p.stem for p in MODULES})
+    assert len(refs) > 30
+    assert unresolved(refs) == sorted(README_NAMES_NOT_IN_CODE)
 
 
 def test_detects_an_unused_import():
@@ -619,3 +668,15 @@ def test_detects_a_check_that_takes_data():
     assert check_data_parameters(source) == [
         "_check_c(F)", "_check_c(data)", "verify_b(X_set)"]
     assert lambda_rows(source) == [10, 11]
+
+
+def test_detects_a_missing_readme_name():
+    text = ("Run `verify.run_checks(F)`, read `fusion.FusionSystem.classes`\n"
+            "and `verify.no_such_check` or `fusion.FusionSystem.gone`;\n"
+            "edit `verify.py`, `groups.py` and `other.thing`.\n"
+            "```\n`fusion.fenced_away`\n```\n")
+    refs = readme_references(text, {"verify", "fusion", "groups"})
+    assert refs == ["verify.run_checks", "fusion.FusionSystem.classes",
+                    "verify.no_such_check", "fusion.FusionSystem.gone"]
+    assert unresolved(refs) == ["fusion.FusionSystem.gone",
+                                "verify.no_such_check"]

@@ -148,37 +148,56 @@ class TestSuiteRuns:
 
     def test_checks_read_the_memoized_family(self, monkeypatch, counted_memo):
         """A suite pass on s4@2 (4 normal pairs) fills 8 slots of
-        ``centralized_set``: the families of E and of N_E(T) for each pair.
+        ``centralizing_keys``: the keys of E and of N_E(T) for each pair.
         The four checks that read E's family (EasyCentralizer, XInvariant,
         WeaklyClosedCentralized and MainCSE.a) each read, for every pair,
         the tuple that ``compute_centralizer_data(F, E).X_set`` holds.
-        centralizer-oracle recomputes both families uncached, 8 calls, so
-        its "family drifted" comparison never compares the memo with
-        itself."""
+        centralizer-oracle recomputes both families by the definition, one
+        ``contained_in_centralizer`` per X <= C_S(T): 2 x 22 calls over the
+        pairs' lattices of 10, 5, 5 and 2 subgroups.  No call of
+        ``centralizing_keys`` is made under it, so its "family drifted"
+        comparison never compares the memo with itself."""
         reads = []
-        uncached: Counter = Counter()
-        real = verify_mod.centralized_set
+        calls: Counter = Counter()
+        real_set = verify_mod.centralized_set
+        real_keys = centralizers.centralizing_keys
+        real_contained = verify_mod.contained_in_centralizer
+
+        def under_oracle() -> bool:
+            frame = sys._getframe(2)
+            while frame is not None:
+                if frame.f_code.co_name == "_check_centralizer_oracle":
+                    return True
+                frame = frame.f_back
+            return False
 
         def recorded(F, E):
-            got = real(F, E)
+            got = real_set(F, E)
             reads.append((sys._getframe(1).f_code.co_name, F, E, got))
             return got
 
-        def recomputed(F, E):
-            uncached[sys._getframe(1).f_code.co_name] += 1
-            return real.__wrapped__(F, E)
+        def keys_watched(F, E):
+            calls["keys", under_oracle()] += 1
+            return real_keys(F, E)
 
-        recorded.__wrapped__ = recomputed
+        def contained(F, E, X):
+            calls["definition", under_oracle()] += 1
+            return real_contained(F, E, X)
+
         monkeypatch.setattr(verify_mod, "centralized_set", recorded)
+        monkeypatch.setattr(verify_mod, "contained_in_centralizer", contained)
+        for module in (verify_mod, centralizers):
+            monkeypatch.setattr(module, "centralizing_keys", keys_watched)
         with counted_memo() as (fills, _):
             results = run_suite("s4@2", builtin_group("s4"), 2)
         assert all(r.passed for r in results)
-        assert fills[centralizers.centralized_set] == 8
-        assert uncached == {"_check_centralizer_oracle": 8}
+        assert fills[real_keys] == 8
+        assert calls["definition", True] == 44
+        assert calls["keys", True] == 0 and calls["keys", False] > 0
         assert Counter(name for name, *_ in reads) == {
             "verify_easy_centralizer": 4, "verify_x_invariant": 4,
             "verify_weakly_closed_centralized": 4, "verify_main_cse_a": 4}
-        assert all(got is compute_centralizer_data(F, E).X_set
+        assert all(got == compute_centralizer_data(F, E).X_set
                    for _, F, E, got in reads)
 
     @pytest.mark.parametrize("name", ["s4", "d8", "c2xc4"])
